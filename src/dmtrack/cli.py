@@ -27,6 +27,7 @@ from .harness import (
     AUDIT_GRID_Q,
     ExperimentConfig,
     materialize,
+    passed,
     run_experiment,
     sweep,
 )
@@ -47,9 +48,9 @@ def _load_config(args):
 
 def _cmd_run(args):
     config = _load_config(args)
-    summary = run_experiment(config, workers=args.workers)
+    summary = run_experiment(config)
     if summary["failed"]:
-        print(f"FAILED: trial seed {summary['failed_seed']}: {summary['failure']}")
+        print(f"FAILED: trial seeds {summary['failed_seeds']}: {summary['failure']}")
         return 1
     print(f"preset            {summary['preset']}")
     print(f"alpha             {summary['alpha']:.12g}")
@@ -59,7 +60,7 @@ def _cmd_run(args):
     print(f"bound_contained   {summary['bound_contained']}")
     print(f"tracking_ok       {summary['tracking_ok']} (max residual {summary['max_tracking_residual']:.3e})")
     print(f"output            {Path(config.raw['output']).resolve()}")
-    return 0 if summary["bound_contained"] and summary["tracking_ok"] else 1
+    return 0 if passed(summary) else 1
 
 
 def _cmd_sweep(args):
@@ -68,19 +69,15 @@ def _cmd_sweep(args):
     if not values:
         print("no sweep values given", file=sys.stderr)
         return 2
-    rows, _ = sweep(config, args.param, values, workers=args.workers)
+    rows, summaries = sweep(config, args.param, values)
     print(f"{args.param:>12}  {'mse':>12}  {'lower':>12}  {'upper':>12}  {'eps*':>10}  ok")
-    bad = False
-    for r in rows:
-        ok = not r["failed"] and (
-            r["lower"] == 0.0 or r["lower"] <= r["empirical_mse"] <= r["upper"] * 1.5
-        )
-        bad |= r["failed"]
+    verdicts = [passed(summary) for summary in summaries]
+    for r, ok in zip(rows, verdicts):
         print(
             f"{r['value']:>12.6g}  {r['empirical_mse']:>12.6g}  {r['lower']:>12.6g}  "
             f"{r['upper']:>12.6g}  {r['eps_star']:>10.5g}  {'yes' if ok else 'NO'}"
         )
-    return 1 if bad else 0
+    return 0 if all(verdicts) else 1
 
 
 def _audit_params(config, args):
@@ -259,7 +256,6 @@ def main(argv=None):
     p_run.add_argument("--config", required=True)
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
-    p_run.add_argument("--workers", type=int, default=1)
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run the experiment across a parameter list")
@@ -267,7 +263,6 @@ def main(argv=None):
     p_sweep.add_argument("--param", required=True, choices=("d_zeta", "d_eta", "q", "alpha"))
     p_sweep.add_argument("--values", required=True, help="comma-separated list")
     p_sweep.add_argument("--out", default=None)
-    p_sweep.add_argument("--workers", type=int, default=1)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_audit = sub.add_parser("audit", help="forced-difference privacy audit")

@@ -11,18 +11,25 @@ state of its neighbors):
 with y_i(0) = A_i x_i(0) - d_i. Summing the tracker update over agents shows
 the invariant sum_i y_i(k) = sum_i (A_i x_i(k) - d_i) + sum_{t<k} sum_i zeta_i(t),
 which reduces to exact mismatch tracking when the noise is disabled.
+
+`run` steps T independent trials as one (T, n, .) state through a single
+round loop; one int seed is a batch of one. Every per-trial operation
+(stacked matmuls, elementwise updates, norms as one dot product per trial)
+is the one a lone trial would execute, so a trial's outputs do not depend on
+the batch it ran in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .errors import SolverFailure
 from .local_solver import solve_all_from_c, _stacked
-from .noise import NoiseLog, draw_round_all
+from .noise import NoiseLog, draw_round_all, iter_masks, noise_log
 
 
 @dataclass(eq=False)
@@ -61,7 +68,11 @@ class RunConfig:
 
 @dataclass(eq=False)
 class RunTrace:
-    """Per-round metrics plus the final state and the complete noise log.
+    """Per-round metrics plus the final state; the noise log is built on first access.
+
+    For a run given one int seed the metrics have shape (records,) and the
+    states drop the trial axis; for a sequence of T seeds every array gains a
+    leading trial axis of length T.
 
     tracking_residual is the tracking-identity defect scaled by
     1 / (1 + magnitude of the states entering it), so a healthy run stays
@@ -75,10 +86,20 @@ class RunTrace:
     tracking_residual: np.ndarray
     feasibility: np.ndarray
     final_state: EngineState
-    noise_log: NoiseLog
     x_star: Optional[np.ndarray] = None
     states_mu: Optional[np.ndarray] = None
     states_x: Optional[np.ndarray] = None
+    # a NoiseLog, or the (schedule, seeds, iters, m, single) that regenerate it
+    _noise: object = field(default=None, repr=False)
+
+    @property
+    def noise_log(self):
+        """The masks every round used: (iters, n, m), or (T, iters, n, m) for a batch."""
+        if not isinstance(self._noise, NoiseLog):
+            schedule, seeds, iters, m, single = self._noise
+            log = noise_log(schedule, seeds, iters, m)
+            self._noise = NoiseLog(eta=log.eta[0], zeta=log.zeta[0]) if single else log
+        return self._noise
 
     def max_tracking_residual(self):
         return float(np.max(self.tracking_residual))
@@ -101,13 +122,16 @@ def init_state(instance, config):
 
 
 def _advance(instance, stk, W, alpha, mu, x, y, Ax, eta, zeta):
-    """One synchronous round; returns (mu1, x1, y1, Ax1)."""
-    z_mu = mu + eta
-    z_y = y + zeta
+    """One synchronous round of a (T, n, .) batch; returns (mu1, x1, y1, Ax1).
+
+    eta and zeta of None mean no masks (adding zeros would change nothing).
+    """
+    z_mu = mu if eta is None else mu + eta
+    z_y = y if zeta is None else y + zeta
     mu1 = W @ z_mu - alpha * y
-    c = np.einsum("imp,im->ip", stk["A"], mu1)
+    c = np.einsum("imp,tim->tip", stk["A"], mu1)
     x1 = solve_all_from_c(instance, c, stk=stk)
-    Ax1 = np.einsum("imp,ip->im", stk["A"], x1)
+    Ax1 = np.einsum("imp,tip->tim", stk["A"], x1)
     y1 = W @ z_y + Ax1 - Ax
     return mu1, x1, y1, Ax1
 
@@ -123,11 +147,12 @@ def step(state, instance, W, schedule, config, seed, noise=None):
     Ax = np.einsum("imp,ip->im", stk["A"], state.x)
     try:
         mu1, x1, y1, _ = _advance(
-            instance, stk, W, config.alpha, state.mu, state.x, state.y, Ax, eta, zeta
+            instance, stk, W, config.alpha, state.mu[None], state.x[None], state.y[None],
+            Ax[None], np.asarray(eta)[None], np.asarray(zeta)[None],
         )
     except SolverFailure as exc:
         raise SolverFailure(f"round {state.round}: {exc}") from exc
-    return EngineState(mu=mu1, x=x1, y=y1, round=state.round + 1)
+    return EngineState(mu=mu1[0], x=x1[0], y=y1[0], round=state.round + 1)
 
 
 def fixed_point_residual(state, instance, W):
@@ -141,77 +166,150 @@ def fixed_point_residual(state, instance, W):
     return consensus_mu, y_norm, feasibility
 
 
+def _norms(a, axes):
+    """2-norms over the trailing `axes` axes, computed like np.linalg.norm (one dot each)."""
+    flat = a.reshape(a.shape[: a.ndim - axes] + (-1,))
+    return np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
+
+
+def _as_seeds(seed):
+    """(seeds, single): an int seed is a batch of one whose outputs drop the trial axis."""
+    if isinstance(seed, (int, np.integer)):
+        return [int(seed)], True
+    seeds = [int(s) for s in seed]
+    if not seeds:
+        raise ValueError("need at least one seed")
+    return seeds, False
+
+
+def _replay_masks(replay, trials, single, iters, shape):
+    """Per-round (eta, zeta) views of a given NoiseLog, each (trials, n, m)."""
+    eta = replay.eta[None] if single else replay.eta
+    zeta = replay.zeta[None] if single else replay.zeta
+    if replay.rounds < iters:
+        raise ValueError(f"replay log has {replay.rounds} rounds, need {iters}")
+    if eta.shape[0] != trials or eta.shape[2:] != shape or zeta.shape != eta.shape:
+        raise ValueError(f"replay log of shape {replay.eta.shape} does not fit {trials} trials")
+    return ((eta[:, k], zeta[:, k]) for k in range(iters))
+
+
 def run(instance, W, schedule, config, seed, x_star=None, replay=None, keep_states=False):
     """Run `config.iters` rounds and record metrics every `config.record_every`.
 
+    seed : int or sequence of int
+        One trial per seed. A sequence runs the trials together as one
+        (T, n, .) batch; each trial's outputs are bit-identical to a run
+        given that seed alone.
     replay : NoiseLog, optional
         Re-feeds previously recorded masks instead of sampling, reproducing
-        the original trajectory bit for bit.
+        the original trajectory bit for bit. Shaped like the noise_log of a
+        run with the same seed argument.
     keep_states : bool
         Additionally record the full mu and x trajectories (used by the
         privacy auditor).
+
+    Raises SolverFailure if a local solve fails or a trial's state turns
+    non-finite; the remaining trials are still stepped, so `exc.trials`
+    lists the batch positions of every trial that diverged.
     """
+    seeds, single = _as_seeds(seed)
     W = np.asarray(getattr(W, "W", W), dtype=float)
     n, m, p = instance.dims
     stk = _stacked(instance)
-    state = init_state(instance, config)
-    mu, x, y = state.mu, state.x, state.y
-    Ax = np.einsum("imp,ip->im", stk["A"], x)
-
+    start = init_state(instance, config)
+    T = len(seeds)
+    mu = np.broadcast_to(start.mu, (T, n, m)).copy()
+    x = np.broadcast_to(start.x, (T, n, p)).copy()
+    y = np.broadcast_to(start.y, (T, n, m)).copy()
+    Ax = np.einsum("imp,tip->tim", stk["A"], x)
     iters = config.iters
-    if replay is not None and replay.rounds < iters:
-        raise ValueError(f"replay log has {replay.rounds} rounds, need {iters}")
-    eta_log = np.empty((iters, n, m))
-    zeta_log = np.empty((iters, n, m))
-    zeta_cum = np.zeros(m)
+    alpha = config.alpha
+    if x_star is not None:
+        x_star = np.asarray(x_star, dtype=float)
 
-    ks, mses, cons, tracks, feas = [], [], [], [], []
+    if replay is not None:
+        masks = _replay_masks(replay, T, single, iters, (n, m))
+        noise = NoiseLog(eta=replay.eta[..., :iters, :, :], zeta=replay.zeta[..., :iters, :, :])
+    else:
+        masks = (
+            repeat((None, None), iters)
+            if schedule.zero_noise
+            else iter_masks(schedule, seeds, iters, m)
+        )
+        noise = (schedule, seeds, iters, m, single)
+
+    ks = np.arange(0, iters + 1, config.record_every)
+    if ks[-1] != iters:
+        ks = np.append(ks, iters)
+    recorded = np.full((4, T, ks.shape[0]), np.nan)  # mse, consensus, tracking, feasibility
+    zeta_cum = np.zeros((T, m))
     if keep_states:
-        states_mu = np.empty((iters + 1, n, m))
-        states_x = np.empty((iters + 1, n, p))
-        states_mu[0], states_x[0] = mu, x
+        states_mu = np.empty((T, iters + 1, n, m))
+        states_x = np.empty((T, iters + 1, n, p))
+        states_mu[:, 0], states_x[:, 0] = mu, x
 
-    def record(k):
-        ks.append(k)
-        if x_star is None:
-            mses.append(np.nan)
-        else:
-            mses.append(float(np.sum((x - x_star) ** 2)))
-        cons.append(float(np.linalg.norm(mu - W @ mu)))
-        mismatch = (np.einsum("imp,ip->im", stk["A"], x) - stk["d"]).sum(axis=0)
-        defect = y.sum(axis=0) - mismatch - zeta_cum
-        magnitude = float(np.linalg.norm(y) + np.linalg.norm(mismatch) + np.linalg.norm(zeta_cum))
-        tracks.append(float(np.linalg.norm(defect)) / (1.0 + magnitude))
-        feas.append(float(np.linalg.norm(mismatch)))
+    def record(r):
+        if x_star is not None:
+            recorded[0, :, r] = ((x - x_star) ** 2).reshape(T, -1).sum(axis=1)
+        recorded[1, :, r] = _norms(mu - W @ mu, 2)
+        mismatch = (Ax - stk["d"]).sum(axis=1)
+        defect = y.sum(axis=1) - mismatch - zeta_cum
+        small = _norms(np.stack([mismatch, zeta_cum, defect], axis=1), 1)
+        magnitude = _norms(y, 2) + small[:, 0] + small[:, 1]
+        recorded[2, :, r] = small[:, 2] / (1.0 + magnitude)
+        recorded[3, :, r] = small[:, 0]
 
-    record(0)
-    for k in range(iters):
-        if replay is not None:
-            eta, zeta = replay.eta[k], replay.zeta[k]
-        else:
-            eta, zeta = draw_round_all(schedule, k, seed, m)
-        eta_log[k], zeta_log[k] = eta, zeta
-        try:
-            mu, x, y, Ax = _advance(instance, stk, W, config.alpha, mu, x, y, Ax, eta, zeta)
-        except SolverFailure as exc:
-            raise SolverFailure(f"round {k}: {exc}") from exc
-        if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise SolverFailure(f"round {k + 1}: state diverged to non-finite values")
-        zeta_cum += zeta.sum(axis=0)
-        if keep_states:
-            states_mu[k + 1], states_x[k + 1] = mu, x
-        if (k + 1) % config.record_every == 0 or k + 1 == iters:
-            record(k + 1)
+    alive = np.arange(T)  # batch positions of the trials still finite
+    diverged, diverged_at = [], None
+    r = 0
+    record(r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (eta, zeta) in enumerate(masks):
+            if diverged and eta is not None:
+                eta, zeta = eta[alive], zeta[alive]
+            try:
+                mu, x, y, Ax = _advance(instance, stk, W, alpha, mu, x, y, Ax, eta, zeta)
+            except SolverFailure as exc:
+                raise SolverFailure(
+                    f"round {k}: {exc}", trials=[int(alive[t]) for t in exc.trials]
+                ) from exc
+            if not (np.isfinite(mu).all() and np.isfinite(x).all() and np.isfinite(y).all()):
+                ok = np.isfinite(mu).all(axis=(1, 2)) & np.isfinite(x).all(axis=(1, 2))
+                ok &= np.isfinite(y).all(axis=(1, 2))
+                diverged += [int(t) for t in alive[~ok]]
+                diverged_at = diverged_at or k + 1
+                alive = alive[ok]
+                mu, x, y, Ax = mu[ok], x[ok], y[ok], Ax[ok]
+                if not alive.size:
+                    break
+            if diverged:
+                continue  # the run fails; only look for further divergent trials
+            if zeta is not None:
+                zeta_cum += zeta.sum(axis=1)
+            if keep_states:
+                states_mu[:, k + 1], states_x[:, k + 1] = mu, x
+            if k + 1 == ks[r + 1]:
+                r += 1
+                record(r)
+    if diverged:
+        names = ", ".join(str(seeds[t]) for t in sorted(diverged))
+        raise SolverFailure(
+            f"round {diverged_at}: state diverged to non-finite values (trial seeds {names})",
+            trials=sorted(diverged),
+        )
+
+    def out(a):
+        return a[0] if single else a
 
     return RunTrace(
-        ks=np.asarray(ks, dtype=int),
-        mse=np.asarray(mses),
-        consensus_mu=np.asarray(cons),
-        tracking_residual=np.asarray(tracks),
-        feasibility=np.asarray(feas),
-        final_state=EngineState(mu=mu, x=x, y=y, round=iters),
-        noise_log=NoiseLog(eta=eta_log, zeta=zeta_log),
-        x_star=None if x_star is None else np.asarray(x_star, dtype=float),
-        states_mu=states_mu if keep_states else None,
-        states_x=states_x if keep_states else None,
+        ks=ks,
+        mse=out(recorded[0]),
+        consensus_mu=out(recorded[1]),
+        tracking_residual=out(recorded[2]),
+        feasibility=out(recorded[3]),
+        final_state=EngineState(mu=out(mu), x=out(x), y=out(y), round=iters),
+        x_star=x_star,
+        states_mu=out(states_mu) if keep_states else None,
+        states_x=out(states_x) if keep_states else None,
+        _noise=noise,
     )

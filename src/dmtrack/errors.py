@@ -10,7 +10,15 @@ class ConfigError(DmtrackError):
 
 
 class SolverFailure(DmtrackError):
-    """An iterative solver exhausted its iteration budget or produced non-finite state."""
+    """An iterative solver exhausted its iteration budget or produced non-finite state.
+
+    `trials` holds the positions, within the batch of trials being solved,
+    of the trials that failed.
+    """
+
+    def __init__(self, message, trials=()):
+        super().__init__(message)
+        self.trials = list(trials)
 
 
 class InfeasibleProblemError(DmtrackError):

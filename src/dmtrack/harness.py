@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -352,12 +351,6 @@ def _constants_or_nan(mat):
         return TheoryConstants(nan, mat.W.lambda_bar, nan, nan, nan, nan, nan)
 
 
-def _terminal_mean(trace, iters, window):
-    start = iters - max(1, int(round(window * iters)))
-    mask = trace.ks >= start
-    return float(np.mean(trace.mse[mask]))
-
-
 def _write_trace_csv(path, ks, mse, consensus, tracking, feasibility):
     lines = ["k,mse,consensus_mu,tracking_residual,feasibility"]
     for i in range(len(ks)):
@@ -382,15 +375,23 @@ def _jsonable(obj):
     return obj
 
 
-def run_experiment(config, out_dir=None, workers=1):
+def run_experiment(config, out_dir=None):
     """Run `trials` seeded simulations, average traces, and verdict the bounds.
 
     Writes trace.csv (pointwise trial average) and summary.json into the
     output directory and returns the summary dict. Any diverging trial marks
-    the experiment failed and records the offending seed.
+    the experiment failed and records every offending seed.
     """
+    return _run_materialized(config, materialize(config), out_dir)
+
+
+def passed(summary):
+    """The verdict of one experiment: no divergence, bound contained, tracking held."""
+    return not summary["failed"] and summary["bound_contained"] and summary["tracking_ok"]
+
+
+def _run_materialized(config, mat, out_dir):
     t0 = time.perf_counter()
-    mat = materialize(config)
     outdir = Path(out_dir) if out_dir is not None else mat.output
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -398,11 +399,7 @@ def run_experiment(config, out_dir=None, workers=1):
     constants = _constants_or_nan(mat)
     bnds = mse_bounds(mat.schedule, mat.mod, mat.instance.n, mat.instance.m)
     run_cfg = RunConfig(alpha=mat.alpha, iters=mat.iters, record_every=mat.record_every)
-
-    def one_trial(t):
-        return run(
-            mat.instance, mat.W, mat.schedule, run_cfg, mat.seed + t, x_star=sol.x_star
-        )
+    seeds = [mat.seed + t for t in range(mat.trials)]
 
     summary = {
         "preset": config.raw["problem"]["preset"],
@@ -425,29 +422,25 @@ def run_experiment(config, out_dir=None, workers=1):
         "failed": False,
     }
 
-    traces = [None] * mat.trials
     try:
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for t, trace in enumerate(pool.map(one_trial, range(mat.trials))):
-                    traces[t] = trace
-        else:
-            for t in range(mat.trials):
-                traces[t] = one_trial(t)
+        trace = run(mat.instance, mat.W, mat.schedule, run_cfg, seeds, x_star=sol.x_star)
     except SolverFailure as exc:
-        failed_at = next(t for t, tr in enumerate(traces) if tr is None)
-        summary.update(failed=True, failure=str(exc), failed_seed=mat.seed + failed_at)
+        failed = [seeds[t] for t in exc.trials]
+        summary.update(
+            failed=True, failure=str(exc), failed_seed=failed[0], failed_seeds=failed
+        )
         (outdir / "summary.json").write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
         return summary
 
-    ks = traces[0].ks
-    mean_mse = np.mean([tr.mse for tr in traces], axis=0)
-    mean_cons = np.mean([tr.consensus_mu for tr in traces], axis=0)
-    mean_track = np.mean([tr.tracking_residual for tr in traces], axis=0)
-    mean_feas = np.mean([tr.feasibility for tr in traces], axis=0)
-    terminal = [_terminal_mean(tr, mat.iters, mat.terminal_window) for tr in traces]
+    mean_mse = np.mean(trace.mse, axis=0)
+    mean_cons = np.mean(trace.consensus_mu, axis=0)
+    mean_track = np.mean(trace.tracking_residual, axis=0)
+    mean_feas = np.mean(trace.feasibility, axis=0)
+    start = mat.iters - max(1, int(round(mat.terminal_window * mat.iters)))
+    # one mean per trial row: np.mean(axis=1) would sum in another order
+    terminal = np.array([np.mean(mse) for mse in trace.mse[:, trace.ks >= start]])
     empirical = float(np.mean(terminal))
-    max_track = max(tr.max_tracking_residual() for tr in traces)
+    max_track = trace.max_tracking_residual()
 
     slack = 3.0 / math.sqrt(mat.trials)
     if bnds.N_zeta == 0.0:
@@ -468,7 +461,7 @@ def run_experiment(config, out_dir=None, workers=1):
         tracking_ok=bool(tracking_ok),
         runtime_sec=time.perf_counter() - t0,
     )
-    _write_trace_csv(outdir / "trace.csv", ks, mean_mse, mean_cons, mean_track, mean_feas)
+    _write_trace_csv(outdir / "trace.csv", trace.ks, mean_mse, mean_cons, mean_track, mean_feas)
     (outdir / "summary.json").write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
     return summary
 
@@ -476,7 +469,7 @@ def run_experiment(config, out_dir=None, workers=1):
 SWEEPABLE = ("d_zeta", "d_eta", "q", "alpha")
 
 
-def sweep(config, parameter, values, out_dir=None, workers=1):
+def sweep(config, parameter, values, out_dir=None):
     """One run_experiment per value of a noise scale, decay, or stepsize.
 
     Returns (rows, summaries). Each row pairs the empirical stationary MSE
@@ -496,9 +489,9 @@ def sweep(config, parameter, values, out_dir=None, workers=1):
         value = float(value)
         cfg = config.replace(**{key: value})
         sub = base_out / f"{parameter}_{value:g}"
-        summary = run_experiment(cfg, out_dir=sub, workers=workers)
-        summaries.append(summary)
         mat = materialize(cfg)
+        summary = _run_materialized(cfg, mat, sub)
+        summaries.append(summary)
         i0 = config.raw.get("audit", {}).get("i0", 0)
         ag = mat.instance.agents[i0]
         delta = config.raw.get("audit", {}).get("delta", 1.0)

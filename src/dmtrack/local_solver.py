@@ -120,18 +120,25 @@ def solve_all(instance, mu, max_inner=MAX_INNER_DEFAULT):
 
 
 def solve_all_from_c(instance, c, stk=None, max_inner=MAX_INNER_DEFAULT):
-    """Like solve_all but taking precomputed linear terms c_i = A_i^T mu_i."""
+    """Like solve_all but taking precomputed linear terms c_i = A_i^T mu_i.
+
+    c has shape (n, p), or (T, n, p) for a batch of T trials; a solver
+    failure names the agent and, for a batch, the failing trial.
+    """
     if stk is None:
         stk = _stacked(instance)
     if stk["diag"] is not None:
         return np.clip((c - stk["v"]) / stk["diag"], stk["lo"], stk["hi"])
-    out = np.empty((instance.n, instance.p))
-    for i, a in enumerate(instance.agents):
-        try:
-            out[i] = argmin_local(a.cost, a.box, c[i], max_inner=max_inner).x
-        except SolverFailure as exc:
-            raise SolverFailure(f"agent {i}: {exc}") from exc
-    return out
+    batch = c.reshape((-1,) + c.shape[-2:])
+    out = np.empty(batch.shape)
+    for t, ct in enumerate(batch):
+        for i, a in enumerate(instance.agents):
+            try:
+                out[t, i] = argmin_local(a.cost, a.box, ct[i], max_inner=max_inner).x
+            except SolverFailure as exc:
+                where = f"agent {i}" if c.ndim == 2 else f"trial {t}, agent {i}"
+                raise SolverFailure(f"{where}: {exc}", trials=[t]) from exc
+    return out.reshape(c.shape)
 
 
 _STACK_CACHE = {}

@@ -221,7 +221,7 @@ def test_criterion_7_property_suites(pytestconfig, tmp_path):
         if not verify_against_grid(instance, solve_dual(instance)):
             problems.append(f"{name} oracle fails the grid check")
 
-    # reruns are byte-identical regardless of thread count
+    # reruns are byte-identical, and a batch of trials equals its single-seed runs
     cfg = ExperimentConfig.from_dict(
         {
             "problem": {"preset": "symmetric2"},
@@ -233,11 +233,23 @@ def test_criterion_7_property_suites(pytestconfig, tmp_path):
         }
     )
     blobs = []
-    for name, workers in (("w1a", 1), ("w1b", 1), ("w4", 4)):
-        run_experiment(cfg, out_dir=tmp_path / name, workers=workers)
+    for name in ("a", "b"):
+        run_experiment(cfg, out_dir=tmp_path / name)
         blobs.append((tmp_path / name / "trace.csv").read_bytes())
-    if not (blobs[0] == blobs[1] == blobs[2]):
-        problems.append("rerun traces differ across workers")
+    if blobs[0] != blobs[1]:
+        problems.append("rerun traces differ")
+    instance, W, _ = build_preset("symmetric2")
+    schedule = NoiseSchedule.uniform(2, q=0.98)
+    run_cfg = RunConfig(alpha=0.45, iters=40)
+    x_star = np.ones((2, 1))
+    batch = run(instance, W, schedule, run_cfg, [5, 6, 7], x_star=x_star)
+    for t, seed in enumerate((5, 6, 7)):
+        one = run(instance, W, schedule, run_cfg, seed, x_star=x_star)
+        keys = ("mse", "consensus_mu", "tracking_residual", "feasibility")
+        pairs = [(getattr(batch, k)[t], getattr(one, k)) for k in keys]
+        pairs.append((batch.final_state.x[t], one.final_state.x))
+        if any(a.tobytes() != b.tobytes() for a, b in pairs):
+            problems.append(f"batched trial {t} differs from the single-seed run")
 
     ok = not problems
     detail = (
@@ -245,7 +257,8 @@ def test_criterion_7_property_suites(pytestconfig, tmp_path):
         if problems
         else "23 mixing matrices doubly stochastic to 1e-12; Laplace moments within 1%/5% "
         "at 1e6 draws; 100/100 KKT within tolerance; 100/100 conjugate pairs nonexpansive; "
-        "grid oracle agreement; byte-identical reruns at 1 and 4 workers"
+        "grid oracle agreement; byte-identical reruns; a 3-seed batch equals its 3 "
+        "single-seed runs"
     )
     _report(pytestconfig, 7, ok, detail)
 

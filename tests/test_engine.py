@@ -1,14 +1,19 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
+from dmtrack import noise
 from dmtrack.engine import EngineState, RunConfig, fixed_point_residual, init_state, run, step
 from dmtrack.errors import SolverFailure
 from dmtrack.harness import PRESETS
 from dmtrack.local_solver import argmin_local, solve_all
-from dmtrack.noise import NoiseLog, NoiseSchedule
+from dmtrack.noise import NoiseLog, NoiseSchedule, chunk_rounds
 from dmtrack.oracle import solve_dual
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
-from dmtrack.topology import metropolis_weights
+from dmtrack.topology import metropolis_weights, ring_plus_random
 
 
 def single_agent_instance(d=0.0, lo=-10.0, hi=10.0):
@@ -129,9 +134,12 @@ def test_replay_reproduces_and_zero_log_equals_disabled():
     inst, W = symmetric2()
     cfg = RunConfig(alpha=0.45, iters=40)
     noisy = run(inst, W, NoiseSchedule.uniform(2, q=0.9), cfg, seed=5)
+    assert noisy.noise_log is noisy.noise_log  # built on first access, then kept
+    assert noisy.noise_log.eta.shape == (40, 2, 1)
     again = run(inst, W, NoiseSchedule.disabled(2), cfg, seed=99, replay=noisy.noise_log)
     assert np.array_equal(noisy.final_state.x, again.final_state.x)
     assert np.array_equal(noisy.tracking_residual, again.tracking_residual)
+    assert again.noise_log.eta.tobytes() == noisy.noise_log.eta.tobytes()
 
     zero_log = NoiseLog(eta=np.zeros((40, 2, 1)), zeta=np.zeros((40, 2, 1)))
     replayed = run(inst, W, NoiseSchedule.uniform(2, q=0.9), cfg, seed=5, replay=zero_log)
@@ -141,6 +149,100 @@ def test_replay_reproduces_and_zero_log_equals_disabled():
     short = NoiseLog(eta=np.zeros((10, 2, 1)), zeta=np.zeros((10, 2, 1)))
     with pytest.raises(ValueError):
         run(inst, W, NoiseSchedule.disabled(2), cfg, seed=0, replay=short)
+    with pytest.raises(ValueError, match="trials"):
+        run(inst, W, NoiseSchedule.disabled(2), cfg, seed=[0, 1], replay=noisy.noise_log)
+
+
+def test_regenerated_noise_log_replays_its_batch():
+    """The on-demand log of a batched run reproduces every trial when replayed."""
+    inst, W = symmetric2()
+    cfg = RunConfig(alpha=0.45, iters=60, record_every=7)
+    sched = NoiseSchedule.uniform(2, q=0.95)
+    x_star = np.ones((2, 1))
+    batch = run(inst, W, sched, cfg, [3, 4, 5], x_star=x_star)
+    log = batch.noise_log
+    assert log.eta.shape == (3, 60, 2, 1) and log.rounds == 60
+    assert log.zeta_sum_before(60).shape == (3, 1)
+    again = run(inst, W, NoiseSchedule.disabled(2), cfg, [3, 4, 5], replay=log, x_star=x_star)
+    for key in ("mse", "consensus_mu", "tracking_residual", "feasibility"):
+        assert getattr(again, key).tobytes() == getattr(batch, key).tobytes()
+    assert again.final_state.y.tobytes() == batch.final_state.y.tobytes()
+    single = run(inst, W, sched, cfg, 4)
+    assert single.noise_log.zeta.tobytes() == log.zeta[1].tobytes()
+
+
+def nondiagonal3():
+    """Three agents with coupled 2-d costs, so every x-update runs argmin_local."""
+    rng = np.random.default_rng(42)
+    agents = []
+    for _ in range(3):
+        B = rng.normal(size=(2, 2))
+        agents.append(
+            AgentSpec(
+                cost=QuadraticCost(U=B @ B.T + 2.0 * np.eye(2), v=rng.normal(size=2), w=0.0),
+                A=rng.normal(size=(2, 2)),
+                d=rng.normal(size=2),
+                box=BoxSet(lower=-np.ones(2), upper=np.ones(2)),
+            )
+        )
+    W = metropolis_weights(ring_plus_random(3, 0, seed=0))
+    return ProblemInstance(agents=tuple(agents)), W
+
+
+def trace_arrays(tr, t=None):
+    """Every per-trial output of a trace; trial t of a batched one."""
+    def pick(a):
+        return a if t is None else a[t]
+
+    keys = ("mse", "consensus_mu", "tracking_residual", "feasibility")
+    out = {key: pick(getattr(tr, key)) for key in keys}
+    out.update(mu=pick(tr.final_state.mu), x=pick(tr.final_state.x), y=pick(tr.final_state.y))
+    out.update(eta=pick(tr.noise_log.eta), zeta=pick(tr.noise_log.zeta))
+    if tr.states_mu is not None:
+        out.update(states_mu=pick(tr.states_mu), states_x=pick(tr.states_x))
+    return out
+
+
+@settings(
+    max_examples=30, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    seeds=st.lists(st.integers(0, 2**63 - 1), min_size=1, max_size=4),
+    iters=st.integers(1, 50),
+    record_every=st.integers(1, 8),
+    nondiagonal=st.booleans(),
+    keep_states=st.booleans(),
+)
+def test_batched_run_matches_single_seed_runs(seeds, iters, record_every, nondiagonal, keep_states):
+    if nondiagonal:
+        (inst, W), alpha, x_star = nondiagonal3(), 0.05, np.zeros((3, 2))
+    else:
+        (inst, W), alpha, x_star = symmetric2(), 0.45, np.ones((2, 1))
+    sched = NoiseSchedule.uniform(inst.n, q=0.95)
+    cfg = RunConfig(alpha=alpha, iters=iters, record_every=record_every)
+    with mock.patch.object(noise, "MAX_CHUNK_BLOCKS", 24):  # chunks of 2 to 24 rounds
+        assume(iters % chunk_rounds(len(seeds), inst.n, inst.m) != 0)
+        batch = run(inst, W, sched, cfg, seeds, x_star=x_star, keep_states=keep_states)
+        singles = [
+            run(inst, W, sched, cfg, s, x_star=x_star, keep_states=keep_states) for s in seeds
+        ]
+    replayed = run(
+        inst, W, NoiseSchedule.disabled(inst.n), cfg, seeds, x_star=x_star,
+        keep_states=keep_states, replay=batch.noise_log,
+    )
+    assert np.array_equal(batch.ks, singles[0].ks)
+    for t, one in enumerate(singles):
+        # the last record against the unbatched numpy formulas
+        final = one.final_state
+        cons, _, feas = fixed_point_residual(final, inst, W)
+        assert one.consensus_mu[-1] == cons and one.feasibility[-1] == feas
+        assert one.mse[-1] == float(np.sum((final.x - x_star) ** 2))
+        want = trace_arrays(one)
+        for label, tr in (("batch", batch), ("replay", replayed)):
+            got = trace_arrays(tr, t)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key].tobytes() == want[key].tobytes(), (label, key)
 
 
 def test_tracking_identity_under_noise():
@@ -192,8 +294,22 @@ def test_divergence_is_reported():
     two = ProblemInstance(agents=(inst.agents[0], inst.agents[0]))
     W = metropolis_weights(PRESETS["symmetric2"]()[1])
     cfg = RunConfig(alpha=50.0, iters=400, x0=np.ones((2, 1)))
-    with pytest.raises(SolverFailure, match="diverged"):
+    with pytest.raises(SolverFailure, match="diverged") as caught:
         run(two, W, NoiseSchedule.disabled(2), cfg, seed=0)
+    assert caught.value.trials == [0]
+
+
+def test_every_diverged_trial_is_reported():
+    """Trials keep running after one diverges, so later divergences are named too."""
+    inst, W = symmetric2()
+    cfg = RunConfig(alpha=0.45, iters=30)
+    eta = np.zeros((4, 30, 2, 1))
+    eta[1, 5, 0, 0] = np.inf
+    eta[3, 20, 1, 0] = np.inf
+    log = NoiseLog(eta=eta, zeta=np.zeros_like(eta))
+    with pytest.raises(SolverFailure, match=r"round 6: .*seeds 11, 13") as caught:
+        run(inst, W, NoiseSchedule.disabled(2), cfg, [10, 11, 12, 13], replay=log)
+    assert caught.value.trials == [1, 3]
 
 
 def test_noisy_stationary_point_is_the_shifted_optimum():

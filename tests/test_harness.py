@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from dmtrack import cli
+from dmtrack.engine import RunConfig, run
 from dmtrack.errors import ConfigError
-from dmtrack.harness import ExperimentConfig, materialize, run_experiment, sweep
+from dmtrack.harness import ExperimentConfig, _write_trace_csv, materialize, run_experiment, sweep
 from dmtrack.noise import NoiseSchedule
+from dmtrack.oracle import solve_dual
 from dmtrack.problem import moduli
 from dmtrack.theory import mse_bounds, stepsize_bounds
 
@@ -174,17 +176,46 @@ def test_run_experiment_summary_and_artifacts(tmp_path):
     assert stored["empirical_mse"] == summary["empirical_mse"]
 
 
-def test_run_experiment_is_reproducible_across_workers(tmp_path):
-    cfg = ExperimentConfig.from_dict(config_dict(tmp_path / "base", trials=4))
+def test_run_experiment_batch_matches_single_seed_runs(tmp_path):
+    """The batched experiment equals its trials run one seed at a time, byte for byte."""
+    # 16 noisy trials with 21 records in the terminal window: enough for the
+    # order of numpy's summation to show in the last bits of the means
+    cfg = ExperimentConfig.from_dict(
+        config_dict(
+            tmp_path / "base",
+            trials=16,
+            **{"problem.preset": "microgrid14", "algorithm.iters": 200},
+        )
+    )
     outs = {}
-    for name, workers in (("r1", 1), ("r2", 1), ("r4", 4)):
-        summary = run_experiment(cfg, out_dir=tmp_path / name, workers=workers)
+    for name in ("r1", "r2"):
+        summary = run_experiment(cfg, out_dir=tmp_path / name)
         summary.pop("runtime_sec")
         outs[name] = (summary, (tmp_path / name / "trace.csv").read_bytes())
-    assert outs["r1"][1] == outs["r2"][1]
-    assert outs["r1"][1] == outs["r4"][1]
-    assert outs["r1"][0] == outs["r2"][0]
-    assert outs["r1"][0] == outs["r4"][0]
+    assert outs["r1"] == outs["r2"]
+
+    mat = materialize(cfg)
+    x_star = solve_dual(mat.instance).x_star
+    run_cfg = RunConfig(alpha=mat.alpha, iters=mat.iters, record_every=mat.record_every)
+    seeds = [mat.seed + t for t in range(mat.trials)]
+    batch = run(mat.instance, mat.W, mat.schedule, run_cfg, seeds, x_star=x_star)
+    singles = [run(mat.instance, mat.W, mat.schedule, run_cfg, s, x_star=x_star) for s in seeds]
+    for t, one in enumerate(singles):
+        for key in ("mse", "consensus_mu", "tracking_residual", "feasibility"):
+            assert getattr(batch, key)[t].tobytes() == getattr(one, key).tobytes(), key
+        assert batch.final_state.x[t].tobytes() == one.final_state.x.tobytes()
+
+    # trace.csv is the pointwise average of the single-seed trials
+    means = [
+        np.mean([getattr(one, key) for one in singles], axis=0)
+        for key in ("mse", "consensus_mu", "tracking_residual", "feasibility")
+    ]
+    _write_trace_csv(tmp_path / "singles.csv", singles[0].ks, *means)
+    assert (tmp_path / "singles.csv").read_bytes() == outs["r1"][1]
+    start = mat.iters - max(1, int(round(mat.terminal_window * mat.iters)))
+    terminal = [np.mean(one.mse[one.ks >= start]) for one in singles]
+    assert outs["r1"][0]["empirical_mse"] == float(np.mean(terminal))
+    assert outs["r1"][0]["terminal_std"] == float(np.std(terminal))
 
 
 def test_run_experiment_noise_free_verdicts(tmp_path):
@@ -210,6 +241,7 @@ def test_run_experiment_failure_path(tmp_path):
     summary = run_experiment(cfg)
     assert summary["failed"] is True
     assert summary["failed_seed"] == 7
+    assert summary["failed_seeds"] == [7, 8]
     assert "failure" in summary and "empirical_mse" not in summary
     assert (tmp_path / "fail" / "summary.json").exists()
     assert not (tmp_path / "fail" / "trace.csv").exists()
@@ -254,6 +286,23 @@ def test_cli_run_noise_free(tmp_path, capsys):
     assert code == 0
     assert "bound_contained   True" in out
     assert "tracking_ok       True" in out
+
+
+def test_cli_sweep_exits_on_the_run_verdict(tmp_path, capsys):
+    path = write_config(tmp_path, **{"noise.enabled": False, "algorithm.iters": 300})
+    argv = ["sweep", "--config", str(path), "--param", "alpha", "--values", "0.3,0.45"]
+    assert cli.main(argv) == 0
+    assert "NO" not in capsys.readouterr().out
+
+    # 5 noise-free rounds leave the mse far above the 1e-12 band: nothing
+    # diverges, but the bound is not contained, so the sweep fails
+    short = write_config(
+        tmp_path, name="short.json", **{"noise.enabled": False, "algorithm.iters": 5}
+    )
+    assert cli.main(["sweep", "--config", str(short), "--param", "alpha", "--values", "0.45"]) == 1
+    assert "NO" in capsys.readouterr().out
+    summary = json.loads((tmp_path / "out" / "alpha_0.45" / "summary.json").read_text())
+    assert not summary["failed"] and not summary["bound_contained"]
 
 
 def test_cli_bounds_and_admissibility(tmp_path, capsys):

@@ -1,7 +1,22 @@
 import numpy as np
 import pytest
 
-from dmtrack.noise import NoiseLog, NoiseSchedule, draw_round, draw_round_all, sample_laplace
+from dmtrack import noise
+from dmtrack.noise import (
+    NoiseLog,
+    NoiseSchedule,
+    chunk_rounds,
+    draw_round,
+    draw_round_all,
+    iter_masks,
+    sample_laplace,
+    uniforms,
+)
+
+
+def numpy_round_uniforms(seed, k, size):
+    """Reference stream of round k: numpy's own Philox4x64-10 generator."""
+    return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k])).random(size)
 
 
 def test_schedule_validation():
@@ -116,3 +131,62 @@ def test_accumulated_variance_matches_series():
     expect = 2.0 / (1.0 - 0.98**2)
     sigma = np.std(totals**2) / np.sqrt(trials)
     assert abs(np.mean(totals**2) - expect) <= 4.0 * sigma
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
+def test_vectorized_philox_matches_numpy(seed):
+    seeds = [seed, seed + 3]  # the trial offset crosses 2**63 for the last seed
+    rounds = [0, 1, 2, 5, 4095, 4096, 2**40]
+    for width in (1, 4, 6, 28):  # partial and whole blocks
+        u = uniforms(seeds, rounds, width)
+        assert u.shape == (len(rounds), 2, width)
+        for r, k in enumerate(rounds):
+            for t, s in enumerate(seeds):
+                assert u[r, t].tobytes() == numpy_round_uniforms(s, k, width).tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
+def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
+    """Masks built a chunk at a time equal the per-round numpy construction."""
+    n, m = 3, 2  # 12 doubles per round: 3 blocks
+    monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 24)
+    seeds = [seed, seed + 1]
+    assert chunk_rounds(len(seeds), n, m) == 4
+    schedule = NoiseSchedule(
+        d_eta=np.array([1.0, 0.5, 2.0]),
+        d_zeta=np.array([1.5, 1.0, 0.0]),
+        q_eta=np.array([0.9, 0.97, 0.98]),
+        q_zeta=np.array([0.95, 0.9, 0.98]),
+    )
+    masks = list(iter_masks(schedule, seeds, 10, m))  # chunk boundaries after rounds 3 and 7
+    assert len(masks) == 10
+    for k, (eta, zeta) in enumerate(masks):
+        for t, s in enumerate(seeds):
+            u = numpy_round_uniforms(s, k, (n, 2 * m)) - 0.5
+            expect_eta = noise._laplace_from_uniform(
+                u[:, :m], (schedule.d_eta * schedule.q_eta**k)[:, None]
+            )
+            expect_zeta = noise._laplace_from_uniform(
+                u[:, m:], (schedule.d_zeta * schedule.q_zeta**k)[:, None]
+            )
+            assert eta[t].tobytes() == expect_eta.tobytes()
+            assert zeta[t].tobytes() == expect_zeta.tobytes()
+            single_eta, single_zeta = draw_round_all(schedule, k, s, m)
+            assert single_eta.tobytes() == eta[t].tobytes()
+            assert single_zeta.tobytes() == zeta[t].tobytes()
+
+
+def test_vector_rounds_scale_like_scalar_rounds():
+    q = np.random.default_rng(5).uniform(0.5, 1.0, size=4000)
+    s = NoiseSchedule(d_eta=np.ones_like(q), d_zeta=np.ones_like(q), q_eta=q, q_zeta=q)
+    ks = np.arange(12)
+    table = s.theta_eta(ks)
+    assert table.shape == (12, 4000)
+    for k in ks:
+        assert table[k].tobytes() == s.theta_eta(int(k)).tobytes()
+        assert table[k].tobytes() == (q ** int(k)).tobytes()
+
+
+def test_seeds_out_of_range_are_rejected():
+    with pytest.raises(ValueError):
+        uniforms([-1], [0], 4)
