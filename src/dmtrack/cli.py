@@ -26,6 +26,7 @@ from .harness import (
     AUDIT_GRID_D_ZETA,
     AUDIT_GRID_Q,
     ExperimentConfig,
+    constants_or_nan,
     materialize,
     passed,
     run_experiment,
@@ -33,7 +34,7 @@ from .harness import (
 )
 from .oracle import solve_dual, verify_against_grid
 from .privacy_audit import forced_difference_run, make_adjacent_pair, sweep_epsilon
-from .theory import epsilon_star, mse_bounds, privacy_epsilon, q_interval, theory_constants
+from .theory import epsilon_star, mse_bounds, privacy_epsilon, q_interval
 
 
 def _load_config(args):
@@ -166,13 +167,7 @@ def _cmd_bounds(args):
     delta = audit.get("delta", 1.0)
     ag = mat.instance.agents[i0]
 
-    try:
-        constants = theory_constants(mat.alpha, mat.mod, mat.W.lambda_bar, schedule=mat.schedule)
-    except (InadmissibleDecayError, ValueError):
-        from .theory import TheoryConstants
-
-        nan = math.nan
-        constants = TheoryConstants(nan, mat.W.lambda_bar, nan, nan, nan, nan, nan)
+    constants = constants_or_nan(mat)
     bnds = mse_bounds(mat.schedule, mat.mod, mat.instance.n, mat.instance.m)
     out = {
         "alpha": mat.alpha,

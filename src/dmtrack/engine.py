@@ -16,7 +16,10 @@ which reduces to exact mismatch tracking when the noise is disabled.
 round loop; one int seed is a batch of one. Every per-trial operation
 (stacked matmuls, elementwise updates, norms as one dot product per trial)
 is the one a lone trial would execute, so a trial's outputs do not depend on
-the batch it ran in.
+the batch it ran in. The recorded metrics are computed after stepping, a block
+of recorded rounds at a time, by `_metrics`, which treats each (round, trial)
+row as one more trial: the values are bit-identical to evaluating them at
+every recorded round.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ import numpy as np
 from .errors import SolverFailure
 from .local_solver import solve_all_from_c, _stacked
 from .noise import NoiseLog, draw_round_all, iter_masks, noise_log
+
+# Recorded (round, trial) rows whose states are held until their metrics are
+# computed together. Bounds the pending memory independently of the number of
+# trials times the number of records.
+MAX_METRIC_ROWS = 128
 
 
 @dataclass(eq=False)
@@ -172,6 +180,26 @@ def _norms(a, axes):
     return np.sqrt((flat[..., None, :] @ flat[..., :, None])[..., 0, 0])
 
 
+def _metrics(mu, x, y, Ax, zeta_cum, W, d, x_star):
+    """(mse, consensus_mu, tracking_residual, feasibility) of N stacked states, (4, N).
+
+    mu, x, y, Ax are (N, n, .) and zeta_cum is (N, m); each row is reduced
+    on its own, exactly as a lone trial would be. mse is NaN without x_star.
+    """
+    N = mu.shape[0]
+    out = np.full((4, N), np.nan)
+    if x_star is not None:
+        out[0] = ((x - x_star) ** 2).reshape(N, -1).sum(axis=1)
+    out[1] = _norms(mu - W @ mu, 2)
+    mismatch = (Ax - d).sum(axis=1)
+    defect = y.sum(axis=1) - mismatch - zeta_cum
+    small = _norms(np.stack([mismatch, zeta_cum, defect], axis=1), 1)
+    magnitude = _norms(y, 2) + small[:, 0] + small[:, 1]
+    out[2] = small[:, 2] / (1.0 + magnitude)
+    out[3] = small[:, 0]
+    return out
+
+
 def _as_seeds(seed):
     """(seeds, single): an int seed is a batch of one whose outputs drop the trial axis."""
     if isinstance(seed, (int, np.integer)):
@@ -248,21 +276,25 @@ def run(instance, W, schedule, config, seed, x_star=None, replay=None, keep_stat
         states_x = np.empty((T, iters + 1, n, p))
         states_mu[:, 0], states_x[:, 0] = mu, x
 
-    def record(r):
-        if x_star is not None:
-            recorded[0, :, r] = ((x - x_star) ** 2).reshape(T, -1).sum(axis=1)
-        recorded[1, :, r] = _norms(mu - W @ mu, 2)
-        mismatch = (Ax - stk["d"]).sum(axis=1)
-        defect = y.sum(axis=1) - mismatch - zeta_cum
-        small = _norms(np.stack([mismatch, zeta_cum, defect], axis=1), 1)
-        magnitude = _norms(y, 2) + small[:, 0] + small[:, 1]
-        recorded[2, :, r] = small[:, 2] / (1.0 + magnitude)
-        recorded[3, :, r] = small[:, 0]
+    # (mu, x, y, Ax, zeta_cum) of recorded rounds whose metrics are not yet
+    # computed; _advance returns fresh arrays and zeta_cum is never updated in
+    # place, so holding references copies nothing
+    pending = [(mu, x, y, Ax, zeta_cum)]
+    per_block = max(1, MAX_METRIC_ROWS // T)
+
+    def measure():
+        """Metrics of the pending records, which end at record r."""
+        R = len(pending)
+        rows = [np.concatenate(parts) for parts in zip(*pending)]  # row i * T + t
+        vals = _metrics(*rows, W, stk["d"], x_star).reshape(4, R, T)
+        recorded[:, :, r + 1 - R : r + 1] = vals.transpose(0, 2, 1)
+        pending.clear()
 
     alive = np.arange(T)  # batch positions of the trials still finite
     diverged, diverged_at = [], None
     r = 0
-    record(r)
+    # metrics of huge but finite states may overflow, so they are computed
+    # under the same errstate as the rounds
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (eta, zeta) in enumerate(masks):
             if diverged and eta is not None:
@@ -285,12 +317,16 @@ def run(instance, W, schedule, config, seed, x_star=None, replay=None, keep_stat
             if diverged:
                 continue  # the run fails; only look for further divergent trials
             if zeta is not None:
-                zeta_cum += zeta.sum(axis=1)
+                zeta_cum = zeta_cum + zeta.sum(axis=1)
             if keep_states:
                 states_mu[:, k + 1], states_x[:, k + 1] = mu, x
             if k + 1 == ks[r + 1]:
                 r += 1
-                record(r)
+                pending.append((mu, x, y, Ax, zeta_cum))
+                if len(pending) == per_block:
+                    measure()
+        if pending and not diverged:
+            measure()
     if diverged:
         names = ", ".join(str(seeds[t]) for t in sorted(diverged))
         raise SolverFailure(

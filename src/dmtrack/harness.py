@@ -26,6 +26,7 @@ from .noise import NoiseSchedule
 from .oracle import solve_dual
 from .problem import AgentSpec, BoxSet, Moduli, ProblemInstance, QuadraticCost, moduli
 from .theory import (
+    StepsizeBounds,
     TheoryConstants,
     epsilon_star,
     mse_bounds,
@@ -268,6 +269,7 @@ class Materialized:
     schedule: NoiseSchedule
     alpha: float
     mod: Moduli
+    bounds: StepsizeBounds  # stepsize_bounds(mod, W.lambda_bar)
     iters: int
     record_every: int
     terminal_window: float
@@ -314,12 +316,12 @@ def materialize(config):
             raise ConfigError(f"graph: {exc}") from exc
     W = metropolis_weights(graph)
     mod = moduli(instance)
+    bounds = stepsize_bounds(mod, W.lambda_bar)
 
     alg = raw["algorithm"]
     alpha = alg["alpha"]
     if isinstance(alpha, dict):
         key, frac = next(iter(alpha.items()))
-        bounds = stepsize_bounds(mod, W.lambda_bar)
         base = bounds.alpha_max_t1 if key == "frac_of_t1" else bounds.alpha_max_t2
         if base <= 0:
             raise ConfigError(f"algorithm.alpha: {key} requested but the bound is {base}")
@@ -332,6 +334,7 @@ def materialize(config):
         schedule=schedule,
         alpha=float(alpha),
         mod=mod,
+        bounds=bounds,
         iters=alg["iters"],
         record_every=alg.get("record_every", 1),
         terminal_window=alg.get("terminal_window", TERMINAL_WINDOW_DEFAULT),
@@ -343,22 +346,22 @@ def materialize(config):
 
 # ------------------------------------------------------------ experiments
 
-def _constants_or_nan(mat):
+def constants_or_nan(mat):
+    """theory_constants of a materialized config; NaN where the setup admits none."""
     try:
-        return theory_constants(mat.alpha, mat.mod, mat.W.lambda_bar, schedule=mat.schedule)
+        return theory_constants(
+            mat.alpha, mat.mod, mat.W.lambda_bar, schedule=mat.schedule, bounds=mat.bounds
+        )
     except (InadmissibleDecayError, ValueError):
         nan = math.nan
         return TheoryConstants(nan, mat.W.lambda_bar, nan, nan, nan, nan, nan)
 
 
 def _write_trace_csv(path, ks, mse, consensus, tracking, feasibility):
-    lines = ["k,mse,consensus_mu,tracking_residual,feasibility"]
-    for i in range(len(ks)):
-        lines.append(
-            f"{int(ks[i])},{float(mse[i])!r},{float(consensus[i])!r},"
-            f"{float(tracking[i])!r},{float(feasibility[i])!r}"
-        )
-    path.write_text("\n".join(lines) + "\n")
+    columns = (col.tolist() for col in (ks, mse, consensus, tracking, feasibility))
+    with open(path, "w") as fh:
+        fh.write("k,mse,consensus_mu,tracking_residual,feasibility\n")
+        fh.writelines(f"{k},{a!r},{b!r},{c!r},{f!r}\n" for k, a, b, c, f in zip(*columns))
 
 
 def _jsonable(obj):
@@ -379,7 +382,9 @@ def run_experiment(config, out_dir=None):
     """Run `trials` seeded simulations, average traces, and verdict the bounds.
 
     Writes trace.csv (pointwise trial average) and summary.json into the
-    output directory and returns the summary dict. Any diverging trial marks
+    output directory and returns the summary dict; summary.json holds no
+    wall-clock value, so reruns write it byte for byte, and the run's
+    runtime_sec goes to timings.json next to it. Any diverging trial marks
     the experiment failed and records every offending seed.
     """
     return _run_materialized(config, materialize(config), out_dir)
@@ -396,7 +401,7 @@ def _run_materialized(config, mat, out_dir):
     outdir.mkdir(parents=True, exist_ok=True)
 
     sol = solve_dual(mat.instance)
-    constants = _constants_or_nan(mat)
+    constants = constants_or_nan(mat)
     bnds = mse_bounds(mat.schedule, mat.mod, mat.instance.n, mat.instance.m)
     run_cfg = RunConfig(alpha=mat.alpha, iters=mat.iters, record_every=mat.record_every)
     seeds = [mat.seed + t for t in range(mat.trials)]
@@ -459,10 +464,11 @@ def _run_materialized(config, mat, out_dir):
         bound_contained=bool(contained),
         max_tracking_residual=float(max_track),
         tracking_ok=bool(tracking_ok),
-        runtime_sec=time.perf_counter() - t0,
     )
     _write_trace_csv(outdir / "trace.csv", trace.ks, mean_mse, mean_cons, mean_track, mean_feas)
     (outdir / "summary.json").write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
+    timings = {"runtime_sec": time.perf_counter() - t0}
+    (outdir / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True))
     return summary
 
 

@@ -212,17 +212,21 @@ class TheoryConstants(NamedTuple):
     tau2: float
 
 
-def theory_constants(alpha, mod, lambda_bar, schedule=None, phi_i0=None, A_i0_norm=None):
+def theory_constants(
+    alpha, mod, lambda_bar, schedule=None, phi_i0=None, A_i0_norm=None, bounds=None
+):
     """Bundle every scalar constant the experiment reports need.
 
     phi_i0 / A_i0_norm default to the global moduli (correct when agents are
     homogeneous; pass the audited agent's values otherwise). r_lb folds in
-    the mask decays when a schedule is given.
+    the mask decays when a schedule is given. bounds is
+    stepsize_bounds(mod, lambda_bar) when the caller already has it.
     """
     phi_i0 = mod.phi_under if phi_i0 is None else phi_i0
     A_i0_norm = mod.A_norm if A_i0_norm is None else A_i0_norm
     C = contraction_C(alpha, mod.phi_under, mod.L_bar, mod.A_norm, mod.lamAA_min)
-    bounds = stepsize_bounds(mod, lambda_bar)
+    if bounds is None:
+        bounds = stepsize_bounds(mod, lambda_bar)
     interval = q_interval(alpha, phi_i0, A_i0_norm)
     r_lb = max(C, lambda_bar)
     if schedule is not None and schedule.enabled:

@@ -1,3 +1,4 @@
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from dmtrack import noise
+from dmtrack import engine, noise
 from dmtrack.engine import EngineState, RunConfig, fixed_point_residual, init_state, run, step
 from dmtrack.errors import SolverFailure
 from dmtrack.harness import PRESETS
@@ -243,6 +244,83 @@ def test_batched_run_matches_single_seed_runs(seeds, iters, record_every, nondia
             assert got.keys() == want.keys()
             for key in want:
                 assert got[key].tobytes() == want[key].tobytes(), (label, key)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("nondiagonal", [False, True])
+def test_every_record_matches_stepwise_evaluation(trials, nondiagonal):
+    """Every recorded round, not only the last, equals the metrics evaluated
+    on the state that `step` reaches with the replayed masks."""
+    if nondiagonal:
+        (inst, W), alpha, x_star = nondiagonal3(), 0.05, np.zeros((3, 2))
+    else:
+        (inst, W), alpha, x_star = symmetric2(), 0.45, np.ones((2, 1))
+    sched = NoiseSchedule.uniform(inst.n, q=0.95)
+    cfg = RunConfig(alpha=alpha, iters=50, record_every=3)  # 18 records, the last at 50
+    seeds = [5, 6, 7][:trials]
+    # blocks of 8 records for one trial (8, 8, 2) and of 2 records for three
+    with mock.patch.object(engine, "MAX_METRIC_ROWS", 8):
+        tr = run(inst, W, sched, cfg, seeds[0] if trials == 1 else seeds, x_star=x_star)
+    assert list(tr.ks) == list(range(0, 49, 3)) + [50]
+
+    A = np.stack([a.A for a in inst.agents])
+    d = np.stack([a.d for a in inst.agents])
+    norm = np.linalg.norm
+    for t, seed in enumerate(seeds):
+        def pick(a):
+            return a if trials == 1 else a[t]
+
+        log = NoiseLog(eta=pick(tr.noise_log.eta), zeta=pick(tr.noise_log.zeta))
+        state = init_state(inst, cfg)
+        zeta_cum = np.zeros(inst.m)  # summed round by round, as the recursion adds it
+        want = {key: [] for key in ("mse", "consensus_mu", "tracking_residual", "feasibility")}
+        for k in range(cfg.iters + 1):
+            if k in tr.ks:
+                cons, _, feas = fixed_point_residual(state, inst, W)
+                mismatch = (np.einsum("imp,ip->im", A, state.x) - d).sum(axis=0)
+                assert np.allclose(zeta_cum, log.zeta_sum_before(k), rtol=1e-12, atol=1e-14)
+                defect = state.y.sum(axis=0) - mismatch - zeta_cum
+                magnitude = norm(state.y) + norm(mismatch) + norm(zeta_cum)
+                want["mse"].append(float(np.sum((state.x - x_star) ** 2)))
+                want["consensus_mu"].append(cons)
+                want["tracking_residual"].append(norm(defect) / (1.0 + magnitude))
+                want["feasibility"].append(feas)
+            if k < cfg.iters:
+                masks = (log.eta[k], log.zeta[k])
+                state = step(state, inst, W, sched, cfg, seed, noise=masks)
+                zeta_cum = zeta_cum + log.zeta[k].sum(axis=0)
+        assert state.x.tobytes() == pick(tr.final_state.x).tobytes()
+        for key, values in want.items():
+            assert np.array(values).tobytes() == pick(getattr(tr, key)).tobytes(), (t, key)
+
+
+def test_divergence_inside_a_partly_filled_metric_block():
+    """Pending records leave no numpy warning: a trial diverging mid-block is
+    reported with its round and seed, and metrics that overflow on huge but
+    finite states are measured quietly."""
+    inst, W = symmetric2()
+    cfg = RunConfig(alpha=0.45, iters=300)
+    per_block = engine.MAX_METRIC_ROWS // 2
+    k_bad = 2 * per_block + per_block // 3  # records 0..k_bad fill two blocks and part of a third
+    eta = np.zeros((2, 300, 2, 1))
+    eta[1, k_bad, 0, 0] = np.inf
+    log = NoiseLog(eta=eta, zeta=np.zeros_like(eta))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SolverFailure, match=rf"round {k_bad + 1}: .*seeds 21\)") as caught:
+            run(
+                inst, W, NoiseSchedule.disabled(2), cfg, [20, 21], replay=log,
+                x_star=np.ones((2, 1)),
+            )
+        assert caught.value.trials == [1]
+
+        # the unbounded instance of test_divergence_is_reported diverges at
+        # round 224; at round 200 its squared error already overflows
+        one = single_agent_instance(lo=-np.inf, hi=np.inf)
+        two = ProblemInstance(agents=(one.agents[0], one.agents[0]))
+        cfg = RunConfig(alpha=50.0, iters=200, x0=np.ones((2, 1)))
+        tr = run(two, W, NoiseSchedule.disabled(2), cfg, 0, x_star=np.zeros((2, 1)))
+    assert np.isinf(tr.mse[-1]) and np.isfinite(tr.final_state.x).all()
 
 
 def test_tracking_identity_under_noise():

@@ -1,17 +1,18 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dmtrack import cli
+from dmtrack import cli, harness, theory
 from dmtrack.engine import RunConfig, run
 from dmtrack.errors import ConfigError
 from dmtrack.harness import ExperimentConfig, _write_trace_csv, materialize, run_experiment, sweep
 from dmtrack.noise import NoiseSchedule
 from dmtrack.oracle import solve_dual
 from dmtrack.problem import moduli
-from dmtrack.theory import mse_bounds, stepsize_bounds
+from dmtrack.theory import mse_bounds, stepsize_bounds, theory_constants
 
 
 def config_dict(out_path, **overrides):
@@ -117,6 +118,7 @@ def test_materialize_resolves_alpha(tmp_path):
     assert isinstance(mat.schedule, NoiseSchedule) and mat.schedule.enabled
 
     sb = stepsize_bounds(moduli(mat.instance), mat.W.lambda_bar)
+    assert mat.bounds == sb
     for key, base in (("frac_of_t1", sb.alpha_max_t1), ("frac_of_t2", sb.alpha_max_t2)):
         cfg = ExperimentConfig.from_dict(
             config_dict(tmp_path, **{"algorithm.alpha": {key: 0.9}})
@@ -174,6 +176,36 @@ def test_run_experiment_summary_and_artifacts(tmp_path):
     stored = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert stored["config_hash"] == summary["config_hash"]
     assert stored["empirical_mse"] == summary["empirical_mse"]
+    assert "runtime_sec" not in stored and "runtime_sec" not in summary
+    timings = json.loads((tmp_path / "a" / "timings.json").read_text())
+    assert timings["runtime_sec"] > 0
+
+
+def test_stepsize_bounds_run_once_per_experiment(tmp_path, capsys):
+    """materialize's stepsize bounds feed theory_constants; the scan is not repeated."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return stepsize_bounds(*args, **kwargs)
+
+    d = config_dict(tmp_path / "c", **{"algorithm.alpha": {"frac_of_t2": 0.9}})
+    cfg = ExperimentConfig.from_dict(d)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(d))
+    with mock.patch.object(harness, "stepsize_bounds", counted), mock.patch.object(
+        theory, "stepsize_bounds", counted
+    ):
+        summary = run_experiment(cfg)
+        assert len(calls) == 1
+        assert cli.main(["bounds", "--config", str(path)]) == 0
+        assert len(calls) == 2
+
+    mat = materialize(cfg)
+    expect = theory_constants(mat.alpha, mat.mod, mat.W.lambda_bar, schedule=mat.schedule)
+    assert summary["constants"] == expect._asdict()
+    out = capsys.readouterr().out
+    assert f"alpha_max_t2={expect.alpha_max_t2!r}" in out and f"C={expect.C!r}" in out
 
 
 def test_run_experiment_batch_matches_single_seed_runs(tmp_path):
@@ -190,8 +222,8 @@ def test_run_experiment_batch_matches_single_seed_runs(tmp_path):
     outs = {}
     for name in ("r1", "r2"):
         summary = run_experiment(cfg, out_dir=tmp_path / name)
-        summary.pop("runtime_sec")
-        outs[name] = (summary, (tmp_path / name / "trace.csv").read_bytes())
+        files = [(tmp_path / name / f).read_bytes() for f in ("trace.csv", "summary.json")]
+        outs[name] = (summary, *files)
     assert outs["r1"] == outs["r2"]
 
     mat = materialize(cfg)
