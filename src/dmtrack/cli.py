@@ -26,6 +26,7 @@ from .harness import (
     AUDIT_GRID_D_ZETA,
     AUDIT_GRID_Q,
     ExperimentConfig,
+    audited_privacy,
     constants_or_nan,
     materialize,
     passed,
@@ -34,7 +35,7 @@ from .harness import (
 )
 from .oracle import solve_dual, verify_against_grid
 from .privacy_audit import forced_difference_run, make_adjacent_pair, sweep_epsilon
-from .theory import epsilon_star, mse_bounds, privacy_epsilon, q_interval
+from .theory import mse_bounds
 
 
 def _load_config(args):
@@ -94,6 +95,22 @@ def _audit_params(config, args):
     return audit
 
 
+def _certified(row):
+    """The audit verdict of one grid point: no envelope violation, eps within the certificate."""
+    return row["violations"] == 0 and row["eps_empirical"] <= row["eps_theory"]
+
+
+def _write_audit(outdir, rows):
+    """Write audit.csv and echo it to stdout."""
+    lines = ["d_zeta,q,eps_empirical,eps_theory,eps_star,admissible,violations"] + [
+        f"{r['d_zeta']!r},{r['q']!r},{r['eps_empirical']!r},{r['eps_theory']!r},"
+        f"{r['eps_star']!r},{int(r['admissible'])},{r['violations']}"
+        for r in rows
+    ]
+    (outdir / "audit.csv").write_text("\n".join(lines) + "\n")
+    print("\n".join(lines))
+
+
 def _cmd_audit(args):
     config = _load_config(args)
     mat = materialize(config)
@@ -124,20 +141,10 @@ def _cmd_audit(args):
             delta_prime=delta_prime,
             horizon=horizon,
         )
-        lines = ["d_zeta,q,eps_empirical,eps_theory,eps_star,admissible,violations"]
-        bad = False
-        for r in rows:
-            lines.append(
-                f"{r['d_zeta']!r},{r['q']!r},{r['eps_empirical']!r},{r['eps_theory']!r},"
-                f"{r['eps_star']!r},{int(r['admissible'])},{r['violations']}"
-            )
-            if r["admissible"]:
-                bad |= r["violations"] > 0 or not r["eps_empirical"] <= r["eps_theory"]
-        (outdir / "audit.csv").write_text("\n".join(lines) + "\n")
-        print("\n".join(lines))
+        _write_audit(outdir, rows)
         print(f"monotone_in_d_zeta={flags['monotone_in_d_zeta']}")
         print(f"monotone_in_q={flags['monotone_in_q']}")
-        return 1 if bad else 0
+        return 0 if all(_certified(r) for r in rows if r["admissible"]) else 1
 
     pair = make_adjacent_pair(mat.instance, i0, delta, delta_prime)
     try:
@@ -145,28 +152,24 @@ def _cmd_audit(args):
     except InadmissibleDecayError as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         return 1
-    header = "d_zeta,q,eps_empirical,eps_theory,eps_star,admissible,violations"
-    row = (
-        f"{float(mat.schedule.d_zeta[i0])!r},{float(mat.schedule.q_zeta[i0])!r},"
-        f"{report.eps_empirical!r},{report.eps_theoretical!r},{report.eps_star!r},1,"
-        f"{report.bound_violations}"
-    )
-    (outdir / "audit.csv").write_text(header + "\n" + row + "\n")
-    print(header)
-    print(row)
+    row = {
+        "d_zeta": float(mat.schedule.d_zeta[i0]),
+        "q": float(mat.schedule.q_zeta[i0]),
+        "eps_empirical": report.eps_empirical,
+        "eps_theory": report.eps_theoretical,
+        "eps_star": report.eps_star,
+        "admissible": True,
+        "violations": report.bound_violations,
+    }
+    _write_audit(outdir, [row])
     print(f"horizon={report.horizon} tail={report.tail:.3e}")
-    ok = report.bound_violations == 0 and report.eps_empirical <= report.eps_theoretical
-    return 0 if ok else 1
+    return 0 if _certified(row) else 1
 
 
 def _cmd_bounds(args):
     config = _load_config(args)
     mat = materialize(config)
     audit = config.raw.get("audit", {})
-    i0 = audit.get("i0", 0)
-    delta = audit.get("delta", 1.0)
-    ag = mat.instance.agents[i0]
-
     constants = constants_or_nan(mat)
     bnds = mse_bounds(mat.schedule, mat.mod, mat.instance.n, mat.instance.m)
     out = {
@@ -186,39 +189,20 @@ def _cmd_bounds(args):
         "mse_lower": bnds.lower,
         "mse_upper": bnds.upper,
     }
-    admissible = True
-    q_i0 = float(mat.schedule.q_zeta[i0])
-    d_zeta_i0 = float(mat.schedule.d_zeta[i0])
-    d_eta_i0 = float(mat.schedule.d_eta[i0])
-    try:
-        out["q_min"] = q_interval(mat.alpha, ag.cost.phi, ag.A_norm).q_min
-    except InadmissibleDecayError:
-        out["q_min"] = math.nan
-        admissible = False
-    out["q"] = q_i0
+    privacy = audited_privacy(mat, audit)
+    out["q_min"] = privacy.q_min
+    out["q"] = float(mat.schedule.q_zeta[audit.get("i0", 0)])
+    figures = [privacy.q_min]
     if mat.schedule.enabled:
-        try:
-            out["eps_theory"] = privacy_epsilon(
-                mat.alpha, d_zeta_i0, d_eta_i0, ag.cost.phi, ag.A_norm, q_i0, delta
-            )
-            out["eps_theory_printed"] = privacy_epsilon(
-                mat.alpha, d_zeta_i0, d_eta_i0, ag.cost.phi, ag.A_norm, q_i0, delta,
-                printed_form=True,
-            )
-            out["eps_star"] = epsilon_star(
-                mat.alpha, d_zeta_i0, ag.cost.phi, ag.A_norm, q_i0, delta
-            )
-            out["eps_star_printed"] = epsilon_star(
-                mat.alpha, d_zeta_i0, ag.cost.phi, ag.A_norm, q_i0, delta, printed_form=True
-            )
-        except InadmissibleDecayError:
-            admissible = False
-            out.update(
-                eps_theory=math.nan,
-                eps_theory_printed=math.nan,
-                eps_star=math.nan,
-                eps_star_printed=math.nan,
-            )
+        printed = audited_privacy(mat, audit, printed_form=True)
+        out.update(
+            eps_theory=privacy.eps_theory,
+            eps_theory_printed=printed.eps_theory,
+            eps_star=privacy.eps_star,
+            eps_star_printed=printed.eps_star,
+        )
+        figures += [privacy.eps_theory, printed.eps_theory]
+    admissible = not any(math.isnan(f) for f in figures)
     out["admissible"] = admissible
     for key, value in out.items():
         print(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")

@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import SolverFailure
-from .local_solver import solve_all_from_c, _stacked
+from .local_solver import solve_all_from_c
 from .noise import NoiseLog, draw_round_all, iter_masks, noise_log
 
 # Recorded (round, trial) rows whose states are held until their metrics are
@@ -116,20 +116,19 @@ class RunTrace:
 def init_state(instance, config):
     """Initial iterates; the tracker must start at the local mismatch."""
     n, m, p = instance.dims
-    stk = _stacked(instance)
     if config.x0 is not None:
         x0 = np.asarray(config.x0, dtype=float).reshape(n, p).copy()
     else:
-        x0 = np.clip(np.zeros((n, p)), stk["lo"], stk["hi"])
+        x0 = np.clip(np.zeros((n, p)), instance.lower, instance.upper)
     if config.mu0 is not None:
         mu0 = np.asarray(config.mu0, dtype=float).reshape(n, m).copy()
     else:
         mu0 = np.zeros((n, m))
-    y0 = np.einsum("imp,ip->im", stk["A"], x0) - stk["d"]
+    y0 = np.einsum("imp,ip->im", instance.A, x0) - instance.d
     return EngineState(mu=mu0, x=x0, y=y0, round=0)
 
 
-def _advance(instance, stk, W, alpha, mu, x, y, Ax, eta, zeta):
+def _advance(instance, W, alpha, mu, x, y, Ax, eta, zeta):
     """One synchronous round of a (T, n, .) batch; returns (mu1, x1, y1, Ax1).
 
     eta and zeta of None mean no masks (adding zeros would change nothing).
@@ -137,9 +136,9 @@ def _advance(instance, stk, W, alpha, mu, x, y, Ax, eta, zeta):
     z_mu = mu if eta is None else mu + eta
     z_y = y if zeta is None else y + zeta
     mu1 = W @ z_mu - alpha * y
-    c = np.einsum("imp,tim->tip", stk["A"], mu1)
-    x1 = solve_all_from_c(instance, c, stk=stk)
-    Ax1 = np.einsum("imp,tip->tim", stk["A"], x1)
+    c = np.einsum("imp,tim->tip", instance.A, mu1)
+    x1 = solve_all_from_c(instance, c)
+    Ax1 = np.einsum("imp,tip->tim", instance.A, x1)
     y1 = W @ z_y + Ax1 - Ax
     return mu1, x1, y1, Ax1
 
@@ -147,15 +146,14 @@ def _advance(instance, stk, W, alpha, mu, x, y, Ax, eta, zeta):
 def step(state, instance, W, schedule, config, seed, noise=None):
     """Advance one round. `noise` overrides sampling with given (eta, zeta) arrays."""
     W = np.asarray(getattr(W, "W", W), dtype=float)
-    stk = _stacked(instance)
     if noise is None:
         eta, zeta = draw_round_all(schedule, state.round, seed, instance.m)
     else:
         eta, zeta = noise
-    Ax = np.einsum("imp,ip->im", stk["A"], state.x)
+    Ax = np.einsum("imp,ip->im", instance.A, state.x)
     try:
         mu1, x1, y1, _ = _advance(
-            instance, stk, W, config.alpha, state.mu[None], state.x[None], state.y[None],
+            instance, W, config.alpha, state.mu[None], state.x[None], state.y[None],
             Ax[None], np.asarray(eta)[None], np.asarray(zeta)[None],
         )
     except SolverFailure as exc:
@@ -166,10 +164,9 @@ def step(state, instance, W, schedule, config, seed, noise=None):
 def fixed_point_residual(state, instance, W):
     """(||(I - W) mu||, ||y||, ||sum_i (A_i x_i - d_i)||); all vanish at a fixed point."""
     W = np.asarray(getattr(W, "W", W), dtype=float)
-    stk = _stacked(instance)
     consensus_mu = float(np.linalg.norm(state.mu - W @ state.mu))
     y_norm = float(np.linalg.norm(state.y))
-    mismatch = np.einsum("imp,ip->im", stk["A"], state.x) - stk["d"]
+    mismatch = np.einsum("imp,ip->im", instance.A, state.x) - instance.d
     feasibility = float(np.linalg.norm(mismatch.sum(axis=0)))
     return consensus_mu, y_norm, feasibility
 
@@ -243,13 +240,12 @@ def run(instance, W, schedule, config, seed, x_star=None, replay=None, keep_stat
     seeds, single = _as_seeds(seed)
     W = np.asarray(getattr(W, "W", W), dtype=float)
     n, m, p = instance.dims
-    stk = _stacked(instance)
     start = init_state(instance, config)
     T = len(seeds)
     mu = np.broadcast_to(start.mu, (T, n, m)).copy()
     x = np.broadcast_to(start.x, (T, n, p)).copy()
     y = np.broadcast_to(start.y, (T, n, m)).copy()
-    Ax = np.einsum("imp,tip->tim", stk["A"], x)
+    Ax = np.einsum("imp,tip->tim", instance.A, x)
     iters = config.iters
     alpha = config.alpha
     if x_star is not None:
@@ -286,7 +282,7 @@ def run(instance, W, schedule, config, seed, x_star=None, replay=None, keep_stat
         """Metrics of the pending records, which end at record r."""
         R = len(pending)
         rows = [np.concatenate(parts) for parts in zip(*pending)]  # row i * T + t
-        vals = _metrics(*rows, W, stk["d"], x_star).reshape(4, R, T)
+        vals = _metrics(*rows, W, instance.d, x_star).reshape(4, R, T)
         recorded[:, :, r + 1 - R : r + 1] = vals.transpose(0, 2, 1)
         pending.clear()
 
@@ -300,7 +296,7 @@ def run(instance, W, schedule, config, seed, x_star=None, replay=None, keep_stat
             if diverged and eta is not None:
                 eta, zeta = eta[alive], zeta[alive]
             try:
-                mu, x, y, Ax = _advance(instance, stk, W, alpha, mu, x, y, Ax, eta, zeta)
+                mu, x, y, Ax = _advance(instance, W, alpha, mu, x, y, Ax, eta, zeta)
             except SolverFailure as exc:
                 raise SolverFailure(
                     f"round {k}: {exc}", trials=[int(alive[t]) for t in exc.trials]

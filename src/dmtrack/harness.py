@@ -16,7 +16,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .theory import (
     epsilon_star,
     mse_bounds,
     privacy_epsilon,
+    q_interval,
     stepsize_bounds,
     theory_constants,
 )
@@ -357,6 +358,38 @@ def constants_or_nan(mat):
         return TheoryConstants(nan, mat.W.lambda_bar, nan, nan, nan, nan, nan)
 
 
+class AuditedPrivacy(NamedTuple):
+    q_min: float
+    eps_theory: float
+    eps_star: float
+
+
+def audited_privacy(mat, audit, printed_form=False):
+    """q_min and the epsilons of the audited agent audit["i0"] at radius audit["delta"].
+
+    A figure the setup admits none of (decay outside (q_min, 1), a zero
+    mask scale or stepsize) is NaN. printed_form selects the simplified
+    epsilon denominator.
+    """
+    i0 = audit.get("i0", 0)
+    delta = audit.get("delta", 1.0)
+    ag = mat.instance.agents[i0]
+    phi, A_norm = ag.cost.phi, ag.A_norm
+    q = float(mat.schedule.q_zeta[i0])
+    d_zeta = float(mat.schedule.d_zeta[i0])
+    d_eta = float(mat.schedule.d_eta[i0])
+    try:
+        q_min = q_interval(mat.alpha, phi, A_norm).q_min
+    except (InadmissibleDecayError, ValueError):
+        q_min = math.nan
+    try:
+        eps = privacy_epsilon(mat.alpha, d_zeta, d_eta, phi, A_norm, q, delta, printed_form)
+        star = epsilon_star(mat.alpha, d_zeta, phi, A_norm, q, delta, printed_form)
+    except (InadmissibleDecayError, ValueError):
+        eps = star = math.nan
+    return AuditedPrivacy(q_min, eps, star)
+
+
 def _write_trace_csv(path, ks, mse, consensus, tracking, feasibility):
     columns = (col.tolist() for col in (ks, mse, consensus, tracking, feasibility))
     with open(path, "w") as fh:
@@ -498,29 +531,16 @@ def sweep(config, parameter, values, out_dir=None):
         mat = materialize(cfg)
         summary = _run_materialized(cfg, mat, sub)
         summaries.append(summary)
-        i0 = config.raw.get("audit", {}).get("i0", 0)
-        ag = mat.instance.agents[i0]
-        delta = config.raw.get("audit", {}).get("delta", 1.0)
-        q_i0 = float(mat.schedule.q_zeta[i0])
-        d_zeta_i0 = float(mat.schedule.d_zeta[i0])
-        d_eta_i0 = float(mat.schedule.d_eta[i0])
-        try:
-            eps_th = privacy_epsilon(
-                mat.alpha, d_zeta_i0, d_eta_i0, ag.cost.phi, ag.A_norm, q_i0, delta
-            )
-            eps_opt = epsilon_star(mat.alpha, d_zeta_i0, ag.cost.phi, ag.A_norm, q_i0, delta)
-            admissible = True
-        except (InadmissibleDecayError, ValueError):
-            eps_th, eps_opt, admissible = math.nan, math.nan, False
+        privacy = audited_privacy(mat, config.raw.get("audit", {}))
         rows.append(
             {
                 "value": float(value),
                 "empirical_mse": summary.get("empirical_mse", math.nan),
                 "lower": summary["mse_bounds"]["lower"],
                 "upper": summary["mse_bounds"]["upper"],
-                "eps_star": eps_opt,
-                "eps_theory": eps_th,
-                "admissible": admissible,
+                "eps_star": privacy.eps_star,
+                "eps_theory": privacy.eps_theory,
+                "admissible": not math.isnan(privacy.eps_theory),
                 "failed": summary["failed"],
             }
         )

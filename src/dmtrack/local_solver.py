@@ -1,9 +1,10 @@
 """Per-agent x-update: argmin over the box of f_i(z) - mu^T A_i z.
 
 Writing c = A_i^T mu, the subproblem is min_{z in X_i} 0.5 z^T U z + v^T z - c^T z.
-Diagonal U admits an exact per-coordinate closed form; general U uses projected
-gradient with stepsize 1/L_i. The returned map z(c) is the gradient of the
-convex conjugate of f_i + indicator(X_i) and is (1/phi_i)-Lipschitz in c.
+Diagonal U (QuadraticCost.diag) admits an exact per-coordinate closed form;
+general U uses projected gradient with stepsize 1/L_i. The returned map z(c)
+is the gradient of the convex conjugate of f_i + indicator(X_i) and is
+(1/phi_i)-Lipschitz in c.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ import numpy as np
 from .errors import SolverFailure
 
 MAX_INNER_DEFAULT = 100_000
-
-# Off-diagonal entries below this fraction of the diagonal scale count as zero.
-DIAG_RTOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,9 +66,8 @@ def argmin_local(cost, box, c, max_inner=MAX_INNER_DEFAULT):
     lo, hi = box.lower, box.upper
     tol = inner_tolerance(c)
 
-    diag = np.diag(U)
-    off_mass = np.abs(U - np.diag(diag)).max() if cost.p > 1 else 0.0
-    if off_mass <= DIAG_RTOL * max(1.0, np.abs(diag).max()):
+    diag = cost.diag
+    if diag is not None:
         # exact closed form, coordinatewise
         x = np.clip((c - v) / diag, lo, hi)
         grad = diag * x + v - c
@@ -113,22 +110,19 @@ def solve_all(instance, mu, max_inner=MAX_INNER_DEFAULT):
     Diagonal instances use the closed form across agents in one shot; otherwise
     agents are solved individually. Solver failures carry the agent index.
     """
-    stk = _stacked(instance)
     mu = np.asarray(mu, dtype=float).reshape(instance.n, instance.m)
-    c = np.einsum("imp,im->ip", stk["A"], mu)
-    return solve_all_from_c(instance, c, stk=stk, max_inner=max_inner)
+    c = np.einsum("imp,im->ip", instance.A, mu)
+    return solve_all_from_c(instance, c, max_inner=max_inner)
 
 
-def solve_all_from_c(instance, c, stk=None, max_inner=MAX_INNER_DEFAULT):
+def solve_all_from_c(instance, c, max_inner=MAX_INNER_DEFAULT):
     """Like solve_all but taking precomputed linear terms c_i = A_i^T mu_i.
 
     c has shape (n, p), or (T, n, p) for a batch of T trials; a solver
     failure names the agent and, for a batch, the failing trial.
     """
-    if stk is None:
-        stk = _stacked(instance)
-    if stk["diag"] is not None:
-        return np.clip((c - stk["v"]) / stk["diag"], stk["lo"], stk["hi"])
+    if instance.diag is not None:
+        return np.clip((c - instance.v) / instance.diag, instance.lower, instance.upper)
     batch = c.reshape((-1,) + c.shape[-2:])
     out = np.empty(batch.shape)
     for t, ct in enumerate(batch):
@@ -139,31 +133,3 @@ def solve_all_from_c(instance, c, stk=None, max_inner=MAX_INNER_DEFAULT):
                 where = f"agent {i}" if c.ndim == 2 else f"trial {t}, agent {i}"
                 raise SolverFailure(f"{where}: {exc}", trials=[t]) from exc
     return out.reshape(c.shape)
-
-
-_STACK_CACHE = {}
-
-
-def _stacked(instance):
-    """Stack per-agent arrays once per instance; cached by identity."""
-    key = id(instance)
-    hit = _STACK_CACHE.get(key)
-    if hit is not None and hit[0] is instance:
-        return hit[1]
-    A = np.stack([a.A for a in instance.agents])
-    v = np.stack([a.cost.v for a in instance.agents])
-    lo = np.stack([a.box.lower for a in instance.agents])
-    hi = np.stack([a.box.upper for a in instance.agents])
-    d = np.stack([a.d for a in instance.agents])
-    diag = None
-    if all(
-        np.abs(a.cost.U - np.diag(np.diag(a.cost.U))).max()
-        <= DIAG_RTOL * max(1.0, np.abs(np.diag(a.cost.U)).max())
-        for a in instance.agents
-    ):
-        diag = np.stack([np.diag(a.cost.U) for a in instance.agents])
-    stk = {"A": A, "v": v, "lo": lo, "hi": hi, "d": d, "diag": diag}
-    _STACK_CACHE[key] = (instance, stk)
-    if len(_STACK_CACHE) > 64:
-        _STACK_CACHE.pop(next(iter(_STACK_CACHE)))
-    return stk

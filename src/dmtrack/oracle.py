@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleProblemError, SolverFailure
-from .local_solver import solve_all, _stacked
+from .local_solver import solve_all
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +63,6 @@ def solve_dual(instance, tol=1e-10, max_outer=1_000_000):
     """Dual ascent to ||grad g|| <= tol; raises if infeasible or not converged."""
     n, m, p = instance.dims
     _feasibility_precheck(instance)
-    stk = _stacked(instance)
     L_dual = sum(ag.A_norm**2 / ag.cost.phi for ag in instance.agents)
     step = 1.0 / L_dual
     total = instance.total_demand
@@ -72,7 +71,7 @@ def solve_dual(instance, tol=1e-10, max_outer=1_000_000):
     gap = np.inf
     for it in range(1, max_outer + 1):
         x = solve_all(instance, np.broadcast_to(mu, (n, m)))
-        grad = total - np.einsum("imp,ip->m", stk["A"], x)
+        grad = total - np.einsum("imp,ip->m", instance.A, x)
         gap = float(np.linalg.norm(grad))
         if gap <= tol:
             return OptSolution(
@@ -108,10 +107,10 @@ def verify_against_grid(instance, sol, resolution=1e-3, margin=1e-4):
             raise ValueError("unsupported instance: grid check needs finite boxes")
 
     D = float(instance.total_demand[0])
-    coeff = np.concatenate([ag.A[0] for ag in instance.agents])  # (n*p,)
-    lo = np.concatenate([ag.box.lower for ag in instance.agents])
-    hi = np.concatenate([ag.box.upper for ag in instance.agents])
     P = n * p
+    coeff = instance.A[:, 0].reshape(P)
+    lo = instance.lower.reshape(P)
+    hi = instance.upper.reshape(P)
 
     # the claimed solution must itself be feasible and consistently priced
     x = np.asarray(sol.x_star, dtype=float).reshape(P)
@@ -130,7 +129,6 @@ def verify_against_grid(instance, sol, resolution=1e-3, margin=1e-4):
     free = [j for j in range(P) if j != e]
 
     U_stack = np.stack([ag.cost.U for ag in instance.agents])  # (n, p, p)
-    v_stack = np.stack([ag.cost.v for ag in instance.agents])  # (n, p)
     w_total = sum(ag.cost.w for ag in instance.agents)
 
     def total_cost(grid):
@@ -143,7 +141,7 @@ def verify_against_grid(instance, sol, resolution=1e-3, margin=1e-4):
         Xr = X.reshape(grid.shape[:-1] + (n, p))
         vals = (
             0.5 * np.einsum("...ip,ipq,...iq->...", Xr, U_stack, Xr)
-            + np.einsum("ip,...ip->...", v_stack, Xr)
+            + np.einsum("ip,...ip->...", instance.v, Xr)
             + w_total
         )
         return np.where(ok, vals, np.inf)

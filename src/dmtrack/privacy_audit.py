@@ -39,7 +39,7 @@ from .engine import RunConfig, run
 from .errors import ConfigError, InadmissibleDecayError
 from .local_solver import argmin_local
 from .problem import shift_adjacent
-from .theory import epsilon_star, privacy_epsilon, q_interval
+from .theory import admitted_epsilon, check_q
 
 HORIZON_MIN = 10
 HORIZON_CAP = 5000
@@ -142,11 +142,7 @@ def forced_difference_run(pair, W, schedule, config, seed, horizon=None):
         )
     q = q_zeta
 
-    interval = q_interval(alpha, ag.cost.phi, ag.A_norm)
-    if not interval.q_min < q < 1.0:
-        raise InadmissibleDecayError(
-            f"q = {q:g} outside admissible interval ({interval.q_min:.6g}, 1)"
-        )
+    interval = check_q(alpha, ag.cost.phi, ag.A_norm, q)
     tau1, tau2 = interval.tau1, interval.tau2
 
     if horizon is None:
@@ -207,8 +203,8 @@ def forced_difference_run(pair, W, schedule, config, seed, horizon=None):
     tail = _tail_bound(k_measured, alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, m)
     eps_e += tail
 
-    eps_theory = privacy_epsilon(alpha, d_zeta, d_eta, ag.cost.phi, ag.A_norm, q, pair.delta)
-    eps_opt = epsilon_star(alpha, d_zeta, ag.cost.phi, ag.A_norm, q, pair.delta)
+    eps_theory = admitted_epsilon(alpha, d_zeta, d_eta, ag.cost.phi, ag.A_norm, q, pair.delta)
+    eps_opt = admitted_epsilon(alpha, d_zeta, math.inf, ag.cost.phi, ag.A_norm, q, pair.delta)
     return AuditReport(
         eps_empirical=eps_e,
         eps_theoretical=eps_theory,

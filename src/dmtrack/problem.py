@@ -13,7 +13,7 @@ which together force square invertible coupling matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -22,6 +22,9 @@ DEFAULT_PHI_MIN = 1e-10
 
 # Singular values below this fraction of the largest are treated as zero.
 RANK_RTOL = 1e-10
+
+# Off-diagonal entries below this fraction of the diagonal scale count as zero.
+DIAG_RTOL = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -33,6 +36,8 @@ class QuadraticCost:
     w: float = 0.0
     phi: float = field(init=False, repr=False)  # strong convexity modulus, min eigenvalue of U
     L: float = field(init=False, repr=False)  # Lipschitz constant of the gradient, max eigenvalue
+    # the diagonal of U when its off-diagonal entries count as zero, else None
+    diag: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         U = np.atleast_2d(np.asarray(self.U, dtype=float))
@@ -51,6 +56,10 @@ class QuadraticCost:
         object.__setattr__(self, "w", float(self.w))
         object.__setattr__(self, "phi", float(eig[0]))
         object.__setattr__(self, "L", float(eig[-1]))
+        diag = np.diag(U)
+        off_mass = np.abs(U - np.diag(diag)).max()
+        diagonal = off_mass <= DIAG_RTOL * max(1.0, np.abs(diag).max())
+        object.__setattr__(self, "diag", diag if diagonal else None)
 
     @classmethod
     def scalar(cls, u, v=0.0, w=0.0):
@@ -119,6 +128,8 @@ class AgentSpec:
     A: np.ndarray
     d: np.ndarray
     box: BoxSet
+    A_norm: float = field(init=False, repr=False)  # spectral norm ||A_i||
+    lamAA_min: float = field(init=False, repr=False)  # smallest eigenvalue of A_i^T A_i
 
     def __post_init__(self):
         A = np.atleast_2d(np.asarray(self.A, dtype=float))
@@ -139,6 +150,8 @@ class AgentSpec:
             raise ValueError("A^T A is singular when p > m; its smallest eigenvalue must be positive")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "A_norm", float(smax))
+        object.__setattr__(self, "lamAA_min", float(s[-1] ** 2))
 
     @property
     def m(self):
@@ -148,20 +161,23 @@ class AgentSpec:
     def p(self):
         return self.A.shape[1]
 
-    @property
-    def A_norm(self):
-        return float(np.linalg.svd(self.A, compute_uv=False)[0])
-
-    @property
-    def lamAA_min(self):
-        return float(np.linalg.svd(self.A, compute_uv=False)[-1] ** 2)
-
 
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
-    """All agents plus shared dimensions (n, m, p)."""
+    """All agents plus shared dimensions (n, m, p) and their stacked arrays.
+
+    A (n, m, p), v, lower, upper (n, p) and d (n, m) stack the agents' data;
+    diag (n, p) stacks the diagonals of U when every agent's U is diagonal,
+    else it is None.
+    """
 
     agents: tuple
+    A: np.ndarray = field(init=False, repr=False)
+    v: np.ndarray = field(init=False, repr=False)
+    lower: np.ndarray = field(init=False, repr=False)
+    upper: np.ndarray = field(init=False, repr=False)
+    d: np.ndarray = field(init=False, repr=False)
+    diag: Optional[np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         agents = tuple(self.agents)
@@ -172,6 +188,14 @@ class ProblemInstance:
             if (a.m, a.p) != (m, p):
                 raise ValueError(f"agent {k} has dims (m={a.m}, p={a.p}), expected ({m}, {p})")
         object.__setattr__(self, "agents", agents)
+        object.__setattr__(self, "A", np.stack([a.A for a in agents]))
+        object.__setattr__(self, "v", np.stack([a.cost.v for a in agents]))
+        object.__setattr__(self, "lower", np.stack([a.box.lower for a in agents]))
+        object.__setattr__(self, "upper", np.stack([a.box.upper for a in agents]))
+        object.__setattr__(self, "d", np.stack([a.d for a in agents]))
+        diagonal = all(a.cost.diag is not None for a in agents)
+        diag = np.stack([a.cost.diag for a in agents]) if diagonal else None
+        object.__setattr__(self, "diag", diag)
 
     @property
     def n(self):
@@ -191,7 +215,7 @@ class ProblemInstance:
 
     @property
     def total_demand(self):
-        return np.sum([a.d for a in self.agents], axis=0)
+        return self.d.sum(axis=0)
 
     def objective(self, x):
         """sum_i f_i(x_i) for stacked x of shape (n, p)."""

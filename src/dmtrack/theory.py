@@ -165,7 +165,8 @@ def _denominator(alpha, phi_i0, A_i0_norm, q_i0, printed_form):
     return phi_i0 * q_i0**2 - alpha * A_i0_norm**2 * q_i0 - alpha * A_i0_norm**2
 
 
-def _check_q(alpha, phi_i0, A_i0_norm, q_i0):
+def check_q(alpha, phi_i0, A_i0_norm, q_i0):
+    """q_interval of the audited agent; raises unless q_min < q_i0 < 1."""
     interval = q_interval(alpha, phi_i0, A_i0_norm)
     if not interval.q_min < q_i0 < 1.0:
         raise InadmissibleDecayError(
@@ -185,7 +186,12 @@ def privacy_epsilon(alpha, d_zeta, d_eta, phi_i0, A_i0_norm, q_i0, delta, printe
         raise ValueError("noise scales must be positive (inf allowed)")
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    _check_q(alpha, phi_i0, A_i0_norm, q_i0)
+    check_q(alpha, phi_i0, A_i0_norm, q_i0)
+    return admitted_epsilon(alpha, d_zeta, d_eta, phi_i0, A_i0_norm, q_i0, delta, printed_form)
+
+
+def admitted_epsilon(alpha, d_zeta, d_eta, phi_i0, A_i0_norm, q_i0, delta, printed_form=False):
+    """privacy_epsilon for positive scales and a q_i0 that check_q has admitted."""
     D = _denominator(alpha, phi_i0, A_i0_norm, q_i0, printed_form)
     if D <= 0:
         raise InadmissibleDecayError(
@@ -212,22 +218,18 @@ class TheoryConstants(NamedTuple):
     tau2: float
 
 
-def theory_constants(
-    alpha, mod, lambda_bar, schedule=None, phi_i0=None, A_i0_norm=None, bounds=None
-):
+def theory_constants(alpha, mod, lambda_bar, schedule=None, bounds=None):
     """Bundle every scalar constant the experiment reports need.
 
-    phi_i0 / A_i0_norm default to the global moduli (correct when agents are
-    homogeneous; pass the audited agent's values otherwise). r_lb folds in
-    the mask decays when a schedule is given. bounds is
+    tau1 / tau2 are the q_interval roots at the global moduli (phi_under,
+    A_norm), which are the audited agent's when agents are homogeneous.
+    r_lb folds in the mask decays when a schedule is given. bounds is
     stepsize_bounds(mod, lambda_bar) when the caller already has it.
     """
-    phi_i0 = mod.phi_under if phi_i0 is None else phi_i0
-    A_i0_norm = mod.A_norm if A_i0_norm is None else A_i0_norm
     C = contraction_C(alpha, mod.phi_under, mod.L_bar, mod.A_norm, mod.lamAA_min)
     if bounds is None:
         bounds = stepsize_bounds(mod, lambda_bar)
-    interval = q_interval(alpha, phi_i0, A_i0_norm)
+    interval = q_interval(alpha, mod.phi_under, mod.A_norm)
     r_lb = max(C, lambda_bar)
     if schedule is not None and schedule.enabled:
         r_lb = max(r_lb, float(np.max(schedule.q_eta)), float(np.max(schedule.q_zeta)))

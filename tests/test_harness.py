@@ -352,6 +352,27 @@ def test_cli_bounds_and_admissibility(tmp_path, capsys):
     assert "admissible=False" in out
 
 
+@pytest.mark.parametrize(
+    "override,q_min_defined",
+    [({"noise.d_zeta": [0.0, 1.0]}, True), ({"algorithm.alpha": 0.0}, False)],
+)
+def test_cli_bounds_without_a_certificate(tmp_path, capsys, override, q_min_defined):
+    """A zero mask scale or stepsize admits no epsilon: bounds and sweep both say NaN."""
+    path = write_config(tmp_path, **override)
+    assert cli.main(["bounds", "--config", str(path)]) == 1
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    for key in ("eps_theory", "eps_theory_printed", "eps_star", "eps_star_printed"):
+        assert out[key] == "nan"
+    assert (out["q_min"] != "nan") == q_min_defined
+    assert out["admissible"] == "False"
+
+    rows, _ = sweep(ExperimentConfig.from_file(path), "q", [0.98], out_dir=tmp_path / "sw")
+    assert math.isnan(rows[0]["eps_theory"]) and math.isnan(rows[0]["eps_star"])
+    assert not rows[0]["admissible"]
+    csv_row = (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1]
+    assert csv_row.endswith(",nan,nan,0")
+
+
 def test_cli_oracle(tmp_path, capsys):
     path = write_config(tmp_path)
     assert cli.main(["oracle", "--config", str(path)]) == 0
@@ -371,6 +392,36 @@ def test_cli_audit_single(tmp_path, capsys):
     bad = write_config(tmp_path, name="bad.json", **{"noise.q": 0.5})
     assert cli.main(["audit", "--config", str(bad)]) == 1
     assert "inadmissible" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "eps_empirical,violations,admissible,code",
+    [(0.9, 0, True, 0), (1.1, 0, True, 1), (0.9, 2, True, 1), (1.1, 2, False, 0)],
+)
+def test_cli_audit_grid_and_single_point_share_one_verdict(
+    tmp_path, capsys, eps_empirical, violations, admissible, code
+):
+    """Both paths write the same audit.csv row and exit on the same rule."""
+    path = write_config(tmp_path)
+    row = dict(
+        d_zeta=1.0, q=0.98, eps_empirical=eps_empirical, eps_theory=1.0, eps_star=0.5,
+        admissible=admissible, violations=violations,
+    )
+    flags = {"monotone_in_d_zeta": True, "monotone_in_q": True}
+    with mock.patch.object(cli, "sweep_epsilon", return_value=([row], flags)):
+        assert cli.main(["audit", "--config", str(path), "--grid"]) == code
+    grid_csv = (tmp_path / "out" / "audit.csv").read_text()
+    capsys.readouterr()
+    if not admissible:
+        return  # the single-point path raises on an inadmissible decay
+    report = mock.Mock(
+        eps_empirical=eps_empirical, eps_theoretical=1.0, eps_star=0.5,
+        bound_violations=violations, horizon=12, tail=0.0,
+    )
+    with mock.patch.object(cli, "forced_difference_run", return_value=report):
+        assert cli.main(["audit", "--config", str(path)]) == code
+    assert (tmp_path / "out" / "audit.csv").read_text() == grid_csv
+    assert capsys.readouterr().out.startswith(grid_csv)
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):

@@ -1,5 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+
+from dmtrack import theory
 
 from dmtrack.engine import RunConfig
 from dmtrack.errors import ConfigError, InadmissibleDecayError
@@ -12,7 +16,7 @@ from dmtrack.privacy_audit import (
     make_adjacent_pair,
     sweep_epsilon,
 )
-from dmtrack.theory import q_interval
+from dmtrack.theory import epsilon_star, privacy_epsilon, q_interval
 
 from conftest import build_preset
 
@@ -167,6 +171,26 @@ def test_inadmissible_decay(sym2):
     cfg = RunConfig(alpha=0.45, iters=1)
     with pytest.raises(InadmissibleDecayError):
         forced_difference_run(pair, W, NoiseSchedule.uniform(2, q=0.5), cfg, seed=0)
+
+
+def test_decay_is_checked_once_per_audit(sym2, base_report):
+    """forced_difference_run reuses the interval of its one admissibility check."""
+    inst, W = sym2
+    pair, expect, sched = base_report
+    real = theory.q_interval
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(theory, "q_interval", counted):
+        report = forced_difference_run(pair, W, sched, RunConfig(alpha=0.45, iters=1), seed=0)
+    assert len(calls) == 1
+    ag = inst.agents[0]
+    assert report.eps_theoretical == privacy_epsilon(0.45, 1.0, 1.0, ag.cost.phi, ag.A_norm, 0.98, 1.0)
+    assert report.eps_star == epsilon_star(0.45, 1.0, ag.cost.phi, ag.A_norm, 0.98, 1.0)
+    assert report.eps_empirical == expect.eps_empirical
 
 
 def test_sweep_marks_inadmissible_points(sym2):
