@@ -301,7 +301,9 @@ def run(instance, W, schedule, config, seed, x_star=None, replay=None, keep_stat
                 raise SolverFailure(
                     f"round {k}: {exc}", trials=[int(alive[t]) for t in exc.trials]
                 ) from exc
-            if not (np.isfinite(mu).all() and np.isfinite(x).all() and np.isfinite(y).all()):
+            # every A_i is square and invertible, so a non-finite x makes A x,
+            # and with it y, non-finite in the same round: mu and y suffice
+            if not (np.isfinite(mu).all() and np.isfinite(y).all()):
                 ok = np.isfinite(mu).all(axis=(1, 2)) & np.isfinite(x).all(axis=(1, 2))
                 ok &= np.isfinite(y).all(axis=(1, 2))
                 diverged += [int(t) for t in alive[~ok]]

@@ -17,7 +17,12 @@ Laplace draws. The run is truncated at a horizon K where the geometric tail
 is added to eps_e so the certificate stays conservative. Measurement also
 stops once the envelope sinks below solver roundoff (the tail then covers
 the remainder), so slowly decaying configurations never accumulate noise
-ratios that are pure floating-point artifacts.
+ratios that are pure floating-point artifacts. The envelope depends only on
+the round, so that last measured round is known in advance and the base run
+is simulated only up to it; its states match those of a run over the whole
+horizon, since every mask is a function of (seed, round) alone. The round
+loop carries only the recursion; the norms, eps_e and the bound checks are
+computed from its stacked differences afterwards.
 
 Perturbation recursion (Delta = shifted minus base; messages held equal):
     Delta mu(k+1)  = -alpha * Delta y(k)          Delta eta(k) = -Delta mu(k)
@@ -35,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .engine import RunConfig, run
+from .engine import RunConfig, _norms, run
 from .errors import ConfigError, InadmissibleDecayError
 from .local_solver import argmin_local
 from .problem import shift_adjacent
@@ -120,6 +125,11 @@ def _pick_horizon(alpha, delta, A_norm, tau1, tau2, q, d_eta, d_zeta, m):
     return min(max(K, HORIZON_MIN), HORIZON_CAP)
 
 
+def _envelope(coef, tau1, tau2, k):
+    """Root envelope on ||Delta eta(k)||, coef * (tau1^(k-1) - tau2^(k-1)), by scalar pow."""
+    return coef * (tau1 ** (k - 1) - tau2 ** (k - 1))
+
+
 def forced_difference_run(pair, W, schedule, config, seed, horizon=None):
     """Audit one execution; see the module docstring for the recursion."""
     base = pair.base
@@ -135,6 +145,8 @@ def forced_difference_run(pair, W, schedule, config, seed, horizon=None):
     q_zeta = float(schedule.q_zeta[i0])
     if d_eta <= 0 or d_zeta <= 0:
         raise ConfigError("audited agent needs positive mask scales on both channels")
+    if alpha <= 0:
+        raise ConfigError(f"the audit needs a positive stepsize, got alpha = {alpha:g}")
     if abs(q_eta - q_zeta) > 1e-15:
         raise ConfigError(
             f"audited agent has q_eta = {q_eta:g} != q_zeta = {q_zeta:g}; "
@@ -152,55 +164,72 @@ def forced_difference_run(pair, W, schedule, config, seed, horizon=None):
         if K < 1:
             raise ValueError(f"horizon must be at least 1, got {horizon}")
 
-    run_cfg = RunConfig(alpha=alpha, iters=K, record_every=K, mu0=config.mu0, x0=config.x0)
-    trace = run(base, W, schedule, run_cfg, seed, keep_states=True)
-    states_mu, states_x = trace.states_mu, trace.states_x
-
     env_coef = alpha * pair.delta * ag.A_norm / (tau1 - tau2)
     eq52_coef = ag.A_norm**2 / ag.cost.phi
     diverged_at = 1e9 * max(1.0, alpha * pair.delta * ag.A_norm)
-    # below this the true perturbation is buried in solver roundoff; stop
-    # measuring and let the analytic tail (added below) cover the remainder
+    # below this the true perturbation is buried in solver roundoff; measure
+    # only the rounds before the envelope first sinks under it and let the
+    # analytic tail (added below) cover the remainder
     signal_floor = 1e-12 * max(1.0, alpha * pair.delta * ag.A_norm)
+    envelopes = [_envelope(env_coef, tau1, tau2, 1)]
+    for k in range(2, K + 1):
+        envelope = _envelope(env_coef, tau1, tau2, k)
+        if envelope < signal_floor:
+            break
+        envelopes.append(envelope)
+    k_measured = len(envelopes)
 
+    # masks depend only on (seed, round), so these states are the first
+    # k_measured rounds of a run over the whole horizon
+    run_cfg = RunConfig(
+        alpha=alpha, iters=k_measured, record_every=k_measured, mu0=config.mu0, x0=config.x0
+    )
+    trace = run(base, W, schedule, run_cfg, seed, keep_states=True)
+    states_mu, states_x = trace.states_mu, trace.states_x
+
+    # the loop carries only the recursion; every statistic is computed after it
+    mu_i0, x_i0 = states_mu[:, i0], states_x[:, i0]
+    A, At = ag.A, ag.A.T
+    cost, box = ag_shift.cost, ag_shift.box
+    # Delta mu, Delta x, Delta y of rounds 0..k_measured, filled in place: a
+    # list of per-round arrays would leave the allocator a larger peak
+    d_mu = np.zeros((k_measured + 1, m))
+    d_x = np.zeros((k_measured + 1, p))
+    d_y = np.zeros((k_measured + 1, m))
+    k_end, diverged = k_measured, False
+    for k in range(1, k_measured + 1):
+        dmu = d_mu[k] = -alpha * d_y[k - 1]
+        d_x[k] = argmin_local(cost, box, At @ (mu_i0[k] + dmu)).x - x_i0[k]
+        d_y[k] = A @ (d_x[k] - d_x[k - 1])
+        if math.sqrt(dmu @ dmu) > diverged_at:  # ||Delta eta(k)||, as np.linalg.norm
+            k_end, diverged = k, True
+            break
+    rounds = slice(1, k_end + 1)
+    d_mu, d_x, d_y = d_mu[rounds], d_x[rounds], d_y[rounds]
+
+    # the mask perturbations forcing identical messages are Delta eta = -Delta mu
+    # and Delta zeta = -Delta y; the sign drops out of every norm below
+    eta = _norms(d_mu, 1)
     eta_norms = np.zeros(K + 1)
     zeta_norms = np.zeros(K + 1)
-    eps_e = 0.0
-    violations = 0
-    k_measured = K
-    dy_prev = np.zeros(m)
-    dx_prev = np.zeros(p)
-    for k in range(1, K + 1):
-        envelope = env_coef * (tau1 ** (k - 1) - tau2 ** (k - 1))
-        if k > 1 and envelope < signal_floor:
-            k_measured = k - 1
-            break
+    eta_norms[rounds] = eta
+    zeta_norms[rounds] = _norms(d_y, 1)
 
-        dmu = -alpha * dy_prev
-        mu2 = states_mu[k, i0] + dmu
-        x2 = argmin_local(ag_shift.cost, ag_shift.box, ag.A.T @ mu2).x
-        dx = x2 - states_x[k, i0]
-        dy = ag.A @ (dx - dx_prev)
+    # eps_e adds, round by round, the zeta term and then the eta term
+    q_k = np.array([q**k for k in range(1, k_end + 1)])
+    terms = np.empty((k_end, 2))
+    terms[:, 0] = np.abs(d_y).sum(axis=1) / (d_zeta * q_k)
+    terms[:, 1] = np.abs(d_mu).sum(axis=1) / (d_eta * q_k)
+    eps_e = float(np.cumsum(terms.ravel())[-1])
 
-        d_eta_k = -dmu  # mask perturbations forcing identical messages
-        d_zeta_k = -dy
-        eta_norms[k] = np.linalg.norm(d_eta_k)
-        zeta_norms[k] = np.linalg.norm(d_zeta_k)
-        eps_e += float(np.sum(np.abs(d_zeta_k))) / (d_zeta * q**k)
-        eps_e += float(np.sum(np.abs(d_eta_k))) / (d_eta * q**k)
+    lhs = _norms((d_x - pair.delta_prime) @ At, 1)
+    violations = int(np.count_nonzero(eta > np.add(envelopes[:k_end], CHECK_SLACK)))
+    violations += int(np.count_nonzero(lhs > eq52_coef * eta + CHECK_SLACK))
+    violations += diverged
 
-        if eta_norms[k] > envelope + CHECK_SLACK:
-            violations += 1
-        lhs = np.linalg.norm(ag.A @ (dx - pair.delta_prime))
-        if lhs > eq52_coef * np.linalg.norm(dmu) + CHECK_SLACK:
-            violations += 1
-        if eta_norms[k] > diverged_at:
-            violations += 1
-            break
-
-        dy_prev, dx_prev = dy, dx
-
-    tail = _tail_bound(k_measured, alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, m)
+    # a divergence voids the signal floor's stop, so the tail starts at K
+    k_tail = K if diverged else k_measured
+    tail = _tail_bound(k_tail, alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, m)
     eps_e += tail
 
     eps_theory = admitted_epsilon(alpha, d_zeta, d_eta, ag.cost.phi, ag.A_norm, q, pair.delta)
@@ -221,9 +250,8 @@ def forced_difference_run(pair, W, schedule, config, seed, horizon=None):
 def eta_bound_check(report, alpha, delta, A_norm, tau1, tau2, slack=CHECK_SLACK):
     """True iff every recorded ||Delta eta(k)|| sits under the root envelope."""
     coef = alpha * delta * A_norm / (tau1 - tau2)
-    ks = np.arange(1, len(report.delta_eta_norms))
-    bounds = coef * (tau1 ** (ks - 1) - tau2 ** (ks - 1))
-    return bool(np.all(report.delta_eta_norms[1:] <= bounds + slack))
+    bounds = [_envelope(coef, tau1, tau2, k) for k in range(1, len(report.delta_eta_norms))]
+    return bool(np.all(report.delta_eta_norms[1:] <= np.add(bounds, slack)))
 
 
 def sweep_epsilon(

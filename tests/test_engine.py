@@ -390,6 +390,59 @@ def test_every_diverged_trial_is_reported():
     assert caught.value.trials == [1, 3]
 
 
+@pytest.mark.parametrize("nondiagonal", [False, True])
+@pytest.mark.parametrize("seeds", [5, [5, 6]])
+def test_shorter_run_is_a_prefix_of_a_longer_one(seeds, nondiagonal):
+    """Masks are a pure function of (seed, round), so the states of run(iters=k)
+    are the first k rounds of run(iters=K), on either side of a mask-chunk
+    boundary and under replay."""
+    inst, W = nondiagonal3() if nondiagonal else symmetric2()
+    alpha = 0.05 if nondiagonal else 0.45
+    sched = NoiseSchedule.uniform(inst.n, q=0.95)
+    trials = 1 if isinstance(seeds, int) else len(seeds)
+    with mock.patch.object(noise, "MAX_CHUNK_BLOCKS", 24):
+        chunk = chunk_rounds(trials, inst.n, inst.m)
+        K = 3 * chunk + 2
+        full = run(inst, W, sched, RunConfig(alpha=alpha, iters=K), seeds, keep_states=True)
+        for k in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):  # chunk is 4 to 24 rounds
+            cfg = RunConfig(alpha=alpha, iters=k, record_every=k)
+            short = run(inst, W, sched, cfg, seeds, keep_states=True)
+            replayed = run(
+                inst, W, NoiseSchedule.disabled(inst.n), cfg, seeds, keep_states=True,
+                replay=full.noise_log,
+            )
+            for tr in (short, replayed):
+                assert tr.states_mu.tobytes() == full.states_mu[..., : k + 1, :, :].tobytes()
+                assert tr.states_x.tobytes() == full.states_x[..., : k + 1, :, :].tobytes()
+
+
+def test_overflowing_x_is_reported_with_its_round_and_seeds():
+    """On an unbounded box a huge dual overflows x before mu or y: x = 2 A^T mu
+    exceeds the largest double while mu does not. The round and the trial seeds
+    reported are those of the round where x first overflows."""
+    agent = AgentSpec(
+        cost=QuadraticCost.scalar(0.25), A=np.array([[1.0]]), d=np.array([0.0]),
+        box=BoxSet.interval(-np.inf, np.inf),
+    )
+    inst = ProblemInstance(agents=(agent, agent))
+    W = symmetric2()[1]
+    cfg = RunConfig(alpha=0.1, iters=12, mu0=np.full((2, 1), 1e307))
+    eta = np.zeros((4, 12, 2, 1))
+    eta[1, 0, 0, 0] = 1.6e308  # mu(1) = 0.9e308, so x(1) = 1.8e308 overflows
+    eta[3, 6, 1, 0] = 1.7e308
+    log = NoiseLog(eta=eta, zeta=np.zeros_like(eta))
+    masks = (log.eta[1, 0], log.zeta[1, 0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = step(init_state(inst, cfg), inst, W, NoiseSchedule.disabled(2), cfg, 0, noise=masks)
+    assert np.isfinite(first.mu).all() and not np.isfinite(first.x).all()
+    with pytest.raises(SolverFailure, match=r"^round 1: .*\(trial seeds 41, 43\)$") as caught:
+        run(inst, W, NoiseSchedule.disabled(2), cfg, [40, 41, 42, 43], replay=log)
+    assert caught.value.trials == [1, 3]
+    alone = NoiseLog(eta=log.eta[3], zeta=log.zeta[3])
+    with pytest.raises(SolverFailure, match=r"^round 7: .*\(trial seeds 43\)$"):
+        run(inst, W, NoiseSchedule.disabled(2), cfg, 43, replay=alone)
+
+
 def test_noisy_stationary_point_is_the_shifted_optimum():
     """With decaying masks the iterates settle at the optimum of a problem
     whose demand absorbed the accumulated zeta mass: for quadratics

@@ -394,6 +394,16 @@ def test_cli_audit_single(tmp_path, capsys):
     assert "inadmissible" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grid", [False, True])
+def test_cli_audit_rejects_a_zero_stepsize(tmp_path, capsys, grid):
+    """alpha = 0 admits no decay interval: both audit paths name it and exit 2."""
+    path = write_config(tmp_path, **{"algorithm.alpha": 0.0})
+    assert cli.main(["audit", "--config", str(path)] + ["--grid"] * grid) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "alpha = 0" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "eps_empirical,violations,admissible,code",
     [(0.9, 0, True, 0), (1.1, 0, True, 1), (0.9, 2, True, 1), (1.1, 2, False, 0)],

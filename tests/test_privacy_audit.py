@@ -1,16 +1,23 @@
+import math
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from dmtrack import theory
+from dmtrack import privacy_audit, theory
 
-from dmtrack.engine import RunConfig
-from dmtrack.errors import ConfigError, InadmissibleDecayError
+from dmtrack.engine import RunConfig, run
+from dmtrack.errors import ConfigError, InadmissibleDecayError, SolverFailure
+from dmtrack.local_solver import ArgminResult, argmin_local
 from dmtrack.noise import NoiseSchedule
+from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
 from dmtrack.privacy_audit import (
+    CHECK_SLACK,
     HORIZON_CAP,
     HORIZON_MIN,
+    AuditReport,
+    _pick_horizon,
+    _tail_bound,
     eta_bound_check,
     forced_difference_run,
     make_adjacent_pair,
@@ -19,6 +26,7 @@ from dmtrack.privacy_audit import (
 from dmtrack.theory import epsilon_star, privacy_epsilon, q_interval
 
 from conftest import build_preset
+from test_engine import nondiagonal3
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +171,8 @@ def test_schedule_rejections(sym2):
     split = NoiseSchedule.uniform(2, q_eta=0.97, q_zeta=0.98)
     with pytest.raises(ConfigError, match="one decay"):
         forced_difference_run(pair, W, split, cfg, seed=0)
+    with pytest.raises(ConfigError, match="positive stepsize"):
+        forced_difference_run(pair, W, NoiseSchedule.uniform(2), RunConfig(alpha=0.0, iters=1), 0)
 
 
 def test_inadmissible_decay(sym2):
@@ -206,3 +216,178 @@ def test_sweep_marks_inadmissible_points(sym2):
     assert good[1]["eps_empirical"] <= good[0]["eps_empirical"] + 1e-12
     assert flags["monotone_in_d_zeta"]
     assert flags["monotone_in_q"]
+
+
+def reference_forced_difference_run(
+    pair, W, schedule, config, seed, horizon=None, solver=argmin_local
+):
+    """The audit as one per-round loop over a base run of the whole horizon K.
+
+    An independent reference for forced_difference_run: every statistic is
+    computed inside the loop, round by round, with np.linalg.norm.
+    """
+    base, i0 = pair.base, pair.i0
+    m, p = base.m, base.p
+    ag, ag_shift = base.agents[i0], pair.shifted.agents[i0]
+    alpha = config.alpha
+    d_eta, d_zeta = float(schedule.d_eta[i0]), float(schedule.d_zeta[i0])
+    q = float(schedule.q_zeta[i0])
+    interval = theory.check_q(alpha, ag.cost.phi, ag.A_norm, q)
+    tau1, tau2 = interval.tau1, interval.tau2
+    if horizon is None:
+        K = _pick_horizon(alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, m)
+    else:
+        K = int(horizon)
+    run_cfg = RunConfig(alpha=alpha, iters=K, record_every=K, mu0=config.mu0, x0=config.x0)
+    trace = run(base, W, schedule, run_cfg, seed, keep_states=True)
+    states_mu, states_x = trace.states_mu, trace.states_x
+
+    env_coef = alpha * pair.delta * ag.A_norm / (tau1 - tau2)
+    eq52_coef = ag.A_norm**2 / ag.cost.phi
+    diverged_at = 1e9 * max(1.0, alpha * pair.delta * ag.A_norm)
+    signal_floor = 1e-12 * max(1.0, alpha * pair.delta * ag.A_norm)
+
+    eta_norms = np.zeros(K + 1)
+    zeta_norms = np.zeros(K + 1)
+    eps_e = 0.0
+    violations = 0
+    k_measured = K
+    dy_prev = np.zeros(m)
+    dx_prev = np.zeros(p)
+    for k in range(1, K + 1):
+        envelope = env_coef * (tau1 ** (k - 1) - tau2 ** (k - 1))
+        if k > 1 and envelope < signal_floor:
+            k_measured = k - 1
+            break
+        dmu = -alpha * dy_prev
+        mu2 = states_mu[k, i0] + dmu
+        x2 = solver(ag_shift.cost, ag_shift.box, ag.A.T @ mu2).x
+        dx = x2 - states_x[k, i0]
+        dy = ag.A @ (dx - dx_prev)
+        d_eta_k = -dmu
+        d_zeta_k = -dy
+        eta_norms[k] = np.linalg.norm(d_eta_k)
+        zeta_norms[k] = np.linalg.norm(d_zeta_k)
+        eps_e += float(np.sum(np.abs(d_zeta_k))) / (d_zeta * q**k)
+        eps_e += float(np.sum(np.abs(d_eta_k))) / (d_eta * q**k)
+        if eta_norms[k] > envelope + CHECK_SLACK:
+            violations += 1
+        lhs = np.linalg.norm(ag.A @ (dx - pair.delta_prime))
+        if lhs > eq52_coef * np.linalg.norm(dmu) + CHECK_SLACK:
+            violations += 1
+        if eta_norms[k] > diverged_at:
+            violations += 1
+            break
+        dy_prev, dx_prev = dy, dx
+
+    tail = _tail_bound(k_measured, alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, m)
+    return AuditReport(
+        eps_empirical=eps_e + tail,
+        eps_theoretical=theory.admitted_epsilon(
+            alpha, d_zeta, d_eta, ag.cost.phi, ag.A_norm, q, pair.delta
+        ),
+        eps_star=theory.admitted_epsilon(
+            alpha, d_zeta, math.inf, ag.cost.phi, ag.A_norm, q, pair.delta
+        ),
+        delta_eta_norms=eta_norms,
+        delta_zeta_norms=zeta_norms,
+        bound_violations=violations,
+        horizon=K,
+        tail=tail,
+        i0=i0,
+    )
+
+
+def report_bytes(report):
+    """Every AuditReport field as bytes."""
+    return {name: np.asarray(value).tobytes() for name, value in vars(report).items()}
+
+
+def assert_matches_reference(pair, W, sched, cfg, seed, horizon=None):
+    got = forced_difference_run(pair, W, sched, cfg, seed, horizon=horizon)
+    want = reference_forced_difference_run(pair, W, sched, cfg, seed, horizon=horizon)
+    assert report_bytes(got) == report_bytes(want)
+    return got
+
+
+@pytest.mark.parametrize("horizon", [None, 50, 3000])
+@pytest.mark.parametrize("alpha", [0.45, 0.9])
+def test_symmetric2_grid_matches_the_per_round_reference(sym2, alpha, horizon):
+    inst, W = sym2
+    pair = make_adjacent_pair(inst, 0, 1.0)
+    cfg = RunConfig(alpha=alpha, iters=1)
+    for dz in (0.5, 1.0, 2.0):
+        for q in (0.95, 0.98, 0.99):
+            sched = NoiseSchedule.uniform(2, d_zeta=dz, q=q)
+            assert_matches_reference(pair, W, sched, cfg, seed=11, horizon=horizon)
+
+
+def test_nondiagonal_boxed_instance_matches_the_per_round_reference():
+    """Coupled 2-d costs on [-1, 1] boxes: argmin_local's projected-gradient path."""
+    inst, W = nondiagonal3()
+    for i0, delta_prime in ((0, None), (1, [0.3, -0.4]), (2, [-0.2, 0.1])):
+        pair = make_adjacent_pair(inst, i0, 1.0, delta_prime)
+        for alpha, q in ((0.05, 0.6), (0.1, 0.9)):
+            sched = NoiseSchedule.uniform(3, d_zeta=0.7, q=q)
+            for seed in (3, 4):
+                assert_matches_reference(pair, W.W, sched, RunConfig(alpha=alpha, iters=1), seed)
+
+
+def test_divergence_break_matches_the_per_round_reference(sym2):
+    """A shifted solve that jumps by 1e12 at its fifth call blows ||Delta eta||
+    past the divergence threshold: the loop stops there, counts the violation,
+    and takes the tail at the horizon K."""
+
+    def jumping():
+        calls = []
+
+        def solver(cost, box, c):
+            calls.append(c)
+            result = argmin_local(cost, box, c)
+            if len(calls) == 5:
+                return ArgminResult(x=result.x + 1e12, kkt_residual=result.kkt_residual)
+            return result
+
+        return solver
+
+    inst, W = sym2
+    pair = make_adjacent_pair(inst, 0, 1.0)
+    cfg = RunConfig(alpha=0.9, iters=1)
+    sched = NoiseSchedule.uniform(2, q=0.95)
+    with mock.patch.object(privacy_audit, "argmin_local", jumping()):
+        got = forced_difference_run(pair, W, sched, cfg, seed=11)
+    want = reference_forced_difference_run(pair, W, sched, cfg, seed=11, solver=jumping())
+    assert report_bytes(got) == report_bytes(want)
+    assert got.bound_violations >= 1
+    assert got.delta_eta_norms[6] > 1e9 and not got.delta_eta_norms[7:].any()
+    ag = inst.agents[0]
+    qi = q_interval(0.9, ag.cost.phi, ag.A_norm)
+    assert got.tail == _tail_bound(
+        got.horizon, 0.9, 1.0, ag.A_norm, qi.tau1, qi.tau2, 0.95, 1.0, 1.0, 1
+    )
+
+
+def test_base_run_diverging_after_the_measured_rounds_completes_the_audit():
+    """The base run stops at the last measured round. Here agent 1's curvature
+    is too small for alpha = 1, so the network overflows at round 308, while
+    the audited agent 0 has tau1 = 0.105: its envelope reaches the signal
+    floor within 15 rounds, and q = 0.11 puts the tail horizon K at 476. The
+    audit completes on finite states; a base run over all K rounds fails."""
+    free = BoxSet.interval(-np.inf, np.inf)
+    stiff, soft = (
+        AgentSpec(cost=QuadraticCost.scalar(u), A=np.array([[1.0]]), d=np.array([1.0]), box=free)
+        for u in (50.0, 0.05)
+    )
+    inst = ProblemInstance(agents=(stiff, soft))
+    W = build_preset("symmetric2")[1].W
+    pair = make_adjacent_pair(inst, 0, 1.0)
+    cfg = RunConfig(alpha=1.0, iters=1)
+    sched = NoiseSchedule.uniform(2, q=0.11)
+    report = forced_difference_run(pair, W, sched, cfg, seed=0)
+    assert report.horizon == 476
+    measured = np.flatnonzero(report.delta_eta_norms)
+    assert 0 < measured[-1] < 15
+    assert report.bound_violations == 0
+    assert report.eps_empirical <= report.eps_theoretical
+    with pytest.raises(SolverFailure, match="round 308: state diverged"):
+        reference_forced_difference_run(pair, W, sched, cfg, seed=0)

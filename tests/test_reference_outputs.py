@@ -5,10 +5,12 @@ mc_noisy and free_converge configs write, and the round at which
 free_converge reaches relative error 1e-8. These tests rerun both configs,
 built by bench/workloads.py, through the CLI and compare; they also pin the
 seed-0 audit_grid invocation's audit.csv and `dmtrack bounds` stdout on the
-mc_noisy config, whose digests live here. They only read bench/.
+mc_noisy config, and the stdout and audit.csv of single-point `dmtrack
+audit` runs, whose digests live here. They only read bench/.
 """
 
 import hashlib
+import json
 import importlib.util
 import sys
 from pathlib import Path
@@ -67,3 +69,56 @@ def test_microgrid14_bounds_stdout_is_pinned(workloads, tmp_path, capsys):
     out = capsys.readouterr().out
     assert "admissible=True" in out
     assert hashlib.sha256(out.encode()).hexdigest() == MICROGRID14_BOUNDS_SHA256
+
+
+def _single_point_audit(tmp_path, capsys, preset, extra_args):
+    """(exit code, sha256 of stdout, sha256 of audit.csv) of a single-point audit at q = 0.95."""
+    config = {
+        "problem": {"preset": preset},
+        "algorithm": {"alpha": {"frac_of_t1": 0.9}, "iters": 1},
+        "noise": {"enabled": True, "d_eta": 1.0, "d_zeta": 1.0, "q": 0.95},
+        "trials": 1,
+        "seed": 20230814,
+        "output": str(tmp_path / "out"),
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    capsys.readouterr()
+    code = cli.main(["audit", "--config", str(path), *extra_args])
+    stdout = capsys.readouterr().out
+    csv_digest = hashlib.sha256((tmp_path / "out" / "audit.csv").read_bytes()).hexdigest()
+    return code, hashlib.sha256(stdout.encode()).hexdigest(), csv_digest
+
+
+# (exit code, stdout sha256, audit.csv sha256) of single-point audits: the
+# default horizon, a horizon below the round where measurement stops (its
+# tail exceeds the certificate, so it exits 1), one above it, and the other
+# agent of an asymmetric instance
+SINGLE_POINT_AUDIT_SHA256 = {
+    ("symmetric2", ()): (
+        0,
+        "693b484afd255c4b3045bf3602de55486cf6cdb3cb1bf18e3e33ac2216795c57",
+        "8b910b7fd7eabe8601e7e485a08ad45d9baa135b0e2403bae65562013576c658",
+    ),
+    ("symmetric2", ("--horizon", "50")): (
+        1,
+        "a3dc0fd25a9c574472c80e636705da208ffa8b32b5ef7727bb6b138d4a4dc79d",
+        "eb73d2c7e391a8f9eb157ce91064b6815ab6b6a997fa16e9f979358f063f67f4",
+    ),
+    ("symmetric2", ("--horizon", "3000")): (
+        0,
+        "8b84fae6940f651d4757af5eb452cc44ad6f6129e7578e43347ac16f572a565f",
+        "8b910b7fd7eabe8601e7e485a08ad45d9baa135b0e2403bae65562013576c658",
+    ),
+    ("hand_kkt", ("--agent", "1")): (
+        0,
+        "ab7bbdcf42572ee94846fae8967e552b1825567a951bd972e6ba0105de709520",
+        "a79c8ecb5147bb41cddf846136ab94fbbbde046a62ea40fb638df3174cc3c0c1",
+    ),
+}
+
+
+@pytest.mark.parametrize("preset,extra_args", list(SINGLE_POINT_AUDIT_SHA256))
+def test_single_point_audit_outputs_are_pinned(tmp_path, capsys, preset, extra_args):
+    digests = _single_point_audit(tmp_path, capsys, preset, extra_args)
+    assert digests == SINGLE_POINT_AUDIT_SHA256[preset, extra_args]
