@@ -34,17 +34,22 @@ from .harness import (
     sweep,
 )
 from .oracle import solve_dual, verify_against_grid
-from .privacy_audit import forced_difference_run, make_adjacent_pair, sweep_epsilon
+from .privacy_audit import audit_row, forced_difference_run, make_adjacent_pair, sweep_epsilon
 from .theory import mse_bounds
+
+
+# the config path each override flag sets; overrides pass the config's validation
+FLAG_PATHS = {"seed": "seed", "out": "output", "agent": "audit.i0", "delta": "audit.delta",
+              "delta_prime": "audit.delta_prime", "horizon": "audit.horizon"}
 
 
 def _load_config(args):
     cfg = ExperimentConfig.from_file(args.config)
-    updates = {}
-    if getattr(args, "seed", None) is not None:
-        updates["seed"] = args.seed
-    if getattr(args, "out", None) is not None:
-        updates["output"] = args.out
+    updates = {
+        path: getattr(args, flag)
+        for flag, path in FLAG_PATHS.items()
+        if getattr(args, flag, None) is not None
+    }
     return cfg.replace(**updates) if updates else cfg
 
 
@@ -82,19 +87,6 @@ def _cmd_sweep(args):
     return 0 if all(verdicts) else 1
 
 
-def _audit_params(config, args):
-    audit = dict(config.raw.get("audit", {}))
-    if args.agent is not None:
-        audit["i0"] = args.agent
-    if args.delta is not None:
-        audit["delta"] = args.delta
-    if args.delta_prime is not None:
-        audit["delta_prime"] = args.delta_prime
-    if args.horizon is not None:
-        audit["horizon"] = args.horizon
-    return audit
-
-
 def _certified(row):
     """The audit verdict of one grid point: no envelope violation, eps within the certificate."""
     return row["violations"] == 0 and row["eps_empirical"] <= row["eps_theory"]
@@ -114,14 +106,14 @@ def _write_audit(outdir, rows):
 def _cmd_audit(args):
     config = _load_config(args)
     mat = materialize(config)
-    audit = _audit_params(config, args)
+    audit = config.raw.get("audit", {})
     i0 = audit.get("i0", 0)
     delta = audit.get("delta", 1.0)
     delta_prime = audit.get("delta_prime")
     if isinstance(delta_prime, (int, float)):
         delta_prime = [float(delta_prime)] * mat.instance.p
     horizon = audit.get("horizon")
-    run_cfg = RunConfig(alpha=mat.alpha, iters=max(horizon or 1, 1))
+    run_cfg = RunConfig(alpha=mat.alpha, iters=horizon or 1)
     outdir = Path(config.raw["output"])
     outdir.mkdir(parents=True, exist_ok=True)
 
@@ -152,15 +144,7 @@ def _cmd_audit(args):
     except InadmissibleDecayError as exc:
         print(f"inadmissible: {exc}", file=sys.stderr)
         return 1
-    row = {
-        "d_zeta": float(mat.schedule.d_zeta[i0]),
-        "q": float(mat.schedule.q_zeta[i0]),
-        "eps_empirical": report.eps_empirical,
-        "eps_theory": report.eps_theoretical,
-        "eps_star": report.eps_star,
-        "admissible": True,
-        "violations": report.bound_violations,
-    }
+    row = audit_row(float(mat.schedule.d_zeta[i0]), float(mat.schedule.q_zeta[i0]), report)
     _write_audit(outdir, [row])
     print(f"horizon={report.horizon} tail={report.tail:.3e}")
     return 0 if _certified(row) else 1

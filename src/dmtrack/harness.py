@@ -304,6 +304,15 @@ def _build_schedule(noise, n):
         raise ConfigError(f"noise: {exc}") from exc
 
 
+def _check_audit(audit, instance):
+    """Reject an audited agent or a shift that the instance cannot take."""
+    if audit.get("i0", 0) >= instance.n:
+        raise ConfigError(f"audit.i0 = {audit['i0']} is out of range for n = {instance.n}")
+    delta_prime = _per_agent(audit.get("delta_prime"), instance.p, "audit.delta_prime")
+    if delta_prime is not None and not np.linalg.norm(delta_prime) < audit.get("delta", 1.0):
+        raise ConfigError(f"audit.delta_prime {delta_prime.tolist()} must have norm < audit.delta")
+
+
 def materialize(config):
     raw = config.raw
     instance, graph = PRESETS[raw["problem"]["preset"]]()
@@ -328,6 +337,7 @@ def materialize(config):
             raise ConfigError(f"algorithm.alpha: {key} requested but the bound is {base}")
         alpha = float(frac) * base
     schedule = _build_schedule(raw["noise"], instance.n)
+    _check_audit(raw.get("audit", {}), instance)
     return Materialized(
         instance=instance,
         graph=graph,

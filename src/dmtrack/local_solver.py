@@ -45,6 +45,18 @@ def _kkt_violation(grad, x, lo, hi):
     return viol
 
 
+def diagonal_argmin(c, v, diag, lower, upper):
+    """The exact minimizer for diagonal U, coordinatewise and broadcasting over stacked c."""
+    return np.clip((c - v) / diag, lower, upper)
+
+
+def argmin_rows(cost, box, c):
+    """argmin_local for each row of c, shape (rows, p); diagonal U solves all rows at once."""
+    if cost.diag is not None:
+        return diagonal_argmin(c, cost.v, cost.diag, box.lower, box.upper)
+    return np.array([argmin_local(cost, box, row).x for row in c])
+
+
 def argmin_local(cost, box, c, max_inner=MAX_INNER_DEFAULT):
     """Global minimizer of 0.5 z^T U z + v^T z - c^T z over the box.
 
@@ -68,8 +80,7 @@ def argmin_local(cost, box, c, max_inner=MAX_INNER_DEFAULT):
 
     diag = cost.diag
     if diag is not None:
-        # exact closed form, coordinatewise
-        x = np.clip((c - v) / diag, lo, hi)
+        x = diagonal_argmin(c, v, diag, lo, hi)
         grad = diag * x + v - c
         res = float(np.linalg.norm(_kkt_violation(grad, x, lo, hi)))
         return ArgminResult(x=x, kkt_residual=res)
@@ -122,7 +133,7 @@ def solve_all_from_c(instance, c, max_inner=MAX_INNER_DEFAULT):
     failure names the agent and, for a batch, the failing trial.
     """
     if instance.diag is not None:
-        return np.clip((c - instance.v) / instance.diag, instance.lower, instance.upper)
+        return diagonal_argmin(c, instance.v, instance.diag, instance.lower, instance.upper)
     batch = c.reshape((-1,) + c.shape[-2:])
     out = np.empty(batch.shape)
     for t, ct in enumerate(batch):

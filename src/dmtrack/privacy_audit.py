@@ -20,29 +20,32 @@ the remainder), so slowly decaying configurations never accumulate noise
 ratios that are pure floating-point artifacts. The envelope depends only on
 the round, so that last measured round is known in advance and the base run
 is simulated only up to it; its states match those of a run over the whole
-horizon, since every mask is a function of (seed, round) alone. The round
-loop carries only the recursion; the norms, eps_e and the bound checks are
-computed from its stacked differences afterwards.
+horizon, since every mask is a function of (seed, round) alone. A grid of
+schedules keeps one base run per point but steps every point's recursion in
+one round loop; the norms, eps_e and the bound checks are computed per point
+from its stacked differences afterwards.
 
 Perturbation recursion (Delta = shifted minus base; messages held equal):
     Delta mu(k+1)  = -alpha * Delta y(k)          Delta eta(k) = -Delta mu(k)
     Delta y(k+1)   = A_i0 (Delta x(k+1) - Delta x(k))
     Delta zeta(k)  = -Delta y(k)
 with Delta x(k) re-derived by actually solving the shifted agent's local
-problem at the perturbed dual variable, not from a formula.
+problem at the perturbed dual variable (for a diagonal cost, the closed form
+on all rows at once), not from a perturbation formula.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .engine import RunConfig, _norms, run
 from .errors import ConfigError, InadmissibleDecayError
-from .local_solver import argmin_local
+from .local_solver import argmin_rows
+from .noise import NoiseSchedule
 from .problem import shift_adjacent
 from .theory import admitted_epsilon, check_q
 
@@ -130,46 +133,49 @@ def _envelope(coef, tau1, tau2, k):
     return coef * (tau1 ** (k - 1) - tau2 ** (k - 1))
 
 
-def forced_difference_run(pair, W, schedule, config, seed, horizon=None):
-    """Audit one execution; see the module docstring for the recursion."""
-    base = pair.base
-    i0 = pair.i0
-    n, m, p = base.dims
-    ag = base.agents[i0]
-    ag_shift = pair.shifted.agents[i0]
-    alpha = config.alpha
+class _Point(NamedTuple):
+    """The constants of one schedule's audit."""
 
+    schedule: NoiseSchedule
+    d_eta: float
+    d_zeta: float
+    q: float
+    tau1: float
+    tau2: float
+    K: int  # the tail horizon
+    envelopes: np.ndarray  # the root envelope of each measured round 1..k_measured
+
+
+def _audit_point(pair, schedule, alpha, horizon):
+    """The constants of auditing `schedule`; raises for a setup the certificate does not cover."""
+    i0 = pair.i0
+    ag = pair.base.agents[i0]
     d_eta = float(schedule.d_eta[i0])
     d_zeta = float(schedule.d_zeta[i0])
     q_eta = float(schedule.q_eta[i0])
-    q_zeta = float(schedule.q_zeta[i0])
+    q = float(schedule.q_zeta[i0])
     if d_eta <= 0 or d_zeta <= 0:
         raise ConfigError("audited agent needs positive mask scales on both channels")
     if alpha <= 0:
         raise ConfigError(f"the audit needs a positive stepsize, got alpha = {alpha:g}")
-    if abs(q_eta - q_zeta) > 1e-15:
+    if abs(q_eta - q) > 1e-15:
         raise ConfigError(
-            f"audited agent has q_eta = {q_eta:g} != q_zeta = {q_zeta:g}; "
+            f"audited agent has q_eta = {q_eta:g} != q_zeta = {q:g}; "
             "the certificate assumes one decay"
         )
-    q = q_zeta
 
     interval = check_q(alpha, ag.cost.phi, ag.A_norm, q)
     tau1, tau2 = interval.tau1, interval.tau2
 
     if horizon is None:
-        K = _pick_horizon(alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, m)
+        K = _pick_horizon(alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, pair.base.m)
     else:
         K = int(horizon)
-        if K < 1:
-            raise ValueError(f"horizon must be at least 1, got {horizon}")
 
     env_coef = alpha * pair.delta * ag.A_norm / (tau1 - tau2)
-    eq52_coef = ag.A_norm**2 / ag.cost.phi
-    diverged_at = 1e9 * max(1.0, alpha * pair.delta * ag.A_norm)
     # below this the true perturbation is buried in solver roundoff; measure
     # only the rounds before the envelope first sinks under it and let the
-    # analytic tail (added below) cover the remainder
+    # analytic tail cover the remainder
     signal_floor = 1e-12 * max(1.0, alpha * pair.delta * ag.A_norm)
     envelopes = [_envelope(env_coef, tau1, tau2, 1)]
     for k in range(2, K + 1):
@@ -177,74 +183,118 @@ def forced_difference_run(pair, W, schedule, config, seed, horizon=None):
         if envelope < signal_floor:
             break
         envelopes.append(envelope)
-    k_measured = len(envelopes)
+    return _Point(schedule, d_eta, d_zeta, q, tau1, tau2, K, np.array(envelopes))
 
-    # masks depend only on (seed, round), so these states are the first
-    # k_measured rounds of a run over the whole horizon
-    run_cfg = RunConfig(
-        alpha=alpha, iters=k_measured, record_every=k_measured, mu0=config.mu0, x0=config.x0
-    )
-    trace = run(base, W, schedule, run_cfg, seed, keep_states=True)
-    states_mu, states_x = trace.states_mu, trace.states_x
 
-    # the loop carries only the recursion; every statistic is computed after it
-    mu_i0, x_i0 = states_mu[:, i0], states_x[:, i0]
+def forced_difference_run(pair, W, schedule, config, seed, horizon=None):
+    """Audit one execution per schedule; see the module docstring for the recursion.
+
+    schedule : NoiseSchedule or sequence of NoiseSchedule
+        One schedule returns its AuditReport and raises InadmissibleDecayError
+        if its decay is inadmissible. A sequence returns a list with, per
+        schedule, its AuditReport or the InadmissibleDecayError its decay
+        raised; each report is bit-identical to auditing that schedule alone.
+    """
+    if horizon is not None and int(horizon) < 1:
+        raise ValueError(f"horizon must be at least 1, got {horizon}")
+    single = isinstance(schedule, NoiseSchedule)
+    entries = []  # per schedule, its _Point or its InadmissibleDecayError
+    for sched in [schedule] if single else schedule:
+        try:
+            entries.append(_audit_point(pair, sched, config.alpha, horizon))
+        except InadmissibleDecayError as exc:
+            if single:
+                raise
+            entries.append(exc)
+    points = [e for e in entries if isinstance(e, _Point)]
+    reports = iter(_audit_points(pair, W, points, config, seed))
+    results = [next(reports) if isinstance(e, _Point) else e for e in entries]
+    return results[0] if single else results
+
+
+def _audit_points(pair, W, points, config, seed):
+    """The AuditReport of each point, whose recursions step together as rows of (G, .) arrays."""
+    base, i0, alpha = pair.base, pair.i0, config.alpha
+    m, p = base.m, base.p
+    ag, ag_shift = base.agents[i0], pair.shifted.agents[i0]
+    G = len(points)
+    k_measured = [len(pt.envelopes) for pt in points]
+    k_max = max(k_measured, default=0)
+
+    # Delta mu, Delta x, Delta y of rounds 0..k_measured, one row per point.
+    # Until the recursion reaches round k, d_mu and d_x hold agent i0's base mu
+    # and x of round k; masks depend only on (seed, round), so these are the
+    # first k_measured rounds of a run over the whole horizon
+    d_mu = np.zeros((G, k_max + 1, m))
+    d_x = np.zeros((G, k_max + 1, p))
+    for g, pt in enumerate(points):
+        k = k_measured[g]
+        run_cfg = RunConfig(alpha=alpha, iters=k, record_every=k, mu0=config.mu0, x0=config.x0)
+        trace = run(base, W, pt.schedule, run_cfg, seed, keep_states=True)
+        d_mu[g, 1 : k + 1] = trace.states_mu[1:, i0]
+        d_x[g, 1 : k + 1] = trace.states_x[1:, i0]
+
+    # the loop carries only the recursion; every statistic is computed after it.
+    # Each row does the operations a lone point would (stacked matvecs are one
+    # matvec per row) and leaves the loop at its own k_end
     A, At = ag.A, ag.A.T
-    cost, box = ag_shift.cost, ag_shift.box
-    # Delta mu, Delta x, Delta y of rounds 0..k_measured, filled in place: a
-    # list of per-round arrays would leave the allocator a larger peak
-    d_mu = np.zeros((k_measured + 1, m))
-    d_x = np.zeros((k_measured + 1, p))
-    d_y = np.zeros((k_measured + 1, m))
-    k_end, diverged = k_measured, False
-    for k in range(1, k_measured + 1):
-        dmu = d_mu[k] = -alpha * d_y[k - 1]
-        d_x[k] = argmin_local(cost, box, At @ (mu_i0[k] + dmu)).x - x_i0[k]
-        d_y[k] = A @ (d_x[k] - d_x[k - 1])
-        if math.sqrt(dmu @ dmu) > diverged_at:  # ||Delta eta(k)||, as np.linalg.norm
-            k_end, diverged = k, True
+    d_y = np.zeros_like(d_mu)
+    k_end = np.array(k_measured, dtype=int)
+    diverged = np.zeros(G, dtype=bool)
+    diverged_at = 1e9 * max(1.0, alpha * pair.delta * ag.A_norm)
+    live = np.arange(G)
+    for k in range(1, k_max + 1):
+        live = live[k_end[live] >= k]
+        if not live.size:
             break
-    rounds = slice(1, k_end + 1)
-    d_mu, d_x, d_y = d_mu[rounds], d_x[rounds], d_y[rounds]
+        dmu = -alpha * d_y[live, k - 1]
+        c = (At @ (d_mu[live, k] + dmu)[..., None])[..., 0]
+        d_mu[live, k] = dmu
+        dx = d_x[live, k] = argmin_rows(ag_shift.cost, ag_shift.box, c) - d_x[live, k]
+        d_y[live, k] = (A @ (dx - d_x[live, k - 1])[..., None])[..., 0]
+        gone = live[_norms(dmu, 1) > diverged_at]  # ||Delta eta(k)||, as np.linalg.norm
+        k_end[gone] = k
+        diverged[gone] = True
 
-    # the mask perturbations forcing identical messages are Delta eta = -Delta mu
-    # and Delta zeta = -Delta y; the sign drops out of every norm below
-    eta = _norms(d_mu, 1)
-    eta_norms = np.zeros(K + 1)
-    zeta_norms = np.zeros(K + 1)
-    eta_norms[rounds] = eta
-    zeta_norms[rounds] = _norms(d_y, 1)
+    phi, A_norm = ag.cost.phi, ag.A_norm
+    eq52_coef = A_norm**2 / phi
+    reports = []
+    for g, (_, d_eta, d_zeta, q, tau1, tau2, K, envelopes) in enumerate(points):
+        end = int(k_end[g])
+        rounds = slice(1, end + 1)
+        dmu, dx, dy = d_mu[g, rounds], d_x[g, rounds], d_y[g, rounds]
 
-    # eps_e adds, round by round, the zeta term and then the eta term
-    q_k = np.array([q**k for k in range(1, k_end + 1)])
-    terms = np.empty((k_end, 2))
-    terms[:, 0] = np.abs(d_y).sum(axis=1) / (d_zeta * q_k)
-    terms[:, 1] = np.abs(d_mu).sum(axis=1) / (d_eta * q_k)
-    eps_e = float(np.cumsum(terms.ravel())[-1])
+        # the mask perturbations forcing identical messages are Delta eta = -Delta mu
+        # and Delta zeta = -Delta y; the sign drops out of every norm below
+        eta = _norms(dmu, 1)
+        eta_norms, zeta_norms = np.zeros((2, K + 1))
+        eta_norms[rounds] = eta
+        zeta_norms[rounds] = _norms(dy, 1)
 
-    lhs = _norms((d_x - pair.delta_prime) @ At, 1)
-    violations = int(np.count_nonzero(eta > np.add(envelopes[:k_end], CHECK_SLACK)))
-    violations += int(np.count_nonzero(lhs > eq52_coef * eta + CHECK_SLACK))
-    violations += diverged
+        # eps_e adds, round by round, the zeta term and then the eta term
+        q_k = np.array([q**k for k in range(1, end + 1)])
+        terms = np.empty((end, 2))
+        terms[:, 0] = np.abs(dy).sum(axis=1) / (d_zeta * q_k)
+        terms[:, 1] = np.abs(dmu).sum(axis=1) / (d_eta * q_k)
+        eps_e = float(np.cumsum(terms.ravel())[-1])
 
-    # a divergence voids the signal floor's stop, so the tail starts at K
-    k_tail = K if diverged else k_measured
-    tail = _tail_bound(k_tail, alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, m)
-    eps_e += tail
+        lhs = _norms((dx - pair.delta_prime) @ At, 1)
+        violations = int(np.count_nonzero(eta > np.add(envelopes[:end], CHECK_SLACK)))
+        violations += int(np.count_nonzero(lhs > eq52_coef * eta + CHECK_SLACK))
+        violations += int(diverged[g])
 
-    eps_theory = admitted_epsilon(alpha, d_zeta, d_eta, ag.cost.phi, ag.A_norm, q, pair.delta)
-    eps_opt = admitted_epsilon(alpha, d_zeta, math.inf, ag.cost.phi, ag.A_norm, q, pair.delta)
-    return AuditReport(
-        eps_empirical=eps_e,
-        eps_theoretical=eps_theory,
-        eps_star=eps_opt,
-        delta_eta_norms=eta_norms,
-        delta_zeta_norms=zeta_norms,
-        bound_violations=violations,
-        horizon=K,
-        tail=tail,
-        i0=i0,
-    )
+        # a divergence voids the signal floor's stop, so the tail starts at K
+        k_tail = K if diverged[g] else k_measured[g]
+        tail = _tail_bound(k_tail, alpha, pair.delta, A_norm, tau1, tau2, q, d_eta, d_zeta, m)
+        eps_theory = admitted_epsilon(alpha, d_zeta, d_eta, phi, A_norm, q, pair.delta)
+        eps_opt = admitted_epsilon(alpha, d_zeta, math.inf, phi, A_norm, q, pair.delta)
+        report = AuditReport(
+            eps_empirical=eps_e + tail, eps_theoretical=eps_theory, eps_star=eps_opt,
+            delta_eta_norms=eta_norms, delta_zeta_norms=zeta_norms,
+            bound_violations=violations, horizon=K, tail=tail, i0=i0,
+        )
+        reports.append(report)
+    return reports
 
 
 def eta_bound_check(report, alpha, delta, A_norm, tau1, tau2, slack=CHECK_SLACK):
@@ -254,18 +304,23 @@ def eta_bound_check(report, alpha, delta, A_norm, tau1, tau2, slack=CHECK_SLACK)
     return bool(np.all(report.delta_eta_norms[1:] <= np.add(bounds, slack)))
 
 
+def audit_row(d_zeta, q, report):
+    """The audit.csv row of one point, from its AuditReport or its InadmissibleDecayError."""
+    row = {"d_zeta": d_zeta, "q": q}
+    if isinstance(report, InadmissibleDecayError):
+        nan = math.nan
+        row.update(eps_empirical=nan, eps_theory=nan, eps_star=nan, admissible=False, violations=0)
+    else:
+        row.update(
+            eps_empirical=report.eps_empirical, eps_theory=report.eps_theoretical,
+            eps_star=report.eps_star, admissible=True, violations=report.bound_violations,
+        )
+    return row
+
+
 def sweep_epsilon(
-    base,
-    W,
-    i0,
-    d_zeta_values,
-    q_values,
-    config,
-    seed,
-    delta=1.0,
-    delta_prime=None,
-    d_eta=1.0,
-    horizon=None,
+    base, W, i0, d_zeta_values, q_values, config, seed,
+    delta=1.0, delta_prime=None, d_eta=1.0, horizon=None,
 ):
     """Audit every (d_zeta, q) grid point; inadmissible points are marked.
 
@@ -273,53 +328,23 @@ def sweep_epsilon(
     eps_theory, eps_star, admissible, violations; flags report whether
     eps_empirical is nonincreasing along each axis over the admissible points.
     """
-    from .noise import NoiseSchedule
-
     pair = make_adjacent_pair(base, i0, delta, delta_prime)
-    n = base.n
-    rows = []
-    for dz in d_zeta_values:
-        for q in q_values:
-            schedule = NoiseSchedule.uniform(n, d_eta=d_eta, d_zeta=dz, q=q)
-            row = {"d_zeta": float(dz), "q": float(q)}
-            try:
-                report = forced_difference_run(pair, W, schedule, config, seed, horizon=horizon)
-            except InadmissibleDecayError:
-                row.update(
-                    eps_empirical=math.nan,
-                    eps_theory=math.nan,
-                    eps_star=math.nan,
-                    admissible=False,
-                    violations=0,
-                )
-            else:
-                row.update(
-                    eps_empirical=report.eps_empirical,
-                    eps_theory=report.eps_theoretical,
-                    eps_star=report.eps_star,
-                    admissible=True,
-                    violations=report.bound_violations,
-                )
-            rows.append(row)
+    points = [(float(dz), float(q)) for dz in d_zeta_values for q in q_values]
+    schedules = [NoiseSchedule.uniform(base.n, d_eta=d_eta, d_zeta=dz, q=q) for dz, q in points]
+    reports = forced_difference_run(pair, W, schedules, config, seed, horizon=horizon)
+    rows = [audit_row(dz, q, report) for (dz, q), report in zip(points, reports)]
 
-    def nonincreasing(keyed):
-        ok = True
-        for _, series in keyed.items():
-            vals = [r["eps_empirical"] for r in series if r["admissible"]]
-            ok &= all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
-        return ok
+    def nonincreasing(varied, fixed):
+        """eps_empirical never rises with `varied` at a fixed `fixed`, over admissible rows."""
+        ordered = sorted((r for r in rows if r["admissible"]), key=lambda r: (r[fixed], r[varied]))
+        return all(
+            b["eps_empirical"] <= a["eps_empirical"] + 1e-12
+            for a, b in zip(ordered, ordered[1:])
+            if a[fixed] == b[fixed]
+        )
 
-    by_q = {}
-    by_dz = {}
-    for r in rows:
-        by_q.setdefault(r["q"], []).append(r)  # varies d_zeta at fixed q
-        by_dz.setdefault(r["d_zeta"], []).append(r)  # varies q at fixed d_zeta
-    for series in by_q.values():
-        series.sort(key=lambda r: r["d_zeta"])
-    for series in by_dz.values():
-        series.sort(key=lambda r: r["q"])
     flags = {
-        "monotone_in_d_zeta": nonincreasing(by_q),
-        "monotone_in_q": nonincreasing(by_dz),
+        "monotone_in_d_zeta": nonincreasing("d_zeta", "q"),
+        "monotone_in_q": nonincreasing("q", "d_zeta"),
     }
     return rows, flags

@@ -405,6 +405,29 @@ def test_cli_audit_rejects_a_zero_stepsize(tmp_path, capsys, grid):
 
 
 @pytest.mark.parametrize(
+    "command,overrides,flags,match",
+    [
+        ("audit", {}, ["--horizon", "0"], "audit.horizon"),
+        ("audit", {}, ["--delta", "0"], "audit.delta"),
+        ("audit", {}, ["--delta-prime", "5"], "audit.delta_prime"),
+        ("audit", {}, ["--agent", "5"], "audit.i0"),
+        ("audit", {}, ["--agent", "5", "--grid"], "audit.i0"),
+        ("audit", {"audit.i0": 5}, [], "audit.i0"),
+        ("bounds", {"audit.i0": 5}, [], "audit.i0"),
+        ("audit", {"audit.delta_prime": [0.1, 0.2, 0.3]}, [], "audit.delta_prime"),
+    ],
+)
+def test_cli_rejects_an_audit_setting_the_preset_cannot_take(
+    tmp_path, capsys, command, overrides, flags, match
+):
+    """Audit flags and config values outside the 2-agent, p = 1 preset exit 2 with an error."""
+    path = write_config(tmp_path, **overrides)
+    assert cli.main([command, "--config", str(path), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and match in err
+
+
+@pytest.mark.parametrize(
     "eps_empirical,violations,admissible,code",
     [(0.9, 0, True, 0), (1.1, 0, True, 1), (0.9, 2, True, 1), (1.1, 2, False, 0)],
 )

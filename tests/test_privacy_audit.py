@@ -8,7 +8,7 @@ from dmtrack import privacy_audit, theory
 
 from dmtrack.engine import RunConfig, run
 from dmtrack.errors import ConfigError, InadmissibleDecayError, SolverFailure
-from dmtrack.local_solver import ArgminResult, argmin_local
+from dmtrack.local_solver import ArgminResult, argmin_local, argmin_rows
 from dmtrack.noise import NoiseSchedule
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
 from dmtrack.privacy_audit import (
@@ -333,30 +333,35 @@ def test_nondiagonal_boxed_instance_matches_the_per_round_reference():
                 assert_matches_reference(pair, W.W, sched, RunConfig(alpha=alpha, iters=1), seed)
 
 
+def jumping(solve, jump):
+    """`solve`, except that its fifth call (round 5 of an audit) returns jump(result)."""
+    calls = []
+
+    def solver(cost, box, c):
+        calls.append(c)
+        result = solve(cost, box, c)
+        return jump(result) if len(calls) == 5 else result
+
+    return solver
+
+
 def test_divergence_break_matches_the_per_round_reference(sym2):
     """A shifted solve that jumps by 1e12 at its fifth call blows ||Delta eta||
     past the divergence threshold: the loop stops there, counts the violation,
     and takes the tail at the horizon K."""
-
-    def jumping():
-        calls = []
-
-        def solver(cost, box, c):
-            calls.append(c)
-            result = argmin_local(cost, box, c)
-            if len(calls) == 5:
-                return ArgminResult(x=result.x + 1e12, kkt_residual=result.kkt_residual)
-            return result
-
-        return solver
-
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
     cfg = RunConfig(alpha=0.9, iters=1)
     sched = NoiseSchedule.uniform(2, q=0.95)
-    with mock.patch.object(privacy_audit, "argmin_local", jumping()):
+    with mock.patch.object(privacy_audit, "argmin_rows", jumping(argmin_rows, lambda x: x + 1e12)):
         got = forced_difference_run(pair, W, sched, cfg, seed=11)
-    want = reference_forced_difference_run(pair, W, sched, cfg, seed=11, solver=jumping())
+
+    def jump(result):
+        return ArgminResult(x=result.x + 1e12, kkt_residual=result.kkt_residual)
+
+    want = reference_forced_difference_run(
+        pair, W, sched, cfg, seed=11, solver=jumping(argmin_local, jump)
+    )
     assert report_bytes(got) == report_bytes(want)
     assert got.bound_violations >= 1
     assert got.delta_eta_norms[6] > 1e9 and not got.delta_eta_norms[7:].any()
@@ -365,6 +370,84 @@ def test_divergence_break_matches_the_per_round_reference(sym2):
     assert got.tail == _tail_bound(
         got.horizon, 0.9, 1.0, ag.A_norm, qi.tau1, qi.tau2, 0.95, 1.0, 1.0, 1
     )
+
+
+def assert_batch_matches_one_schedule_audits(pair, W, schedules, cfg, seed):
+    """Audit the schedules as one batch; each entry equals that schedule audited alone."""
+    batch = forced_difference_run(pair, W, schedules, cfg, seed)
+    assert len(batch) == len(schedules)
+    for sched, got in zip(schedules, batch):
+        if isinstance(got, InadmissibleDecayError):
+            with pytest.raises(InadmissibleDecayError):
+                forced_difference_run(pair, W, sched, cfg, seed)
+        else:
+            alone = forced_difference_run(pair, W, sched, cfg, seed)
+            assert report_bytes(got) == report_bytes(alone)
+    return batch
+
+
+GRID = [(dz, q) for dz in (0.5, 1.0, 2.0) for q in (0.95, 0.98, 0.99)]
+
+
+@pytest.mark.parametrize("alpha", [0.45, 0.9])
+def test_a_batched_grid_equals_its_one_schedule_audits(sym2, alpha):
+    inst, W = sym2
+    pair = make_adjacent_pair(inst, 0, 1.0)
+    schedules = [NoiseSchedule.uniform(2, d_zeta=dz, q=q) for dz, q in GRID]
+    batch = assert_batch_matches_one_schedule_audits(pair, W, schedules, RunConfig(alpha, 1), 11)
+    assert all(isinstance(report, AuditReport) for report in batch)
+
+
+def test_a_batched_nondiagonal_grid_equals_its_one_schedule_audits():
+    """Coupled 2-d costs: the shifted agent is solved one row at a time."""
+    inst, W = nondiagonal3()
+    pair = make_adjacent_pair(inst, 1, 1.0, [0.3, -0.4])
+    schedules = [NoiseSchedule.uniform(3, d_zeta=dz, q=q) for dz in (0.7, 2.0) for q in (0.9, 0.95)]
+    batch = assert_batch_matches_one_schedule_audits(pair, W.W, schedules, RunConfig(0.1, 1), 3)
+    assert all(isinstance(report, AuditReport) for report in batch)
+
+
+def test_a_batched_grid_mixing_inadmissible_points_and_measured_rounds(sym2):
+    """Rows stop at their own last measured round; inadmissible points keep their error."""
+    inst, W = sym2
+    pair = make_adjacent_pair(inst, 0, 1.0)
+    schedules = [
+        NoiseSchedule.uniform(2, q=0.5),  # below q_min = 0.6
+        NoiseSchedule.uniform(2, d_eta=1e9, d_zeta=1e9, q=0.98),  # K = HORIZON_MIN
+        NoiseSchedule.uniform(2, q=0.95),
+        NoiseSchedule.uniform(2, q=0.3),
+        NoiseSchedule.uniform(2, q=0.601),  # K = HORIZON_CAP
+    ]
+    batch = assert_batch_matches_one_schedule_audits(pair, W, schedules, RunConfig(0.45, 1), 5)
+    admissible = [isinstance(report, AuditReport) for report in batch]
+    assert admissible == [False, True, True, False, True]
+    reports = [report for report in batch if isinstance(report, AuditReport)]
+    assert [report.horizon for report in reports] == [HORIZON_MIN, 35, HORIZON_CAP]
+    # q = 0.95 measures its whole horizon; at q = 0.601 the signal floor stops it at round 53
+    assert [np.flatnonzero(report.delta_eta_norms)[-1] for report in reports[1:]] == [35, 53]
+
+
+def test_a_jump_in_one_rows_shifted_solve_changes_that_point_alone(sym2):
+    """Row 4's solve jumps by 1e12 in round 5: that point's report equals a lone
+    audit whose solve jumps there, and every other point's is unchanged."""
+    inst, W = sym2
+    pair = make_adjacent_pair(inst, 0, 1.0)
+    cfg = RunConfig(alpha=0.9, iters=1)
+    schedules = [NoiseSchedule.uniform(2, d_zeta=dz, q=q) for dz, q in GRID]
+    plain = [forced_difference_run(pair, W, sched, cfg, seed=11) for sched in schedules]
+
+    def jump_row_4(x):
+        x = x.copy()
+        x[4] += 1e12
+        return x
+
+    with mock.patch.object(privacy_audit, "argmin_rows", jumping(argmin_rows, jump_row_4)):
+        batch = forced_difference_run(pair, W, schedules, cfg, seed=11)
+    with mock.patch.object(privacy_audit, "argmin_rows", jumping(argmin_rows, lambda x: x + 1e12)):
+        alone = forced_difference_run(pair, W, schedules[4], cfg, seed=11)
+    assert alone.bound_violations > plain[4].bound_violations
+    for g, report in enumerate(batch):
+        assert report_bytes(report) == report_bytes(alone if g == 4 else plain[g])
 
 
 def test_base_run_diverging_after_the_measured_rounds_completes_the_audit():

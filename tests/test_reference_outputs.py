@@ -6,7 +6,8 @@ free_converge reaches relative error 1e-8. These tests rerun both configs,
 built by bench/workloads.py, through the CLI and compare; they also pin the
 seed-0 audit_grid invocation's audit.csv and `dmtrack bounds` stdout on the
 mc_noisy config, and the stdout and audit.csv of single-point `dmtrack
-audit` runs, whose digests live here. They only read bench/.
+audit` runs and of a grid audit of hand_kkt's second agent, whose digests
+live here. They only read bench/.
 """
 
 import hashlib
@@ -71,8 +72,8 @@ def test_microgrid14_bounds_stdout_is_pinned(workloads, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == MICROGRID14_BOUNDS_SHA256
 
 
-def _single_point_audit(tmp_path, capsys, preset, extra_args):
-    """(exit code, sha256 of stdout, sha256 of audit.csv) of a single-point audit at q = 0.95."""
+def _audit(tmp_path, capsys, preset, extra_args):
+    """(exit code, sha256 of stdout, sha256 of audit.csv) of `dmtrack audit` with q = 0.95."""
     config = {
         "problem": {"preset": preset},
         "algorithm": {"alpha": {"frac_of_t1": 0.9}, "iters": 1},
@@ -120,5 +121,19 @@ SINGLE_POINT_AUDIT_SHA256 = {
 
 @pytest.mark.parametrize("preset,extra_args", list(SINGLE_POINT_AUDIT_SHA256))
 def test_single_point_audit_outputs_are_pinned(tmp_path, capsys, preset, extra_args):
-    digests = _single_point_audit(tmp_path, capsys, preset, extra_args)
+    digests = _audit(tmp_path, capsys, preset, extra_args)
     assert digests == SINGLE_POINT_AUDIT_SHA256[preset, extra_args]
+
+
+# (exit code, stdout sha256, audit.csv sha256) of the default grid audit of
+# hand_kkt's second agent: unequal curvatures, and an agent other than 0
+HAND_KKT_AGENT1_GRID_SHA256 = (
+    0,
+    "919831596dae0ad061492f31d089d3fea6ee6db22998a12def5e796b3a447980",
+    "24241c9e03aaeb5c67744f7841df1792b9be7b77d1422b1cd829ec86e5608689",
+)
+
+
+def test_hand_kkt_agent1_grid_audit_outputs_are_pinned(tmp_path, capsys):
+    digests = _audit(tmp_path, capsys, "hand_kkt", ("--grid", "--agent", "1"))
+    assert digests == HAND_KKT_AGENT1_GRID_SHA256
