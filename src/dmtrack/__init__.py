@@ -15,7 +15,7 @@ bounds), privacy_audit (forced-difference certification), harness + cli
 (experiment orchestration).
 """
 
-from .engine import EngineState, RunConfig, RunTrace, fixed_point_residual, init_state, run, step
+from .engine import EngineState, RunConfig, RunTrace, fixed_point_residual, init_state, run
 from .errors import (
     ConfigError,
     DmtrackError,
@@ -24,13 +24,12 @@ from .errors import (
     SolverFailure,
 )
 from .harness import ExperimentConfig, PRESETS, materialize, run_experiment, sweep
-from .local_solver import ArgminResult, argmin_local, conjugate_smoothness_check, solve_all
-from .noise import NoiseLog, NoiseSchedule, draw_round, draw_round_all, sample_laplace
+from .local_solver import ArgminResult, argmin_local, solve_all
+from .noise import NoiseSchedule
 from .oracle import OptSolution, solve_dual, verify_against_grid
 from .privacy_audit import (
     AdjacentPair,
     AuditReport,
-    eta_bound_check,
     forced_difference_run,
     make_adjacent_pair,
     sweep_epsilon,
@@ -77,7 +76,6 @@ __all__ = [
     "MixingMatrix",
     "Moduli",
     "MseBounds",
-    "NoiseLog",
     "NoiseSchedule",
     "OptSolution",
     "PRESETS",
@@ -90,12 +88,8 @@ __all__ = [
     "StepsizeBounds",
     "TheoryConstants",
     "argmin_local",
-    "conjugate_smoothness_check",
     "contraction_C",
-    "draw_round",
-    "draw_round_all",
     "epsilon_star",
-    "eta_bound_check",
     "fixed_point_residual",
     "forced_difference_run",
     "init_state",
@@ -109,12 +103,10 @@ __all__ = [
     "ring_plus_random",
     "run",
     "run_experiment",
-    "sample_laplace",
     "shift_adjacent",
     "solve_all",
     "solve_dual",
     "spectral_gap",
-    "step",
     "stepsize_bounds",
     "sweep",
     "sweep_epsilon",

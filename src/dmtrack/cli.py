@@ -20,11 +20,12 @@ import math
 import sys
 from pathlib import Path
 
-from .errors import DmtrackError, InadmissibleDecayError
+from .errors import ConfigError, DmtrackError, InadmissibleDecayError
 from .engine import RunConfig
 from .harness import (
     AUDIT_GRID_D_ZETA,
     AUDIT_GRID_Q,
+    SWEEPABLE,
     ExperimentConfig,
     audited_privacy,
     constants_or_nan,
@@ -72,10 +73,12 @@ def _cmd_run(args):
 
 def _cmd_sweep(args):
     config = _load_config(args)
-    values = [float(v) for v in args.values.split(",") if v.strip()]
+    try:
+        values = [float(v) for v in args.values.split(",") if v.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--values must be comma-separated numbers: {exc}") from None
     if not values:
-        print("no sweep values given", file=sys.stderr)
-        return 2
+        raise ConfigError("no sweep values given")
     rows, summaries = sweep(config, args.param, values)
     print(f"{args.param:>12}  {'mse':>12}  {'lower':>12}  {'upper':>12}  {'eps*':>10}  ok")
     verdicts = [passed(summary) for summary in summaries]
@@ -223,7 +226,7 @@ def main(argv=None):
 
     p_sweep = sub.add_parser("sweep", help="run the experiment across a parameter list")
     p_sweep.add_argument("--config", required=True)
-    p_sweep.add_argument("--param", required=True, choices=("d_zeta", "d_eta", "q", "alpha"))
+    p_sweep.add_argument("--param", required=True, choices=SWEEPABLE)
     p_sweep.add_argument("--values", required=True, help="comma-separated list")
     p_sweep.add_argument("--out", default=None)
     p_sweep.set_defaults(func=_cmd_sweep)

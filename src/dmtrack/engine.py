@@ -19,12 +19,13 @@ is the one a lone trial would execute, so a trial's outputs do not depend on
 the batch it ran in. The recorded metrics are computed after stepping, a block
 of recorded rounds at a time, by `_metrics`, which treats each (round, trial)
 row as one more trial: the values are bit-identical to evaluating them at
-every recorded round.
+every recorded round. Masks come only from `noise.iter_masks` and are not kept:
+a run's masks are `noise.draw_rounds(schedule, range(iters), seeds, m)`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import Optional
 
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import SolverFailure
 from .local_solver import solve_all_from_c
-from .noise import NoiseLog, draw_round_all, iter_masks, noise_log
+from .noise import iter_masks
 
 # Recorded (round, trial) rows whose states are held until their metrics are
 # computed together. Bounds the pending memory independently of the number of
@@ -76,7 +77,7 @@ class RunConfig:
 
 @dataclass(eq=False)
 class RunTrace:
-    """Per-round metrics plus the final state; the noise log is built on first access.
+    """Per-round metrics plus the final state.
 
     For a run given one int seed the metrics have shape (records,) and the
     states drop the trial axis; for a sequence of T seeds every array gains a
@@ -97,17 +98,6 @@ class RunTrace:
     x_star: Optional[np.ndarray] = None
     states_mu: Optional[np.ndarray] = None
     states_x: Optional[np.ndarray] = None
-    # a NoiseLog, or the (schedule, seeds, iters, m, single) that regenerate it
-    _noise: object = field(default=None, repr=False)
-
-    @property
-    def noise_log(self):
-        """The masks every round used: (iters, n, m), or (T, iters, n, m) for a batch."""
-        if not isinstance(self._noise, NoiseLog):
-            schedule, seeds, iters, m, single = self._noise
-            log = noise_log(schedule, seeds, iters, m)
-            self._noise = NoiseLog(eta=log.eta[0], zeta=log.zeta[0]) if single else log
-        return self._noise
 
     def max_tracking_residual(self):
         return float(np.max(self.tracking_residual))
@@ -141,24 +131,6 @@ def _advance(instance, W, alpha, mu, x, y, Ax, eta, zeta):
     Ax1 = np.einsum("imp,tip->tim", instance.A, x1)
     y1 = W @ z_y + Ax1 - Ax
     return mu1, x1, y1, Ax1
-
-
-def step(state, instance, W, schedule, config, seed, noise=None):
-    """Advance one round. `noise` overrides sampling with given (eta, zeta) arrays."""
-    W = np.asarray(getattr(W, "W", W), dtype=float)
-    if noise is None:
-        eta, zeta = draw_round_all(schedule, state.round, seed, instance.m)
-    else:
-        eta, zeta = noise
-    Ax = np.einsum("imp,ip->im", instance.A, state.x)
-    try:
-        mu1, x1, y1, _ = _advance(
-            instance, W, config.alpha, state.mu[None], state.x[None], state.y[None],
-            Ax[None], np.asarray(eta)[None], np.asarray(zeta)[None],
-        )
-    except SolverFailure as exc:
-        raise SolverFailure(f"round {state.round}: {exc}") from exc
-    return EngineState(mu=mu1[0], x=x1[0], y=y1[0], round=state.round + 1)
 
 
 def fixed_point_residual(state, instance, W):
@@ -207,28 +179,13 @@ def _as_seeds(seed):
     return seeds, False
 
 
-def _replay_masks(replay, trials, single, iters, shape):
-    """Per-round (eta, zeta) views of a given NoiseLog, each (trials, n, m)."""
-    eta = replay.eta[None] if single else replay.eta
-    zeta = replay.zeta[None] if single else replay.zeta
-    if replay.rounds < iters:
-        raise ValueError(f"replay log has {replay.rounds} rounds, need {iters}")
-    if eta.shape[0] != trials or eta.shape[2:] != shape or zeta.shape != eta.shape:
-        raise ValueError(f"replay log of shape {replay.eta.shape} does not fit {trials} trials")
-    return ((eta[:, k], zeta[:, k]) for k in range(iters))
-
-
-def run(instance, W, schedule, config, seed, x_star=None, replay=None, keep_states=False):
+def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
     """Run `config.iters` rounds and record metrics every `config.record_every`.
 
     seed : int or sequence of int
         One trial per seed. A sequence runs the trials together as one
         (T, n, .) batch; each trial's outputs are bit-identical to a run
         given that seed alone.
-    replay : NoiseLog, optional
-        Re-feeds previously recorded masks instead of sampling, reproducing
-        the original trajectory bit for bit. Shaped like the noise_log of a
-        run with the same seed argument.
     keep_states : bool
         Additionally record the full mu and x trajectories (used by the
         privacy auditor).
@@ -251,16 +208,9 @@ def run(instance, W, schedule, config, seed, x_star=None, replay=None, keep_stat
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
 
-    if replay is not None:
-        masks = _replay_masks(replay, T, single, iters, (n, m))
-        noise = NoiseLog(eta=replay.eta[..., :iters, :, :], zeta=replay.zeta[..., :iters, :, :])
-    else:
-        masks = (
-            repeat((None, None), iters)
-            if schedule.zero_noise
-            else iter_masks(schedule, seeds, iters, m)
-        )
-        noise = (schedule, seeds, iters, m, single)
+    masks = (
+        repeat((None, None), iters) if schedule.zero_noise else iter_masks(schedule, seeds, iters, m)
+    )
 
     ks = np.arange(0, iters + 1, config.record_every)
     if ks[-1] != iters:
@@ -345,5 +295,4 @@ def run(instance, W, schedule, config, seed, x_star=None, replay=None, keep_stat
         x_star=x_star,
         states_mu=out(states_mu) if keep_states else None,
         states_x=out(states_x) if keep_states else None,
-        _noise=noise,
     )

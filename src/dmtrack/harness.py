@@ -525,19 +525,24 @@ def sweep(config, parameter, values, out_dir=None):
     with the theoretical band and the privacy figures of the audited agent,
     so the accuracy/privacy trade-off can be read straight off the table.
     Values whose decay is inadmissible keep their MSE data but carry NaN
-    privacy columns and admissible=False.
+    privacy columns and admissible=False. Two values that name the same
+    subdirectory are rejected before any run.
     """
     if parameter not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {parameter!r}")
     base_out = Path(out_dir) if out_dir is not None else Path(config.raw["output"])
     key = f"algorithm.{parameter}" if parameter == "alpha" else f"noise.{parameter}"
+    values = [float(value) for value in values]
+    names = [f"{parameter}_{value:g}" for value in values]
+    shared = sorted({name for name in names if names.count(name) > 1})
+    if shared:
+        raise ConfigError(f"sweep values {values} share the subdirectories {shared}")
 
     rows = []
     summaries = []
-    for value in values:
-        value = float(value)
+    for value, name in zip(values, names):
         cfg = config.replace(**{key: value})
-        sub = base_out / f"{parameter}_{value:g}"
+        sub = base_out / name
         mat = materialize(cfg)
         summary = _run_materialized(cfg, mat, sub)
         summaries.append(summary)

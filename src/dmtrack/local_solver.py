@@ -99,22 +99,6 @@ def argmin_local(cost, box, c, max_inner=MAX_INNER_DEFAULT):
     )
 
 
-def conjugate_smoothness_check(cost, box, mu1, mu2, A, slack=1e-9):
-    """Verify ||x(mu1) - x(mu2)|| <= (1/phi_i) ||A^T (mu1 - mu2)||.
-
-    This is the Lipschitz smoothness of the conjugate map; equality is attained
-    for unconstrained quadratics, so a small slack absorbs inner-solver error.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    mu1 = np.atleast_1d(np.asarray(mu1, dtype=float))
-    mu2 = np.atleast_1d(np.asarray(mu2, dtype=float))
-    x1 = argmin_local(cost, box, A.T @ mu1).x
-    x2 = argmin_local(cost, box, A.T @ mu2).x
-    lhs = np.linalg.norm(x1 - x2)
-    rhs = np.linalg.norm(A.T @ (mu1 - mu2)) / cost.phi
-    return bool(lhs <= rhs + slack * max(1.0, rhs))
-
-
 def solve_all(instance, mu, max_inner=MAX_INNER_DEFAULT):
     """Vectorized x-update for all agents given stacked duals mu of shape (n, m).
 

@@ -1,4 +1,4 @@
-"""Decaying Laplace masks and their audit log.
+"""Decaying Laplace masks from counter-based streams.
 
 Each agent i adds masks eta_i(k) to its dual and zeta_i(k) to its tracker
 before broadcasting. Coordinates are independent Laplace draws with scales
@@ -22,7 +22,8 @@ evaluation order and of how many trials run together.
 (round, seed, block) grid at once, so the engine builds the masks of every
 trial of a batch for a chunk of rounds in one call (`iter_masks`). A chunk
 holds at most MAX_CHUNK_BLOCKS blocks, which keeps its buffers independent
-of the number of trials times the number of rounds.
+of the number of trials times the number of rounds. No mask is stored:
+`draw_rounds` regenerates the masks of any rounds of any run.
 """
 
 from __future__ import annotations
@@ -128,18 +129,6 @@ def _laplace_from_uniform(u, theta):
     return -theta * np.sign(u) * np.log(t)
 
 
-def sample_laplace(theta, stream, size=None):
-    """Exact Laplace(theta) draw(s) via the inverse CDF; one uniform per draw.
-
-    E|x| = theta and E[x^2] = 2 theta^2. Returns a scalar when size is None.
-    """
-    if theta <= 0:
-        raise ValueError(f"theta must be positive, got {theta}")
-    u = stream.random(size) - 0.5
-    x = _laplace_from_uniform(u, theta)
-    return float(x) if size is None else x
-
-
 def _mulhilo(a, mult):
     """(high, low) 64-bit words of the 128-bit products a * mult, elementwise."""
     m_lo, m_hi = np.uint64(mult & 0xFFFFFFFF), np.uint64(mult >> 32)
@@ -214,6 +203,8 @@ def uniforms(seeds, rounds, width):
 def draw_rounds(schedule, rounds, seeds, m, keys=None):
     """Masks of every agent for each round and seed: (eta, zeta), each (R, S, n, m).
 
+    Scaling by theta keeps stream alignment: a disabled mask (scale 0) still
+    consumes its uniforms, so enabling it does not shift any other draw.
     `keys` may pass the seeds' precomputed Philox keys (`_seed_keys`).
     """
     rounds = np.asarray(rounds, dtype=np.int64)
@@ -237,57 +228,10 @@ def chunk_rounds(trials, n, m):
     return max(1, MAX_CHUNK_BLOCKS // (trials * blocks))
 
 
-def _mask_chunks(schedule, seeds, iters, m):
-    """(eta, zeta) of rounds 0..iters-1, each (R, S, n, m), a chunk of R rounds at a time."""
+def iter_masks(schedule, seeds, iters, m):
+    """(eta, zeta) of rounds 0..iters-1, each (S, n, m), generated a chunk of rounds at a time."""
     step = chunk_rounds(len(seeds), schedule.n, m)
     keys = _seed_keys(seeds)
     for k0 in range(0, iters, step):
-        yield draw_rounds(schedule, range(k0, min(k0 + step, iters)), seeds, m, keys=keys)
-
-
-def iter_masks(schedule, seeds, iters, m):
-    """(eta, zeta) of rounds 0..iters-1, each (S, n, m), generated a chunk at a time."""
-    for eta, zeta in _mask_chunks(schedule, seeds, iters, m):
+        eta, zeta = draw_rounds(schedule, range(k0, min(k0 + step, iters)), seeds, m, keys=keys)
         yield from zip(eta, zeta)
-
-
-def draw_round_all(schedule, k, seed, m):
-    """Masks for every agent at round k: returns (eta, zeta), each (n, m).
-
-    Scaling by theta keeps stream alignment: a disabled mask (scale 0) still
-    consumes its uniforms, so enabling it does not shift any other draw.
-    """
-    eta, zeta = draw_rounds(schedule, [k], [seed], m)
-    return eta[0, 0], zeta[0, 0]
-
-
-def draw_round(schedule, k, seed, agent, m):
-    """Masks (eta_i, zeta_i) for one agent; identical to its draw_round_all slice."""
-    if not 0 <= agent < schedule.n:
-        raise ValueError(f"agent index {agent} out of range")
-    eta, zeta = draw_round_all(schedule, k, seed, m)
-    return eta[agent].copy(), zeta[agent].copy()
-
-
-def noise_log(schedule, seeds, iters, m):
-    """The masks of rounds 0..iters-1 as a NoiseLog of shape (S, iters, n, m)."""
-    chunks = list(_mask_chunks(schedule, seeds, iters, m))
-    eta = np.concatenate([eta for eta, _ in chunks]).swapaxes(0, 1)
-    zeta = np.concatenate([zeta for _, zeta in chunks]).swapaxes(0, 1)
-    return NoiseLog(eta=np.ascontiguousarray(eta), zeta=np.ascontiguousarray(zeta))
-
-
-@dataclass(eq=False)
-class NoiseLog:
-    """Recorded masks: eta and zeta with shape (rounds, n, m), or (trials, rounds, n, m)."""
-
-    eta: np.ndarray
-    zeta: np.ndarray
-
-    @property
-    def rounds(self):
-        return self.eta.shape[-3]
-
-    def zeta_sum_before(self, k):
-        """sum over t < k and over agents of zeta_i(t), shape (m,) or (trials, m)."""
-        return self.zeta[..., :k, :, :].sum(axis=(-3, -2))

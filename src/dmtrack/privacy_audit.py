@@ -297,13 +297,6 @@ def _audit_points(pair, W, points, config, seed):
     return reports
 
 
-def eta_bound_check(report, alpha, delta, A_norm, tau1, tau2, slack=CHECK_SLACK):
-    """True iff every recorded ||Delta eta(k)|| sits under the root envelope."""
-    coef = alpha * delta * A_norm / (tau1 - tau2)
-    bounds = [_envelope(coef, tau1, tau2, k) for k in range(1, len(report.delta_eta_norms))]
-    return bool(np.all(report.delta_eta_norms[1:] <= np.add(bounds, slack)))
-
-
 def audit_row(d_zeta, q, report):
     """The audit.csv row of one point, from its AuditReport or its InadmissibleDecayError."""
     row = {"d_zeta": d_zeta, "q": q}

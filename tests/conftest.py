@@ -1,13 +1,19 @@
-"""Shared fixtures. The expensive Monte Carlo artifacts are built once per
-session and reused by both the module tests and the acceptance gate."""
+"""Shared fixtures and test helpers. The expensive Monte Carlo artifacts are
+built once per session and reused by both the module tests and the acceptance
+gate. The helpers are independent references for the tests: mask injection,
+mask logs, one stepwise round, and the envelope and smoothness checks."""
 
 import time
+from unittest import mock
 
+import numpy as np
 import pytest
 
-from dmtrack.engine import RunConfig, run
+from dmtrack import engine
+from dmtrack.engine import EngineState, RunConfig, run
 from dmtrack.harness import PRESETS, ExperimentConfig, sweep
-from dmtrack.noise import NoiseSchedule
+from dmtrack.local_solver import argmin_local
+from dmtrack.noise import NoiseSchedule, draw_rounds
 from dmtrack.oracle import solve_dual
 from dmtrack.privacy_audit import sweep_epsilon
 from dmtrack.problem import moduli
@@ -19,6 +25,66 @@ def build_preset(name):
     instance, graph = PRESETS[name]()
     W = metropolis_weights(graph)
     return instance, W, moduli(instance)
+
+
+def mask_log(schedule, seeds, iters, m):
+    """The masks of a run's rounds 0..iters-1: (eta, zeta), each (T, iters, n, m)."""
+    eta, zeta = draw_rounds(schedule, range(iters), seeds, m)
+    return eta.swapaxes(0, 1), zeta.swapaxes(0, 1)
+
+
+def inject_masks(eta, zeta=None):
+    """Patch the engine to feed the given (T, iters, n, m) masks instead of drawing them.
+
+    Only a run whose schedule is not disabled asks for masks, so a test that
+    injects must pass an enabled schedule. zeta defaults to zeros.
+    """
+    eta = np.asarray(eta, dtype=float)
+    zeta = np.zeros_like(eta) if zeta is None else np.asarray(zeta, dtype=float)
+
+    def given_masks(schedule, seeds, iters, m):
+        assert eta.shape[0] == len(seeds) and eta.shape[1] >= iters, (eta.shape, seeds, iters)
+        return zip(eta.swapaxes(0, 1)[:iters], zeta.swapaxes(0, 1)[:iters])
+
+    return mock.patch.object(engine, "iter_masks", given_masks)
+
+
+def step_once(state, instance, W, alpha, eta=None, zeta=None):
+    """One round from `state` through the engine's round kernel, as a batch of one."""
+    W = np.asarray(getattr(W, "W", W), dtype=float)
+    Ax = np.einsum("imp,ip->im", instance.A, state.x)
+
+    def batch(a):
+        return None if a is None else np.asarray(a, dtype=float)[None]
+
+    mu1, x1, y1, _ = engine._advance(
+        instance, W, alpha, state.mu[None], state.x[None], state.y[None], Ax[None],
+        batch(eta), batch(zeta),
+    )
+    return EngineState(mu=mu1[0], x=x1[0], y=y1[0], round=state.round + 1)
+
+
+def eta_bound_check(report, alpha, delta, A_norm, tau1, tau2, slack=1e-9):
+    """True iff every ||Delta eta(k)||, k >= 1, sits under the root envelope
+    alpha delta ||A|| (tau1^(k-1) - tau2^(k-1)) / (tau1 - tau2)."""
+    norms = np.asarray(report.delta_eta_norms, dtype=float)[1:]
+    k = np.arange(1, norms.shape[0] + 1, dtype=float)
+    envelope = alpha * delta * A_norm * (tau1 ** (k - 1) - tau2 ** (k - 1)) / (tau1 - tau2)
+    return bool(np.all(norms <= envelope + slack))
+
+
+def conjugate_smoothness_check(cost, box, mu1, mu2, A, slack=1e-9):
+    """True iff ||x(mu1) - x(mu2)|| <= ||A^T (mu1 - mu2)|| / phi, x(mu) the local argmin.
+
+    Equality holds for unconstrained quadratics, so the slack absorbs the
+    inner solver's error.
+    """
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    c1 = A.T @ np.atleast_1d(np.asarray(mu1, dtype=float))
+    c2 = A.T @ np.atleast_1d(np.asarray(mu2, dtype=float))
+    gap = np.sqrt(np.sum((argmin_local(cost, box, c1).x - argmin_local(cost, box, c2).x) ** 2))
+    bound = np.sqrt(np.sum((c1 - c2) ** 2)) / cost.phi
+    return bool(gap <= bound + slack * max(1.0, bound))
 
 
 # iters, record_every; the two small presets converge in a few hundred rounds

@@ -11,14 +11,14 @@ import pytest
 from dmtrack.engine import RunConfig, run
 from dmtrack.errors import InadmissibleDecayError
 from dmtrack.harness import ExperimentConfig, run_experiment
-from dmtrack.local_solver import argmin_local, conjugate_smoothness_check, inner_tolerance
-from dmtrack.noise import NoiseSchedule, sample_laplace
+from dmtrack.local_solver import argmin_local, inner_tolerance
+from dmtrack.noise import NoiseSchedule, draw_rounds
 from dmtrack.oracle import solve_dual, verify_against_grid
-from dmtrack.privacy_audit import eta_bound_check, forced_difference_run, make_adjacent_pair
+from dmtrack.privacy_audit import forced_difference_run, make_adjacent_pair
 from dmtrack.theory import epsilon_star, privacy_epsilon, q_interval
 from dmtrack.topology import metropolis_weights, ring_plus_random
 
-from conftest import build_preset
+from conftest import build_preset, conjugate_smoothness_check, eta_bound_check
 from test_local_solver import random_cost_box
 
 
@@ -181,8 +181,10 @@ def test_criterion_7_property_suites(pytestconfig, tmp_path):
     if defect > 1e-12:
         problems.append(f"stochasticity defect {defect:.2e}")
 
-    # Laplace sampler moments at one million draws
-    draws = sample_laplace(1.7, np.random.default_rng(99991), size=1_000_000)
+    # Laplace moments of the engine's masks at one million draws: round 0 of
+    # 1000 consecutive seeds, 500 agents, both channels
+    schedule = NoiseSchedule.uniform(500, d_eta=1.7, d_zeta=1.7, q=0.98)
+    draws = np.concatenate(draw_rounds(schedule, [0], range(99991, 100991), 1), axis=None)
     m1 = float(np.mean(np.abs(draws)))
     m2 = float(np.mean(draws**2))
     if abs(m1 - 1.7) > 0.01 * 1.7:

@@ -7,14 +7,16 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from dmtrack import engine, noise
-from dmtrack.engine import EngineState, RunConfig, fixed_point_residual, init_state, run, step
+from dmtrack.engine import EngineState, RunConfig, fixed_point_residual, init_state, run
 from dmtrack.errors import SolverFailure
 from dmtrack.harness import PRESETS
 from dmtrack.local_solver import argmin_local, solve_all
-from dmtrack.noise import NoiseLog, NoiseSchedule, chunk_rounds
+from dmtrack.noise import NoiseSchedule, chunk_rounds
 from dmtrack.oracle import solve_dual
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
 from dmtrack.topology import metropolis_weights, ring_plus_random
+
+from conftest import inject_masks, mask_log, step_once
 
 
 def single_agent_instance(d=0.0, lo=-10.0, hi=10.0):
@@ -70,7 +72,7 @@ def test_hand_executed_single_step():
     cfg = RunConfig(alpha=0.1, iters=1, x0=np.array([[1.0]]))
     st = init_state(inst, cfg)
     assert st.y[0, 0] == 1.0
-    nxt = step(st, inst, W, NoiseSchedule.disabled(1), cfg, seed=0)
+    nxt = step_once(st, inst, W, cfg.alpha)
     assert nxt.mu[0, 0] == pytest.approx(-0.1, abs=1e-15)
     assert nxt.x[0, 0] == pytest.approx(-0.05, abs=1e-15)
     assert nxt.y[0, 0] == pytest.approx(-0.05, abs=1e-15)
@@ -83,7 +85,7 @@ def test_optimal_state_is_a_fixed_point():
     state = EngineState(
         mu=np.full((2, 1), 2.0), x=np.ones((2, 1)), y=np.zeros((2, 1)), round=0
     )
-    nxt = step(state, inst, W, NoiseSchedule.disabled(2), cfg, seed=0)
+    nxt = step_once(state, inst, W, cfg.alpha)
     assert np.allclose(nxt.mu, state.mu, atol=1e-14)
     assert np.allclose(nxt.x, state.x, atol=1e-14)
     assert np.allclose(nxt.y, state.y, atol=1e-14)
@@ -104,7 +106,7 @@ def test_zero_stepsize_freezes_dual_at_mixing():
     mu0 = np.array([[3.0], [1.0]])
     cfg = RunConfig(alpha=0.0, iters=1, mu0=mu0)
     st = init_state(inst, cfg)
-    nxt = step(st, inst, W, NoiseSchedule.disabled(2), cfg, seed=0)
+    nxt = step_once(st, inst, W, cfg.alpha)
     assert np.allclose(nxt.mu, W.W @ mu0, atol=1e-15)
     assert np.allclose(nxt.x, solve_all(inst, nxt.mu), atol=1e-15)
 
@@ -127,49 +129,46 @@ def test_run_is_deterministic_and_seed_sensitive():
     b = run(inst, W, sched, cfg, seed=3)
     c = run(inst, W, sched, cfg, seed=4)
     assert np.array_equal(a.final_state.x, b.final_state.x)
-    assert np.array_equal(a.noise_log.zeta, b.noise_log.zeta)
+    assert a.final_state.y.tobytes() == b.final_state.y.tobytes()
+    assert a.tracking_residual.tobytes() == b.tracking_residual.tobytes()
     assert not np.array_equal(a.final_state.x, c.final_state.x)
 
 
 def test_replay_reproduces_and_zero_log_equals_disabled():
+    """A run's mask log, fed back to a run under another seed, reproduces it;
+    zero masks reproduce the noise-free run."""
     inst, W = symmetric2()
     cfg = RunConfig(alpha=0.45, iters=40)
-    noisy = run(inst, W, NoiseSchedule.uniform(2, q=0.9), cfg, seed=5)
-    assert noisy.noise_log is noisy.noise_log  # built on first access, then kept
-    assert noisy.noise_log.eta.shape == (40, 2, 1)
-    again = run(inst, W, NoiseSchedule.disabled(2), cfg, seed=99, replay=noisy.noise_log)
+    sched = NoiseSchedule.uniform(2, q=0.9)
+    noisy = run(inst, W, sched, cfg, seed=5)
+    eta, zeta = mask_log(sched, [5], 40, 1)
+    assert eta.shape == zeta.shape == (1, 40, 2, 1)
+    with inject_masks(eta, zeta):
+        again = run(inst, W, sched, cfg, seed=99)
     assert np.array_equal(noisy.final_state.x, again.final_state.x)
     assert np.array_equal(noisy.tracking_residual, again.tracking_residual)
-    assert again.noise_log.eta.tobytes() == noisy.noise_log.eta.tobytes()
 
-    zero_log = NoiseLog(eta=np.zeros((40, 2, 1)), zeta=np.zeros((40, 2, 1)))
-    replayed = run(inst, W, NoiseSchedule.uniform(2, q=0.9), cfg, seed=5, replay=zero_log)
+    with inject_masks(np.zeros((1, 40, 2, 1))):
+        replayed = run(inst, W, sched, cfg, seed=5)
     clean = run(inst, W, NoiseSchedule.disabled(2), cfg, seed=5)
     assert np.array_equal(replayed.final_state.x, clean.final_state.x)
 
-    short = NoiseLog(eta=np.zeros((10, 2, 1)), zeta=np.zeros((10, 2, 1)))
-    with pytest.raises(ValueError):
-        run(inst, W, NoiseSchedule.disabled(2), cfg, seed=0, replay=short)
-    with pytest.raises(ValueError, match="trials"):
-        run(inst, W, NoiseSchedule.disabled(2), cfg, seed=[0, 1], replay=noisy.noise_log)
-
 
 def test_regenerated_noise_log_replays_its_batch():
-    """The on-demand log of a batched run reproduces every trial when replayed."""
+    """The masks draw_rounds rebuilds for a batch reproduce every trial when injected."""
     inst, W = symmetric2()
     cfg = RunConfig(alpha=0.45, iters=60, record_every=7)
     sched = NoiseSchedule.uniform(2, q=0.95)
     x_star = np.ones((2, 1))
     batch = run(inst, W, sched, cfg, [3, 4, 5], x_star=x_star)
-    log = batch.noise_log
-    assert log.eta.shape == (3, 60, 2, 1) and log.rounds == 60
-    assert log.zeta_sum_before(60).shape == (3, 1)
-    again = run(inst, W, NoiseSchedule.disabled(2), cfg, [3, 4, 5], replay=log, x_star=x_star)
+    eta, zeta = mask_log(sched, [3, 4, 5], 60, 1)
+    assert eta.shape == (3, 60, 2, 1)
+    with inject_masks(eta, zeta):  # other seeds: only the injected masks reproduce the batch
+        again = run(inst, W, sched, cfg, [13, 14, 15], x_star=x_star)
     for key in ("mse", "consensus_mu", "tracking_residual", "feasibility"):
         assert getattr(again, key).tobytes() == getattr(batch, key).tobytes()
     assert again.final_state.y.tobytes() == batch.final_state.y.tobytes()
-    single = run(inst, W, sched, cfg, 4)
-    assert single.noise_log.zeta.tobytes() == log.zeta[1].tobytes()
+    assert mask_log(sched, [4], 60, 1)[1][0].tobytes() == zeta[1].tobytes()
 
 
 def nondiagonal3():
@@ -198,7 +197,6 @@ def trace_arrays(tr, t=None):
     keys = ("mse", "consensus_mu", "tracking_residual", "feasibility")
     out = {key: pick(getattr(tr, key)) for key in keys}
     out.update(mu=pick(tr.final_state.mu), x=pick(tr.final_state.x), y=pick(tr.final_state.y))
-    out.update(eta=pick(tr.noise_log.eta), zeta=pick(tr.noise_log.zeta))
     if tr.states_mu is not None:
         out.update(states_mu=pick(tr.states_mu), states_x=pick(tr.states_x))
     return out
@@ -227,10 +225,10 @@ def test_batched_run_matches_single_seed_runs(seeds, iters, record_every, nondia
         singles = [
             run(inst, W, sched, cfg, s, x_star=x_star, keep_states=keep_states) for s in seeds
         ]
-    replayed = run(
-        inst, W, NoiseSchedule.disabled(inst.n), cfg, seeds, x_star=x_star,
-        keep_states=keep_states, replay=batch.noise_log,
-    )
+    with inject_masks(*mask_log(sched, seeds, iters, inst.m)):  # under other seeds
+        replayed = run(
+            inst, W, sched, cfg, [s + 1 for s in seeds], x_star=x_star, keep_states=keep_states
+        )
     assert np.array_equal(batch.ks, singles[0].ks)
     for t, one in enumerate(singles):
         # the last record against the unbatched numpy formulas
@@ -250,7 +248,7 @@ def test_batched_run_matches_single_seed_runs(seeds, iters, record_every, nondia
 @pytest.mark.parametrize("nondiagonal", [False, True])
 def test_every_record_matches_stepwise_evaluation(trials, nondiagonal):
     """Every recorded round, not only the last, equals the metrics evaluated
-    on the state that `step` reaches with the replayed masks."""
+    on the state that single rounds of the round kernel reach with the run's masks."""
     if nondiagonal:
         (inst, W), alpha, x_star = nondiagonal3(), 0.05, np.zeros((3, 2))
     else:
@@ -270,7 +268,7 @@ def test_every_record_matches_stepwise_evaluation(trials, nondiagonal):
         def pick(a):
             return a if trials == 1 else a[t]
 
-        log = NoiseLog(eta=pick(tr.noise_log.eta), zeta=pick(tr.noise_log.zeta))
+        eta, zeta = (a[0] for a in mask_log(sched, [seed], cfg.iters, inst.m))
         state = init_state(inst, cfg)
         zeta_cum = np.zeros(inst.m)  # summed round by round, as the recursion adds it
         want = {key: [] for key in ("mse", "consensus_mu", "tracking_residual", "feasibility")}
@@ -278,7 +276,7 @@ def test_every_record_matches_stepwise_evaluation(trials, nondiagonal):
             if k in tr.ks:
                 cons, _, feas = fixed_point_residual(state, inst, W)
                 mismatch = (np.einsum("imp,ip->im", A, state.x) - d).sum(axis=0)
-                assert np.allclose(zeta_cum, log.zeta_sum_before(k), rtol=1e-12, atol=1e-14)
+                assert np.allclose(zeta_cum, zeta[:k].sum(axis=(0, 1)), rtol=1e-12, atol=1e-14)
                 defect = state.y.sum(axis=0) - mismatch - zeta_cum
                 magnitude = norm(state.y) + norm(mismatch) + norm(zeta_cum)
                 want["mse"].append(float(np.sum((state.x - x_star) ** 2)))
@@ -286,9 +284,8 @@ def test_every_record_matches_stepwise_evaluation(trials, nondiagonal):
                 want["tracking_residual"].append(norm(defect) / (1.0 + magnitude))
                 want["feasibility"].append(feas)
             if k < cfg.iters:
-                masks = (log.eta[k], log.zeta[k])
-                state = step(state, inst, W, sched, cfg, seed, noise=masks)
-                zeta_cum = zeta_cum + log.zeta[k].sum(axis=0)
+                state = step_once(state, inst, W, cfg.alpha, eta[k], zeta[k])
+                zeta_cum = zeta_cum + zeta[k].sum(axis=0)
         assert state.x.tobytes() == pick(tr.final_state.x).tobytes()
         for key, values in want.items():
             assert np.array(values).tobytes() == pick(getattr(tr, key)).tobytes(), (t, key)
@@ -304,14 +301,11 @@ def test_divergence_inside_a_partly_filled_metric_block():
     k_bad = 2 * per_block + per_block // 3  # records 0..k_bad fill two blocks and part of a third
     eta = np.zeros((2, 300, 2, 1))
     eta[1, k_bad, 0, 0] = np.inf
-    log = NoiseLog(eta=eta, zeta=np.zeros_like(eta))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SolverFailure, match=rf"round {k_bad + 1}: .*seeds 21\)") as caught:
-            run(
-                inst, W, NoiseSchedule.disabled(2), cfg, [20, 21], replay=log,
-                x_star=np.ones((2, 1)),
-            )
+            with inject_masks(eta):
+                run(inst, W, NoiseSchedule.uniform(2), cfg, [20, 21], x_star=np.ones((2, 1)))
         assert caught.value.trials == [1]
 
         # the unbounded instance of test_divergence_is_reported diverges at
@@ -328,7 +322,8 @@ def test_tracking_identity_under_noise():
     sum_i y_i(k) - sum_i (A_i x_i(k) - d_i) - sum_{t<k} sum_i zeta_i(t)."""
     inst, W = symmetric2()
     cfg = RunConfig(alpha=0.45, iters=300)
-    tr = run(inst, W, NoiseSchedule.uniform(2, q=0.98), cfg, seed=8, keep_states=True)
+    sched = NoiseSchedule.uniform(2, q=0.98)
+    tr = run(inst, W, sched, cfg, seed=8, keep_states=True)
     assert tr.max_tracking_residual() <= 1e-12
 
     # independent recomputation at the final round from the raw log
@@ -336,7 +331,7 @@ def test_tracking_identity_under_noise():
     d = np.stack([a.d for a in inst.agents])
     mismatch = (np.einsum("imp,ip->im", A, tr.final_state.x) - d).sum(axis=0)
     lhs = tr.final_state.y.sum(axis=0)
-    rhs = mismatch + tr.noise_log.zeta_sum_before(300)
+    rhs = mismatch + mask_log(sched, [8], 300, 1)[1].sum(axis=(0, 1, 2))
     assert np.allclose(lhs, rhs, atol=1e-10)
 
 
@@ -384,9 +379,9 @@ def test_every_diverged_trial_is_reported():
     eta = np.zeros((4, 30, 2, 1))
     eta[1, 5, 0, 0] = np.inf
     eta[3, 20, 1, 0] = np.inf
-    log = NoiseLog(eta=eta, zeta=np.zeros_like(eta))
     with pytest.raises(SolverFailure, match=r"round 6: .*seeds 11, 13") as caught:
-        run(inst, W, NoiseSchedule.disabled(2), cfg, [10, 11, 12, 13], replay=log)
+        with inject_masks(eta):
+            run(inst, W, NoiseSchedule.uniform(2), cfg, [10, 11, 12, 13])
     assert caught.value.trials == [1, 3]
 
 
@@ -395,7 +390,7 @@ def test_every_diverged_trial_is_reported():
 def test_shorter_run_is_a_prefix_of_a_longer_one(seeds, nondiagonal):
     """Masks are a pure function of (seed, round), so the states of run(iters=k)
     are the first k rounds of run(iters=K), on either side of a mask-chunk
-    boundary and under replay."""
+    boundary and with the longer run's masks injected."""
     inst, W = nondiagonal3() if nondiagonal else symmetric2()
     alpha = 0.05 if nondiagonal else 0.45
     sched = NoiseSchedule.uniform(inst.n, q=0.95)
@@ -407,10 +402,9 @@ def test_shorter_run_is_a_prefix_of_a_longer_one(seeds, nondiagonal):
         for k in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):  # chunk is 4 to 24 rounds
             cfg = RunConfig(alpha=alpha, iters=k, record_every=k)
             short = run(inst, W, sched, cfg, seeds, keep_states=True)
-            replayed = run(
-                inst, W, NoiseSchedule.disabled(inst.n), cfg, seeds, keep_states=True,
-                replay=full.noise_log,
-            )
+            log = mask_log(sched, [seeds] if trials == 1 else seeds, K, inst.m)
+            with inject_masks(*log):  # under other seeds
+                replayed = run(inst, W, sched, cfg, 7 if trials == 1 else [7, 8], keep_states=True)
             for tr in (short, replayed):
                 assert tr.states_mu.tobytes() == full.states_mu[..., : k + 1, :, :].tobytes()
                 assert tr.states_x.tobytes() == full.states_x[..., : k + 1, :, :].tobytes()
@@ -430,17 +424,17 @@ def test_overflowing_x_is_reported_with_its_round_and_seeds():
     eta = np.zeros((4, 12, 2, 1))
     eta[1, 0, 0, 0] = 1.6e308  # mu(1) = 0.9e308, so x(1) = 1.8e308 overflows
     eta[3, 6, 1, 0] = 1.7e308
-    log = NoiseLog(eta=eta, zeta=np.zeros_like(eta))
-    masks = (log.eta[1, 0], log.zeta[1, 0])
     with np.errstate(over="ignore", invalid="ignore"):
-        first = step(init_state(inst, cfg), inst, W, NoiseSchedule.disabled(2), cfg, 0, noise=masks)
+        first = step_once(init_state(inst, cfg), inst, W, cfg.alpha, eta[1, 0], np.zeros((2, 1)))
     assert np.isfinite(first.mu).all() and not np.isfinite(first.x).all()
+    sched = NoiseSchedule.uniform(2)
     with pytest.raises(SolverFailure, match=r"^round 1: .*\(trial seeds 41, 43\)$") as caught:
-        run(inst, W, NoiseSchedule.disabled(2), cfg, [40, 41, 42, 43], replay=log)
+        with inject_masks(eta):
+            run(inst, W, sched, cfg, [40, 41, 42, 43])
     assert caught.value.trials == [1, 3]
-    alone = NoiseLog(eta=log.eta[3], zeta=log.zeta[3])
     with pytest.raises(SolverFailure, match=r"^round 7: .*\(trial seeds 43\)$"):
-        run(inst, W, NoiseSchedule.disabled(2), cfg, 43, replay=alone)
+        with inject_masks(eta[3:]):
+            run(inst, W, sched, cfg, 43)
 
 
 def test_noisy_stationary_point_is_the_shifted_optimum():
@@ -450,8 +444,9 @@ def test_noisy_stationary_point_is_the_shifted_optimum():
     inst, W = symmetric2()
     sol = solve_dual(inst)
     cfg = RunConfig(alpha=0.45, iters=2500, record_every=2500)
-    tr = run(inst, W, NoiseSchedule.uniform(2, q=0.98), cfg, seed=77, x_star=sol.x_star)
-    s_total = float(tr.noise_log.zeta.sum())
+    sched = NoiseSchedule.uniform(2, q=0.98)
+    tr = run(inst, W, sched, cfg, seed=77, x_star=sol.x_star)
+    s_total = float(mask_log(sched, [77], 2500, 1)[1].sum())
     # symmetric2: a_i = 1, 2 u_i = 2, so H = 1 and each agent moves by -S/2
     predicted = sol.x_star - s_total / 2.0
     assert np.allclose(tr.final_state.x, predicted, atol=1e-9)

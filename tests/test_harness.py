@@ -337,6 +337,16 @@ def test_cli_sweep_exits_on_the_run_verdict(tmp_path, capsys):
     assert not summary["failed"] and not summary["bound_contained"]
 
 
+@pytest.mark.parametrize("values", ["0.5,abc", ",", "0.98,0.9800001"])
+def test_cli_sweep_rejects_bad_values(tmp_path, capsys, values):
+    """Unparsable, empty and colliding value lists exit 2 with one error line, before any run."""
+    path = write_config(tmp_path)
+    assert cli.main(["sweep", "--config", str(path), "--param", "q", "--values", values]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not captured.out and not (tmp_path / "out").exists()
+
+
 def test_cli_bounds_and_admissibility(tmp_path, capsys):
     path = write_config(tmp_path)
     assert cli.main(["bounds", "--config", str(path)]) == 0

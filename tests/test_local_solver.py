@@ -6,12 +6,13 @@ from hypothesis import strategies as st
 from dmtrack.errors import SolverFailure
 from dmtrack.local_solver import (
     argmin_local,
-    conjugate_smoothness_check,
     inner_tolerance,
     solve_all,
     solve_all_from_c,
 )
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
+
+from conftest import conjugate_smoothness_check
 
 
 def random_cost_box(rng, p, diagonal):

@@ -2,21 +2,18 @@ import numpy as np
 import pytest
 
 from dmtrack import noise
-from dmtrack.noise import (
-    NoiseLog,
-    NoiseSchedule,
-    chunk_rounds,
-    draw_round,
-    draw_round_all,
-    iter_masks,
-    sample_laplace,
-    uniforms,
-)
+from dmtrack.noise import NoiseSchedule, chunk_rounds, draw_rounds, iter_masks, uniforms
 
 
 def numpy_round_uniforms(seed, k, size):
     """Reference stream of round k: numpy's own Philox4x64-10 generator."""
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k])).random(size)
+
+
+def draw_one(schedule, k, seed, m):
+    """The masks of every agent at round k of one seed: (eta, zeta), each (n, m)."""
+    eta, zeta = draw_rounds(schedule, [k], [seed], m)
+    return eta[0, 0], zeta[0, 0]
 
 
 def test_schedule_validation():
@@ -51,51 +48,50 @@ def test_enabled_flag():
 
 
 def test_disabled_draws_are_exact_zeros():
-    eta, zeta = draw_round_all(NoiseSchedule.disabled(3), 5, seed=1, m=2)
+    eta, zeta = draw_one(NoiseSchedule.disabled(3), 5, seed=1, m=2)
     assert eta.shape == (3, 2) and zeta.shape == (3, 2)
     assert not eta.any() and not zeta.any()
 
 
 def test_laplace_moments_at_one_million_samples():
-    rng = np.random.default_rng(2024)
+    """The engine's masks: round 0 of 1000 consecutive seeds, 500 agents, both channels."""
     theta = 1.7
-    x = sample_laplace(theta, rng, size=1_000_000)
+    schedule = NoiseSchedule.uniform(500, d_eta=theta, d_zeta=theta, q=0.98)
+    eta, zeta = draw_rounds(schedule, [0], range(2024, 3024), 1)
+    x = np.concatenate([eta.ravel(), zeta.ravel()])
+    assert x.shape == (1_000_000,)
     assert abs(np.mean(np.abs(x)) - theta) <= 0.01 * theta
     assert abs(np.mean(x**2) - 2 * theta**2) <= 0.05 * 2 * theta**2
-    with pytest.raises(ValueError):
-        sample_laplace(0.0, rng)
 
 
 def test_draws_are_deterministic_functions_of_coordinates():
     s = NoiseSchedule.uniform(4, q=0.95)
-    a = draw_round_all(s, 3, seed=9, m=2)
-    b = draw_round_all(s, 3, seed=9, m=2)
+    a = draw_one(s, 3, seed=9, m=2)
+    b = draw_one(s, 3, seed=9, m=2)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-    c = draw_round_all(s, 4, seed=9, m=2)
-    d = draw_round_all(s, 3, seed=10, m=2)
+    c = draw_one(s, 4, seed=9, m=2)
+    d = draw_one(s, 3, seed=10, m=2)
     assert not np.array_equal(a[0], c[0])
     assert not np.array_equal(a[0], d[0])
 
 
 def test_single_agent_view_matches_block():
-    s = NoiseSchedule.uniform(5, q=0.9)
-    eta, zeta = draw_round_all(s, 2, seed=3, m=1)
-    for i in range(5):
-        ei, zi = draw_round(s, 2, seed=3, agent=i, m=1)
-        assert np.array_equal(ei, eta[i])
-        assert np.array_equal(zi, zeta[i])
+    """Agent i's masks are row i of the round's block, whatever the number of agents."""
+    eta, zeta = draw_one(NoiseSchedule.uniform(5, q=0.9), 2, seed=3, m=1)
+    for n in (1, 2, 3):
+        ei, zi = draw_one(NoiseSchedule.uniform(n, q=0.9), 2, seed=3, m=1)
+        assert ei.tobytes() == eta[:n].tobytes()
+        assert zi.tobytes() == zeta[:n].tobytes()
     with pytest.raises(ValueError):
-        draw_round(s, 2, seed=3, agent=5, m=1)
-    with pytest.raises(ValueError):
-        draw_round_all(s, -1, seed=3, m=1)
+        draw_one(NoiseSchedule.uniform(5, q=0.9), -1, seed=3, m=1)
 
 
 def test_scales_are_linear_in_d_and_stream_aligned():
     """Changing one scale must not move any other agent's draws."""
     base = NoiseSchedule.uniform(3, d_eta=1.0, d_zeta=1.0, q=0.9)
     doubled = NoiseSchedule.uniform(3, d_eta=1.0, d_zeta=2.0, q=0.9)
-    e1, z1 = draw_round_all(base, 4, seed=6, m=2)
-    e2, z2 = draw_round_all(doubled, 4, seed=6, m=2)
+    e1, z1 = draw_one(base, 4, seed=6, m=2)
+    e2, z2 = draw_one(doubled, 4, seed=6, m=2)
     assert np.array_equal(e1, e2)  # eta channel untouched
     assert np.allclose(z2, 2.0 * z1, rtol=1e-15)
 
@@ -104,19 +100,9 @@ def test_decay_rescales_draws_geometrically():
     s1 = NoiseSchedule.uniform(2, q=0.9)
     s2 = NoiseSchedule.uniform(2, q=0.8)
     k = 3
-    _, z1 = draw_round_all(s1, k, seed=0, m=1)
-    _, z2 = draw_round_all(s2, k, seed=0, m=1)
+    _, z1 = draw_one(s1, k, seed=0, m=1)
+    _, z2 = draw_one(s2, k, seed=0, m=1)
     assert np.allclose(z2, z1 * (0.8 / 0.9) ** k, rtol=1e-14)
-
-
-def test_noise_log_partial_sums():
-    rng = np.random.default_rng(0)
-    zeta = rng.normal(size=(6, 3, 2))
-    log = NoiseLog(eta=np.zeros_like(zeta), zeta=zeta)
-    assert log.rounds == 6
-    assert np.allclose(log.zeta_sum_before(0), 0.0)
-    assert np.allclose(log.zeta_sum_before(4), zeta[:4].sum(axis=(0, 1)))
-    assert np.allclose(log.zeta_sum_before(6), zeta.sum(axis=(0, 1)))
 
 
 def test_accumulated_variance_matches_series():
@@ -124,10 +110,9 @@ def test_accumulated_variance_matches_series():
     # agent slots double as Monte Carlo samples since in-round draws are iid
     trials = 1000
     s = NoiseSchedule.uniform(trials, q=0.98)
-    totals = np.zeros(trials)
-    for k in range(900):  # theta(900) ~ 1e-8, the remaining mass is negligible
-        _, zeta = draw_round_all(s, k, seed=2468, m=1)
-        totals += zeta[:, 0]
+    # theta(900) ~ 1e-8, the remaining mass is negligible
+    _, zeta = draw_rounds(s, range(900), [2468], 1)
+    totals = zeta[:, 0, :, 0].sum(axis=0)
     expect = 2.0 / (1.0 - 0.98**2)
     sigma = np.std(totals**2) / np.sqrt(trials)
     assert abs(np.mean(totals**2) - expect) <= 4.0 * sigma
@@ -171,7 +156,7 @@ def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
             )
             assert eta[t].tobytes() == expect_eta.tobytes()
             assert zeta[t].tobytes() == expect_zeta.tobytes()
-            single_eta, single_zeta = draw_round_all(schedule, k, s, m)
+            single_eta, single_zeta = draw_one(schedule, k, s, m)
             assert single_eta.tobytes() == eta[t].tobytes()
             assert single_zeta.tobytes() == zeta[t].tobytes()
 

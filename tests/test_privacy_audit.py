@@ -18,14 +18,13 @@ from dmtrack.privacy_audit import (
     AuditReport,
     _pick_horizon,
     _tail_bound,
-    eta_bound_check,
     forced_difference_run,
     make_adjacent_pair,
     sweep_epsilon,
 )
 from dmtrack.theory import epsilon_star, privacy_epsilon, q_interval
 
-from conftest import build_preset
+from conftest import build_preset, eta_bound_check
 from test_engine import nondiagonal3
 
 
