@@ -15,16 +15,12 @@ inadmissible configured decay.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 from pathlib import Path
 
 from .errors import ConfigError, DmtrackError, InadmissibleDecayError
-from .engine import RunConfig
 from .harness import (
-    AUDIT_GRID_D_ZETA,
-    AUDIT_GRID_Q,
     SWEEPABLE,
     ExperimentConfig,
     audited_privacy,
@@ -35,7 +31,7 @@ from .harness import (
     sweep,
 )
 from .oracle import solve_dual, verify_against_grid
-from .privacy_audit import audit_row, forced_difference_run, make_adjacent_pair, sweep_epsilon
+from .privacy_audit import audit_row, forced_difference_run, monotone_flags
 from .theory import mse_bounds
 
 
@@ -109,54 +105,27 @@ def _write_audit(outdir, rows):
 def _cmd_audit(args):
     config = _load_config(args)
     mat = materialize(config)
-    audit = config.raw.get("audit", {})
-    i0 = audit.get("i0", 0)
-    delta = audit.get("delta", 1.0)
-    delta_prime = audit.get("delta_prime")
-    if isinstance(delta_prime, (int, float)):
-        delta_prime = [float(delta_prime)] * mat.instance.p
-    horizon = audit.get("horizon")
-    run_cfg = RunConfig(alpha=mat.alpha, iters=horizon or 1)
     outdir = Path(config.raw["output"])
     outdir.mkdir(parents=True, exist_ok=True)
 
-    if args.grid:
-        grid = audit.get("grid", {})
-        dz_values = grid.get("d_zeta", list(AUDIT_GRID_D_ZETA))
-        q_values = grid.get("q", list(AUDIT_GRID_Q))
-        rows, flags = sweep_epsilon(
-            mat.instance,
-            mat.W,
-            i0,
-            dz_values,
-            q_values,
-            run_cfg,
-            mat.seed,
-            delta=delta,
-            delta_prime=delta_prime,
-            horizon=horizon,
-        )
-        _write_audit(outdir, rows)
-        print(f"monotone_in_d_zeta={flags['monotone_in_d_zeta']}")
-        print(f"monotone_in_q={flags['monotone_in_q']}")
-        return 0 if all(_certified(r) for r in rows if r["admissible"]) else 1
-
-    pair = make_adjacent_pair(mat.instance, i0, delta, delta_prime)
-    try:
-        report = forced_difference_run(pair, mat.W, mat.schedule, run_cfg, mat.seed, horizon=horizon)
-    except InadmissibleDecayError as exc:
-        print(f"inadmissible: {exc}", file=sys.stderr)
+    schedules = mat.grid if args.grid else [mat.schedule]
+    reports = forced_difference_run(mat.pair, mat.W, schedules, mat.alpha, mat.seed, mat.horizon)
+    if not args.grid and isinstance(reports[0], InadmissibleDecayError):
+        print(f"inadmissible: {reports[0]}", file=sys.stderr)
         return 1
-    row = audit_row(float(mat.schedule.d_zeta[i0]), float(mat.schedule.q_zeta[i0]), report)
-    _write_audit(outdir, [row])
-    print(f"horizon={report.horizon} tail={report.tail:.3e}")
-    return 0 if _certified(row) else 1
+    rows = [audit_row(mat.pair.i0, sched, report) for sched, report in zip(schedules, reports)]
+    _write_audit(outdir, rows)
+    if args.grid:
+        for flag, value in monotone_flags(rows).items():
+            print(f"{flag}={value}")
+        return 0 if all(_certified(r) for r in rows if r["admissible"]) else 1
+    print(f"horizon={reports[0].horizon} tail={reports[0].tail:.3e}")
+    return 0 if _certified(rows[0]) else 1
 
 
 def _cmd_bounds(args):
     config = _load_config(args)
     mat = materialize(config)
-    audit = config.raw.get("audit", {})
     constants = constants_or_nan(mat)
     bnds = mse_bounds(mat.schedule, mat.mod, mat.instance.n, mat.instance.m)
     out = {
@@ -176,12 +145,12 @@ def _cmd_bounds(args):
         "mse_lower": bnds.lower,
         "mse_upper": bnds.upper,
     }
-    privacy = audited_privacy(mat, audit)
+    privacy = audited_privacy(mat)
     out["q_min"] = privacy.q_min
-    out["q"] = float(mat.schedule.q_zeta[audit.get("i0", 0)])
+    out["q"] = float(mat.schedule.q_zeta[mat.pair.i0])
     figures = [privacy.q_min]
     if mat.schedule.enabled:
-        printed = audited_privacy(mat, audit, printed_form=True)
+        printed = audited_privacy(mat, printed_form=True)
         out.update(
             eps_theory=privacy.eps_theory,
             eps_theory_printed=printed.eps_theory,

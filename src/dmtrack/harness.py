@@ -24,6 +24,7 @@ from .engine import RunConfig, run
 from .errors import ConfigError, InadmissibleDecayError, SolverFailure
 from .noise import NoiseSchedule
 from .oracle import solve_dual
+from .privacy_audit import AdjacentPair, grid_schedules, make_adjacent_pair
 from .problem import AgentSpec, BoxSet, Moduli, ProblemInstance, QuadraticCost, moduli
 from .theory import (
     StepsizeBounds,
@@ -112,9 +113,11 @@ def _check_keys(section, allowed, required, where):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _as_positive_int(value, where):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{where} must be a positive integer, got {value!r}")
+def _as_int(value, where, least=1):
+    """`value` if it is an integer (not a bool) of at least `least`, which is 0 or 1."""
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        kind = "positive" if least else "nonnegative"
+        raise ConfigError(f"{where} must be a {kind} integer, got {value!r}")
     return value
 
 
@@ -151,13 +154,9 @@ class ExperimentConfig:
             )
         graph = d.get("graph", {})
         _check_keys(graph, allowed=("extra_edges", "seed"), required=(), where="graph")
-        if "extra_edges" in graph:
-            if not isinstance(graph["extra_edges"], int) or graph["extra_edges"] < 0:
-                raise ConfigError("graph.extra_edges must be a nonnegative integer")
-        if "seed" in graph:
-            gs = graph["seed"]
-            if not isinstance(gs, int) or isinstance(gs, bool) or gs < 0:
-                raise ConfigError(f"graph.seed must be a nonnegative integer, got {gs!r}")
+        for key in ("extra_edges", "seed"):
+            if key in graph:
+                _as_int(graph[key], f"graph.{key}", least=0)
 
         alg = d["algorithm"]
         _check_keys(
@@ -177,9 +176,9 @@ class ExperimentConfig:
         else:
             if _as_number(alpha, "algorithm.alpha") < 0:
                 raise ConfigError("algorithm.alpha must be nonnegative")
-        _as_positive_int(alg["iters"], "algorithm.iters")
+        _as_int(alg["iters"], "algorithm.iters")
         if "record_every" in alg:
-            _as_positive_int(alg["record_every"], "algorithm.record_every")
+            _as_int(alg["record_every"], "algorithm.record_every")
         if "terminal_window" in alg:
             tw = _as_number(alg["terminal_window"], "algorithm.terminal_window")
             if not 0 < tw <= 1:
@@ -206,14 +205,14 @@ class ExperimentConfig:
                 required=(),
                 where="audit",
             )
-            if "i0" in audit and (not isinstance(audit["i0"], int) or audit["i0"] < 0):
-                raise ConfigError("audit.i0 must be a nonnegative integer")
+            if "i0" in audit:
+                _as_int(audit["i0"], "audit.i0", least=0)
             if "delta" in audit and _as_number(audit["delta"], "audit.delta") <= 0:
                 raise ConfigError("audit.delta must be positive")
             if "delta_prime" in audit:
                 _as_scalar_or_list(audit["delta_prime"], "audit.delta_prime")
             if "horizon" in audit:
-                _as_positive_int(audit["horizon"], "audit.horizon")
+                _as_int(audit["horizon"], "audit.horizon")
             if "grid" in audit:
                 _check_keys(audit["grid"], allowed=("d_zeta", "q"), required=(), where="audit.grid")
                 for key in ("d_zeta", "q"):
@@ -224,7 +223,7 @@ class ExperimentConfig:
                         for i, v in enumerate(vals):
                             _as_number(v, f"audit.grid.{key}[{i}]")
 
-        _as_positive_int(d["trials"], "trials")
+        _as_int(d["trials"], "trials")
         seed = d["seed"]
         if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**63:
             raise ConfigError(f"seed must be an integer in [0, 2^63), got {seed!r}")
@@ -277,11 +276,12 @@ class Materialized:
     trials: int
     seed: int
     output: Path
+    pair: AdjacentPair  # the audited agent audit.i0 and its shift
+    horizon: Optional[int]  # audit.horizon; None picks it from the tail bound
+    grid: list  # mat.schedule at each audit.grid point, d_zeta outer, q inner
 
 
 def _per_agent(value, n, where):
-    if value is None:
-        return None
     arr = np.asarray(value, dtype=float)
     if arr.ndim == 0:
         return np.full(n, float(arr))
@@ -302,15 +302,6 @@ def _build_schedule(noise, n):
         return NoiseSchedule(d_eta=d_eta, d_zeta=d_zeta, q_eta=q_eta, q_zeta=q_zeta)
     except ValueError as exc:
         raise ConfigError(f"noise: {exc}") from exc
-
-
-def _check_audit(audit, instance):
-    """Reject an audited agent or a shift that the instance cannot take."""
-    if audit.get("i0", 0) >= instance.n:
-        raise ConfigError(f"audit.i0 = {audit['i0']} is out of range for n = {instance.n}")
-    delta_prime = _per_agent(audit.get("delta_prime"), instance.p, "audit.delta_prime")
-    if delta_prime is not None and not np.linalg.norm(delta_prime) < audit.get("delta", 1.0):
-        raise ConfigError(f"audit.delta_prime {delta_prime.tolist()} must have norm < audit.delta")
 
 
 def materialize(config):
@@ -337,7 +328,20 @@ def materialize(config):
             raise ConfigError(f"algorithm.alpha: {key} requested but the bound is {base}")
         alpha = float(frac) * base
     schedule = _build_schedule(raw["noise"], instance.n)
-    _check_audit(raw.get("audit", {}), instance)
+    audit = raw.get("audit", {})
+    try:
+        pair = make_adjacent_pair(
+            instance, audit.get("i0", 0), audit.get("delta", 1.0), audit.get("delta_prime")
+        )
+    except ValueError as exc:  # its message starts with the argument's name
+        raise ConfigError(f"audit.{exc}") from exc
+    points = audit.get("grid", {})
+    try:
+        grid = grid_schedules(
+            schedule, points.get("d_zeta", AUDIT_GRID_D_ZETA), points.get("q", AUDIT_GRID_Q)
+        )
+    except ValueError as exc:
+        raise ConfigError(f"audit.grid: no noise schedule takes {points}: {exc}") from exc
     return Materialized(
         instance=instance,
         graph=graph,
@@ -352,6 +356,9 @@ def materialize(config):
         trials=raw["trials"],
         seed=raw["seed"],
         output=Path(raw["output"]),
+        pair=pair,
+        horizon=audit.get("horizon"),
+        grid=grid,
     )
 
 
@@ -374,15 +381,14 @@ class AuditedPrivacy(NamedTuple):
     eps_star: float
 
 
-def audited_privacy(mat, audit, printed_form=False):
-    """q_min and the epsilons of the audited agent audit["i0"] at radius audit["delta"].
+def audited_privacy(mat, printed_form=False):
+    """q_min and the epsilons of the audited agent mat.pair.i0 at radius mat.pair.delta.
 
     A figure the setup admits none of (decay outside (q_min, 1), a zero
     mask scale or stepsize) is NaN. printed_form selects the simplified
     epsilon denominator.
     """
-    i0 = audit.get("i0", 0)
-    delta = audit.get("delta", 1.0)
+    i0, delta = mat.pair.i0, mat.pair.delta
     ag = mat.instance.agents[i0]
     phi, A_norm = ag.cost.phi, ag.A_norm
     q = float(mat.schedule.q_zeta[i0])
@@ -546,7 +552,7 @@ def sweep(config, parameter, values, out_dir=None):
         mat = materialize(cfg)
         summary = _run_materialized(cfg, mat, sub)
         summaries.append(summary)
-        privacy = audited_privacy(mat, config.raw.get("audit", {}))
+        privacy = audited_privacy(mat)
         rows.append(
             {
                 "value": float(value),

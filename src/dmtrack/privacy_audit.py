@@ -20,10 +20,11 @@ the remainder), so slowly decaying configurations never accumulate noise
 ratios that are pure floating-point artifacts. The envelope depends only on
 the round, so that last measured round is known in advance and the base run
 is simulated only up to it; its states match those of a run over the whole
-horizon, since every mask is a function of (seed, round) alone. A grid of
-schedules keeps one base run per point but steps every point's recursion in
-one round loop; the norms, eps_e and the bound checks are computed per point
-from its stacked differences afterwards.
+horizon, since every mask is a function of (seed, round) alone. The audit
+takes a list of noise schedules and the stepsize alpha: it keeps one base
+run per schedule but steps every schedule's recursion in one round loop; the
+norms, eps_e and the bound checks are computed per schedule from its stacked
+differences afterwards.
 
 Perturbation recursion (Delta = shifted minus base; messages held equal):
     Delta mu(k+1)  = -alpha * Delta y(k)          Delta eta(k) = -Delta mu(k)
@@ -67,18 +68,28 @@ class AdjacentPair:
 
 
 def make_adjacent_pair(base, i0, delta, delta_prime=None):
-    """Build the shifted twin; delta_prime defaults to delta/2 in coordinate 0."""
+    """Build the shifted twin; delta_prime defaults to delta/2 in coordinate 0.
+
+    A scalar delta_prime is broadcast to the p coordinates. Each ValueError
+    message starts with the name of the argument it rejects.
+    """
+    if not 0 <= i0 < base.n:
+        raise ValueError(f"i0 = {i0} is out of range for n = {base.n}")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     p = base.p
     if delta_prime is None:
         delta_prime = np.zeros(p)
         delta_prime[0] = delta / 2.0
-    delta_prime = np.asarray(delta_prime, dtype=float).reshape(p)
+    delta_prime = np.asarray(delta_prime, dtype=float)
+    if delta_prime.ndim == 0:
+        delta_prime = np.full(p, float(delta_prime))
+    if delta_prime.shape != (p,):
+        raise ValueError(f"delta_prime must be a scalar or of length p = {p}, got {delta_prime}")
     if not np.linalg.norm(delta_prime) < delta:
         raise ValueError(
-            f"||delta_prime|| = {np.linalg.norm(delta_prime):g} must be strictly below "
-            f"delta = {delta:g}"
+            f"delta_prime {delta_prime.tolist()} has norm {np.linalg.norm(delta_prime):g}, "
+            f"which must be strictly below delta = {delta:g}"
         )
     shifted = shift_adjacent(base, i0, delta_prime)
     return AdjacentPair(
@@ -186,35 +197,29 @@ def _audit_point(pair, schedule, alpha, horizon):
     return _Point(schedule, d_eta, d_zeta, q, tau1, tau2, K, np.array(envelopes))
 
 
-def forced_difference_run(pair, W, schedule, config, seed, horizon=None):
-    """Audit one execution per schedule; see the module docstring for the recursion.
+def forced_difference_run(pair, W, schedules, alpha, seed, horizon=None):
+    """Audit one execution per schedule at stepsize alpha; see the module docstring.
 
-    schedule : NoiseSchedule or sequence of NoiseSchedule
-        One schedule returns its AuditReport and raises InadmissibleDecayError
-        if its decay is inadmissible. A sequence returns a list with, per
-        schedule, its AuditReport or the InadmissibleDecayError its decay
-        raised; each report is bit-identical to auditing that schedule alone.
+    Returns a list with, per schedule, its AuditReport or the
+    InadmissibleDecayError its decay raised; each report is bit-identical to
+    auditing that schedule alone.
     """
     if horizon is not None and int(horizon) < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")
-    single = isinstance(schedule, NoiseSchedule)
     entries = []  # per schedule, its _Point or its InadmissibleDecayError
-    for sched in [schedule] if single else schedule:
+    for schedule in schedules:
         try:
-            entries.append(_audit_point(pair, sched, config.alpha, horizon))
+            entries.append(_audit_point(pair, schedule, alpha, horizon))
         except InadmissibleDecayError as exc:
-            if single:
-                raise
             entries.append(exc)
     points = [e for e in entries if isinstance(e, _Point)]
-    reports = iter(_audit_points(pair, W, points, config, seed))
-    results = [next(reports) if isinstance(e, _Point) else e for e in entries]
-    return results[0] if single else results
+    reports = iter(_audit_points(pair, W, points, alpha, seed))
+    return [next(reports) if isinstance(e, _Point) else e for e in entries]
 
 
-def _audit_points(pair, W, points, config, seed):
+def _audit_points(pair, W, points, alpha, seed):
     """The AuditReport of each point, whose recursions step together as rows of (G, .) arrays."""
-    base, i0, alpha = pair.base, pair.i0, config.alpha
+    base, i0 = pair.base, pair.i0
     m, p = base.m, base.p
     ag, ag_shift = base.agents[i0], pair.shifted.agents[i0]
     G = len(points)
@@ -229,7 +234,7 @@ def _audit_points(pair, W, points, config, seed):
     d_x = np.zeros((G, k_max + 1, p))
     for g, pt in enumerate(points):
         k = k_measured[g]
-        run_cfg = RunConfig(alpha=alpha, iters=k, record_every=k, mu0=config.mu0, x0=config.x0)
+        run_cfg = RunConfig(alpha=alpha, iters=k, record_every=k)
         trace = run(base, W, pt.schedule, run_cfg, seed, keep_states=True)
         d_mu[g, 1 : k + 1] = trace.states_mu[1:, i0]
         d_x[g, 1 : k + 1] = trace.states_x[1:, i0]
@@ -297,9 +302,15 @@ def _audit_points(pair, W, points, config, seed):
     return reports
 
 
-def audit_row(d_zeta, q, report):
-    """The audit.csv row of one point, from its AuditReport or its InadmissibleDecayError."""
-    row = {"d_zeta": d_zeta, "q": q}
+def grid_schedules(schedule, d_zeta_values, q_values):
+    """`schedule` at each (d_zeta, q) point, d_zeta outer: only d_zeta, q_eta and q_zeta change."""
+    d_eta = schedule.d_eta
+    return [NoiseSchedule(d_eta, dz, q, q) for dz in d_zeta_values for q in q_values]
+
+
+def audit_row(i0, schedule, report):
+    """The audit.csv row of one schedule, from its AuditReport or its InadmissibleDecayError."""
+    row = {"d_zeta": float(schedule.d_zeta[i0]), "q": float(schedule.q_zeta[i0])}
     if isinstance(report, InadmissibleDecayError):
         nan = math.nan
         row.update(eps_empirical=nan, eps_theory=nan, eps_star=nan, admissible=False, violations=0)
@@ -311,24 +322,10 @@ def audit_row(d_zeta, q, report):
     return row
 
 
-def sweep_epsilon(
-    base, W, i0, d_zeta_values, q_values, config, seed,
-    delta=1.0, delta_prime=None, d_eta=1.0, horizon=None,
-):
-    """Audit every (d_zeta, q) grid point; inadmissible points are marked.
-
-    Returns (rows, flags): rows are dicts with keys d_zeta, q, eps_empirical,
-    eps_theory, eps_star, admissible, violations; flags report whether
-    eps_empirical is nonincreasing along each axis over the admissible points.
-    """
-    pair = make_adjacent_pair(base, i0, delta, delta_prime)
-    points = [(float(dz), float(q)) for dz in d_zeta_values for q in q_values]
-    schedules = [NoiseSchedule.uniform(base.n, d_eta=d_eta, d_zeta=dz, q=q) for dz, q in points]
-    reports = forced_difference_run(pair, W, schedules, config, seed, horizon=horizon)
-    rows = [audit_row(dz, q, report) for (dz, q), report in zip(points, reports)]
+def monotone_flags(rows):
+    """Whether eps_empirical is nonincreasing along each grid axis over the admissible rows."""
 
     def nonincreasing(varied, fixed):
-        """eps_empirical never rises with `varied` at a fixed `fixed`, over admissible rows."""
         ordered = sorted((r for r in rows if r["admissible"]), key=lambda r: (r[fixed], r[varied]))
         return all(
             b["eps_empirical"] <= a["eps_empirical"] + 1e-12
@@ -336,8 +333,20 @@ def sweep_epsilon(
             if a[fixed] == b[fixed]
         )
 
-    flags = {
+    return {
         "monotone_in_d_zeta": nonincreasing("d_zeta", "q"),
         "monotone_in_q": nonincreasing("q", "d_zeta"),
     }
-    return rows, flags
+
+
+def sweep_epsilon(pair, W, schedule, d_zeta_values, q_values, alpha, seed, horizon=None):
+    """Audit `schedule` at every (d_zeta, q) grid point; inadmissible points are marked.
+
+    Returns (rows, flags): rows are audit_row dicts with keys d_zeta, q,
+    eps_empirical, eps_theory, eps_star, admissible, violations; flags are
+    monotone_flags(rows).
+    """
+    schedules = grid_schedules(schedule, d_zeta_values, q_values)
+    reports = forced_difference_run(pair, W, schedules, alpha, seed, horizon=horizon)
+    rows = [audit_row(pair.i0, sched, report) for sched, report in zip(schedules, reports)]
+    return rows, monotone_flags(rows)

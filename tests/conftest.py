@@ -15,7 +15,7 @@ from dmtrack.harness import PRESETS, ExperimentConfig, sweep
 from dmtrack.local_solver import argmin_local
 from dmtrack.noise import NoiseSchedule, draw_rounds
 from dmtrack.oracle import solve_dual
-from dmtrack.privacy_audit import sweep_epsilon
+from dmtrack.privacy_audit import make_adjacent_pair, sweep_epsilon
 from dmtrack.problem import moduli
 from dmtrack.theory import stepsize_bounds
 from dmtrack.topology import metropolis_weights
@@ -147,8 +147,8 @@ def micro_sweep(tmp_path_factory):
 def audit_grid():
     """Privacy certificate grid on the 2-agent preset at alpha = 0.45."""
     instance, W, _ = build_preset("symmetric2")
-    cfg = RunConfig(alpha=0.45, iters=1)
+    pair = make_adjacent_pair(instance, 0, 1.0)
     rows, flags = sweep_epsilon(
-        instance, W, 0, (0.5, 1.0, 2.0), (0.95, 0.98, 0.99), cfg, seed=11, delta=1.0
+        pair, W, NoiseSchedule.uniform(2), (0.5, 1.0, 2.0), (0.95, 0.98, 0.99), 0.45, seed=11
     )
     return {"rows": rows, "flags": flags}

@@ -128,9 +128,7 @@ def test_criterion_5_privacy_certificate(pytestconfig, audit_grid):
 
     instance, W, _ = build_preset("symmetric2")
     pair = make_adjacent_pair(instance, 0, 1.0)
-    report = forced_difference_run(
-        pair, W, NoiseSchedule.uniform(2, q=0.98), RunConfig(alpha=0.45, iters=1), seed=11
-    )
+    [report] = forced_difference_run(pair, W, [NoiseSchedule.uniform(2, q=0.98)], 0.45, seed=11)
     qi = q_interval(0.45, 2.0, 1.0)
     ok &= eta_bound_check(report, 0.45, 1.0, 1.0, qi.tau1, qi.tau2)
     _report(

@@ -7,7 +7,7 @@ import pytest
 
 from dmtrack import cli, harness, theory
 from dmtrack.engine import RunConfig, run
-from dmtrack.errors import ConfigError
+from dmtrack.errors import ConfigError, InadmissibleDecayError
 from dmtrack.harness import ExperimentConfig, _write_trace_csv, materialize, run_experiment, sweep
 from dmtrack.noise import NoiseSchedule
 from dmtrack.oracle import solve_dual
@@ -425,6 +425,12 @@ def test_cli_audit_rejects_a_zero_stepsize(tmp_path, capsys, grid):
         ("audit", {"audit.i0": 5}, [], "audit.i0"),
         ("bounds", {"audit.i0": 5}, [], "audit.i0"),
         ("audit", {"audit.delta_prime": [0.1, 0.2, 0.3]}, [], "audit.delta_prime"),
+        ("audit", {"audit.grid.q": [1.5]}, ["--grid"], "audit.grid"),
+        ("audit", {"audit.grid.d_zeta": [-1]}, ["--grid"], "audit.grid"),
+        ("audit", {"audit.i0": True}, [], "audit.i0"),
+        ("audit", {"noise.enabled": False}, ["--grid"], "positive mask scales"),
+        ("bounds", {"problem.preset": "microgrid14", "graph.extra_edges": True}, [],
+         "graph.extra_edges"),
     ],
 )
 def test_cli_rejects_an_audit_setting_the_preset_cannot_take(
@@ -445,26 +451,42 @@ def test_cli_audit_grid_and_single_point_share_one_verdict(
     tmp_path, capsys, eps_empirical, violations, admissible, code
 ):
     """Both paths write the same audit.csv row and exit on the same rule."""
-    path = write_config(tmp_path)
-    row = dict(
-        d_zeta=1.0, q=0.98, eps_empirical=eps_empirical, eps_theory=1.0, eps_star=0.5,
-        admissible=admissible, violations=violations,
-    )
-    flags = {"monotone_in_d_zeta": True, "monotone_in_q": True}
-    with mock.patch.object(cli, "sweep_epsilon", return_value=([row], flags)):
-        assert cli.main(["audit", "--config", str(path), "--grid"]) == code
-    grid_csv = (tmp_path / "out" / "audit.csv").read_text()
-    capsys.readouterr()
-    if not admissible:
-        return  # the single-point path raises on an inadmissible decay
     report = mock.Mock(
         eps_empirical=eps_empirical, eps_theoretical=1.0, eps_star=0.5,
         bound_violations=violations, horizon=12, tail=0.0,
     )
-    with mock.patch.object(cli, "forced_difference_run", return_value=report):
+    row = f"1.0,0.98,{eps_empirical!r},1.0,0.5,1,{violations}"
+    if not admissible:
+        report, row = InadmissibleDecayError("q below q_min"), "1.0,0.98,nan,nan,nan,0,0"
+    # a one-point grid at the configured d_zeta = 1 and q = 0.98
+    path = write_config(tmp_path, **{"audit.grid": {"d_zeta": [1.0], "q": [0.98]}})
+    with mock.patch.object(cli, "forced_difference_run", return_value=[report]):
+        assert cli.main(["audit", "--config", str(path), "--grid"]) == code
+    grid_csv = (tmp_path / "out" / "audit.csv").read_text()
+    assert grid_csv.splitlines()[1:] == [row]
+    capsys.readouterr()
+    if not admissible:
+        return  # the single-point path reports an inadmissible decay on stderr
+    with mock.patch.object(cli, "forced_difference_run", return_value=[report]):
         assert cli.main(["audit", "--config", str(path)]) == code
     assert (tmp_path / "out" / "audit.csv").read_text() == grid_csv
     assert capsys.readouterr().out.startswith(grid_csv)
+
+
+def test_cli_grid_rows_equal_single_point_audits_of_the_configured_noise(tmp_path, capsys):
+    """Each grid point is the configured schedule (here d_eta = 4) with only d_zeta and q replaced."""
+    grid = {"d_zeta": [0.5, 2.0], "q": [0.95, 0.98]}
+    path = write_config(tmp_path, **{"noise.d_eta": 4.0, "audit.grid": grid})
+    assert cli.main(["audit", "--config", str(path), "--grid"]) == 0
+    header, *rows = (tmp_path / "out" / "audit.csv").read_text().splitlines()
+    points = [(dz, q) for dz in grid["d_zeta"] for q in grid["q"]]
+    assert len(rows) == len(points)
+    for (dz, q), row in zip(points, rows):
+        point = write_config(
+            tmp_path, name="point.json", **{"noise.d_eta": 4.0, "noise.d_zeta": dz, "noise.q": q}
+        )
+        assert cli.main(["audit", "--config", str(point)]) == 0
+        assert (tmp_path / "out" / "audit.csv").read_text().splitlines() == [header, row]
 
 
 def test_cli_missing_config_exits_2(tmp_path, capsys):

@@ -34,13 +34,18 @@ def sym2():
     return inst, W.W
 
 
+def audit_one(pair, W, sched, alpha, seed, horizon=None):
+    """The one entry forced_difference_run returns for [sched]: a report or an error."""
+    [report] = forced_difference_run(pair, W, [sched], alpha, seed, horizon=horizon)
+    return report
+
+
 @pytest.fixture(scope="module")
 def base_report(sym2):
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
-    cfg = RunConfig(alpha=0.45, iters=1)
     sched = NoiseSchedule.uniform(2, q=0.98)
-    return pair, forced_difference_run(pair, W, sched, cfg, seed=0), sched
+    return pair, audit_one(pair, W, sched, 0.45, seed=0), sched
 
 
 def test_adjacent_pair_defaults(sym2):
@@ -57,14 +62,24 @@ def test_adjacent_pair_defaults(sym2):
 
 def test_adjacent_pair_validation(sym2):
     inst, _ = sym2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^delta "):
         make_adjacent_pair(inst, 0, 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^delta "):
         make_adjacent_pair(inst, 0, -1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^delta_prime"):
         make_adjacent_pair(inst, 0, 1.0, delta_prime=[1.0])  # norm must be < delta
     ok = make_adjacent_pair(inst, 0, 1.0, delta_prime=[0.9])
     np.testing.assert_allclose(ok.delta_prime, [0.9])
+    for i0 in (-1, 2):
+        with pytest.raises(ValueError, match="^i0 "):
+            make_adjacent_pair(inst, i0, 1.0)
+    with pytest.raises(ValueError, match="^delta_prime"):
+        make_adjacent_pair(inst, 0, 1.0, delta_prime=[0.1, 0.2])  # p = 1
+    inst3, _ = nondiagonal3()  # p = 2: a scalar is broadcast, a wrong length is not
+    np.testing.assert_array_equal(make_adjacent_pair(inst3, 0, 1.0, 0.3).delta_prime, [0.3, 0.3])
+    for bad in ([0.3], [0.1, 0.2, 0.3]):
+        with pytest.raises(ValueError, match="^delta_prime"):
+            make_adjacent_pair(inst3, 0, 1.0, delta_prime=bad)
 
 
 def test_forced_run_frozen_regression(base_report):
@@ -114,10 +129,9 @@ def test_audit_is_seed_independent_off_the_boxes(sym2):
     # depend on the realized trajectory
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
-    cfg = RunConfig(alpha=0.45, iters=1)
     sched = NoiseSchedule.uniform(2, q=0.98)
-    r0 = forced_difference_run(pair, W, sched, cfg, seed=0)
-    r1 = forced_difference_run(pair, W, sched, cfg, seed=12345)
+    r0 = audit_one(pair, W, sched, 0.45, seed=0)
+    r1 = audit_one(pair, W, sched, 0.45, seed=12345)
     np.testing.assert_allclose(r1.delta_eta_norms, r0.delta_eta_norms, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(r1.delta_zeta_norms, r0.delta_zeta_norms, rtol=1e-9, atol=1e-12)
 
@@ -125,8 +139,7 @@ def test_audit_is_seed_independent_off_the_boxes(sym2):
 def test_audit_other_agent(sym2):
     inst, W = sym2
     pair = make_adjacent_pair(inst, 1, 1.0)
-    cfg = RunConfig(alpha=0.45, iters=1)
-    rep = forced_difference_run(pair, W, NoiseSchedule.uniform(2, q=0.98), cfg, seed=3)
+    rep = audit_one(pair, W, NoiseSchedule.uniform(2, q=0.98), 0.45, seed=3)
     assert rep.i0 == 1
     assert rep.bound_violations == 0
     assert rep.eps_empirical <= rep.eps_theoretical
@@ -135,25 +148,23 @@ def test_audit_other_agent(sym2):
 def test_horizon_override_and_validation(sym2):
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
-    cfg = RunConfig(alpha=0.45, iters=1)
     sched = NoiseSchedule.uniform(2, q=0.98)
-    rep = forced_difference_run(pair, W, sched, cfg, seed=0, horizon=5)
+    rep = audit_one(pair, W, sched, 0.45, seed=0, horizon=5)
     assert rep.horizon == 5
     assert len(rep.delta_eta_norms) == 6
     with pytest.raises(ValueError):
-        forced_difference_run(pair, W, sched, cfg, seed=0, horizon=0)
+        forced_difference_run(pair, W, [sched], 0.45, seed=0, horizon=0)
 
 
 def test_horizon_selection_extremes(sym2):
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
-    cfg = RunConfig(alpha=0.45, iters=1)
     # enormous mask scales make even round 1 negligible
     huge = NoiseSchedule.uniform(2, d_eta=1e9, d_zeta=1e9, q=0.98)
-    assert forced_difference_run(pair, W, huge, cfg, seed=0).horizon == HORIZON_MIN
+    assert audit_one(pair, W, huge, 0.45, seed=0).horizon == HORIZON_MIN
     # q barely above q_min = 0.6 pushes the tail horizon past the cap
     slow = NoiseSchedule.uniform(2, q=0.601)
-    rep = forced_difference_run(pair, W, slow, cfg, seed=0)
+    rep = audit_one(pair, W, slow, 0.45, seed=0)
     assert rep.horizon == HORIZON_CAP
     assert rep.bound_violations == 0
     assert np.isfinite(rep.eps_empirical)
@@ -162,24 +173,22 @@ def test_horizon_selection_extremes(sym2):
 def test_schedule_rejections(sym2):
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
-    cfg = RunConfig(alpha=0.45, iters=1)
     with pytest.raises(ConfigError):
-        forced_difference_run(pair, W, NoiseSchedule.uniform(2, d_zeta=0.0), cfg, seed=0)
+        audit_one(pair, W, NoiseSchedule.uniform(2, d_zeta=0.0), 0.45, seed=0)
     with pytest.raises(ConfigError):
-        forced_difference_run(pair, W, NoiseSchedule.disabled(2), cfg, seed=0)
+        audit_one(pair, W, NoiseSchedule.disabled(2), 0.45, seed=0)
     split = NoiseSchedule.uniform(2, q_eta=0.97, q_zeta=0.98)
     with pytest.raises(ConfigError, match="one decay"):
-        forced_difference_run(pair, W, split, cfg, seed=0)
+        audit_one(pair, W, split, 0.45, seed=0)
     with pytest.raises(ConfigError, match="positive stepsize"):
-        forced_difference_run(pair, W, NoiseSchedule.uniform(2), RunConfig(alpha=0.0, iters=1), 0)
+        audit_one(pair, W, NoiseSchedule.uniform(2), 0.0, 0)
 
 
 def test_inadmissible_decay(sym2):
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
-    cfg = RunConfig(alpha=0.45, iters=1)
-    with pytest.raises(InadmissibleDecayError):
-        forced_difference_run(pair, W, NoiseSchedule.uniform(2, q=0.5), cfg, seed=0)
+    report = audit_one(pair, W, NoiseSchedule.uniform(2, q=0.5), 0.45, seed=0)
+    assert isinstance(report, InadmissibleDecayError)
 
 
 def test_decay_is_checked_once_per_audit(sym2, base_report):
@@ -194,7 +203,7 @@ def test_decay_is_checked_once_per_audit(sym2, base_report):
         return real(*args)
 
     with mock.patch.object(theory, "q_interval", counted):
-        report = forced_difference_run(pair, W, sched, RunConfig(alpha=0.45, iters=1), seed=0)
+        report = audit_one(pair, W, sched, 0.45, seed=0)
     assert len(calls) == 1
     ag = inst.agents[0]
     assert report.eps_theoretical == privacy_epsilon(0.45, 1.0, 1.0, ag.cost.phi, ag.A_norm, 0.98, 1.0)
@@ -204,8 +213,9 @@ def test_decay_is_checked_once_per_audit(sym2, base_report):
 
 def test_sweep_marks_inadmissible_points(sym2):
     inst, W = sym2
-    cfg = RunConfig(alpha=0.45, iters=1)
-    rows, flags = sweep_epsilon(inst, W, 0, (0.5, 1.0), (0.5, 0.98), cfg, seed=11)
+    pair = make_adjacent_pair(inst, 0, 1.0)
+    sched = NoiseSchedule.uniform(2)
+    rows, flags = sweep_epsilon(pair, W, sched, (0.5, 1.0), (0.5, 0.98), 0.45, seed=11)
     assert len(rows) == 4
     bad = [r for r in rows if r["q"] == 0.5]
     good = sorted((r for r in rows if r["q"] == 0.98), key=lambda r: r["d_zeta"])
@@ -303,7 +313,7 @@ def report_bytes(report):
 
 
 def assert_matches_reference(pair, W, sched, cfg, seed, horizon=None):
-    got = forced_difference_run(pair, W, sched, cfg, seed, horizon=horizon)
+    got = audit_one(pair, W, sched, cfg.alpha, seed, horizon=horizon)
     want = reference_forced_difference_run(pair, W, sched, cfg, seed, horizon=horizon)
     assert report_bytes(got) == report_bytes(want)
     return got
@@ -353,7 +363,7 @@ def test_divergence_break_matches_the_per_round_reference(sym2):
     cfg = RunConfig(alpha=0.9, iters=1)
     sched = NoiseSchedule.uniform(2, q=0.95)
     with mock.patch.object(privacy_audit, "argmin_rows", jumping(argmin_rows, lambda x: x + 1e12)):
-        got = forced_difference_run(pair, W, sched, cfg, seed=11)
+        got = audit_one(pair, W, sched, cfg.alpha, seed=11)
 
     def jump(result):
         return ArgminResult(x=result.x + 1e12, kkt_residual=result.kkt_residual)
@@ -371,16 +381,15 @@ def test_divergence_break_matches_the_per_round_reference(sym2):
     )
 
 
-def assert_batch_matches_one_schedule_audits(pair, W, schedules, cfg, seed):
+def assert_batch_matches_one_schedule_audits(pair, W, schedules, alpha, seed):
     """Audit the schedules as one batch; each entry equals that schedule audited alone."""
-    batch = forced_difference_run(pair, W, schedules, cfg, seed)
+    batch = forced_difference_run(pair, W, schedules, alpha, seed)
     assert len(batch) == len(schedules)
     for sched, got in zip(schedules, batch):
+        alone = audit_one(pair, W, sched, alpha, seed)
         if isinstance(got, InadmissibleDecayError):
-            with pytest.raises(InadmissibleDecayError):
-                forced_difference_run(pair, W, sched, cfg, seed)
+            assert isinstance(alone, InadmissibleDecayError)
         else:
-            alone = forced_difference_run(pair, W, sched, cfg, seed)
             assert report_bytes(got) == report_bytes(alone)
     return batch
 
@@ -393,7 +402,7 @@ def test_a_batched_grid_equals_its_one_schedule_audits(sym2, alpha):
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
     schedules = [NoiseSchedule.uniform(2, d_zeta=dz, q=q) for dz, q in GRID]
-    batch = assert_batch_matches_one_schedule_audits(pair, W, schedules, RunConfig(alpha, 1), 11)
+    batch = assert_batch_matches_one_schedule_audits(pair, W, schedules, alpha, 11)
     assert all(isinstance(report, AuditReport) for report in batch)
 
 
@@ -402,7 +411,7 @@ def test_a_batched_nondiagonal_grid_equals_its_one_schedule_audits():
     inst, W = nondiagonal3()
     pair = make_adjacent_pair(inst, 1, 1.0, [0.3, -0.4])
     schedules = [NoiseSchedule.uniform(3, d_zeta=dz, q=q) for dz in (0.7, 2.0) for q in (0.9, 0.95)]
-    batch = assert_batch_matches_one_schedule_audits(pair, W.W, schedules, RunConfig(0.1, 1), 3)
+    batch = assert_batch_matches_one_schedule_audits(pair, W.W, schedules, 0.1, 3)
     assert all(isinstance(report, AuditReport) for report in batch)
 
 
@@ -417,7 +426,7 @@ def test_a_batched_grid_mixing_inadmissible_points_and_measured_rounds(sym2):
         NoiseSchedule.uniform(2, q=0.3),
         NoiseSchedule.uniform(2, q=0.601),  # K = HORIZON_CAP
     ]
-    batch = assert_batch_matches_one_schedule_audits(pair, W, schedules, RunConfig(0.45, 1), 5)
+    batch = assert_batch_matches_one_schedule_audits(pair, W, schedules, 0.45, 5)
     admissible = [isinstance(report, AuditReport) for report in batch]
     assert admissible == [False, True, True, False, True]
     reports = [report for report in batch if isinstance(report, AuditReport)]
@@ -431,9 +440,8 @@ def test_a_jump_in_one_rows_shifted_solve_changes_that_point_alone(sym2):
     audit whose solve jumps there, and every other point's is unchanged."""
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
-    cfg = RunConfig(alpha=0.9, iters=1)
     schedules = [NoiseSchedule.uniform(2, d_zeta=dz, q=q) for dz, q in GRID]
-    plain = [forced_difference_run(pair, W, sched, cfg, seed=11) for sched in schedules]
+    plain = [audit_one(pair, W, sched, 0.9, seed=11) for sched in schedules]
 
     def jump_row_4(x):
         x = x.copy()
@@ -441,9 +449,9 @@ def test_a_jump_in_one_rows_shifted_solve_changes_that_point_alone(sym2):
         return x
 
     with mock.patch.object(privacy_audit, "argmin_rows", jumping(argmin_rows, jump_row_4)):
-        batch = forced_difference_run(pair, W, schedules, cfg, seed=11)
+        batch = forced_difference_run(pair, W, schedules, 0.9, seed=11)
     with mock.patch.object(privacy_audit, "argmin_rows", jumping(argmin_rows, lambda x: x + 1e12)):
-        alone = forced_difference_run(pair, W, schedules[4], cfg, seed=11)
+        alone = audit_one(pair, W, schedules[4], 0.9, seed=11)
     assert alone.bound_violations > plain[4].bound_violations
     for g, report in enumerate(batch):
         assert report_bytes(report) == report_bytes(alone if g == 4 else plain[g])
@@ -465,7 +473,7 @@ def test_base_run_diverging_after_the_measured_rounds_completes_the_audit():
     pair = make_adjacent_pair(inst, 0, 1.0)
     cfg = RunConfig(alpha=1.0, iters=1)
     sched = NoiseSchedule.uniform(2, q=0.11)
-    report = forced_difference_run(pair, W, sched, cfg, seed=0)
+    report = audit_one(pair, W, sched, cfg.alpha, seed=0)
     assert report.horizon == 476
     measured = np.flatnonzero(report.delta_eta_norms)
     assert 0 < measured[-1] < 15

@@ -6,8 +6,9 @@ free_converge reaches relative error 1e-8. These tests rerun both configs,
 built by bench/workloads.py, through the CLI and compare; they also pin the
 seed-0 audit_grid invocation's audit.csv and `dmtrack bounds` stdout on the
 mc_noisy config, and the stdout and audit.csv of single-point `dmtrack
-audit` runs and of a grid audit of hand_kkt's second agent, whose digests
-live here. They only read bench/.
+audit` runs, of a grid audit of hand_kkt's second agent and of `bounds`,
+`sweep` and `audit` on hand_kkt under a non-default audit section, whose
+digests live here. They only read bench/.
 """
 
 import hashlib
@@ -72,8 +73,12 @@ def test_microgrid14_bounds_stdout_is_pinned(workloads, tmp_path, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == MICROGRID14_BOUNDS_SHA256
 
 
-def _audit(tmp_path, capsys, preset, extra_args):
-    """(exit code, sha256 of stdout, sha256 of audit.csv) of `dmtrack audit` with q = 0.95."""
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+def _cli(tmp_path, capsys, preset, argv, **sections):
+    """(exit code, stdout) of `dmtrack ARGV --config C` on a q = 0.95 config of `preset`."""
     config = {
         "problem": {"preset": preset},
         "algorithm": {"alpha": {"frac_of_t1": 0.9}, "iters": 1},
@@ -81,14 +86,20 @@ def _audit(tmp_path, capsys, preset, extra_args):
         "trials": 1,
         "seed": 20230814,
         "output": str(tmp_path / "out"),
+        **sections,
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     capsys.readouterr()
-    code = cli.main(["audit", "--config", str(path), *extra_args])
-    stdout = capsys.readouterr().out
-    csv_digest = hashlib.sha256((tmp_path / "out" / "audit.csv").read_bytes()).hexdigest()
-    return code, hashlib.sha256(stdout.encode()).hexdigest(), csv_digest
+    code = cli.main([argv[0], "--config", str(path), *argv[1:]])
+    return code, capsys.readouterr().out
+
+
+def _audit(tmp_path, capsys, preset, extra_args, **sections):
+    """(exit code, sha256 of stdout, sha256 of audit.csv) of `dmtrack audit` with q = 0.95."""
+    code, stdout = _cli(tmp_path, capsys, preset, ["audit", *extra_args], **sections)
+    csv_digest = _sha256((tmp_path / "out" / "audit.csv").read_bytes())
+    return code, _sha256(stdout.encode()), csv_digest
 
 
 # (exit code, stdout sha256, audit.csv sha256) of single-point audits: the
@@ -137,3 +148,42 @@ HAND_KKT_AGENT1_GRID_SHA256 = (
 def test_hand_kkt_agent1_grid_audit_outputs_are_pinned(tmp_path, capsys):
     digests = _audit(tmp_path, capsys, "hand_kkt", ("--grid", "--agent", "1"))
     assert digests == HAND_KKT_AGENT1_GRID_SHA256
+
+
+# A non-default audit section on hand_kkt: the paths that read it are
+# `bounds` (the audited agent's q and epsilons), the privacy columns of
+# `sweep.csv` and a single-point audit
+HAND_KKT_AUDIT = {"i0": 1, "delta": 0.5, "delta_prime": 0.2}
+HAND_KKT_AUDIT_SHA256 = {
+    "bounds": (0, "3251c58f30741c318482ca2d9e1768a4007bc47730b975e280622bcc6f06201d"),
+    "sweep": (
+        0,
+        "df8959f0aab8b68e97c9de4cd034f2c415addd62de9ae2020bb4904c3a8b5f88",
+        "a3bdff5d30a8bd034121141eee0d2c7417323e5951b6c8434d99549e64912d4a",
+    ),
+    "audit": (
+        0,
+        "441936d6b462cc82aff2ed77aa91606df7c0c27cbadedcfb7151ac530846ddd1",
+        "36ba14960aabdd56d350d79a86665bd74d4bb55be522716f0d149f6b8d39af57",
+    ),
+}
+
+
+def test_hand_kkt_bounds_under_an_audit_section_are_pinned(tmp_path, capsys):
+    code, stdout = _cli(tmp_path, capsys, "hand_kkt", ["bounds"], audit=HAND_KKT_AUDIT)
+    assert (code, _sha256(stdout.encode())) == HAND_KKT_AUDIT_SHA256["bounds"]
+
+
+def test_hand_kkt_sweep_under_an_audit_section_is_pinned(tmp_path, capsys):
+    code, stdout = _cli(
+        tmp_path, capsys, "hand_kkt", ["sweep", "--param", "q", "--values", "0.95,0.98"],
+        algorithm={"alpha": {"frac_of_t1": 0.9}, "iters": 300}, trials=2, audit=HAND_KKT_AUDIT,
+    )
+    sweep_csv = (tmp_path / "out" / "sweep.csv").read_bytes()
+    digests = code, _sha256(stdout.encode()), _sha256(sweep_csv)
+    assert digests == HAND_KKT_AUDIT_SHA256["sweep"]
+
+
+def test_hand_kkt_single_point_audit_under_an_audit_section_is_pinned(tmp_path, capsys):
+    digests = _audit(tmp_path, capsys, "hand_kkt", (), audit=HAND_KKT_AUDIT)
+    assert digests == HAND_KKT_AUDIT_SHA256["audit"]
