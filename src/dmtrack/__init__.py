@@ -32,7 +32,6 @@ from .privacy_audit import (
     AuditReport,
     forced_difference_run,
     make_adjacent_pair,
-    sweep_epsilon,
 )
 from .problem import (
     AgentSpec,
@@ -109,7 +108,6 @@ __all__ = [
     "spectral_gap",
     "stepsize_bounds",
     "sweep",
-    "sweep_epsilon",
     "theory_constants",
     "verify_against_grid",
 ]

@@ -21,18 +21,27 @@ of recorded rounds at a time, by `_metrics`, which treats each (round, trial)
 row as one more trial: the values are bit-identical to evaluating them at
 every recorded round. Masks come only from `noise.iter_masks` and are not kept:
 a run's masks are `noise.draw_rounds(schedule, range(iters), seeds, m)`.
+
+`_round_kernel` builds the round once per run: for m = 1 both maps are one
+product with A, a diagonal cost calls the closed form directly, and per-agent
+constants are stacked to the batch shape. Only arrays that W @ z made in the
+same round are updated in place, so states held for the metrics never change.
+One dot of mu and y tests a round for finiteness, and `iter_masks` supplies
+the running tracker-mask total the tracking residual needs.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
 from typing import Optional
 
 import numpy as np
 
 from .errors import SolverFailure
-from .local_solver import solve_all_from_c
+from .local_solver import diagonal_argmin, solve_all_from_c
 from .noise import iter_masks
 
 # Recorded (round, trial) rows whose states are held until their metrics are
@@ -118,19 +127,40 @@ def init_state(instance, config):
     return EngineState(mu=mu0, x=x0, y=y0, round=0)
 
 
-def _advance(instance, W, alpha, mu, x, y, Ax, eta, zeta):
-    """One synchronous round of a (T, n, .) batch; returns (mu1, x1, y1, Ax1).
+def _round_kernel(instance, W, alpha, trials):
+    """advance(mu, x, y, Ax, eta, zeta) -> (mu1, x1, y1, Ax1), one round of a (trials, n, .)
+    batch; eta and zeta of None mean no masks (adding zeros would change nothing)."""
 
-    eta and zeta of None mean no masks (adding zeros would change nothing).
-    """
-    z_mu = mu if eta is None else mu + eta
-    z_y = y if zeta is None else y + zeta
-    mu1 = W @ z_mu - alpha * y
-    c = np.einsum("imp,tim->tip", instance.A, mu1)
-    x1 = solve_all_from_c(instance, c)
-    Ax1 = np.einsum("imp,tip->tim", instance.A, x1)
-    y1 = W @ z_y + Ax1 - Ax
-    return mu1, x1, y1, Ax1
+    def stacked(a):
+        return np.ascontiguousarray(np.broadcast_to(a, (trials,) + a.shape))
+
+    if instance.m == 1:
+        a = stacked(instance.A[:, :, 0])  # every A_i is 1 x 1, so both maps multiply by it
+
+        def times_A(u):
+            return a * u + 0.0  # adding 0.0, as the einsum's sum does, turns -0.0 into 0.0
+
+        times_At = times_A
+    else:
+        times_At = partial(np.einsum, "imp,tim->tip", instance.A)
+        times_A = partial(np.einsum, "imp,tip->tim", instance.A)
+    if instance.diag is not None:
+        consts = {k: stacked(getattr(instance, k)) for k in ("v", "diag", "lower", "upper")}
+        solve = partial(diagonal_argmin, **consts)
+    else:
+        solve = partial(solve_all_from_c, instance)
+
+    def advance(mu, x, y, Ax, eta, zeta):
+        mu1 = W @ (mu if eta is None else mu + eta)
+        mu1 -= alpha * y
+        x1 = solve(times_At(mu1))
+        Ax1 = times_A(x1)
+        y1 = W @ (y if zeta is None else y + zeta)
+        y1 += Ax1
+        y1 -= Ax
+        return mu1, x1, y1, Ax1
+
+    return advance
 
 
 def fixed_point_residual(state, instance, W):
@@ -204,27 +234,26 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
     y = np.broadcast_to(start.y, (T, n, m)).copy()
     Ax = np.einsum("imp,tip->tim", instance.A, x)
     iters = config.iters
-    alpha = config.alpha
+    advance = _round_kernel(instance, W, config.alpha, T)
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
 
-    masks = (
-        repeat((None, None), iters) if schedule.zero_noise else iter_masks(schedule, seeds, iters, m)
-    )
+    zeta_cum = np.zeros((T, m))
+    no_masks = repeat((None, None, zeta_cum), iters)
+    masks = no_masks if schedule.zero_noise else iter_masks(schedule, seeds, iters, m)
 
     ks = np.arange(0, iters + 1, config.record_every)
     if ks[-1] != iters:
         ks = np.append(ks, iters)
     recorded = np.full((4, T, ks.shape[0]), np.nan)  # mse, consensus, tracking, feasibility
-    zeta_cum = np.zeros((T, m))
     if keep_states:
         states_mu = np.empty((T, iters + 1, n, m))
         states_x = np.empty((T, iters + 1, n, p))
         states_mu[:, 0], states_x[:, 0] = mu, x
 
     # (mu, x, y, Ax, zeta_cum) of recorded rounds whose metrics are not yet
-    # computed; _advance returns fresh arrays and zeta_cum is never updated in
-    # place, so holding references copies nothing
+    # computed; advance returns fresh arrays and iter_masks a fresh running
+    # total, so holding references copies nothing
     pending = [(mu, x, y, Ax, zeta_cum)]
     per_block = max(1, MAX_METRIC_ROWS // T)
 
@@ -242,30 +271,32 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
     # metrics of huge but finite states may overflow, so they are computed
     # under the same errstate as the rounds
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (eta, zeta) in enumerate(masks):
+        for k, (eta, zeta, zeta_sum) in enumerate(masks):
             if diverged and eta is not None:
                 eta, zeta = eta[alive], zeta[alive]
             try:
-                mu, x, y, Ax = _advance(instance, W, alpha, mu, x, y, Ax, eta, zeta)
+                mu, x, y, Ax = advance(mu, x, y, Ax, eta, zeta)
             except SolverFailure as exc:
                 raise SolverFailure(
                     f"round {k}: {exc}", trials=[int(alive[t]) for t in exc.trials]
                 ) from exc
-            # every A_i is square and invertible, so a non-finite x makes A x,
-            # and with it y, non-finite in the same round: mu and y suffice
-            if not (np.isfinite(mu).all() and np.isfinite(y).all()):
+            # every A_i is square and invertible, so a non-finite x makes y
+            # non-finite in the same round. A finite dot proves mu and y finite
+            # (inf * 0 is nan); finite states can overflow it, hence the recheck
+            if not math.isfinite(np.vdot(mu, y)):
                 ok = np.isfinite(mu).all(axis=(1, 2)) & np.isfinite(x).all(axis=(1, 2))
                 ok &= np.isfinite(y).all(axis=(1, 2))
-                diverged += [int(t) for t in alive[~ok]]
-                diverged_at = diverged_at or k + 1
-                alive = alive[ok]
-                mu, x, y, Ax = mu[ok], x[ok], y[ok], Ax[ok]
-                if not alive.size:
-                    break
+                if not ok.all():
+                    diverged += [int(t) for t in alive[~ok]]
+                    diverged_at = diverged_at or k + 1
+                    alive = alive[ok]
+                    mu, x, y, Ax = mu[ok], x[ok], y[ok], Ax[ok]
+                    if not alive.size:
+                        break
+                    advance = _round_kernel(instance, W, config.alpha, alive.size)
             if diverged:
                 continue  # the run fails; only look for further divergent trials
-            if zeta is not None:
-                zeta_cum = zeta_cum + zeta.sum(axis=1)
+            zeta_cum = zeta_sum
             if keep_states:
                 states_mu[:, k + 1], states_x[:, k + 1] = mu, x
             if k + 1 == ks[r + 1]:

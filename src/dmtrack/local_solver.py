@@ -47,7 +47,7 @@ def _kkt_violation(grad, x, lo, hi):
 
 def diagonal_argmin(c, v, diag, lower, upper):
     """The exact minimizer for diagonal U, coordinatewise and broadcasting over stacked c."""
-    return np.clip((c - v) / diag, lower, upper)
+    return np.minimum(np.maximum((c - v) / diag, lower), upper)
 
 
 def argmin_rows(cost, box, c):

@@ -23,7 +23,9 @@ evaluation order and of how many trials run together.
 trial of a batch for a chunk of rounds in one call (`iter_masks`). A chunk
 holds at most MAX_CHUNK_BLOCKS blocks, which keeps its buffers independent
 of the number of trials times the number of rounds. No mask is stored:
-`draw_rounds` regenerates the masks of any rounds of any run.
+`draw_rounds` regenerates the masks of any rounds of any run. With each round
+`iter_masks` also yields the running total of the tracker masks, which it
+accumulates once per chunk.
 """
 
 from __future__ import annotations
@@ -229,9 +231,14 @@ def chunk_rounds(trials, n, m):
 
 
 def iter_masks(schedule, seeds, iters, m):
-    """(eta, zeta) of rounds 0..iters-1, each (S, n, m), generated a chunk of rounds at a time."""
+    """(eta, zeta, zeta_sum) of rounds k = 0..iters-1, generated a chunk of rounds at a time:
+    eta, zeta are (S, n, m) and zeta_sum (S, m) is sum_{t<=k} sum_i zeta_i(t)."""
     step = chunk_rounds(len(seeds), schedule.n, m)
     keys = _seed_keys(seeds)
+    carry = np.zeros((len(seeds), m))
     for k0 in range(0, iters, step):
         eta, zeta = draw_rounds(schedule, range(k0, min(k0 + step, iters)), seeds, m, keys=keys)
-        yield from zip(eta, zeta)
+        sums = zeta.sum(axis=2)
+        sums[0] += carry  # carry + s_0, then + s_1, ...: the order of per-round updates
+        carry = np.add.accumulate(sums, axis=0, out=sums)[-1]
+        yield from zip(eta, zeta, sums)

@@ -338,15 +338,3 @@ def monotone_flags(rows):
         "monotone_in_q": nonincreasing("q", "d_zeta"),
     }
 
-
-def sweep_epsilon(pair, W, schedule, d_zeta_values, q_values, alpha, seed, horizon=None):
-    """Audit `schedule` at every (d_zeta, q) grid point; inadmissible points are marked.
-
-    Returns (rows, flags): rows are audit_row dicts with keys d_zeta, q,
-    eps_empirical, eps_theory, eps_star, admissible, violations; flags are
-    monotone_flags(rows).
-    """
-    schedules = grid_schedules(schedule, d_zeta_values, q_values)
-    reports = forced_difference_run(pair, W, schedules, alpha, seed, horizon=horizon)
-    rows = [audit_row(pair.i0, sched, report) for sched, report in zip(schedules, reports)]
-    return rows, monotone_flags(rows)

@@ -34,18 +34,23 @@ _GRID = 2048
 
 
 def contraction_C(alpha, phi_under, L_bar, A_norm, lamAA_min):
-    """Contraction factor; < 1 exactly when 0 < alpha < 2 phi^2 / (L ||A||^2)."""
-    if alpha < 0:
+    """Contraction factor, elementwise for an array of alphas; < 1 exactly when
+    0 < alpha < 2 phi^2 / (L ||A||^2)."""
+    alpha = np.asarray(alpha, dtype=float)
+    if np.any(alpha < 0):
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if min(phi_under, L_bar, A_norm, lamAA_min) <= 0:
         raise ValueError("moduli must be positive")
-    radicand = 1.0 + (A_norm**2 * alpha**2 / phi_under**2 - 2.0 * alpha / L_bar) * lamAA_min
-    if radicand < 0:
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite alpha gives nan, quietly
+        radicand = 1.0 + (A_norm**2 * alpha**2 / phi_under**2 - 2.0 * alpha / L_bar) * lamAA_min
+    if np.any(radicand < 0):
+        bad = np.argmin(radicand)
         raise ValueError(
-            f"contraction radicand is negative ({radicand:.3e}) at alpha={alpha:g}; "
-            "the stepsize is far outside the admissible range"
+            f"contraction radicand is negative ({radicand.flat[bad]:.3e}) at alpha="
+            f"{alpha.flat[bad]:g}; the stepsize is far outside the admissible range"
         )
-    return math.sqrt(radicand)
+    C = np.sqrt(radicand)
+    return float(C) if C.ndim == 0 else C
 
 
 class StepsizeBounds(NamedTuple):
@@ -55,28 +60,25 @@ class StepsizeBounds(NamedTuple):
 
 
 def _second_stage_ok(alpha, mod, lambda_bar, r):
-    """Both implicit stepsize clauses at a given alpha (first-stage cap assumed)."""
+    """Both implicit stepsize clauses at a given alpha, or elementwise at an array of
+    alphas (first-stage cap assumed)."""
     C = contraction_C(alpha, mod.phi_under, mod.L_bar, mod.A_norm, mod.lamAA_min)
     one_minus = 1.0 - C
     rhs = (
         mod.phi_under
-        * (-one_minus + math.sqrt(one_minus**2 + 2.0 * one_minus * (1.0 - lambda_bar) ** 2))
+        * (-one_minus + np.sqrt(one_minus**2 + 2.0 * one_minus * (1.0 - lambda_bar) ** 2))
         / (2.0 * mod.A_norm)
     )
-    if not alpha < rhs:
-        return False
+    ok = alpha < rhs
     if r is not None:
         # the rate certificate only applies for r above both contraction
         # factors; below them the product test can pass vacuously by a
         # double sign flip
-        if not (r > C and r > lambda_bar):
-            return False
         lhs = ((r - C) * mod.phi_under / (alpha * mod.A_norm)) * (
             (r - lambda_bar) ** 2 * mod.phi_under / (2.0 * alpha * mod.A_norm) - 1.0
         )
-        if not lhs > 1.0:
-            return False
-    return True
+        ok &= (r > C) & (r > lambda_bar) & (lhs > 1.0)
+    return ok
 
 
 def stepsize_bounds(mod, lambda_bar, r=None):
@@ -92,10 +94,10 @@ def stepsize_bounds(mod, lambda_bar, r=None):
         raise ValueError(f"lambda_bar must be in [0, 1), got {lambda_bar}")
     t1 = mod.phi_under**2 / (2.0 * mod.A_norm**2 * mod.L_bar)
     xs = np.linspace(t1 / _GRID, t1 * (1.0 - 1e-12), _GRID)
-    flags = [_second_stage_ok(a, mod, lambda_bar, r) for a in xs]
-    if not any(flags):
+    passing = np.flatnonzero(_second_stage_ok(xs, mod, lambda_bar, r))
+    if not passing.size:
         return StepsizeBounds(t1, 0.0, False)
-    last = max(i for i, f in enumerate(flags) if f)
+    last = int(passing[-1])
     if last == len(xs) - 1:
         # admissible all the way to the open first-stage cap
         return StepsizeBounds(t1, t1, True)

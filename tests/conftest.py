@@ -1,7 +1,8 @@
 """Shared fixtures and test helpers. The expensive Monte Carlo artifacts are
 built once per session and reused by both the module tests and the acceptance
 gate. The helpers are independent references for the tests: mask injection,
-mask logs, one stepwise round, and the envelope and smoothness checks."""
+mask logs, one stepwise round, a written-out reference round, the audit grid
+sweep, and the envelope and smoothness checks."""
 
 import time
 from unittest import mock
@@ -12,10 +13,16 @@ import pytest
 from dmtrack import engine
 from dmtrack.engine import EngineState, RunConfig, run
 from dmtrack.harness import PRESETS, ExperimentConfig, sweep
-from dmtrack.local_solver import argmin_local
+from dmtrack.local_solver import argmin_local, solve_all_from_c
 from dmtrack.noise import NoiseSchedule, draw_rounds
 from dmtrack.oracle import solve_dual
-from dmtrack.privacy_audit import make_adjacent_pair, sweep_epsilon
+from dmtrack.privacy_audit import (
+    audit_row,
+    forced_difference_run,
+    grid_schedules,
+    make_adjacent_pair,
+    monotone_flags,
+)
 from dmtrack.problem import moduli
 from dmtrack.theory import stepsize_bounds
 from dmtrack.topology import metropolis_weights
@@ -37,14 +44,19 @@ def inject_masks(eta, zeta=None):
     """Patch the engine to feed the given (T, iters, n, m) masks instead of drawing them.
 
     Only a run whose schedule is not disabled asks for masks, so a test that
-    injects must pass an enabled schedule. zeta defaults to zeros.
+    injects must pass an enabled schedule. zeta defaults to zeros. Like
+    noise.iter_masks, each round comes with the running total of the tracker
+    masks through it, here summed round by round.
     """
     eta = np.asarray(eta, dtype=float)
     zeta = np.zeros_like(eta) if zeta is None else np.asarray(zeta, dtype=float)
 
     def given_masks(schedule, seeds, iters, m):
         assert eta.shape[0] == len(seeds) and eta.shape[1] >= iters, (eta.shape, seeds, iters)
-        return zip(eta.swapaxes(0, 1)[:iters], zeta.swapaxes(0, 1)[:iters])
+        zeta_cum = np.zeros((len(seeds), m))
+        for eta_k, zeta_k in zip(eta.swapaxes(0, 1)[:iters], zeta.swapaxes(0, 1)[:iters]):
+            zeta_cum = zeta_cum + zeta_k.sum(axis=1)
+            yield eta_k, zeta_k, zeta_cum
 
     return mock.patch.object(engine, "iter_masks", given_masks)
 
@@ -57,11 +69,40 @@ def step_once(state, instance, W, alpha, eta=None, zeta=None):
     def batch(a):
         return None if a is None else np.asarray(a, dtype=float)[None]
 
-    mu1, x1, y1, _ = engine._advance(
-        instance, W, alpha, state.mu[None], state.x[None], state.y[None], Ax[None],
-        batch(eta), batch(zeta),
+    advance = engine._round_kernel(instance, W, alpha, 1)
+    mu1, x1, y1, _ = advance(
+        state.mu[None], state.x[None], state.y[None], Ax[None], batch(eta), batch(zeta)
     )
     return EngineState(mu=mu1[0], x=x1[0], y=y1[0], round=state.round + 1)
+
+
+def reference_round(instance, W, alpha, mu, x, y, Ax, eta=None, zeta=None):
+    """One round of a (T, n, .) batch written out as the recursion reads, for comparing
+    the engine's kernel against: the einsum maps, then np.clip or solve_all_from_c."""
+    z_mu = mu if eta is None else mu + eta
+    z_y = y if zeta is None else y + zeta
+    mu1 = W @ z_mu - alpha * y
+    c = np.einsum("imp,tim->tip", instance.A, mu1)
+    if instance.diag is not None:
+        x1 = np.clip((c - instance.v) / instance.diag, instance.lower, instance.upper)
+    else:
+        x1 = solve_all_from_c(instance, c)
+    Ax1 = np.einsum("imp,tip->tim", instance.A, x1)
+    y1 = W @ z_y + Ax1 - Ax
+    return mu1, x1, y1, Ax1
+
+
+def sweep_epsilon(pair, W, schedule, d_zeta_values, q_values, alpha, seed, horizon=None):
+    """Audit `schedule` at every (d_zeta, q) grid point; inadmissible points are marked.
+
+    Returns (rows, flags): rows are audit_row dicts with keys d_zeta, q,
+    eps_empirical, eps_theory, eps_star, admissible, violations; flags are
+    monotone_flags(rows).
+    """
+    schedules = grid_schedules(schedule, d_zeta_values, q_values)
+    reports = forced_difference_run(pair, W, schedules, alpha, seed, horizon=horizon)
+    rows = [audit_row(pair.i0, sched, report) for sched, report in zip(schedules, reports)]
+    return rows, monotone_flags(rows)
 
 
 def eta_bound_check(report, alpha, delta, A_norm, tau1, tau2, slack=1e-9):

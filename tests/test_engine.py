@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dmtrack import engine, noise
 from dmtrack.engine import EngineState, RunConfig, fixed_point_residual, init_state, run
@@ -16,7 +17,7 @@ from dmtrack.oracle import solve_dual
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
 from dmtrack.topology import metropolis_weights, ring_plus_random
 
-from conftest import inject_masks, mask_log, step_once
+from conftest import inject_masks, mask_log, reference_round, step_once
 
 
 def single_agent_instance(d=0.0, lo=-10.0, hi=10.0):
@@ -109,6 +110,64 @@ def test_zero_stepsize_freezes_dual_at_mixing():
     nxt = step_once(st, inst, W, cfg.alpha)
     assert np.allclose(nxt.mu, W.W @ mu0, atol=1e-15)
     assert np.allclose(nxt.x, solve_all(inst, nxt.mu), atol=1e-15)
+
+
+# Box bounds of the kernel test. -0.0 is left out: where x ties a -0.0 bound,
+# np.clip itself returns the zero of either sign depending on the operands'
+# shapes, so no single reference exists there.
+BOUNDS = (-np.inf, -2.0, -0.5, 0.0, 0.5, 2.0, np.inf)
+
+
+@settings(
+    max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+)
+@given(
+    data=st.data(),
+    m=st.sampled_from([1, 2]),
+    diagonal=st.booleans(),
+    trials=st.sampled_from([1, 3]),
+    masked=st.booleans(),
+)
+def test_round_kernel_matches_written_out_round(data, m, diagonal, trials, masked):
+    """One round of the engine's kernel equals the written-out round bit for bit:
+    the broadcast maps for m = 1, min/max for np.clip and the in-place updates
+    change no bit, zeros of either sign and non-finite entries included."""
+    assume(diagonal or m > 1)  # a 1 x 1 U is always diagonal
+    n = data.draw(st.integers(1, 4), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    agents = []
+    for _ in range(n):
+        B = rng.normal(size=(m, m))
+        U = np.diag(rng.uniform(0.5, 3.0, size=m)) if diagonal else B @ B.T + 2.0 * np.eye(m)
+        lo = data.draw(st.lists(st.sampled_from(BOUNDS), min_size=m, max_size=m), label="lo")
+        hi = [max(a, data.draw(st.sampled_from(BOUNDS), label="hi")) for a in lo]
+        if not diagonal:  # projected gradient needs a bounded box to stop quickly
+            lo, hi = np.clip(lo, -2.0, 0.0), np.clip(hi, 0.0, 2.0)
+        v = data.draw(st.sampled_from([np.zeros(m), rng.normal(size=m)]), label="v")
+        agents.append(
+            AgentSpec(
+                cost=QuadraticCost(U=U, v=v), A=rng.choice([-1.0, 1.0]) * (B + 3.0 * np.eye(m)),
+                d=rng.normal(size=m), box=BoxSet(lower=np.array(lo), upper=np.array(hi)),
+            )
+        )
+    inst = ProblemInstance(agents=tuple(agents))
+    W = rng.uniform(0.0, 1.0, size=(n, n))
+    alpha = data.draw(st.sampled_from([0.0, 0.05, 0.45]), label="alpha")
+
+    values = st.floats(-1e3, 1e3)
+    if diagonal:  # the closed form takes any value; projected gradient needs finite ones
+        values = st.one_of(values, st.sampled_from([np.inf, -np.inf, np.nan]))
+
+    def state(label):
+        return data.draw(arrays(float, (trials, n, m), elements=values), label=label)
+
+    mu, x, y, Ax = (state(label) for label in ("mu", "x", "y", "Ax"))
+    eta, zeta = (state("eta"), state("zeta")) if masked else (None, None)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = engine._round_kernel(inst, W, alpha, trials)(mu, x, y, Ax, eta, zeta)
+        want = reference_round(inst, W, alpha, mu, x, y, Ax, eta, zeta)
+    for name, a, b in zip(("mu", "x", "y", "Ax"), got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_trace_recording_strides():
@@ -383,6 +442,65 @@ def test_every_diverged_trial_is_reported():
         with inject_masks(eta):
             run(inst, W, NoiseSchedule.uniform(2), cfg, [10, 11, 12, 13])
     assert caught.value.trials == [1, 3]
+
+
+def test_infinite_dual_at_a_zero_tracker_is_reported():
+    """The round's finiteness test is one dot of mu and y; an infinite dual at an
+    agent whose tracker is exactly 0 makes it inf * 0 = nan, and is reported."""
+    agent = AgentSpec(
+        cost=QuadraticCost.scalar(1.0), A=np.array([[1.0]]), d=np.array([1.0]),
+        box=BoxSet.interval(1.0, 1.0),  # x stays at 1, so y = A x - d stays 0
+    )
+    inst = ProblemInstance(agents=(agent, agent))
+    W = symmetric2()[1]
+    cfg = RunConfig(alpha=0.45, iters=10)
+    eta = np.zeros((2, 10, 2, 1))
+    eta[1, 4, 0, 0] = np.inf
+    state = step_once(init_state(inst, cfg), inst, W, cfg.alpha, eta[1, 4], np.zeros((2, 1)))
+    assert np.isinf(state.mu).all() and not state.y.any()
+    with pytest.raises(SolverFailure, match=r"^round 5: .*\(trial seeds 31\)$") as caught:
+        with inject_masks(eta):
+            run(inst, W, NoiseSchedule.uniform(2), cfg, [30, 31])
+    assert caught.value.trials == [1]
+
+
+def test_nan_in_the_tracker_alone_is_reported():
+    inst, W = symmetric2()
+    cfg = RunConfig(alpha=0.45, iters=10)
+    zeta = np.zeros((2, 10, 2, 1))
+    zeta[1, 0, 1, 0] = np.nan
+    state = step_once(init_state(inst, cfg), inst, W, cfg.alpha, np.zeros((2, 1)), zeta[1, 0])
+    assert np.isfinite(state.mu).all() and np.isnan(state.y).all()
+    with pytest.raises(SolverFailure, match=r"^round 1: .*\(trial seeds 21\)$") as caught:
+        with inject_masks(np.zeros_like(zeta), zeta):
+            run(inst, W, NoiseSchedule.uniform(2), cfg, [20, 21])
+    assert caught.value.trials == [1]
+
+
+def test_overflowing_dot_of_finite_states_is_not_a_divergence():
+    """Finite states near 1e200 overflow the dot of mu and y every round. That is
+    not a divergence: no warning, and a later divergence keeps its own round."""
+    agent = AgentSpec(
+        cost=QuadraticCost.scalar(0.25), A=np.array([[1.0]]), d=np.array([0.0]),
+        box=BoxSet.interval(-np.inf, np.inf),
+    )
+    inst = ProblemInstance(agents=(agent, agent))
+    W = symmetric2()[1]
+    cfg = RunConfig(alpha=0.1, iters=8, mu0=np.full((2, 1), 1e200))
+    sched = NoiseSchedule.uniform(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with inject_masks(np.zeros((1, 8, 2, 1))):
+            tr = run(inst, W, sched, cfg, 50)
+        final = tr.final_state
+        assert np.isfinite(final.mu).all() and np.isfinite(final.y).all()
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.vdot(final.mu, final.y))
+        eta = np.zeros((2, 8, 2, 1))
+        eta[1, 5, 0, 0] = np.inf
+        with pytest.raises(SolverFailure, match=r"^round 6: .*\(trial seeds 51\)$"):
+            with inject_masks(eta):
+                run(inst, W, sched, cfg, [50, 51])
 
 
 @pytest.mark.parametrize("nondiagonal", [False, True])

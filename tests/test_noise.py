@@ -132,7 +132,8 @@ def test_vectorized_philox_matches_numpy(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
 def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
-    """Masks built a chunk at a time equal the per-round numpy construction."""
+    """Masks built a chunk at a time equal the per-round numpy construction, and the
+    running tracker-mask total equals adding each round's agent sum in turn."""
     n, m = 3, 2  # 12 doubles per round: 3 blocks
     monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 24)
     seeds = [seed, seed + 1]
@@ -145,7 +146,10 @@ def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
     )
     masks = list(iter_masks(schedule, seeds, 10, m))  # chunk boundaries after rounds 3 and 7
     assert len(masks) == 10
-    for k, (eta, zeta) in enumerate(masks):
+    zeta_cum = np.zeros((len(seeds), m))
+    for k, (eta, zeta, zeta_sum) in enumerate(masks):
+        zeta_cum = zeta_cum + zeta.sum(axis=1)
+        assert zeta_sum.tobytes() == zeta_cum.tobytes()
         for t, s in enumerate(seeds):
             u = numpy_round_uniforms(s, k, (n, 2 * m)) - 0.5
             expect_eta = noise._laplace_from_uniform(

@@ -20,11 +20,10 @@ from dmtrack.privacy_audit import (
     _tail_bound,
     forced_difference_run,
     make_adjacent_pair,
-    sweep_epsilon,
 )
 from dmtrack.theory import epsilon_star, privacy_epsilon, q_interval
 
-from conftest import build_preset, eta_bound_check
+from conftest import build_preset, eta_bound_check, sweep_epsilon
 from test_engine import nondiagonal3
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmtrack import theory
 from dmtrack.errors import InadmissibleDecayError
 from dmtrack.noise import NoiseSchedule
 from dmtrack.problem import Moduli
@@ -37,6 +38,63 @@ def test_contraction_validation():
         # inconsistent moduli (lambda_min above L_bar * ||A||) push the
         # radicand negative
         contraction_C(1.0, 2.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError, match="at alpha=1"):
+        contraction_C(np.array([0.1, 1.0]), 2.0, 1.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        contraction_C(np.array([0.5, -0.1]), *SYM2)
+
+
+def second_stage_reference(alpha, mod, lambda_bar, r):
+    """The second-stage stepsize test at one alpha, in scalar math."""
+    radicand = 1.0 + (
+        mod.A_norm**2 * alpha**2 / mod.phi_under**2 - 2.0 * alpha / mod.L_bar
+    ) * mod.lamAA_min
+    C = math.sqrt(radicand)  # a negative radicand raises ValueError
+    one_minus = 1.0 - C
+    rhs = (
+        mod.phi_under
+        * (-one_minus + math.sqrt(one_minus**2 + 2.0 * one_minus * (1.0 - lambda_bar) ** 2))
+        / (2.0 * mod.A_norm)
+    )
+    if not alpha < rhs:
+        return False
+    if r is None:
+        return True
+    if not (r > C and r > lambda_bar):
+        return False
+    lhs = ((r - C) * mod.phi_under / (alpha * mod.A_norm)) * (
+        (r - lambda_bar) ** 2 * mod.phi_under / (2.0 * alpha * mod.A_norm) - 1.0
+    )
+    return lhs > 1.0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    phi=st.floats(min_value=0.2, max_value=3.0),
+    L_ratio=st.floats(min_value=0.5, max_value=4.0),  # below 1 the radicand can turn negative
+    A=st.floats(min_value=0.2, max_value=2.0),
+    lam_frac=st.floats(min_value=0.05, max_value=1.0),
+    lambda_bar=st.floats(min_value=0.0, max_value=0.999),
+    r_gap=st.one_of(st.none(), st.floats(min_value=1e-4, max_value=0.5)),
+)
+def test_stepsize_scan_flags_match_the_scalar_test(phi, L_ratio, A, lam_frac, lambda_bar, r_gap):
+    """stepsize_bounds evaluates its grid as one array; each flag equals the scalar
+    test at that alpha, and a negative radicand still raises ValueError. Rates
+    r = 1 - r_gap close to 1 are the ones that leave some alphas passing."""
+    r = None if r_gap is None else 1.0 - r_gap
+    mod = Moduli(phi_under=phi, L_bar=phi * L_ratio, A_norm=A, lamAA_min=lam_frac * A**2)
+    t1 = phi**2 / (2.0 * A**2 * mod.L_bar)
+    xs = np.linspace(t1 / theory._GRID, t1 * (1.0 - 1e-12), theory._GRID)
+    try:
+        want = [second_stage_reference(float(a), mod, lambda_bar, r) for a in xs]
+    except ValueError:
+        with pytest.raises(ValueError, match="radicand is negative"):
+            theory._second_stage_ok(xs, mod, lambda_bar, r)
+        with pytest.raises(ValueError):
+            stepsize_bounds(mod, lambda_bar, r)
+        return
+    assert theory._second_stage_ok(xs, mod, lambda_bar, r).tolist() == want
+    assert [bool(theory._second_stage_ok(a, mod, lambda_bar, r)) for a in xs[::97]] == want[::97]
 
 
 @settings(max_examples=80, deadline=None)
