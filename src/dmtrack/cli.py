@@ -31,7 +31,7 @@ from .harness import (
     sweep,
 )
 from .oracle import solve_dual, verify_against_grid
-from .privacy_audit import audit_row, forced_difference_run, monotone_flags
+from .privacy_audit import audit_row, forced_difference_run, grid_schedules, monotone_flags
 from .theory import mse_bounds
 
 
@@ -63,7 +63,7 @@ def _cmd_run(args):
     print(f"bounds            [{summary['mse_bounds']['lower']:.12g}, {summary['mse_bounds']['upper']:.12g}]")
     print(f"bound_contained   {summary['bound_contained']}")
     print(f"tracking_ok       {summary['tracking_ok']} (max residual {summary['max_tracking_residual']:.3e})")
-    print(f"output            {Path(config.raw['output']).resolve()}")
+    print(f"output            {Path(config.values['output']).resolve()}")
     return 0 if passed(summary) else 1
 
 
@@ -104,12 +104,16 @@ def _write_audit(outdir, rows):
 
 def _cmd_audit(args):
     config = _load_config(args)
+    v = config.values
     mat = materialize(config)
-    outdir = Path(config.raw["output"])
+    outdir = Path(v["output"])
     outdir.mkdir(parents=True, exist_ok=True)
 
-    schedules = mat.grid if args.grid else [mat.schedule]
-    reports = forced_difference_run(mat.pair, mat.W, schedules, mat.alpha, mat.seed, mat.horizon)
+    schedules = [mat.schedule]
+    if args.grid:
+        schedules = grid_schedules(mat.schedule, v["audit.grid.d_zeta"], v["audit.grid.q"])
+    horizon = v["audit.horizon"]
+    reports = forced_difference_run(mat.pair, mat.W, schedules, mat.alpha, v["seed"], horizon)
     if not args.grid and isinstance(reports[0], InadmissibleDecayError):
         print(f"inadmissible: {reports[0]}", file=sys.stderr)
         return 1

@@ -1,10 +1,13 @@
 """Experiment presets, config ingestion, and Monte Carlo orchestration.
 
 Configs are single JSON documents with five sections (problem, graph,
-algorithm, noise, audit) plus trials/seed/output. Validation is strict:
-unknown keys anywhere are rejected before any computation starts, so a typo
-cannot silently fall back to a default. All randomness flows from the one
-master seed; trial t uses seed + t.
+algorithm, noise, audit) plus trials/seed/output. One table, SCHEMA, gives
+each dotted key its kind (type and range) and default; the sections and
+their required keys follow from it. Validation is strict: unknown keys
+anywhere are rejected before any computation starts, so a typo cannot
+silently fall back to a default. materialize and the runs read the resolved
+values, ExperimentConfig.values, by dotted key. All randomness flows from
+the one master seed; trial t uses seed + t.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .engine import RunConfig, run
 from .errors import ConfigError, InadmissibleDecayError, SolverFailure
 from .noise import NoiseSchedule
 from .oracle import solve_dual
-from .privacy_audit import AdjacentPair, grid_schedules, make_adjacent_pair
+from .privacy_audit import AdjacentPair, make_adjacent_pair
 from .problem import AgentSpec, BoxSet, Moduli, ProblemInstance, QuadraticCost, moduli
 from .theory import (
     StepsizeBounds,
@@ -37,10 +40,6 @@ from .theory import (
     theory_constants,
 )
 from .topology import Graph, metropolis_weights, ring_plus_random
-
-TERMINAL_WINDOW_DEFAULT = 0.1
-AUDIT_GRID_D_ZETA = (0.5, 1.0, 2.0)
-AUDIT_GRID_Q = (0.95, 0.98, 0.99)
 
 
 # ---------------------------------------------------------------- presets
@@ -102,6 +101,105 @@ PRESETS = {
 
 # ------------------------------------------------------------ config schema
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _kind(text, test):
+    """The check that a value passes `test`; each range test is written so that NaN fails it."""
+
+    def check(value, key):
+        if not test(value):
+            raise ConfigError(f"{key} must be {text}, got {value!r}")
+
+    return check
+
+
+def _each(kind, nonempty_list=False):
+    """`kind` on a scalar or on every entry of a list; with nonempty_list, only a nonempty list."""
+
+    def check(value, key):
+        if nonempty_list and not (isinstance(value, list) and value):
+            raise ConfigError(f"{key} must be a nonempty list, got {value!r}")
+        if isinstance(value, list):
+            for i, entry in enumerate(value):
+                kind(entry, f"{key}[{i}]")
+        else:
+            kind(value, key)
+
+    return check
+
+
+_positive_int = _kind("a positive integer", lambda v: _is_int(v) and v >= 1)
+_count = _kind("a nonnegative integer", lambda v: _is_int(v) and v >= 0)
+_scale = _kind("a finite nonnegative number", lambda v: _is_real(v) and 0 <= v < math.inf)
+_decay = _kind("a number strictly in (0, 1)", lambda v: _is_real(v) and 0 < v < 1)
+
+
+def _stepsize(value, key):
+    """A nonnegative alpha, or {"frac_of_t1" | "frac_of_t2": f}: f times that stepsize bound."""
+    if not isinstance(value, dict):
+        _kind("a nonnegative number", lambda v: _is_real(v) and v >= 0)(value, key)
+        return
+    _check_keys(value, allowed=("frac_of_t1", "frac_of_t2"), required=(), where=key)
+    if len(value) != 1:
+        raise ConfigError(f"{key} needs exactly one of frac_of_t1 / frac_of_t2")
+    [(name, frac)] = value.items()
+    _kind("a positive number", lambda v: _is_real(v) and v > 0)(frac, f"{key}.{name}")
+
+
+REQUIRED = object()  # the default of a key that every config sets
+
+
+class _Same(NamedTuple):
+    """A default that is the value of another key."""
+
+    key: str
+
+
+# Each dotted key's kind (its type and range) and default. The sections and
+# their keys follow from the dotted keys; every section outside
+# OPTIONAL_SECTIONS must be present.
+SCHEMA = {
+    "problem.preset": (
+        _kind(f"one of {sorted(PRESETS)}", lambda v: isinstance(v, str) and v in PRESETS), REQUIRED
+    ),
+    "graph.extra_edges": (_count, None),  # None keeps the preset's graph; else a re-drawn ring
+    "graph.seed": (_count, 0),
+    "algorithm.alpha": (_stepsize, REQUIRED),
+    "algorithm.iters": (_positive_int, REQUIRED),
+    "algorithm.record_every": (_positive_int, 1),
+    "algorithm.terminal_window": (
+        _kind("a number in (0, 1]", lambda v: _is_real(v) and 0 < v <= 1), 0.1
+    ),
+    "noise.enabled": (_kind("a boolean", lambda v: isinstance(v, bool)), True),
+    "noise.d_eta": (_each(_scale), 1.0),
+    "noise.d_zeta": (_each(_scale), 1.0),
+    "noise.q": (_each(_decay), 0.98),
+    "noise.q_eta": (_each(_decay), _Same("noise.q")),
+    "noise.q_zeta": (_each(_decay), _Same("noise.q")),
+    "audit.i0": (_count, 0),
+    "audit.delta": (
+        _kind("a positive finite number", lambda v: _is_real(v) and 0 < v < math.inf), 1.0
+    ),
+    # None: delta/2 in coordinate 0
+    "audit.delta_prime": (_each(_kind("a number", _is_real)), None),
+    "audit.horizon": (_positive_int, None),  # None picks it from the tail bound
+    "audit.grid.d_zeta": (_each(_scale, nonempty_list=True), (0.5, 1.0, 2.0)),
+    "audit.grid.q": (_each(_decay, nonempty_list=True), (0.95, 0.98, 0.99)),
+    "trials": (_positive_int, REQUIRED),
+    "seed": (_kind("an integer in [0, 2^63)", lambda v: _is_int(v) and 0 <= v < 2**63), REQUIRED),
+    "output": (
+        _kind("a nonempty path string", lambda v: isinstance(v, str) and v != ""), REQUIRED
+    ),
+}
+OPTIONAL_SECTIONS = ("graph", "audit", "audit.grid")
+
+
 def _check_keys(section, allowed, required, where):
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object, got {type(section).__name__}")
@@ -113,123 +211,47 @@ def _check_keys(section, allowed, required, where):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def _as_int(value, where, least=1):
-    """`value` if it is an integer (not a bool) of at least `least`, which is 0 or 1."""
-    if not isinstance(value, int) or isinstance(value, bool) or value < least:
-        kind = "positive" if least else "nonnegative"
-        raise ConfigError(f"{where} must be a {kind} integer, got {value!r}")
-    return value
+def _resolve(config):
+    """Check a config dict against SCHEMA; return each key's value or default by dotted key."""
+    values = {}
 
+    def walk(section, prefix):
+        paths = {}  # each key or subsection under prefix, to its dotted path
+        for key in SCHEMA:
+            if key.startswith(prefix):
+                name = key[len(prefix):].split(".")[0]
+                paths[name] = prefix + name
+        required = [
+            name
+            for name, path in paths.items()
+            if (SCHEMA[path][1] is REQUIRED if path in SCHEMA else path not in OPTIONAL_SECTIONS)
+        ]
+        _check_keys(section, paths, required, prefix[:-1] or "config")
+        for name, path in paths.items():
+            if path not in SCHEMA:
+                walk(section.get(name, {}), path + ".")
+                continue
+            kind, default = SCHEMA[path]
+            if name in section:
+                kind(section[name], path)
+            values[path] = section.get(name, default)
 
-def _as_number(value, where):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_scalar_or_list(value, where):
-    if isinstance(value, list):
-        return [_as_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
-    return _as_number(value, where)
+    walk(config, "")
+    return {key: values[v.key] if isinstance(v, _Same) else v for key, v in values.items()}
 
 
 @dataclass(frozen=True, eq=False)
 class ExperimentConfig:
-    """Validated experiment description; `raw` is the canonical dict."""
+    """A validated config: `raw` is the dict as given, which summary.json embeds and
+    config_hash hashes; `values` holds every SCHEMA key, defaults filled in."""
 
     raw: dict
+    values: dict
 
     @classmethod
     def from_dict(cls, d):
-        _check_keys(
-            d,
-            allowed=("problem", "graph", "algorithm", "noise", "audit", "trials", "seed", "output"),
-            required=("problem", "algorithm", "noise", "trials", "seed", "output"),
-            where="config",
-        )
-        _check_keys(d["problem"], allowed=("preset",), required=("preset",), where="problem")
-        if d["problem"]["preset"] not in PRESETS:
-            raise ConfigError(
-                f"problem.preset must be one of {sorted(PRESETS)}, got {d['problem']['preset']!r}"
-            )
-        graph = d.get("graph", {})
-        _check_keys(graph, allowed=("extra_edges", "seed"), required=(), where="graph")
-        for key in ("extra_edges", "seed"):
-            if key in graph:
-                _as_int(graph[key], f"graph.{key}", least=0)
-
-        alg = d["algorithm"]
-        _check_keys(
-            alg,
-            allowed=("alpha", "iters", "record_every", "terminal_window"),
-            required=("alpha", "iters"),
-            where="algorithm",
-        )
-        alpha = alg["alpha"]
-        if isinstance(alpha, dict):
-            _check_keys(alpha, allowed=("frac_of_t1", "frac_of_t2"), required=(), where="algorithm.alpha")
-            if len(alpha) != 1:
-                raise ConfigError("algorithm.alpha needs exactly one of frac_of_t1 / frac_of_t2")
-            frac = _as_number(next(iter(alpha.values())), "algorithm.alpha fraction")
-            if not 0 < frac:
-                raise ConfigError("algorithm.alpha fraction must be positive")
-        else:
-            if _as_number(alpha, "algorithm.alpha") < 0:
-                raise ConfigError("algorithm.alpha must be nonnegative")
-        _as_int(alg["iters"], "algorithm.iters")
-        if "record_every" in alg:
-            _as_int(alg["record_every"], "algorithm.record_every")
-        if "terminal_window" in alg:
-            tw = _as_number(alg["terminal_window"], "algorithm.terminal_window")
-            if not 0 < tw <= 1:
-                raise ConfigError("algorithm.terminal_window must lie in (0, 1]")
-
-        noise = d["noise"]
-        _check_keys(
-            noise,
-            allowed=("enabled", "d_eta", "d_zeta", "q", "q_eta", "q_zeta"),
-            required=(),
-            where="noise",
-        )
-        if "enabled" in noise and not isinstance(noise["enabled"], bool):
-            raise ConfigError("noise.enabled must be a boolean")
-        for key in ("d_eta", "d_zeta", "q", "q_eta", "q_zeta"):
-            if key in noise:
-                _as_scalar_or_list(noise[key], f"noise.{key}")
-
-        if "audit" in d:
-            audit = d["audit"]
-            _check_keys(
-                audit,
-                allowed=("i0", "delta", "delta_prime", "horizon", "grid"),
-                required=(),
-                where="audit",
-            )
-            if "i0" in audit:
-                _as_int(audit["i0"], "audit.i0", least=0)
-            if "delta" in audit and _as_number(audit["delta"], "audit.delta") <= 0:
-                raise ConfigError("audit.delta must be positive")
-            if "delta_prime" in audit:
-                _as_scalar_or_list(audit["delta_prime"], "audit.delta_prime")
-            if "horizon" in audit:
-                _as_int(audit["horizon"], "audit.horizon")
-            if "grid" in audit:
-                _check_keys(audit["grid"], allowed=("d_zeta", "q"), required=(), where="audit.grid")
-                for key in ("d_zeta", "q"):
-                    if key in audit["grid"]:
-                        vals = audit["grid"][key]
-                        if not isinstance(vals, list) or not vals:
-                            raise ConfigError(f"audit.grid.{key} must be a nonempty list")
-                        for i, v in enumerate(vals):
-                            _as_number(v, f"audit.grid.{key}[{i}]")
-
-        _as_int(d["trials"], "trials")
-        seed = d["seed"]
-        if not isinstance(seed, int) or isinstance(seed, bool) or not 0 <= seed < 2**63:
-            raise ConfigError(f"seed must be an integer in [0, 2^63), got {seed!r}")
-        if not isinstance(d["output"], str) or not d["output"]:
-            raise ConfigError("output must be a nonempty path string")
-        return cls(raw=copy.deepcopy(d))
+        raw = copy.deepcopy(d)
+        return cls(raw=raw, values=_resolve(raw))
 
     @classmethod
     def from_file(cls, path):
@@ -261,7 +283,7 @@ class ExperimentConfig:
 
 @dataclass(eq=False)
 class Materialized:
-    """Everything an experiment run needs, resolved from a config."""
+    """What a run derives from its config; the settings themselves are in config.values."""
 
     instance: ProblemInstance
     graph: Graph
@@ -270,15 +292,7 @@ class Materialized:
     alpha: float
     mod: Moduli
     bounds: StepsizeBounds  # stepsize_bounds(mod, W.lambda_bar)
-    iters: int
-    record_every: int
-    terminal_window: float
-    trials: int
-    seed: int
-    output: Path
     pair: AdjacentPair  # the audited agent audit.i0 and its shift
-    horizon: Optional[int]  # audit.horizon; None picks it from the tail bound
-    grid: list  # mat.schedule at each audit.grid point, d_zeta outer, q inner
 
 
 def _per_agent(value, n, where):
@@ -290,76 +304,35 @@ def _per_agent(value, n, where):
     return arr
 
 
-def _build_schedule(noise, n):
-    if not noise.get("enabled", True):
-        return NoiseSchedule.disabled(n)
-    d_eta = _per_agent(noise.get("d_eta", 1.0), n, "noise.d_eta")
-    d_zeta = _per_agent(noise.get("d_zeta", 1.0), n, "noise.d_zeta")
-    q = noise.get("q", 0.98)
-    q_eta = _per_agent(noise.get("q_eta", q), n, "noise.q_eta")
-    q_zeta = _per_agent(noise.get("q_zeta", q), n, "noise.q_zeta")
-    try:
-        return NoiseSchedule(d_eta=d_eta, d_zeta=d_zeta, q_eta=q_eta, q_zeta=q_zeta)
-    except ValueError as exc:
-        raise ConfigError(f"noise: {exc}") from exc
-
-
 def materialize(config):
-    raw = config.raw
-    instance, graph = PRESETS[raw["problem"]["preset"]]()
-    gsec = raw.get("graph", {})
-    if gsec:
-        extra = gsec.get("extra_edges", 0)
-        gseed = gsec.get("seed", 0)
+    v = config.values
+    instance, graph = PRESETS[v["problem.preset"]]()
+    if v["graph.extra_edges"] is not None:
         try:
-            graph = ring_plus_random(instance.n, extra, seed=gseed)
+            graph = ring_plus_random(instance.n, v["graph.extra_edges"], seed=v["graph.seed"])
         except ConfigError as exc:
             raise ConfigError(f"graph: {exc}") from exc
     W = metropolis_weights(graph)
     mod = moduli(instance)
     bounds = stepsize_bounds(mod, W.lambda_bar)
 
-    alg = raw["algorithm"]
-    alpha = alg["alpha"]
+    alpha = v["algorithm.alpha"]
     if isinstance(alpha, dict):
-        key, frac = next(iter(alpha.items()))
+        [(key, frac)] = alpha.items()
         base = bounds.alpha_max_t1 if key == "frac_of_t1" else bounds.alpha_max_t2
         if base <= 0:
             raise ConfigError(f"algorithm.alpha: {key} requested but the bound is {base}")
         alpha = float(frac) * base
-    schedule = _build_schedule(raw["noise"], instance.n)
-    audit = raw.get("audit", {})
+    if v["noise.enabled"]:
+        keys = ("noise.d_eta", "noise.d_zeta", "noise.q_eta", "noise.q_zeta")
+        schedule = NoiseSchedule(*(_per_agent(v[key], instance.n, key) for key in keys))
+    else:
+        schedule = NoiseSchedule.disabled(instance.n)
     try:
-        pair = make_adjacent_pair(
-            instance, audit.get("i0", 0), audit.get("delta", 1.0), audit.get("delta_prime")
-        )
+        pair = make_adjacent_pair(instance, v["audit.i0"], v["audit.delta"], v["audit.delta_prime"])
     except ValueError as exc:  # its message starts with the argument's name
         raise ConfigError(f"audit.{exc}") from exc
-    points = audit.get("grid", {})
-    try:
-        grid = grid_schedules(
-            schedule, points.get("d_zeta", AUDIT_GRID_D_ZETA), points.get("q", AUDIT_GRID_Q)
-        )
-    except ValueError as exc:
-        raise ConfigError(f"audit.grid: no noise schedule takes {points}: {exc}") from exc
-    return Materialized(
-        instance=instance,
-        graph=graph,
-        W=W,
-        schedule=schedule,
-        alpha=float(alpha),
-        mod=mod,
-        bounds=bounds,
-        iters=alg["iters"],
-        record_every=alg.get("record_every", 1),
-        terminal_window=alg.get("terminal_window", TERMINAL_WINDOW_DEFAULT),
-        trials=raw["trials"],
-        seed=raw["seed"],
-        output=Path(raw["output"]),
-        pair=pair,
-        horizon=audit.get("horizon"),
-        grid=grid,
-    )
+    return Materialized(instance, graph, W, schedule, float(alpha), mod, bounds, pair)
 
 
 # ------------------------------------------------------------ experiments
@@ -446,23 +419,25 @@ def passed(summary):
 
 def _run_materialized(config, mat, out_dir):
     t0 = time.perf_counter()
-    outdir = Path(out_dir) if out_dir is not None else mat.output
+    v = config.values
+    iters, trials = v["algorithm.iters"], v["trials"]
+    outdir = Path(out_dir if out_dir is not None else v["output"])
     outdir.mkdir(parents=True, exist_ok=True)
 
     sol = solve_dual(mat.instance)
     constants = constants_or_nan(mat)
     bnds = mse_bounds(mat.schedule, mat.mod, mat.instance.n, mat.instance.m)
-    run_cfg = RunConfig(alpha=mat.alpha, iters=mat.iters, record_every=mat.record_every)
-    seeds = [mat.seed + t for t in range(mat.trials)]
+    run_cfg = RunConfig(alpha=mat.alpha, iters=iters, record_every=v["algorithm.record_every"])
+    seeds = [v["seed"] + t for t in range(trials)]
 
     summary = {
-        "preset": config.raw["problem"]["preset"],
+        "preset": v["problem.preset"],
         "config": config.raw,
         "config_hash": config.config_hash(),
         "alpha": mat.alpha,
-        "iters": mat.iters,
-        "trials": mat.trials,
-        "seed": mat.seed,
+        "iters": iters,
+        "trials": trials,
+        "seed": v["seed"],
         "noise_enabled": mat.schedule.enabled,
         "lambda_bar": mat.W.lambda_bar,
         "constants": constants._asdict(),
@@ -490,13 +465,13 @@ def _run_materialized(config, mat, out_dir):
     mean_cons = np.mean(trace.consensus_mu, axis=0)
     mean_track = np.mean(trace.tracking_residual, axis=0)
     mean_feas = np.mean(trace.feasibility, axis=0)
-    start = mat.iters - max(1, int(round(mat.terminal_window * mat.iters)))
+    start = iters - max(1, int(round(v["algorithm.terminal_window"] * iters)))
     # one mean per trial row: np.mean(axis=1) would sum in another order
     terminal = np.array([np.mean(mse) for mse in trace.mse[:, trace.ks >= start]])
     empirical = float(np.mean(terminal))
     max_track = trace.max_tracking_residual()
 
-    slack = 3.0 / math.sqrt(mat.trials)
+    slack = 3.0 / math.sqrt(trials)
     if bnds.N_zeta == 0.0:
         contained = empirical <= 1e-12
         band = [0.0, 1e-12]
@@ -521,7 +496,10 @@ def _run_materialized(config, mat, out_dir):
     return summary
 
 
-SWEEPABLE = ("d_zeta", "d_eta", "q", "alpha")
+# each sweep parameter, to the config key it sets
+SWEEPABLE = {
+    "d_zeta": "noise.d_zeta", "d_eta": "noise.d_eta", "q": "noise.q", "alpha": "algorithm.alpha"
+}
 
 
 def sweep(config, parameter, values, out_dir=None):
@@ -535,9 +513,9 @@ def sweep(config, parameter, values, out_dir=None):
     subdirectory are rejected before any run.
     """
     if parameter not in SWEEPABLE:
-        raise ConfigError(f"sweep parameter must be one of {SWEEPABLE}, got {parameter!r}")
-    base_out = Path(out_dir) if out_dir is not None else Path(config.raw["output"])
-    key = f"algorithm.{parameter}" if parameter == "alpha" else f"noise.{parameter}"
+        raise ConfigError(f"sweep parameter must be one of {tuple(SWEEPABLE)}, got {parameter!r}")
+    base_out = Path(out_dir if out_dir is not None else config.values["output"])
+    key = SWEEPABLE[parameter]
     values = [float(value) for value in values]
     names = [f"{parameter}_{value:g}" for value in values]
     shared = sorted({name for name in names if names.count(name) > 1})

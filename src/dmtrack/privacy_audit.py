@@ -102,9 +102,10 @@ class AuditReport:
     """Outcome of one forced-difference audit.
 
     delta_eta_norms[k] and delta_zeta_norms[k] hold the 2-norms at round k
-    (entry 0 is the all-zero round). eps_empirical includes the truncation
-    tail. bound_violations counts rounds where the geometric envelope or the
-    per-round conjugate bound failed.
+    (entry 0 is the all-zero round) up to the last measured round; the
+    analytic tail covers the horizon - (len - 1) rounds after it, and
+    eps_empirical includes that tail. bound_violations counts rounds where
+    the geometric envelope or the per-round conjugate bound failed.
     """
 
     eps_empirical: float
@@ -272,7 +273,7 @@ def _audit_points(pair, W, points, alpha, seed):
         # the mask perturbations forcing identical messages are Delta eta = -Delta mu
         # and Delta zeta = -Delta y; the sign drops out of every norm below
         eta = _norms(dmu, 1)
-        eta_norms, zeta_norms = np.zeros((2, K + 1))
+        eta_norms, zeta_norms = np.zeros((2, k_measured[g] + 1))
         eta_norms[rounds] = eta
         zeta_norms[rounds] = _norms(dy, 1)
 

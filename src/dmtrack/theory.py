@@ -148,7 +148,10 @@ def q_interval(alpha, phi_i0, A_i0_norm):
     """
     if alpha <= 0 or phi_i0 <= 0 or A_i0_norm <= 0:
         raise ValueError("alpha, phi, and the coupling norm must be positive")
-    disc = math.sqrt(alpha**2 * A_i0_norm**2 + 4.0 * alpha * phi_i0)
+    try:
+        disc = math.sqrt(alpha**2 * A_i0_norm**2 + 4.0 * alpha * phi_i0)
+    except OverflowError:  # alpha**2 leaves the float range, and q_min with it
+        disc = math.inf
     q_min = (alpha * A_i0_norm**2 + A_i0_norm * disc) / (2.0 * phi_i0)
     tau1 = q_min
     tau2 = (alpha * A_i0_norm**2 - A_i0_norm * disc) / (2.0 * phi_i0)

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -8,7 +10,14 @@ import pytest
 from dmtrack import cli, harness, theory
 from dmtrack.engine import RunConfig, run
 from dmtrack.errors import ConfigError, InadmissibleDecayError
-from dmtrack.harness import ExperimentConfig, _write_trace_csv, materialize, run_experiment, sweep
+from dmtrack.harness import (
+    SCHEMA,
+    ExperimentConfig,
+    _write_trace_csv,
+    materialize,
+    run_experiment,
+    sweep,
+)
 from dmtrack.noise import NoiseSchedule
 from dmtrack.oracle import solve_dual
 from dmtrack.problem import moduli
@@ -33,33 +42,69 @@ def config_dict(out_path, **overrides):
     return d
 
 
-@pytest.mark.parametrize(
-    "path,value,match",
-    [
-        ("bogus_key", 1, "unknown keys"),
-        ("problem.preset", "nope", "preset"),
-        ("algorithm.alpha", -0.1, "nonnegative"),
-        ("algorithm.alpha", {"frac_of_t1": 0.5, "frac_of_t2": 0.5}, "exactly one"),
-        ("algorithm.alpha", {"frac_of_t3": 0.5}, "unknown keys"),
-        ("algorithm.iters", 0, "positive integer"),
-        ("algorithm.record_every", -2, "positive integer"),
-        ("algorithm.terminal_window", 0.0, "terminal_window"),
-        ("algorithm.terminal_window", 1.5, "terminal_window"),
-        ("noise.enabled", "yes", "boolean"),
-        ("noise.q", "high", "number"),
-        ("graph.extra_edges", -1, "extra_edges"),
-        ("graph.seed", -3, "graph.seed"),
-        ("audit.delta", 0.0, "delta"),
-        ("audit.grid.d_zeta", [], "nonempty list"),
-        ("trials", 0, "positive integer"),
-        ("seed", -1, "seed"),
-        ("seed", 2**63, "seed"),
-        ("output", "", "output"),
-    ],
-)
+REJECTIONS = [
+    ("bogus_key", 1, "unknown keys"),
+    ("problem.preset", "nope", "preset"),
+    ("algorithm.alpha", -0.1, "nonnegative"),
+    ("algorithm.alpha", {"frac_of_t1": 0.5, "frac_of_t2": 0.5}, "exactly one"),
+    ("algorithm.alpha", {"frac_of_t3": 0.5}, "unknown keys"),
+    ("algorithm.iters", 0, "positive integer"),
+    ("algorithm.record_every", -2, "positive integer"),
+    ("algorithm.terminal_window", 0.0, "terminal_window"),
+    ("algorithm.terminal_window", 1.5, "terminal_window"),
+    ("noise.enabled", "yes", "boolean"),
+    ("noise.q", "high", "number"),
+    ("graph.extra_edges", -1, "extra_edges"),
+    ("graph.seed", -3, "graph.seed"),
+    ("audit.delta", 0.0, "delta"),
+    ("audit.grid.d_zeta", [], "nonempty list"),
+    ("trials", 0, "positive integer"),
+    ("seed", -1, "seed"),
+    ("seed", 2**63, "seed"),
+    ("output", "", "output"),
+    # one or more rejected inputs for every other SCHEMA key, NaN among them
+    ("graph", 3, "^graph must be an object"),
+    ("algorithm.alpha", math.nan, "^algorithm.alpha must"),
+    ("algorithm.alpha", {"frac_of_t1": 0}, "^algorithm.alpha.frac_of_t1 must be a positive"),
+    ("noise.d_eta", -1.0, "^noise.d_eta must"),
+    ("noise.d_zeta", [1, "a"], r"^noise.d_zeta\[1\] must"),
+    ("noise.q_eta", 1.0, "^noise.q_eta must"),
+    ("noise.q_zeta", [0.5, math.nan], r"^noise.q_zeta\[1\] must"),
+    ("audit.i0", -1, "^audit.i0 must"),
+    ("audit.delta", math.nan, "^audit.delta must"),
+    ("audit.delta_prime", "x", "^audit.delta_prime must"),
+    ("audit.horizon", 0, "^audit.horizon must"),
+    ("audit.grid.q", [1.5], r"^audit.grid.q\[0\] must"),
+]
+
+
+@pytest.mark.parametrize("path,value,match", REJECTIONS)
 def test_config_rejections(tmp_path, path, value, match):
     with pytest.raises(ConfigError, match=match):
         ExperimentConfig.from_dict(config_dict(tmp_path, **{path: value}))
+
+
+def test_every_schema_key_has_a_rejection():
+    assert set(SCHEMA) <= {path for path, _, _ in REJECTIONS}
+
+
+def test_values_fill_every_default_and_leave_raw_as_given(tmp_path):
+    d = config_dict(tmp_path, **{"noise.q": 0.95, "audit.i0": 1})
+    given = json.loads(json.dumps(d))
+    cfg = ExperimentConfig.from_dict(d)
+    assert list(cfg.values) == list(SCHEMA)
+    assert cfg.values["noise.q"] == cfg.values["noise.q_eta"] == cfg.values["noise.q_zeta"] == 0.95
+    assert cfg.values["audit.i0"] == 1 and cfg.values["algorithm.alpha"] == 0.45
+    for key in ("graph.extra_edges", "graph.seed", "algorithm.terminal_window", "audit.delta",
+                "audit.delta_prime", "audit.horizon", "audit.grid.d_zeta", "audit.grid.q"):
+        assert cfg.values[key] == SCHEMA[key][1], key
+    # raw is the dict as given, so summary.json and config_hash do not see the defaults
+    assert cfg.raw == given and "audit" in cfg.raw and "graph" not in cfg.raw
+    canonical = json.dumps(given, sort_keys=True, separators=(",", ":"))
+    assert cfg.config_hash() == hashlib.sha256(canonical.encode()).hexdigest()
+    # each setting has one name: the CLI flags and sweep set SCHEMA keys
+    assert set(cli.FLAG_PATHS.values()) <= set(SCHEMA)
+    assert set(harness.SWEEPABLE.values()) <= set(SCHEMA)
 
 
 def test_config_missing_sections(tmp_path):
@@ -110,10 +155,11 @@ def test_from_file_roundtrip(tmp_path):
 
 
 def test_materialize_resolves_alpha(tmp_path):
-    mat = materialize(ExperimentConfig.from_dict(config_dict(tmp_path)))
+    config = ExperimentConfig.from_dict(config_dict(tmp_path))
+    mat = materialize(config)
     assert mat.alpha == 0.45
-    assert mat.record_every == 1
-    assert mat.terminal_window == 0.1
+    assert config.values["algorithm.record_every"] == 1
+    assert config.values["algorithm.terminal_window"] == 0.1
     assert mat.instance.n == 2
     assert isinstance(mat.schedule, NoiseSchedule) and mat.schedule.enabled
 
@@ -227,9 +273,11 @@ def test_run_experiment_batch_matches_single_seed_runs(tmp_path):
     assert outs["r1"] == outs["r2"]
 
     mat = materialize(cfg)
+    v = cfg.values
     x_star = solve_dual(mat.instance).x_star
-    run_cfg = RunConfig(alpha=mat.alpha, iters=mat.iters, record_every=mat.record_every)
-    seeds = [mat.seed + t for t in range(mat.trials)]
+    iters = v["algorithm.iters"]
+    run_cfg = RunConfig(alpha=mat.alpha, iters=iters, record_every=v["algorithm.record_every"])
+    seeds = [v["seed"] + t for t in range(v["trials"])]
     batch = run(mat.instance, mat.W, mat.schedule, run_cfg, seeds, x_star=x_star)
     singles = [run(mat.instance, mat.W, mat.schedule, run_cfg, s, x_star=x_star) for s in seeds]
     for t, one in enumerate(singles):
@@ -244,7 +292,7 @@ def test_run_experiment_batch_matches_single_seed_runs(tmp_path):
     ]
     _write_trace_csv(tmp_path / "singles.csv", singles[0].ks, *means)
     assert (tmp_path / "singles.csv").read_bytes() == outs["r1"][1]
-    start = mat.iters - max(1, int(round(mat.terminal_window * mat.iters)))
+    start = iters - max(1, int(round(v["algorithm.terminal_window"] * iters)))
     terminal = [np.mean(one.mse[one.ks >= start]) for one in singles]
     assert outs["r1"][0]["empirical_mse"] == float(np.mean(terminal))
     assert outs["r1"][0]["terminal_std"] == float(np.std(terminal))
@@ -443,6 +491,36 @@ def test_cli_rejects_an_audit_setting_the_preset_cannot_take(
     assert err.startswith("error: ") and match in err
 
 
+@pytest.mark.parametrize("command", ["run", "bounds", "audit"])
+@pytest.mark.parametrize("key", ["algorithm.alpha", "audit.delta"])
+def test_cli_rejects_a_nan_setting_by_its_own_key(tmp_path, capsys, command, key):
+    """json reads NaN; the schema's ranges reject it and name the key, before any run."""
+    path = write_config(tmp_path, **{key: math.nan})
+    assert cli.main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key} must ") and not captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "bounds", "audit"])
+def test_cli_reads_a_stepsize_whose_square_overflows_as_a_huge_one(tmp_path, capsys, command):
+    """At alpha = 1e200, alpha**2 overflows a float in q_interval. Each command
+    answers as at alpha = 1e100: no admissible decay, exit 1, no traceback."""
+    seen = []
+    for alpha in (1e100, 1e200):
+        path = write_config(tmp_path, **{"algorithm.alpha": alpha})
+        code = cli.main([command, "--config", str(path)])
+        out, err = capsys.readouterr()
+        lines = [line for line in out.splitlines() if not line.startswith("alpha")]
+        seen.append((code, lines, err.split(" = ")[0]))
+    assert seen[1] == seen[0]
+    code, lines, err = seen[1]
+    assert code == 1
+    if command == "audit":
+        assert err == "inadmissible: q_min"
+    else:
+        assert {"run": "bound_contained   False", "bounds": "admissible=False"}[command] in lines
+
+
 @pytest.mark.parametrize(
     "eps_empirical,violations,admissible,code",
     [(0.9, 0, True, 0), (1.1, 0, True, 1), (0.9, 2, True, 1), (1.1, 2, False, 0)],
@@ -492,3 +570,9 @@ def test_cli_grid_rows_equal_single_point_audits_of_the_configured_noise(tmp_pat
 def test_cli_missing_config_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_readme_config_table_names_every_schema_key():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = {line.split("|")[1].strip() for line in readme.splitlines() if line.startswith("| `")}
+    assert {f"`{key}`" for key in SCHEMA} <= rows

@@ -102,7 +102,7 @@ def test_forced_run_frozen_regression(base_report):
 def test_eps_closure_from_norm_arrays(base_report):
     # m = 1 so the l1 accumulation equals the recorded 2-norms
     _, rep, sched = base_report
-    ks = np.arange(1, rep.horizon + 1)
+    ks = np.arange(1, len(rep.delta_eta_norms))
     theta_zeta = float(sched.d_zeta[0]) * float(sched.q_zeta[0]) ** ks
     theta_eta = float(sched.d_eta[0]) * float(sched.q_eta[0]) ** ks
     recomputed = (
@@ -232,7 +232,8 @@ def reference_forced_difference_run(
     """The audit as one per-round loop over a base run of the whole horizon K.
 
     An independent reference for forced_difference_run: every statistic is
-    computed inside the loop, round by round, with np.linalg.norm.
+    computed inside the loop, round by round, with np.linalg.norm. The norm
+    arrays end at the last round the signal floor lets the audit measure.
     """
     base, i0 = pair.base, pair.i0
     m, p = base.m, base.p
@@ -255,6 +256,11 @@ def reference_forced_difference_run(
     diverged_at = 1e9 * max(1.0, alpha * pair.delta * ag.A_norm)
     signal_floor = 1e-12 * max(1.0, alpha * pair.delta * ag.A_norm)
 
+    def envelope_at(k):
+        return env_coef * (tau1 ** (k - 1) - tau2 ** (k - 1))
+
+    k_last = next((k - 1 for k in range(2, K + 1) if envelope_at(k) < signal_floor), K)
+
     eta_norms = np.zeros(K + 1)
     zeta_norms = np.zeros(K + 1)
     eps_e = 0.0
@@ -263,7 +269,7 @@ def reference_forced_difference_run(
     dy_prev = np.zeros(m)
     dx_prev = np.zeros(p)
     for k in range(1, K + 1):
-        envelope = env_coef * (tau1 ** (k - 1) - tau2 ** (k - 1))
+        envelope = envelope_at(k)
         if k > 1 and envelope < signal_floor:
             k_measured = k - 1
             break
@@ -297,8 +303,8 @@ def reference_forced_difference_run(
         eps_star=theory.admitted_epsilon(
             alpha, d_zeta, math.inf, ag.cost.phi, ag.A_norm, q, pair.delta
         ),
-        delta_eta_norms=eta_norms,
-        delta_zeta_norms=zeta_norms,
+        delta_eta_norms=eta_norms[: k_last + 1],
+        delta_zeta_norms=zeta_norms[: k_last + 1],
         bound_violations=violations,
         horizon=K,
         tail=tail,
@@ -430,8 +436,11 @@ def test_a_batched_grid_mixing_inadmissible_points_and_measured_rounds(sym2):
     assert admissible == [False, True, True, False, True]
     reports = [report for report in batch if isinstance(report, AuditReport)]
     assert [report.horizon for report in reports] == [HORIZON_MIN, 35, HORIZON_CAP]
-    # q = 0.95 measures its whole horizon; at q = 0.601 the signal floor stops it at round 53
+    # q = 0.95 measures its whole horizon; at q = 0.601 the signal floor stops it at round 53.
+    # The norm arrays end at the last measured round, and the tail covers the rest
     assert [np.flatnonzero(report.delta_eta_norms)[-1] for report in reports[1:]] == [35, 53]
+    assert [len(report.delta_eta_norms) for report in reports] == [11, 36, 54]
+    assert [len(report.delta_zeta_norms) for report in reports] == [11, 36, 54]
 
 
 def test_a_jump_in_one_rows_shifted_solve_changes_that_point_alone(sym2):
