@@ -122,7 +122,8 @@ def _cmd_audit(args):
     if args.grid:
         for flag, value in monotone_flags(rows).items():
             print(f"{flag}={value}")
-        return 0 if all(_certified(r) for r in rows if r["admissible"]) else 1
+        admissible = [r for r in rows if r["admissible"]]  # none: nothing is certified
+        return 0 if admissible and all(_certified(r) for r in admissible) else 1
     print(f"horizon={reports[0].horizon} tail={reports[0].tail:.3e}")
     return 0 if _certified(rows[0]) else 1
 

@@ -22,12 +22,19 @@ row as one more trial: the values are bit-identical to evaluating them at
 every recorded round. Masks come only from `noise.iter_masks` and are not kept:
 a run's masks are `noise.draw_rounds(schedule, range(iters), seeds, m)`.
 
-`_round_kernel` builds the round once per run: for m = 1 both maps are one
-product with A, a diagonal cost calls the closed form directly, and per-agent
-constants are stacked to the batch shape. Only arrays that W @ z made in the
-same round are updated in place, so states held for the metrics never change.
-One dot of mu and y tests a round for finiteness, and `iter_masks` supplies
-the running tracker-mask total the tracking residual needs.
+A round's state is one row of preallocated buffers (`_StateRows`): duals and
+trackers stacked as s = [mu; y], shape (2, T, n, m), then x and A x. A round
+adds the stacked masks [eta; zeta], which `noise.iter_masks` yields in that
+layout, and applies one W @ to s; numpy runs it as one product per (n, m)
+slice, the products of mu and y apart (trials or channels laid out as matrix
+columns would switch BLAS kernels and change bits). `_round_kernel` builds the
+round once per run and writes each result with out= into another row. Recorded
+rounds fill the rows of one metric block, which `_metrics` reads in place;
+the rounds in between alternate between two spare rows. For m = 1 both maps
+are one product with A, skipping the einsum's `+ 0.0` where it cannot change a
+bit (`_zero_adds_are_noops`). One dot of mu and y tests a round for
+finiteness, and `iter_masks` supplies the running tracker-mask total the
+tracking residual needs. A trace holds copies, never views of the rows.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 from itertools import repeat
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -45,8 +52,9 @@ from .local_solver import diagonal_argmin, solve_all_from_c
 from .noise import iter_masks
 
 # Recorded (round, trial) rows whose states are held until their metrics are
-# computed together. Bounds the pending memory independently of the number of
-# trials times the number of records.
+# computed together, though never fewer than two records: a round then never
+# writes its record into the row it reads. Bounds the pending memory
+# independently of the number of records.
 MAX_METRIC_ROWS = 128
 
 
@@ -127,38 +135,99 @@ def init_state(instance, config):
     return EngineState(mu=mu0, x=x0, y=y0, round=0)
 
 
+class _Row(NamedTuple):
+    """Views of one state row of a (T, n, .) batch; s = [mu; y] is one (2, T, n, m) block."""
+
+    s: np.ndarray
+    mu: np.ndarray
+    y: np.ndarray
+    x: np.ndarray
+    Ax: np.ndarray
+
+
+class _StateRows:
+    """`count` preallocated state rows of a (T, n, .) batch, with each row's views built once.
+
+    zeta_cum holds the running tracker-mask total of the state in the same row.
+    """
+
+    def __init__(self, count, T, n, m, p):
+        self.s = np.empty((count, 2, T, n, m))
+        self.x = np.empty((count, T, n, p))
+        self.Ax = np.empty((count, T, n, m))
+        self.zeta_cum = np.zeros((count, T, m))
+        self.rows = [_Row(s, s[0], s[1], x, Ax) for s, x, Ax in zip(self.s, self.x, self.Ax)]
+
+
+def _zero_adds_are_noops(a, v, diag, lower, upper):
+    """True when neither `+ 0.0` of the m = 1 maps can change a bit, so both may be skipped.
+
+    The einsum's sum starts at 0.0 and so turns a product of -0.0 into 0.0. For
+    c = A_i mu that is moot when v_i != 0, as c - v_i is the same for either zero.
+    A_i x_i must never be -0.0: with A_i > 0 and no bound whose product with A_i
+    is -0.0, x_i would have to be -0.0 or a product would have to underflow.
+    Neither happens when |v_i| >= 2**-500, d_i <= 2**200 and A_i >= 2**-200:
+    c - v_i is 0.0 if c == v_i and at least |v_i| 2**-54 in magnitude otherwise,
+    so x_i is 0.0 or at least 2**-755 in magnitude.
+    """
+    ends = a * np.stack([lower, upper])
+    return bool(
+        np.all(a >= 2.0**-200)
+        and np.all(np.abs(v) >= 2.0**-500)
+        and np.all(diag <= 2.0**200)
+        and not np.any((ends == 0.0) & np.signbit(ends))
+    )
+
+
 def _round_kernel(instance, W, alpha, trials):
-    """advance(mu, x, y, Ax, eta, zeta) -> (mu1, x1, y1, Ax1), one round of a (trials, n, .)
-    batch; eta and zeta of None mean no masks (adding zeros would change nothing)."""
+    """advance(src, dst, masks): one round of a (trials, n, .) batch from row src into row dst.
+
+    src and dst are distinct `_Row`s; dst is overwritten and src is only read.
+    masks is the stacked (2, trials, n, m) block [eta; zeta], or None for no
+    masks (adding zeros would change nothing).
+    """
+    n, m, p = instance.dims
+    alpha = np.array(float(alpha))  # numpy converts a 0-d array faster than a float
+    z = np.empty((2, trials, n, m))  # [mu + eta; y + zeta]
+    alpha_y = np.empty((trials, n, m))
+    c = np.empty((trials, n, p))
 
     def stacked(a):
         return np.ascontiguousarray(np.broadcast_to(a, (trials,) + a.shape))
 
-    if instance.m == 1:
-        a = stacked(instance.A[:, :, 0])  # every A_i is 1 x 1, so both maps multiply by it
+    if instance.diag is not None:
+        consts = (stacked(getattr(instance, k)) for k in ("v", "diag", "lower", "upper"))
+        v, diag, lower, upper = consts
+        solve = partial(diagonal_argmin, v=v, diag=diag, lower=lower, upper=upper)
+    else:
 
-        def times_A(u):
-            return a * u + 0.0  # adding 0.0, as the einsum's sum does, turns -0.0 into 0.0
+        def solve(c, out):
+            out[...] = solve_all_from_c(instance, c)
+
+    if m == 1:  # every A_i is 1 x 1 (and U_i diagonal), so both maps multiply by it
+        a = stacked(instance.A[:, :, 0])
+        if _zero_adds_are_noops(a, v, diag, lower, upper):
+            times_A = partial(np.multiply, a)
+        else:
+
+            def times_A(u, out):
+                np.multiply(a, u, out=out)
+                out += 0.0  # as the einsum's sum does, turn -0.0 into 0.0
 
         times_At = times_A
     else:
         times_At = partial(np.einsum, "imp,tim->tip", instance.A)
         times_A = partial(np.einsum, "imp,tip->tim", instance.A)
-    if instance.diag is not None:
-        consts = {k: stacked(getattr(instance, k)) for k in ("v", "diag", "lower", "upper")}
-        solve = partial(diagonal_argmin, **consts)
-    else:
-        solve = partial(solve_all_from_c, instance)
 
-    def advance(mu, x, y, Ax, eta, zeta):
-        mu1 = W @ (mu if eta is None else mu + eta)
-        mu1 -= alpha * y
-        x1 = solve(times_At(mu1))
-        Ax1 = times_A(x1)
-        y1 = W @ (y if zeta is None else y + zeta)
-        y1 += Ax1
-        y1 -= Ax
-        return mu1, x1, y1, Ax1
+    def advance(src, dst, masks):
+        s, mu, y, x, Ax = dst
+        np.matmul(W, src.s if masks is None else np.add(src.s, masks, out=z), out=s)
+        mu -= np.multiply(alpha, src.y, out=alpha_y)
+        times_At(mu, out=c)
+        solve(c, out=x)
+        times_A(x, out=Ax)
+        y += Ax
+        y -= src.Ax
 
     return advance
 
@@ -229,83 +298,100 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
     n, m, p = instance.dims
     start = init_state(instance, config)
     T = len(seeds)
-    mu = np.broadcast_to(start.mu, (T, n, m)).copy()
-    x = np.broadcast_to(start.x, (T, n, p)).copy()
-    y = np.broadcast_to(start.y, (T, n, m)).copy()
-    Ax = np.einsum("imp,tip->tim", instance.A, x)
     iters = config.iters
-    advance = _round_kernel(instance, W, config.alpha, T)
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
-
-    zeta_cum = np.zeros((T, m))
-    no_masks = repeat((None, None, zeta_cum), iters)
-    masks = no_masks if schedule.zero_noise else iter_masks(schedule, seeds, iters, m)
 
     ks = np.arange(0, iters + 1, config.record_every)
     if ks[-1] != iters:
         ks = np.append(ks, iters)
+    next_record = ks.tolist()[1:] + [None]  # next_record[r]: the round of record r + 1
     recorded = np.full((4, T, ks.shape[0]), np.nan)  # mse, consensus, tracking, feasibility
     if keep_states:
         states_mu = np.empty((T, iters + 1, n, m))
         states_x = np.empty((T, iters + 1, n, p))
-        states_mu[:, 0], states_x[:, 0] = mu, x
+        states_mu[:, 0], states_x[:, 0] = start.mu, start.x
 
-    # (mu, x, y, Ax, zeta_cum) of recorded rounds whose metrics are not yet
-    # computed; advance returns fresh arrays and iter_masks a fresh running
-    # total, so holding references copies nothing
-    pending = [(mu, x, y, Ax, zeta_cum)]
-    per_block = max(1, MAX_METRIC_ROWS // T)
+    # Rows 0..per_block-1 hold recorded rounds until their metrics are computed
+    # together; the two spare rows hold the rounds in between. Every round
+    # writes into a row other than the one it reads.
+    per_block = max(2, MAX_METRIC_ROWS // T)
+    buf = _StateRows(per_block + 2, T, n, m, p)
+    rows, spare = buf.rows, (per_block, per_block + 1)
+    src = rows[0]
+    src.mu[...], src.x[...], src.y[...] = start.mu, start.x, start.y
+    src.Ax[...] = np.einsum("imp,tip->tim", instance.A, src.x)
+    advance = _round_kernel(instance, W, config.alpha, T)
+    masks = repeat((None, None), iters)
+    if not schedule.zero_noise:
+        masks = iter_masks(schedule, seeds, iters, m)
 
-    def measure():
-        """Metrics of the pending records, which end at record r."""
-        R = len(pending)
-        rows = [np.concatenate(parts) for parts in zip(*pending)]  # row i * T + t
-        vals = _metrics(*rows, W, instance.d, x_star).reshape(4, R, T)
+    def measure(R, r):
+        """Metrics of the records in rows 0..R-1, which end at record r."""
+        N = R * T
+        s = buf.s[:R]  # mu and y interleave, so reshaping them gathers row i * T + t
+        vals = _metrics(
+            s[:, 0].reshape(N, n, m), buf.x[:R].reshape(N, n, p), s[:, 1].reshape(N, n, m),
+            buf.Ax[:R].reshape(N, n, m), buf.zeta_cum[:R].reshape(N, m),
+            W, instance.d, x_star,
+        ).reshape(4, R, T)
         recorded[:, :, r + 1 - R : r + 1] = vals.transpose(0, 2, 1)
-        pending.clear()
 
     alive = np.arange(T)  # batch positions of the trials still finite
     diverged, diverged_at = [], None
-    r = 0
+    s_row, pending, r = 0, 1, 0  # the state's row; records pending in rows 0..pending-1
     # metrics of huge but finite states may overflow, so they are computed
     # under the same errstate as the rounds
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (eta, zeta, zeta_sum) in enumerate(masks):
-            if diverged and eta is not None:
-                eta, zeta = eta[alive], zeta[alive]
+        for k, (mask, zeta_sum) in enumerate(masks):
+            record = not diverged and k + 1 == next_record[r]
+            if record:
+                if pending == per_block:
+                    measure(pending, r)
+                    pending = 0
+                d_row = pending
+            else:
+                d_row = spare[s_row == spare[0]]
+            dst = rows[d_row]
+            if diverged and mask is not None:
+                mask = mask[:, alive]
             try:
-                mu, x, y, Ax = advance(mu, x, y, Ax, eta, zeta)
+                advance(src, dst, mask)
             except SolverFailure as exc:
                 raise SolverFailure(
                     f"round {k}: {exc}", trials=[int(alive[t]) for t in exc.trials]
                 ) from exc
+            src, s_row = dst, d_row
             # every A_i is square and invertible, so a non-finite x makes y
             # non-finite in the same round. A finite dot proves mu and y finite
             # (inf * 0 is nan); finite states can overflow it, hence the recheck
-            if not math.isfinite(np.vdot(mu, y)):
-                ok = np.isfinite(mu).all(axis=(1, 2)) & np.isfinite(x).all(axis=(1, 2))
-                ok &= np.isfinite(y).all(axis=(1, 2))
+            if not math.isfinite(np.vdot(src.mu, src.y)):
+                ok = np.isfinite(src.mu).all(axis=(1, 2)) & np.isfinite(src.x).all(axis=(1, 2))
+                ok &= np.isfinite(src.y).all(axis=(1, 2))
                 if not ok.all():
                     diverged += [int(t) for t in alive[~ok]]
                     diverged_at = diverged_at or k + 1
                     alive = alive[ok]
-                    mu, x, y, Ax = mu[ok], x[ok], y[ok], Ax[ok]
                     if not alive.size:
                         break
+                    # step the finite trials on in two fresh rows, recording nothing
+                    buf = _StateRows(2, alive.size, n, m, p)
+                    rows, spare, s_row = buf.rows, (0, 1), 0
+                    rows[0].s[...], rows[0].x[...] = src.s[:, ok], src.x[ok]
+                    rows[0].Ax[...] = src.Ax[ok]
+                    src = rows[0]
                     advance = _round_kernel(instance, W, config.alpha, alive.size)
             if diverged:
                 continue  # the run fails; only look for further divergent trials
-            zeta_cum = zeta_sum
             if keep_states:
-                states_mu[:, k + 1], states_x[:, k + 1] = mu, x
-            if k + 1 == ks[r + 1]:
+                states_mu[:, k + 1], states_x[:, k + 1] = src.mu, src.x
+            if record:
+                if zeta_sum is not None:
+                    buf.zeta_cum[d_row] = zeta_sum
+                pending += 1
                 r += 1
-                pending.append((mu, x, y, Ax, zeta_cum))
-                if len(pending) == per_block:
-                    measure()
         if pending and not diverged:
-            measure()
+            measure(pending, r)
     if diverged:
         names = ", ".join(str(seeds[t]) for t in sorted(diverged))
         raise SolverFailure(
@@ -322,7 +408,10 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
         consensus_mu=out(recorded[1]),
         tracking_residual=out(recorded[2]),
         feasibility=out(recorded[3]),
-        final_state=EngineState(mu=out(mu), x=out(x), y=out(y), round=iters),
+        # copies: the trace shares no memory with the state rows
+        final_state=EngineState(
+            mu=out(src.mu).copy(), x=out(src.x).copy(), y=out(src.y).copy(), round=iters
+        ),
         x_star=x_star,
         states_mu=out(states_mu) if keep_states else None,
         states_x=out(states_x) if keep_states else None,

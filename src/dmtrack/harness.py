@@ -338,14 +338,19 @@ def materialize(config):
 # ------------------------------------------------------------ experiments
 
 def constants_or_nan(mat):
-    """theory_constants of a materialized config; NaN where the setup admits none."""
+    """theory_constants of a materialized config. Where the stepsize admits no contraction
+    factor or decay interval, C, r_lb, tau1 and tau2 are NaN; lambda_bar and the stepsize
+    caps do not depend on the stepsize and keep their values."""
     try:
         return theory_constants(
             mat.alpha, mat.mod, mat.W.lambda_bar, schedule=mat.schedule, bounds=mat.bounds
         )
     except (InadmissibleDecayError, ValueError):
         nan = math.nan
-        return TheoryConstants(nan, mat.W.lambda_bar, nan, nan, nan, nan, nan)
+        caps = mat.bounds
+        return TheoryConstants(
+            nan, mat.W.lambda_bar, nan, caps.alpha_max_t1, caps.alpha_max_t2, nan, nan
+        )
 
 
 class AuditedPrivacy(NamedTuple):
@@ -379,11 +384,26 @@ def audited_privacy(mat, printed_form=False):
     return AuditedPrivacy(q_min, eps, star)
 
 
+# Rows of trace.csv formatted and written together
+CSV_BLOCK_ROWS = 256
+
+
+def _reprs(values):
+    """repr() of each float, computed once per distinct bit pattern: a converged trace
+    repeats its values, and repr() is most of the cost of writing them."""
+    distinct, index = np.unique(values.view(np.int64), return_inverse=True)
+    return np.array([repr(v) for v in distinct.view(float).tolist()], dtype=object)[index].tolist()
+
+
 def _write_trace_csv(path, ks, mse, consensus, tracking, feasibility):
-    columns = (col.tolist() for col in (ks, mse, consensus, tracking, feasibility))
+    """One row per record, each value as repr() writes it, a block of rows at a time."""
     with open(path, "w") as fh:
         fh.write("k,mse,consensus_mu,tracking_residual,feasibility\n")
-        fh.writelines(f"{k},{a!r},{b!r},{c!r},{f!r}\n" for k, a, b, c, f in zip(*columns))
+        for i in range(0, len(ks), CSV_BLOCK_ROWS):
+            block = slice(i, i + CSV_BLOCK_ROWS)
+            cells = [map(str, ks[block].tolist())]
+            cells += [_reprs(col[block]) for col in (mse, consensus, tracking, feasibility)]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 def _jsonable(obj):

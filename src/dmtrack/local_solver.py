@@ -45,9 +45,15 @@ def _kkt_violation(grad, x, lo, hi):
     return viol
 
 
-def diagonal_argmin(c, v, diag, lower, upper):
-    """The exact minimizer for diagonal U, coordinatewise and broadcasting over stacked c."""
-    return np.minimum(np.maximum((c - v) / diag, lower), upper)
+def diagonal_argmin(c, v, diag, lower, upper, out=None):
+    """The exact minimizer for diagonal U, coordinatewise and broadcasting over stacked c.
+
+    Given `out`, the minimizer is written there and c serves as scratch.
+    """
+    q = np.subtract(c, v, out=None if out is None else c)
+    q /= diag
+    x = np.maximum(q, lower, out=out)
+    return np.minimum(x, upper, out=x)
 
 
 def argmin_rows(cost, box, c):

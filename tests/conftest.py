@@ -45,8 +45,9 @@ def inject_masks(eta, zeta=None):
 
     Only a run whose schedule is not disabled asks for masks, so a test that
     injects must pass an enabled schedule. zeta defaults to zeros. Like
-    noise.iter_masks, each round comes with the running total of the tracker
-    masks through it, here summed round by round.
+    noise.iter_masks, each round comes as one stacked (2, T, n, m) block
+    [eta; zeta] with the running total of the tracker masks through it, here
+    summed round by round.
     """
     eta = np.asarray(eta, dtype=float)
     zeta = np.zeros_like(eta) if zeta is None else np.asarray(zeta, dtype=float)
@@ -56,9 +57,21 @@ def inject_masks(eta, zeta=None):
         zeta_cum = np.zeros((len(seeds), m))
         for eta_k, zeta_k in zip(eta.swapaxes(0, 1)[:iters], zeta.swapaxes(0, 1)[:iters]):
             zeta_cum = zeta_cum + zeta_k.sum(axis=1)
-            yield eta_k, zeta_k, zeta_cum
+            yield np.stack([eta_k, zeta_k]), zeta_cum
 
     return mock.patch.object(engine, "iter_masks", given_masks)
+
+
+def kernel_round(instance, W, alpha, mu, x, y, Ax, eta=None, zeta=None):
+    """(mu1, x1, y1, Ax1): one round of a (T, n, .) batch through the engine's round
+    kernel, from a state row into a second row of the engine's state buffers."""
+    T, n, m = mu.shape
+    rows = engine._StateRows(2, T, n, m, x.shape[-1]).rows
+    src, dst = rows
+    src.mu[...], src.x[...], src.y[...], src.Ax[...] = mu, x, y, Ax
+    masks = None if eta is None else np.stack([eta, zeta])
+    engine._round_kernel(instance, W, alpha, T)(src, dst, masks)
+    return dst.mu, dst.x, dst.y, dst.Ax
 
 
 def step_once(state, instance, W, alpha, eta=None, zeta=None):
@@ -69,22 +82,25 @@ def step_once(state, instance, W, alpha, eta=None, zeta=None):
     def batch(a):
         return None if a is None else np.asarray(a, dtype=float)[None]
 
-    advance = engine._round_kernel(instance, W, alpha, 1)
-    mu1, x1, y1, _ = advance(
-        state.mu[None], state.x[None], state.y[None], Ax[None], batch(eta), batch(zeta)
+    mu1, x1, y1, _ = kernel_round(
+        instance, W, alpha, state.mu[None], state.x[None], state.y[None], Ax[None],
+        batch(eta), batch(zeta),
     )
     return EngineState(mu=mu1[0], x=x1[0], y=y1[0], round=state.round + 1)
 
 
 def reference_round(instance, W, alpha, mu, x, y, Ax, eta=None, zeta=None):
     """One round of a (T, n, .) batch written out as the recursion reads, for comparing
-    the engine's kernel against: the einsum maps, then np.clip or solve_all_from_c."""
+    the engine's kernel against: the einsum maps, then the box projection (max, then
+    min, which fixes the zero returned where x ties a bound of the other sign) or
+    solve_all_from_c."""
     z_mu = mu if eta is None else mu + eta
     z_y = y if zeta is None else y + zeta
     mu1 = W @ z_mu - alpha * y
     c = np.einsum("imp,tim->tip", instance.A, mu1)
     if instance.diag is not None:
-        x1 = np.clip((c - instance.v) / instance.diag, instance.lower, instance.upper)
+        q = (c - instance.v) / instance.diag
+        x1 = np.minimum(np.maximum(q, instance.lower), instance.upper)
     else:
         x1 = solve_all_from_c(instance, c)
     Ax1 = np.einsum("imp,tip->tim", instance.A, x1)

@@ -17,7 +17,7 @@ from dmtrack.oracle import solve_dual
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
 from dmtrack.topology import metropolis_weights, ring_plus_random
 
-from conftest import inject_masks, mask_log, reference_round, step_once
+from conftest import inject_masks, kernel_round, mask_log, reference_round, step_once
 
 
 def single_agent_instance(d=0.0, lo=-10.0, hi=10.0):
@@ -112,14 +112,12 @@ def test_zero_stepsize_freezes_dual_at_mixing():
     assert np.allclose(nxt.x, solve_all(inst, nxt.mu), atol=1e-15)
 
 
-# Box bounds of the kernel test. -0.0 is left out: where x ties a -0.0 bound,
-# np.clip itself returns the zero of either sign depending on the operands'
-# shapes, so no single reference exists there.
-BOUNDS = (-np.inf, -2.0, -0.5, 0.0, 0.5, 2.0, np.inf)
+# Box bounds of the kernel test, zeros of both signs included.
+BOUNDS = (-np.inf, -2.0, -0.5, -0.0, 0.0, 0.5, 2.0, np.inf)
 
 
 @settings(
-    max_examples=80, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
+    max_examples=120, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow]
 )
 @given(
     data=st.data(),
@@ -127,26 +125,37 @@ BOUNDS = (-np.inf, -2.0, -0.5, 0.0, 0.5, 2.0, np.inf)
     diagonal=st.booleans(),
     trials=st.sampled_from([1, 3]),
     masked=st.booleans(),
+    exact=st.booleans(),
 )
-def test_round_kernel_matches_written_out_round(data, m, diagonal, trials, masked):
+def test_round_kernel_matches_written_out_round(data, m, diagonal, trials, masked, exact):
     """One round of the engine's kernel equals the written-out round bit for bit:
-    the broadcast maps for m = 1, min/max for np.clip and the in-place updates
-    change no bit, zeros of either sign and non-finite entries included."""
+    the broadcast maps for m = 1, with or without their `+ 0.0` steps, the in-place
+    box projection and updates into preallocated rows change no bit, zeros of
+    either sign and non-finite entries included. `exact` draws instances where
+    the m = 1 kernel skips the `+ 0.0` steps (every A_i > 0 and v_i != 0, no
+    -0.0 bound); otherwise agent 0 alone has a -0.0 bound, a negative A_0 or
+    v_0 = 0, and the kernel keeps them."""
     assume(diagonal or m > 1)  # a 1 x 1 U is always diagonal
     n = data.draw(st.integers(1, 4), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    culprit = None if exact else data.draw(st.sampled_from(["bound", "sign", "v"]), label="culprit")
     agents = []
-    for _ in range(n):
+    for i in range(n):
+        bounds = [b for b in BOUNDS if not (b == 0.0 and np.signbit(b))]
         B = rng.normal(size=(m, m))
         U = np.diag(rng.uniform(0.5, 3.0, size=m)) if diagonal else B @ B.T + 2.0 * np.eye(m)
-        lo = data.draw(st.lists(st.sampled_from(BOUNDS), min_size=m, max_size=m), label="lo")
-        hi = [max(a, data.draw(st.sampled_from(BOUNDS), label="hi")) for a in lo]
+        lo = data.draw(st.lists(st.sampled_from(bounds), min_size=m, max_size=m), label="lo")
+        hi = [max(a, data.draw(st.sampled_from(bounds), label="hi")) for a in lo]
+        if i == 0 and culprit == "bound":
+            ends = [(-0.0, max(hi[0], 0.0)), (min(lo[0], -0.0), -0.0)]
+            lo[0], hi[0] = data.draw(st.sampled_from(ends), label="signed zero bound")
         if not diagonal:  # projected gradient needs a bounded box to stop quickly
             lo, hi = np.clip(lo, -2.0, 0.0), np.clip(hi, 0.0, 2.0)
-        v = data.draw(st.sampled_from([np.zeros(m), rng.normal(size=m)]), label="v")
+        v = np.zeros(m) if i == 0 and culprit == "v" else rng.normal(size=m)
+        sign = -1.0 if i == 0 and culprit == "sign" else 1.0
         agents.append(
             AgentSpec(
-                cost=QuadraticCost(U=U, v=v), A=rng.choice([-1.0, 1.0]) * (B + 3.0 * np.eye(m)),
+                cost=QuadraticCost(U=U, v=v), A=sign * (B + 3.0 * np.eye(m)),
                 d=rng.normal(size=m), box=BoxSet(lower=np.array(lo), upper=np.array(hi)),
             )
         )
@@ -156,7 +165,7 @@ def test_round_kernel_matches_written_out_round(data, m, diagonal, trials, maske
 
     values = st.floats(-1e3, 1e3)
     if diagonal:  # the closed form takes any value; projected gradient needs finite ones
-        values = st.one_of(values, st.sampled_from([np.inf, -np.inf, np.nan]))
+        values = st.one_of(values, st.sampled_from([np.inf, -np.inf, np.nan, 5e-324, -5e-324]))
 
     def state(label):
         return data.draw(arrays(float, (trials, n, m), elements=values), label=label)
@@ -164,10 +173,49 @@ def test_round_kernel_matches_written_out_round(data, m, diagonal, trials, maske
     mu, x, y, Ax = (state(label) for label in ("mu", "x", "y", "Ax"))
     eta, zeta = (state("eta"), state("zeta")) if masked else (None, None)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = engine._round_kernel(inst, W, alpha, trials)(mu, x, y, Ax, eta, zeta)
+        got = kernel_round(inst, W, alpha, mu, x, y, Ax, eta, zeta)
         want = reference_round(inst, W, alpha, mu, x, y, Ax, eta, zeta)
     for name, a, b in zip(("mu", "x", "y", "Ax"), got, want):
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    if m == 1:
+        consts = (inst.A[:, :, 0], inst.v, inst.diag, inst.lower, inst.upper)
+        assert engine._zero_adds_are_noops(*consts) == exact
+
+
+@pytest.mark.parametrize(
+    "A,U,v,lo,hi,mu",
+    [
+        (1.0, 1.0, 0.5, -0.0, 1.0, 0.1),  # x = max(-0.4, -0.0) = -0.0
+        (1.0, 1.0, 0.5, -1.0, -0.0, 1.0),  # x = min(0.5, -0.0) = -0.0
+        (-1.0, 1.0, 0.5, 0.0, 1.0, 0.1),  # x = 0.0, and A x = -0.0
+        (1.0, 1.0, 0.0, -1.0, 1.0, -0.0),  # c = A mu = -0.0, so x = -0.0
+        (1.0, 4.0, 1e-323, -1.0, 1.0, 5e-324),  # x = -5e-324 / 4 rounds to -0.0
+        (1e-310, 1.0, 1e-100, -1.0, 1.0, 0.99e210),  # A x = 1e-310 * -1e-102 rounds to -0.0
+        (1.0, 1e300, 2.0**-400, -1.0, 1.0, 2.0**-401),  # x = -2**-401 / 1e300 rounds to -0.0
+    ],
+    ids=["lo", "hi", "A<0", "v=0", "tiny v", "tiny A", "huge d"],
+)
+def test_round_kernel_keeps_its_zero_adds_where_skipping_them_changes_a_bit(A, U, v, lo, hi, mu):
+    """Instances where the m = 1 maps without their `+ 0.0` steps give other bytes
+    than the einsum's: a -0.0 bound, A < 0, v = 0, and, with A > 0 and v != 0, a
+    product rounding to -0.0 because v is tiny, d huge or A tiny. The kernel keeps
+    its `+ 0.0` steps on each and matches the written-out round."""
+    agent = AgentSpec(
+        cost=QuadraticCost(U=np.array([[U]]), v=np.array([v])), A=np.array([[A]]),
+        d=np.zeros(1), box=BoxSet(lower=np.array([lo]), upper=np.array([hi])),
+    )
+    inst = ProblemInstance(agents=(agent,))
+    consts = (inst.A[:, :, 0], inst.v, inst.diag, inst.lower, inst.upper)
+    assert not engine._zero_adds_are_noops(*consts)
+    state = [np.full((1, 1, 1), value) for value in (mu, 0.0, 0.0, 0.0)]  # mu, x, y, Ax
+    W = np.ones((1, 1))
+    want = reference_round(inst, W, 0.0, *state)
+    bare_x = np.minimum(np.maximum((A * mu - v) / U, lo), hi)  # mu(1) = mu at W = 1, alpha = 0
+    bare = np.array([bare_x, A * bare_x])
+    assert bare.tobytes() != np.array([want[1], want[3]]).ravel().tobytes()
+    got = kernel_round(inst, W, 0.0, *state)
+    for name, a, b in zip(("mu", "x", "y", "Ax"), got, want):
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_trace_recording_strides():
@@ -374,6 +422,61 @@ def test_divergence_inside_a_partly_filled_metric_block():
         cfg = RunConfig(alpha=50.0, iters=200, x0=np.ones((2, 1)))
         tr = run(two, W, NoiseSchedule.disabled(2), cfg, 0, x_star=np.zeros((2, 1)))
     assert np.isinf(tr.mse[-1]) and np.isfinite(tr.final_state.x).all()
+
+
+@pytest.mark.parametrize("max_rows", [128, 2])
+def test_divergence_in_an_unrecorded_round_is_reported(max_rows):
+    """A trial diverging in a round between records, whose state sits in a spare
+    row, is reported with that round and its seed, whether the metric block holds
+    64 records or the fewest, two."""
+    inst, W = symmetric2()
+    cfg = RunConfig(alpha=0.45, iters=40, record_every=7)
+    eta = np.zeros((2, 40, 2, 1))
+    eta[1, 15, 0, 0] = np.inf  # round 16 is not recorded (records at 14 and 21)
+    with mock.patch.object(engine, "MAX_METRIC_ROWS", max_rows):
+        with pytest.raises(SolverFailure, match=r"^round 16: .*\(trial seeds 21\)$") as caught:
+            with inject_masks(eta):
+                run(inst, W, NoiseSchedule.uniform(2), cfg, [20, 21])
+    assert caught.value.trials == [1]
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("max_rows", [1, 9, 15])
+def test_metric_block_size_changes_no_output(max_rows, record_every):
+    """Blocks of two records (the fewest), three and five records of three trials
+    give the same bytes as the default block of 42."""
+    inst, W = symmetric2()
+    sched = NoiseSchedule.uniform(2, q=0.95)
+    cfg = RunConfig(alpha=0.45, iters=30, record_every=record_every)
+    seeds, x_star = [3, 4, 5], np.ones((2, 1))
+    want = run(inst, W, sched, cfg, seeds, x_star=x_star, keep_states=True)
+    with mock.patch.object(engine, "MAX_METRIC_ROWS", max_rows):
+        got = run(inst, W, sched, cfg, seeds, x_star=x_star, keep_states=True)
+    for key, value in trace_arrays(want).items():
+        assert trace_arrays(got)[key].tobytes() == value.tobytes(), key
+
+
+@pytest.mark.parametrize("seeds", [5, [5, 6]])
+def test_trace_shares_no_memory_with_the_state_rows(seeds):
+    """The engine steps in preallocated rows; the trace it returns holds copies."""
+    made = []
+
+    class Recorded(engine._StateRows):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    inst, W = symmetric2()
+    cfg = RunConfig(alpha=0.45, iters=20, record_every=3)
+    with mock.patch.object(engine, "_StateRows", Recorded):
+        tr = run(inst, W, NoiseSchedule.uniform(2), cfg, seeds, keep_states=True)
+    assert made
+    final = tr.final_state
+    arrays = [final.mu, final.x, final.y, tr.states_mu, tr.states_x, tr.mse, tr.tracking_residual]
+    for buf in made:
+        for held in (buf.s, buf.x, buf.Ax, buf.zeta_cum):
+            for a in arrays:
+                assert not np.shares_memory(a, held)
 
 
 def test_tracking_identity_under_noise():

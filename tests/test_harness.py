@@ -298,6 +298,22 @@ def test_run_experiment_batch_matches_single_seed_runs(tmp_path):
     assert outs["r1"][0]["terminal_std"] == float(np.std(terminal))
 
 
+def test_trace_csv_writes_each_value_as_its_repr(tmp_path):
+    """Rows formatted a block at a time equal the repr of each value, on both sides of
+    a block boundary and for zeros of either sign, infinities, NaN and subnormals."""
+    rng = np.random.default_rng(3)
+    rows = harness.CSV_BLOCK_ROWS + 5
+    ks = np.arange(0, 7 * rows, 7)
+    special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 0.1, 1 / 3]
+    cols = [rng.choice(special + list(rng.normal(size=5)), size=rows) for _ in range(4)]
+    _write_trace_csv(tmp_path / "trace.csv", ks, *cols)
+    want = ["k,mse,consensus_mu,tracking_residual,feasibility"] + [
+        f"{k},{a!r},{b!r},{c!r},{f!r}"
+        for k, a, b, c, f in zip(ks.tolist(), *(col.tolist() for col in cols))
+    ]
+    assert (tmp_path / "trace.csv").read_text() == "\n".join(want) + "\n"
+
+
 def test_run_experiment_noise_free_verdicts(tmp_path):
     cfg = ExperimentConfig.from_dict(
         config_dict(
@@ -523,12 +539,13 @@ def test_cli_reads_a_stepsize_whose_square_overflows_as_a_huge_one(tmp_path, cap
 
 @pytest.mark.parametrize(
     "eps_empirical,violations,admissible,code",
-    [(0.9, 0, True, 0), (1.1, 0, True, 1), (0.9, 2, True, 1), (1.1, 2, False, 0)],
+    [(0.9, 0, True, 0), (1.1, 0, True, 1), (0.9, 2, True, 1), (1.1, 2, False, 1)],
 )
 def test_cli_audit_grid_and_single_point_share_one_verdict(
     tmp_path, capsys, eps_empirical, violations, admissible, code
 ):
-    """Both paths write the same audit.csv row and exit on the same rule."""
+    """Both paths write the same audit.csv row and exit on the same rule; a grid
+    whose only point is inadmissible certifies nothing and exits 1."""
     report = mock.Mock(
         eps_empirical=eps_empirical, eps_theoretical=1.0, eps_star=0.5,
         bound_violations=violations, horizon=12, tail=0.0,
@@ -549,6 +566,46 @@ def test_cli_audit_grid_and_single_point_share_one_verdict(
         assert cli.main(["audit", "--config", str(path)]) == code
     assert (tmp_path / "out" / "audit.csv").read_text() == grid_csv
     assert capsys.readouterr().out.startswith(grid_csv)
+
+
+def test_cli_audit_grid_with_no_admissible_point_exits_1(tmp_path, capsys):
+    """At alpha = 1e100 no decay is admissible at any of the nine default grid points."""
+    path = write_config(tmp_path, **{"algorithm.alpha": 1e100})
+    assert cli.main(["audit", "--config", str(path), "--grid"]) == 1
+    capsys.readouterr()
+    header, *rows = (tmp_path / "out" / "audit.csv").read_text().splitlines()
+    assert len(rows) == 9
+    column = header.split(",").index("admissible")
+    assert [row.split(",")[column] for row in rows] == ["0"] * 9
+
+
+def test_stepsize_caps_survive_an_inadmissible_stepsize(tmp_path, capsys):
+    """At alpha = 1e200 no decay interval exists, so tau1, tau2, C and r_lb are NaN,
+    but lambda_bar and the stepsize caps, which do not depend on alpha, stay finite
+    in `bounds` stdout and in summary.json."""
+    path = write_config(tmp_path, **{"algorithm.alpha": 1e200})
+    mat = materialize(ExperimentConfig.from_file(path))
+    want = {
+        "lambda_bar": mat.W.lambda_bar,
+        "alpha_max_t1": mat.bounds.alpha_max_t1,
+        "alpha_max_t2": mat.bounds.alpha_max_t2,
+    }
+    assert all(math.isfinite(value) for value in want.values())
+
+    assert cli.main(["bounds", "--config", str(path)]) == 1
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    for key, value in want.items():
+        assert out[key] == repr(value), key
+    for key in ("tau1", "tau2"):
+        assert out[key] == "nan"
+
+    assert cli.main(["run", "--config", str(path)]) == 1
+    capsys.readouterr()
+    constants = json.loads((tmp_path / "out" / "summary.json").read_text())["constants"]
+    for key, value in want.items():
+        assert constants[key] == value, key
+    for key in ("C", "r_lb", "tau1", "tau2"):
+        assert math.isnan(constants[key]), key
 
 
 def test_cli_grid_rows_equal_single_point_audits_of_the_configured_noise(tmp_path, capsys):

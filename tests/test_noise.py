@@ -132,8 +132,9 @@ def test_vectorized_philox_matches_numpy(seed):
 
 @pytest.mark.parametrize("seed", [0, 1, 2**63 - 1])
 def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
-    """Masks built a chunk at a time equal the per-round numpy construction, and the
-    running tracker-mask total equals adding each round's agent sum in turn."""
+    """Masks built a chunk at a time, each round's [eta; zeta] stacked in one block, equal
+    the per-round numpy construction, and the running tracker-mask total equals adding
+    each round's agent sum in turn."""
     n, m = 3, 2  # 12 doubles per round: 3 blocks
     monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 24)
     seeds = [seed, seed + 1]
@@ -147,7 +148,9 @@ def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
     masks = list(iter_masks(schedule, seeds, 10, m))  # chunk boundaries after rounds 3 and 7
     assert len(masks) == 10
     zeta_cum = np.zeros((len(seeds), m))
-    for k, (eta, zeta, zeta_sum) in enumerate(masks):
+    for k, (stacked, zeta_sum) in enumerate(masks):
+        assert stacked.shape == (2, len(seeds), n, m)
+        eta, zeta = stacked
         zeta_cum = zeta_cum + zeta.sum(axis=1)
         assert zeta_sum.tobytes() == zeta_cum.tobytes()
         for t, s in enumerate(seeds):
