@@ -24,9 +24,9 @@ from .errors import (
     SolverFailure,
 )
 from .harness import ExperimentConfig, PRESETS, materialize, run_experiment, sweep
-from .local_solver import ArgminResult, argmin_local, solve_all
+from .local_solver import ArgminResult, argmin_local
 from .noise import NoiseSchedule
-from .oracle import OptSolution, solve_dual, verify_against_grid
+from .oracle import OptSolution, kkt_residual, solve_dual
 from .privacy_audit import (
     AdjacentPair,
     AuditReport,
@@ -92,6 +92,7 @@ __all__ = [
     "fixed_point_residual",
     "forced_difference_run",
     "init_state",
+    "kkt_residual",
     "make_adjacent_pair",
     "materialize",
     "metropolis_weights",
@@ -103,11 +104,9 @@ __all__ = [
     "run",
     "run_experiment",
     "shift_adjacent",
-    "solve_all",
     "solve_dual",
     "spectral_gap",
     "stepsize_bounds",
     "sweep",
     "theory_constants",
-    "verify_against_grid",
 ]

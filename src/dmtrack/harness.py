@@ -427,7 +427,8 @@ def run_experiment(config, out_dir=None):
     output directory and returns the summary dict; summary.json holds no
     wall-clock value, so reruns write it byte for byte, and the run's
     runtime_sec goes to timings.json next to it. Any diverging trial marks
-    the experiment failed and records every offending seed.
+    the experiment failed and records every offending seed; a failed run
+    writes no trace.csv and removes one left by an earlier run.
     """
     return _run_materialized(config, materialize(config), out_dir)
 
@@ -478,8 +479,9 @@ def _run_materialized(config, mat, out_dir):
         summary.update(
             failed=True, failure=str(exc), failed_seed=failed[0], failed_seeds=failed
         )
-        (outdir / "summary.json").write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
-        return summary
+        # a failed run has no trial average; leave no earlier run's trace beside it
+        (outdir / "trace.csv").unlink(missing_ok=True)
+        return _write_summary(outdir, summary, t0)
 
     mean_mse = np.mean(trace.mse, axis=0)
     mean_cons = np.mean(trace.consensus_mu, axis=0)
@@ -510,6 +512,11 @@ def _run_materialized(config, mat, out_dir):
         tracking_ok=bool(tracking_ok),
     )
     _write_trace_csv(outdir / "trace.csv", trace.ks, mean_mse, mean_cons, mean_track, mean_feas)
+    return _write_summary(outdir, summary, t0)
+
+
+def _write_summary(outdir, summary, t0):
+    """Write summary.json and the run's timings.json (runtime since t0); return summary."""
     (outdir / "summary.json").write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
     timings = {"runtime_sec": time.perf_counter() - t0}
     (outdir / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True))

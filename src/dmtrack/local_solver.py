@@ -29,8 +29,8 @@ def inner_tolerance(c):
     return 1e-11 * max(1.0, float(np.linalg.norm(c)))
 
 
-def _kkt_violation(grad, x, lo, hi):
-    """Componentwise optimality violation for box-constrained minimization.
+def box_kkt_residual(grad, x, lo, hi):
+    """Norm of the optimality violation of x in a box-constrained minimization.
 
     Interior coordinates must have zero gradient; at the lower bound only a
     negative gradient violates, at the upper bound only a positive one.
@@ -42,7 +42,7 @@ def _kkt_violation(grad, x, lo, hi):
     viol[at_lo] = np.maximum(-grad[at_lo], 0.0)
     viol[at_hi] = np.maximum(grad[at_hi], 0.0)
     viol[lo == hi] = 0.0
-    return viol
+    return float(np.linalg.norm(viol))
 
 
 def diagonal_argmin(c, v, diag, lower, upper, out=None):
@@ -88,7 +88,7 @@ def argmin_local(cost, box, c, max_inner=MAX_INNER_DEFAULT):
     if diag is not None:
         x = diagonal_argmin(c, v, diag, lo, hi)
         grad = diag * x + v - c
-        res = float(np.linalg.norm(_kkt_violation(grad, x, lo, hi)))
+        res = box_kkt_residual(grad, x, lo, hi)
         return ArgminResult(x=x, kkt_residual=res)
 
     # general U: projected gradient from the projected unconstrained minimizer
@@ -96,7 +96,7 @@ def argmin_local(cost, box, c, max_inner=MAX_INNER_DEFAULT):
     step = 1.0 / cost.L
     for _ in range(max_inner):
         grad = U @ x + v - c
-        res = float(np.linalg.norm(_kkt_violation(grad, x, lo, hi)))
+        res = box_kkt_residual(grad, x, lo, hi)
         if res <= tol:
             return ArgminResult(x=x, kkt_residual=res)
         x = np.clip(x - step * grad, lo, hi)
@@ -105,22 +105,13 @@ def argmin_local(cost, box, c, max_inner=MAX_INNER_DEFAULT):
     )
 
 
-def solve_all(instance, mu, max_inner=MAX_INNER_DEFAULT):
-    """Vectorized x-update for all agents given stacked duals mu of shape (n, m).
+def solve_all_from_c(instance, c, max_inner=MAX_INNER_DEFAULT):
+    """Vectorized x-update for all agents given their linear terms c_i = A_i^T mu_i.
 
     Diagonal instances use the closed form across agents in one shot; otherwise
-    agents are solved individually. Solver failures carry the agent index.
-    """
-    mu = np.asarray(mu, dtype=float).reshape(instance.n, instance.m)
-    c = np.einsum("imp,im->ip", instance.A, mu)
-    return solve_all_from_c(instance, c, max_inner=max_inner)
-
-
-def solve_all_from_c(instance, c, max_inner=MAX_INNER_DEFAULT):
-    """Like solve_all but taking precomputed linear terms c_i = A_i^T mu_i.
-
-    c has shape (n, p), or (T, n, p) for a batch of T trials; a solver
-    failure names the agent and, for a batch, the failing trial.
+    agents are solved individually. c has shape (n, p), or (T, n, p) for a
+    batch of T trials; a solver failure names the agent and, for a batch, the
+    failing trial.
     """
     if instance.diag is not None:
         return diagonal_argmin(c, instance.v, instance.diag, instance.lower, instance.upper)

@@ -2,7 +2,8 @@
 built once per session and reused by both the module tests and the acceptance
 gate. The helpers are independent references for the tests: mask injection,
 mask logs, one stepwise round, a written-out reference round, the audit grid
-sweep, and the envelope and smoothness checks."""
+sweep, the envelope and smoothness checks, and a brute-force grid search that
+the oracle's optimum is compared against."""
 
 import time
 from unittest import mock
@@ -142,6 +143,100 @@ def conjugate_smoothness_check(cost, box, mu1, mu2, A, slack=1e-9):
     gap = np.sqrt(np.sum((argmin_local(cost, box, c1).x - argmin_local(cost, box, c2).x) ** 2))
     bound = np.sqrt(np.sum((c1 - c2) ** 2)) / cost.phi
     return bool(gap <= bound + slack * max(1.0, bound))
+
+
+def verify_against_grid(instance, sol, resolution=1e-3, margin=1e-4):
+    """Check sol against a brute-force search on the constraint manifold.
+
+    Only small problems are supported: scalar coupling (m = 1), finite boxes,
+    and at most 4 primal dimensions in total. One coordinate is eliminated
+    through the equality constraint and the rest are scanned on a
+    successively refined grid down to the requested resolution. Returns True
+    when the solver's objective is within `margin` of the best grid point
+    (grids cannot beat the true optimum on a convex objective, so a genuine
+    optimum always passes).
+    """
+    n, m, p = instance.dims
+    if m != 1 or n * p > 4:
+        raise ValueError("unsupported instance: grid check needs m = 1 and n*p <= 4")
+    for ag in instance.agents:
+        if not (np.all(np.isfinite(ag.box.lower)) and np.all(np.isfinite(ag.box.upper))):
+            raise ValueError("unsupported instance: grid check needs finite boxes")
+
+    D = float(instance.total_demand[0])
+    P = n * p
+    coeff = instance.A[:, 0].reshape(P)
+    lo = instance.lower.reshape(P)
+    hi = instance.upper.reshape(P)
+
+    # the claimed solution must itself be feasible and consistently priced
+    x = np.asarray(sol.x_star, dtype=float).reshape(P)
+    if np.any(x < lo - 1e-9) or np.any(x > hi + 1e-9):
+        return False
+    if abs(float(coeff @ x) - D) > 1e-7 * (1.0 + abs(D)):
+        return False
+    claimed = float(instance.objective(x.reshape(n, p)))
+    if abs(claimed - sol.objective) > 1e-6 * (1.0 + abs(claimed)):
+        return False
+
+    nonzero = np.flatnonzero(np.abs(coeff) > 1e-12)
+    if nonzero.size == 0:
+        raise ValueError("unsupported instance: constraint touches no coordinate")
+    e = int(nonzero[-1])
+    free = [j for j in range(P) if j != e]
+
+    U_stack = np.stack([ag.cost.U for ag in instance.agents])  # (n, p, p)
+    w_total = sum(ag.cost.w for ag in instance.agents)
+
+    def total_cost(grid):
+        # grid: (..., len(free)) values of the free coordinates
+        xe = (D - grid @ coeff[free]) / coeff[e]
+        ok = (xe >= lo[e] - 1e-12) & (xe <= hi[e] + 1e-12)
+        X = np.empty(grid.shape[:-1] + (P,))
+        X[..., free] = grid
+        X[..., e] = xe
+        Xr = X.reshape(grid.shape[:-1] + (n, p))
+        vals = (
+            0.5 * np.einsum("...ip,ipq,...iq->...", Xr, U_stack, Xr)
+            + np.einsum("ip,...ip->...", instance.v, Xr)
+            + w_total
+        )
+        return np.where(ok, vals, np.inf)
+
+    n_free = len(free)
+    if n_free == 0:
+        # single coordinate, fully pinned by the constraint
+        xe = D / coeff[e]
+        if xe < lo[e] - 1e-12 or xe > hi[e] + 1e-12:
+            return False
+        best = float(instance.objective(np.full((n, p), xe)))
+        return sol.objective <= best + margin
+
+    points = 1025 if n_free == 1 else 33
+    centers = (lo[free] + hi[free]) / 2.0
+    spans = (hi[free] - lo[free]) / 2.0
+    best = np.inf
+    while True:
+        axes = [
+            np.clip(
+                np.linspace(centers[j] - spans[j], centers[j] + spans[j], points),
+                lo[free[j]],
+                hi[free[j]],
+            )
+            for j in range(n_free)
+        ]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+        vals = total_cost(grid)
+        idx = np.unravel_index(np.argmin(vals), vals.shape)
+        best = min(best, float(vals[idx]))
+        spacing = 2.0 * spans / (points - 1)
+        if np.all(spacing <= resolution):
+            break
+        centers = np.array([axes[j][idx[j]] for j in range(n_free)])
+        spans = np.minimum(1.5 * spacing, spans)
+    if not np.isfinite(best):
+        return False
+    return sol.objective <= best + margin
 
 
 # iters, record_every; the two small presets converge in a few hundred rounds

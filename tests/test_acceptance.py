@@ -13,12 +13,17 @@ from dmtrack.errors import InadmissibleDecayError
 from dmtrack.harness import ExperimentConfig, run_experiment
 from dmtrack.local_solver import argmin_local, inner_tolerance
 from dmtrack.noise import NoiseSchedule, draw_rounds
-from dmtrack.oracle import solve_dual, verify_against_grid
+from dmtrack.oracle import KKT_TOL, kkt_residual, solve_dual
 from dmtrack.privacy_audit import forced_difference_run, make_adjacent_pair
 from dmtrack.theory import epsilon_star, privacy_epsilon, q_interval
 from dmtrack.topology import metropolis_weights, ring_plus_random
 
-from conftest import build_preset, conjugate_smoothness_check, eta_bound_check
+from conftest import (
+    build_preset,
+    conjugate_smoothness_check,
+    eta_bound_check,
+    verify_against_grid,
+)
 from test_local_solver import random_cost_box
 
 
@@ -215,10 +220,15 @@ def test_criterion_7_property_suites(pytestconfig, tmp_path):
     if expansive:
         problems.append(f"{expansive}/100 conjugate pairs expansive")
 
-    # oracle agrees with brute-force grids on the small presets
-    for name in ("symmetric2", "hand_kkt"):
+    # the oracle's KKT certificate holds on every preset, and the oracle agrees
+    # with brute-force grids on the small presets
+    for name in ("symmetric2", "hand_kkt", "microgrid14"):
         instance, _, _ = build_preset(name)
-        if not verify_against_grid(instance, solve_dual(instance)):
+        sol = solve_dual(instance)
+        residual = kkt_residual(instance, sol)
+        if not residual <= KKT_TOL:
+            problems.append(f"{name} oracle KKT residual {residual:.3e} above {KKT_TOL:g}")
+        if name != "microgrid14" and not verify_against_grid(instance, sol):
             problems.append(f"{name} oracle fails the grid check")
 
     # reruns are byte-identical, and a batch of trials equals its single-seed runs
@@ -257,7 +267,7 @@ def test_criterion_7_property_suites(pytestconfig, tmp_path):
         if problems
         else "23 mixing matrices doubly stochastic to 1e-12; Laplace moments within 1%/5% "
         "at 1e6 draws; 100/100 KKT within tolerance; 100/100 conjugate pairs nonexpansive; "
-        "grid oracle agreement; byte-identical reruns; a 3-seed batch equals its 3 "
+        "oracle KKT-certified on 3 presets and grid-verified on 2; byte-identical reruns; a 3-seed batch equals its 3 "
         "single-seed runs"
     )
     _report(pytestconfig, 7, ok, detail)

@@ -11,7 +11,7 @@ from dmtrack import engine, noise
 from dmtrack.engine import EngineState, RunConfig, fixed_point_residual, init_state, run
 from dmtrack.errors import SolverFailure
 from dmtrack.harness import PRESETS
-from dmtrack.local_solver import argmin_local, solve_all
+from dmtrack.local_solver import argmin_local, solve_all_from_c
 from dmtrack.noise import NoiseSchedule, chunk_rounds
 from dmtrack.oracle import solve_dual
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
@@ -109,7 +109,8 @@ def test_zero_stepsize_freezes_dual_at_mixing():
     st = init_state(inst, cfg)
     nxt = step_once(st, inst, W, cfg.alpha)
     assert np.allclose(nxt.mu, W.W @ mu0, atol=1e-15)
-    assert np.allclose(nxt.x, solve_all(inst, nxt.mu), atol=1e-15)
+    c = np.einsum("imp,im->ip", inst.A, nxt.mu)
+    assert np.allclose(nxt.x, solve_all_from_c(inst, c), atol=1e-15)
 
 
 # Box bounds of the kernel test, zeros of both signs included.

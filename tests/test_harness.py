@@ -341,6 +341,30 @@ def test_run_experiment_failure_path(tmp_path):
     assert "failure" in summary and "empirical_mse" not in summary
     assert (tmp_path / "fail" / "summary.json").exists()
     assert not (tmp_path / "fail" / "trace.csv").exists()
+    assert "runtime_sec" in json.loads((tmp_path / "fail" / "timings.json").read_text())
+
+
+def test_failed_run_leaves_no_output_of_an_earlier_run(tmp_path):
+    """A failing run into a used directory, and a failing sweep value into its used
+    subdirectory, remove the earlier trace.csv and write their own timings.json."""
+
+    def run_and_sweep(alpha):
+        cfg = ExperimentConfig.from_dict(
+            config_dict(tmp_path / "run", trials=1, **{"algorithm.alpha": alpha})
+        )
+        run_experiment(cfg)
+        sweep(cfg, "d_zeta", [1.0], out_dir=tmp_path / "sweep")
+
+    run_and_sweep(0.45)
+    dirs = [tmp_path / "run", tmp_path / "sweep" / "d_zeta_1"]
+    for d in dirs:
+        assert (d / "trace.csv").exists()
+        (d / "timings.json").write_text("{}")
+    run_and_sweep(float("inf"))
+    for d in dirs:
+        assert json.loads((d / "summary.json").read_text())["failed"]
+        assert not (d / "trace.csv").exists()
+        assert "runtime_sec" in json.loads((d / "timings.json").read_text())
 
 
 def test_sweep_rows_and_csv(tmp_path):
@@ -448,11 +472,18 @@ def test_cli_bounds_without_a_certificate(tmp_path, capsys, override, q_min_defi
 
 
 def test_cli_oracle(tmp_path, capsys):
-    path = write_config(tmp_path)
-    assert cli.main(["oracle", "--config", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert "grid_verified=True" in out
-    assert "mu_star=" in out
+    # every preset is certified, the paper's 14-agent one included
+    for preset in ("symmetric2", "microgrid14"):
+        path = write_config(tmp_path, **{"problem.preset": preset})
+        assert cli.main(["oracle", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "kkt_residual=" in out and "grid_verified" not in out
+        assert "mu_star=" in out
+
+    # a residual above the tolerance fails the command
+    with mock.patch.object(cli, "kkt_residual", return_value=1e-3):
+        assert cli.main(["oracle", "--config", str(path)]) == 1
+    assert "kkt_residual=1.000e-03" in capsys.readouterr().out
 
 
 def test_cli_audit_single(tmp_path, capsys):

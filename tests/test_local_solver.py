@@ -7,7 +7,6 @@ from dmtrack.errors import SolverFailure
 from dmtrack.local_solver import (
     argmin_local,
     inner_tolerance,
-    solve_all,
     solve_all_from_c,
 )
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
@@ -142,19 +141,23 @@ def test_solve_all_matches_per_agent_path():
         )
     inst = ProblemInstance(agents=tuple(agents))
     mu = rng.normal(size=(4, 1))
-    stacked = solve_all(inst, mu)
+    stacked = solve_all_from_c(inst, np.einsum("imp,im->ip", inst.A, mu))
     for i, a in enumerate(inst.agents):
         expect = argmin_local(a.cost, a.box, a.A.T @ mu[i]).x
         assert np.allclose(stacked[i], expect, atol=1e-12)
 
 
 def test_solve_all_from_c_consistency():
+    # general U: each agent's projected-gradient solve, alone and in a batch of trials
     rng = np.random.default_rng(5)
     agents = []
     for _ in range(3):
         cost, box = random_cost_box(rng, 2, diagonal=False)
         agents.append(AgentSpec(cost=cost, A=np.eye(2), d=np.zeros(2), box=box))
     inst = ProblemInstance(agents=tuple(agents))
-    mu = rng.normal(size=(3, 2))
-    c = np.einsum("imp,im->ip", np.stack([a.A for a in inst.agents]), mu)
-    assert np.allclose(solve_all(inst, mu), solve_all_from_c(inst, c), atol=1e-12)
+    c = rng.normal(size=(2, 3, 2))
+    batch = solve_all_from_c(inst, c)
+    for t in range(2):
+        assert np.array_equal(solve_all_from_c(inst, c[t]), batch[t])
+        for i, a in enumerate(inst.agents):
+            assert np.array_equal(batch[t, i], argmin_local(a.cost, a.box, c[t, i]).x)

@@ -3,8 +3,10 @@ import pytest
 
 from dmtrack.errors import InfeasibleProblemError, SolverFailure
 from dmtrack.harness import PRESETS
-from dmtrack.oracle import OptSolution, solve_dual, verify_against_grid
+from dmtrack.oracle import KKT_TOL, OptSolution, kkt_residual, solve_dual
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
+
+from conftest import verify_against_grid
 
 
 def scalar_instance(specs, lo=-8.0, hi=8.0):
@@ -29,6 +31,7 @@ def test_symmetric2_closed_form():
     assert sol.objective == pytest.approx(2.0, abs=1e-9)
     assert sol.gap <= 1e-8
     assert verify_against_grid(inst, sol)
+    assert kkt_residual(inst, sol) == 0.0
 
 
 def test_hand_kkt_closed_form():
@@ -40,6 +43,7 @@ def test_hand_kkt_closed_form():
     assert np.allclose(sol.x_star, [[2.0], [1.0]], atol=1e-9)
     assert sol.objective == pytest.approx(6.0, abs=1e-9)
     assert verify_against_grid(inst, sol)
+    assert kkt_residual(inst, sol) == 0.0
 
 
 def test_microgrid14_reference_values():
@@ -51,6 +55,8 @@ def test_microgrid14_reference_values():
     assert coupled[0] == pytest.approx(231.0, abs=1e-6)
     for a, x in zip(inst.agents, sol.x_star):
         assert np.all(x > a.box.lower) and np.all(x < a.box.upper)
+    # the grid cannot check 14 agents; the KKT certificate can
+    assert kkt_residual(inst, sol) <= KKT_TOL
 
 
 def test_grid_rejects_perturbed_solution():
@@ -64,6 +70,8 @@ def test_grid_rejects_perturbed_solution():
         iterations=1,
     )
     assert not verify_against_grid(inst, off)
+    # the coupling is off by 0.1 and each agent's gradient by 0.1, over 1 + ||D|| = 3
+    assert kkt_residual(inst, off) == pytest.approx(0.1 / 3.0, rel=1e-12)
 
 
 def test_grid_requires_small_scalar_coupled_problems():
@@ -74,6 +82,7 @@ def test_grid_requires_small_scalar_coupled_problems():
     sol = solve_dual(multi)
     with pytest.raises(ValueError):
         verify_against_grid(multi, sol)  # m = 2 unsupported
+    assert kkt_residual(multi, sol) <= KKT_TOL
 
     unbounded = scalar_instance([(1.0, 0.0, 1.0, 1.0)], lo=-np.inf, hi=np.inf)
     with pytest.raises(ValueError):
@@ -126,6 +135,7 @@ def test_random_instances_agree_with_grid():
         sol = solve_dual(inst)
         assert sol.gap <= 1e-8
         assert verify_against_grid(inst, sol)
+        assert kkt_residual(inst, sol) <= KKT_TOL
 
 
 def test_active_box_solution_verified():
@@ -134,5 +144,21 @@ def test_active_box_solution_verified():
     sol = solve_dual(inst)
     assert sol.x_star.sum() == pytest.approx(2.0, abs=1e-8)
     assert verify_against_grid(inst, sol)
+    assert kkt_residual(inst, sol) <= KKT_TOL
     # the cheap agent takes the larger share
     assert sol.x_star[0, 0] > sol.x_star[1, 0]
+
+
+def test_kkt_residual_flags_a_wrong_price_and_a_suboptimal_split():
+    # hand_kkt: gradients 2 x_1 and 4 x_2, mu* = 4, x* = (2, 1) inside [-10, 10], D = 3
+    inst, _ = PRESETS["hand_kkt"]()
+
+    def residual(x, mu):
+        x = np.array(x, dtype=float).reshape(2, 1)
+        sol = OptSolution(x_star=x, mu_star=np.array([mu]), objective=0.0, gap=0.0, iterations=1)
+        return kkt_residual(inst, sol)
+
+    # both agents' gradients are off by 0.5
+    assert residual([2.0, 1.0], 4.5) == pytest.approx(0.5 / 4.0, rel=1e-12)
+    # the coupling holds, but the gradients are 5 - 4 and 2 - 4
+    assert residual([2.5, 0.5], 4.0) == pytest.approx(2.0 / 4.0, rel=1e-12)

@@ -7,8 +7,9 @@ built by bench/workloads.py, through the CLI and compare; they also pin the
 seed-0 audit_grid invocation's audit.csv and `dmtrack bounds` stdout on the
 mc_noisy config, and the stdout and audit.csv of single-point `dmtrack
 audit` runs, of a grid audit of hand_kkt's second agent and of `bounds`,
-`sweep` and `audit` on hand_kkt under a non-default audit section, whose
-digests live here. They only read bench/.
+`sweep` and `audit` on hand_kkt under a non-default audit section, and of
+`dmtrack oracle` on every preset, whose digests live here. They only read
+bench/.
 """
 
 import hashlib
@@ -187,3 +188,18 @@ def test_hand_kkt_sweep_under_an_audit_section_is_pinned(tmp_path, capsys):
 def test_hand_kkt_single_point_audit_under_an_audit_section_is_pinned(tmp_path, capsys):
     digests = _audit(tmp_path, capsys, "hand_kkt", (), audit=HAND_KKT_AUDIT)
     assert digests == HAND_KKT_AUDIT_SHA256["audit"]
+
+
+# (exit code, stdout sha256) of `dmtrack oracle` on each preset: the optimum
+# and its KKT residual
+ORACLE_STDOUT_SHA256 = {
+    "symmetric2": (0, "f84bf61da2c4ae51687b1474d2119ee91b8b14d6a624d179e89090444786359a"),
+    "hand_kkt": (0, "87bea986bc3c016628c84c1bf52b3fcec77243bb028400eb5a89d2023f117d3c"),
+    "microgrid14": (0, "269a30d7225bf762e37d5181c99ac7740e6eb4c718006f6f2d32abbd4e57d925"),
+}
+
+
+@pytest.mark.parametrize("preset", list(ORACLE_STDOUT_SHA256))
+def test_oracle_stdout_is_pinned(tmp_path, capsys, preset):
+    code, stdout = _cli(tmp_path, capsys, preset, ["oracle"])
+    assert (code, _sha256(stdout.encode())) == ORACLE_STDOUT_SHA256[preset]
