@@ -23,8 +23,6 @@ from .errors import ConfigError, DmtrackError, InadmissibleDecayError
 from .harness import (
     SWEEPABLE,
     ExperimentConfig,
-    audited_privacy,
-    constants_or_nan,
     materialize,
     passed,
     run_experiment,
@@ -32,7 +30,6 @@ from .harness import (
 )
 from .oracle import KKT_TOL, kkt_residual, solve_dual
 from .privacy_audit import audit_row, forced_difference_run, grid_schedules, monotone_flags
-from .theory import mse_bounds
 
 
 # the config path each override flag sets; overrides pass the config's validation
@@ -131,38 +128,23 @@ def _cmd_audit(args):
 def _cmd_bounds(args):
     config = _load_config(args)
     mat = materialize(config)
-    constants = constants_or_nan(mat)
-    bnds = mse_bounds(mat.schedule, mat.mod, mat.instance.n, mat.instance.m)
+    privacy = mat.privacy
     out = {
         "alpha": mat.alpha,
-        "lambda_bar": mat.W.lambda_bar,
-        "phi_under": mat.mod.phi_under,
-        "L_bar": mat.mod.L_bar,
-        "A_norm": mat.mod.A_norm,
-        "lamAA_min": mat.mod.lamAA_min,
-        "C": constants.C,
-        "r_lb": constants.r_lb,
-        "alpha_max_t1": constants.alpha_max_t1,
-        "alpha_max_t2": constants.alpha_max_t2,
-        "tau1": constants.tau1,
-        "tau2": constants.tau2,
-        "N_zeta": bnds.N_zeta,
-        "mse_lower": bnds.lower,
-        "mse_upper": bnds.upper,
+        "lambda_bar": mat.constants.lambda_bar,
+        **mat.mod._asdict(),
+        **mat.constants._asdict(),
+        "N_zeta": mat.mse.N_zeta,
+        "mse_lower": mat.mse.lower,
+        "mse_upper": mat.mse.upper,
+        "q_min": privacy.q_min,
+        "q": float(mat.schedule.q_zeta[mat.pair.i0]),
     }
-    privacy = audited_privacy(mat)
-    out["q_min"] = privacy.q_min
-    out["q"] = float(mat.schedule.q_zeta[mat.pair.i0])
+    # the certificate needs q_min and, under noise, both epsilon forms
     figures = [privacy.q_min]
     if mat.schedule.enabled:
-        printed = audited_privacy(mat, printed_form=True)
-        out.update(
-            eps_theory=privacy.eps_theory,
-            eps_theory_printed=printed.eps_theory,
-            eps_star=privacy.eps_star,
-            eps_star_printed=printed.eps_star,
-        )
-        figures += [privacy.eps_theory, printed.eps_theory]
+        out.update(privacy._asdict())  # q_min keeps its place
+        figures += [privacy.eps_theory, privacy.eps_theory_printed]
     admissible = not any(math.isnan(f) for f in figures)
     out["admissible"] = admissible
     for key, value in out.items():

@@ -112,7 +112,6 @@ class RunTrace:
     tracking_residual: np.ndarray
     feasibility: np.ndarray
     final_state: EngineState
-    x_star: Optional[np.ndarray] = None
     states_mu: Optional[np.ndarray] = None
     states_x: Optional[np.ndarray] = None
 
@@ -412,7 +411,6 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
         final_state=EngineState(
             mu=out(src.mu).copy(), x=out(src.x).copy(), y=out(src.y).copy(), round=iters
         ),
-        x_star=x_star,
         states_mu=out(states_mu) if keep_states else None,
         states_x=out(states_x) if keep_states else None,
     )

@@ -30,7 +30,7 @@ from .oracle import solve_dual
 from .privacy_audit import AdjacentPair, make_adjacent_pair
 from .problem import AgentSpec, BoxSet, Moduli, ProblemInstance, QuadraticCost, moduli
 from .theory import (
-    StepsizeBounds,
+    MseBounds,
     TheoryConstants,
     epsilon_star,
     mse_bounds,
@@ -281,9 +281,46 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(d)
 
 
+class AuditedPrivacy(NamedTuple):
+    """The audited agent's decay floor and epsilons, in the proof-consistent and the
+    printed denominator forms (theory.privacy_epsilon)."""
+
+    q_min: float
+    eps_theory: float
+    eps_theory_printed: float
+    eps_star: float
+    eps_star_printed: float
+
+
+def audited_privacy(instance, schedule, pair, alpha):
+    """q_min and the epsilons of the audited agent pair.i0 at radius pair.delta; NaN where
+    the setup admits none (decay outside (q_min, 1), a zero mask scale or stepsize, or a
+    product alpha * d_zeta that underflows to zero)."""
+    i0, delta = pair.i0, pair.delta
+    phi, A_norm = instance.agents[i0].cost.phi, instance.agents[i0].A_norm
+    q, d_zeta, d_eta = (float(a[i0]) for a in (schedule.q_zeta, schedule.d_zeta, schedule.d_eta))
+    try:
+        q_min = q_interval(alpha, phi, A_norm).q_min
+    except (InadmissibleDecayError, ValueError):
+        q_min = math.nan
+
+    def epsilons(printed_form):
+        try:
+            return (
+                privacy_epsilon(alpha, d_zeta, d_eta, phi, A_norm, q, delta, printed_form),
+                epsilon_star(alpha, d_zeta, phi, A_norm, q, delta, printed_form),
+            )
+        except (InadmissibleDecayError, ValueError, ZeroDivisionError):
+            return math.nan, math.nan
+
+    (eps, star), (eps_printed, star_printed) = epsilons(False), epsilons(True)
+    return AuditedPrivacy(q_min, eps, eps_printed, star, star_printed)
+
+
 @dataclass(eq=False)
 class Materialized:
-    """What a run derives from its config; the settings themselves are in config.values."""
+    """What a run derives from its config, closed-form figures included; the settings
+    themselves are in config.values."""
 
     instance: ProblemInstance
     graph: Graph
@@ -291,8 +328,10 @@ class Materialized:
     schedule: NoiseSchedule
     alpha: float
     mod: Moduli
-    bounds: StepsizeBounds  # stepsize_bounds(mod, W.lambda_bar)
     pair: AdjacentPair  # the audited agent audit.i0 and its shift
+    constants: TheoryConstants  # with the caps of stepsize_bounds(mod, W.lambda_bar)
+    mse: MseBounds
+    privacy: AuditedPrivacy
 
 
 def _per_agent(value, n, where):
@@ -322,7 +361,8 @@ def materialize(config):
         base = bounds.alpha_max_t1 if key == "frac_of_t1" else bounds.alpha_max_t2
         if base <= 0:
             raise ConfigError(f"algorithm.alpha: {key} requested but the bound is {base}")
-        alpha = float(frac) * base
+        alpha = frac * base
+    alpha = float(alpha)
     if v["noise.enabled"]:
         keys = ("noise.d_eta", "noise.d_zeta", "noise.q_eta", "noise.q_zeta")
         schedule = NoiseSchedule(*(_per_agent(v[key], instance.n, key) for key in keys))
@@ -332,57 +372,13 @@ def materialize(config):
         pair = make_adjacent_pair(instance, v["audit.i0"], v["audit.delta"], v["audit.delta_prime"])
     except ValueError as exc:  # its message starts with the argument's name
         raise ConfigError(f"audit.{exc}") from exc
-    return Materialized(instance, graph, W, schedule, float(alpha), mod, bounds, pair)
+    constants = theory_constants(alpha, mod, W.lambda_bar, bounds, schedule=schedule)
+    mse = mse_bounds(schedule, mod, instance.n, instance.m)
+    privacy = audited_privacy(instance, schedule, pair, alpha)
+    return Materialized(instance, graph, W, schedule, alpha, mod, pair, constants, mse, privacy)
 
 
 # ------------------------------------------------------------ experiments
-
-def constants_or_nan(mat):
-    """theory_constants of a materialized config. Where the stepsize admits no contraction
-    factor or decay interval, C, r_lb, tau1 and tau2 are NaN; lambda_bar and the stepsize
-    caps do not depend on the stepsize and keep their values."""
-    try:
-        return theory_constants(
-            mat.alpha, mat.mod, mat.W.lambda_bar, schedule=mat.schedule, bounds=mat.bounds
-        )
-    except (InadmissibleDecayError, ValueError):
-        nan = math.nan
-        caps = mat.bounds
-        return TheoryConstants(
-            nan, mat.W.lambda_bar, nan, caps.alpha_max_t1, caps.alpha_max_t2, nan, nan
-        )
-
-
-class AuditedPrivacy(NamedTuple):
-    q_min: float
-    eps_theory: float
-    eps_star: float
-
-
-def audited_privacy(mat, printed_form=False):
-    """q_min and the epsilons of the audited agent mat.pair.i0 at radius mat.pair.delta.
-
-    A figure the setup admits none of (decay outside (q_min, 1), a zero
-    mask scale or stepsize) is NaN. printed_form selects the simplified
-    epsilon denominator.
-    """
-    i0, delta = mat.pair.i0, mat.pair.delta
-    ag = mat.instance.agents[i0]
-    phi, A_norm = ag.cost.phi, ag.A_norm
-    q = float(mat.schedule.q_zeta[i0])
-    d_zeta = float(mat.schedule.d_zeta[i0])
-    d_eta = float(mat.schedule.d_eta[i0])
-    try:
-        q_min = q_interval(mat.alpha, phi, A_norm).q_min
-    except (InadmissibleDecayError, ValueError):
-        q_min = math.nan
-    try:
-        eps = privacy_epsilon(mat.alpha, d_zeta, d_eta, phi, A_norm, q, delta, printed_form)
-        star = epsilon_star(mat.alpha, d_zeta, phi, A_norm, q, delta, printed_form)
-    except (InadmissibleDecayError, ValueError):
-        eps = star = math.nan
-    return AuditedPrivacy(q_min, eps, star)
-
 
 # Rows of trace.csv formatted and written together
 CSV_BLOCK_ROWS = 256
@@ -446,8 +442,6 @@ def _run_materialized(config, mat, out_dir):
     outdir.mkdir(parents=True, exist_ok=True)
 
     sol = solve_dual(mat.instance)
-    constants = constants_or_nan(mat)
-    bnds = mse_bounds(mat.schedule, mat.mod, mat.instance.n, mat.instance.m)
     run_cfg = RunConfig(alpha=mat.alpha, iters=iters, record_every=v["algorithm.record_every"])
     seeds = [v["seed"] + t for t in range(trials)]
 
@@ -461,8 +455,8 @@ def _run_materialized(config, mat, out_dir):
         "seed": v["seed"],
         "noise_enabled": mat.schedule.enabled,
         "lambda_bar": mat.W.lambda_bar,
-        "constants": constants._asdict(),
-        "mse_bounds": bnds._asdict(),
+        "constants": mat.constants._asdict(),
+        "mse_bounds": mat.mse._asdict(),
         "oracle": {
             "objective": sol.objective,
             "mu_star": sol.mu_star,
@@ -494,11 +488,11 @@ def _run_materialized(config, mat, out_dir):
     max_track = trace.max_tracking_residual()
 
     slack = 3.0 / math.sqrt(trials)
-    if bnds.N_zeta == 0.0:
+    if mat.mse.N_zeta == 0.0:
         contained = empirical <= 1e-12
         band = [0.0, 1e-12]
     else:
-        band = [bnds.lower * (1.0 - slack), bnds.upper * (1.0 + slack)]
+        band = [mat.mse.lower * (1.0 - slack), mat.mse.upper * (1.0 + slack)]
         contained = band[0] <= empirical <= band[1]
     tracking_ok = max_track <= 1e-9
 
@@ -536,37 +530,38 @@ def sweep(config, parameter, values, out_dir=None):
     with the theoretical band and the privacy figures of the audited agent,
     so the accuracy/privacy trade-off can be read straight off the table.
     Values whose decay is inadmissible keep their MSE data but carry NaN
-    privacy columns and admissible=False. Two values that name the same
-    subdirectory are rejected before any run.
+    privacy columns and admissible=False. A q value also sets whichever of
+    noise.q_eta / noise.q_zeta the config sets. Every value is materialized
+    before any run, so a rejected value writes nothing.
     """
     if parameter not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {tuple(SWEEPABLE)}, got {parameter!r}")
     base_out = Path(out_dir if out_dir is not None else config.values["output"])
-    key = SWEEPABLE[parameter]
+    keys = [SWEEPABLE[parameter]]
+    if parameter == "q":
+        keys += [f"noise.{key}" for key in ("q_eta", "q_zeta") if key in config.raw["noise"]]
     values = [float(value) for value in values]
     names = [f"{parameter}_{value:g}" for value in values]
     shared = sorted({name for name in names if names.count(name) > 1})
     if shared:
         raise ConfigError(f"sweep values {values} share the subdirectories {shared}")
+    configs = [config.replace(**dict.fromkeys(keys, value)) for value in values]
+    mats = [materialize(cfg) for cfg in configs]
 
     rows = []
     summaries = []
-    for value, name in zip(values, names):
-        cfg = config.replace(**{key: value})
-        sub = base_out / name
-        mat = materialize(cfg)
-        summary = _run_materialized(cfg, mat, sub)
+    for value, name, cfg, mat in zip(values, names, configs, mats):
+        summary = _run_materialized(cfg, mat, base_out / name)
         summaries.append(summary)
-        privacy = audited_privacy(mat)
         rows.append(
             {
-                "value": float(value),
+                "value": value,
                 "empirical_mse": summary.get("empirical_mse", math.nan),
-                "lower": summary["mse_bounds"]["lower"],
-                "upper": summary["mse_bounds"]["upper"],
-                "eps_star": privacy.eps_star,
-                "eps_theory": privacy.eps_theory,
-                "admissible": not math.isnan(privacy.eps_theory),
+                "lower": mat.mse.lower,
+                "upper": mat.mse.upper,
+                "eps_star": mat.privacy.eps_star,
+                "eps_theory": mat.privacy.eps_theory,
+                "admissible": not math.isnan(mat.privacy.eps_theory),
                 "failed": summary["failed"],
             }
         )

@@ -23,7 +23,7 @@ via printed_form=True). They coincide when ||A|| = 1.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,9 +59,9 @@ class StepsizeBounds(NamedTuple):
     admissible: bool  # False when no alpha passes the second-stage test
 
 
-def _second_stage_ok(alpha, mod, lambda_bar, r):
-    """Both implicit stepsize clauses at a given alpha, or elementwise at an array of
-    alphas (first-stage cap assumed)."""
+def _second_stage_ok(alpha, mod, lambda_bar):
+    """The implicit second-stage stepsize clause at a given alpha, or elementwise at an
+    array of alphas (first-stage cap assumed)."""
     C = contraction_C(alpha, mod.phi_under, mod.L_bar, mod.A_norm, mod.lamAA_min)
     one_minus = 1.0 - C
     rhs = (
@@ -69,23 +69,14 @@ def _second_stage_ok(alpha, mod, lambda_bar, r):
         * (-one_minus + np.sqrt(one_minus**2 + 2.0 * one_minus * (1.0 - lambda_bar) ** 2))
         / (2.0 * mod.A_norm)
     )
-    ok = alpha < rhs
-    if r is not None:
-        # the rate certificate only applies for r above both contraction
-        # factors; below them the product test can pass vacuously by a
-        # double sign flip
-        lhs = ((r - C) * mod.phi_under / (alpha * mod.A_norm)) * (
-            (r - lambda_bar) ** 2 * mod.phi_under / (2.0 * alpha * mod.A_norm) - 1.0
-        )
-        ok &= (r > C) & (r > lambda_bar) & (lhs > 1.0)
-    return ok
+    return alpha < rhs
 
 
-def stepsize_bounds(mod, lambda_bar, r=None):
+def stepsize_bounds(mod, lambda_bar):
     """Largest admissible stepsizes for the two convergence regimes.
 
     alpha_max_t1 is the closed-form cap. alpha_max_t2 is the supremum of
-    alphas below that cap passing the implicit second-stage inequalities,
+    alphas below that cap passing the implicit second-stage inequality,
     located by a grid scan plus bisection (the tests verify the predicate
     is monotone across the bracket). A configuration where nothing passes
     returns alpha_max_t2 = 0 with admissible=False instead of raising.
@@ -94,7 +85,7 @@ def stepsize_bounds(mod, lambda_bar, r=None):
         raise ValueError(f"lambda_bar must be in [0, 1), got {lambda_bar}")
     t1 = mod.phi_under**2 / (2.0 * mod.A_norm**2 * mod.L_bar)
     xs = np.linspace(t1 / _GRID, t1 * (1.0 - 1e-12), _GRID)
-    passing = np.flatnonzero(_second_stage_ok(xs, mod, lambda_bar, r))
+    passing = np.flatnonzero(_second_stage_ok(xs, mod, lambda_bar))
     if not passing.size:
         return StepsizeBounds(t1, 0.0, False)
     last = int(passing[-1])
@@ -104,7 +95,7 @@ def stepsize_bounds(mod, lambda_bar, r=None):
     lo, hi = float(xs[last]), float(xs[last + 1])
     while hi - lo > BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        if _second_stage_ok(mid, mod, lambda_bar, r):
+        if _second_stage_ok(mid, mod, lambda_bar):
             lo = mid
         else:
             hi = mid
@@ -126,15 +117,15 @@ def mse_bounds(schedule, mod, n, m):
     active = d > 0
     if np.any(q[active] >= 1.0):
         raise ValueError("divergent noise: some q_zeta >= 1 with positive scale")
-    N_zeta = float(np.sum(2.0 * m * d[active] ** 2 / (1.0 - q[active] ** 2)))
+    with np.errstate(over="ignore"):  # a scale whose square overflows gives an infinite band
+        N_zeta = float(np.sum(2.0 * m * d[active] ** 2 / (1.0 - q[active] ** 2)))
     lower = N_zeta / (n**2 * mod.A_norm**2)
     upper = mod.L_bar**2 * N_zeta / (n * mod.phi_under**2 * mod.lamAA_min**2)
     return MseBounds(lower, upper, N_zeta)
 
 
 class QInterval(NamedTuple):
-    q_min: float
-    q_max: float  # always 1.0; the interval is open on both ends
+    q_min: float  # the interval (q_min, 1) is open on both ends
     tau1: float
     tau2: float
 
@@ -161,7 +152,7 @@ def q_interval(alpha, phi_i0, A_i0_norm):
         )
     # tau2 = -tau1/(1+tau1) for these coefficients, so -1 < tau2 < 0 < tau1 < 1
     assert -1.0 < tau2 < 0.0 < tau1 < 1.0
-    return QInterval(q_min, 1.0, tau1, tau2)
+    return QInterval(q_min, tau1, tau2)
 
 
 def _denominator(alpha, phi_i0, A_i0_norm, q_i0, printed_form):
@@ -223,27 +214,24 @@ class TheoryConstants(NamedTuple):
     tau2: float
 
 
-def theory_constants(alpha, mod, lambda_bar, schedule=None, bounds=None):
+def theory_constants(alpha, mod, lambda_bar, bounds, schedule=None):
     """Bundle every scalar constant the experiment reports need.
 
-    tau1 / tau2 are the q_interval roots at the global moduli (phi_under,
-    A_norm), which are the audited agent's when agents are homogeneous.
-    r_lb folds in the mask decays when a schedule is given. bounds is
-    stepsize_bounds(mod, lambda_bar) when the caller already has it.
+    bounds is stepsize_bounds(mod, lambda_bar). tau1 / tau2 are the
+    q_interval roots at the global moduli (phi_under, A_norm), which are the
+    audited agent's when agents are homogeneous. r_lb folds in the mask
+    decays when a schedule is given. Where the stepsize admits no contraction
+    factor or decay interval, C, r_lb, tau1 and tau2 are NaN; lambda_bar and
+    the stepsize caps do not depend on the stepsize and keep their values.
     """
-    C = contraction_C(alpha, mod.phi_under, mod.L_bar, mod.A_norm, mod.lamAA_min)
-    if bounds is None:
-        bounds = stepsize_bounds(mod, lambda_bar)
-    interval = q_interval(alpha, mod.phi_under, mod.A_norm)
-    r_lb = max(C, lambda_bar)
-    if schedule is not None and schedule.enabled:
-        r_lb = max(r_lb, float(np.max(schedule.q_eta)), float(np.max(schedule.q_zeta)))
+    try:
+        C = contraction_C(alpha, mod.phi_under, mod.L_bar, mod.A_norm, mod.lamAA_min)
+        _, tau1, tau2 = q_interval(alpha, mod.phi_under, mod.A_norm)
+        r_lb = max(C, lambda_bar)
+        if schedule is not None and schedule.enabled:
+            r_lb = max(r_lb, float(np.max(schedule.q_eta)), float(np.max(schedule.q_zeta)))
+    except (InadmissibleDecayError, ValueError):
+        C = r_lb = tau1 = tau2 = math.nan
     return TheoryConstants(
-        C=C,
-        lambda_bar=lambda_bar,
-        r_lb=r_lb,
-        alpha_max_t1=bounds.alpha_max_t1,
-        alpha_max_t2=bounds.alpha_max_t2,
-        tau1=interval.tau1,
-        tau2=interval.tau2,
+        C, lambda_bar, r_lb, bounds.alpha_max_t1, bounds.alpha_max_t2, tau1, tau2
     )

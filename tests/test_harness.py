@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import json
 import math
@@ -164,7 +165,7 @@ def test_materialize_resolves_alpha(tmp_path):
     assert isinstance(mat.schedule, NoiseSchedule) and mat.schedule.enabled
 
     sb = stepsize_bounds(moduli(mat.instance), mat.W.lambda_bar)
-    assert mat.bounds == sb
+    assert (mat.constants.alpha_max_t1, mat.constants.alpha_max_t2) == sb[:2]
     for key, base in (("frac_of_t1", sb.alpha_max_t1), ("frac_of_t2", sb.alpha_max_t2)):
         cfg = ExperimentConfig.from_dict(
             config_dict(tmp_path, **{"algorithm.alpha": {key: 0.9}})
@@ -228,27 +229,33 @@ def test_run_experiment_summary_and_artifacts(tmp_path):
 
 
 def test_stepsize_bounds_run_once_per_experiment(tmp_path, capsys):
-    """materialize's stepsize bounds feed theory_constants; the scan is not repeated."""
-    calls = []
+    """materialize derives the stepsize bounds, the theory constants and the MSE band
+    once; run and bounds read them and call no theory themselves."""
+    names = ("stepsize_bounds", "theory_constants", "mse_bounds")
+    counted = {name: mock.Mock(wraps=getattr(theory, name)) for name in names}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return stepsize_bounds(*args, **kwargs)
+    def calls():
+        return {name: c.call_count for name, c in counted.items()}
 
     d = config_dict(tmp_path / "c", **{"algorithm.alpha": {"frac_of_t2": 0.9}})
     cfg = ExperimentConfig.from_dict(d)
     path = tmp_path / "c.json"
     path.write_text(json.dumps(d))
-    with mock.patch.object(harness, "stepsize_bounds", counted), mock.patch.object(
-        theory, "stepsize_bounds", counted
-    ):
+    with contextlib.ExitStack() as stack:
+        for name in names:
+            for module in (harness, theory):
+                stack.enter_context(mock.patch.object(module, name, counted[name]))
         summary = run_experiment(cfg)
-        assert len(calls) == 1
+        assert calls() == dict.fromkeys(names, 1)
         assert cli.main(["bounds", "--config", str(path)]) == 0
-        assert len(calls) == 2
+        assert calls() == dict.fromkeys(names, 2)
+        mat = materialize(cfg)
+        assert calls() == dict.fromkeys(names, 3)
+        harness._run_materialized(cfg, mat, tmp_path / "again")  # reads mat's figures
+        assert calls() == dict.fromkeys(names, 3)
 
-    mat = materialize(cfg)
-    expect = theory_constants(mat.alpha, mat.mod, mat.W.lambda_bar, schedule=mat.schedule)
+    bounds = stepsize_bounds(mat.mod, mat.W.lambda_bar)
+    expect = theory_constants(mat.alpha, mat.mod, mat.W.lambda_bar, bounds, schedule=mat.schedule)
     assert summary["constants"] == expect._asdict()
     out = capsys.readouterr().out
     assert f"alpha_max_t2={expect.alpha_max_t2!r}" in out and f"C={expect.C!r}" in out
@@ -390,6 +397,27 @@ def test_sweep_rows_and_csv(tmp_path):
         sweep(cfg, "seed", [1.0], out_dir=tmp_path / "sw2")
 
 
+@pytest.mark.parametrize(
+    "keys", [("q_eta",), ("q_zeta",), ("q_eta", "q_zeta")], ids=["q_eta", "q_zeta", "both"]
+)
+def test_sweep_q_replaces_each_per_mask_decay_the_config_sets(tmp_path, keys):
+    """A per-mask decay overrides noise.q, so a q sweep sets it too: each value runs
+    with both decays at that value, and no per-mask key is added to the config."""
+    set_keys = {f"noise.{key}": 0.97 for key in keys}
+    cfg = ExperimentConfig.from_dict(config_dict(tmp_path, trials=1, **set_keys))
+    rows, summaries = sweep(cfg, "q", [0.95, 0.99], out_dir=tmp_path / "sw")
+    assert rows[0]["eps_star"] != rows[1]["eps_star"]
+    for value, summary in zip((0.95, 0.99), summaries):
+        noise = summary["config"]["noise"]
+        assert noise == {**config_dict(tmp_path)["noise"], "q": value, **dict.fromkeys(keys, value)}
+        schedule = materialize(ExperimentConfig.from_dict(summary["config"])).schedule
+        assert set(schedule.q_eta) == set(schedule.q_zeta) == {value}
+        alone = run_experiment(
+            ExperimentConfig.from_dict(summary["config"]), out_dir=tmp_path / "alone"
+        )
+        assert alone["empirical_mse"] == summary["empirical_mse"]
+
+
 def write_config(tmp_path, name="cfg.json", **overrides):
     d = config_dict(tmp_path / "out", **overrides)
     path = tmp_path / name
@@ -425,9 +453,10 @@ def test_cli_sweep_exits_on_the_run_verdict(tmp_path, capsys):
     assert not summary["failed"] and not summary["bound_contained"]
 
 
-@pytest.mark.parametrize("values", ["0.5,abc", ",", "0.98,0.9800001"])
+@pytest.mark.parametrize("values", ["0.5,abc", ",", "0.98,0.9800001", "0.95,1.5"])
 def test_cli_sweep_rejects_bad_values(tmp_path, capsys, values):
-    """Unparsable, empty and colliding value lists exit 2 with one error line, before any run."""
+    """Unparsable, empty, colliding and out-of-range value lists exit 2 with one error
+    line, before any run: a later value the config rejects writes no earlier value."""
     path = write_config(tmp_path)
     assert cli.main(["sweep", "--config", str(path), "--param", "q", "--values", values]) == 2
     captured = capsys.readouterr()
@@ -568,6 +597,31 @@ def test_cli_reads_a_stepsize_whose_square_overflows_as_a_huge_one(tmp_path, cap
         assert {"run": "bound_contained   False", "bounds": "admissible=False"}[command] in lines
 
 
+@pytest.mark.parametrize("command,code", [("run", 1), ("bounds", 0), ("audit", 0)])
+def test_a_mask_scale_whose_square_overflows_leaves_no_warning(tmp_path, capsys, command, code):
+    """d_zeta = 1e200 squares past the float range in mse_bounds, which materialize
+    evaluates for every command: the band is infinite, and no numpy warning leaks."""
+    path = write_config(tmp_path, **{"noise.d_zeta": 1e200})
+    assert cli.main([command, "--config", str(path)]) == code
+    if command == "bounds":
+        assert "mse_upper=inf" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("command", ["run", "bounds"])
+def test_an_epsilon_whose_scale_product_underflows_is_nan(tmp_path, capsys, command):
+    """At alpha = d_zeta = 1e-200, alpha * d_zeta underflows to 0 in the epsilon formula:
+    the epsilons are NaN (bounds exits 1), and run, which does not print them, still
+    writes its summary."""
+    path = write_config(tmp_path, **{"algorithm.alpha": 1e-200, "noise.d_zeta": 1e-200})
+    assert cli.main([command, "--config", str(path)]) == 1
+    if command == "bounds":
+        out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert out["eps_theory"] == out["eps_star"] == "nan" and out["q_min"] != "nan"
+    else:
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert not summary["failed"]
+
+
 @pytest.mark.parametrize(
     "eps_empirical,violations,admissible,code",
     [(0.9, 0, True, 0), (1.1, 0, True, 1), (0.9, 2, True, 1), (1.1, 2, False, 1)],
@@ -616,10 +670,11 @@ def test_stepsize_caps_survive_an_inadmissible_stepsize(tmp_path, capsys):
     in `bounds` stdout and in summary.json."""
     path = write_config(tmp_path, **{"algorithm.alpha": 1e200})
     mat = materialize(ExperimentConfig.from_file(path))
+    bounds = stepsize_bounds(mat.mod, mat.W.lambda_bar)
     want = {
         "lambda_bar": mat.W.lambda_bar,
-        "alpha_max_t1": mat.bounds.alpha_max_t1,
-        "alpha_max_t2": mat.bounds.alpha_max_t2,
+        "alpha_max_t1": bounds.alpha_max_t1,
+        "alpha_max_t2": bounds.alpha_max_t2,
     }
     assert all(math.isfinite(value) for value in want.values())
 

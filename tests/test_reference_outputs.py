@@ -8,13 +8,15 @@ seed-0 audit_grid invocation's audit.csv and `dmtrack bounds` stdout on the
 mc_noisy config, and the stdout and audit.csv of single-point `dmtrack
 audit` runs, of a grid audit of hand_kkt's second agent and of `bounds`,
 `sweep` and `audit` on hand_kkt under a non-default audit section, and of
-`dmtrack oracle` on every preset, whose digests live here. They only read
-bench/.
+`dmtrack oracle` on every preset, whose digests live here. They also check
+that `bounds` prints the closed-form figures that summary.json and sweep.csv
+carry. They only read bench/.
 """
 
 import hashlib
 import json
 import importlib.util
+import math
 import sys
 from pathlib import Path
 
@@ -76,6 +78,56 @@ def test_microgrid14_bounds_stdout_is_pinned(workloads, tmp_path, capsys):
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("setup", ["mc_noisy", "symmetric2_alpha_1e200"])
+def test_bounds_prints_the_figures_that_summary_json_carries(workloads, tmp_path, capsys, setup):
+    """One path for the closed-form figures: each `bounds` key that summary.json also
+    carries prints the repr of the summary's value. The figures are finite on the
+    seed-0 mc_noisy config; on symmetric2 at alpha = 1e200, where no decay interval
+    exists, C, r_lb, tau1 and tau2 are NaN in both."""
+    config, argv, out_dir = workloads.prepare("mc_noisy", workloads.REF_SEED, 0, False, tmp_path)
+    path = Path(argv[argv.index("--config") + 1])
+    if setup == "symmetric2_alpha_1e200":
+        config.update(problem={"preset": "symmetric2"}, algorithm={"alpha": 1e200, "iters": 60})
+        path.write_text(json.dumps(config))
+        argv = ["run", "--config", str(path)]
+    finite = setup == "mc_noisy"
+    assert cli.main(argv) == (0 if finite else 1)
+    summary = json.loads((out_dir / "summary.json").read_text())
+    band = summary["mse_bounds"]
+    carried = {
+        "alpha": summary["alpha"],
+        "lambda_bar": summary["lambda_bar"],
+        **summary["constants"],
+        "N_zeta": band["N_zeta"],
+        "mse_lower": band["lower"],
+        "mse_upper": band["upper"],
+    }
+    capsys.readouterr()
+    assert cli.main(["bounds", "--config", str(path)]) == (0 if finite else 1)
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert {key: printed[key] for key in carried} == {k: repr(v) for k, v in carried.items()}
+    nan = [key for key, value in summary["constants"].items() if math.isnan(value)]
+    assert nan == ([] if finite else ["C", "r_lb", "tau1", "tau2"])
+
+
+def test_sweep_csv_privacy_columns_are_the_bounds_figures(tmp_path, capsys):
+    """sweep.csv's eps_theory and eps_star equal what `bounds` prints at the same q,
+    NaN included: on microgrid14, q = 0.3 is below q_min = 0.41, and agent 0's
+    ||A|| != 1 sets the two denominator forms apart."""
+    values = ("0.3", "0.9", "0.95")
+    argv = ["sweep", "--param", "q", "--values", ",".join(values)]
+    _cli(tmp_path, capsys, "microgrid14", argv)
+    header, *rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+    columns = header.split(",")
+    swept = [dict(zip(columns, row.split(","))) for row in rows]
+    assert swept[0]["eps_star"] == "nan" and swept[1]["eps_star"] != "nan"
+    for q, row in zip(values, swept):
+        noise = {"enabled": True, "d_eta": 1.0, "d_zeta": 1.0, "q": float(q)}
+        _, stdout = _cli(tmp_path, capsys, "microgrid14", ["bounds"], noise=noise)
+        printed = dict(line.split("=", 1) for line in stdout.splitlines())
+        assert (row["eps_theory"], row["eps_star"]) == (printed["eps_theory"], printed["eps_star"])
 
 
 def _cli(tmp_path, capsys, preset, argv, **sections):

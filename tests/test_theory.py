@@ -44,7 +44,7 @@ def test_contraction_validation():
         contraction_C(np.array([0.5, -0.1]), *SYM2)
 
 
-def second_stage_reference(alpha, mod, lambda_bar, r):
+def second_stage_reference(alpha, mod, lambda_bar):
     """The second-stage stepsize test at one alpha, in scalar math."""
     radicand = 1.0 + (
         mod.A_norm**2 * alpha**2 / mod.phi_under**2 - 2.0 * alpha / mod.L_bar
@@ -56,16 +56,7 @@ def second_stage_reference(alpha, mod, lambda_bar, r):
         * (-one_minus + math.sqrt(one_minus**2 + 2.0 * one_minus * (1.0 - lambda_bar) ** 2))
         / (2.0 * mod.A_norm)
     )
-    if not alpha < rhs:
-        return False
-    if r is None:
-        return True
-    if not (r > C and r > lambda_bar):
-        return False
-    lhs = ((r - C) * mod.phi_under / (alpha * mod.A_norm)) * (
-        (r - lambda_bar) ** 2 * mod.phi_under / (2.0 * alpha * mod.A_norm) - 1.0
-    )
-    return lhs > 1.0
+    return alpha < rhs
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -75,26 +66,23 @@ def second_stage_reference(alpha, mod, lambda_bar, r):
     A=st.floats(min_value=0.2, max_value=2.0),
     lam_frac=st.floats(min_value=0.05, max_value=1.0),
     lambda_bar=st.floats(min_value=0.0, max_value=0.999),
-    r_gap=st.one_of(st.none(), st.floats(min_value=1e-4, max_value=0.5)),
 )
-def test_stepsize_scan_flags_match_the_scalar_test(phi, L_ratio, A, lam_frac, lambda_bar, r_gap):
+def test_stepsize_scan_flags_match_the_scalar_test(phi, L_ratio, A, lam_frac, lambda_bar):
     """stepsize_bounds evaluates its grid as one array; each flag equals the scalar
-    test at that alpha, and a negative radicand still raises ValueError. Rates
-    r = 1 - r_gap close to 1 are the ones that leave some alphas passing."""
-    r = None if r_gap is None else 1.0 - r_gap
+    test at that alpha, and a negative radicand still raises ValueError."""
     mod = Moduli(phi_under=phi, L_bar=phi * L_ratio, A_norm=A, lamAA_min=lam_frac * A**2)
     t1 = phi**2 / (2.0 * A**2 * mod.L_bar)
     xs = np.linspace(t1 / theory._GRID, t1 * (1.0 - 1e-12), theory._GRID)
     try:
-        want = [second_stage_reference(float(a), mod, lambda_bar, r) for a in xs]
+        want = [second_stage_reference(float(a), mod, lambda_bar) for a in xs]
     except ValueError:
         with pytest.raises(ValueError, match="radicand is negative"):
-            theory._second_stage_ok(xs, mod, lambda_bar, r)
+            theory._second_stage_ok(xs, mod, lambda_bar)
         with pytest.raises(ValueError):
-            stepsize_bounds(mod, lambda_bar, r)
+            stepsize_bounds(mod, lambda_bar)
         return
-    assert theory._second_stage_ok(xs, mod, lambda_bar, r).tolist() == want
-    assert [bool(theory._second_stage_ok(a, mod, lambda_bar, r)) for a in xs[::97]] == want[::97]
+    assert theory._second_stage_ok(xs, mod, lambda_bar).tolist() == want
+    assert [bool(theory._second_stage_ok(a, mod, lambda_bar)) for a in xs[::97]] == want[::97]
 
 
 @settings(max_examples=80, deadline=None)
@@ -131,17 +119,12 @@ def test_stepsize_bounds_microgrid_frozen():
     assert 0 < sb.alpha_max_t2 < sb.alpha_max_t1
 
 
-def test_stepsize_bounds_with_rate_target():
-    # requesting a rate below the contraction floor leaves no second stage
-    sb = stepsize_bounds(SYM2, lambda_bar=0.0, r=0.1)
-    assert sb.alpha_max_t1 == 1.0
-    assert sb.alpha_max_t2 == 0.0
-    assert not sb.admissible
-    # a loose target keeps a nonempty (but smaller) window
-    base = stepsize_bounds(SYM2, lambda_bar=0.0)
-    sb = stepsize_bounds(SYM2, lambda_bar=0.0, r=0.99)
-    assert sb.admissible
-    assert 0.0 < sb.alpha_max_t2 <= base.alpha_max_t2 + 1e-12
+def test_stepsize_bounds_without_a_second_stage():
+    """A graph that barely mixes pushes the second-stage cap below the scan's first
+    alpha: nothing passes, and the bounds say so instead of raising."""
+    sb = stepsize_bounds(SYM2, lambda_bar=1.0 - 1e-9)
+    assert sb == (1.0, 0.0, False)
+    assert not theory._second_stage_ok(1.0 / theory._GRID, SYM2, 1.0 - 1e-9)
 
 
 def test_stepsize_bounds_lambda_validation():
@@ -191,7 +174,7 @@ def test_q_interval_reference_points():
     qi = q_interval(0.01, 1.0, 1.0)
     assert qi.q_min == pytest.approx(0.10512492197250393, rel=1e-14)
     assert qi.tau2 == pytest.approx(-0.09512492197250393, rel=1e-14)
-    assert qi.q_max == 1.0
+    assert qi == (qi.q_min, qi.tau1, qi.tau2)  # the interval's upper end is always 1
     qi = q_interval(0.45, 2.0, 1.0)
     assert qi.q_min == pytest.approx(0.6, abs=1e-15)
     assert qi.tau2 == pytest.approx(-0.375, abs=1e-15)
@@ -270,7 +253,7 @@ def test_zero_delta_gives_zero_epsilon():
 
 def test_theory_constants_symmetric2():
     sched = NoiseSchedule.uniform(2, q=0.98)
-    tc = theory_constants(0.45, SYM2, 0.0, schedule=sched)
+    tc = theory_constants(0.45, SYM2, 0.0, stepsize_bounds(SYM2, 0.0), schedule=sched)
     assert tc.C == pytest.approx(0.775, abs=1e-15)
     assert tc.lambda_bar == 0.0
     assert tc.r_lb == pytest.approx(0.98, abs=1e-15)  # the decay floor dominates
@@ -281,5 +264,16 @@ def test_theory_constants_symmetric2():
 
 
 def test_theory_constants_rate_floor_without_noise():
-    tc = theory_constants(0.45, SYM2, 0.0)
+    tc = theory_constants(0.45, SYM2, 0.0, stepsize_bounds(SYM2, 0.0))
     assert tc.r_lb == pytest.approx(max(0.775, 0.0), abs=1e-15)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 3.0, 1e200, math.inf])
+def test_theory_constants_are_nan_where_the_stepsize_admits_none(alpha):
+    """At alpha = 0 or past phi / (2 ||A||^2) = 1 no decay interval exists (and at
+    1e200 alpha**2 overflows): C, r_lb, tau1 and tau2 are NaN, while lambda_bar and
+    the stepsize caps, which do not depend on alpha, keep their values."""
+    bounds = stepsize_bounds(SYM2, 0.25)
+    tc = theory_constants(alpha, SYM2, 0.25, bounds, schedule=NoiseSchedule.uniform(2, q=0.98))
+    assert all(math.isnan(getattr(tc, key)) for key in ("C", "r_lb", "tau1", "tau2"))
+    assert (tc.lambda_bar, tc.alpha_max_t1, tc.alpha_max_t2) == (0.25, *bounds[:2])
