@@ -43,14 +43,14 @@ from .problem import (
     shift_adjacent,
 )
 from .theory import (
+    Certificate,
     MseBounds,
     QInterval,
     StepsizeBounds,
     TheoryConstants,
+    certificate,
     contraction_C,
-    epsilon_star,
     mse_bounds,
-    privacy_epsilon,
     q_interval,
     stepsize_bounds,
     theory_constants,
@@ -65,6 +65,7 @@ __all__ = [
     "ArgminResult",
     "AuditReport",
     "BoxSet",
+    "Certificate",
     "ConfigError",
     "DmtrackError",
     "EngineState",
@@ -87,8 +88,8 @@ __all__ = [
     "StepsizeBounds",
     "TheoryConstants",
     "argmin_local",
+    "certificate",
     "contraction_C",
-    "epsilon_star",
     "fixed_point_residual",
     "forced_difference_run",
     "init_state",
@@ -98,7 +99,6 @@ __all__ = [
     "metropolis_weights",
     "moduli",
     "mse_bounds",
-    "privacy_epsilon",
     "q_interval",
     "ring_plus_random",
     "run",

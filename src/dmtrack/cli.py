@@ -128,7 +128,6 @@ def _cmd_audit(args):
 def _cmd_bounds(args):
     config = _load_config(args)
     mat = materialize(config)
-    privacy = mat.privacy
     out = {
         "alpha": mat.alpha,
         "lambda_bar": mat.constants.lambda_bar,
@@ -137,19 +136,18 @@ def _cmd_bounds(args):
         "N_zeta": mat.mse.N_zeta,
         "mse_lower": mat.mse.lower,
         "mse_upper": mat.mse.upper,
-        "q_min": privacy.q_min,
-        "q": float(mat.schedule.q_zeta[mat.pair.i0]),
     }
-    # the certificate needs q_min and, under noise, both epsilon forms
-    figures = [privacy.q_min]
-    if mat.schedule.enabled:
-        out.update(privacy._asdict())  # q_min keeps its place
-        figures += [privacy.eps_theory, privacy.eps_theory_printed]
-    admissible = not any(math.isnan(f) for f in figures)
-    out["admissible"] = admissible
+    if mat.schedule.enabled:  # the audited agent's privacy certificate
+        cert = mat.privacy
+        out.update(
+            q_min=cert.q_min, q=float(mat.schedule.q_zeta[mat.pair.i0]),
+            eps_theory=cert.eps_theory, eps_theory_printed=cert.eps_theory_printed,
+            eps_star=cert.eps_star, eps_star_printed=cert.eps_star_printed,
+            admissible=math.isfinite(cert.eps_theory),
+        )
     for key, value in out.items():
         print(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
-    return 0 if admissible or not mat.schedule.enabled else 1
+    return 0 if out.get("admissible", True) else 1
 
 
 def _cmd_oracle(args):

@@ -24,20 +24,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import RunConfig, run
-from .errors import ConfigError, InadmissibleDecayError, SolverFailure
+from .errors import ConfigError, SolverFailure
 from .noise import NoiseSchedule
 from .oracle import solve_dual
-from .privacy_audit import AdjacentPair, make_adjacent_pair
+from .privacy_audit import AdjacentPair, audited_certificate, make_adjacent_pair
 from .problem import AgentSpec, BoxSet, Moduli, ProblemInstance, QuadraticCost, moduli
 from .theory import (
-    MseBounds,
-    TheoryConstants,
-    epsilon_star,
-    mse_bounds,
-    privacy_epsilon,
-    q_interval,
-    stepsize_bounds,
-    theory_constants,
+    Certificate, MseBounds, TheoryConstants, mse_bounds, stepsize_bounds, theory_constants
 )
 from .topology import Graph, metropolis_weights, ring_plus_random
 
@@ -281,42 +274,6 @@ class ExperimentConfig:
         return ExperimentConfig.from_dict(d)
 
 
-class AuditedPrivacy(NamedTuple):
-    """The audited agent's decay floor and epsilons, in the proof-consistent and the
-    printed denominator forms (theory.privacy_epsilon)."""
-
-    q_min: float
-    eps_theory: float
-    eps_theory_printed: float
-    eps_star: float
-    eps_star_printed: float
-
-
-def audited_privacy(instance, schedule, pair, alpha):
-    """q_min and the epsilons of the audited agent pair.i0 at radius pair.delta; NaN where
-    the setup admits none (decay outside (q_min, 1), a zero mask scale or stepsize, or a
-    product alpha * d_zeta that underflows to zero)."""
-    i0, delta = pair.i0, pair.delta
-    phi, A_norm = instance.agents[i0].cost.phi, instance.agents[i0].A_norm
-    q, d_zeta, d_eta = (float(a[i0]) for a in (schedule.q_zeta, schedule.d_zeta, schedule.d_eta))
-    try:
-        q_min = q_interval(alpha, phi, A_norm).q_min
-    except (InadmissibleDecayError, ValueError):
-        q_min = math.nan
-
-    def epsilons(printed_form):
-        try:
-            return (
-                privacy_epsilon(alpha, d_zeta, d_eta, phi, A_norm, q, delta, printed_form),
-                epsilon_star(alpha, d_zeta, phi, A_norm, q, delta, printed_form),
-            )
-        except (InadmissibleDecayError, ValueError, ZeroDivisionError):
-            return math.nan, math.nan
-
-    (eps, star), (eps_printed, star_printed) = epsilons(False), epsilons(True)
-    return AuditedPrivacy(q_min, eps, eps_printed, star, star_printed)
-
-
 @dataclass(eq=False)
 class Materialized:
     """What a run derives from its config, closed-form figures included; the settings
@@ -331,7 +288,7 @@ class Materialized:
     pair: AdjacentPair  # the audited agent audit.i0 and its shift
     constants: TheoryConstants  # with the caps of stepsize_bounds(mod, W.lambda_bar)
     mse: MseBounds
-    privacy: AuditedPrivacy
+    privacy: Certificate  # of the audited agent, audited_certificate(pair, schedule, alpha)
 
 
 def _per_agent(value, n, where):
@@ -374,7 +331,7 @@ def materialize(config):
         raise ConfigError(f"audit.{exc}") from exc
     constants = theory_constants(alpha, mod, W.lambda_bar, bounds, schedule=schedule)
     mse = mse_bounds(schedule, mod, instance.n, instance.m)
-    privacy = audited_privacy(instance, schedule, pair, alpha)
+    privacy = audited_certificate(pair, schedule, alpha)
     return Materialized(instance, graph, W, schedule, alpha, mod, pair, constants, mse, privacy)
 
 
@@ -529,10 +486,10 @@ def sweep(config, parameter, values, out_dir=None):
     Returns (rows, summaries). Each row pairs the empirical stationary MSE
     with the theoretical band and the privacy figures of the audited agent,
     so the accuracy/privacy trade-off can be read straight off the table.
-    Values whose decay is inadmissible keep their MSE data but carry NaN
-    privacy columns and admissible=False. A q value also sets whichever of
-    noise.q_eta / noise.q_zeta the config sets. Every value is materialized
-    before any run, so a rejected value writes nothing.
+    Values the privacy certificate does not cover keep their MSE data but
+    carry NaN privacy columns and admissible=False. A q value also sets
+    whichever of noise.q_eta / noise.q_zeta the config sets. Every value is
+    materialized before any run, so a rejected value writes nothing.
     """
     if parameter not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {tuple(SWEEPABLE)}, got {parameter!r}")
@@ -561,7 +518,7 @@ def sweep(config, parameter, values, out_dir=None):
                 "upper": mat.mse.upper,
                 "eps_star": mat.privacy.eps_star,
                 "eps_theory": mat.privacy.eps_theory,
-                "admissible": not math.isnan(mat.privacy.eps_theory),
+                "admissible": math.isfinite(mat.privacy.eps_theory),
                 "failed": summary["failed"],
             }
         )

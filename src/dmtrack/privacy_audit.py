@@ -48,7 +48,7 @@ from .errors import ConfigError, InadmissibleDecayError
 from .local_solver import argmin_rows
 from .noise import NoiseSchedule
 from .problem import shift_adjacent
-from .theory import admitted_epsilon, check_q
+from .theory import Certificate, certificate, q_interval
 
 HORIZON_MIN = 10
 HORIZON_CAP = 5000
@@ -136,6 +136,8 @@ def _pick_horizon(alpha, delta, A_norm, tau1, tau2, q, d_eta, d_zeta, m):
     mass0 = _tail_bound(0, alpha, delta, A_norm, tau1, tau2, q, d_eta, d_zeta, m)
     if mass0 <= TAIL_TARGET:
         return HORIZON_MIN
+    if mass0 == math.inf:  # no horizon brings an overflowing tail under the target
+        return HORIZON_CAP
     K = int(math.ceil(math.log(TAIL_TARGET / mass0) / math.log(rho)))
     return min(max(K, HORIZON_MIN), HORIZON_CAP)
 
@@ -152,10 +154,16 @@ class _Point(NamedTuple):
     d_eta: float
     d_zeta: float
     q: float
-    tau1: float
-    tau2: float
+    cert: Certificate  # the audited agent's
     K: int  # the tail horizon
     envelopes: np.ndarray  # the root envelope of each measured round 1..k_measured
+
+
+def audited_certificate(pair, schedule, alpha):
+    """theory.certificate of the audited agent pair.i0 at radius pair.delta."""
+    ag, i0 = pair.base.agents[pair.i0], pair.i0
+    numbers = (schedule.q_eta[i0], schedule.q_zeta[i0], schedule.d_eta[i0], schedule.d_zeta[i0])
+    return certificate(alpha, ag.cost.phi, ag.A_norm, *map(float, numbers), pair.delta)
 
 
 def _audit_point(pair, schedule, alpha, horizon):
@@ -176,8 +184,17 @@ def _audit_point(pair, schedule, alpha, horizon):
             "the certificate assumes one decay"
         )
 
-    interval = check_q(alpha, ag.cost.phi, ag.A_norm, q)
-    tau1, tau2 = interval.tau1, interval.tau2
+    cert = audited_certificate(pair, schedule, alpha)
+    if not math.isfinite(cert.eps_theory):
+        if math.isnan(cert.q_min):
+            q_interval(alpha, ag.cost.phi, ag.A_norm)  # raises, naming q_min
+        reason = (
+            f"q = {q:g} outside the admissible interval ({cert.q_min:.6g}, 1)"
+            if not cert.q_min < q < 1.0
+            else f"epsilon is not finite at d_zeta = {d_zeta:g}, d_eta = {d_eta:g}"
+        )
+        raise InadmissibleDecayError(f"{reason} at alpha={alpha:g}")
+    tau1, tau2 = cert.tau1, cert.tau2
 
     if horizon is None:
         K = _pick_horizon(alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, pair.base.m)
@@ -195,7 +212,7 @@ def _audit_point(pair, schedule, alpha, horizon):
         if envelope < signal_floor:
             break
         envelopes.append(envelope)
-    return _Point(schedule, d_eta, d_zeta, q, tau1, tau2, K, np.array(envelopes))
+    return _Point(schedule, d_eta, d_zeta, q, cert, K, np.array(envelopes))
 
 
 def forced_difference_run(pair, W, schedules, alpha, seed, horizon=None):
@@ -265,7 +282,7 @@ def _audit_points(pair, W, points, alpha, seed):
     phi, A_norm = ag.cost.phi, ag.A_norm
     eq52_coef = A_norm**2 / phi
     reports = []
-    for g, (_, d_eta, d_zeta, q, tau1, tau2, K, envelopes) in enumerate(points):
+    for g, (_, d_eta, d_zeta, q, cert, K, envelopes) in enumerate(points):
         end = int(k_end[g])
         rounds = slice(1, end + 1)
         dmu, dx, dy = d_mu[g, rounds], d_x[g, rounds], d_y[g, rounds]
@@ -291,11 +308,10 @@ def _audit_points(pair, W, points, alpha, seed):
 
         # a divergence voids the signal floor's stop, so the tail starts at K
         k_tail = K if diverged[g] else k_measured[g]
+        tau1, tau2 = cert.tau1, cert.tau2
         tail = _tail_bound(k_tail, alpha, pair.delta, A_norm, tau1, tau2, q, d_eta, d_zeta, m)
-        eps_theory = admitted_epsilon(alpha, d_zeta, d_eta, phi, A_norm, q, pair.delta)
-        eps_opt = admitted_epsilon(alpha, d_zeta, math.inf, phi, A_norm, q, pair.delta)
         report = AuditReport(
-            eps_empirical=eps_e + tail, eps_theoretical=eps_theory, eps_star=eps_opt,
+            eps_empirical=eps_e + tail, eps_theoretical=cert.eps_theory, eps_star=cert.eps_star,
             delta_eta_norms=eta_norms, delta_zeta_norms=zeta_norms,
             bound_violations=violations, horizon=K, tail=tail, i0=i0,
         )

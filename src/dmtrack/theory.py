@@ -10,14 +10,16 @@ Quantities:
                           (implicit in alpha, resolved by bisection)
   N_zeta, mse_bounds      stationary error band for geometrically decaying masks
   q_interval              admissible mask-decay interval (q_min, 1)
-  privacy_epsilon         cumulative privacy loss of the masked recursion
-  epsilon_star            its best-case limit as the eta-mask budget grows
+  certificate             the audited agent's decay interval, privacy loss
+                          eps_theory and its limit eps_star as the eta-mask
+                          budget grows; it covers a setup iff eps_theory is finite
 
 The epsilon denominator has two variants in circulation:
 phi q^2 - alpha ||A||^2 q - alpha ||A||^2 (consistent with the root
-polynomial that drives the perturbation recursion; the default here) and
-phi q^2 - alpha q - alpha (a simplified form that drops ||A||^2; available
-via printed_form=True). They coincide when ||A|| = 1.
+polynomial that drives the perturbation recursion; eps_theory and eps_star)
+and phi q^2 - alpha q - alpha (a simplified form that drops ||A||^2;
+eps_theory_printed and eps_star_printed, informational only). They coincide
+when ||A|| = 1.
 """
 
 from __future__ import annotations
@@ -155,52 +157,56 @@ def q_interval(alpha, phi_i0, A_i0_norm):
     return QInterval(q_min, tau1, tau2)
 
 
-def _denominator(alpha, phi_i0, A_i0_norm, q_i0, printed_form):
-    if printed_form:
-        return phi_i0 * q_i0**2 - alpha * q_i0 - alpha
-    return phi_i0 * q_i0**2 - alpha * A_i0_norm**2 * q_i0 - alpha * A_i0_norm**2
+class Certificate(NamedTuple):
+    q_min: float  # NaN where no decay interval exists
+    tau1: float
+    tau2: float
+    eps_theory: float
+    eps_theory_printed: float
+    eps_star: float
+    eps_star_printed: float
 
 
-def check_q(alpha, phi_i0, A_i0_norm, q_i0):
-    """q_interval of the audited agent; raises unless q_min < q_i0 < 1."""
-    interval = q_interval(alpha, phi_i0, A_i0_norm)
-    if not interval.q_min < q_i0 < 1.0:
-        raise InadmissibleDecayError(
-            f"q = {q_i0:g} outside the admissible interval "
-            f"({interval.q_min:.6g}, 1) at alpha={alpha:g}"
-        )
-    return interval
+def certificate(alpha, phi_i0, A_i0_norm, q_eta, q_zeta, d_eta, d_zeta, delta):
+    """The audited agent's decay interval and privacy loss over an infinite run.
 
-
-def privacy_epsilon(alpha, d_zeta, d_eta, phi_i0, A_i0_norm, q_i0, delta, printed_form=False):
-    """Cumulative privacy loss of the audited agent over an infinite run.
-
-    d_eta may be math.inf (eta masking cost ignored); delta is the
-    adjacency radius. printed_form selects the simplified denominator.
+    The certificate covers a setup iff eps_theory is a finite number: a decay
+    interval (q_min, 1) exists at alpha > 0, one decay q = q_eta = q_zeta lies
+    strictly inside it, both mask scales are positive (d_eta may be inf), and
+    the epsilon neither overflows nor divides by an alpha * d_zeta that
+    underflows to 0. An uncovered setup has NaN in all four epsilons; a
+    covered one has NaN only in a printed form whose denominator is not
+    positive. eps_star is the limit as d_eta grows; delta is the adjacency
+    radius.
     """
-    if d_zeta <= 0 or d_eta <= 0:
-        raise ValueError("noise scales must be positive (inf allowed)")
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
-    check_q(alpha, phi_i0, A_i0_norm, q_i0)
-    return admitted_epsilon(alpha, d_zeta, d_eta, phi_i0, A_i0_norm, q_i0, delta, printed_form)
-
-
-def admitted_epsilon(alpha, d_zeta, d_eta, phi_i0, A_i0_norm, q_i0, delta, printed_form=False):
-    """privacy_epsilon for positive scales and a q_i0 that check_q has admitted."""
-    D = _denominator(alpha, phi_i0, A_i0_norm, q_i0, printed_form)
-    if D <= 0:
-        raise InadmissibleDecayError(
-            f"epsilon denominator {D:.6g} is nonpositive at q={q_i0:g} "
-            f"(printed_form={printed_form})"
-        )
-    return (1.0 / (alpha * d_zeta) + 1.0 / d_eta) * alpha * phi_i0 * delta * A_i0_norm / D
-
-
-def epsilon_star(alpha, d_zeta, phi_i0, A_i0_norm, q_i0, delta, printed_form=False):
-    """Infinite-eta-budget limit of privacy_epsilon."""
-    return privacy_epsilon(
-        alpha, d_zeta, math.inf, phi_i0, A_i0_norm, q_i0, delta, printed_form=printed_form
+    nan = math.nan
+    try:
+        q_min, tau1, tau2 = q_interval(alpha, phi_i0, A_i0_norm)
+    except (InadmissibleDecayError, ValueError):
+        return Certificate(nan, nan, nan, nan, nan, nan, nan)
+    uncovered = Certificate(q_min, tau1, tau2, nan, nan, nan, nan)
+    q = q_zeta
+    if not (abs(q_eta - q) <= 1e-15 and q_min < q < 1.0 and d_eta > 0 and d_zeta > 0):
+        return uncovered
+    try:
+        numerators = [
+            (1.0 / (alpha * d_zeta) + 1.0 / d) * alpha * phi_i0 * delta * A_i0_norm
+            for d in (d_eta, math.inf)
+        ]
+    except ZeroDivisionError:  # alpha * d_zeta underflows to 0
+        return uncovered
+    D = phi_i0 * q**2 - alpha * A_i0_norm**2 * q - alpha * A_i0_norm**2
+    eps_theory, eps_star = (num / D if D > 0 else nan for num in numerators)
+    if not math.isfinite(eps_theory):
+        return uncovered
+    D_printed = phi_i0 * q**2 - alpha * q - alpha
+    eps_theory_printed, eps_star_printed = (
+        num / D_printed if D_printed > 0 else nan for num in numerators
+    )
+    return Certificate(
+        q_min, tau1, tau2, eps_theory, eps_theory_printed, eps_star, eps_star_printed
     )
 
 

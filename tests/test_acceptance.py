@@ -15,7 +15,7 @@ from dmtrack.local_solver import argmin_local, inner_tolerance
 from dmtrack.noise import NoiseSchedule, draw_rounds
 from dmtrack.oracle import KKT_TOL, kkt_residual, solve_dual
 from dmtrack.privacy_audit import forced_difference_run, make_adjacent_pair
-from dmtrack.theory import epsilon_star, privacy_epsilon, q_interval
+from dmtrack.theory import certificate, q_interval
 from dmtrack.topology import metropolis_weights, ring_plus_random
 
 from conftest import (
@@ -288,8 +288,8 @@ def test_criterion_8_epsilon_star_limit(pytestconfig):
         except InadmissibleDecayError:
             continue
         q = qi.q_min + float(rng.uniform(0.05, 0.95)) * (1.0 - qi.q_min)
-        full = privacy_epsilon(alpha, d_zeta, 1e12, phi, A_norm, q, delta)
-        star = epsilon_star(alpha, d_zeta, phi, A_norm, q, delta)
+        cert = certificate(alpha, phi, A_norm, q, q, 1e12, d_zeta, delta)
+        full, star = cert.eps_theory, cert.eps_star
         worst = max(worst, abs(full - star) / star)
         checked += 1
     ok = worst <= 1e-9

@@ -1,5 +1,6 @@
 import contextlib
 import hashlib
+import inspect
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dmtrack import cli, harness, theory
+from dmtrack import cli, harness, privacy_audit, theory
 from dmtrack.engine import RunConfig, run
 from dmtrack.errors import ConfigError, InadmissibleDecayError
 from dmtrack.harness import (
@@ -229,13 +230,25 @@ def test_run_experiment_summary_and_artifacts(tmp_path):
 
 
 def test_stepsize_bounds_run_once_per_experiment(tmp_path, capsys):
-    """materialize derives the stepsize bounds, the theory constants and the MSE band
-    once; run and bounds read them and call no theory themselves."""
-    names = ("stepsize_bounds", "theory_constants", "mse_bounds")
+    """materialize derives the stepsize bounds, the theory constants, the MSE band and
+    the privacy certificate once, with two q_interval calls; run and bounds read them,
+    and _run_materialized calls no theory function at all."""
+    names = [
+        name for name, f in vars(theory).items()
+        if inspect.isfunction(f) and f.__module__ == theory.__name__
+    ]
     counted = {name: mock.Mock(wraps=getattr(theory, name)) for name in names}
 
     def calls():
         return {name: c.call_count for name, c in counted.items()}
+
+    per_setup = {
+        "stepsize_bounds": 1, "theory_constants": 1, "mse_bounds": 1, "certificate": 1,
+        "q_interval": 2,
+    }
+
+    def calls_per_setup(setups):
+        return {name: calls()[name] / setups for name in per_setup}
 
     d = config_dict(tmp_path / "c", **{"algorithm.alpha": {"frac_of_t2": 0.9}})
     cfg = ExperimentConfig.from_dict(d)
@@ -243,16 +256,18 @@ def test_stepsize_bounds_run_once_per_experiment(tmp_path, capsys):
     path.write_text(json.dumps(d))
     with contextlib.ExitStack() as stack:
         for name in names:
-            for module in (harness, theory):
-                stack.enter_context(mock.patch.object(module, name, counted[name]))
+            for module in (harness, theory, privacy_audit):
+                if hasattr(module, name):
+                    stack.enter_context(mock.patch.object(module, name, counted[name]))
         summary = run_experiment(cfg)
-        assert calls() == dict.fromkeys(names, 1)
+        assert calls_per_setup(1) == per_setup
         assert cli.main(["bounds", "--config", str(path)]) == 0
-        assert calls() == dict.fromkeys(names, 2)
+        assert calls_per_setup(2) == per_setup
         mat = materialize(cfg)
-        assert calls() == dict.fromkeys(names, 3)
+        assert calls_per_setup(3) == per_setup
+        before = calls()
         harness._run_materialized(cfg, mat, tmp_path / "again")  # reads mat's figures
-        assert calls() == dict.fromkeys(names, 3)
+        assert calls() == before
 
     bounds = stepsize_bounds(mat.mod, mat.W.lambda_bar)
     expect = theory_constants(mat.alpha, mat.mod, mat.W.lambda_bar, bounds, schedule=mat.schedule)
@@ -620,6 +635,76 @@ def test_an_epsilon_whose_scale_product_underflows_is_nan(tmp_path, capsys, comm
     else:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert not summary["failed"]
+
+
+# overrides of the symmetric2 test config, and whether the privacy certificate covers them
+CERTIFICATE_SETUPS = {
+    "default": ({}, True),
+    "q_below_q_min": ({"noise.q": 0.5}, False),
+    # agent 1 of microgrid14 (||A_1|| = 0.81) just above q_min = 0.401: the printed
+    # denominator is negative, which leaves only the printed epsilons NaN
+    "printed_denominator_negative": (
+        {"problem.preset": "microgrid14", "audit.i0": 1,
+         "algorithm.alpha": {"frac_of_t1": 0.9}, "noise.q": 0.402796},
+        True,
+    ),
+    "two_decays": ({"noise.q_eta": 0.97, "noise.q_zeta": 0.98}, False),
+    "scale_product_underflows": ({"algorithm.alpha": 1e-200, "noise.d_zeta": 1e-200}, False),
+    "eta_term_overflows": ({"noise.d_eta": 1e-320}, False),
+    "zeta_term_overflows": ({"noise.d_zeta": 1e-320}, False),
+}
+
+
+@pytest.mark.parametrize("setup", list(CERTIFICATE_SETUPS))
+def test_bounds_sweep_and_audit_share_one_certificate(tmp_path, capsys, setup):
+    """bounds, sweep.csv and the audit take one verdict, a finite eps_theory, and print
+    the same epsilons where it holds; no command ends in a traceback. The sweep runs
+    d_zeta at its configured value, so the configured decays stay."""
+    overrides, covered = CERTIFICATE_SETUPS[setup]
+    path = write_config(tmp_path, **{"algorithm.iters": 20, "trials": 1, **overrides})
+
+    def dmtrack(*argv):
+        code = cli.main([argv[0], "--config", str(path), *argv[1:]])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        return code, out, err
+
+    def csv_row(name):
+        header, row = (tmp_path / "out" / name).read_text().splitlines()[:2]
+        return dict(zip(header.split(","), row.split(",")))
+
+    code, out, _ = dmtrack("bounds")
+    printed = dict(line.split("=", 1) for line in out.splitlines())
+    assert (printed["admissible"], code) == (str(covered), 0 if covered else 1)
+    epsilons = {"bounds": (printed["eps_theory"], printed["eps_star"])}
+
+    d_zeta = overrides.get("noise.d_zeta", 1.0)
+    dmtrack("sweep", "--param", "d_zeta", "--values", repr(d_zeta))
+    row = csv_row("sweep.csv")
+    assert row["admissible"] == str(int(covered))
+    epsilons["sweep"] = (row["eps_theory"], row["eps_star"])
+
+    code, _, err = dmtrack("audit")
+    if covered:
+        row = csv_row("audit.csv")
+        assert (row["admissible"], code) == ("1", 0)
+        epsilons["audit"] = (row["eps_theory"], row["eps_star"])
+        assert len(set(epsilons.values())) == 1 and "nan" not in epsilons["audit"]
+    else:
+        # an inadmissible point, or the refusal of a setup the audit cannot take
+        assert err.startswith("inadmissible: " if code == 1 else "error: ") and code in (1, 2)
+        assert set(epsilons.values()) == {("nan", "nan")}
+
+
+def test_bounds_prints_no_certificate_with_noise_off(tmp_path, capsys):
+    """With noise off the certificate covers nothing, and bounds prints none of its
+    keys, q included: a noise-free schedule's decay is a placeholder, not noise.q."""
+    path = write_config(tmp_path, **{"noise.enabled": False, "noise.q": 0.98})
+    assert cli.main(["bounds", "--config", str(path)]) == 0
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert "mse_upper" in printed and "tau1" in printed
+    certificate_keys = {"q_min", "q", "eps_theory", "eps_star", "admissible"}
+    assert not certificate_keys & set(printed)
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,3 @@
-import math
 from unittest import mock
 
 import numpy as np
@@ -21,7 +20,7 @@ from dmtrack.privacy_audit import (
     forced_difference_run,
     make_adjacent_pair,
 )
-from dmtrack.theory import epsilon_star, privacy_epsilon, q_interval
+from dmtrack.theory import certificate, q_interval
 
 from conftest import build_preset, eta_bound_check, sweep_epsilon
 from test_engine import nondiagonal3
@@ -167,6 +166,12 @@ def test_horizon_selection_extremes(sym2):
     assert rep.horizon == HORIZON_CAP
     assert rep.bound_violations == 0
     assert np.isfinite(rep.eps_empirical)
+    # at d_zeta = 2e-308 the certificate is finite (9.7e307) but the tail bound
+    # overflows: the horizon is capped, and the infinite tail certifies nothing
+    overflow = NoiseSchedule.uniform(2, d_zeta=2e-308, q=0.98)
+    rep = audit_one(pair, W, overflow, 0.45, seed=0)
+    assert rep.horizon == HORIZON_CAP and rep.tail == rep.eps_empirical == np.inf
+    assert np.isfinite(rep.eps_theoretical)
 
 
 def test_schedule_rejections(sym2):
@@ -205,8 +210,8 @@ def test_decay_is_checked_once_per_audit(sym2, base_report):
         report = audit_one(pair, W, sched, 0.45, seed=0)
     assert len(calls) == 1
     ag = inst.agents[0]
-    assert report.eps_theoretical == privacy_epsilon(0.45, 1.0, 1.0, ag.cost.phi, ag.A_norm, 0.98, 1.0)
-    assert report.eps_star == epsilon_star(0.45, 1.0, ag.cost.phi, ag.A_norm, 0.98, 1.0)
+    cert = certificate(0.45, ag.cost.phi, ag.A_norm, 0.98, 0.98, 1.0, 1.0, 1.0)
+    assert (report.eps_theoretical, report.eps_star) == (cert.eps_theory, cert.eps_star)
     assert report.eps_empirical == expect.eps_empirical
 
 
@@ -241,8 +246,8 @@ def reference_forced_difference_run(
     alpha = config.alpha
     d_eta, d_zeta = float(schedule.d_eta[i0]), float(schedule.d_zeta[i0])
     q = float(schedule.q_zeta[i0])
-    interval = theory.check_q(alpha, ag.cost.phi, ag.A_norm, q)
-    tau1, tau2 = interval.tau1, interval.tau2
+    _, tau1, tau2 = theory.q_interval(alpha, ag.cost.phi, ag.A_norm)
+    assert tau1 < q < 1.0
     if horizon is None:
         K = _pick_horizon(alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, m)
     else:
@@ -295,14 +300,11 @@ def reference_forced_difference_run(
         dy_prev, dx_prev = dy, dx
 
     tail = _tail_bound(k_measured, alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, m)
+    cert = theory.certificate(alpha, ag.cost.phi, ag.A_norm, q, q, d_eta, d_zeta, pair.delta)
     return AuditReport(
         eps_empirical=eps_e + tail,
-        eps_theoretical=theory.admitted_epsilon(
-            alpha, d_zeta, d_eta, ag.cost.phi, ag.A_norm, q, pair.delta
-        ),
-        eps_star=theory.admitted_epsilon(
-            alpha, d_zeta, math.inf, ag.cost.phi, ag.A_norm, q, pair.delta
-        ),
+        eps_theoretical=cert.eps_theory,
+        eps_star=cert.eps_star,
         delta_eta_norms=eta_norms[: k_last + 1],
         delta_zeta_norms=zeta_norms[: k_last + 1],
         bound_violations=violations,

@@ -11,10 +11,9 @@ from dmtrack.errors import InadmissibleDecayError
 from dmtrack.noise import NoiseSchedule
 from dmtrack.problem import Moduli
 from dmtrack.theory import (
+    certificate,
     contraction_C,
-    epsilon_star,
     mse_bounds,
-    privacy_epsilon,
     q_interval,
     stepsize_bounds,
     theory_constants,
@@ -207,48 +206,90 @@ def test_q_interval_roots_solve_characteristic_polynomial(alpha, phi, A):
     assert -1.0 < qi.tau2 < 0.0 < qi.tau1 < 1.0
 
 
+def one_decay(alpha, d_zeta, d_eta, phi, A_norm, q, delta):
+    """The certificate at one decay q = q_eta = q_zeta."""
+    return certificate(alpha, phi, A_norm, q, q, d_eta, d_zeta, delta)
+
+
+def epsilons(*args):
+    """(eps_theory, eps_theory_printed, eps_star, eps_star_printed) of one_decay(*args)."""
+    return one_decay(*args)[3:]
+
+
 def test_privacy_epsilon_reference_point():
-    eps = privacy_epsilon(0.01, 1.0, 1.0, 1.0, 1.0, 0.98, 1.0)
+    eps, _, star, _ = epsilons(0.01, 1.0, 1.0, 1.0, 1.0, 0.98, 1.0)
     assert eps == pytest.approx(1.073782691898788, rel=1e-12)
-    star = epsilon_star(0.01, 1.0, 1.0, 1.0, 0.98, 1.0)
     assert star == pytest.approx(1.06315118009781, rel=1e-12)
     assert star < eps
+    assert one_decay(0.01, 1.0, 1.0, 1.0, 1.0, 0.98, 1.0)[:3] == q_interval(0.01, 1.0, 1.0)
 
 
 def test_privacy_epsilon_denominator_forms():
     # at ||A|| = 1.5 the proof-consistent and printed denominators split:
     # D = phi q^2 - alpha ||A||^2 (q + 1) = 1.1925, D_printed = 1.43
-    args = (0.1, 1.0, 1.0, 2.0, 1.5, 0.9, 1.0)
-    assert privacy_epsilon(*args) == pytest.approx(2.767295597484277, rel=1e-12)
-    assert privacy_epsilon(*args, printed_form=True) == pytest.approx(
-        2.307692307692308, rel=1e-12
-    )
-    star_args = (0.1, 1.0, 2.0, 1.5, 0.9, 1.0)
-    assert epsilon_star(*star_args) == pytest.approx(2.515723270440252, rel=1e-12)
-    assert epsilon_star(*star_args, printed_form=True) == pytest.approx(
-        2.097902097902098, rel=1e-12
-    )
+    eps, eps_printed, star, star_printed = epsilons(0.1, 1.0, 1.0, 2.0, 1.5, 0.9, 1.0)
+    assert eps == pytest.approx(2.767295597484277, rel=1e-12)
+    assert eps_printed == pytest.approx(2.307692307692308, rel=1e-12)
+    assert star == pytest.approx(2.515723270440252, rel=1e-12)
+    assert star_printed == pytest.approx(2.097902097902098, rel=1e-12)
 
 
 def test_privacy_epsilon_validation():
-    with pytest.raises(ValueError):
-        privacy_epsilon(0.1, 0.0, 1.0, 2.0, 1.0, 0.9, 1.0)
-    with pytest.raises(ValueError):
-        privacy_epsilon(0.1, 1.0, 1.0, 2.0, 1.0, 0.9, -1.0)
-    with pytest.raises(InadmissibleDecayError):
-        privacy_epsilon(0.45, 1.0, 1.0, 2.0, 1.0, 0.5, 1.0)  # q below q_min = 0.6
-    with pytest.raises(InadmissibleDecayError):
-        privacy_epsilon(0.45, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0)  # q must stay below 1
+    """An uncovered setup has NaN in all four epsilons; only a negative delta raises."""
+    for args in [
+        (0.1, 0.0, 1.0, 2.0, 1.0, 0.9, 1.0),  # a zero mask scale
+        (0.45, 1.0, 1.0, 2.0, 1.0, 0.5, 1.0),  # q below q_min = 0.6
+        (0.45, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0),  # q must stay below 1
+    ]:
+        assert all(math.isnan(eps) for eps in epsilons(*args))
+    with pytest.raises(ValueError, match="delta"):
+        one_decay(0.1, 1.0, 1.0, 2.0, 1.0, 0.9, -1.0)
+
+
+@pytest.mark.parametrize(
+    "args,q_min_defined",
+    [
+        ((0.1, 1.0, 0.0, 2.0, 1.0, 0.9, 1.0), True),  # a zero eta scale
+        ((0.0, 1.0, 1.0, 2.0, 1.0, 0.9, 1.0), False),  # no interval at alpha = 0
+        ((1.5, 1.0, 1.0, 2.0, 1.0, 0.9, 1.0), False),  # nor where q_min >= 1
+        ((1e-200, 1e-200, 1.0, 2.0, 1.0, 0.9, 1.0), True),  # alpha * d_zeta underflows
+        ((0.1, 1.0, 1e-320, 2.0, 1.0, 0.9, 1.0), True),  # 1 / d_eta overflows
+        ((0.1, 1e-320, 1.0, 2.0, 1.0, 0.9, 1.0), True),  # 1 / (alpha * d_zeta) overflows
+    ],
+)
+def test_certificate_covers_no_setup_whose_epsilon_is_not_finite(args, q_min_defined):
+    cert = one_decay(*args)
+    assert all(math.isnan(eps) for eps in cert[3:])
+    assert math.isnan(cert.q_min) != q_min_defined
+    assert math.isnan(cert.tau1) != q_min_defined
+
+
+def test_certificate_needs_one_decay():
+    """q_eta must equal q_zeta up to 1e-15; the certificate assumes one decay."""
+    assert math.isfinite(certificate(0.1, 2.0, 1.0, 0.9 + 1e-16, 0.9, 1.0, 1.0, 1.0).eps_theory)
+    cert = certificate(0.1, 2.0, 1.0, 0.97, 0.98, 1.0, 1.0, 1.0)
+    assert all(math.isnan(eps) for eps in cert[3:]) and not math.isnan(cert.q_min)
+
+
+def test_certificate_printed_form_is_nan_where_its_denominator_is_not_positive():
+    """Just above q_min at ||A|| < 1 the printed denominator phi q^2 - alpha q - alpha
+    is negative; eps_theory stays finite, so the setup is still covered."""
+    alpha, phi, A_norm = 0.1, 1.0, 0.5
+    q = q_interval(alpha, phi, A_norm).q_min + 1e-3
+    assert phi * q**2 - alpha * q - alpha < 0
+    eps, eps_printed, star, star_printed = epsilons(alpha, 1.0, 1.0, phi, A_norm, q, 1.0)
+    assert math.isfinite(eps) and math.isfinite(star)
+    assert math.isnan(eps_printed) and math.isnan(star_printed)
 
 
 def test_epsilon_star_is_the_infinite_eta_limit():
-    args = (0.2, 0.7, 1.5, 1.2, 0.9, 0.8)
-    full = privacy_epsilon(args[0], args[1], math.inf, *args[2:])
-    assert full == pytest.approx(epsilon_star(*args), rel=1e-15)
+    full = epsilons(0.2, 0.7, math.inf, 1.5, 1.2, 0.9, 0.8)
+    star = epsilons(0.2, 0.7, 1.0, 1.5, 1.2, 0.9, 0.8)[2]
+    assert full[0] == pytest.approx(star, rel=1e-15)
 
 
 def test_zero_delta_gives_zero_epsilon():
-    assert privacy_epsilon(0.1, 1.0, 1.0, 2.0, 1.0, 0.9, 0.0) == 0.0
+    assert epsilons(0.1, 1.0, 1.0, 2.0, 1.0, 0.9, 0.0)[0] == 0.0
 
 
 def test_theory_constants_symmetric2():
