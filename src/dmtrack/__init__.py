@@ -15,7 +15,7 @@ bounds), privacy_audit (forced-difference certification), harness + cli
 (experiment orchestration).
 """
 
-from .engine import EngineState, RunConfig, RunTrace, fixed_point_residual, init_state, run
+from .engine import EngineState, RunConfig, RunTrace, init_state, run
 from .errors import (
     ConfigError,
     DmtrackError,
@@ -90,7 +90,6 @@ __all__ = [
     "argmin_local",
     "certificate",
     "contraction_C",
-    "fixed_point_residual",
     "forced_difference_run",
     "init_state",
     "kkt_residual",

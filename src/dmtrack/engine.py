@@ -16,11 +16,14 @@ which reduces to exact mismatch tracking when the noise is disabled.
 round loop; one int seed is a batch of one. Every per-trial operation
 (stacked matmuls, elementwise updates, norms as one dot product per trial)
 is the one a lone trial would execute, so a trial's outputs do not depend on
-the batch it ran in. The recorded metrics are computed after stepping, a block
-of recorded rounds at a time, by `_metrics`, which treats each (round, trial)
-row as one more trial: the values are bit-identical to evaluating them at
-every recorded round. Masks come only from `noise.iter_masks` and are not kept:
-a run's masks are `noise.draw_rounds(schedule, range(iters), seeds, m)`.
+the batch it ran in. The batch keeps its shape to the last round: a trial whose
+state turns non-finite is retired in place, its row zeroed while the others
+step on, and the run then fails naming every diverged trial. The recorded
+metrics are computed after stepping, a block of recorded rounds at a time, by
+`_metrics`, which treats each (round, trial) row as one more trial: the values
+are bit-identical to evaluating them at every recorded round. Masks come only from `noise.iter_masks`, drawn iff
+`schedule.enabled`, and are not kept: a run's masks are
+`noise.draw_rounds(schedule, range(iters), seeds, m)`.
 
 A round's state is one row of preallocated buffers (`_StateRows`): duals and
 trackers stacked as s = [mu; y], shape (2, T, n, m), then x and A x. A round
@@ -231,16 +234,6 @@ def _round_kernel(instance, W, alpha, trials):
     return advance
 
 
-def fixed_point_residual(state, instance, W):
-    """(||(I - W) mu||, ||y||, ||sum_i (A_i x_i - d_i)||); all vanish at a fixed point."""
-    W = np.asarray(getattr(W, "W", W), dtype=float)
-    consensus_mu = float(np.linalg.norm(state.mu - W @ state.mu))
-    y_norm = float(np.linalg.norm(state.y))
-    mismatch = np.einsum("imp,ip->im", instance.A, state.x) - instance.d
-    feasibility = float(np.linalg.norm(mismatch.sum(axis=0)))
-    return consensus_mu, y_norm, feasibility
-
-
 def _norms(a, axes):
     """2-norms over the trailing `axes` axes, computed like np.linalg.norm (one dot each)."""
     flat = a.reshape(a.shape[: a.ndim - axes] + (-1,))
@@ -288,9 +281,11 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
         Additionally record the full mu and x trajectories (used by the
         privacy auditor).
 
-    Raises SolverFailure if a local solve fails or a trial's state turns
-    non-finite; the remaining trials are still stepped, so `exc.trials`
-    lists the batch positions of every trial that diverged.
+    Raises SolverFailure if a local solve fails, naming every trial whose
+    solve failed in that round, or if a trial's state turns non-finite. A
+    diverged trial is retired in place, its row zeroed, and the others step
+    on in the same rows with the same kernel, recording nothing, so
+    `exc.trials` lists the batch positions of every trial that diverged.
     """
     seeds, single = _as_seeds(seed)
     W = np.asarray(getattr(W, "W", W), dtype=float)
@@ -322,7 +317,7 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
     src.Ax[...] = np.einsum("imp,tip->tim", instance.A, src.x)
     advance = _round_kernel(instance, W, config.alpha, T)
     masks = repeat((None, None), iters)
-    if not schedule.zero_noise:
+    if schedule.enabled:
         masks = iter_masks(schedule, seeds, iters, m)
 
     def measure(R, r):
@@ -336,14 +331,14 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
         ).reshape(4, R, T)
         recorded[:, :, r + 1 - R : r + 1] = vals.transpose(0, 2, 1)
 
-    alive = np.arange(T)  # batch positions of the trials still finite
-    diverged, diverged_at = [], None
+    failed = np.zeros(T, dtype=bool)  # whether each trial of the batch has diverged
+    failed_at = None  # the first round with a diverged trial; nothing is recorded after it
     s_row, pending, r = 0, 1, 0  # the state's row; records pending in rows 0..pending-1
     # metrics of huge but finite states may overflow, so they are computed
     # under the same errstate as the rounds
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (mask, zeta_sum) in enumerate(masks):
-            record = not diverged and k + 1 == next_record[r]
+            record = failed_at is None and k + 1 == next_record[r]
             if record:
                 if pending == per_block:
                     measure(pending, r)
@@ -352,14 +347,10 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
             else:
                 d_row = spare[s_row == spare[0]]
             dst = rows[d_row]
-            if diverged and mask is not None:
-                mask = mask[:, alive]
             try:
                 advance(src, dst, mask)
             except SolverFailure as exc:
-                raise SolverFailure(
-                    f"round {k}: {exc}", trials=[int(alive[t]) for t in exc.trials]
-                ) from exc
+                raise SolverFailure(f"round {k}: {exc}", trials=exc.trials) from exc
             src, s_row = dst, d_row
             # every A_i is square and invertible, so a non-finite x makes y
             # non-finite in the same round. A finite dot proves mu and y finite
@@ -368,19 +359,14 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
                 ok = np.isfinite(src.mu).all(axis=(1, 2)) & np.isfinite(src.x).all(axis=(1, 2))
                 ok &= np.isfinite(src.y).all(axis=(1, 2))
                 if not ok.all():
-                    diverged += [int(t) for t in alive[~ok]]
-                    diverged_at = diverged_at or k + 1
-                    alive = alive[ok]
-                    if not alive.size:
+                    failed |= ~ok
+                    failed_at = failed_at or k + 1
+                    if failed.all():
                         break
-                    # step the finite trials on in two fresh rows, recording nothing
-                    buf = _StateRows(2, alive.size, n, m, p)
-                    rows, spare, s_row = buf.rows, (0, 1), 0
-                    rows[0].s[...], rows[0].x[...] = src.s[:, ok], src.x[ok]
-                    rows[0].Ax[...] = src.Ax[ok]
-                    src = rows[0]
-                    advance = _round_kernel(instance, W, config.alpha, alive.size)
-            if diverged:
+                    # retire the trials in place: zeroed rows keep later rounds
+                    # and the local solves free of NaN, and the others step on
+                    src.s[:, ~ok], src.x[~ok], src.Ax[~ok] = 0.0, 0.0, 0.0
+            if failed_at is not None:
                 continue  # the run fails; only look for further divergent trials
             if keep_states:
                 states_mu[:, k + 1], states_x[:, k + 1] = src.mu, src.x
@@ -389,13 +375,14 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
                     buf.zeta_cum[d_row] = zeta_sum
                 pending += 1
                 r += 1
-        if pending and not diverged:
+        if pending and failed_at is None:
             measure(pending, r)
-    if diverged:
-        names = ", ".join(str(seeds[t]) for t in sorted(diverged))
+    if failed_at is not None:
+        trials = np.flatnonzero(failed).tolist()
+        names = ", ".join(str(seeds[t]) for t in trials)
         raise SolverFailure(
-            f"round {diverged_at}: state diverged to non-finite values (trial seeds {names})",
-            trials=sorted(diverged),
+            f"round {failed_at}: state diverged to non-finite values (trial seeds {names})",
+            trials=trials,
         )
 
     def out(a):

@@ -110,18 +110,24 @@ def solve_all_from_c(instance, c, max_inner=MAX_INNER_DEFAULT):
 
     Diagonal instances use the closed form across agents in one shot; otherwise
     agents are solved individually. c has shape (n, p), or (T, n, p) for a
-    batch of T trials; a solver failure names the agent and, for a batch, the
-    failing trial.
+    batch of T trials. Every (trial, agent) is solved; if any fails, one
+    SolverFailure names every failing trial, with the message of the first
+    failure, which names its agent and, for a batch, its trial.
     """
     if instance.diag is not None:
         return diagonal_argmin(c, instance.v, instance.diag, instance.lower, instance.upper)
     batch = c.reshape((-1,) + c.shape[-2:])
     out = np.empty(batch.shape)
+    first, failed = None, []
     for t, ct in enumerate(batch):
         for i, a in enumerate(instance.agents):
             try:
                 out[t, i] = argmin_local(a.cost, a.box, ct[i], max_inner=max_inner).x
             except SolverFailure as exc:
                 where = f"agent {i}" if c.ndim == 2 else f"trial {t}, agent {i}"
-                raise SolverFailure(f"{where}: {exc}", trials=[t]) from exc
+                first = first or (f"{where}: {exc}", exc)
+                if t not in failed:
+                    failed.append(t)
+    if first:
+        raise SolverFailure(first[0], trials=failed) from first[1]
     return out.reshape(c.shape)

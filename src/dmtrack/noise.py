@@ -26,7 +26,9 @@ of the number of trials times the number of rounds. No mask is stored:
 `draw_rounds` regenerates the masks of any rounds of any run. `iter_masks`
 yields each round's masks as one contiguous (2, S, n, m) block [eta; zeta],
 the layout of the engine's stacked [mu; y], with the running total of the
-tracker masks, which it accumulates once per chunk.
+tracker masks, which it accumulates once per chunk. `NoiseSchedule.enabled`
+(some scale is positive) is the one rule for whether a run has masks: the
+engine and `draw_rounds` draw none for a schedule whose every scale is 0.
 """
 
 from __future__ import annotations
@@ -57,13 +59,12 @@ def _as_per_agent(value, n, name):
 
 @dataclass(frozen=True, eq=False)
 class NoiseSchedule:
-    """Per-agent scales and decay coefficients, or the all-zero schedule."""
+    """Per-agent scales and decay coefficients; `disabled` sets every scale to 0."""
 
     d_eta: np.ndarray
     d_zeta: np.ndarray
     q_eta: np.ndarray
     q_zeta: np.ndarray
-    zero_noise: bool = False
 
     def __post_init__(self):
         n = np.atleast_1d(np.asarray(self.d_eta, dtype=float)).shape[0]
@@ -73,10 +74,9 @@ class NoiseSchedule:
         q_zeta = _as_per_agent(self.q_zeta, n, "q_zeta")
         if np.any(d_eta < 0) or np.any(d_zeta < 0):
             raise ValueError("noise scales must be nonnegative")
-        if not self.zero_noise:
-            for name, q in (("q_eta", q_eta), ("q_zeta", q_zeta)):
-                if np.any(q <= 0.0) or np.any(q >= 1.0):
-                    raise ValueError(f"{name} must lie strictly in (0, 1)")
+        for name, q in (("q_eta", q_eta), ("q_zeta", q_zeta)):
+            if np.any(q <= 0.0) or np.any(q >= 1.0):
+                raise ValueError(f"{name} must lie strictly in (0, 1)")
         object.__setattr__(self, "d_eta", d_eta)
         object.__setattr__(self, "d_zeta", d_zeta)
         object.__setattr__(self, "q_eta", q_eta)
@@ -101,7 +101,6 @@ class NoiseSchedule:
             d_zeta=np.zeros(n),
             q_eta=np.full(n, 0.5),
             q_zeta=np.full(n, 0.5),
-            zero_noise=True,
         )
 
     @property
@@ -110,7 +109,8 @@ class NoiseSchedule:
 
     @property
     def enabled(self):
-        return bool(not self.zero_noise and (np.any(self.d_eta > 0) or np.any(self.d_zeta > 0)))
+        """Whether any mask has a positive scale; a run draws masks iff this holds."""
+        return bool(np.any(self.d_eta > 0) or np.any(self.d_zeta > 0))
 
     def theta_eta(self, k):
         """Scales of the dual masks at round k, shape (n,); rounds of shape S give S + (n,)."""
@@ -226,13 +226,14 @@ def _masks(schedule, rounds, keys, m):
 def draw_rounds(schedule, rounds, seeds, m):
     """Masks of every agent for each round and seed: (eta, zeta), each (R, S, n, m).
 
-    Scaling by theta keeps stream alignment: a disabled mask (scale 0) still
-    consumes its uniforms, so enabling it does not shift any other draw.
+    Scaling by theta keeps stream alignment: a mask of scale 0 still consumes
+    its uniforms, so enabling it does not shift any other draw. A schedule with
+    every scale 0 (not `enabled`) draws nothing and returns exact zeros.
     """
     rounds = np.asarray(rounds, dtype=np.int64)
     if rounds.size and rounds.min() < 0:
         raise ValueError(f"round index must be nonnegative, got {rounds.min()}")
-    if schedule.zero_noise:
+    if not schedule.enabled:
         shape = (rounds.shape[0], len(seeds), schedule.n, m)
         return np.zeros(shape), np.zeros(shape)
     masks = _masks(schedule, rounds, _seed_keys(seeds), m)

@@ -24,7 +24,9 @@ horizon, since every mask is a function of (seed, round) alone. The audit
 takes a list of noise schedules and the stepsize alpha: it keeps one base
 run per schedule but steps every schedule's recursion in one round loop; the
 norms, eps_e and the bound checks are computed per schedule from its stacked
-differences afterwards.
+differences afterwards. A schedule whose measured rounds are done, or whose
+recursion diverged, is retired in place: its row steps on with a zeroed
+Delta mu input, and its statistics read only its own rounds.
 
 Perturbation recursion (Delta = shifted minus base; messages held equal):
     Delta mu(k+1)  = -alpha * Delta y(k)          Delta eta(k) = -Delta mu(k)
@@ -257,27 +259,27 @@ def _audit_points(pair, W, points, alpha, seed):
         d_mu[g, 1 : k + 1] = trace.states_mu[1:, i0]
         d_x[g, 1 : k + 1] = trace.states_x[1:, i0]
 
-    # the loop carries only the recursion; every statistic is computed after it.
-    # Each row does the operations a lone point would (stacked matvecs are one
-    # matvec per row) and leaves the loop at its own k_end
+    # the loop carries only the recursion; every statistic is computed after it,
+    # from rounds 1..k_end. Each row does the operations a lone point would
+    # (stacked matvecs are one matvec per row). A row past its k_end is retired
+    # in place: its Delta mu input is zeroed, so it stays finite and is ignored
     A, At = ag.A, ag.A.T
     d_y = np.zeros_like(d_mu)
     k_end = np.array(k_measured, dtype=int)
     diverged = np.zeros(G, dtype=bool)
     diverged_at = 1e9 * max(1.0, alpha * pair.delta * ag.A_norm)
-    live = np.arange(G)
     for k in range(1, k_max + 1):
-        live = live[k_end[live] >= k]
-        if not live.size:
+        measuring = k_end >= k
+        if not measuring.any():
             break
-        dmu = -alpha * d_y[live, k - 1]
-        c = (At @ (d_mu[live, k] + dmu)[..., None])[..., 0]
-        d_mu[live, k] = dmu
-        dx = d_x[live, k] = argmin_rows(ag_shift.cost, ag_shift.box, c) - d_x[live, k]
-        d_y[live, k] = (A @ (dx - d_x[live, k - 1])[..., None])[..., 0]
-        gone = live[_norms(dmu, 1) > diverged_at]  # ||Delta eta(k)||, as np.linalg.norm
+        dmu = np.multiply(-alpha, d_y[:, k - 1], out=np.zeros((G, m)), where=measuring[:, None])
+        c = (At @ (d_mu[:, k] + dmu)[..., None])[..., 0]
+        d_mu[:, k] = dmu
+        dx = d_x[:, k] = argmin_rows(ag_shift.cost, ag_shift.box, c) - d_x[:, k]
+        d_y[:, k] = (A @ (dx - d_x[:, k - 1])[..., None])[..., 0]
+        gone = _norms(dmu, 1) > diverged_at  # ||Delta eta(k)||, as np.linalg.norm
         k_end[gone] = k
-        diverged[gone] = True
+        diverged |= gone
 
     phi, A_norm = ag.cost.phi, ag.A_norm
     eq52_coef = A_norm**2 / phi

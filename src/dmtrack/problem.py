@@ -109,13 +109,6 @@ class BoxSet:
     def project(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
-    def contains(self, x, tol=1e-12):
-        x = np.asarray(x, dtype=float)
-        scale = 1.0 + np.abs(x)
-        return bool(
-            np.all(x >= self.lower - tol * scale) and np.all(x <= self.upper + tol * scale)
-        )
-
     def shifted(self, delta):
         return BoxSet(lower=self.lower + delta, upper=self.upper + delta)
 

@@ -1,9 +1,10 @@
 """Shared fixtures and test helpers. The expensive Monte Carlo artifacts are
 built once per session and reused by both the module tests and the acceptance
 gate. The helpers are independent references for the tests: mask injection,
-mask logs, one stepwise round, a written-out reference round, the audit grid
-sweep, the envelope and smoothness checks, and a brute-force grid search that
-the oracle's optimum is compared against."""
+mask logs, one stepwise round, a written-out reference round, the fixed-point
+residual, box membership, the audit grid sweep, the envelope and smoothness
+checks, and a brute-force grid search that the oracle's optimum is compared
+against."""
 
 import time
 from unittest import mock
@@ -88,6 +89,23 @@ def step_once(state, instance, W, alpha, eta=None, zeta=None):
         batch(eta), batch(zeta),
     )
     return EngineState(mu=mu1[0], x=x1[0], y=y1[0], round=state.round + 1)
+
+
+def fixed_point_residual(state, instance, W):
+    """(||(I - W) mu||, ||y||, ||sum_i (A_i x_i - d_i)||); all vanish at a fixed point."""
+    W = np.asarray(getattr(W, "W", W), dtype=float)
+    consensus_mu = float(np.linalg.norm(state.mu - W @ state.mu))
+    y_norm = float(np.linalg.norm(state.y))
+    mismatch = np.einsum("imp,ip->im", instance.A, state.x) - instance.d
+    feasibility = float(np.linalg.norm(mismatch.sum(axis=0)))
+    return consensus_mu, y_norm, feasibility
+
+
+def box_contains(box, x, tol=1e-12):
+    """Whether x lies in the box, up to a relative tolerance."""
+    x = np.asarray(x, dtype=float)
+    scale = 1.0 + np.abs(x)
+    return bool(np.all(x >= box.lower - tol * scale) and np.all(x <= box.upper + tol * scale))
 
 
 def reference_round(instance, W, alpha, mu, x, y, Ax, eta=None, zeta=None):

@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dmtrack import engine, noise
-from dmtrack.engine import EngineState, RunConfig, fixed_point_residual, init_state, run
+from dmtrack.engine import EngineState, RunConfig, init_state, run
 from dmtrack.errors import SolverFailure
 from dmtrack.harness import PRESETS
 from dmtrack.local_solver import argmin_local, solve_all_from_c
@@ -17,7 +18,9 @@ from dmtrack.oracle import solve_dual
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
 from dmtrack.topology import metropolis_weights, ring_plus_random
 
-from conftest import inject_masks, kernel_round, mask_log, reference_round, step_once
+from conftest import (
+    fixed_point_residual, inject_masks, kernel_round, mask_log, reference_round, step_once
+)
 
 
 def single_agent_instance(d=0.0, lo=-10.0, hi=10.0):
@@ -546,6 +549,41 @@ def test_every_diverged_trial_is_reported():
         with inject_masks(eta):
             run(inst, W, NoiseSchedule.uniform(2), cfg, [10, 11, 12, 13])
     assert caught.value.trials == [1, 3]
+
+
+def test_a_diverged_trial_is_retired_in_place():
+    """A trial that diverges is zeroed in its row and the batch keeps its shape:
+    one round kernel and one set of state rows serve the whole run, and the
+    other trials step on, so a later divergence is still named."""
+    inst, W = symmetric2()
+    cfg = RunConfig(alpha=0.45, iters=30)
+    eta = np.zeros((4, 30, 2, 1))
+    eta[1, 5, 0, 0] = np.inf
+    eta[1, 9, 0, 0] = np.nan  # the retired trial's later masks change nothing
+    eta[3, 20, 1, 0] = np.inf
+    kernels = mock.patch.object(engine, "_round_kernel", wraps=engine._round_kernel)
+    rows = mock.patch.object(engine, "_StateRows", wraps=engine._StateRows)
+    with kernels as kernel, rows as state_rows, inject_masks(eta):
+        with pytest.raises(SolverFailure, match=r"^round 6: .*\(trial seeds 11, 13\)$") as caught:
+            run(inst, W, NoiseSchedule.uniform(2), cfg, [10, 11, 12, 13])
+    assert caught.value.trials == [1, 3]
+    assert kernel.call_count == 1 and state_rows.call_count == 1
+
+
+def test_a_failed_local_solve_names_every_failing_seed():
+    """Projected gradient with one step fails where a coordinate binds at round 0:
+    in the trials whose masks push the duals to 10, not in the one left at 0."""
+    U = np.array([[2.0, 0.9], [0.9, 1.0]])
+    box = BoxSet(lower=-np.ones(2), upper=np.ones(2))
+    agent = AgentSpec(cost=QuadraticCost(U=U, v=np.zeros(2)), A=np.eye(2), d=np.zeros(2), box=box)
+    inst = ProblemInstance(agents=(agent, agent))
+    eta = np.zeros((3, 4, 2, 2))
+    eta[[0, 2], 0] = 10.0
+    one_step = partial(solve_all_from_c, max_inner=1)
+    with mock.patch.object(engine, "solve_all_from_c", one_step), inject_masks(eta):
+        with pytest.raises(SolverFailure, match=r"^round 0: trial 0, agent 0: ") as caught:
+            run(inst, symmetric2()[1], NoiseSchedule.uniform(2), RunConfig(0.1, 4), [5, 6, 7])
+    assert caught.value.trials == [0, 2]
 
 
 def test_infinite_dual_at_a_zero_tracker_is_reported():

@@ -3,13 +3,17 @@ import hashlib
 import inspect
 import json
 import math
+import re
+import subprocess
+import sys
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from dmtrack import cli, harness, privacy_audit, theory
+from dmtrack import cli, engine, harness, privacy_audit, theory
 from dmtrack.engine import RunConfig, run
 from dmtrack.errors import ConfigError, InadmissibleDecayError
 from dmtrack.harness import (
@@ -804,3 +808,58 @@ def test_readme_config_table_names_every_schema_key():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = {line.split("|")[1].strip() for line in readme.splitlines() if line.startswith("| `")}
     assert {f"`{key}`" for key in SCHEMA} <= rows
+
+
+def test_zero_scale_noise_draws_no_masks_and_writes_the_noise_off_trace(tmp_path):
+    """noise.enabled with every scale 0 is noise off: the engine draws no mask,
+    and trace.csv is byte-identical to that of noise.enabled false."""
+    traces = []
+    for name, noise in (("zero", {"enabled": True, "d_eta": 0.0, "d_zeta": 0.0}),
+                        ("off", {"enabled": False})):
+        d = config_dict(
+            tmp_path / name, **{"problem.preset": "microgrid14", "noise": noise, "trials": 3,
+                                "algorithm": {"alpha": {"frac_of_t2": 0.9}, "iters": 3000,
+                                              "record_every": 10}}
+        )
+        with mock.patch.object(engine, "iter_masks", wraps=engine.iter_masks) as iter_masks:
+            summary = run_experiment(ExperimentConfig.from_dict(d))
+        assert iter_masks.call_count == 0 and not summary["noise_enabled"]
+        traces.append((tmp_path / name / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_cli_transcript_is_what_dmtrack_run_prints(tmp_path, monkeypatch, capsys):
+    """The README's JSON config, run with the command it shows, prints its transcript."""
+    text = README.read_text()
+    config = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    command, *want = re.search(r"\n\$ (dmtrack run .*?)\n```", text, re.S).group(1).split("\n")
+    monkeypatch.chdir(tmp_path)
+    Path("config.json").write_text(config)
+    assert cli.main(command.split()[1:]) == 0
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_readme_python_quick_start_prints_its_comments(capsys):
+    """Each print of the quick start shows, to the digits of its trailing comment,
+    the number in that comment."""
+    block = re.search(r"```python\n(.*?)```", README.read_text(), re.S).group(1)
+    shown = re.findall(r"^print\(.*# ([-+.\w]+)", block, re.M)
+    exec(compile(block, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == len(shown) == 2
+    for value, comment in zip(printed, shown):
+        digits = Decimal(comment)
+        assert Decimal(value).quantize(digits) == digits, (value, comment)
+
+
+def test_readme_test_count_is_pytest_collection():
+    tests = Path(__file__).resolve().parent
+    out = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", tests],
+        cwd=tests.parent, capture_output=True, text=True, check=True,
+    ).stdout
+    collected = re.search(r"^(\d+) tests collected", out, re.M).group(1)
+    assert re.search(r"^(\d+) tests\.", README.read_text(), re.M).group(1) == collected

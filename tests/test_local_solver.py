@@ -11,7 +11,7 @@ from dmtrack.local_solver import (
 )
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
 
-from conftest import conjugate_smoothness_check
+from conftest import box_contains, conjugate_smoothness_check
 
 
 def random_cost_box(rng, p, diagonal):
@@ -84,6 +84,20 @@ def test_solver_failure_carries_agent_index():
         solve_all_from_c(inst, c, max_inner=1)
 
 
+def test_a_batch_failure_names_every_failing_trial():
+    """Every (trial, agent) is tried: c = 5 binds a coordinate in trials 0 and 2,
+    which one projected-gradient step cannot reach, and c = 0 is solved at once."""
+    U = np.array([[2.0, 0.9], [0.9, 1.0]])
+    box = BoxSet(lower=-np.ones(2), upper=np.ones(2))
+    ag = AgentSpec(cost=QuadraticCost(U=U, v=np.zeros(2)), A=np.eye(2), d=np.zeros(2), box=box)
+    inst = ProblemInstance(agents=(ag, ag))
+    c = np.zeros((3, 2, 2))
+    c[[0, 2]] = 5.0
+    with pytest.raises(SolverFailure, match="^trial 0, agent 0: projected gradient") as caught:
+        solve_all_from_c(inst, c, max_inner=1)
+    assert caught.value.trials == [0, 2]
+
+
 def test_shape_validation():
     cost = QuadraticCost.scalar(1.0)
     with pytest.raises(ValueError):
@@ -100,7 +114,7 @@ def test_kkt_residual_on_100_random_instances():
         c = rng.normal(scale=3.0, size=p)
         res = argmin_local(cost, box, c)
         assert res.kkt_residual <= inner_tolerance(c)
-        assert box.contains(res.x)
+        assert box_contains(box, res.x)
 
 
 def test_conjugate_nonexpansiveness_on_100_random_pairs():

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,15 @@ def test_disabled_draws_are_exact_zeros():
     eta, zeta = draw_one(NoiseSchedule.disabled(3), 5, seed=1, m=2)
     assert eta.shape == (3, 2) and zeta.shape == (3, 2)
     assert not eta.any() and not zeta.any()
+
+
+def test_a_schedule_with_every_scale_zero_draws_nothing():
+    """`enabled` alone decides whether masks are drawn: with every scale 0 no
+    uniform is generated, and the masks are exact zeros."""
+    schedule = NoiseSchedule.uniform(3, d_eta=0.0, d_zeta=0.0, q=0.9)
+    with mock.patch.object(noise, "_uniforms", side_effect=AssertionError("drew uniforms")):
+        eta, zeta = draw_rounds(schedule, range(4), [1, 2], 2)
+    assert eta.tobytes() == zeta.tobytes() == np.zeros((4, 2, 3, 2)).tobytes()
 
 
 def test_laplace_moments_at_one_million_samples():

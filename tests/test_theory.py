@@ -163,7 +163,6 @@ def test_mse_bounds_validation():
         d_zeta=np.ones(2),
         q_eta=np.ones(2),
         q_zeta=np.array([1.0, 0.98]),
-        zero_noise=False,
     )
     with pytest.raises(ValueError, match="diverge"):
         mse_bounds(fake, SYM2, 2, 1)
