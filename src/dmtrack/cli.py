@@ -133,6 +133,8 @@ def _cmd_bounds(args):
         "lambda_bar": mat.constants.lambda_bar,
         **mat.mod._asdict(),
         **mat.constants._asdict(),
+        # r_lb is the theorem's rate only for stepsizes below alpha_max_t2
+        "alpha_above_t2": mat.alpha > mat.constants.alpha_max_t2,
         "N_zeta": mat.mse.N_zeta,
         "mse_lower": mat.mse.lower,
         "mse_upper": mat.mse.upper,

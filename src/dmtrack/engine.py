@@ -31,11 +31,16 @@ adds the stacked masks [eta; zeta], which `noise.iter_masks` yields in that
 layout, and applies one W @ to s; numpy runs it as one product per (n, m)
 slice, the products of mu and y apart (trials or channels laid out as matrix
 columns would switch BLAS kernels and change bits). `_round_kernel` builds the
-round once per run and writes each result with out= into another row. Recorded
-rounds fill the rows of one metric block, which `_metrics` reads in place;
-the rounds in between alternate between two spare rows. For m = 1 both maps
-are one product with A, skipping the einsum's `+ 0.0` where it cannot change a
-bit (`_zero_adds_are_noops`). One dot of mu and y tests a round for
+round once per run and writes each result with out= into another row. For
+m = 1 (1 x 1 A_i and U_i) a round is one flat sequence of ufunc calls: masks,
+W @, mu -= alpha y, c = (0.0 - v) + a mu, c /= diag, one clip into the box
+(the bytes of maximum, then minimum), A x = a x, y += A x - previous A x.
+The einsum maps of m > 1 start their sums at 0.0, which turns -0.0 into 0.0;
+0.0 - v gives c the same bytes, and A x gets a `+ 0.0` unless it can never be
+-0.0 (`_zero_adds_are_noops`). Recorded rounds fill the rows of one metric
+block, which `_metrics` reads in place; a block holds MAX_METRIC_ROWS // T
+records, or all of a run's if fewer, and the rounds in between alternate
+between two spare rows. One dot of mu and y tests a round for
 finiteness, and `iter_masks` supplies the running tracker-mask total the
 tracking residual needs. A trace holds copies, never views of the rows.
 """
@@ -44,14 +49,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import repeat
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import SolverFailure
-from .local_solver import diagonal_argmin, solve_all_from_c
+from .local_solver import solve_all_from_c
 from .noise import iter_masks
 
 # Recorded (round, trial) rows whose states are held until their metrics are
@@ -162,15 +166,12 @@ class _StateRows:
 
 
 def _zero_adds_are_noops(a, v, diag, lower, upper):
-    """True when neither `+ 0.0` of the m = 1 maps can change a bit, so both may be skipped.
+    """True when the m = 1 map A x, unlike the einsum's 0.0 + A x, can never give -0.0.
 
-    The einsum's sum starts at 0.0 and so turns a product of -0.0 into 0.0. For
-    c = A_i mu that is moot when v_i != 0, as c - v_i is the same for either zero.
-    A_i x_i must never be -0.0: with A_i > 0 and no bound whose product with A_i
-    is -0.0, x_i would have to be -0.0 or a product would have to underflow.
-    Neither happens when |v_i| >= 2**-500, d_i <= 2**200 and A_i >= 2**-200:
-    c - v_i is 0.0 if c == v_i and at least |v_i| 2**-54 in magnitude otherwise,
-    so x_i is 0.0 or at least 2**-755 in magnitude.
+    With A_i > 0 and no bound whose product with A_i is -0.0, x_i would have to
+    be -0.0 or a product would have to underflow. Neither happens when |v_i| >=
+    2**-500, U_i <= 2**200 and A_i >= 2**-200: c - v_i is 0.0 if c == v_i and at
+    least |v_i| 2**-54 in magnitude otherwise, so x_i is 0.0 or at least 2**-755.
     """
     ends = a * np.stack([lower, upper])
     return bool(
@@ -194,40 +195,28 @@ def _round_kernel(instance, W, alpha, trials):
     alpha_y = np.empty((trials, n, m))
     c = np.empty((trials, n, p))
 
-    def stacked(a):
-        return np.ascontiguousarray(np.broadcast_to(a, (trials,) + a.shape))
-
-    if instance.diag is not None:
-        consts = (stacked(getattr(instance, k)) for k in ("v", "diag", "lower", "upper"))
-        v, diag, lower, upper = consts
-        solve = partial(diagonal_argmin, v=v, diag=diag, lower=lower, upper=upper)
-    else:
-
-        def solve(c, out):
-            out[...] = solve_all_from_c(instance, c)
-
-    if m == 1:  # every A_i is 1 x 1 (and U_i diagonal), so both maps multiply by it
-        a = stacked(instance.A[:, :, 0])
-        if _zero_adds_are_noops(a, v, diag, lower, upper):
-            times_A = partial(np.multiply, a)
-        else:
-
-            def times_A(u, out):
-                np.multiply(a, u, out=out)
-                out += 0.0  # as the einsum's sum does, turn -0.0 into 0.0
-
-        times_At = times_A
-    else:
-        times_At = partial(np.einsum, "imp,tim->tip", instance.A)
-        times_A = partial(np.einsum, "imp,tip->tim", instance.A)
+    if m == 1:  # 1 x 1 A_i and U_i: both maps are products and the solve is closed form
+        consts = (instance.A[:, :, 0], instance.v, instance.diag, instance.lower, instance.upper)
+        a, v, diag, lower, upper = (np.broadcast_to(k, c.shape).copy() for k in consts)
+        zero_add = not _zero_adds_are_noops(a, v, diag, lower, upper)
+        minus_v = 0.0 - v  # 0.0, not -0.0, at v = 0: minus_v + a mu is (0.0 + a mu) - v
+    # the hot calls pass out positionally, which numpy parses faster than out=
+    add, matmul, multiply, clip = np.add, np.matmul, np.multiply, np._core.umath.clip
 
     def advance(src, dst, masks):
         s, mu, y, x, Ax = dst
-        np.matmul(W, src.s if masks is None else np.add(src.s, masks, out=z), out=s)
-        mu -= np.multiply(alpha, src.y, out=alpha_y)
-        times_At(mu, out=c)
-        solve(c, out=x)
-        times_A(x, out=Ax)
+        matmul(W, src.s if masks is None else add(src.s, masks, z), s)
+        mu -= multiply(alpha, src.y, alpha_y)
+        if m > 1:  # the einsum maps and the local solve of every agent
+            x[...] = solve_all_from_c(instance, np.einsum("imp,tim->tip", instance.A, mu, out=c))
+            np.einsum("imp,tip->tim", instance.A, x, out=Ax)
+        else:
+            q = add(minus_v, multiply(a, mu, c), c)
+            q /= diag
+            clip(q, lower, upper, x)  # the bytes of maximum, then minimum
+            multiply(a, x, Ax)
+            if zero_add:
+                Ax += 0.0  # as the einsum's sum does, turn -0.0 into 0.0
         y += Ax
         y -= src.Ax
 
@@ -301,17 +290,17 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
         ks = np.append(ks, iters)
     next_record = ks.tolist()[1:] + [None]  # next_record[r]: the round of record r + 1
     recorded = np.full((4, T, ks.shape[0]), np.nan)  # mse, consensus, tracking, feasibility
-    if keep_states:
-        states_mu = np.empty((T, iters + 1, n, m))
-        states_x = np.empty((T, iters + 1, n, p))
-        states_mu[:, 0], states_x[:, 0] = start.mu, start.x
+    if keep_states:  # round first while stepping, trial first in the trace
+        states_mu = np.empty((iters + 1, T, n, m))
+        states_x = np.empty((iters + 1, T, n, p))
+        states_mu[0], states_x[0] = start.mu, start.x
 
     # Rows 0..per_block-1 hold recorded rounds until their metrics are computed
     # together; the two spare rows hold the rounds in between. Every round
     # writes into a row other than the one it reads.
-    per_block = max(2, MAX_METRIC_ROWS // T)
+    per_block = max(2, min(MAX_METRIC_ROWS // T, ks.shape[0]))
     buf = _StateRows(per_block + 2, T, n, m, p)
-    rows, spare = buf.rows, (per_block, per_block + 1)
+    rows, spare = buf.rows[:per_block], buf.rows[per_block:]
     src = rows[0]
     src.mu[...], src.x[...], src.y[...] = start.mu, start.x, start.y
     src.Ax[...] = np.einsum("imp,tip->tim", instance.A, src.x)
@@ -331,27 +320,31 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
         ).reshape(4, R, T)
         recorded[:, :, r + 1 - R : r + 1] = vals.transpose(0, 2, 1)
 
+    def failure(message, trials):
+        trials = sorted(set(trials) | set(np.flatnonzero(failed).tolist()))
+        names = ", ".join(str(seeds[t]) for t in trials)
+        return SolverFailure(f"{message} (trial seeds {names})", trials=trials)
+
     failed = np.zeros(T, dtype=bool)  # whether each trial of the batch has diverged
     failed_at = None  # the first round with a diverged trial; nothing is recorded after it
-    s_row, pending, r = 0, 1, 0  # the state's row; records pending in rows 0..pending-1
+    pending, r, next_k = 1, 0, next_record[0]  # records pending in rows 0..pending-1
     # metrics of huge but finite states may overflow, so they are computed
     # under the same errstate as the rounds
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (mask, zeta_sum) in enumerate(masks):
-            record = failed_at is None and k + 1 == next_record[r]
+            record = k + 1 == next_k
             if record:
                 if pending == per_block:
                     measure(pending, r)
                     pending = 0
-                d_row = pending
+                dst = rows[pending]
             else:
-                d_row = spare[s_row == spare[0]]
-            dst = rows[d_row]
+                dst = spare[src is spare[0]]
             try:
                 advance(src, dst, mask)
             except SolverFailure as exc:
-                raise SolverFailure(f"round {k}: {exc}", trials=exc.trials) from exc
-            src, s_row = dst, d_row
+                raise failure(f"round {k}: {exc}", exc.trials) from exc
+            src = dst
             # every A_i is square and invertible, so a non-finite x makes y
             # non-finite in the same round. A finite dot proves mu and y finite
             # (inf * 0 is nan); finite states can overflow it, hence the recheck
@@ -360,7 +353,7 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
                 ok &= np.isfinite(src.y).all(axis=(1, 2))
                 if not ok.all():
                     failed |= ~ok
-                    failed_at = failed_at or k + 1
+                    failed_at, next_k = failed_at or k + 1, None
                     if failed.all():
                         break
                     # retire the trials in place: zeroed rows keep later rounds
@@ -369,35 +362,27 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
             if failed_at is not None:
                 continue  # the run fails; only look for further divergent trials
             if keep_states:
-                states_mu[:, k + 1], states_x[:, k + 1] = src.mu, src.x
+                states_mu[k + 1], states_x[k + 1] = src.mu, src.x
             if record:
                 if zeta_sum is not None:
-                    buf.zeta_cum[d_row] = zeta_sum
+                    buf.zeta_cum[pending] = zeta_sum
                 pending += 1
                 r += 1
+                next_k = next_record[r]
         if pending and failed_at is None:
             measure(pending, r)
     if failed_at is not None:
-        trials = np.flatnonzero(failed).tolist()
-        names = ", ".join(str(seeds[t]) for t in trials)
-        raise SolverFailure(
-            f"round {failed_at}: state diverged to non-finite values (trial seeds {names})",
-            trials=trials,
-        )
+        raise failure(f"round {failed_at}: state diverged to non-finite values", [])
 
     def out(a):
         return a[0] if single else a
 
     return RunTrace(
-        ks=ks,
-        mse=out(recorded[0]),
-        consensus_mu=out(recorded[1]),
-        tracking_residual=out(recorded[2]),
-        feasibility=out(recorded[3]),
+        ks, *map(out, recorded),  # mse, consensus_mu, tracking_residual, feasibility
         # copies: the trace shares no memory with the state rows
         final_state=EngineState(
             mu=out(src.mu).copy(), x=out(src.x).copy(), y=out(src.y).copy(), round=iters
         ),
-        states_mu=out(states_mu) if keep_states else None,
-        states_x=out(states_x) if keep_states else None,
+        states_mu=out(np.ascontiguousarray(states_mu.swapaxes(0, 1))) if keep_states else None,
+        states_x=out(np.ascontiguousarray(states_x.swapaxes(0, 1))) if keep_states else None,
     )

@@ -45,15 +45,14 @@ def box_kkt_residual(grad, x, lo, hi):
     return float(np.linalg.norm(viol))
 
 
-def diagonal_argmin(c, v, diag, lower, upper, out=None):
+def diagonal_argmin(c, v, diag, lower, upper):
     """The exact minimizer for diagonal U, coordinatewise and broadcasting over stacked c.
 
-    Given `out`, the minimizer is written there and c serves as scratch.
+    numpy's clip ufunc projects onto the box with the bytes of maximum, then minimum.
     """
-    q = np.subtract(c, v, out=None if out is None else c)
+    q = np.subtract(c, v)
     q /= diag
-    x = np.maximum(q, lower, out=out)
-    return np.minimum(x, upper, out=x)
+    return np._core.umath.clip(q, lower, upper, out=q)
 
 
 def argmin_rows(cost, box, c):

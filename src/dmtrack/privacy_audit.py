@@ -26,7 +26,10 @@ run per schedule but steps every schedule's recursion in one round loop; the
 norms, eps_e and the bound checks are computed per schedule from its stacked
 differences afterwards. A schedule whose measured rounds are done, or whose
 recursion diverged, is retired in place: its row steps on with a zeroed
-Delta mu input, and its statistics read only its own rounds.
+Delta mu input, and its statistics read only its own rounds. The recursion
+steps in place in round-first arrays; a 1 x 1 A_i0 is one product plus
+`+ 0.0` (`_matvecs`), and a round takes the norms of the divergence test only
+when its sum of squares nears the threshold.
 
 Perturbation recursion (Delta = shifted minus base; messages held equal):
     Delta mu(k+1)  = -alpha * Delta y(k)          Delta eta(k) = -Delta mu(k)
@@ -144,11 +147,6 @@ def _pick_horizon(alpha, delta, A_norm, tau1, tau2, q, d_eta, d_zeta, m):
     return min(max(K, HORIZON_MIN), HORIZON_CAP)
 
 
-def _envelope(coef, tau1, tau2, k):
-    """Root envelope on ||Delta eta(k)||, coef * (tau1^(k-1) - tau2^(k-1)), by scalar pow."""
-    return coef * (tau1 ** (k - 1) - tau2 ** (k - 1))
-
-
 class _Point(NamedTuple):
     """The constants of one schedule's audit."""
 
@@ -208,10 +206,10 @@ def _audit_point(pair, schedule, alpha, horizon):
     # only the rounds before the envelope first sinks under it and let the
     # analytic tail cover the remainder
     signal_floor = 1e-12 * max(1.0, alpha * pair.delta * ag.A_norm)
-    envelopes = [_envelope(env_coef, tau1, tau2, 1)]
-    for k in range(2, K + 1):
-        envelope = _envelope(env_coef, tau1, tau2, k)
-        if envelope < signal_floor:
+    envelopes = []  # the root envelope on ||Delta eta(k)|| of rounds 1..k_measured
+    for k in range(1, K + 1):
+        envelope = env_coef * (tau1 ** (k - 1) - tau2 ** (k - 1))  # by scalar pow
+        if envelope < signal_floor and envelopes:
             break
         envelopes.append(envelope)
     return _Point(schedule, d_eta, d_zeta, q, cert, K, np.array(envelopes))
@@ -237,6 +235,16 @@ def forced_difference_run(pair, W, schedules, alpha, seed, horizon=None):
     return [next(reports) if isinstance(e, _Point) else e for e in entries]
 
 
+def _matvecs(M, u, out):
+    """out[g] = M @ u[g]; a 1 x 1 M is one product, whose `+ 0.0` turns -0.0 into 0.0
+    as the matvec's sum does."""
+    if M.shape == (1, 1):
+        np.multiply(u, M[0, 0], out=out)
+        out += 0.0
+    else:
+        out[...] = (M @ u[..., None])[..., 0]
+
+
 def _audit_points(pair, W, points, alpha, seed):
     """The AuditReport of each point, whose recursions step together as rows of (G, .) arrays."""
     base, i0 = pair.base, pair.i0
@@ -246,40 +254,47 @@ def _audit_points(pair, W, points, alpha, seed):
     k_measured = [len(pt.envelopes) for pt in points]
     k_max = max(k_measured, default=0)
 
-    # Delta mu, Delta x, Delta y of rounds 0..k_measured, one row per point.
-    # Until the recursion reaches round k, d_mu and d_x hold agent i0's base mu
-    # and x of round k; masks depend only on (seed, round), so these are the
-    # first k_measured rounds of a run over the whole horizon
-    d_mu = np.zeros((G, k_max + 1, m))
-    d_x = np.zeros((G, k_max + 1, p))
+    # agent i0's base mu and x of rounds 0..k_max, one row per point, zero past
+    # its last measured round; masks depend only on (seed, round), so these are
+    # the first rounds of a run over the whole horizon
+    base_mu = np.zeros((k_max + 1, G, m))
+    base_x = np.zeros((k_max + 1, G, p))
     for g, pt in enumerate(points):
         k = k_measured[g]
         run_cfg = RunConfig(alpha=alpha, iters=k, record_every=k)
         trace = run(base, W, pt.schedule, run_cfg, seed, keep_states=True)
-        d_mu[g, 1 : k + 1] = trace.states_mu[1:, i0]
-        d_x[g, 1 : k + 1] = trace.states_x[1:, i0]
+        base_mu[1 : k + 1, g] = trace.states_mu[1:, i0]
+        base_x[1 : k + 1, g] = trace.states_x[1:, i0]
 
-    # the loop carries only the recursion; every statistic is computed after it,
-    # from rounds 1..k_end. Each row does the operations a lone point would
-    # (stacked matvecs are one matvec per row). A row past its k_end is retired
-    # in place: its Delta mu input is zeroed, so it stays finite and is ignored
+    # Delta mu, Delta x, Delta y; the loop carries only the recursion, and every
+    # statistic is computed after it from rounds 1..k_end. Each row does what a
+    # lone point would. A row past its k_end is retired in place: its Delta mu
+    # input stays zero, so it stays finite and is ignored
+    d_mu, d_x, d_y = np.zeros_like(base_mu), np.zeros_like(base_x), np.zeros_like(base_mu)
     A, At = ag.A, ag.A.T
-    d_y = np.zeros_like(d_mu)
     k_end = np.array(k_measured, dtype=int)
     diverged = np.zeros(G, dtype=bool)
     diverged_at = 1e9 * max(1.0, alpha * pair.delta * ag.A_norm)
+    # a row past diverged_at makes the sum of squares NaN or above a quarter of
+    # diverged_at**2; where that may overflow, every round takes the row test
+    alarm = (0.5 * diverged_at) ** 2 if diverged_at < 1e150 else -1.0
+    c = np.empty((G, p))  # m = p: every A_i is square
     for k in range(1, k_max + 1):
-        measuring = k_end >= k
-        if not measuring.any():
+        live = k_end >= k
+        if not live.any():
             break
-        dmu = np.multiply(-alpha, d_y[:, k - 1], out=np.zeros((G, m)), where=measuring[:, None])
-        c = (At @ (d_mu[:, k] + dmu)[..., None])[..., 0]
-        d_mu[:, k] = dmu
-        dx = d_x[:, k] = argmin_rows(ag_shift.cost, ag_shift.box, c) - d_x[:, k]
-        d_y[:, k] = (A @ (dx - d_x[:, k - 1])[..., None])[..., 0]
-        gone = _norms(dmu, 1) > diverged_at  # ||Delta eta(k)||, as np.linalg.norm
-        k_end[gone] = k
-        diverged |= gone
+        dmu, dx, dy = d_mu[k], d_x[k], d_y[k]
+        np.multiply(-alpha, d_y[k - 1], out=dmu, where=live[:, None])
+        _matvecs(At, np.add(base_mu[k], dmu, out=c), c)
+        np.subtract(argmin_rows(ag_shift.cost, ag_shift.box, c), base_x[k], out=dx)
+        _matvecs(A, np.subtract(dx, d_x[k - 1], out=dy), dy)
+        if not np.vdot(dmu, dmu) <= alarm:
+            gone = _norms(dmu, 1) > diverged_at  # ||Delta eta(k)||, as np.linalg.norm
+            k_end[gone] = k
+            diverged |= gone
+
+    # the statistics read each point's rounds as one contiguous (rounds, .) block
+    d_mu, d_x, d_y = (np.ascontiguousarray(v.swapaxes(0, 1)) for v in (d_mu, d_x, d_y))
 
     phi, A_norm = ag.cost.phi, ag.A_norm
     eq52_coef = A_norm**2 / phi
@@ -312,12 +327,11 @@ def _audit_points(pair, W, points, alpha, seed):
         k_tail = K if diverged[g] else k_measured[g]
         tau1, tau2 = cert.tau1, cert.tau2
         tail = _tail_bound(k_tail, alpha, pair.delta, A_norm, tau1, tau2, q, d_eta, d_zeta, m)
-        report = AuditReport(
+        reports.append(AuditReport(
             eps_empirical=eps_e + tail, eps_theoretical=cert.eps_theory, eps_star=cert.eps_star,
             delta_eta_norms=eta_norms, delta_zeta_norms=zeta_norms,
             bound_violations=violations, horizon=K, tail=tail, i0=i0,
-        )
-        reports.append(report)
+        ))
     return reports
 
 

@@ -133,12 +133,12 @@ BOUNDS = (-np.inf, -2.0, -0.5, -0.0, 0.0, 0.5, 2.0, np.inf)
 )
 def test_round_kernel_matches_written_out_round(data, m, diagonal, trials, masked, exact):
     """One round of the engine's kernel equals the written-out round bit for bit:
-    the broadcast maps for m = 1, with or without their `+ 0.0` steps, the in-place
+    the products of m = 1, with or without the `+ 0.0` on A x, the in-place
     box projection and updates into preallocated rows change no bit, zeros of
     either sign and non-finite entries included. `exact` draws instances where
-    the m = 1 kernel skips the `+ 0.0` steps (every A_i > 0 and v_i != 0, no
-    -0.0 bound); otherwise agent 0 alone has a -0.0 bound, a negative A_0 or
-    v_0 = 0, and the kernel keeps them."""
+    the m = 1 kernel skips that `+ 0.0` (every A_i > 0 and v_i != 0, no -0.0
+    bound); otherwise agent 0 alone has a -0.0 bound, a negative A_0 or
+    v_0 = 0, and the kernel keeps it."""
     assume(diagonal or m > 1)  # a 1 x 1 U is always diagonal
     n = data.draw(st.integers(1, 4), label="n")
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -200,10 +200,10 @@ def test_round_kernel_matches_written_out_round(data, m, diagonal, trials, maske
     ids=["lo", "hi", "A<0", "v=0", "tiny v", "tiny A", "huge d"],
 )
 def test_round_kernel_keeps_its_zero_adds_where_skipping_them_changes_a_bit(A, U, v, lo, hi, mu):
-    """Instances where the m = 1 maps without their `+ 0.0` steps give other bytes
-    than the einsum's: a -0.0 bound, A < 0, v = 0, and, with A > 0 and v != 0, a
-    product rounding to -0.0 because v is tiny, d huge or A tiny. The kernel keeps
-    its `+ 0.0` steps on each and matches the written-out round."""
+    """Instances where the m = 1 maps without a `+ 0.0` give other bytes than the
+    einsum's: a -0.0 bound, A < 0, v = 0, and, with A > 0 and v != 0, a product
+    rounding to -0.0 because v is tiny, d huge or A tiny. The kernel keeps its
+    `+ 0.0` on A x for each and matches the written-out round."""
     agent = AgentSpec(
         cost=QuadraticCost(U=np.array([[U]]), v=np.array([v])), A=np.array([[A]]),
         d=np.zeros(1), box=BoxSet(lower=np.array([lo]), upper=np.array([hi])),
@@ -220,6 +220,88 @@ def test_round_kernel_keeps_its_zero_adds_where_skipping_them_changes_a_bit(A, U
     got = kernel_round(inst, W, 0.0, *state)
     for name, a, b in zip(("mu", "x", "y", "Ax"), got, want):
         assert a.tobytes() == b.tobytes(), name
+
+
+def scalar_instance(n, rng, v=None, lower=0.0):
+    """n agents with 1 x 1 A_i > 0, U_i > 0 and v_i (random unless given) on [lower, 2].
+
+    A_0 = 0.25 turns a dual of -5e-324 into c_0 = -0.0, which a `+ 0.0` turns into 0.0."""
+    return ProblemInstance(agents=tuple(
+        AgentSpec(
+            cost=QuadraticCost(
+                U=np.array([[rng.uniform(0.5, 3.0)]]),
+                v=np.array([rng.normal() if v is None else v]),
+            ),
+            A=np.array([[0.25 if i == 0 else rng.choice([0.5, 1.0, 1.7])]]), d=rng.normal(size=1),
+            box=BoxSet(lower=np.array([lower]), upper=np.array([2.0])),
+        )
+        for i in range(n)
+    ))
+
+
+@pytest.mark.parametrize("trials", [1, 2, 9])
+@pytest.mark.parametrize("kind", ["v != 0", "v = 0", "v = 0, lower = 0", "lower = -0.0"])
+def test_flat_m1_kernel_matches_the_einsum_round_bit_for_bit(kind, trials):
+    """The m = 1 kernel, one inline sequence of products, `+ 0.0` steps where
+    `_zero_adds_are_noops` keeps them, and one clip into the box, gives the bytes
+    of the written-out round (einsum maps, then maximum and minimum): on states
+    holding zeros of either sign and values at the box ends, with and without
+    masks. The last trial of a batch holds NaN, as a diverged trial does until
+    it is retired, and the one before it is a retired trial's zeroed row. W = I
+    passes trial 0's dual of -5e-324 at agent 0 on to the product with A_0."""
+    rng = np.random.default_rng(17)
+    n = 3
+    v, lower = {
+        "v != 0": (None, 0.0), "v = 0": (0.0, -2.0), "v = 0, lower = 0": (0.0, 0.0),
+        "lower = -0.0": (None, -0.0),
+    }[kind]
+    inst = scalar_instance(n, rng, v=v, lower=lower)
+    consts = (inst.A[:, :, 0], inst.v, inst.diag, inst.lower, inst.upper)
+    assert engine._zero_adds_are_noops(*consts) == (kind == "v != 0")
+    values = np.array([0.0, -0.0, 2.0, -2.0, 0.7, -1.3, 5e-324, -5e-324])
+    mu, x, y, Ax, eta, zeta = rng.choice(values, size=(6, trials, n, 1))
+    mu[0, 0], y[0, 0], eta[0, 0] = -5e-324, 0.0, 0.0
+    if trials > 1:
+        mu[-1, 0], y[-1, 1], x[-1, 2] = np.nan, np.nan, np.nan
+    if trials > 2:
+        mu[-2], x[-2], y[-2], Ax[-2] = 0.0, 0.0, 0.0, 0.0
+    for W in (rng.uniform(0.0, 1.0, size=(n, n)), np.eye(n)):
+        for masks in ((None, None), (eta, zeta)):
+            for alpha in (0.0, 0.45):
+                got = kernel_round(inst, W, alpha, mu, x, y, Ax, *masks)
+                want = reference_round(inst, W, alpha, mu, x, y, Ax, *masks)
+                for name, a, b in zip(("mu", "x", "y", "Ax"), got, want):
+                    assert a.tobytes() == b.tobytes(), (name, alpha, masks[0] is None)
+
+
+def test_one_add_of_minus_v_equals_the_zero_add_then_minus_v():
+    """The m = 1 kernel computes the einsum's (0.0 + a mu) - v as (0.0 - v) + a mu,
+    one add fewer: the same bytes for zeros of either sign, underflow, infinities
+    and NaN, as a product a mu can be, against finite v of either sign."""
+    specials = [0.0, -0.0, 5e-324, -5e-324, 1.5, -1.5, 1e308, np.inf, -np.inf, np.nan]
+    x, v = (a.ravel() for a in np.meshgrid(specials, specials[:7]))
+    assert ((0.0 - v) + x).tobytes() == ((0.0 + x) - v).tobytes()
+    assert ((-v) + x).tobytes() != ((0.0 + x) - v).tobytes()
+
+
+@pytest.mark.parametrize("length", [1, 2, 14, 28, 33])
+def test_clip_ufunc_equals_maximum_then_minimum(length):
+    """The kernel and local_solver.diagonal_argmin project with numpy's clip ufunc
+    in one call; on zeros of either sign, NaN, infinities and boxes with lower ==
+    upper it returns the bytes of maximum, then minimum, at lengths that include
+    the SIMD tails."""
+    rng = np.random.default_rng(length)
+    values = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1.0, -1.0, 0.5, 5e-324, -5e-324])
+    ends = np.array([-0.0, 0.0, -1.0, 1.0, 0.5, -np.inf, np.inf])
+    for _ in range(300):
+        x = rng.choice(values, size=length)
+        lo, hi = np.sort(rng.choice(ends, size=(2, length)), axis=0)
+        if rng.random() < 0.3:
+            hi = lo.copy()
+        got = np.empty(length)
+        np._core.umath.clip(x, lo, hi, out=got)
+        want = np.minimum(np.maximum(x, lo), hi)
+        assert got.tobytes() == want.tobytes(), (x, lo, hi)
 
 
 def test_trace_recording_strides():
@@ -584,6 +666,37 @@ def test_a_failed_local_solve_names_every_failing_seed():
         with pytest.raises(SolverFailure, match=r"^round 0: trial 0, agent 0: ") as caught:
             run(inst, symmetric2()[1], NoiseSchedule.uniform(2), RunConfig(0.1, 4), [5, 6, 7])
     assert caught.value.trials == [0, 2]
+
+
+def test_a_failed_local_solve_also_names_the_trials_that_diverged_before():
+    """Seed 6's tracker turns NaN in round 1 and the trial is retired; in round 3
+    seed 5's one-step projected gradient fails. The failure names both seeds."""
+    U = np.array([[2.0, 0.9], [0.9, 1.0]])
+    box = BoxSet(lower=-np.ones(2), upper=np.ones(2))
+    agent = AgentSpec(cost=QuadraticCost(U=U, v=np.zeros(2)), A=np.eye(2), d=np.zeros(2), box=box)
+    inst = ProblemInstance(agents=(agent, agent))
+    eta, zeta = np.zeros((2, 5, 2, 2)), np.zeros((2, 5, 2, 2))
+    zeta[1, 0, 0, 0] = np.nan
+    eta[0, 3] = 10.0
+    one_step = partial(solve_all_from_c, max_inner=1)
+    with mock.patch.object(engine, "solve_all_from_c", one_step), inject_masks(eta, zeta):
+        pattern = r"^round 3: trial 0, agent 0: .*\(trial seeds 5, 6\)$"
+        with pytest.raises(SolverFailure, match=pattern) as caught:
+            run(inst, symmetric2()[1], NoiseSchedule.uniform(2), RunConfig(0.1, 5), [5, 6])
+    assert caught.value.trials == [0, 1]
+
+
+@pytest.mark.parametrize("trials", [1, 5, 200])
+def test_a_two_record_run_allocates_at_most_four_state_rows(trials):
+    """A run recording only its first and last rounds, as the audit's base runs
+    do, holds its two records and the two spare rows, whatever the batch size."""
+    inst, W = symmetric2()
+    rows = mock.patch.object(engine, "_StateRows", wraps=engine._StateRows)
+    with rows as state_rows:
+        cfg = RunConfig(0.45, 9, record_every=9)
+        run(inst, W, NoiseSchedule.disabled(2), cfg, list(range(trials)))
+    [(count, *_), _] = state_rows.call_args
+    assert count <= 4
 
 
 def test_infinite_dual_at_a_zero_tracker_is_reported():

@@ -498,6 +498,19 @@ def test_cli_bounds_and_admissibility(tmp_path, capsys):
     assert "admissible=False" in out
 
 
+@pytest.mark.parametrize("frac,above", [("frac_of_t2", False), ("frac_of_t1", True)])
+def test_bounds_flags_a_stepsize_above_alpha_max_t2(tmp_path, capsys, frac, above):
+    """On microgrid14, 0.9 alpha_max_t2 lies inside the rate theorem's stepsize
+    range and 0.9 alpha_max_t1 = 0.197 far above alpha_max_t2 = 9.4e-4, where
+    the printed r_lb is no rate bound; `bounds` says which."""
+    overrides = {"problem.preset": "microgrid14", "algorithm.alpha": {frac: 0.9}}
+    path = write_config(tmp_path, **overrides)
+    assert cli.main(["bounds", "--config", str(path)]) == 0
+    out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert (float(out["alpha"]) > float(out["alpha_max_t2"])) == above
+    assert out["alpha_above_t2"] == str(above)
+
+
 @pytest.mark.parametrize(
     "override,q_min_defined",
     [({"noise.d_zeta": [0.0, 1.0]}, True), ({"algorithm.alpha": 0.0}, False)],

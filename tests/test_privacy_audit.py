@@ -231,6 +231,20 @@ def test_sweep_marks_inadmissible_points(sym2):
     assert flags["monotone_in_q"]
 
 
+@pytest.mark.parametrize("a", [0.25, 1.0, -2.0])
+def test_a_1x1_matvec_is_one_product_with_its_zero_add(a):
+    """The recursion multiplies rows by a 1 x 1 A_i0 with one product and a
+    `+ 0.0`: the bytes of the stacked matvec, zeros of either sign, underflow,
+    infinities and NaN included. The bare product keeps -0.0 and differs."""
+    u = np.array([[0.0], [-0.0], [5e-324], [-5e-324], [1.5], [np.inf], [-np.inf], [np.nan]])
+    M = np.array([[a]])
+    got = np.empty_like(u)
+    privacy_audit._matvecs(M, u, got)
+    want = (M @ u[..., None])[..., 0]
+    assert got.tobytes() == want.tobytes()
+    assert (u * a).tobytes() != want.tobytes()
+
+
 def reference_forced_difference_run(
     pair, W, schedule, config, seed, horizon=None, solver=argmin_local
 ):
@@ -361,30 +375,34 @@ def jumping(solve, jump):
     return solver
 
 
-def test_divergence_break_matches_the_per_round_reference(sym2):
-    """A shifted solve that jumps by 1e12 at its fifth call blows ||Delta eta||
-    past the divergence threshold: the loop stops there, counts the violation,
-    and takes the tail at the horizon K."""
+@pytest.mark.parametrize("delta", [1.0, 1e150])
+def test_divergence_break_matches_the_per_round_reference(sym2, delta):
+    """A shifted solve that jumps by 1e12 delta at its fifth call blows
+    ||Delta eta|| past the divergence threshold 1e9 alpha delta ||A||: the loop
+    stops there, counts the violation, and takes the tail at the horizon K. At
+    delta = 1e150 the squared threshold, and the squares of the jump, overflow
+    (quietly here), so every round takes the per-row norm test."""
     inst, W = sym2
-    pair = make_adjacent_pair(inst, 0, 1.0)
+    pair = make_adjacent_pair(inst, 0, delta)
     cfg = RunConfig(alpha=0.9, iters=1)
     sched = NoiseSchedule.uniform(2, q=0.95)
-    with mock.patch.object(privacy_audit, "argmin_rows", jumping(argmin_rows, lambda x: x + 1e12)):
-        got = audit_one(pair, W, sched, cfg.alpha, seed=11)
+    solve = jumping(argmin_rows, lambda x: x + 1e12 * delta)
 
     def jump(result):
-        return ArgminResult(x=result.x + 1e12, kkt_residual=result.kkt_residual)
+        return ArgminResult(x=result.x + 1e12 * delta, kkt_residual=result.kkt_residual)
 
-    want = reference_forced_difference_run(
-        pair, W, sched, cfg, seed=11, solver=jumping(argmin_local, jump)
-    )
+    with np.errstate(over="ignore"), mock.patch.object(privacy_audit, "argmin_rows", solve):
+        got = audit_one(pair, W, sched, cfg.alpha, seed=11)
+        want = reference_forced_difference_run(
+            pair, W, sched, cfg, seed=11, solver=jumping(argmin_local, jump)
+        )
     assert report_bytes(got) == report_bytes(want)
     assert got.bound_violations >= 1
-    assert got.delta_eta_norms[6] > 1e9 and not got.delta_eta_norms[7:].any()
+    assert got.delta_eta_norms[6] > 1e9 * delta and not got.delta_eta_norms[7:].any()
     ag = inst.agents[0]
     qi = q_interval(0.9, ag.cost.phi, ag.A_norm)
     assert got.tail == _tail_bound(
-        got.horizon, 0.9, 1.0, ag.A_norm, qi.tau1, qi.tau2, 0.95, 1.0, 1.0, 1
+        got.horizon, 0.9, delta, ag.A_norm, qi.tau1, qi.tau2, 0.95, 1.0, 1.0, 1
     )
 
 

@@ -8,7 +8,8 @@ seed-0 audit_grid invocation's audit.csv and `dmtrack bounds` stdout on the
 mc_noisy config, and the stdout and audit.csv of single-point `dmtrack
 audit` runs, of a grid audit of hand_kkt's second agent and of `bounds`,
 `sweep` and `audit` on hand_kkt under a non-default audit section, and of
-`dmtrack oracle` on every preset, whose digests live here. They also check
+`dmtrack oracle` on every preset, whose digests live here, and the per-round
+arrays of the default grid audit on symmetric2 and hand_kkt. They also check
 that `bounds` prints the closed-form figures that summary.json and sweep.csv
 carry. They only read bench/.
 """
@@ -20,9 +21,12 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from dmtrack import cli
+from dmtrack.harness import ExperimentConfig, materialize
+from dmtrack.privacy_audit import forced_difference_run, grid_schedules
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
@@ -57,7 +61,7 @@ def test_seed0_trace_matches_the_benchmark_reference(workloads, workload, tmp_pa
 # bounds` stdout on the seed-0 mc_noisy config (microgrid14); a refactor
 # must leave both byte for byte unchanged
 AUDIT_GRID_CSV_SHA256 = "7811bc1d18f30e9bc80820e9dffe8eb98e9d3eb35977b1f3cc02675ec6446590"
-MICROGRID14_BOUNDS_SHA256 = "714a177b85159cfb2d68f15005ee366779f0a2294eafee2aed4e202e66fb262e"
+MICROGRID14_BOUNDS_SHA256 = "58587eb8d66ee644a9e99a13e9604289a9ae2af5a6af1c0d6112f2d9c6025581"
 
 
 def test_seed0_audit_grid_csv_is_pinned(workloads, tmp_path, capsys):
@@ -78,6 +82,35 @@ def test_microgrid14_bounds_stdout_is_pinned(workloads, tmp_path, capsys):
 
 def _sha256(data):
     return hashlib.sha256(data).hexdigest()
+
+
+# sha256 over the nine reports of the default 3 x 3 grid audit (seed 0, alpha
+# 0.9 alpha_max_t1, q = 0.98), in grid order, of each report's
+# delta_eta_norms, delta_zeta_norms and eps_empirical bytes: audit.csv rounds
+# the per-round arrays away, so a change to the audit recursion is pinned here
+AUDIT_ROUND_ARRAYS_SHA256 = {
+    "symmetric2": "f022011a62c7aa30e4951a6a6814b4202292924a4189f58fc301df46d4de59fe",
+    "hand_kkt": "89134d73ff1ac6e3488c4b5dd6c3a688ab9cf82a5548d875ae26bd15825548c3",
+}
+
+
+@pytest.mark.parametrize("preset", list(AUDIT_ROUND_ARRAYS_SHA256))
+def test_grid_audit_round_arrays_are_pinned(preset):
+    config = ExperimentConfig.from_dict({
+        "problem": {"preset": preset},
+        "algorithm": {"alpha": {"frac_of_t1": 0.9}, "iters": 1},
+        "noise": {"enabled": True, "d_eta": 1.0, "d_zeta": 1.0, "q": 0.98},
+        "trials": 1, "seed": 0, "output": "unused",
+    })
+    mat, v = materialize(config), config.values
+    schedules = grid_schedules(mat.schedule, v["audit.grid.d_zeta"], v["audit.grid.q"])
+    reports = forced_difference_run(mat.pair, mat.W, schedules, mat.alpha, v["seed"])
+    digest = hashlib.sha256()
+    for report in reports:
+        digest.update(report.delta_eta_norms.tobytes())
+        digest.update(report.delta_zeta_norms.tobytes())
+        digest.update(np.float64(report.eps_empirical).tobytes())
+    assert digest.hexdigest() == AUDIT_ROUND_ARRAYS_SHA256[preset]
 
 
 @pytest.mark.parametrize("setup", ["mc_noisy", "symmetric2_alpha_1e200"])
@@ -208,7 +241,7 @@ def test_hand_kkt_agent1_grid_audit_outputs_are_pinned(tmp_path, capsys):
 # `sweep.csv` and a single-point audit
 HAND_KKT_AUDIT = {"i0": 1, "delta": 0.5, "delta_prime": 0.2}
 HAND_KKT_AUDIT_SHA256 = {
-    "bounds": (0, "3251c58f30741c318482ca2d9e1768a4007bc47730b975e280622bcc6f06201d"),
+    "bounds": (0, "46aaca7dcb8b20a860e524d1a0a18ebc4f3d5b9536619ef2e31e55469328d9e5"),
     "sweep": (
         0,
         "df8959f0aab8b68e97c9de4cd034f2c415addd62de9ae2020bb4904c3a8b5f88",
