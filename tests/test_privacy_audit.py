@@ -375,13 +375,10 @@ def jumping(solve, jump):
     return solver
 
 
-@pytest.mark.parametrize("delta", [1.0, 1e150])
-def test_divergence_break_matches_the_per_round_reference(sym2, delta):
+def assert_divergence_break_matches_the_reference(sym2, delta):
     """A shifted solve that jumps by 1e12 delta at its fifth call blows
     ||Delta eta|| past the divergence threshold 1e9 alpha delta ||A||: the loop
-    stops there, counts the violation, and takes the tail at the horizon K. At
-    delta = 1e150 the squared threshold, and the squares of the jump, overflow
-    (quietly here), so every round takes the per-row norm test."""
+    stops there, counts the violation, and takes the tail at the horizon K."""
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, delta)
     cfg = RunConfig(alpha=0.9, iters=1)
@@ -404,6 +401,16 @@ def test_divergence_break_matches_the_per_round_reference(sym2, delta):
     assert got.tail == _tail_bound(
         got.horizon, 0.9, delta, ag.A_norm, qi.tau1, qi.tau2, 0.95, 1.0, 1.0, 1
     )
+
+
+def test_divergence_break_matches_the_per_round_reference(sym2):
+    assert_divergence_break_matches_the_reference(sym2, 1.0)
+
+
+def test_divergence_break_with_an_overflowing_threshold_matches_the_per_round_reference(sym2):
+    """At delta = 1e150 the squared threshold, and the squares of the jump,
+    overflow (quietly here), so every round takes the per-row norm test."""
+    assert_divergence_break_matches_the_reference(sym2, 1e150)
 
 
 def assert_batch_matches_one_schedule_audits(pair, W, schedules, alpha, seed):
