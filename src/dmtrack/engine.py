@@ -34,7 +34,7 @@ columns would switch BLAS kernels and change bits). `_round_kernel` builds the
 round once per run and writes each result with out= into another row. For
 m = 1 (1 x 1 A_i and U_i) a round is one flat sequence of ufunc calls: masks,
 W @, mu -= alpha y, c = (0.0 - v) + a mu, c /= diag, one clip into the box
-(the bytes of maximum, then minimum), A x = a x, y += A x - previous A x.
+(`local_solver.clip`, bytes of maximum then minimum), A x = a x, y += A x - previous A x.
 The einsum maps of m > 1 start their sums at 0.0, which turns -0.0 into 0.0;
 0.0 - v gives c the same bytes, and A x gets a `+ 0.0` unless it can never be
 -0.0 (`_zero_adds_are_noops`). Recorded rounds fill the rows of one metric
@@ -55,7 +55,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import SolverFailure
-from .local_solver import solve_all_from_c
+from .local_solver import clip, solve_all_from_c
 from .noise import iter_masks
 
 # Recorded (round, trial) rows whose states are held until their metrics are
@@ -201,7 +201,7 @@ def _round_kernel(instance, W, alpha, trials):
         zero_add = not _zero_adds_are_noops(a, v, diag, lower, upper)
         minus_v = 0.0 - v  # 0.0, not -0.0, at v = 0: minus_v + a mu is (0.0 + a mu) - v
     # the hot calls pass out positionally, which numpy parses faster than out=
-    add, matmul, multiply, clip = np.add, np.matmul, np.multiply, np._core.umath.clip
+    add, matmul, multiply = np.add, np.matmul, np.multiply
 
     def advance(src, dst, masks):
         s, mu, y, x, Ax = dst
@@ -378,7 +378,11 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
         return a[0] if single else a
 
     return RunTrace(
-        ks, *map(out, recorded),  # mse, consensus_mu, tracking_residual, feasibility
+        ks=ks,
+        mse=out(recorded[0]),
+        consensus_mu=out(recorded[1]),
+        tracking_residual=out(recorded[2]),
+        feasibility=out(recorded[3]),
         # copies: the trace shares no memory with the state rows
         final_state=EngineState(
             mu=out(src.mu).copy(), x=out(src.x).copy(), y=out(src.y).copy(), round=iters

@@ -45,14 +45,20 @@ def box_kkt_residual(grad, x, lo, hi):
     return float(np.linalg.norm(viol))
 
 
-def diagonal_argmin(c, v, diag, lower, upper):
-    """The exact minimizer for diagonal U, coordinatewise and broadcasting over stacked c.
+def _maximum_then_minimum(q, lower, upper, out):
+    return np.minimum(np.maximum(q, lower, out=out), upper, out=out)
 
-    numpy's clip ufunc projects onto the box with the bytes of maximum, then minimum.
-    """
+
+# clip(q, lower, upper, out) projects onto the box; numpy >= 2's clip ufunc gives
+# the bytes of maximum, then minimum, in one call, and the two calls stand in elsewhere
+clip = getattr(getattr(getattr(np, "_core", None), "umath", None), "clip", _maximum_then_minimum)
+
+
+def diagonal_argmin(c, v, diag, lower, upper):
+    """The exact minimizer for diagonal U, coordinatewise and broadcasting over stacked c."""
     q = np.subtract(c, v)
     q /= diag
-    return np._core.umath.clip(q, lower, upper, out=q)
+    return clip(q, lower, upper, q)
 
 
 def argmin_rows(cost, box, c):

@@ -28,8 +28,7 @@ differences afterwards. A schedule whose measured rounds are done, or whose
 recursion diverged, is retired in place: its row steps on with a zeroed
 Delta mu input, and its statistics read only its own rounds. The recursion
 steps in place in round-first arrays; a 1 x 1 A_i0 is one product plus
-`+ 0.0` (`_matvecs`), and a round takes the norms of the divergence test only
-when its sum of squares nears the threshold.
+`+ 0.0` (`_matvecs`).
 
 Perturbation recursion (Delta = shifted minus base; messages held equal):
     Delta mu(k+1)  = -alpha * Delta y(k)          Delta eta(k) = -Delta mu(k)
@@ -147,6 +146,11 @@ def _pick_horizon(alpha, delta, A_norm, tau1, tau2, q, d_eta, d_zeta, m):
     return min(max(K, HORIZON_MIN), HORIZON_CAP)
 
 
+def _envelope(coef, tau1, tau2, k):
+    """Root envelope on ||Delta eta(k)||, coef * (tau1^(k-1) - tau2^(k-1)), by scalar pow."""
+    return coef * (tau1 ** (k - 1) - tau2 ** (k - 1))
+
+
 class _Point(NamedTuple):
     """The constants of one schedule's audit."""
 
@@ -206,10 +210,10 @@ def _audit_point(pair, schedule, alpha, horizon):
     # only the rounds before the envelope first sinks under it and let the
     # analytic tail cover the remainder
     signal_floor = 1e-12 * max(1.0, alpha * pair.delta * ag.A_norm)
-    envelopes = []  # the root envelope on ||Delta eta(k)|| of rounds 1..k_measured
-    for k in range(1, K + 1):
-        envelope = env_coef * (tau1 ** (k - 1) - tau2 ** (k - 1))  # by scalar pow
-        if envelope < signal_floor and envelopes:
+    envelopes = [_envelope(env_coef, tau1, tau2, 1)]
+    for k in range(2, K + 1):
+        envelope = _envelope(env_coef, tau1, tau2, k)
+        if envelope < signal_floor:
             break
         envelopes.append(envelope)
     return _Point(schedule, d_eta, d_zeta, q, cert, K, np.array(envelopes))
@@ -275,9 +279,6 @@ def _audit_points(pair, W, points, alpha, seed):
     k_end = np.array(k_measured, dtype=int)
     diverged = np.zeros(G, dtype=bool)
     diverged_at = 1e9 * max(1.0, alpha * pair.delta * ag.A_norm)
-    # a row past diverged_at makes the sum of squares NaN or above a quarter of
-    # diverged_at**2; where that may overflow, every round takes the row test
-    alarm = (0.5 * diverged_at) ** 2 if diverged_at < 1e150 else -1.0
     c = np.empty((G, p))  # m = p: every A_i is square
     for k in range(1, k_max + 1):
         live = k_end >= k
@@ -288,10 +289,9 @@ def _audit_points(pair, W, points, alpha, seed):
         _matvecs(At, np.add(base_mu[k], dmu, out=c), c)
         np.subtract(argmin_rows(ag_shift.cost, ag_shift.box, c), base_x[k], out=dx)
         _matvecs(A, np.subtract(dx, d_x[k - 1], out=dy), dy)
-        if not np.vdot(dmu, dmu) <= alarm:
-            gone = _norms(dmu, 1) > diverged_at  # ||Delta eta(k)||, as np.linalg.norm
-            k_end[gone] = k
-            diverged |= gone
+        gone = _norms(dmu, 1) > diverged_at  # ||Delta eta(k)||, as np.linalg.norm
+        k_end[gone] = k
+        diverged |= gone
 
     # the statistics read each point's rounds as one contiguous (rounds, .) block
     d_mu, d_x, d_y = (np.ascontiguousarray(v.swapaxes(0, 1)) for v in (d_mu, d_x, d_y))
@@ -327,11 +327,12 @@ def _audit_points(pair, W, points, alpha, seed):
         k_tail = K if diverged[g] else k_measured[g]
         tau1, tau2 = cert.tau1, cert.tau2
         tail = _tail_bound(k_tail, alpha, pair.delta, A_norm, tau1, tau2, q, d_eta, d_zeta, m)
-        reports.append(AuditReport(
+        report = AuditReport(
             eps_empirical=eps_e + tail, eps_theoretical=cert.eps_theory, eps_star=cert.eps_star,
             delta_eta_norms=eta_norms, delta_zeta_norms=zeta_norms,
             bound_violations=violations, horizon=K, tail=tail, i0=i0,
-        ))
+        )
+        reports.append(report)
     return reports
 
 
