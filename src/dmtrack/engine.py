@@ -43,6 +43,17 @@ records, or all of a run's if fewer, and the rounds in between alternate
 between two spare rows. One dot of mu and y tests a round for
 finiteness, and `iter_masks` supplies the running tracker-mask total the
 tracking residual needs. A trace holds copies, never views of the rows.
+
+Without masks a round is a deterministic map of the bytes it reads (s and A x
+of its source row; it overwrites all its scratch), so once the batch state
+equals the state two rounds earlier, every later state repeats the last two
+with period 1 or 2. `run` watches for this while `schedule.enabled` is off and
+no trial has diverged: when a round's finiteness dot equals the dot of two
+rounds earlier (equal states give equal dots), it keeps the bytes of s, x and
+A x, and two rounds later compares the state with them. On a match it stops
+stepping and fills the remaining records, kept states and final state from the
+two states of the orbit by the parity of the round: the same bytes stepping
+would have written. An orbit of a longer period is stepped to the end.
 """
 
 from __future__ import annotations
@@ -119,6 +130,7 @@ class RunTrace:
     tracking_residual: np.ndarray
     feasibility: np.ndarray
     final_state: EngineState
+    rounds_stepped: int  # kernel rounds executed; fewer than iters once the state repeats
     states_mu: Optional[np.ndarray] = None
     states_x: Optional[np.ndarray] = None
 
@@ -180,6 +192,11 @@ def _zero_adds_are_noops(a, v, diag, lower, upper):
         and np.all(diag <= 2.0**200)
         and not np.any((ends == 0.0) & np.signbit(ends))
     )
+
+
+def _snapshot(row):
+    """The bytes of a state row's s, x and A x: all a noise-free round reads, and x."""
+    return row.s.tobytes() + row.x.tobytes() + row.Ax.tobytes()
 
 
 def _round_kernel(instance, W, alpha, trials):
@@ -270,6 +287,10 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
         Additionally record the full mu and x trajectories (used by the
         privacy auditor).
 
+    A noise-free batch whose state repeats with period 1 or 2 stops stepping
+    there and fills the rest of its trace from the two repeating states, byte
+    for byte; `rounds_stepped` of the trace counts the rounds it stepped.
+
     Raises SolverFailure if a local solve fails, naming every trial whose
     solve failed in that round, or if a trial's state turns non-finite. A
     diverged trial is retired in place, its row zeroed, and the others step
@@ -328,6 +349,10 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
     failed = np.zeros(T, dtype=bool)  # whether each trial of the batch has diverged
     failed_at = None  # the first round with a diverged trial; nothing is recorded after it
     pending, r, next_k = 1, 0, next_record[0]  # records pending in rows 0..pending-1
+    watch = not schedule.enabled  # for a repeating state: a round is then a map of the state
+    dots = [math.nan, math.nan]  # finiteness dots of the last two states, by round parity
+    probe, probe_at = None, None  # _snapshot of the state at round probe_at
+    cycle = None  # the round whose state equals the one two rounds before
     # metrics of huge but finite states may overflow, so they are computed
     # under the same errstate as the rounds
     with np.errstate(over="ignore", invalid="ignore"):
@@ -344,11 +369,12 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
                 advance(src, dst, mask)
             except SolverFailure as exc:
                 raise failure(f"round {k}: {exc}", exc.trials) from exc
-            src = dst
+            prev, src = src, dst
             # every A_i is square and invertible, so a non-finite x makes y
             # non-finite in the same round. A finite dot proves mu and y finite
             # (inf * 0 is nan); finite states can overflow it, hence the recheck
-            if not math.isfinite(np.vdot(src.mu, src.y)):
+            dot = np.vdot(src.mu, src.y)
+            if not math.isfinite(dot):
                 ok = np.isfinite(src.mu).all(axis=(1, 2)) & np.isfinite(src.x).all(axis=(1, 2))
                 ok &= np.isfinite(src.y).all(axis=(1, 2))
                 if not ok.all():
@@ -369,8 +395,28 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
                 pending += 1
                 r += 1
                 next_k = next_record[r]
+            if watch:
+                if probe_at == k - 1:
+                    if _snapshot(src) == probe:
+                        cycle = k + 1
+                        break
+                    probe_at = None
+                if probe_at is None and dot == dots[k & 1]:
+                    probe, probe_at = _snapshot(src), k + 1
+                dots[k & 1] = dot
         if pending and failed_at is None:
             measure(pending, r)
+        if cycle is not None:
+            # round cycle + i holds the state of src for even i and of prev for odd i
+            mu, y, x, Ax = (np.concatenate(pair) for pair in zip(src[1:], prev[1:]))
+            vals = _metrics(mu, x, y, Ax, np.zeros((2 * T, m)), W, instance.d, x_star)
+            odd = (ks[r + 1 :] - cycle) % 2
+            recorded[:, :, r + 1 :] = vals.reshape(4, 2, T)[:, odd].transpose(0, 2, 1)
+            if keep_states:
+                states_mu[cycle + 1 :: 2], states_x[cycle + 1 :: 2] = prev.mu, prev.x
+                states_mu[cycle + 2 :: 2], states_x[cycle + 2 :: 2] = src.mu, src.x
+            if (iters - cycle) % 2:
+                src = prev
     if failed_at is not None:
         raise failure(f"round {failed_at}: state diverged to non-finite values", [])
 
@@ -387,6 +433,7 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
         final_state=EngineState(
             mu=out(src.mu).copy(), x=out(src.x).copy(), y=out(src.y).copy(), round=iters
         ),
+        rounds_stepped=iters if cycle is None else cycle,
         states_mu=out(np.ascontiguousarray(states_mu.swapaxes(0, 1))) if keep_states else None,
         states_x=out(np.ascontiguousarray(states_x.swapaxes(0, 1))) if keep_states else None,
     )

@@ -379,9 +379,11 @@ def run_experiment(config, out_dir=None):
     Writes trace.csv (pointwise trial average) and summary.json into the
     output directory and returns the summary dict; summary.json holds no
     wall-clock value, so reruns write it byte for byte, and the run's
-    runtime_sec goes to timings.json next to it. Any diverging trial marks
-    the experiment failed and records every offending seed; a failed run
-    writes no trace.csv and removes one left by an earlier run.
+    runtime_sec goes to timings.json next to it, with rounds_stepped, the
+    rounds the engine stepped (fewer than iters once a noise-free state
+    repeats), unless the run failed. Any diverging trial marks the
+    experiment failed and records every offending seed; a failed run writes
+    no trace.csv and removes one left by an earlier run.
     """
     return _run_materialized(config, materialize(config), out_dir)
 
@@ -463,13 +465,16 @@ def _run_materialized(config, mat, out_dir):
         tracking_ok=bool(tracking_ok),
     )
     _write_trace_csv(outdir / "trace.csv", trace.ks, mean_mse, mean_cons, mean_track, mean_feas)
-    return _write_summary(outdir, summary, t0)
+    return _write_summary(outdir, summary, t0, rounds_stepped=trace.rounds_stepped)
 
 
-def _write_summary(outdir, summary, t0):
-    """Write summary.json and the run's timings.json (runtime since t0); return summary."""
+def _write_summary(outdir, summary, t0, rounds_stepped=None):
+    """Write summary.json and the run's timings.json (runtime since t0 and, for a run
+    that did not fail, its rounds_stepped); return summary."""
     (outdir / "summary.json").write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
     timings = {"runtime_sec": time.perf_counter() - t0}
+    if rounds_stepped is not None:
+        timings["rounds_stepped"] = rounds_stepped
     (outdir / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True))
     return summary
 

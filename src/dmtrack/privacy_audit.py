@@ -90,9 +90,10 @@ def make_adjacent_pair(base, i0, delta, delta_prime=None):
         delta_prime = np.full(p, float(delta_prime))
     if delta_prime.shape != (p,):
         raise ValueError(f"delta_prime must be a scalar or of length p = {p}, got {delta_prime}")
-    if not np.linalg.norm(delta_prime) < delta:
+    norm = math.hypot(*delta_prime)  # no overflow where the squared norm would
+    if not norm < delta:
         raise ValueError(
-            f"delta_prime {delta_prime.tolist()} has norm {np.linalg.norm(delta_prime):g}, "
+            f"delta_prime {delta_prime.tolist()} has norm {norm:g}, "
             f"which must be strictly below delta = {delta:g}"
         )
     shifted = shift_adjacent(base, i0, delta_prime)

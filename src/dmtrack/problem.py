@@ -239,6 +239,7 @@ def shift_adjacent(instance, i0, delta_prime):
 
     For quadratics: v <- v - U delta', w <- w + 0.5 delta'^T U delta' - v^T delta'.
     The shifted agent satisfies grad f'(x + delta') = grad f(x) everywhere.
+    A shift whose shifted cost is not finite is rejected with a ValueError.
     """
     if not 0 <= i0 < instance.n:
         raise IndexError(f"agent index {i0} out of range for n={instance.n}")
@@ -247,11 +248,14 @@ def shift_adjacent(instance, i0, delta_prime):
         raise ValueError(f"delta_prime has shape {delta_prime.shape}, expected ({instance.p},)")
     old = instance.agents[i0]
     U, v, w = old.cost.U, old.cost.v, old.cost.w
-    new_cost = QuadraticCost(
-        U=U.copy(),
-        v=v - U @ delta_prime,
-        w=w + 0.5 * delta_prime @ U @ delta_prime - v @ delta_prime,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_new = v - U @ delta_prime
+        w_new = w + 0.5 * delta_prime @ U @ delta_prime - v @ delta_prime
+    if not (np.isfinite(v_new).all() and np.isfinite(w_new)):
+        raise ValueError(
+            f"delta_prime {delta_prime.tolist()} makes agent {i0}'s shifted cost non-finite"
+        )
+    new_cost = QuadraticCost(U=U.copy(), v=v_new, w=w_new)
     shifted = AgentSpec(cost=new_cost, A=old.A.copy(), d=old.d.copy(), box=old.box.shifted(delta_prime))
     agents = list(instance.agents)
     agents[i0] = shifted

@@ -16,10 +16,12 @@ from dmtrack.local_solver import argmin_local, solve_all_from_c
 from dmtrack.noise import NoiseSchedule, chunk_rounds
 from dmtrack.oracle import solve_dual
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
+from dmtrack.theory import stepsize_bounds
 from dmtrack.topology import metropolis_weights, ring_plus_random
 
 from conftest import (
-    fixed_point_residual, inject_masks, kernel_round, mask_log, reference_round, step_once
+    build_preset, fixed_point_residual, inject_masks, kernel_round, mask_log, reference_round,
+    step_once,
 )
 
 
@@ -831,3 +833,155 @@ def test_noisy_stationary_point_is_the_shifted_optimum():
     mu_pred = sol.mu_star - s_total  # mu* shifts by -S/H
     assert np.allclose(tr.final_state.mu, mu_pred, atol=1e-8)
     assert tr.mse[-1] == pytest.approx(s_total**2 / 2.0, rel=1e-9)
+
+
+def at_09_alpha_max_t1(name):
+    """A preset, its weight matrix and 0.9 * alpha_max_t1, where a noise-free run
+    ends in a periodic orbit."""
+    instance, W, mod = build_preset(name)
+    return instance, W.W, 0.9 * stepsize_bounds(mod, W.lambda_bar).alpha_max_t1
+
+
+def stepped_reference(instance, W, cfg, trials):
+    """Every state of a noise-free (trials, n, .) batch, each round from the last
+    through the round kernel, without any fast-forward: rows 0..cfg.iters of
+    engine state buffers."""
+    n, m, p = instance.dims
+    start = init_state(instance, cfg)
+    buf = engine._StateRows(cfg.iters + 1, trials, n, m, p)
+    first = buf.rows[0]
+    first.mu[...], first.x[...], first.y[...] = start.mu, start.x, start.y
+    first.Ax[...] = np.einsum("imp,tip->tim", instance.A, first.x)
+    advance = engine._round_kernel(instance, W, cfg.alpha, trials)
+    for k in range(cfg.iters):
+        advance(buf.rows[k], buf.rows[k + 1], None)
+    return buf
+
+
+def count_kernel_rounds():
+    """Patch the engine's round kernel to count the rounds it steps; returns (patch, counts)."""
+    counts, kernel = [], engine._round_kernel
+
+    def counting_kernel(*args):
+        advance = kernel(*args)
+        counts.append(0)
+
+        def counted(src, dst, masks):
+            counts[-1] += 1
+            advance(src, dst, masks)
+
+        return counted
+
+    return mock.patch.object(engine, "_round_kernel", counting_kernel), counts
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("name", ["symmetric2", "hand_kkt", "microgrid14"])
+def test_orbit_fill_matches_stepping_every_round(name, trials):
+    """A noise-free run that stops stepping in a period-1 or -2 orbit gives the
+    bytes of stepping every round: each record, kept state and final state, on
+    both sides of where the orbit starts and of where the run stops stepping."""
+    instance, W, alpha = at_09_alpha_max_t1(name)
+    n, m, p = instance.dims
+    x_star = solve_dual(instance).x_star
+    ref = stepped_reference(instance, W, RunConfig(alpha=alpha, iters=3000), trials)
+    mu, y = ref.s[:, 0], ref.s[:, 1]
+    # the first round whose state equals the state two rounds later
+    start = next(k for k in range(2999) if all(
+        a[k].tobytes() == a[k + 2].tobytes() for a in (ref.s, ref.x, ref.Ax)
+    ))
+    N = 3001 * trials
+    metrics = {
+        star is None: engine._metrics(
+            mu.reshape(N, n, m), ref.x.reshape(N, n, p), y.reshape(N, n, m),
+            ref.Ax.reshape(N, n, m), np.zeros((N, m)), W, instance.d, star,
+        ).reshape(4, 3001, trials)
+        for star in (x_star, None)
+    }
+    seeds = 3 if trials == 1 else [3, 4, 5]
+    sched = NoiseSchedule.disabled(instance.n)
+    stop = run(instance, W, sched, RunConfig(alpha=alpha, iters=3000), seeds).rounds_stepped
+    assert start < stop < 3000  # the fast-forward fires
+    for iters in sorted({start - 1, start, start + 1, start + 2, stop - 1, stop, stop + 1,
+                         stop + 2, 3000}):
+        for record_every in sorted({1, 7, iters}):
+            for keep_states, star in [(k, s) for k in (False, True) for s in (x_star, None)]:
+                cfg = RunConfig(alpha=alpha, iters=iters, record_every=record_every)
+                tr = run(instance, W, sched, cfg, seeds, x_star=star, keep_states=keep_states)
+
+                def same(got, want):
+                    want = want[0] if trials == 1 else want
+                    assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (
+                        iters, record_every, keep_states, star is None
+                    )
+
+                ks = list(range(0, iters + 1, record_every))
+                assert tr.ks.tolist() == ks + [iters] * (ks[-1] != iters)
+                keys = ("mse", "consensus_mu", "tracking_residual", "feasibility")
+                for i, key in enumerate(keys):
+                    same(getattr(tr, key), metrics[star is None][i, tr.ks].T)
+                final = tr.final_state
+                assert final.round == iters
+                same(final.mu, mu[iters])
+                same(final.x, ref.x[iters])
+                same(final.y, y[iters])
+                if keep_states:
+                    same(tr.states_mu, mu[: iters + 1].swapaxes(0, 1))
+                    same(tr.states_x, ref.x[: iters + 1].swapaxes(0, 1))
+                assert tr.rounds_stepped == min(iters, stop)
+
+
+def test_free_converge_steps_only_until_its_state_repeats():
+    """The benchmark's noise-free workload (microgrid14 at 0.9 alpha_max_t1, 3000
+    rounds) repeats its state with period 2 from round 1057 on, and stops stepping there."""
+    instance, W, alpha = at_09_alpha_max_t1("microgrid14")
+    kernel, counts = count_kernel_rounds()
+    with kernel:
+        tr = run(instance, W, NoiseSchedule.disabled(14), RunConfig(alpha, 3000), 0)
+    assert counts == [tr.rounds_stepped] and tr.rounds_stepped < 1100
+
+
+@pytest.mark.parametrize("d", [1.0, 1e-300])
+def test_a_noisy_run_steps_every_round(d):
+    """Masks make a round depend on more than the state, so a noisy run steps to
+    the end, even where masks below an ulp leave each state as without them and
+    the state repeats."""
+    instance, W, alpha = at_09_alpha_max_t1("microgrid14")
+    sched = NoiseSchedule.uniform(14, d_eta=d, d_zeta=d)
+    kernel, counts = count_kernel_rounds()
+    with kernel:
+        tr = run(instance, W, sched, RunConfig(alpha, 3000), [0, 1], keep_states=True)
+    assert counts == [3000] and tr.rounds_stepped == 3000
+    if d < 1.0:
+        free = run(instance, W, NoiseSchedule.disabled(14), RunConfig(alpha, 3000), [0, 1],
+                   keep_states=True)
+        assert tr.states_mu.tobytes() == free.states_mu.tobytes()
+        assert tr.states_mu[:, -1].tobytes() == tr.states_mu[:, -3].tobytes()
+
+
+def test_a_diverging_noise_free_run_steps_to_its_failure():
+    """A noise-free batch that diverges steps every round up to the failing
+    round, and the failure names every seed of the batch."""
+    inst = single_agent_instance(lo=-np.inf, hi=np.inf)
+    two = ProblemInstance(agents=(inst.agents[0], inst.agents[0]))
+    W = metropolis_weights(PRESETS["symmetric2"]()[1])
+    cfg = RunConfig(alpha=50.0, iters=400, x0=np.ones((2, 1)))
+    kernel, counts = count_kernel_rounds()
+    pattern = r"^round 224: .*\(trial seeds 7, 8\)$"
+    with kernel, pytest.raises(SolverFailure, match=pattern) as caught:
+        run(two, W, NoiseSchedule.disabled(2), cfg, [7, 8])
+    assert caught.value.trials == [0, 1] and counts == [224]
+
+
+def test_a_repeating_dot_alone_does_not_stop_the_stepping():
+    """At alpha = 0 the duals stay at 0, so every round's dot of mu and y is 0,
+    while the trackers of a start off consensus still mix toward their average:
+    the run steps on, and gives the bytes of stepping every round."""
+    instance, W, _ = at_09_alpha_max_t1("microgrid14")
+    cfg = RunConfig(0.0, 60, x0=np.linspace(0.0, 40.0, 14))
+    ref = stepped_reference(instance, W, cfg, 1)
+    assert not ref.s[:, 0].any() and ref.s[-1, 1].tobytes() != ref.s[-3, 1].tobytes()
+    tr = run(instance, W, NoiseSchedule.disabled(14), cfg, 0, keep_states=True)
+    assert tr.rounds_stepped == 60
+    assert tr.final_state.y.tobytes() == ref.s[-1, 1, 0].tobytes()
+    assert tr.states_x.tobytes() == ref.x[:, 0].tobytes()

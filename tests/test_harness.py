@@ -233,6 +233,25 @@ def test_run_experiment_summary_and_artifacts(tmp_path):
     assert timings["runtime_sec"] > 0
 
 
+@pytest.mark.parametrize("noise", [False, True])
+def test_timings_json_counts_the_rounds_stepped(tmp_path, noise):
+    """timings.json names the kernel rounds a run stepped: the noise-free
+    microgrid14 run at 0.9 alpha_max_t1 stops in its period-2 orbit, while the
+    noisy one at 0.9 alpha_max_t2 steps every round."""
+    frac = {"frac_of_t2": 0.9} if noise else {"frac_of_t1": 0.9}
+    iters = 5000 if noise else 3000
+    overrides = {"problem.preset": "microgrid14", "algorithm.alpha": frac,
+                 "algorithm.iters": iters, "algorithm.record_every": 10 if noise else 1,
+                 "noise.enabled": noise, "trials": 2 if noise else 1}
+    run_experiment(ExperimentConfig.from_dict(config_dict(tmp_path, **overrides)))
+    timings = json.loads((tmp_path / "timings.json").read_text())
+    assert timings.keys() == {"runtime_sec", "rounds_stepped"}
+    if noise:
+        assert timings["rounds_stepped"] == iters
+    else:
+        assert timings["rounds_stepped"] < 1100
+
+
 def test_stepsize_bounds_run_once_per_experiment(tmp_path, capsys):
     """materialize derives the stepsize bounds, the theory constants, the MSE band and
     the privacy certificate once, with two q_interval calls; run and bounds read them,
@@ -587,6 +606,9 @@ def test_cli_audit_rejects_a_zero_stepsize(tmp_path, capsys, grid):
         ("audit", {"noise.enabled": False}, ["--grid"], "positive mask scales"),
         ("bounds", {"problem.preset": "microgrid14", "graph.extra_edges": True}, [],
          "graph.extra_edges"),
+        # delta_prime = 5e199: its norm is finite, its shifted cost is not
+        ("audit", {}, ["--delta", "1e200"], "audit.delta_prime"),
+        ("audit", {}, ["--delta", "1e200", "--grid"], "audit.delta_prime"),
     ],
 )
 def test_cli_rejects_an_audit_setting_the_preset_cannot_take(
@@ -596,7 +618,7 @@ def test_cli_rejects_an_audit_setting_the_preset_cannot_take(
     path = write_config(tmp_path, **overrides)
     assert cli.main([command, "--config", str(path), *flags]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and match in err
+    assert err.startswith("error: ") and match in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["run", "bounds", "audit"])

@@ -80,6 +80,23 @@ def test_adjacent_pair_validation(sym2):
             make_adjacent_pair(inst3, 0, 1.0, delta_prime=bad)
 
 
+def test_adjacent_pair_norm_does_not_overflow(sym2):
+    """A shift whose norm is below delta but whose squared norm overflows passes
+    the norm check; its shifted cost is not finite, so it is rejected for that,
+    with no numpy warning. A norm above delta is still named."""
+    inst, _ = sym2
+    non_finite = r"^delta_prime \[5e\+199\] makes agent 0's shifted cost non-finite$"
+    with pytest.raises(ValueError, match=non_finite):
+        make_adjacent_pair(inst, 0, 1e200)  # delta_prime = 5e199 by default
+    with pytest.raises(ValueError, match=r"^delta_prime \[3e\+200\] has norm 3e\+200, "):
+        make_adjacent_pair(inst, 0, 1e200, delta_prime=[3e200])
+    inst3, _ = nondiagonal3()
+    with pytest.raises(ValueError, match="^delta_prime .* makes agent 1's shifted cost non-finite$"):
+        make_adjacent_pair(inst3, 1, 1e200, delta_prime=[3e199, 4e199])  # norm 5e199
+    with pytest.raises(ValueError, match=r"^delta_prime .* has norm 2e\+200, "):
+        make_adjacent_pair(inst3, 1, 1e200, delta_prime=[1.2e200, 1.6e200])
+
+
 def test_forced_run_frozen_regression(base_report):
     _, rep, _ = base_report
     assert rep.horizon == 32
