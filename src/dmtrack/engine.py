@@ -21,9 +21,11 @@ state turns non-finite is retired in place, its row zeroed while the others
 step on, and the run then fails naming every diverged trial. The recorded
 metrics are computed after stepping, a block of recorded rounds at a time, by
 `_metrics`, which treats each (round, trial) row as one more trial: the values
-are bit-identical to evaluating them at every recorded round. Masks come only from `noise.iter_masks`, drawn iff
-`schedule.enabled`, and are not kept: a run's masks are
-`noise.draw_rounds(schedule, range(iters), seeds, m)`.
+are bit-identical to evaluating them at every recorded round. Masks come
+only from `noise.iter_masks`, drawn iff `schedule.enabled`, and are not kept:
+a run's masks are `noise.draw_rounds(schedule, range(iters), seeds, m)`. Runs
+of the same seeds given one `noise.UnitDraws` (`draws`) scale its kept unit
+draws instead of drawing their own, with the same bytes.
 
 A round's state is one row of preallocated buffers (`_StateRows`): duals and
 trackers stacked as s = [mu; y], shape (2, T, n, m), then x and A x. A round
@@ -40,9 +42,13 @@ The einsum maps of m > 1 start their sums at 0.0, which turns -0.0 into 0.0;
 -0.0 (`_zero_adds_are_noops`). Recorded rounds fill the rows of one metric
 block, which `_metrics` reads in place; a block holds MAX_METRIC_ROWS // T
 records, or all of a run's if fewer, and the rounds in between alternate
-between two spare rows. One dot of mu and y tests a round for
-finiteness, and `iter_masks` supplies the running tracker-mask total the
-tracking residual needs. A trace holds copies, never views of the rows.
+between two spare rows. With keep_states every round fills a block of
+KEPT_BLOCK_ROWS // T rows instead, which is copied into the kept trajectory
+at once (building a row's views costs more than copying a round), and
+`_metrics` reads the records' rows gathered from it. One dot of mu and y
+tests a round for finiteness, and `iter_masks` supplies the running
+tracker-mask total the tracking residual needs. A trace holds copies, never
+views of the rows.
 
 Without masks a round is a deterministic map of the bytes it reads (s and A x
 of its source row; it overwrites all its scratch), so once the batch state
@@ -74,6 +80,12 @@ from .noise import iter_masks
 # writes its record into the row it reads. Bounds the pending memory
 # independently of the number of records.
 MAX_METRIC_ROWS = 128
+
+# Rounds a keep_states run holds in its rows before copying them into its
+# trajectory together. Building a row's five views costs more than copying a
+# round's state, so rows for every round would cost more than the copies they
+# save; a few dozen rows make the copies a small cost per round.
+KEPT_BLOCK_ROWS = 32
 
 
 @dataclass(eq=False)
@@ -276,7 +288,7 @@ def _as_seeds(seed):
     return seeds, False
 
 
-def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
+def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, draws=None):
     """Run `config.iters` rounds and record metrics every `config.record_every`.
 
     seed : int or sequence of int
@@ -286,6 +298,10 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
     keep_states : bool
         Additionally record the full mu and x trajectories (used by the
         privacy auditor).
+    draws : noise.UnitDraws or None
+        The kept unit draws of these seeds, shared by runs that differ only in
+        their mask scales (the privacy auditor's runs of one seed); None draws
+        each chunk of rounds and keeps nothing. Either gives the same bytes.
 
     A noise-free batch whose state repeats with period 1 or 2 stops stepping
     there and fills the rest of its trace from the two repeating states, byte
@@ -300,6 +316,11 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
     seeds, single = _as_seeds(seed)
     W = np.asarray(getattr(W, "W", W), dtype=float)
     n, m, p = instance.dims
+    if draws is not None and (draws.seeds != tuple(seeds) or draws.width != 2 * n * m):
+        raise ValueError(
+            f"draws of seeds {list(draws.seeds)} and width {draws.width} do not fit "
+            f"a run of seeds {seeds} and width {2 * n * m}"
+        )
     start = init_state(instance, config)
     T = len(seeds)
     iters = config.iters
@@ -314,12 +335,15 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
     if keep_states:  # round first while stepping, trial first in the trace
         states_mu = np.empty((iters + 1, T, n, m))
         states_x = np.empty((iters + 1, T, n, p))
-        states_mu[0], states_x[0] = start.mu, start.x
 
-    # Rows 0..per_block-1 hold recorded rounds until their metrics are computed
-    # together; the two spare rows hold the rounds in between. Every round
-    # writes into a row other than the one it reads.
-    per_block = max(2, min(MAX_METRIC_ROWS // T, ks.shape[0]))
+    # Rows 0..per_block-1 hold rounds until they are measured together: the
+    # recorded rounds, while the two spare rows hold the rounds in between, or
+    # with keep_states every round, a block of which is then copied into the
+    # trajectory at once. Every round writes into a row other than the one it reads.
+    if keep_states:
+        per_block = max(2, min(KEPT_BLOCK_ROWS // T, iters + 1))
+    else:
+        per_block = max(2, min(MAX_METRIC_ROWS // T, ks.shape[0]))
     buf = _StateRows(per_block + 2, T, n, m, p)
     rows, spare = buf.rows[:per_block], buf.rows[per_block:]
     src = rows[0]
@@ -328,18 +352,28 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
     advance = _round_kernel(instance, W, config.alpha, T)
     masks = repeat((None, None), iters)
     if schedule.enabled:
-        masks = iter_masks(schedule, seeds, iters, m)
+        masks = iter_masks(schedule, seeds, iters, m, draws=draws)
 
-    def measure(R, r):
-        """Metrics of the records in rows 0..R-1, which end at record r."""
-        N = R * T
-        s = buf.s[:R]  # mu and y interleave, so reshaping them gathers row i * T + t
+    def measure(count, lo, hi, top):
+        """Metrics of records lo..hi-1, held in rows 0..count-1, the last of which holds round top.
+
+        With keep_states the rows hold every round top+1-count..top: they are
+        copied into the trajectory, and the rows of the records gathered."""
+        at = slice(count)
+        if keep_states:
+            first = top + 1 - count
+            states_mu[first : top + 1], states_x[first : top + 1] = buf.s[:count, 0], buf.x[:count]
+            at = ks[lo:hi] - first
+        if hi == lo:
+            return
+        N = (hi - lo) * T
+        s = buf.s[at]  # mu and y interleave, so reshaping them gathers row i * T + t
         vals = _metrics(
-            s[:, 0].reshape(N, n, m), buf.x[:R].reshape(N, n, p), s[:, 1].reshape(N, n, m),
-            buf.Ax[:R].reshape(N, n, m), buf.zeta_cum[:R].reshape(N, m),
+            s[:, 0].reshape(N, n, m), buf.x[at].reshape(N, n, p), s[:, 1].reshape(N, n, m),
+            buf.Ax[at].reshape(N, n, m), buf.zeta_cum[at].reshape(N, m),
             W, instance.d, x_star,
-        ).reshape(4, R, T)
-        recorded[:, :, r + 1 - R : r + 1] = vals.transpose(0, 2, 1)
+        ).reshape(4, hi - lo, T)
+        recorded[:, :, lo:hi] = vals.transpose(0, 2, 1)
 
     def failure(message, trials):
         trials = sorted(set(trials) | set(np.flatnonzero(failed).tolist()))
@@ -348,7 +382,8 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
 
     failed = np.zeros(T, dtype=bool)  # whether each trial of the batch has diverged
     failed_at = None  # the first round with a diverged trial; nothing is recorded after it
-    pending, r, next_k = 1, 0, next_record[0]  # records pending in rows 0..pending-1
+    pending, r, next_k = 1, 0, next_record[0]  # rounds held in rows 0..pending-1
+    measured = 0  # the records before this one are measured
     watch = not schedule.enabled  # for a repeating state: a round is then a map of the state
     dots = [math.nan, math.nan]  # finiteness dots of the last two states, by round parity
     probe, probe_at = None, None  # _snapshot of the state at round probe_at
@@ -358,10 +393,10 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (mask, zeta_sum) in enumerate(masks):
             record = k + 1 == next_k
-            if record:
+            if record or keep_states and failed_at is None:
                 if pending == per_block:
-                    measure(pending, r)
-                    pending = 0
+                    measure(pending, measured, r + 1, k)
+                    pending, measured = 0, r + 1
                 dst = rows[pending]
             else:
                 dst = spare[src is spare[0]]
@@ -387,14 +422,14 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
                     src.s[:, ~ok], src.x[~ok], src.Ax[~ok] = 0.0, 0.0, 0.0
             if failed_at is not None:
                 continue  # the run fails; only look for further divergent trials
-            if keep_states:
-                states_mu[k + 1], states_x[k + 1] = src.mu, src.x
             if record:
                 if zeta_sum is not None:
                     buf.zeta_cum[pending] = zeta_sum
                 pending += 1
                 r += 1
                 next_k = next_record[r]
+            elif keep_states:
+                pending += 1
             if watch:
                 if probe_at == k - 1:
                     if _snapshot(src) == probe:
@@ -405,7 +440,7 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False):
                     probe, probe_at = _snapshot(src), k + 1
                 dots[k & 1] = dot
         if pending and failed_at is None:
-            measure(pending, r)
+            measure(pending, measured, r + 1, k + 1)
         if cycle is not None:
             # round cycle + i holds the state of src for even i and of prev for odd i
             mu, y, x, Ax = (np.concatenate(pair) for pair in zip(src[1:], prev[1:]))

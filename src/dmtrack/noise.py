@@ -21,14 +21,19 @@ evaluation order and of how many trials run together.
 `philox4x64` evaluates the generator with numpy over a whole
 (round, seed, block) grid at once, so the engine builds the masks of every
 trial of a batch for a chunk of rounds in one call (`iter_masks`). A chunk
-holds at most MAX_CHUNK_BLOCKS blocks, which keeps its buffers independent
-of the number of trials times the number of rounds. No mask is stored:
-`draw_rounds` regenerates the masks of any rounds of any run. `iter_masks`
-yields each round's masks as one contiguous (2, S, n, m) block [eta; zeta],
-the layout of the engine's stacked [mu; y], with the running total of the
-tracker masks, which it accumulates once per chunk. `NoiseSchedule.enabled`
-(some scale is positive) is the one rule for whether a run has masks: the
-engine and `draw_rounds` draw none for a schedule whose every scale is 0.
+holds `chunk_rounds` rounds: at most MAX_CHUNK_BLOCKS blocks, or one round
+where a round has more (above 585 trials on microgrid14), so its buffers do
+not grow with the number of rounds. A mask of scale theta is (-theta) L of a
+theta-free unit draw L = sign(u) log(max(1 - 2|u|, tiny)). Runs of one seed
+that differ only in their scales can share one `UnitDraws`, which keeps each
+round's L from the first run that needs it; a run without one draws a chunk
+at a time and keeps nothing. `draw_rounds` regenerates the masks of any
+rounds of any run. `iter_masks` yields each round's masks as one contiguous
+(2, S, n, m) block [eta; zeta], the layout of the engine's stacked [mu; y],
+with the running total of the tracker masks, which it accumulates once per
+chunk. `NoiseSchedule.enabled` (some scale is positive) is the one rule for
+whether a run has masks: the engine and `draw_rounds` draw none for a
+schedule whose every scale is 0.
 """
 
 from __future__ import annotations
@@ -126,21 +131,33 @@ def _exponent(k):
     return np.asarray(k, dtype=float)[..., None]
 
 
-def _laplace_from_uniform(u, theta):
-    """Inverse CDF of Laplace(theta) applied to u in [-1/2, 1/2): -theta sign(u) log(1 - 2|u|).
+def _unit_draws(keys, rounds, width):
+    """Unit draws L = sign(u) log(max(1 - 2|u|, tiny)) of u = uniform - 1/2, shape (R, S, width).
 
-    Evaluated in place on two temporaries: at 100 trials that makes mask
-    generation about 9 % faster than allocating one array per operation.
+    A mask of scale theta is (-theta) L, the inverse CDF -theta sign(u) log(1 - 2|u|)
+    of Laplace(theta). The sign is 1, 0 or -1, so the products with it are
+    exact and the mask has the bytes of (sign(u) (-theta)) log(..), signed zeros
+    included. Evaluated in place on two temporaries (numpy's sign into its own
+    input is several times slower than into a new array).
     """
+    u = _uniforms(keys, rounds, width)
+    u -= 0.5
     t = np.abs(u)
     t *= 2.0
     np.subtract(1.0, t, out=t)
     np.maximum(t, _CDF_FLOOR, out=t)  # the floor keeps log(0) away
     np.log(t, out=t)
     out = np.sign(u)
-    out *= -theta
     out *= t
     return out
+
+
+def _scaled(schedule, rounds, units, in_place=False):
+    """Masks (R, S, n, 2, m), eta then zeta, of the unit draws (R, S, 2 n m) of `rounds`."""
+    R, S = units.shape[:2]
+    theta = np.stack([schedule.theta_eta(rounds), schedule.theta_zeta(rounds)], axis=-1)
+    units = units.reshape(R, S, schedule.n, 2, -1)
+    return np.multiply(units, -theta[:, None, :, :, None], out=units if in_place else None)
 
 
 def _mulhilo(a, mult):
@@ -216,11 +233,30 @@ def uniforms(seeds, rounds, width):
 
 def _masks(schedule, rounds, keys, m):
     """Masks of every agent for each round and seed, shape (R, S, n, 2, m): eta, then zeta."""
-    R, n = len(rounds), schedule.n
-    u = _uniforms(keys, rounds, 2 * n * m).reshape(R, -1, n, 2, m)
-    u -= 0.5
-    theta = np.stack([schedule.theta_eta(rounds), schedule.theta_zeta(rounds)], axis=-1)
-    return _laplace_from_uniform(u, theta[:, None, :, :, None])
+    units = _unit_draws(keys, rounds, 2 * schedule.n * m)
+    return _scaled(schedule, rounds, units, in_place=True)
+
+
+class UnitDraws:
+    """The unit draws of `seeds`, `width` doubles per (round, seed), kept for runs
+    that differ only in their mask scales; the first run that needs a round draws it."""
+
+    def __init__(self, seeds, width):
+        self.seeds = tuple(int(s) for s in seeds)
+        self.width = int(width)
+        self._keys = _seed_keys(self.seeds)
+        self._units = np.empty((0, len(self.seeds), self.width))
+
+    def __len__(self):
+        """The number of rounds kept, 0..len-1."""
+        return self._units.shape[0]
+
+    def units(self, rounds):
+        """The unit draws of a range of rounds, (R, S, width); draws those not yet kept."""
+        if rounds.stop > len(self):
+            more = _unit_draws(self._keys, range(len(self), rounds.stop), self.width)
+            self._units = np.concatenate([self._units, more])
+        return self._units[rounds.start : rounds.stop]
 
 
 def draw_rounds(schedule, rounds, seeds, m):
@@ -246,17 +282,23 @@ def chunk_rounds(trials, n, m):
     return max(1, MAX_CHUNK_BLOCKS // (trials * blocks))
 
 
-def iter_masks(schedule, seeds, iters, m):
+def iter_masks(schedule, seeds, iters, m, draws=None):
     """(masks, zeta_sum) of rounds k = 0..iters-1, generated a chunk of rounds at a time.
 
     masks is the (2, S, n, m) block [eta; zeta] of round k, a view into the
-    chunk's buffer, and zeta_sum (S, m) is sum_{t<=k} sum_i zeta_i(t).
+    chunk's buffer, and zeta_sum (S, m) is sum_{t<=k} sum_i zeta_i(t). With
+    `draws`, a UnitDraws of these seeds and width 2 n m, each chunk scales the
+    kept unit draws of its rounds; without, it draws them and keeps nothing.
     """
     step = chunk_rounds(len(seeds), schedule.n, m)
     keys = _seed_keys(seeds)
     carry = np.zeros((len(seeds), m))
     for k0 in range(0, iters, step):
-        masks = _masks(schedule, range(k0, min(k0 + step, iters)), keys, m)
+        rounds = range(k0, min(k0 + step, iters))
+        if draws is None:
+            masks = _masks(schedule, rounds, keys, m)
+        else:
+            masks = _scaled(schedule, rounds, draws.units(rounds))
         sums = masks[..., 1, :].sum(axis=2)
         sums[0] += carry  # carry + s_0, then + s_1, ...: the order of per-round updates
         carry = np.add.accumulate(sums, axis=0, out=sums)[-1]

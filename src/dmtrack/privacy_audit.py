@@ -20,7 +20,10 @@ the remainder), so slowly decaying configurations never accumulate noise
 ratios that are pure floating-point artifacts. The envelope depends only on
 the round, so that last measured round is known in advance and the base run
 is simulated only up to it; its states match those of a run over the whole
-horizon, since every mask is a function of (seed, round) alone. The audit
+horizon, since every mask is a function of (seed, round) alone. The base
+runs of one audit differ only in their mask scales, so they share one
+`noise.UnitDraws` of the seed: each round's uniforms are drawn once, by the
+first run that reaches it, and each run scales them. The audit
 takes a list of noise schedules and the stepsize alpha: it keeps one base
 run per schedule but steps every schedule's recursion in one round loop; the
 norms, eps_e and the bound checks are computed per schedule from its stacked
@@ -50,7 +53,7 @@ import numpy as np
 from .engine import RunConfig, _norms, run
 from .errors import ConfigError, InadmissibleDecayError
 from .local_solver import argmin_rows
-from .noise import NoiseSchedule
+from .noise import NoiseSchedule, UnitDraws
 from .problem import shift_adjacent
 from .theory import Certificate, certificate, q_interval
 
@@ -261,13 +264,15 @@ def _audit_points(pair, W, points, alpha, seed):
 
     # agent i0's base mu and x of rounds 0..k_max, one row per point, zero past
     # its last measured round; masks depend only on (seed, round), so these are
-    # the first rounds of a run over the whole horizon
+    # the first rounds of a run over the whole horizon. The runs differ only in
+    # their mask scales and share one seed's unit draws
     base_mu = np.zeros((k_max + 1, G, m))
     base_x = np.zeros((k_max + 1, G, p))
+    draws = UnitDraws([seed], 2 * base.n * m)
     for g, pt in enumerate(points):
         k = k_measured[g]
         run_cfg = RunConfig(alpha=alpha, iters=k, record_every=k)
-        trace = run(base, W, pt.schedule, run_cfg, seed, keep_states=True)
+        trace = run(base, W, pt.schedule, run_cfg, seed, keep_states=True, draws=draws)
         base_mu[1 : k + 1, g] = trace.states_mu[1:, i0]
         base_x[1 : k + 1, g] = trace.states_x[1:, i0]
 

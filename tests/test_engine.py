@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 from functools import partial
 from unittest import mock
@@ -985,3 +986,126 @@ def test_a_repeating_dot_alone_does_not_stop_the_stepping():
     assert tr.rounds_stepped == 60
     assert tr.final_state.y.tobytes() == ref.s[-1, 1, 0].tobytes()
     assert tr.states_x.tobytes() == ref.x[:, 0].tobytes()
+
+
+def copied_trajectory(instance, W, schedule, cfg, seeds):
+    """mu and x of rounds 0..cfg.iters of a (T, n, .) batch, trial first: stepped
+    through the round kernel between two rows, with each round copied out."""
+    n, m, p = instance.dims
+    T = len(seeds)
+    start = init_state(instance, cfg)
+    src, dst = engine._StateRows(2, T, n, m, p).rows
+    src.mu[...], src.x[...], src.y[...] = start.mu, start.x, start.y
+    src.Ax[...] = np.einsum("imp,tip->tim", instance.A, src.x)
+    advance = engine._round_kernel(instance, W, cfg.alpha, T)
+    eta, zeta = mask_log(schedule, seeds, cfg.iters, m)
+    mu, x = np.empty((cfg.iters + 1, T, n, m)), np.empty((cfg.iters + 1, T, n, p))
+    mu[0], x[0] = src.mu, src.x
+    for k in range(cfg.iters):
+        advance(src, dst, np.stack([eta[:, k], zeta[:, k]]) if schedule.enabled else None)
+        src, dst = dst, src
+        mu[k + 1], x[k + 1] = src.mu, src.x
+    return mu.swapaxes(0, 1), x.swapaxes(0, 1)
+
+
+@pytest.mark.parametrize("block", [3, engine.KEPT_BLOCK_ROWS])
+@pytest.mark.parametrize("noisy", [True, False])
+@pytest.mark.parametrize("seeds", [4, [4, 5, 6]])
+def test_kept_states_equal_a_loop_that_copies_every_round(monkeypatch, block, noisy, seeds):
+    """A keep_states run holds a block of rounds in its rows and copies the block
+    into its trajectory at once: its kept states, of a noisy run and of a
+    noise-free run that stops stepping in its orbit, are the bytes of copying
+    every round, and its metrics those of a run keeping nothing."""
+    instance, W, alpha = at_09_alpha_max_t1("symmetric2")
+    sched = NoiseSchedule.uniform(2, q=0.95) if noisy else NoiseSchedule.disabled(2)
+    cfg = RunConfig(alpha=alpha, iters=200, record_every=7)
+    monkeypatch.setattr(engine, "KEPT_BLOCK_ROWS", block)
+    tr = run(instance, W, sched, cfg, seeds, keep_states=True)
+    assert tr.rounds_stepped == 200 if noisy else tr.rounds_stepped < 200
+    mu, x = copied_trajectory(instance, W, sched, cfg, [4] if seeds == 4 else seeds)
+    if seeds == 4:
+        mu, x = mu[0], x[0]
+    assert tr.states_mu.tobytes() == np.ascontiguousarray(mu).tobytes()
+    assert tr.states_x.tobytes() == np.ascontiguousarray(x).tobytes()
+    plain = trace_arrays(run(instance, W, sched, cfg, seeds))
+    for key, value in trace_arrays(tr).items():
+        if key in plain:
+            assert value.tobytes() == plain[key].tobytes(), key
+
+
+def test_a_kept_batch_with_a_retired_trial_names_every_seed():
+    """With keep_states too, a diverged trial is retired in place while the others
+    step on correctly: here seed 11 is retired at round 6, and seeds 10 and 12,
+    whose masks are zero, still diverge at round 224 as the noise-free run does."""
+    inst = single_agent_instance(lo=-np.inf, hi=np.inf)
+    two = ProblemInstance(agents=(inst.agents[0], inst.agents[0]))
+    W = metropolis_weights(PRESETS["symmetric2"]()[1])
+    cfg = RunConfig(alpha=50.0, iters=400, x0=np.ones((2, 1)))
+    eta = np.zeros((3, 400, 2, 1))
+    eta[1, 5, 0, 0] = np.inf
+    with pytest.raises(SolverFailure, match=r"^round 6: .*\(trial seeds 10, 11, 12\)$") as caught:
+        with inject_masks(eta):
+            run(two, W, NoiseSchedule.uniform(2), cfg, [10, 11, 12], keep_states=True)
+    assert caught.value.trials == [0, 1, 2]
+
+
+def grid_of(n):
+    """The default audit grid's nine schedules: d_zeta 0.5, 1, 2 by q 0.95, 0.98, 0.99."""
+    return [NoiseSchedule.uniform(n, d_zeta=dz, q=q) for dz in (0.5, 1.0, 2.0)
+            for q in (0.95, 0.98, 0.99)]
+
+
+def assert_shared_draws_match_plain_runs(instance, W, alpha, schedules, iters, seeds):
+    """Runs given one UnitDraws, in the order given, equal runs drawing their own masks."""
+    draws = noise.UnitDraws([seeds] if isinstance(seeds, int) else seeds, 2 * instance.n)
+    for sched, k in zip(schedules, iters):
+        cfg = RunConfig(alpha, k, record_every=7)
+        shared = run(instance, W, sched, cfg, seeds, keep_states=True, draws=draws)
+        plain = run(instance, W, sched, cfg, seeds, keep_states=True)
+        for key, value in trace_arrays(plain).items():
+            assert trace_arrays(shared)[key].tobytes() == value.tobytes(), (k, key)
+    assert len(draws) == max(iters)  # every round drawn once
+
+
+@pytest.mark.parametrize("order", [1, -1])  # the shortest run first, the longest first
+def test_shared_draws_on_the_default_grid_give_the_bytes_of_plain_runs(order):
+    instance, W, alpha = at_09_alpha_max_t1("symmetric2")
+    iters = [290 + 12 * g for g in range(9)][::order]
+    assert_shared_draws_match_plain_runs(instance, W, alpha, grid_of(2), iters, 41)
+
+
+@pytest.mark.parametrize("seeds, iters", [(3, (300, 700)), ([3, 4, 5], (450, 150))])
+def test_shared_draws_across_mask_chunks_give_the_bytes_of_plain_runs(seeds, iters):
+    """microgrid14 draws 585 rounds a chunk for one trial and 195 for three."""
+    instance, W, alpha = at_09_alpha_max_t1("microgrid14")
+    trials = 1 if seeds == 3 else 3
+    assert min(iters) < chunk_rounds(trials, 14, 1) < max(iters)
+    schedules = [NoiseSchedule.uniform(14, q=0.98), NoiseSchedule.uniform(14, 0.5, 2.0, q=0.95)]
+    assert_shared_draws_match_plain_runs(instance, W, alpha, schedules, iters, seeds)
+
+
+def test_unit_draws_of_other_seeds_or_width_are_refused():
+    inst, W = symmetric2()
+    for draws in (noise.UnitDraws([2], 4), noise.UnitDraws([1, 2], 4), noise.UnitDraws([1], 8)):
+        with pytest.raises(ValueError, match="do not fit a run of seeds"):
+            run(inst, W, NoiseSchedule.uniform(2), RunConfig(0.45, 5), 1, draws=draws)
+
+
+def test_a_run_without_shared_draws_keeps_none():
+    """Without shared draws, a run draws each chunk of rounds and keeps nothing
+    once it returns: a second run draws them again."""
+    instance, W, alpha = at_09_alpha_max_t1("microgrid14")
+    sched, cfg = NoiseSchedule.uniform(14), RunConfig(alpha, 3000, record_every=3000)
+    run(instance, W, sched, cfg, 3)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        run(instance, W, sched, cfg, 3)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 3000 * 28 * 8 // 20  # 3000 rounds of unit draws would hold 672 kB
+    with mock.patch.object(noise, "philox4x64", wraps=noise.philox4x64) as philox:
+        run(instance, W, sched, cfg, 3)
+        run(instance, W, sched, cfg, 3)
+    assert philox.call_count == 2 * -(-3000 // chunk_rounds(1, 14, 1))

@@ -12,6 +12,13 @@ def numpy_round_uniforms(seed, k, size):
     return np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, k])).random(size)
 
 
+def laplace_from_uniform(u, theta):
+    """Inverse CDF of Laplace(theta) at u in [-1/2, 1/2), -theta sign(u) log(1 - 2|u|),
+    written out in the order of its first implementation: (sign(u) (-theta)) log(..)."""
+    t = np.log(np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(float).tiny))
+    return (np.sign(u) * -theta) * t
+
+
 def draw_one(schedule, k, seed, m):
     """The masks of every agent at round k of one seed: (eta, zeta), each (n, m)."""
     eta, zeta = draw_rounds(schedule, [k], [seed], m)
@@ -166,10 +173,10 @@ def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
         assert zeta_sum.tobytes() == zeta_cum.tobytes()
         for t, s in enumerate(seeds):
             u = numpy_round_uniforms(s, k, (n, 2 * m)) - 0.5
-            expect_eta = noise._laplace_from_uniform(
+            expect_eta = laplace_from_uniform(
                 u[:, :m], (schedule.d_eta * schedule.q_eta**k)[:, None]
             )
-            expect_zeta = noise._laplace_from_uniform(
+            expect_zeta = laplace_from_uniform(
                 u[:, m:], (schedule.d_zeta * schedule.q_zeta**k)[:, None]
             )
             assert eta[t].tobytes() == expect_eta.tobytes()
@@ -177,6 +184,51 @@ def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
             single_eta, single_zeta = draw_one(schedule, k, s, m)
             assert single_eta.tobytes() == eta[t].tobytes()
             assert single_zeta.tobytes() == zeta[t].tobytes()
+
+
+@pytest.mark.parametrize("shared", [False, True])
+def test_unit_draws_scale_to_the_written_out_masks(monkeypatch, shared):
+    """(-theta) L of the theta-free unit draw L has the bytes of the written-out
+    (sign(u) (-theta)) log(..), signed zeros included: at exact-zero uniforms, at
+    theta 0, subnormal and huge, drawn a chunk at a time or kept in a UnitDraws
+    that a shorter run began and chunks of another size extend."""
+    n, m, iters = 3, 1, 11
+    original = noise._uniforms
+
+    def with_zeros(keys, rounds, width):
+        u = original(keys, rounds, width)
+        u[u < 0.2] = 0.5  # elementwise, so a pure function of (seed, round, coordinate)
+        return u
+
+    monkeypatch.setattr(noise, "_uniforms", with_zeros)
+    schedule = NoiseSchedule(
+        d_eta=np.array([0.0, 5e-324, 1e300]),
+        d_zeta=np.array([1e300, 1.0, 5e-324]),
+        q_eta=np.array([0.5, 0.9, 0.99]),
+        q_zeta=np.array([0.99, 0.6, 0.9]),
+    )
+    seeds = [4, 5]
+    draws = None
+    if shared:
+        draws = noise.UnitDraws(seeds, 2 * n * m)
+        monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 12)  # 3 rounds of 2 seeds x 2 blocks
+        list(iter_masks(NoiseSchedule.uniform(n), seeds, 4, m, draws))
+    monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 16)  # 4 rounds a chunk
+    masks = list(iter_masks(schedule, seeds, iters, m, draws))
+    blocks = np.stack([stacked for stacked, _ in masks])
+    zero_uniforms = 0
+    for k, stacked in enumerate(blocks):
+        for t, s in enumerate(seeds):
+            u = numpy_round_uniforms(s, k, (n, 2 * m))
+            zero_uniforms += np.count_nonzero(u < 0.2)
+            u[u < 0.2] = 0.5
+            u -= 0.5
+            theta = np.stack([schedule.theta_eta(k), schedule.theta_zeta(k)], axis=-1)
+            expect = laplace_from_uniform(u.reshape(n, 2, m), theta[:, :, None])
+            assert stacked[:, t].tobytes() == expect.transpose(1, 0, 2).tobytes(), (k, s)
+    assert zero_uniforms > 10
+    zeros = np.signbit(blocks[blocks == 0.0])
+    assert zeros.any() and not zeros.all()  # -0.0 and 0.0 masks both occur
 
 
 def test_vector_rounds_scale_like_scalar_rounds():

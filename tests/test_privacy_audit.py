@@ -3,7 +3,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dmtrack import privacy_audit, theory
+from dmtrack import noise, privacy_audit, theory
 
 from dmtrack.engine import RunConfig, run
 from dmtrack.errors import ConfigError, InadmissibleDecayError, SolverFailure
@@ -522,3 +522,43 @@ def test_base_run_diverging_after_the_measured_rounds_completes_the_audit():
     assert report.eps_empirical <= report.eps_theoretical
     with pytest.raises(SolverFailure, match="round 308: state diverged"):
         reference_forced_difference_run(pair, W, sched, cfg, seed=0)
+
+
+def test_a_grid_audit_draws_each_round_of_its_seed_once(sym2):
+    """The nine base runs of a default-grid audit share one seed's unit draws:
+    Philox evaluates one block (symmetric2 draws 4 doubles a round) per round
+    of the longest run, not one per run."""
+    inst, W = sym2
+    pair = make_adjacent_pair(inst, 0, 1.0)
+    words, philox = [], noise.philox4x64
+
+    def counting(counter, key):
+        words.append(counter[0].size)
+        return philox(counter, key)
+
+    schedules = [NoiseSchedule.uniform(2, d_zeta=dz, q=q) for dz, q in GRID]
+    with mock.patch.object(noise, "philox4x64", counting):
+        reports = forced_difference_run(pair, W, schedules, 0.9, seed=41)
+    rounds = [len(report.delta_eta_norms) - 1 for report in reports]
+    assert len(set(rounds)) > 1
+    assert sum(words) == max(rounds) < sum(rounds)
+
+
+def test_the_audit_runs_the_engine_once_per_admissible_point(sym2):
+    """Each admissible point gets one base run through the module-level `run`,
+    whose final round is the point's last measured round; bench/child.py counts
+    an audit's rounds from exactly these traces."""
+    inst, W = sym2
+    pair = make_adjacent_pair(inst, 0, 1.0)
+    traces = []
+
+    def recording(*args, **kwargs):
+        traces.append(run(*args, **kwargs))
+        return traces[-1]
+
+    schedules = [NoiseSchedule.uniform(2, d_zeta=dz, q=q) for dz, q in GRID + [(1.0, 0.3)]]
+    with mock.patch.object(privacy_audit, "run", recording):
+        reports = forced_difference_run(pair, W, schedules, 0.9, seed=41)
+    assert isinstance(reports[-1], InadmissibleDecayError)
+    measured = [len(report.delta_eta_norms) - 1 for report in reports[:-1]]
+    assert [trace.final_state.round for trace in traces] == measured
