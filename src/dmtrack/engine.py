@@ -24,8 +24,8 @@ metrics are computed after stepping, a block of recorded rounds at a time, by
 are bit-identical to evaluating them at every recorded round. Masks come
 only from `noise.iter_masks`, drawn iff `schedule.enabled`, and are not kept:
 a run's masks are `noise.draw_rounds(schedule, range(iters), seeds, m)`. Runs
-of the same seeds given one `noise.UnitDraws` (`draws`) scale its kept unit
-draws instead of drawing their own, with the same bytes.
+of the same seeds given one array of `noise.unit_draws` (`draws`) scale copies
+of its rows instead of drawing their own, with the same bytes.
 
 A round's state is one row of preallocated buffers (`_StateRows`): duals and
 trackers stacked as s = [mu; y], shape (2, T, n, m), then x and A x. A round
@@ -298,10 +298,11 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
     keep_states : bool
         Additionally record the full mu and x trajectories (used by the
         privacy auditor).
-    draws : noise.UnitDraws or None
-        The kept unit draws of these seeds, shared by runs that differ only in
-        their mask scales (the privacy auditor's runs of one seed); None draws
-        each chunk of rounds and keeps nothing. Either gives the same bytes.
+    draws : ndarray or None
+        `noise.unit_draws(seeds, range(R), 2 n m)` for some R >= iters, shared
+        by runs that differ only in their mask scales (the privacy auditor's
+        runs of one seed) and never written to; None draws each chunk of
+        rounds and keeps nothing. Either gives the same bytes.
 
     A noise-free batch whose state repeats with period 1 or 2 stops stepping
     there and fills the rest of its trace from the two repeating states, byte
@@ -316,14 +317,14 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
     seeds, single = _as_seeds(seed)
     W = np.asarray(getattr(W, "W", W), dtype=float)
     n, m, p = instance.dims
-    if draws is not None and (draws.seeds != tuple(seeds) or draws.width != 2 * n * m):
-        raise ValueError(
-            f"draws of seeds {list(draws.seeds)} and width {draws.width} do not fit "
-            f"a run of seeds {seeds} and width {2 * n * m}"
-        )
-    start = init_state(instance, config)
     T = len(seeds)
     iters = config.iters
+    if draws is not None and (draws.shape[0] < iters or draws.shape[1:] != (T, 2 * n * m)):
+        raise ValueError(
+            f"draws of shape {draws.shape} do not fit a run of {iters} rounds, "
+            f"{T} trials and width {2 * n * m}"
+        )
+    start = init_state(instance, config)
     if x_star is not None:
         x_star = np.asarray(x_star, dtype=float)
 

@@ -25,15 +25,15 @@ holds `chunk_rounds` rounds: at most MAX_CHUNK_BLOCKS blocks, or one round
 where a round has more (above 585 trials on microgrid14), so its buffers do
 not grow with the number of rounds. A mask of scale theta is (-theta) L of a
 theta-free unit draw L = sign(u) log(max(1 - 2|u|, tiny)). Runs of one seed
-that differ only in their scales can share one `UnitDraws`, which keeps each
-round's L from the first run that needs it; a run without one draws a chunk
-at a time and keeps nothing. `draw_rounds` regenerates the masks of any
-rounds of any run. `iter_masks` yields each round's masks as one contiguous
-(2, S, n, m) block [eta; zeta], the layout of the engine's stacked [mu; y],
-with the running total of the tracker masks, which it accumulates once per
-chunk. `NoiseSchedule.enabled` (some scale is positive) is the one rule for
-whether a run has masks: the engine and `draw_rounds` draw none for a
-schedule whose every scale is 0.
+that differ only in their scales can share one array of `unit_draws`, which
+each chunk copies and scales; a run without one draws a chunk at a time and
+keeps nothing. `draw_rounds` regenerates the masks of any rounds of any run.
+`iter_masks` yields each round's masks as one contiguous (2, S, n, m) block
+[eta; zeta], the layout of the engine's stacked [mu; y], with the running
+total of the tracker masks, which it accumulates once per chunk.
+`NoiseSchedule.enabled` (some scale is positive) is the one rule for whether
+a run has masks: the engine and `draw_rounds` draw none for a schedule whose
+every scale is 0.
 """
 
 from __future__ import annotations
@@ -152,12 +152,17 @@ def _unit_draws(keys, rounds, width):
     return out
 
 
-def _scaled(schedule, rounds, units, in_place=False):
-    """Masks (R, S, n, 2, m), eta then zeta, of the unit draws (R, S, 2 n m) of `rounds`."""
+def unit_draws(seeds, rounds, width):
+    """Unit draws L of the first `width` doubles of every (round, seed) stream, (R, S, width)."""
+    return _unit_draws(_seed_keys(seeds), rounds, width)
+
+
+def _scaled(schedule, rounds, units):
+    """Masks (R, S, n, 2, m) [eta, zeta] of the unit draws (R, S, 2 n m) of `rounds`, in place."""
     R, S = units.shape[:2]
     theta = np.stack([schedule.theta_eta(rounds), schedule.theta_zeta(rounds)], axis=-1)
     units = units.reshape(R, S, schedule.n, 2, -1)
-    return np.multiply(units, -theta[:, None, :, :, None], out=units if in_place else None)
+    return np.multiply(units, -theta[:, None, :, :, None], out=units)
 
 
 def _mulhilo(a, mult):
@@ -226,39 +231,6 @@ def _uniforms(keys, rounds, width):
     return (u >> np.uint64(11)) * 2.0**-53
 
 
-def uniforms(seeds, rounds, width):
-    """First `width` doubles in [0, 1) of every (round, seed) stream; shape (R, S, width)."""
-    return _uniforms(_seed_keys(seeds), rounds, width)
-
-
-def _masks(schedule, rounds, keys, m):
-    """Masks of every agent for each round and seed, shape (R, S, n, 2, m): eta, then zeta."""
-    units = _unit_draws(keys, rounds, 2 * schedule.n * m)
-    return _scaled(schedule, rounds, units, in_place=True)
-
-
-class UnitDraws:
-    """The unit draws of `seeds`, `width` doubles per (round, seed), kept for runs
-    that differ only in their mask scales; the first run that needs a round draws it."""
-
-    def __init__(self, seeds, width):
-        self.seeds = tuple(int(s) for s in seeds)
-        self.width = int(width)
-        self._keys = _seed_keys(self.seeds)
-        self._units = np.empty((0, len(self.seeds), self.width))
-
-    def __len__(self):
-        """The number of rounds kept, 0..len-1."""
-        return self._units.shape[0]
-
-    def units(self, rounds):
-        """The unit draws of a range of rounds, (R, S, width); draws those not yet kept."""
-        if rounds.stop > len(self):
-            more = _unit_draws(self._keys, range(len(self), rounds.stop), self.width)
-            self._units = np.concatenate([self._units, more])
-        return self._units[rounds.start : rounds.stop]
-
-
 def draw_rounds(schedule, rounds, seeds, m):
     """Masks of every agent for each round and seed: (eta, zeta), each (R, S, n, m).
 
@@ -272,7 +244,7 @@ def draw_rounds(schedule, rounds, seeds, m):
     if not schedule.enabled:
         shape = (rounds.shape[0], len(seeds), schedule.n, m)
         return np.zeros(shape), np.zeros(shape)
-    masks = _masks(schedule, rounds, _seed_keys(seeds), m)
+    masks = _scaled(schedule, rounds, unit_draws(seeds, rounds, 2 * schedule.n * m))
     return masks[..., 0, :], masks[..., 1, :]
 
 
@@ -287,8 +259,9 @@ def iter_masks(schedule, seeds, iters, m, draws=None):
 
     masks is the (2, S, n, m) block [eta; zeta] of round k, a view into the
     chunk's buffer, and zeta_sum (S, m) is sum_{t<=k} sum_i zeta_i(t). With
-    `draws`, a UnitDraws of these seeds and width 2 n m, each chunk scales the
-    kept unit draws of its rounds; without, it draws them and keeps nothing.
+    `draws`, the `unit_draws` of these seeds for rounds 0..iters-1 or more and
+    width 2 n m, each chunk scales a copy of its rounds' rows and leaves
+    `draws` unchanged; without, it draws them and keeps nothing.
     """
     step = chunk_rounds(len(seeds), schedule.n, m)
     keys = _seed_keys(seeds)
@@ -296,9 +269,10 @@ def iter_masks(schedule, seeds, iters, m, draws=None):
     for k0 in range(0, iters, step):
         rounds = range(k0, min(k0 + step, iters))
         if draws is None:
-            masks = _masks(schedule, rounds, keys, m)
+            units = _unit_draws(keys, rounds, 2 * schedule.n * m)
         else:
-            masks = _scaled(schedule, rounds, draws.units(rounds))
+            units = draws[k0 : rounds.stop].copy()
+        masks = _scaled(schedule, rounds, units)
         sums = masks[..., 1, :].sum(axis=2)
         sums[0] += carry  # carry + s_0, then + s_1, ...: the order of per-round updates
         carry = np.add.accumulate(sums, axis=0, out=sums)[-1]

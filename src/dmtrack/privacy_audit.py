@@ -21,9 +21,9 @@ ratios that are pure floating-point artifacts. The envelope depends only on
 the round, so that last measured round is known in advance and the base run
 is simulated only up to it; its states match those of a run over the whole
 horizon, since every mask is a function of (seed, round) alone. The base
-runs of one audit differ only in their mask scales, so they share one
-`noise.UnitDraws` of the seed: each round's uniforms are drawn once, by the
-first run that reaches it, and each run scales them. The audit
+runs of one audit differ only in their mask scales, so they share the
+`noise.unit_draws` of the seed, drawn once for the longest base run before
+the first, and each run scales copies of them. The audit
 takes a list of noise schedules and the stepsize alpha: it keeps one base
 run per schedule but steps every schedule's recursion in one round loop; the
 norms, eps_e and the bound checks are computed per schedule from its stacked
@@ -53,7 +53,7 @@ import numpy as np
 from .engine import RunConfig, _norms, run
 from .errors import ConfigError, InadmissibleDecayError
 from .local_solver import argmin_rows
-from .noise import NoiseSchedule, UnitDraws
+from .noise import NoiseSchedule, unit_draws
 from .problem import shift_adjacent
 from .theory import Certificate, certificate, q_interval
 
@@ -268,7 +268,7 @@ def _audit_points(pair, W, points, alpha, seed):
     # their mask scales and share one seed's unit draws
     base_mu = np.zeros((k_max + 1, G, m))
     base_x = np.zeros((k_max + 1, G, p))
-    draws = UnitDraws([seed], 2 * base.n * m)
+    draws = unit_draws([seed], range(k_max), 2 * base.n * m)
     for g, pt in enumerate(points):
         k = k_measured[g]
         run_cfg = RunConfig(alpha=alpha, iters=k, record_every=k)

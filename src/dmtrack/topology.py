@@ -18,6 +18,9 @@ from .errors import ConfigError
 # Tolerance for the doubly stochastic invariant on row/column sums.
 STOCHASTIC_TOL = 1e-12
 
+# Stopping rule of `spectral_gap`'s power iteration: relative change, iterations.
+GAP_REL_TOL, GAP_MAX_ITER = 1e-10, 10_000
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -176,13 +179,14 @@ def _check_mixing(mix):
         raise ConfigError(f"spectral gap {mix.lambda_bar} is not below 1; graph may be disconnected")
 
 
-def spectral_gap(W, rel_tol=1e-10, max_iter=10_000):
+def spectral_gap(W):
     """Spectral norm of W - (1/n) 1 1^T by power iteration on its Gram matrix.
 
     Deterministic start vectors: the all-ones direction is annihilated by the
     centered matrix, so starts are tilted by a ramp; a second alternating-sign
     start guards against a start orthogonal to the top eigenvector, and the
-    larger of the two converged estimates is returned.
+    larger of the two converged estimates is returned. The product B v of the
+    Rayleigh quotient v^T B v is the next iteration's w.
     """
     W = np.asarray(getattr(W, "W", W), dtype=float)
     n = W.shape[0]
@@ -197,16 +201,17 @@ def spectral_gap(W, rel_tol=1e-10, max_iter=10_000):
     best = 0.0
     for v in starts:
         v = v / np.linalg.norm(v)
+        w = B @ v
         sigma = 0.0
-        for _ in range(max_iter):
-            w = B @ v
+        for _ in range(GAP_MAX_ITER):
             nw = np.linalg.norm(w)
             if nw == 0.0:
                 sigma = 0.0
                 break
             v = w / nw
-            new = float(v @ (B @ v))
-            if abs(new - sigma) <= rel_tol * max(abs(new), 1e-30):
+            w = B @ v
+            new = float(v @ w)
+            if abs(new - sigma) <= GAP_REL_TOL * max(abs(new), 1e-30):
                 sigma = new
                 break
             sigma = new

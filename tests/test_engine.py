@@ -1056,15 +1056,16 @@ def grid_of(n):
 
 
 def assert_shared_draws_match_plain_runs(instance, W, alpha, schedules, iters, seeds):
-    """Runs given one UnitDraws, in the order given, equal runs drawing their own masks."""
-    draws = noise.UnitDraws([seeds] if isinstance(seeds, int) else seeds, 2 * instance.n)
+    """Runs given one array of unit draws, in the order given, equal runs drawing
+    their own masks."""
+    seed_list = [seeds] if isinstance(seeds, int) else seeds
+    draws = noise.unit_draws(seed_list, range(max(iters)), 2 * instance.n)
     for sched, k in zip(schedules, iters):
         cfg = RunConfig(alpha, k, record_every=7)
         shared = run(instance, W, sched, cfg, seeds, keep_states=True, draws=draws)
         plain = run(instance, W, sched, cfg, seeds, keep_states=True)
         for key, value in trace_arrays(plain).items():
             assert trace_arrays(shared)[key].tobytes() == value.tobytes(), (k, key)
-    assert len(draws) == max(iters)  # every round drawn once
 
 
 @pytest.mark.parametrize("order", [1, -1])  # the shortest run first, the longest first
@@ -1084,11 +1085,14 @@ def test_shared_draws_across_mask_chunks_give_the_bytes_of_plain_runs(seeds, ite
     assert_shared_draws_match_plain_runs(instance, W, alpha, schedules, iters, seeds)
 
 
-def test_unit_draws_of_other_seeds_or_width_are_refused():
+def test_unit_draws_of_too_few_rounds_other_trials_or_width_are_refused():
     inst, W = symmetric2()
-    for draws in (noise.UnitDraws([2], 4), noise.UnitDraws([1, 2], 4), noise.UnitDraws([1], 8)):
-        with pytest.raises(ValueError, match="do not fit a run of seeds"):
+    for seeds, rounds, width in (([1], 4, 4), ([1, 2], 5, 4), ([1], 5, 8)):
+        draws = noise.unit_draws(seeds, range(rounds), width)
+        with pytest.raises(ValueError, match="do not fit a run of 5 rounds, 1 trials and width 4"):
             run(inst, W, NoiseSchedule.uniform(2), RunConfig(0.45, 5), 1, draws=draws)
+    draws = noise.unit_draws([1], range(6), 4)  # more rounds than the run reads
+    run(inst, W, NoiseSchedule.uniform(2), RunConfig(0.45, 5), 1, draws=draws)
 
 
 def test_a_run_without_shared_draws_keeps_none():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dmtrack import noise
-from dmtrack.noise import NoiseSchedule, chunk_rounds, draw_rounds, iter_masks, uniforms
+from dmtrack.noise import NoiseSchedule, chunk_rounds, draw_rounds, iter_masks, unit_draws
 
 
 def numpy_round_uniforms(seed, k, size):
@@ -141,7 +141,7 @@ def test_vectorized_philox_matches_numpy(seed):
     seeds = [seed, seed + 3]  # the trial offset crosses 2**63 for the last seed
     rounds = [0, 1, 2, 5, 4095, 4096, 2**40]
     for width in (1, 4, 6, 28):  # partial and whole blocks
-        u = uniforms(seeds, rounds, width)
+        u = noise._uniforms(noise._seed_keys(seeds), rounds, width)
         assert u.shape == (len(rounds), 2, width)
         for r, k in enumerate(rounds):
             for t, s in enumerate(seeds):
@@ -190,8 +190,9 @@ def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
 def test_unit_draws_scale_to_the_written_out_masks(monkeypatch, shared):
     """(-theta) L of the theta-free unit draw L has the bytes of the written-out
     (sign(u) (-theta)) log(..), signed zeros included: at exact-zero uniforms, at
-    theta 0, subnormal and huge, drawn a chunk at a time or kept in a UnitDraws
-    that a shorter run began and chunks of another size extend."""
+    theta 0, subnormal and huge, drawn a chunk at a time or scaled from copies of
+    shared `unit_draws` of more rounds, which a shorter run with chunks of
+    another size read first."""
     n, m, iters = 3, 1, 11
     original = noise._uniforms
 
@@ -210,7 +211,7 @@ def test_unit_draws_scale_to_the_written_out_masks(monkeypatch, shared):
     seeds = [4, 5]
     draws = None
     if shared:
-        draws = noise.UnitDraws(seeds, 2 * n * m)
+        draws = unit_draws(seeds, range(iters + 2), 2 * n * m)
         monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 12)  # 3 rounds of 2 seeds x 2 blocks
         list(iter_masks(NoiseSchedule.uniform(n), seeds, 4, m, draws))
     monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 16)  # 4 rounds a chunk
@@ -244,4 +245,4 @@ def test_vector_rounds_scale_like_scalar_rounds():
 
 def test_seeds_out_of_range_are_rejected():
     with pytest.raises(ValueError):
-        uniforms([-1], [0], 4)
+        unit_draws([-1], [0], 4)

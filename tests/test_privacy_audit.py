@@ -23,7 +23,7 @@ from dmtrack.privacy_audit import (
 from dmtrack.theory import certificate, q_interval
 
 from conftest import build_preset, eta_bound_check, sweep_epsilon
-from test_engine import nondiagonal3
+from test_engine import at_09_alpha_max_t1, nondiagonal3
 
 
 @pytest.fixture(scope="module")
@@ -542,6 +542,32 @@ def test_a_grid_audit_draws_each_round_of_its_seed_once(sym2):
     rounds = [len(report.delta_eta_norms) - 1 for report in reports]
     assert len(set(rounds)) > 1
     assert sum(words) == max(rounds) < sum(rounds)
+
+
+def test_runs_leave_their_shared_unit_draws_unchanged(sym2):
+    """Each chunk scales its masks in place, in a copy of the shared rows: a
+    microgrid14 run across a mask-chunk boundary (585 rounds) and the nine base
+    runs of a default grid audit leave their unit draws byte for byte as drawn."""
+    instance, W, alpha = at_09_alpha_max_t1("microgrid14")
+    assert noise.chunk_rounds(1, 14, 1) < 700
+    units = noise.unit_draws([3], range(700), 28)
+    drawn = units.copy()
+    run(instance, W, NoiseSchedule.uniform(14), RunConfig(alpha, 700), 3, draws=units)
+    assert units.tobytes() == drawn.tobytes()
+
+    inst, W = sym2
+    shared = []
+
+    def keeping(*args):
+        shared.append(noise.unit_draws(*args))
+        shared.append(shared[-1].copy())
+        return shared[0]
+
+    schedules = [NoiseSchedule.uniform(2, d_zeta=dz, q=q) for dz, q in GRID]
+    with mock.patch.object(privacy_audit, "unit_draws", keeping):
+        forced_difference_run(make_adjacent_pair(inst, 0, 1.0), W, schedules, 0.9, seed=41)
+    units, drawn = shared
+    assert units.shape[0] > 300 and units.tobytes() == drawn.tobytes()
 
 
 def test_the_audit_runs_the_engine_once_per_admissible_point(sym2):
