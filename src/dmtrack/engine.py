@@ -18,14 +18,15 @@ round loop; one int seed is a batch of one. Every per-trial operation
 is the one a lone trial would execute, so a trial's outputs do not depend on
 the batch it ran in. The batch keeps its shape to the last round: a trial whose
 state turns non-finite is retired in place, its row zeroed while the others
-step on, and the run then fails naming every diverged trial. The recorded
-metrics are computed after stepping, a block of recorded rounds at a time, by
-`_metrics`, which treats each (round, trial) row as one more trial: the values
-are bit-identical to evaluating them at every recorded round. Masks come
-only from `noise.iter_masks`, drawn iff `schedule.enabled`, and are not kept:
-a run's masks are `noise.draw_rounds(schedule, range(iters), seeds, m)`. Runs
-of the same seeds given one array of `noise.unit_draws` (`draws`) scale copies
-of its rows instead of drawing their own, with the same bytes.
+step on, and the run then fails naming every diverged trial. `_Recorder` owns
+the rows a run steps in and computes the recorded metrics after stepping, a
+block of recorded rounds at a time, by `_metrics`, which treats each (round,
+trial) row as one more trial: the values are bit-identical to evaluating them
+at every recorded round. Masks come only from `noise.iter_masks`, drawn iff
+`schedule.enabled`, and are not kept: a run's masks are
+`noise.draw_rounds(schedule, range(iters), seeds, m)`. Runs of the same seeds
+given one array of `noise.unit_draws` (`draws`) scale copies of its rows
+instead of drawing their own, with the same bytes.
 
 A round's state is one row of preallocated buffers (`_StateRows`): duals and
 trackers stacked as s = [mu; y], shape (2, T, n, m), then x and A x. A round
@@ -39,16 +40,10 @@ W @, mu -= alpha y, c = (0.0 - v) + a mu, c /= diag, one clip into the box
 (`local_solver.clip`, bytes of maximum then minimum), A x = a x, y += A x - previous A x.
 The einsum maps of m > 1 start their sums at 0.0, which turns -0.0 into 0.0;
 0.0 - v gives c the same bytes, and A x gets a `+ 0.0` unless it can never be
--0.0 (`_zero_adds_are_noops`). Recorded rounds fill the rows of one metric
-block, which `_metrics` reads in place; a block holds MAX_METRIC_ROWS // T
-records, or all of a run's if fewer, and the rounds in between alternate
-between two spare rows. With keep_states every round fills a block of
-KEPT_BLOCK_ROWS // T rows instead, which is copied into the kept trajectory
-at once (building a row's views costs more than copying a round), and
-`_metrics` reads the records' rows gathered from it. One dot of mu and y
-tests a round for finiteness, and `iter_masks` supplies the running
-tracker-mask total the tracking residual needs. A trace holds copies, never
-views of the rows.
+-0.0 (`_zero_adds_are_noops`). Before stepping a round, `run` asks its
+`_Recorder` for the row to write it into. One dot of mu and y tests a round
+for finiteness, and `iter_masks` supplies the running tracker-mask total the
+tracking residual needs.
 
 Without masks a round is a deterministic map of the bytes it reads (s and A x
 of its source row; it overwrites all its scratch), so once the batch state
@@ -57,9 +52,10 @@ with period 1 or 2. `run` watches for this while `schedule.enabled` is off and
 no trial has diverged: when a round's finiteness dot equals the dot of two
 rounds earlier (equal states give equal dots), it keeps the bytes of s, x and
 A x, and two rounds later compares the state with them. On a match it stops
-stepping and fills the remaining records, kept states and final state from the
-two states of the orbit by the parity of the round: the same bytes stepping
-would have written. An orbit of a longer period is stepped to the end.
+stepping; `_Recorder.fill` and `run` fill the remaining records, kept states
+and final state from the two states of the orbit by the parity of the round:
+the same bytes stepping would have written. An orbit of a longer period is
+stepped to the end.
 """
 
 from __future__ import annotations
@@ -75,16 +71,8 @@ from .errors import SolverFailure
 from .local_solver import clip, solve_all_from_c
 from .noise import iter_masks
 
-# Recorded (round, trial) rows whose states are held until their metrics are
-# computed together, though never fewer than two records: a round then never
-# writes its record into the row it reads. Bounds the pending memory
-# independently of the number of records.
+# (round, trial) rows of a metric block and of a keep_states block (see _Recorder)
 MAX_METRIC_ROWS = 128
-
-# Rounds a keep_states run holds in its rows before copying them into its
-# trajectory together. Building a row's five views costs more than copying a
-# round's state, so rows for every round would cost more than the copies they
-# save; a few dozen rows make the copies a small cost per round.
 KEPT_BLOCK_ROWS = 32
 
 
@@ -176,16 +164,12 @@ class _Row(NamedTuple):
 
 
 class _StateRows:
-    """`count` preallocated state rows of a (T, n, .) batch, with each row's views built once.
-
-    zeta_cum holds the running tracker-mask total of the state in the same row.
-    """
+    """`count` preallocated state rows of a (T, n, .) batch, with each row's views built once."""
 
     def __init__(self, count, T, n, m, p):
         self.s = np.empty((count, 2, T, n, m))
         self.x = np.empty((count, T, n, p))
         self.Ax = np.empty((count, T, n, m))
-        self.zeta_cum = np.zeros((count, T, m))
         self.rows = [_Row(s, s[0], s[1], x, Ax) for s, x, Ax in zip(self.s, self.x, self.Ax)]
 
 
@@ -278,6 +262,90 @@ def _metrics(mu, x, y, Ax, zeta_cum, W, d, x_star):
     return out
 
 
+class _Recorder:
+    """The state rows of one run and all it records from them: its metrics and kept states.
+
+    `row(k, src, zeta_sum)` gives the row round k + 1 is stepped into from src
+    and claims it, keeping a record's running tracker-mask total in `zeta_cum`.
+    Records fill the rows of one metric block, which `measure` reads in place
+    once full: MAX_METRIC_ROWS // T records, or all of a run's if fewer, so the
+    rows held do not grow with the run, but never fewer than two, so a round
+    never writes into the row it reads. The rounds in between alternate between
+    two spare rows. With keep_states every round fills a block of
+    KEPT_BLOCK_ROWS // T rows instead, which `measure` copies into the kept
+    trajectory at once: building a row's views costs more than copying a round.
+    A run with a diverged trial raises and returns nothing, so its later rows
+    are claimed and measured like any others and never read. A trace holds
+    copies, never views of the rows.
+    """
+
+    def __init__(self, instance, W, config, T, keep_states, x_star):
+        n, m, p = instance.dims
+        iters = config.iters
+        self.ks = ks = np.append(np.arange(0, iters, config.record_every), iters)
+        self.keep, self.consts = keep_states, (W, instance.d, x_star)
+        self.recorded = np.full((4, T, len(ks)), np.nan)  # mse, consensus, tracking, feasibility
+        self.zeta_cum = np.zeros((len(ks), T, m))
+        if keep_states:  # round first while stepping, trial first in the trace
+            self.states_mu = np.empty((iters + 1, T, n, m))
+            self.states_x = np.empty((iters + 1, T, n, p))
+            per_block = max(2, min(KEPT_BLOCK_ROWS // T, iters + 1))
+        else:
+            per_block = max(2, min(MAX_METRIC_ROWS // T, len(ks)))
+        self.buf = _StateRows(per_block + 2, T, n, m, p)
+        self.rows, self.spare = self.buf.rows[:per_block], self.buf.rows[per_block:]
+        self.next_record = ks.tolist()[1:] + [None]  # next_record[r]: the round of record r + 1
+        # row 0 holds round 0, record 0; the block holds the records measured..r
+        self.held, self.measured, self.r, self.next_k = 1, 0, 0, self.next_record[0]
+
+    def row(self, k, src, zeta_sum):
+        """The row round k + 1 is stepped into from src, claimed for that round."""
+        record = k + 1 == self.next_k
+        if not (record or self.keep):
+            return self.spare[src is self.spare[0]]
+        if self.held == len(self.rows):
+            self.measure(k)
+        dst = self.rows[self.held]
+        self.held += 1
+        if record:
+            self.r += 1
+            self.next_k = self.next_record[self.r]
+            if zeta_sum is not None:
+                self.zeta_cum[self.r] = zeta_sum
+        return dst
+
+    def measure(self, top):
+        """Metrics of the block's records, its last row holding round top; empties the block.
+
+        With keep_states the rows hold every round top+1-held..top: they are
+        copied into the trajectory, and the rows of the records gathered."""
+        buf, count, lo, hi = self.buf, self.held, self.measured, self.r + 1
+        self.held, self.measured = 0, hi
+        at = slice(count)
+        if self.keep:
+            first = top + 1 - count
+            self.states_mu[first : top + 1] = buf.s[:count, 0]
+            self.states_x[first : top + 1] = buf.x[:count]
+            at = self.ks[lo:hi] - first
+        if hi == lo:
+            return
+        block = (buf.s[at, 0], buf.s[at, 1], buf.x[at], buf.Ax[at])  # (records, T, n, .) each
+        mu, y, x, Ax = (a.reshape((-1,) + a.shape[2:]) for a in block)  # row i * T + t
+        vals = _metrics(mu, x, y, Ax, self.zeta_cum[lo:hi].reshape(mu.shape[0], -1), *self.consts)
+        self.recorded[:, :, lo:hi] = vals.reshape(4, hi - lo, -1).transpose(0, 2, 1)
+
+    def fill(self, cycle, src, prev):
+        """The records and kept states after round cycle, whose state repeats with
+        period 1 or 2: round cycle + i holds the state of src for even i and of prev for odd i."""
+        mu, y, x, Ax = (np.concatenate(pair) for pair in zip(src[1:], prev[1:]))
+        vals = _metrics(mu, x, y, Ax, np.zeros((mu.shape[0], mu.shape[2])), *self.consts)
+        odd = (self.ks[self.r + 1 :] - cycle) % 2
+        self.recorded[:, :, self.r + 1 :] = vals.reshape(4, 2, -1)[:, odd].transpose(0, 2, 1)
+        if self.keep:
+            self.states_mu[cycle + 1 :: 2], self.states_x[cycle + 1 :: 2] = prev.mu, prev.x
+            self.states_mu[cycle + 2 :: 2], self.states_x[cycle + 2 :: 2] = src.mu, src.x
+
+
 def _as_seeds(seed):
     """(seeds, single): an int seed is a batch of one whose outputs drop the trial axis."""
     if isinstance(seed, (int, np.integer)):
@@ -311,8 +379,8 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
     Raises SolverFailure if a local solve fails, naming every trial whose
     solve failed in that round, or if a trial's state turns non-finite. A
     diverged trial is retired in place, its row zeroed, and the others step
-    on in the same rows with the same kernel, recording nothing, so
-    `exc.trials` lists the batch positions of every trial that diverged.
+    on in the same rows with the same kernel, so `exc.trials` lists the batch
+    positions of every trial that diverged.
     """
     seeds, single = _as_seeds(seed)
     W = np.asarray(getattr(W, "W", W), dtype=float)
@@ -325,29 +393,9 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
             f"{T} trials and width {2 * n * m}"
         )
     start = init_state(instance, config)
-    if x_star is not None:
-        x_star = np.asarray(x_star, dtype=float)
-
-    ks = np.arange(0, iters + 1, config.record_every)
-    if ks[-1] != iters:
-        ks = np.append(ks, iters)
-    next_record = ks.tolist()[1:] + [None]  # next_record[r]: the round of record r + 1
-    recorded = np.full((4, T, ks.shape[0]), np.nan)  # mse, consensus, tracking, feasibility
-    if keep_states:  # round first while stepping, trial first in the trace
-        states_mu = np.empty((iters + 1, T, n, m))
-        states_x = np.empty((iters + 1, T, n, p))
-
-    # Rows 0..per_block-1 hold rounds until they are measured together: the
-    # recorded rounds, while the two spare rows hold the rounds in between, or
-    # with keep_states every round, a block of which is then copied into the
-    # trajectory at once. Every round writes into a row other than the one it reads.
-    if keep_states:
-        per_block = max(2, min(KEPT_BLOCK_ROWS // T, iters + 1))
-    else:
-        per_block = max(2, min(MAX_METRIC_ROWS // T, ks.shape[0]))
-    buf = _StateRows(per_block + 2, T, n, m, p)
-    rows, spare = buf.rows[:per_block], buf.rows[per_block:]
-    src = rows[0]
+    x_star = None if x_star is None else np.asarray(x_star, dtype=float)
+    rec = _Recorder(instance, W, config, T, keep_states, x_star)
+    src = rec.rows[0]
     src.mu[...], src.x[...], src.y[...] = start.mu, start.x, start.y
     src.Ax[...] = np.einsum("imp,tip->tim", instance.A, src.x)
     advance = _round_kernel(instance, W, config.alpha, T)
@@ -355,37 +403,14 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
     if schedule.enabled:
         masks = iter_masks(schedule, seeds, iters, m, draws=draws)
 
-    def measure(count, lo, hi, top):
-        """Metrics of records lo..hi-1, held in rows 0..count-1, the last of which holds round top.
-
-        With keep_states the rows hold every round top+1-count..top: they are
-        copied into the trajectory, and the rows of the records gathered."""
-        at = slice(count)
-        if keep_states:
-            first = top + 1 - count
-            states_mu[first : top + 1], states_x[first : top + 1] = buf.s[:count, 0], buf.x[:count]
-            at = ks[lo:hi] - first
-        if hi == lo:
-            return
-        N = (hi - lo) * T
-        s = buf.s[at]  # mu and y interleave, so reshaping them gathers row i * T + t
-        vals = _metrics(
-            s[:, 0].reshape(N, n, m), buf.x[at].reshape(N, n, p), s[:, 1].reshape(N, n, m),
-            buf.Ax[at].reshape(N, n, m), buf.zeta_cum[at].reshape(N, m),
-            W, instance.d, x_star,
-        ).reshape(4, hi - lo, T)
-        recorded[:, :, lo:hi] = vals.transpose(0, 2, 1)
-
     def failure(message, trials):
         trials = sorted(set(trials) | set(np.flatnonzero(failed).tolist()))
         names = ", ".join(str(seeds[t]) for t in trials)
         return SolverFailure(f"{message} (trial seeds {names})", trials=trials)
 
     failed = np.zeros(T, dtype=bool)  # whether each trial of the batch has diverged
-    failed_at = None  # the first round with a diverged trial; nothing is recorded after it
-    pending, r, next_k = 1, 0, next_record[0]  # rounds held in rows 0..pending-1
-    measured = 0  # the records before this one are measured
-    watch = not schedule.enabled  # for a repeating state: a round is then a map of the state
+    failed_at = None  # the first round with a diverged trial
+    watch = not schedule.enabled  # for a repeating state, until a trial diverges
     dots = [math.nan, math.nan]  # finiteness dots of the last two states, by round parity
     probe, probe_at = None, None  # _snapshot of the state at round probe_at
     cycle = None  # the round whose state equals the one two rounds before
@@ -393,14 +418,7 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
     # under the same errstate as the rounds
     with np.errstate(over="ignore", invalid="ignore"):
         for k, (mask, zeta_sum) in enumerate(masks):
-            record = k + 1 == next_k
-            if record or keep_states and failed_at is None:
-                if pending == per_block:
-                    measure(pending, measured, r + 1, k)
-                    pending, measured = 0, r + 1
-                dst = rows[pending]
-            else:
-                dst = spare[src is spare[0]]
+            dst = rec.row(k, src, zeta_sum)
             try:
                 advance(src, dst, mask)
             except SolverFailure as exc:
@@ -415,22 +433,12 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
                 ok &= np.isfinite(src.y).all(axis=(1, 2))
                 if not ok.all():
                     failed |= ~ok
-                    failed_at, next_k = failed_at or k + 1, None
+                    failed_at, watch = failed_at or k + 1, False
                     if failed.all():
                         break
                     # retire the trials in place: zeroed rows keep later rounds
                     # and the local solves free of NaN, and the others step on
                     src.s[:, ~ok], src.x[~ok], src.Ax[~ok] = 0.0, 0.0, 0.0
-            if failed_at is not None:
-                continue  # the run fails; only look for further divergent trials
-            if record:
-                if zeta_sum is not None:
-                    buf.zeta_cum[pending] = zeta_sum
-                pending += 1
-                r += 1
-                next_k = next_record[r]
-            elif keep_states:
-                pending += 1
             if watch:
                 if probe_at == k - 1:
                     if _snapshot(src) == probe:
@@ -440,17 +448,9 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
                 if probe_at is None and dot == dots[k & 1]:
                     probe, probe_at = _snapshot(src), k + 1
                 dots[k & 1] = dot
-        if pending and failed_at is None:
-            measure(pending, measured, r + 1, k + 1)
+        rec.measure(k + 1)
         if cycle is not None:
-            # round cycle + i holds the state of src for even i and of prev for odd i
-            mu, y, x, Ax = (np.concatenate(pair) for pair in zip(src[1:], prev[1:]))
-            vals = _metrics(mu, x, y, Ax, np.zeros((2 * T, m)), W, instance.d, x_star)
-            odd = (ks[r + 1 :] - cycle) % 2
-            recorded[:, :, r + 1 :] = vals.reshape(4, 2, T)[:, odd].transpose(0, 2, 1)
-            if keep_states:
-                states_mu[cycle + 1 :: 2], states_x[cycle + 1 :: 2] = prev.mu, prev.x
-                states_mu[cycle + 2 :: 2], states_x[cycle + 2 :: 2] = src.mu, src.x
+            rec.fill(cycle, src, prev)
             if (iters - cycle) % 2:
                 src = prev
     if failed_at is not None:
@@ -460,16 +460,16 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
         return a[0] if single else a
 
     return RunTrace(
-        ks=ks,
-        mse=out(recorded[0]),
-        consensus_mu=out(recorded[1]),
-        tracking_residual=out(recorded[2]),
-        feasibility=out(recorded[3]),
+        ks=rec.ks,
+        mse=out(rec.recorded[0]),
+        consensus_mu=out(rec.recorded[1]),
+        tracking_residual=out(rec.recorded[2]),
+        feasibility=out(rec.recorded[3]),
         # copies: the trace shares no memory with the state rows
         final_state=EngineState(
             mu=out(src.mu).copy(), x=out(src.x).copy(), y=out(src.y).copy(), round=iters
         ),
         rounds_stepped=iters if cycle is None else cycle,
-        states_mu=out(np.ascontiguousarray(states_mu.swapaxes(0, 1))) if keep_states else None,
-        states_x=out(np.ascontiguousarray(states_x.swapaxes(0, 1))) if keep_states else None,
+        states_mu=out(np.ascontiguousarray(rec.states_mu.swapaxes(0, 1))) if keep_states else None,
+        states_x=out(np.ascontiguousarray(rec.states_x.swapaxes(0, 1))) if keep_states else None,
     )

@@ -517,59 +517,77 @@ def test_divergence_inside_a_partly_filled_metric_block():
     assert np.isinf(tr.mse[-1]) and np.isfinite(tr.final_state.x).all()
 
 
-@pytest.mark.parametrize("max_rows", [128, 2])
-def test_divergence_in_an_unrecorded_round_is_reported(max_rows):
+@pytest.mark.parametrize(
+    "max_rows, kept_rows", [(128, None), (2, None), (128, 3)], ids=["128", "2", "kept3"]
+)
+def test_divergence_in_an_unrecorded_round_is_reported(max_rows, kept_rows):
     """A trial diverging in a round between records, whose state sits in a spare
     row, is reported with that round and its seed, whether the metric block holds
-    64 records or the fewest, two."""
+    64 records or the fewest, two. With keep_states and blocks of two rounds, the
+    failed run goes on filling and measuring blocks after the divergence, quietly."""
     inst, W = symmetric2()
     cfg = RunConfig(alpha=0.45, iters=40, record_every=7)
     eta = np.zeros((2, 40, 2, 1))
     eta[1, 15, 0, 0] = np.inf  # round 16 is not recorded (records at 14 and 21)
     with mock.patch.object(engine, "MAX_METRIC_ROWS", max_rows):
-        with pytest.raises(SolverFailure, match=r"^round 16: .*\(trial seeds 21\)$") as caught:
-            with inject_masks(eta):
-                run(inst, W, NoiseSchedule.uniform(2), cfg, [20, 21])
+        with mock.patch.object(engine, "KEPT_BLOCK_ROWS", kept_rows or engine.KEPT_BLOCK_ROWS):
+            with pytest.raises(SolverFailure, match=r"^round 16: .*\(trial seeds 21\)$") as caught:
+                with inject_masks(eta):
+                    run(inst, W, NoiseSchedule.uniform(2), cfg, [20, 21], keep_states=bool(kept_rows))
     assert caught.value.trials == [1]
+
+
+def assert_block_size_changes_no_output(name, rows, record_every, keep_states):
+    """A noisy run of three trials gives the same bytes with engine.<name> = rows."""
+    inst, W = symmetric2()
+    sched = NoiseSchedule.uniform(2, q=0.95)
+    cfg = RunConfig(alpha=0.45, iters=30, record_every=record_every)
+    seeds, x_star = [3, 4, 5], np.ones((2, 1))
+    want = run(inst, W, sched, cfg, seeds, x_star=x_star, keep_states=keep_states)
+    with mock.patch.object(engine, name, rows):
+        got = run(inst, W, sched, cfg, seeds, x_star=x_star, keep_states=keep_states)
+    assert trace_arrays(got).keys() == trace_arrays(want).keys()
+    for key, value in trace_arrays(want).items():
+        assert trace_arrays(got)[key].tobytes() == value.tobytes(), key
 
 
 @pytest.mark.parametrize("record_every", [1, 3])
 @pytest.mark.parametrize("max_rows", [1, 9, 15])
 def test_metric_block_size_changes_no_output(max_rows, record_every):
-    """Blocks of two records (the fewest), three and five records of three trials
-    give the same bytes as the default block of 42."""
-    inst, W = symmetric2()
-    sched = NoiseSchedule.uniform(2, q=0.95)
-    cfg = RunConfig(alpha=0.45, iters=30, record_every=record_every)
-    seeds, x_star = [3, 4, 5], np.ones((2, 1))
-    want = run(inst, W, sched, cfg, seeds, x_star=x_star, keep_states=True)
-    with mock.patch.object(engine, "MAX_METRIC_ROWS", max_rows):
-        got = run(inst, W, sched, cfg, seeds, x_star=x_star, keep_states=True)
-    for key, value in trace_arrays(want).items():
-        assert trace_arrays(got)[key].tobytes() == value.tobytes(), key
+    """Metric blocks of two records (the fewest), three and five records of three
+    trials give the same bytes as one block of every record (at most 42)."""
+    assert_block_size_changes_no_output("MAX_METRIC_ROWS", max_rows, record_every, False)
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
+@pytest.mark.parametrize("rounds", [2, 3, 5])
+def test_kept_block_size_changes_no_output(rounds, record_every):
+    """keep_states blocks of two rounds (the fewest), three and five rounds of three
+    trials give the same bytes as the default blocks of ten."""
+    assert_block_size_changes_no_output("KEPT_BLOCK_ROWS", 3 * rounds, record_every, True)
 
 
 @pytest.mark.parametrize("seeds", [5, [5, 6]])
 def test_trace_shares_no_memory_with_the_state_rows(seeds):
-    """The engine steps in preallocated rows; the trace it returns holds copies."""
+    """The engine steps in preallocated rows; the trace it returns holds copies,
+    sharing no memory with the rows or the recorder's tracker-mask totals."""
     made = []
 
-    class Recorded(engine._StateRows):
+    class Recorder(engine._Recorder):
         def __init__(self, *args):
             super().__init__(*args)
             made.append(self)
 
     inst, W = symmetric2()
     cfg = RunConfig(alpha=0.45, iters=20, record_every=3)
-    with mock.patch.object(engine, "_StateRows", Recorded):
+    with mock.patch.object(engine, "_Recorder", Recorder):
         tr = run(inst, W, NoiseSchedule.uniform(2), cfg, seeds, keep_states=True)
-    assert made
-    final = tr.final_state
-    arrays = [final.mu, final.x, final.y, tr.states_mu, tr.states_x, tr.mse, tr.tracking_residual]
-    for buf in made:
-        for held in (buf.s, buf.x, buf.Ax, buf.zeta_cum):
-            for a in arrays:
-                assert not np.shares_memory(a, held)
+    [rec] = made
+    arrays = [tr.ks, *trace_arrays(tr).values()]
+    assert len(arrays) == 10
+    for held in (rec.buf.s, rec.buf.x, rec.buf.Ax, rec.zeta_cum):
+        for a in arrays:
+            assert not np.shares_memory(a, held)
 
 
 def test_tracking_identity_under_noise():
