@@ -22,11 +22,14 @@ step on, and the run then fails naming every diverged trial. `_Recorder` owns
 the rows a run steps in and computes the recorded metrics after stepping, a
 block of recorded rounds at a time, by `_metrics`, which treats each (round,
 trial) row as one more trial: the values are bit-identical to evaluating them
-at every recorded round. Masks come only from `noise.iter_masks`, drawn iff
-`schedule.enabled`, and are not kept: a run's masks are
-`noise.draw_rounds(schedule, range(iters), seeds, m)`. Runs of the same seeds
-given one array of `noise.unit_draws` (`draws`) scale copies of its rows
-instead of drawing their own, with the same bytes.
+at every recorded round. Masks come only from `noise.iter_masks`, asked for
+iff `schedule.enabled`, and are not kept: a run's masks are
+`noise.draw_rounds(schedule, range(iters), seeds, m)`. `iter_masks` reads the
+state each round is stepped from; for a round whose masks provably cannot
+change a bit of it or of the tracker-mask total it draws none and yields
+None, and the round is stepped as a noise-free one, with the same bytes.
+Runs of the same seeds given one array of `noise.unit_draws` (`draws`) scale
+copies of its rows instead of drawing their own, with the same bytes.
 
 A round's state is one row of preallocated buffers (`_StateRows`): duals and
 trackers stacked as s = [mu; y], shape (2, T, n, m), then x and A x. A round
@@ -401,7 +404,7 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
     advance = _round_kernel(instance, W, config.alpha, T)
     masks = repeat((None, None), iters)
     if schedule.enabled:
-        masks = iter_masks(schedule, seeds, iters, m, draws=draws)
+        masks = iter_masks(schedule, seeds, iters, m, draws=draws, state=lambda: src.s)
 
     def failure(message, trials):
         trials = sorted(set(trials) | set(np.flatnonzero(failed).tolist()))

@@ -30,10 +30,24 @@ each chunk copies and scales; a run without one draws a chunk at a time and
 keeps nothing. `draw_rounds` regenerates the masks of any rounds of any run.
 `iter_masks` yields each round's masks as one contiguous (2, S, n, m) block
 [eta; zeta], the layout of the engine's stacked [mu; y], with the running
-total of the tracker masks, which it accumulates once per chunk.
+total of the tracker masks, which it accumulates once per chunk into two
+buffers it allocates once per run.
 `NoiseSchedule.enabled` (some scale is positive) is the one rule for whether
 a run has masks: the engine and `draw_rounds` draw none for a schedule whose
-every scale is 0.
+every scale is 0, and `iter_masks` draws none for a round its masks are
+absorbed in.
+
+Absorption. A unit draw has |L| <= -log(tiny) < 708.4 and theta falls with k,
+so B = 709 max_i max(theta_eta_i(k0), theta_zeta_i(k0)) bounds every mask of
+round k0 and later; the factor above 708.4 covers the rounding of theta and
+of (-theta) L. If |e| <= B < 2**-55 |s| for a double s, e is below a quarter
+of the spacing of the doubles next to s, so s + e rounds to s. The n tracker
+masks of a round sum, in any order, to less than 1.001 n B, so a running total
+c with 1.001 n B < 2**-55 min |c| absorbs them too. `iter_masks` tests the
+total at each chunk start after chunk 0 (whose total starts at 0) and, while
+it passes, the state [mu; y] before each round; a round passing both yields
+no masks, which changes no output byte. A zero entry (a retired trial's)
+never passes, nor a subnormal one while B > 0.
 """
 
 from __future__ import annotations
@@ -254,27 +268,49 @@ def chunk_rounds(trials, n, m):
     return max(1, MAX_CHUNK_BLOCKS // (trials * blocks))
 
 
-def iter_masks(schedule, seeds, iters, m, draws=None):
+def iter_masks(schedule, seeds, iters, m, draws=None, state=None):
     """(masks, zeta_sum) of rounds k = 0..iters-1, generated a chunk of rounds at a time.
 
-    masks is the (2, S, n, m) block [eta; zeta] of round k, a view into the
-    chunk's buffer, and zeta_sum (S, m) is sum_{t<=k} sum_i zeta_i(t). With
-    `draws`, the `unit_draws` of these seeds for rounds 0..iters-1 or more and
-    width 2 n m, each chunk scales a copy of its rounds' rows and leaves
-    `draws` unchanged; without, it draws them and keeps nothing.
+    masks is the (2, S, n, m) block [eta; zeta] of round k and zeta_sum (S, m)
+    is sum_{t<=k} sum_i zeta_i(t); both are views into buffers that the next
+    chunk overwrites, so a caller copies what it keeps. With `draws`, the
+    `unit_draws` of these seeds for rounds 0..iters-1 or more and width 2 n m,
+    each chunk scales a copy of its rounds' rows and leaves `draws` unchanged;
+    without, it draws them and keeps nothing.
+
+    `state()`, if given, returns the (2, S, n, m) state [mu; y] the masks of
+    the next round are added to. A round whose masks cannot change a bit of
+    that state or of the running total is absorbed: it yields (None, zeta_sum)
+    and draws nothing. From the first round that is not, the masks are drawn
+    up to the next chunk, where absorption is tested again.
     """
     step = chunk_rounds(len(seeds), schedule.n, m)
     keys = _seed_keys(seeds)
+    stacked = np.empty((min(step, iters), 2, len(seeds), schedule.n, m))
+    sums = np.empty((len(stacked), len(seeds), m))
     carry = np.zeros((len(seeds), m))
     for k0 in range(0, iters, step):
-        rounds = range(k0, min(k0 + step, iters))
+        k, stop = k0, min(k0 + step, iters)
+        # the total is tested first: it is 0 through chunk 0 and costs least
+        low = np.abs(carry).min() if state is not None and k0 else 0.0
+        if low > 0.0:  # floor = 2**55 B, B = 709 max theta(k0) (module docstring)
+            floor = 709.0 * max(schedule.theta_eta(k0).max(), schedule.theta_zeta(k0).max())
+            floor *= 2.0**55
+            absorbing = schedule.n * 1.001 * floor < low
+            while absorbing and k < stop and np.minimum.reduce(np.abs(state()), None) > floor:
+                yield None, carry
+                k += 1
+            if k == stop:
+                continue
+        rounds = range(k, stop)
         if draws is None:
             units = _unit_draws(keys, rounds, 2 * schedule.n * m)
         else:
-            units = draws[k0 : rounds.stop].copy()
+            units = draws[k:stop].copy()
         masks = _scaled(schedule, rounds, units)
-        sums = masks[..., 1, :].sum(axis=2)
-        sums[0] += carry  # carry + s_0, then + s_1, ...: the order of per-round updates
-        carry = np.add.accumulate(sums, axis=0, out=sums)[-1]
-        stacked = np.ascontiguousarray(masks.transpose(0, 3, 1, 2, 4))  # (R, 2, S, n, m)
-        yield from zip(stacked, sums)
+        block, chunk = stacked[: len(rounds)], sums[: len(rounds)]
+        np.sum(masks[..., 1, :], axis=2, out=chunk)
+        chunk[0] += carry  # carry + s_0, then + s_1, ...: the order of per-round updates
+        carry = np.add.accumulate(chunk, axis=0, out=chunk)[-1].copy()
+        np.copyto(block, masks.transpose(0, 3, 1, 2, 4))  # (R, 2, S, n, m)
+        yield from zip(block, chunk)

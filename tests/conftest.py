@@ -49,12 +49,13 @@ def inject_masks(eta, zeta=None):
     injects must pass an enabled schedule. zeta defaults to zeros. Like
     noise.iter_masks, each round comes as one stacked (2, T, n, m) block
     [eta; zeta] with the running total of the tracker masks through it, here
-    summed round by round; the injected masks stand in for any shared draws.
+    summed round by round; the injected masks stand in for any shared draws and
+    are never absorbed (the engine's state argument is ignored).
     """
     eta = np.asarray(eta, dtype=float)
     zeta = np.zeros_like(eta) if zeta is None else np.asarray(zeta, dtype=float)
 
-    def given_masks(schedule, seeds, iters, m, draws=None):
+    def given_masks(schedule, seeds, iters, m, draws=None, state=None):
         assert eta.shape[0] == len(seeds) and eta.shape[1] >= iters, (eta.shape, seeds, iters)
         zeta_cum = np.zeros((len(seeds), m))
         for eta_k, zeta_k in zip(eta.swapaxes(0, 1)[:iters], zeta.swapaxes(0, 1)[:iters]):

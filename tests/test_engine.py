@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 import warnings
 from functools import partial
@@ -1131,3 +1132,127 @@ def test_a_run_without_shared_draws_keeps_none():
         run(instance, W, sched, cfg, 3)
         run(instance, W, sched, cfg, 3)
     assert philox.call_count == 2 * -(-3000 // chunk_rounds(1, 14, 1))
+
+
+def absorbing(rule, absorbed):
+    """Patch the engine's noise.iter_masks to absorb masks (rule true) or never (no
+    state reaches it), appending each absorbed round to `absorbed`."""
+    iter_masks = noise.iter_masks
+
+    def logged(*args, state=None, **kwargs):
+        masks = iter_masks(*args, state=state if rule else None, **kwargs)
+        for k, (mask, zeta_sum) in enumerate(masks):
+            if mask is None:
+                absorbed.append(k)
+            yield mask, zeta_sum
+
+    return mock.patch.object(engine, "iter_masks", logged)
+
+
+def assert_absorption_changes_no_output(*args, **kwargs):
+    """Runs with absorption on and off give the same bytes; returns the absorbed rounds."""
+    absorbed, none = [], []
+    with absorbing(True, absorbed):
+        on = run(*args, **kwargs)
+    with absorbing(False, none):
+        off = run(*args, **kwargs)
+    assert not none and on.rounds_stepped == off.rounds_stepped
+    assert on.ks.tobytes() == off.ks.tobytes()
+    assert trace_arrays(on).keys() == trace_arrays(off).keys()
+    for key, value in trace_arrays(off).items():
+        assert trace_arrays(on)[key].tobytes() == value.tobytes(), key
+    return absorbed
+
+
+def mc_noisy_run(d_zeta=1.0):
+    """microgrid14 at 0.9 alpha_max_t2 with masks of scale 1 (tracker: d_zeta) and
+    q = 0.98 for 5000 rounds, recorded every 10, as the benchmark's noisy workload."""
+    instance, W, mod = build_preset("microgrid14")
+    alpha = 0.9 * stepsize_bounds(mod, W.lambda_bar).alpha_max_t2
+    sched = NoiseSchedule.uniform(14, d_zeta=d_zeta, q=0.98)
+    return instance, W.W, sched, RunConfig(alpha, 5000, record_every=10)
+
+
+@pytest.mark.parametrize(
+    "trials, d_zeta, keep_states",
+    [(t, dz, keep) for t in (1, 2) for dz in (0.5, 1.0, 4.0) for keep in (False, True)]
+    + [(100, dz, False) for dz in (0.5, 1.0, 4.0)] + [(100, 1.0, True)],
+)
+def test_absorbed_masks_change_no_output_on_microgrid14(trials, d_zeta, keep_states):
+    """Over 5000 rounds at q = 0.98, absorption starts at a chunk start between
+    rounds 2336 and 2628 (chunks of 585, 292 and 5 rounds for 1, 2 and 100 trials);
+    the runs give every byte of runs that draw every round. (One kept case at 100
+    trials: each kept trajectory of it holds 56 MB.)"""
+    x_star = solve_dual(build_preset("microgrid14")[0]).x_star
+    seeds = list(range(41, 41 + trials))
+    absorbed = assert_absorption_changes_no_output(
+        *mc_noisy_run(d_zeta), seeds, x_star=x_star, keep_states=keep_states
+    )
+    assert len(absorbed) > 2000
+
+
+@pytest.mark.parametrize("keep_states", [False, True])
+@pytest.mark.parametrize("seeds", [5, [5, 6]])
+@pytest.mark.parametrize("name", ["symmetric2", "hand_kkt"])
+def test_absorbed_masks_change_no_output_across_chunk_starts(name, seeds, keep_states):
+    """With chunks of 13 rounds, absorption starts and is tested again inside the
+    absorbed stretch of a q = 0.9 run: every byte stays."""
+    instance, W, alpha = at_09_alpha_max_t1(name)
+    trials = 1 if seeds == 5 else 2
+    cfg = RunConfig(alpha, 1500, record_every=7)
+    with mock.patch.object(noise, "MAX_CHUNK_BLOCKS", 13 * trials):
+        absorbed = assert_absorption_changes_no_output(
+            instance, W, NoiseSchedule.uniform(2, q=0.9), cfg, seeds,
+            x_star=np.ones((2, 1)), keep_states=keep_states,
+        )
+    assert len(absorbed) > 500 and absorbed[0] % 13 == 0
+
+
+def nudged_at(k, nudge):
+    """Patch the round kernel to apply nudge(dst) to the state it steps in round k."""
+    kernel = engine._round_kernel
+
+    def nudging_kernel(*args):
+        advance, rounds = kernel(*args), itertools.count()
+
+        def nudged(src, dst, masks):
+            advance(src, dst, masks)
+            if next(rounds) == k:
+                nudge(dst)
+
+        return nudged
+
+    return mock.patch.object(engine, "_round_kernel", nudging_kernel)
+
+
+def test_a_state_entry_near_zero_has_its_masks_drawn():
+    """A dual set to 1e-300 by round 3000, inside the absorbed stretch, fails the
+    state test: round 3001 and the rest of its chunk of 292 rounds draw their masks,
+    and the next chunk absorbs again. The bytes are those of a run drawing every round."""
+    def near_zero(dst):
+        dst.mu[1, 5, 0] = 1e-300
+
+    with nudged_at(3000, near_zero):
+        absorbed = assert_absorption_changes_no_output(*mc_noisy_run(), [41, 42])
+    chunk = chunk_rounds(2, 14, 1)
+    next_chunk = chunk * (3001 // chunk + 1)
+    assert 3000 in absorbed and next_chunk in absorbed
+    assert not set(range(3001, next_chunk)) & set(absorbed)
+
+
+def test_a_retired_trial_stops_absorption():
+    """A trial that diverges inside the absorbed stretch is zeroed in place, and a
+    zero entry never passes the state test: no later round is absorbed, and the run
+    fails with the message and trials of a run drawing every round."""
+    def diverge(dst):
+        dst.y[1, 3, 0] = np.inf
+
+    failures, absorbed = [], []
+    for rule in (True, False):
+        with nudged_at(3000, diverge), absorbing(rule, absorbed):
+            with pytest.raises(SolverFailure) as caught:
+                run(*mc_noisy_run(), [41, 42], keep_states=True)
+        failures.append((str(caught.value), caught.value.trials))
+    assert failures[0] == failures[1]
+    assert failures[0] == ("round 3001: state diverged to non-finite values (trial seeds 42)", [1])
+    assert max(absorbed) == 3000

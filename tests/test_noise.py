@@ -1,7 +1,12 @@
+import math
+import operator
 from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dmtrack import noise
 from dmtrack.noise import NoiseSchedule, chunk_rounds, draw_rounds, iter_masks, unit_draws
@@ -152,7 +157,8 @@ def test_vectorized_philox_matches_numpy(seed):
 def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
     """Masks built a chunk at a time, each round's [eta; zeta] stacked in one block, equal
     the per-round numpy construction, and the running tracker-mask total equals adding
-    each round's agent sum in turn."""
+    each round's agent sum in turn. Every chunk writes into the same two buffers, so
+    each round's block and total are copied as they come."""
     n, m = 3, 2  # 12 doubles per round: 3 blocks
     monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 24)
     seeds = [seed, seed + 1]
@@ -163,8 +169,12 @@ def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
         q_eta=np.array([0.9, 0.97, 0.98]),
         q_zeta=np.array([0.95, 0.9, 0.98]),
     )
-    masks = list(iter_masks(schedule, seeds, 10, m))  # chunk boundaries after rounds 3 and 7
+    masks, views = [], []
+    for stacked, zeta_sum in iter_masks(schedule, seeds, 10, m):  # chunks end at rounds 3, 7
+        masks.append((stacked.copy(), zeta_sum.copy()))
+        views.append((stacked, zeta_sum))
     assert len(masks) == 10
+    assert all(np.shares_memory(a, b) for a, b in zip(views[0], views[4]))
     zeta_cum = np.zeros((len(seeds), m))
     for k, (stacked, zeta_sum) in enumerate(masks):
         assert stacked.shape == (2, len(seeds), n, m)
@@ -215,8 +225,7 @@ def test_unit_draws_scale_to_the_written_out_masks(monkeypatch, shared):
         monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 12)  # 3 rounds of 2 seeds x 2 blocks
         list(iter_masks(NoiseSchedule.uniform(n), seeds, 4, m, draws))
     monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 16)  # 4 rounds a chunk
-    masks = list(iter_masks(schedule, seeds, iters, m, draws))
-    blocks = np.stack([stacked for stacked, _ in masks])
+    blocks = np.stack([stacked.copy() for stacked, _ in iter_masks(schedule, seeds, iters, m, draws)])
     zero_uniforms = 0
     for k, stacked in enumerate(blocks):
         for t, s in enumerate(seeds):
@@ -246,3 +255,75 @@ def test_vector_rounds_scale_like_scalar_rounds():
 def test_seeds_out_of_range_are_rejected():
     with pytest.raises(ValueError):
         unit_draws([-1], [0], 4)
+
+
+def entries_near(edge):
+    """Entries of either sign around and above `edge`: exact powers of two from
+    below edge up, the next double above edge, and edge times floats in [1, 2**60]."""
+    top = math.frexp(edge)[1]
+    return st.builds(
+        operator.mul,
+        st.sampled_from([1.0, -1.0]),
+        st.one_of(
+            st.integers(top - 2, min(top + 60, 1023)).map(lambda e: 2.0**e),
+            st.just(np.nextafter(edge, np.inf)),
+            st.floats(1.0, 2.0**60).map(lambda f: f * edge),
+        ),
+    )
+
+
+def with_one_special(data, a, edge):
+    """a, or half the time a with one entry replaced by a signed zero, a subnormal,
+    the least normal double, +-edge or any float."""
+    if data.draw(st.booleans()):
+        special = st.one_of(
+            st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, -(2.0**-1060), edge, -edge]),
+            st.floats(-1e300, 1e300),
+        )
+        a.flat[data.draw(st.integers(0, a.size - 1))] = data.draw(special)
+    return a
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_absorbed_rounds_change_no_bit(data):
+    """Whenever iter_masks absorbs a round, its masks, the written-out masks of
+    draw_rounds and masks at +-B (B = 709 max theta at the round) change no bit of
+    the state or of the running tracker-mask total, and a round it draws is drawn
+    as without a state. Chunks are one round long, so round 1 starts a chunk; round
+    0's draws put a chosen total in place (zero included) and round 1's are real
+    unit draws or the largest a draw can be, |log(tiny)|."""
+    n, m, S = (data.draw(st.integers(1, k)) for k in (3, 2, 2))
+    seeds = [3, 4][:S]
+    decays = st.sampled_from([1e-300, 2.0**-900, 1e-20, 0.5, 0.98])
+    sched = NoiseSchedule(
+        d_eta=data.draw(arrays(float, n, elements=st.sampled_from([0.0, 5e-324, 2.0**-40, 1.0]))),
+        d_zeta=np.ones(n),
+        q_eta=data.draw(arrays(float, n, elements=decays)),
+        q_zeta=data.draw(arrays(float, n, elements=decays)),
+    )
+    bound = 709.0 * max(sched.theta_eta(1).max(), sched.theta_zeta(1).max())
+    edges = bound * 2.0**55, n * bound * 1.001 * 2.0**55  # of the state and of the total
+    s, carry = (
+        with_one_special(data, data.draw(arrays(float, shape, elements=entries_near(edge))), edge)
+        for shape, edge in zip([(2, S, n, m), (S, m)], edges)
+    )
+    draws = unit_draws(seeds, range(2), 2 * n * m)
+    draws[0] = 0.0
+    draws[0].reshape(S, n, 2, m)[:, 0, 1] = -carry  # agent 0's round-0 tracker masks are carry
+    if data.draw(st.booleans()):
+        draws[1] = np.copysign(np.log(np.finfo(float).tiny), draws[1])
+    with mock.patch.object(noise, "MAX_CHUNK_BLOCKS", S * -(-2 * n * m // 4)):
+        off = [(a.copy(), z.copy()) for a, z in iter_masks(sched, seeds, 2, m, draws)]
+        on = [(a, z.copy()) for a, z in iter_masks(sched, seeds, 2, m, draws, state=lambda: s)]
+    total, (masks, after) = off[0][1], off[1]
+    assert on[0][0] is not None  # chunk 0 is never absorbed
+    if on[1][0] is not None:
+        assert on[1][0].tobytes() == masks.tobytes() and on[1][1].tobytes() == after.tobytes()
+        return
+    event("absorbed")
+    assert on[1][1].tobytes() == after.tobytes() == total.tobytes()
+    written_out = np.stack(draw_rounds(sched, [1], seeds, m))[:, 0]
+    for e in (masks, written_out, np.full_like(s, bound), np.full_like(s, -bound)):
+        assert (s + e).tobytes() == s.tobytes()
+        assert (total + e[1].sum(axis=1)).tobytes() == total.tobytes()
