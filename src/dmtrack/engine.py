@@ -213,7 +213,7 @@ def _round_kernel(instance, W, alpha, trials):
 
     if m == 1:  # 1 x 1 A_i and U_i: both maps are products and the solve is closed form
         consts = (instance.A[:, :, 0], instance.v, instance.diag, instance.lower, instance.upper)
-        a, v, diag, lower, upper = (np.broadcast_to(k, c.shape).copy() for k in consts)
+        a, v, diag, lower, upper = np.broadcast_to(np.array(consts)[:, None], (5,) + c.shape).copy()
         zero_add = not _zero_adds_are_noops(a, v, diag, lower, upper)
         minus_v = 0.0 - v  # 0.0, not -0.0, at v = 0: minus_v + a mu is (0.0 + a mu) - v
     # the hot calls pass out positionally, which numpy parses faster than out=

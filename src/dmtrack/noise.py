@@ -302,7 +302,7 @@ def iter_masks(schedule, seeds, iters, m, draws=None, state=None):
                 k += 1
             if k == stop:
                 continue
-        rounds = range(k, stop)
+        rounds = np.arange(k, stop)
         if draws is None:
             units = _unit_draws(keys, rounds, 2 * schedule.n * m)
         else:

@@ -18,20 +18,22 @@ is added to eps_e so the certificate stays conservative. Measurement also
 stops once the envelope sinks below solver roundoff (the tail then covers
 the remainder), so slowly decaying configurations never accumulate noise
 ratios that are pure floating-point artifacts. The envelope depends only on
-the round, so that last measured round is known in advance and the base run
-is simulated only up to it; its states match those of a run over the whole
-horizon, since every mask is a function of (seed, round) alone. The base
-runs of one audit differ only in their mask scales, so they share the
-`noise.unit_draws` of the seed, drawn once for the longest base run before
-the first, and each run scales copies of them. The audit
-takes a list of noise schedules and the stepsize alpha: it keeps one base
-run per schedule but steps every schedule's recursion in one round loop; the
-norms, eps_e and the bound checks are computed per schedule from its stacked
-differences afterwards. A schedule whose measured rounds are done, or whose
-recursion diverged, is retired in place: its row steps on with a zeroed
-Delta mu input, and its statistics read only its own rounds. The recursion
-steps in place in round-first arrays; a 1 x 1 A_i0 is one product plus
-`+ 0.0` (`_matvecs`).
+the round (the points of one audit share one scan of it), so that last
+measured round is known in advance and the base run is simulated only up to
+it; its states match those of a run over the whole horizon, since every mask
+is a function of (seed, round) alone. The base runs of one audit differ only
+in their mask scales, so they share the `noise.unit_draws` of the seed, drawn
+once for the longest base run before the first, and each run scales copies
+of them. The audit takes a list of noise schedules and the stepsize alpha:
+it keeps one base run per schedule but steps every schedule's recursion in
+one round loop; the norms, eps_e and the bound checks are computed per
+schedule from its stacked differences afterwards. A schedule whose measured
+rounds are done, or whose recursion diverged, is retired in place: its row
+steps on with a zeroed Delta mu input, and its statistics read only its own
+rounds. A row diverges when ||Delta eta(k)|| exceeds 1e9 max(1, alpha delta
+||A_i0||), which needs an entry above that over sqrt(m): only then are the
+norms taken. The recursion steps in place in round-first arrays; a 1 x 1
+A_i0 is one product plus `+ 0.0` (`_matvecs`).
 
 Perturbation recursion (Delta = shifted minus base; messages held equal):
     Delta mu(k+1)  = -alpha * Delta y(k)          Delta eta(k) = -Delta mu(k)
@@ -150,11 +152,6 @@ def _pick_horizon(alpha, delta, A_norm, tau1, tau2, q, d_eta, d_zeta, m):
     return min(max(K, HORIZON_MIN), HORIZON_CAP)
 
 
-def _envelope(coef, tau1, tau2, k):
-    """Root envelope on ||Delta eta(k)||, coef * (tau1^(k-1) - tau2^(k-1)), by scalar pow."""
-    return coef * (tau1 ** (k - 1) - tau2 ** (k - 1))
-
-
 class _Point(NamedTuple):
     """The constants of one schedule's audit."""
 
@@ -164,7 +161,6 @@ class _Point(NamedTuple):
     q: float
     cert: Certificate  # the audited agent's
     K: int  # the tail horizon
-    envelopes: np.ndarray  # the root envelope of each measured round 1..k_measured
 
 
 def audited_certificate(pair, schedule, alpha):
@@ -208,19 +204,7 @@ def _audit_point(pair, schedule, alpha, horizon):
         K = _pick_horizon(alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, pair.base.m)
     else:
         K = int(horizon)
-
-    env_coef = alpha * pair.delta * ag.A_norm / (tau1 - tau2)
-    # below this the true perturbation is buried in solver roundoff; measure
-    # only the rounds before the envelope first sinks under it and let the
-    # analytic tail cover the remainder
-    signal_floor = 1e-12 * max(1.0, alpha * pair.delta * ag.A_norm)
-    envelopes = [_envelope(env_coef, tau1, tau2, 1)]
-    for k in range(2, K + 1):
-        envelope = _envelope(env_coef, tau1, tau2, k)
-        if envelope < signal_floor:
-            break
-        envelopes.append(envelope)
-    return _Point(schedule, d_eta, d_zeta, q, cert, K, np.array(envelopes))
+    return _Point(schedule, d_eta, d_zeta, q, cert, K)
 
 
 def forced_difference_run(pair, W, schedules, alpha, seed, horizon=None):
@@ -239,7 +223,7 @@ def forced_difference_run(pair, W, schedules, alpha, seed, horizon=None):
         except InadmissibleDecayError as exc:
             entries.append(exc)
     points = [e for e in entries if isinstance(e, _Point)]
-    reports = iter(_audit_points(pair, W, points, alpha, seed))
+    reports = iter(_audit_points(pair, W, points, alpha, seed) if points else [])
     return [next(reports) if isinstance(e, _Point) else e for e in entries]
 
 
@@ -259,8 +243,19 @@ def _audit_points(pair, W, points, alpha, seed):
     m, p = base.m, base.p
     ag, ag_shift = base.agents[i0], pair.shifted.agents[i0]
     G = len(points)
-    k_measured = [len(pt.envelopes) for pt in points]
-    k_max = max(k_measured, default=0)
+    # the root envelope on ||Delta eta(k)||, the same at every point, by scalar pow up
+    # to the largest K or to the round before it first sinks below the signal floor
+    tau1, tau2 = points[0].cert.tau1, points[0].cert.tau2
+    scale = alpha * pair.delta * ag.A_norm
+    coef, signal_floor = scale / (tau1 - tau2), 1e-12 * max(1.0, scale)
+    envelopes = []
+    for k in range(1, max(pt.K for pt in points) + 1):
+        envelope = coef * (tau1 ** (k - 1) - tau2 ** (k - 1))
+        if k > 1 and envelope < signal_floor:
+            break
+        envelopes.append(envelope)
+    k_measured = [min(pt.K, len(envelopes)) for pt in points]
+    k_max = max(k_measured)
 
     # agent i0's base mu and x of rounds 0..k_max, one row per point, zero past
     # its last measured round; masks depend only on (seed, round), so these are
@@ -284,20 +279,27 @@ def _audit_points(pair, W, points, alpha, seed):
     A, At = ag.A, ag.A.T
     k_end = np.array(k_measured, dtype=int)
     diverged = np.zeros(G, dtype=bool)
-    diverged_at = 1e9 * max(1.0, alpha * pair.delta * ag.A_norm)
+    diverged_at = 1e9 * max(1.0, scale)
+    # a row's norm is at most sqrt(m) (1 + 1e-9) times its largest |entry|, or
+    # inf from an entry above 1e154 / sqrt(m); a NaN row passes neither test
+    suspect = min(diverged_at, 1e150) / (math.sqrt(m) * (1.0 + 1e-9))
     c = np.empty((G, p))  # m = p: every A_i is square
+    next_end = 0  # the round after which the live rows change
     for k in range(1, k_max + 1):
-        live = k_end >= k
-        if not live.any():
-            break
+        if k > next_end:
+            live = k_end >= k
+            if not live.any():
+                break
+            live_rows, next_end = live[:, None], k_end[live].min()
         dmu, dx, dy = d_mu[k], d_x[k], d_y[k]
-        np.multiply(-alpha, d_y[k - 1], out=dmu, where=live[:, None])
+        np.multiply(-alpha, d_y[k - 1], out=dmu, where=live_rows)
         _matvecs(At, np.add(base_mu[k], dmu, out=c), c)
         np.subtract(argmin_rows(ag_shift.cost, ag_shift.box, c), base_x[k], out=dx)
         _matvecs(A, np.subtract(dx, d_x[k - 1], out=dy), dy)
-        gone = _norms(dmu, 1) > diverged_at  # ||Delta eta(k)||, as np.linalg.norm
-        k_end[gone] = k
-        diverged |= gone
+        if np.fmax.reduce(np.abs(dmu), None) > suspect:  # fmax skips NaN
+            gone = _norms(dmu, 1) > diverged_at  # ||Delta eta(k)||, as np.linalg.norm
+            k_end[gone] = next_end = k  # next round, the live rows change
+            diverged |= gone
 
     # the statistics read each point's rounds as one contiguous (rounds, .) block
     d_mu, d_x, d_y = (np.ascontiguousarray(v.swapaxes(0, 1)) for v in (d_mu, d_x, d_y))
@@ -305,7 +307,7 @@ def _audit_points(pair, W, points, alpha, seed):
     phi, A_norm = ag.cost.phi, ag.A_norm
     eq52_coef = A_norm**2 / phi
     reports = []
-    for g, (_, d_eta, d_zeta, q, cert, K, envelopes) in enumerate(points):
+    for g, (_, d_eta, d_zeta, q, cert, K) in enumerate(points):
         end = int(k_end[g])
         rounds = slice(1, end + 1)
         dmu, dx, dy = d_mu[g, rounds], d_x[g, rounds], d_y[g, rounds]
@@ -331,14 +333,12 @@ def _audit_points(pair, W, points, alpha, seed):
 
         # a divergence voids the signal floor's stop, so the tail starts at K
         k_tail = K if diverged[g] else k_measured[g]
-        tau1, tau2 = cert.tau1, cert.tau2
         tail = _tail_bound(k_tail, alpha, pair.delta, A_norm, tau1, tau2, q, d_eta, d_zeta, m)
-        report = AuditReport(
+        reports.append(AuditReport(
             eps_empirical=eps_e + tail, eps_theoretical=cert.eps_theory, eps_star=cert.eps_star,
             delta_eta_norms=eta_norms, delta_zeta_norms=zeta_norms,
             bound_violations=violations, horizon=K, tail=tail, i0=i0,
-        )
-        reports.append(report)
+        ))
     return reports
 
 

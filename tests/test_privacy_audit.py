@@ -1,3 +1,4 @@
+import itertools
 from unittest import mock
 
 import numpy as np
@@ -345,9 +346,12 @@ def reference_forced_difference_run(
     )
 
 
-def report_bytes(report):
-    """Every AuditReport field as bytes."""
-    return {name: np.asarray(value).tobytes() for name, value in vars(report).items()}
+def report_bytes(report, any_nan=False):
+    """Every AuditReport field as bytes; with any_nan, every NaN as np.nan's."""
+    fields = {name: np.asarray(value) for name, value in vars(report).items()}
+    if any_nan:
+        fields = {name: np.where(np.isnan(a), np.nan, a) for name, a in fields.items()}
+    return {name: a.tobytes() for name, a in fields.items()}
 
 
 def assert_matches_reference(pair, W, sched, cfg, seed, horizon=None):
@@ -419,16 +423,179 @@ def test_divergence_break_matches_the_per_round_reference(sym2):
     )
 
 
-def assert_batch_matches_one_schedule_audits(pair, W, schedules, alpha, seed):
-    """Audit the schedules as one batch; each entry equals that schedule audited alone."""
-    batch = forced_difference_run(pair, W, schedules, alpha, seed)
+# m = p = 2: nondiagonal3's agent 1 audited at alpha = 0.1 and this delta, whose
+# divergence threshold 1e9 alpha delta ||A_1|| is ND_THRESHOLD. The radius is huge
+# and the shift small, so every solution stays O(1) and a jump J >= 2**60 added
+# to round 5's shifted solution reaches Delta x(5) - Delta x(4) exactly; round
+# 6's Delta eta is then -alpha A_1 J, rounded as the audit rounds it
+ND_ALPHA, ND_DELTA = 0.1, 2246825723.942409
+ND_THRESHOLD = 1e9 * max(1.0, ND_ALPHA * ND_DELTA * nondiagonal3()[0].agents[1].A_norm)
+# found by a search over the ulps of J near A_1^-1 (1, -1): round 6's entries
+# have equal magnitude, and their norm is one ulp above the threshold, while
+# sqrt(2) times the largest entry, rounded, is not
+ND_EQUAL = [float.fromhex("0x1.4ccccccccccc5p+60"), -float.fromhex("0x1.1867223e47e71p+61")]
+
+
+def nondiagonal_pair():
+    inst, W = nondiagonal3()
+    return make_adjacent_pair(inst, 1, ND_DELTA, [0.3, -0.4]), W.W
+
+
+def predicted_delta_eta(pair, jump):
+    """Round 6's Delta eta when round 5's shifted solution jumps by `jump`."""
+    dy = np.empty((1, 2))
+    privacy_audit._matvecs(pair.base.agents[1].A, np.array([jump]), dy)
+    return -ND_ALPHA * dy[0]
+
+
+def guarded_rows(jumps):
+    """argmin_rows, except that its fifth call adds jumps[g] to row g's solution.
+    A row whose c is not finite gets its box's center, where argmin_local
+    would fail after its whole iteration budget."""
+    calls = []
+
+    def solve(cost, box, c):
+        calls.append(c)
+        x = np.array([
+            argmin_local(cost, box, row).x if np.isfinite(row).all()
+            else (box.lower + box.upper) / 2.0
+            for row in c
+        ])
+        return x + np.asarray(jumps) if len(calls) == 5 else x
+
+    return solve
+
+
+def guarded_reference(pair, W, sched, jump):
+    rows = guarded_rows([jump])
+
+    def solver(cost, box, c):
+        return ArgminResult(x=rows(cost, box, c[None])[0], kkt_residual=0.0)
+
+    cfg = RunConfig(alpha=ND_ALPHA, iters=1)
+    return reference_forced_difference_run(pair, W, sched, cfg, 3, horizon=10, solver=solver)
+
+
+def nd_schedule(q=0.9):
+    return NoiseSchedule.uniform(3, d_zeta=0.7, q=q)
+
+
+def crossing_jump(pair):
+    """A jump whose round-6 Delta eta has entries 0.8 and 0.75 times the threshold:
+    each stays below it, their norm does not."""
+    A = pair.base.agents[1].A
+    return np.linalg.solve(A, [0.8, 0.75]) * (-ND_THRESHOLD / ND_ALPHA)
+
+
+@pytest.mark.parametrize("case", ["sqrt_m", "ulps_above", "inf", "nan"])
+def test_divergence_break_at_m_2_matches_the_per_round_reference(case):
+    """The divergence test at m = 2 skips the norms only where no row can cross:
+    (sqrt_m) a norm above the threshold whose entries are below it, (ulps_above)
+    a norm one ulp above it from entries of equal magnitude, so that sqrt(2)
+    times the largest entry, rounded, is not above it, and a jump to inf or
+    NaN. The non-finite cases compare NaNs by value: the sign of a NaN the
+    arithmetic makes differs between the two (np.linalg.norm against a matmul)."""
+    pair, W = nondiagonal_pair()
+    jump = {
+        "sqrt_m": crossing_jump(pair), "ulps_above": ND_EQUAL,
+        "inf": [np.inf, 0.0], "nan": [np.nan, 0.0],
+    }[case]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with mock.patch.object(privacy_audit, "argmin_rows", guarded_rows([jump])):
+            got = audit_one(pair, W, nd_schedule(), ND_ALPHA, 3, horizon=10)
+        want = guarded_reference(pair, W, nd_schedule(), jump)
+    finite = case in ("sqrt_m", "ulps_above")
+    assert report_bytes(got, any_nan=not finite) == report_bytes(want, any_nan=not finite)
+    eta = got.delta_eta_norms
+    assert len(eta) == 11 and np.all(eta[1:6] < 1.0)
+    if case == "nan":
+        assert np.isnan(eta[6:8]).all() and np.isfinite(eta[8:]).all()  # never diverged
+        return
+    assert eta[6] > ND_THRESHOLD and not eta[7:].any() and got.bound_violations >= 1
+    dmu = predicted_delta_eta(pair, jump)
+    if case == "sqrt_m":
+        assert np.abs(dmu).max() < 0.81 * ND_THRESHOLD
+    if case == "ulps_above":
+        assert eta[6] == np.nextafter(ND_THRESHOLD, np.inf)
+        assert abs(dmu[0]) == abs(dmu[1]) and eta[6] == privacy_audit._norms(dmu[None], 1)[0]
+        assert not abs(dmu[0]) > ND_THRESHOLD / np.sqrt(2.0)
+
+
+def test_a_nan_row_does_not_hide_a_crossing_row_at_m_2():
+    """One batch round in which row 0 turns NaN, row 1 crosses the threshold by
+    its norm alone, row 2 jumps to inf and row 3 does not jump: each report
+    equals the per-round reference of its schedule with its own jump."""
+    pair, W = nondiagonal_pair()
+    schedules = [nd_schedule(q) for q in (0.8, 0.85, 0.9, 0.95)]
+    jumps = [[np.nan, 0.0], crossing_jump(pair), [np.inf, 0.0], [0.0, 0.0]]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with mock.patch.object(privacy_audit, "argmin_rows", guarded_rows(jumps)):
+            batch = forced_difference_run(pair, W, schedules, ND_ALPHA, 3, horizon=10)
+        wants = [guarded_reference(pair, W, s, jump) for s, jump in zip(schedules, jumps)]
+    for got, want in zip(batch, wants):
+        assert report_bytes(got, any_nan=True) == report_bytes(want, any_nan=True)
+    assert [report.bound_violations > 0 for report in batch[1:]] == [True, True, False]
+
+
+def test_an_overflowing_norm_still_counts_as_divergence(sym2):
+    """At delta = 1e200 the threshold is about 1e209. A jump of 1e160 in round 5
+    makes round 6's Delta eta about 1e160, whose square overflows: its norm is
+    inf, above the threshold, although its entry is far below it."""
+    inst, W = sym2
+    pair = make_adjacent_pair(inst, 0, 1e200, [0.5])
+    cfg = RunConfig(alpha=0.9, iters=1)
+    sched = NoiseSchedule.uniform(2, q=0.95)
+
+    def jump(result):
+        return ArgminResult(x=result.x + 1e160, kkt_residual=result.kkt_residual)
+
+    jumping_rows = jumping(argmin_rows, lambda x: x + 1e160)
+    with np.errstate(over="ignore"):
+        with mock.patch.object(privacy_audit, "argmin_rows", jumping_rows):
+            got = audit_one(pair, W, sched, cfg.alpha, seed=11, horizon=10)
+        want = reference_forced_difference_run(
+            pair, W, sched, cfg, seed=11, horizon=10, solver=jumping(argmin_local, jump)
+        )
+    assert report_bytes(got) == report_bytes(want)
+    assert got.delta_eta_norms[6] == np.inf and not got.delta_eta_norms[7:].any()
+
+
+def counting_envelopes(pows):
+    """audited_certificate, with a tau1 that appends to `pows` each power taken of it:
+    one per evaluation of the envelope coef (tau1^(k-1) - tau2^(k-1))."""
+    certify = privacy_audit.audited_certificate
+
+    class Tau1(float):
+        def __pow__(self, k):
+            pows.append(k)
+            return float(self) ** k
+
+    def counting(*args):
+        cert = certify(*args)
+        return cert._replace(tau1=Tau1(cert.tau1))
+
+    return counting
+
+
+def assert_batch_matches_one_schedule_audits(pair, W, schedules, alpha, seed, horizon=None):
+    """Audit the schedules as one batch; each entry equals that schedule audited
+    alone. The batch evaluates the envelope of each round once, up to its
+    longest-measured point's last round, and of one round more where the
+    envelope sinks below the signal floor before the largest horizon."""
+    pows = []
+    with mock.patch.object(privacy_audit, "audited_certificate", counting_envelopes(pows)):
+        batch = forced_difference_run(pair, W, schedules, alpha, seed, horizon=horizon)
     assert len(batch) == len(schedules)
     for sched, got in zip(schedules, batch):
-        alone = audit_one(pair, W, sched, alpha, seed)
+        alone = audit_one(pair, W, sched, alpha, seed, horizon=horizon)
         if isinstance(got, InadmissibleDecayError):
             assert isinstance(alone, InadmissibleDecayError)
         else:
             assert report_bytes(got) == report_bytes(alone)
+    reports = [report for report in batch if isinstance(report, AuditReport)]
+    longest = max((len(report.delta_eta_norms) - 1 for report in reports), default=0)
+    floor = longest < max((report.horizon for report in reports), default=0)
+    assert pows == list(range(longest + floor))
     return batch
 
 
@@ -437,11 +604,25 @@ GRID = [(dz, q) for dz in (0.5, 1.0, 2.0) for q in (0.95, 0.98, 0.99)]
 
 @pytest.mark.parametrize("alpha", [0.45, 0.9])
 def test_a_batched_grid_equals_its_one_schedule_audits(sym2, alpha):
+    """At each horizon, with and without an inadmissible first point, each point
+    measures up to its horizon K or up to the round before the envelope sinks
+    below the signal floor (round 54 at alpha = 0.45, 391 at 0.9), whichever
+    comes first: at horizon 50 every K comes first, at 3000 the floor does,
+    and at alpha = 0.9 the default K is above the floor's round at q = 0.95
+    and below it elsewhere."""
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
-    schedules = [NoiseSchedule.uniform(2, d_zeta=dz, q=q) for dz, q in GRID]
-    batch = assert_batch_matches_one_schedule_audits(pair, W, schedules, alpha, 11)
-    assert all(isinstance(report, AuditReport) for report in batch)
+    floor = {0.45: 53, 0.9: 390}[alpha]
+    for horizon, first in itertools.product([None, 50, 3000], [[], [(1.0, 0.3)]]):
+        schedules = [NoiseSchedule.uniform(2, d_zeta=dz, q=q) for dz, q in first + GRID]
+        batch = assert_batch_matches_one_schedule_audits(pair, W, schedules, alpha, 11, horizon)
+        admissible = [isinstance(report, AuditReport) for report in batch]
+        assert admissible == [False] * len(first) + [True] * 9
+        reports = batch[len(first):]
+        measured = [len(report.delta_eta_norms) - 1 for report in reports]
+        assert measured == [min(report.horizon, floor) for report in reports]
+        if (alpha, horizon) == (0.9, None):
+            assert min(measured) < floor < max(report.horizon for report in reports)
 
 
 def test_a_batched_nondiagonal_grid_equals_its_one_schedule_audits():
