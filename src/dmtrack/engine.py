@@ -91,18 +91,14 @@ class EngineState:
 
 @dataclass(frozen=True, eq=False)
 class RunConfig:
-    """Stepsize, horizon, and recording stride for one run.
-
-    mu0 and x0 override the default initial iterates (zeros and the box
-    projection of zero). alpha = 0 is allowed for the degenerate fixed-dual
+    """Stepsize, horizon, and recording stride for one run; every run starts
+    from `init_state`. alpha = 0 is allowed for the degenerate fixed-dual
     diagnostic even though productive runs need alpha > 0.
     """
 
     alpha: float
     iters: int
     record_every: int = 1
-    mu0: Optional[np.ndarray] = None
-    x0: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.alpha < 0:
@@ -141,19 +137,13 @@ class RunTrace:
         return float(np.max(self.tracking_residual))
 
 
-def init_state(instance, config):
-    """Initial iterates; the tracker must start at the local mismatch."""
+def init_state(instance):
+    """The start of every run: zero duals, x(0) the box projection of zero and
+    the tracker at the local mismatch, y(0) = A x(0) - d."""
     n, m, p = instance.dims
-    if config.x0 is not None:
-        x0 = np.asarray(config.x0, dtype=float).reshape(n, p).copy()
-    else:
-        x0 = np.clip(np.zeros((n, p)), instance.lower, instance.upper)
-    if config.mu0 is not None:
-        mu0 = np.asarray(config.mu0, dtype=float).reshape(n, m).copy()
-    else:
-        mu0 = np.zeros((n, m))
+    x0 = np.clip(np.zeros((n, p)), instance.lower, instance.upper)
     y0 = np.einsum("imp,ip->im", instance.A, x0) - instance.d
-    return EngineState(mu=mu0, x=x0, y=y0, round=0)
+    return EngineState(mu=np.zeros((n, m)), x=x0, y=y0, round=0)
 
 
 class _Row(NamedTuple):
@@ -360,7 +350,7 @@ def _as_seeds(seed):
 
 
 def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, draws=None):
-    """Run `config.iters` rounds and record metrics every `config.record_every`.
+    """Run `config.iters` rounds from `init_state` and record metrics every `config.record_every`.
 
     seed : int or sequence of int
         One trial per seed. A sequence runs the trials together as one
@@ -395,7 +385,7 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
             f"draws of shape {draws.shape} do not fit a run of {iters} rounds, "
             f"{T} trials and width {2 * n * m}"
         )
-    start = init_state(instance, config)
+    start = init_state(instance)
     x_star = None if x_star is None else np.asarray(x_star, dtype=float)
     rec = _Recorder(instance, W, config, T, keep_states, x_star)
     src = rec.rows[0]

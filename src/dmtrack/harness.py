@@ -329,7 +329,7 @@ def materialize(config):
         pair = make_adjacent_pair(instance, v["audit.i0"], v["audit.delta"], v["audit.delta_prime"])
     except ValueError as exc:  # its message starts with the argument's name
         raise ConfigError(f"audit.{exc}") from exc
-    constants = theory_constants(alpha, mod, W.lambda_bar, bounds, schedule=schedule)
+    constants = theory_constants(alpha, mod, W.lambda_bar, bounds, schedule)
     mse = mse_bounds(schedule, mod, instance.n, instance.m)
     privacy = audited_certificate(pair, schedule, alpha)
     return Materialized(instance, graph, W, schedule, alpha, mod, pair, constants, mse, privacy)

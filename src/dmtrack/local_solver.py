@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import SolverFailure
 
-MAX_INNER_DEFAULT = 100_000
+MAX_INNER = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,7 +68,7 @@ def argmin_rows(cost, box, c):
     return np.array([argmin_local(cost, box, row).x for row in c])
 
 
-def argmin_local(cost, box, c, max_inner=MAX_INNER_DEFAULT):
+def argmin_local(cost, box, c):
     """Global minimizer of 0.5 z^T U z + v^T z - c^T z over the box.
 
     Parameters
@@ -76,9 +76,8 @@ def argmin_local(cost, box, c, max_inner=MAX_INNER_DEFAULT):
     cost : QuadraticCost
     box : BoxSet
     c : array, shape (p,)
-        Precomputed A_i^T mu_i.
-    max_inner : int
-        Budget for the projected-gradient path; exceeding it raises SolverFailure.
+        Precomputed A_i^T mu_i. For non-diagonal U, a non-finite c raises
+        SolverFailure at once, and so do MAX_INNER steps short of the tolerance.
     """
     c = np.atleast_1d(np.asarray(c, dtype=float))
     if c.shape != (cost.p,):
@@ -95,22 +94,24 @@ def argmin_local(cost, box, c, max_inner=MAX_INNER_DEFAULT):
         grad = diag * x + v - c
         res = box_kkt_residual(grad, x, lo, hi)
         return ArgminResult(x=x, kkt_residual=res)
+    if not np.isfinite(c).all():
+        raise SolverFailure(f"linear term c = {c} is not finite")
 
     # general U: projected gradient from the projected unconstrained minimizer
     x = box.project(np.linalg.solve(U, c - v))
     step = 1.0 / cost.L
-    for _ in range(max_inner):
+    for _ in range(MAX_INNER):
         grad = U @ x + v - c
         res = box_kkt_residual(grad, x, lo, hi)
         if res <= tol:
             return ArgminResult(x=x, kkt_residual=res)
         x = np.clip(x - step * grad, lo, hi)
     raise SolverFailure(
-        f"projected gradient did not reach tolerance {tol:.2e} within {max_inner} steps"
+        f"projected gradient did not reach tolerance {tol:.2e} within {MAX_INNER} steps"
     )
 
 
-def solve_all_from_c(instance, c, max_inner=MAX_INNER_DEFAULT):
+def solve_all_from_c(instance, c):
     """Vectorized x-update for all agents given their linear terms c_i = A_i^T mu_i.
 
     Diagonal instances use the closed form across agents in one shot; otherwise
@@ -127,7 +128,7 @@ def solve_all_from_c(instance, c, max_inner=MAX_INNER_DEFAULT):
     for t, ct in enumerate(batch):
         for i, a in enumerate(instance.agents):
             try:
-                out[t, i] = argmin_local(a.cost, a.box, ct[i], max_inner=max_inner).x
+                out[t, i] = argmin_local(a.cost, a.box, ct[i]).x
             except SolverFailure as exc:
                 where = f"agent {i}" if c.ndim == 2 else f"trial {t}, agent {i}"
                 first = first or (f"{where}: {exc}", exc)

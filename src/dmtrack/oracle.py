@@ -21,8 +21,10 @@ import numpy as np
 from .errors import InfeasibleProblemError, SolverFailure
 from .local_solver import box_kkt_residual, solve_all_from_c
 
-# bound on kkt_residual (relative to 1 + ||D||); solve_dual stops at a coupling residual of 1e-10
+# kkt_residual's bound, relative to 1 + ||D||; solve_dual stops at a coupling residual of DUAL_TOL
 KKT_TOL = 1e-9
+DUAL_TOL = 1e-10
+MAX_OUTER = 1_000_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,8 +65,8 @@ def _feasibility_precheck(instance):
         )
 
 
-def solve_dual(instance, tol=1e-10, max_outer=1_000_000):
-    """Dual ascent to ||grad g|| <= tol; raises if infeasible or not converged."""
+def solve_dual(instance):
+    """Dual ascent to ||grad g|| <= DUAL_TOL; raises if infeasible or past MAX_OUTER steps."""
     n, m, p = instance.dims
     _feasibility_precheck(instance)
     L_dual = sum(ag.A_norm**2 / ag.cost.phi for ag in instance.agents)
@@ -74,11 +76,11 @@ def solve_dual(instance, tol=1e-10, max_outer=1_000_000):
 
     mu = np.zeros(m)
     gap = np.inf
-    for it in range(1, max_outer + 1):
+    for it in range(1, MAX_OUTER + 1):
         x = solve_all_from_c(instance, np.einsum("imp,im->ip", A, np.broadcast_to(mu, (n, m))))
         grad = total - np.einsum("imp,ip->m", A, x)
         gap = float(np.linalg.norm(grad))
-        if gap <= tol:
+        if gap <= DUAL_TOL:
             return OptSolution(
                 x_star=x,
                 mu_star=mu.copy(),
@@ -88,7 +90,7 @@ def solve_dual(instance, tol=1e-10, max_outer=1_000_000):
             )
         mu = mu + step * grad
     raise SolverFailure(
-        f"dual ascent did not reach tol={tol:g} in {max_outer} iterations "
+        f"dual ascent did not reach tol={DUAL_TOL:g} in {MAX_OUTER} iterations "
         f"(final gradient norm {gap:.3e})"
     )
 

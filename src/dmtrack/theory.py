@@ -220,13 +220,13 @@ class TheoryConstants(NamedTuple):
     tau2: float
 
 
-def theory_constants(alpha, mod, lambda_bar, bounds, schedule=None):
+def theory_constants(alpha, mod, lambda_bar, bounds, schedule):
     """Bundle every scalar constant the experiment reports need.
 
     bounds is stepsize_bounds(mod, lambda_bar). tau1 / tau2 are the
     q_interval roots at the global moduli (phi_under, A_norm), which are the
     audited agent's when agents are homogeneous. r_lb folds in the mask
-    decays when a schedule is given. Where the stepsize admits no contraction
+    decays of an enabled schedule. Where the stepsize admits no contraction
     factor or decay interval, C, r_lb, tau1 and tau2 are NaN; lambda_bar and
     the stepsize caps do not depend on the stepsize and keep their values.
     """
@@ -234,7 +234,7 @@ def theory_constants(alpha, mod, lambda_bar, bounds, schedule=None):
         C = contraction_C(alpha, mod.phi_under, mod.L_bar, mod.A_norm, mod.lamAA_min)
         _, tau1, tau2 = q_interval(alpha, mod.phi_under, mod.A_norm)
         r_lb = max(C, lambda_bar)
-        if schedule is not None and schedule.enabled:
+        if schedule.enabled:
             r_lb = max(r_lb, float(np.max(schedule.q_eta)), float(np.max(schedule.q_zeta)))
     except (InadmissibleDecayError, ValueError):
         C = r_lb = tau1 = tau2 = math.nan

@@ -1,10 +1,10 @@
 """Shared fixtures and test helpers. The expensive Monte Carlo artifacts are
 built once per session and reused by both the module tests and the acceptance
 gate. The helpers are independent references for the tests: mask injection,
-mask logs, one stepwise round, a written-out reference round, the fixed-point
-residual, box membership, the audit grid sweep, the envelope and smoothness
-checks, and a brute-force grid search that the oracle's optimum is compared
-against."""
+start states other than the engine's, mask logs, one stepwise round, a
+written-out reference round, the fixed-point residual, box membership, the
+audit grid sweep, the envelope and smoothness checks, and a brute-force grid
+search that the oracle's optimum is compared against."""
 
 import time
 from unittest import mock
@@ -90,6 +90,21 @@ def step_once(state, instance, W, alpha, eta=None, zeta=None):
         batch(eta), batch(zeta),
     )
     return EngineState(mu=mu1[0], x=x1[0], y=y1[0], round=state.round + 1)
+
+
+def start_state(instance, mu=None, x=None):
+    """A round-0 state from the given duals and primal iterates (by default those of
+    engine.init_state), with the tracker at the local mismatch, y(0) = A x(0) - d."""
+    start = engine.init_state(instance)
+    mu = start.mu if mu is None else np.asarray(mu, dtype=float).reshape(start.mu.shape)
+    x = start.x if x is None else np.asarray(x, dtype=float).reshape(start.x.shape)
+    y = np.einsum("imp,ip->im", instance.A, x) - instance.d
+    return EngineState(mu=mu, x=x, y=y, round=0)
+
+
+def starting_at(state):
+    """Patch the engine to start every run from `state` instead of engine.init_state's."""
+    return mock.patch.object(engine, "init_state", lambda instance: state)
 
 
 def fixed_point_residual(state, instance, W):

@@ -13,19 +13,40 @@ def load_tool():
 
 
 def test_the_checkout_matches_itself_on_one_seed(capsys):
+    """Every command of every workload config runs and matches itself; the
+    single-point audit of free_converge's noise-free config is rejected (exit 2)."""
     tool = load_tool()
     assert tool.main([str(ROOT), str(ROOT), "--seeds", "3", "--invocations", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines == [
-        f"{workload} seed 3 invocation 0: identical (exit [0])"
-        for workload in ("mc_noisy", "free_converge", "audit_grid")
-    ] + ["0 differing items"]
+    own = {"mc_noisy": "run", "free_converge": "run", "audit_grid": "audit --grid"}
+    assert lines[:15] == [
+        f"{workload} seed 3 invocation 0 {name}: identical (exit "
+        f"[{2 if (workload, name) == ('free_converge', 'audit') else 0}])"
+        for workload in own
+        for name in (own[workload], "bounds", "oracle", "audit", "sweep")
+    ]
+    assert lines[15] == "wc -l src/dmtrack/*.py: parent, change, delta"
+    counts = tool.line_counts(ROOT)
+    assert lines[16:-2] == [f"  {name:<20} {n:>6} {n:>6} {0:>+6}" for name, n in counts.items()]
+    total = sum(counts.values())
+    assert lines[-2:] == [f"  {'total':<20} {total:>6} {total:>6} {0:>+6}", "0 differing items"]
+
+
+def test_every_file_a_command_writes_is_compared(tmp_path):
+    """A sweep's items are its stdout, sweep.csv and each value's trace.csv and
+    summary.json, but no timings.json."""
+    tool = load_tool()
+    items = tool.run_case(ROOT, "mc_noisy", 3, 0, "sweep", tmp_path / "work")
+    assert sorted(items) == sorted(["exit code", "stdout", "sweep.csv"] + [
+        f"d_zeta_{value}/{name}" for value in ("0.5", "2") for name in ("summary.json", "trace.csv")
+    ])
 
 
 def test_every_differing_item_is_named():
     tool = load_tool()
     parent = {"exit code": 0, "stdout": "a", "trace.csv": "b", "summary.json": "c"}
-    parent["audit.csv"] = None
     change = dict(parent, stdout="x", **{"audit.csv": "d", "exit code": 1})
     assert tool.differing(parent, parent) == []
     assert tool.differing(parent, change) == ["exit code", "stdout", "audit.csv"]
+    del change["trace.csv"]
+    assert tool.differing(parent, change) == ["exit code", "stdout", "trace.csv", "audit.csv"]

@@ -1,7 +1,6 @@
 import itertools
 import tracemalloc
 import warnings
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -23,7 +22,7 @@ from dmtrack.topology import metropolis_weights, ring_plus_random
 
 from conftest import (
     build_preset, fixed_point_residual, inject_masks, kernel_round, mask_log, reference_round,
-    step_once,
+    start_state, starting_at, step_once,
 )
 
 
@@ -65,7 +64,7 @@ def test_init_state_projects_default_x0():
             ),
         )
     )
-    st = init_state(inst, RunConfig(alpha=0.1, iters=1))
+    st = init_state(inst)
     assert st.x[0, 0] == 3.0  # projection of zero onto [3, 5]
     assert st.y[0, 0] == 2.0 * 3.0 - 1.0
     assert not st.mu.any()
@@ -77,10 +76,9 @@ def test_hand_executed_single_step():
     x(0) = 1 gives mu(1) = -0.1, x(1) = -0.05, y(1) = -0.05."""
     inst = single_agent_instance()
     W = np.array([[1.0]])
-    cfg = RunConfig(alpha=0.1, iters=1, x0=np.array([[1.0]]))
-    st = init_state(inst, cfg)
+    st = start_state(inst, x=np.array([[1.0]]))
     assert st.y[0, 0] == 1.0
-    nxt = step_once(st, inst, W, cfg.alpha)
+    nxt = step_once(st, inst, W, 0.1)
     assert nxt.mu[0, 0] == pytest.approx(-0.1, abs=1e-15)
     assert nxt.x[0, 0] == pytest.approx(-0.05, abs=1e-15)
     assert nxt.y[0, 0] == pytest.approx(-0.05, abs=1e-15)
@@ -112,9 +110,8 @@ def test_perturbed_state_has_positive_residuals():
 def test_zero_stepsize_freezes_dual_at_mixing():
     inst, W = symmetric2()
     mu0 = np.array([[3.0], [1.0]])
-    cfg = RunConfig(alpha=0.0, iters=1, mu0=mu0)
-    st = init_state(inst, cfg)
-    nxt = step_once(st, inst, W, cfg.alpha)
+    st = start_state(inst, mu=mu0)
+    nxt = step_once(st, inst, W, 0.0)
     assert np.allclose(nxt.mu, W.W @ mu0, atol=1e-15)
     c = np.einsum("imp,im->ip", inst.A, nxt.mu)
     assert np.allclose(nxt.x, solve_all_from_c(inst, c), atol=1e-15)
@@ -470,7 +467,7 @@ def test_every_record_matches_stepwise_evaluation(trials, nondiagonal):
             return a if trials == 1 else a[t]
 
         eta, zeta = (a[0] for a in mask_log(sched, [seed], cfg.iters, inst.m))
-        state = init_state(inst, cfg)
+        state = init_state(inst)
         zeta_cum = np.zeros(inst.m)  # summed round by round, as the recursion adds it
         want = {key: [] for key in ("mse", "consensus_mu", "tracking_residual", "feasibility")}
         for k in range(cfg.iters + 1):
@@ -513,8 +510,9 @@ def test_divergence_inside_a_partly_filled_metric_block():
         # round 224; at round 200 its squared error already overflows
         one = single_agent_instance(lo=-np.inf, hi=np.inf)
         two = ProblemInstance(agents=(one.agents[0], one.agents[0]))
-        cfg = RunConfig(alpha=50.0, iters=200, x0=np.ones((2, 1)))
-        tr = run(two, W, NoiseSchedule.disabled(2), cfg, 0, x_star=np.zeros((2, 1)))
+        cfg = RunConfig(alpha=50.0, iters=200)
+        with starting_at(start_state(two, x=np.ones((2, 1)))):
+            tr = run(two, W, NoiseSchedule.disabled(2), cfg, 0, x_star=np.zeros((2, 1)))
     assert np.isinf(tr.mse[-1]) and np.isfinite(tr.final_state.x).all()
 
 
@@ -640,9 +638,10 @@ def test_divergence_is_reported():
     inst = single_agent_instance(lo=-np.inf, hi=np.inf)
     two = ProblemInstance(agents=(inst.agents[0], inst.agents[0]))
     W = metropolis_weights(PRESETS["symmetric2"]()[1])
-    cfg = RunConfig(alpha=50.0, iters=400, x0=np.ones((2, 1)))
-    with pytest.raises(SolverFailure, match="diverged") as caught:
-        run(two, W, NoiseSchedule.disabled(2), cfg, seed=0)
+    cfg = RunConfig(alpha=50.0, iters=400)
+    with starting_at(start_state(two, x=np.ones((2, 1)))):
+        with pytest.raises(SolverFailure, match="diverged") as caught:
+            run(two, W, NoiseSchedule.disabled(2), cfg, seed=0)
     assert caught.value.trials == [0]
 
 
@@ -687,8 +686,7 @@ def test_a_failed_local_solve_names_every_failing_seed():
     inst = ProblemInstance(agents=(agent, agent))
     eta = np.zeros((3, 4, 2, 2))
     eta[[0, 2], 0] = 10.0
-    one_step = partial(solve_all_from_c, max_inner=1)
-    with mock.patch.object(engine, "solve_all_from_c", one_step), inject_masks(eta):
+    with mock.patch.object(local_solver, "MAX_INNER", 1), inject_masks(eta):
         with pytest.raises(SolverFailure, match=r"^round 0: trial 0, agent 0: ") as caught:
             run(inst, symmetric2()[1], NoiseSchedule.uniform(2), RunConfig(0.1, 4), [5, 6, 7])
     assert caught.value.trials == [0, 2]
@@ -704,8 +702,7 @@ def test_a_failed_local_solve_also_names_the_trials_that_diverged_before():
     eta, zeta = np.zeros((2, 5, 2, 2)), np.zeros((2, 5, 2, 2))
     zeta[1, 0, 0, 0] = np.nan
     eta[0, 3] = 10.0
-    one_step = partial(solve_all_from_c, max_inner=1)
-    with mock.patch.object(engine, "solve_all_from_c", one_step), inject_masks(eta, zeta):
+    with mock.patch.object(local_solver, "MAX_INNER", 1), inject_masks(eta, zeta):
         pattern = r"^round 3: trial 0, agent 0: .*\(trial seeds 5, 6\)$"
         with pytest.raises(SolverFailure, match=pattern) as caught:
             run(inst, symmetric2()[1], NoiseSchedule.uniform(2), RunConfig(0.1, 5), [5, 6])
@@ -737,7 +734,7 @@ def test_infinite_dual_at_a_zero_tracker_is_reported():
     cfg = RunConfig(alpha=0.45, iters=10)
     eta = np.zeros((2, 10, 2, 1))
     eta[1, 4, 0, 0] = np.inf
-    state = step_once(init_state(inst, cfg), inst, W, cfg.alpha, eta[1, 4], np.zeros((2, 1)))
+    state = step_once(init_state(inst), inst, W, cfg.alpha, eta[1, 4], np.zeros((2, 1)))
     assert np.isinf(state.mu).all() and not state.y.any()
     with pytest.raises(SolverFailure, match=r"^round 5: .*\(trial seeds 31\)$") as caught:
         with inject_masks(eta):
@@ -750,7 +747,7 @@ def test_nan_in_the_tracker_alone_is_reported():
     cfg = RunConfig(alpha=0.45, iters=10)
     zeta = np.zeros((2, 10, 2, 1))
     zeta[1, 0, 1, 0] = np.nan
-    state = step_once(init_state(inst, cfg), inst, W, cfg.alpha, np.zeros((2, 1)), zeta[1, 0])
+    state = step_once(init_state(inst), inst, W, cfg.alpha, np.zeros((2, 1)), zeta[1, 0])
     assert np.isfinite(state.mu).all() and np.isnan(state.y).all()
     with pytest.raises(SolverFailure, match=r"^round 1: .*\(trial seeds 21\)$") as caught:
         with inject_masks(np.zeros_like(zeta), zeta):
@@ -767,9 +764,9 @@ def test_overflowing_dot_of_finite_states_is_not_a_divergence():
     )
     inst = ProblemInstance(agents=(agent, agent))
     W = symmetric2()[1]
-    cfg = RunConfig(alpha=0.1, iters=8, mu0=np.full((2, 1), 1e200))
+    cfg = RunConfig(alpha=0.1, iters=8)
     sched = NoiseSchedule.uniform(2)
-    with warnings.catch_warnings():
+    with starting_at(start_state(inst, mu=np.full((2, 1), 1e200))), warnings.catch_warnings():
         warnings.simplefilter("error")
         with inject_masks(np.zeros((1, 8, 2, 1))):
             tr = run(inst, W, sched, cfg, 50)
@@ -819,20 +816,21 @@ def test_overflowing_x_is_reported_with_its_round_and_seeds():
     )
     inst = ProblemInstance(agents=(agent, agent))
     W = symmetric2()[1]
-    cfg = RunConfig(alpha=0.1, iters=12, mu0=np.full((2, 1), 1e307))
+    cfg = RunConfig(alpha=0.1, iters=12)
+    start = start_state(inst, mu=np.full((2, 1), 1e307))
     eta = np.zeros((4, 12, 2, 1))
     eta[1, 0, 0, 0] = 1.6e308  # mu(1) = 0.9e308, so x(1) = 1.8e308 overflows
     eta[3, 6, 1, 0] = 1.7e308
     with np.errstate(over="ignore", invalid="ignore"):
-        first = step_once(init_state(inst, cfg), inst, W, cfg.alpha, eta[1, 0], np.zeros((2, 1)))
+        first = step_once(start, inst, W, cfg.alpha, eta[1, 0], np.zeros((2, 1)))
     assert np.isfinite(first.mu).all() and not np.isfinite(first.x).all()
     sched = NoiseSchedule.uniform(2)
     with pytest.raises(SolverFailure, match=r"^round 1: .*\(trial seeds 41, 43\)$") as caught:
-        with inject_masks(eta):
+        with starting_at(start), inject_masks(eta):
             run(inst, W, sched, cfg, [40, 41, 42, 43])
     assert caught.value.trials == [1, 3]
     with pytest.raises(SolverFailure, match=r"^round 7: .*\(trial seeds 43\)$"):
-        with inject_masks(eta[3:]):
+        with starting_at(start), inject_masks(eta[3:]):
             run(inst, W, sched, cfg, 43)
 
 
@@ -864,10 +862,10 @@ def at_09_alpha_max_t1(name):
 
 def stepped_reference(instance, W, cfg, trials):
     """Every state of a noise-free (trials, n, .) batch, each round from the last
-    through the round kernel, without any fast-forward: rows 0..cfg.iters of
-    engine state buffers."""
+    through the round kernel from engine.init_state, without any fast-forward:
+    rows 0..cfg.iters of engine state buffers."""
     n, m, p = instance.dims
-    start = init_state(instance, cfg)
+    start = engine.init_state(instance)
     buf = engine._StateRows(cfg.iters + 1, trials, n, m, p)
     first = buf.rows[0]
     first.mu[...], first.x[...], first.y[...] = start.mu, start.x, start.y
@@ -985,10 +983,11 @@ def test_a_diverging_noise_free_run_steps_to_its_failure():
     inst = single_agent_instance(lo=-np.inf, hi=np.inf)
     two = ProblemInstance(agents=(inst.agents[0], inst.agents[0]))
     W = metropolis_weights(PRESETS["symmetric2"]()[1])
-    cfg = RunConfig(alpha=50.0, iters=400, x0=np.ones((2, 1)))
+    cfg = RunConfig(alpha=50.0, iters=400)
     kernel, counts = count_kernel_rounds()
     pattern = r"^round 224: .*\(trial seeds 7, 8\)$"
-    with kernel, pytest.raises(SolverFailure, match=pattern) as caught:
+    start = starting_at(start_state(two, x=np.ones((2, 1))))
+    with start, kernel, pytest.raises(SolverFailure, match=pattern) as caught:
         run(two, W, NoiseSchedule.disabled(2), cfg, [7, 8])
     assert caught.value.trials == [0, 1] and counts == [224]
 
@@ -998,10 +997,11 @@ def test_a_repeating_dot_alone_does_not_stop_the_stepping():
     while the trackers of a start off consensus still mix toward their average:
     the run steps on, and gives the bytes of stepping every round."""
     instance, W, _ = at_09_alpha_max_t1("microgrid14")
-    cfg = RunConfig(0.0, 60, x0=np.linspace(0.0, 40.0, 14))
-    ref = stepped_reference(instance, W, cfg, 1)
+    cfg = RunConfig(0.0, 60)
+    with starting_at(start_state(instance, x=np.linspace(0.0, 40.0, 14))):
+        ref = stepped_reference(instance, W, cfg, 1)
+        tr = run(instance, W, NoiseSchedule.disabled(14), cfg, 0, keep_states=True)
     assert not ref.s[:, 0].any() and ref.s[-1, 1].tobytes() != ref.s[-3, 1].tobytes()
-    tr = run(instance, W, NoiseSchedule.disabled(14), cfg, 0, keep_states=True)
     assert tr.rounds_stepped == 60
     assert tr.final_state.y.tobytes() == ref.s[-1, 1, 0].tobytes()
     assert tr.states_x.tobytes() == ref.x[:, 0].tobytes()
@@ -1012,7 +1012,7 @@ def copied_trajectory(instance, W, schedule, cfg, seeds):
     through the round kernel between two rows, with each round copied out."""
     n, m, p = instance.dims
     T = len(seeds)
-    start = init_state(instance, cfg)
+    start = init_state(instance)
     src, dst = engine._StateRows(2, T, n, m, p).rows
     src.mu[...], src.x[...], src.y[...] = start.mu, start.x, start.y
     src.Ax[...] = np.einsum("imp,tip->tim", instance.A, src.x)
@@ -1059,11 +1059,11 @@ def test_a_kept_batch_with_a_retired_trial_names_every_seed():
     inst = single_agent_instance(lo=-np.inf, hi=np.inf)
     two = ProblemInstance(agents=(inst.agents[0], inst.agents[0]))
     W = metropolis_weights(PRESETS["symmetric2"]()[1])
-    cfg = RunConfig(alpha=50.0, iters=400, x0=np.ones((2, 1)))
+    cfg = RunConfig(alpha=50.0, iters=400)
     eta = np.zeros((3, 400, 2, 1))
     eta[1, 5, 0, 0] = np.inf
     with pytest.raises(SolverFailure, match=r"^round 6: .*\(trial seeds 10, 11, 12\)$") as caught:
-        with inject_masks(eta):
+        with starting_at(start_state(two, x=np.ones((2, 1)))), inject_masks(eta):
             run(two, W, NoiseSchedule.uniform(2), cfg, [10, 11, 12], keep_states=True)
     assert caught.value.trials == [0, 1, 2]
 

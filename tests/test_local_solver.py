@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dmtrack import local_solver
 from dmtrack.errors import SolverFailure
 from dmtrack.local_solver import (
     argmin_local,
@@ -12,6 +15,7 @@ from dmtrack.local_solver import (
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
 
 from conftest import box_contains, conjugate_smoothness_check
+from test_engine import nondiagonal3
 
 
 def random_cost_box(rng, p, diagonal):
@@ -80,8 +84,9 @@ def test_solver_failure_carries_agent_index():
     # other stays interior; the warm start is then suboptimal and one
     # projected-gradient step cannot reach tolerance
     c = np.array([[10.0, 1.0], [10.0, 1.0]])
-    with pytest.raises(SolverFailure, match="agent 0"):
-        solve_all_from_c(inst, c, max_inner=1)
+    with mock.patch.object(local_solver, "MAX_INNER", 1):
+        with pytest.raises(SolverFailure, match="agent 0"):
+            solve_all_from_c(inst, c)
 
 
 def test_a_batch_failure_names_every_failing_trial():
@@ -93,9 +98,24 @@ def test_a_batch_failure_names_every_failing_trial():
     inst = ProblemInstance(agents=(ag, ag))
     c = np.zeros((3, 2, 2))
     c[[0, 2]] = 5.0
-    with pytest.raises(SolverFailure, match="^trial 0, agent 0: projected gradient") as caught:
-        solve_all_from_c(inst, c, max_inner=1)
+    with mock.patch.object(local_solver, "MAX_INNER", 1):
+        with pytest.raises(SolverFailure, match="^trial 0, agent 0: projected gradient") as caught:
+            solve_all_from_c(inst, c)
     assert caught.value.trials == [0, 2]
+
+
+@pytest.mark.parametrize("bad", [np.inf, np.nan])
+def test_a_non_finite_linear_term_fails_before_any_step(bad):
+    """A non-diagonal solve given a non-finite c fails at once, naming c, without
+    the projected-gradient steps it can never finish."""
+    agent = nondiagonal3()[0].agents[1]
+    residual = mock.patch.object(
+        local_solver, "box_kkt_residual", wraps=local_solver.box_kkt_residual
+    )
+    pattern = r"^linear term c = \[(inf|nan) +0\.\] is not finite$"
+    with residual as counted, pytest.raises(SolverFailure, match=pattern):
+        argmin_local(agent.cost, agent.box, np.array([bad, 0.0]))
+    assert counted.call_count == 0
 
 
 def test_shape_validation():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dmtrack import oracle
 from dmtrack.errors import InfeasibleProblemError, SolverFailure
 from dmtrack.harness import PRESETS
 from dmtrack.oracle import KKT_TOL, OptSolution, kkt_residual, solve_dual
@@ -111,10 +112,11 @@ def test_negative_coefficients_feasible_hull():
     assert verify_against_grid(inst, sol)
 
 
-def test_iteration_budget_is_enforced():
+def test_iteration_budget_is_enforced(monkeypatch):
     inst, _ = PRESETS["microgrid14"]()
+    monkeypatch.setattr(oracle, "MAX_OUTER", 2)
     with pytest.raises(SolverFailure):
-        solve_dual(inst, max_outer=2)
+        solve_dual(inst)
 
 
 def test_random_instances_agree_with_grid():

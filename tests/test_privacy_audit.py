@@ -284,7 +284,7 @@ def reference_forced_difference_run(
         K = _pick_horizon(alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, m)
     else:
         K = int(horizon)
-    run_cfg = RunConfig(alpha=alpha, iters=K, record_every=K, mu0=config.mu0, x0=config.x0)
+    run_cfg = RunConfig(alpha=alpha, iters=K, record_every=K)
     trace = run(base, W, schedule, run_cfg, seed, keep_states=True)
     states_mu, states_x = trace.states_mu, trace.states_x
 
@@ -451,7 +451,7 @@ def predicted_delta_eta(pair, jump):
 def guarded_rows(jumps):
     """argmin_rows, except that its fifth call adds jumps[g] to row g's solution.
     A row whose c is not finite gets its box's center, where argmin_local
-    would fail after its whole iteration budget."""
+    raises SolverFailure."""
     calls = []
 
     def solve(cost, box, c):

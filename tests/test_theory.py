@@ -304,7 +304,7 @@ def test_theory_constants_symmetric2():
 
 
 def test_theory_constants_rate_floor_without_noise():
-    tc = theory_constants(0.45, SYM2, 0.0, stepsize_bounds(SYM2, 0.0))
+    tc = theory_constants(0.45, SYM2, 0.0, stepsize_bounds(SYM2, 0.0), NoiseSchedule.disabled(2))
     assert tc.r_lb == pytest.approx(max(0.775, 0.0), abs=1e-15)
 
 

@@ -101,7 +101,19 @@ def test_metropolis_doubly_stochastic(n, frac, seed):
             assert (W[i, j] > 0) == ((i, j) in g.edges)
 
 
-@pytest.mark.parametrize("n,extra,seed", [(3, 0, 1), (5, 2, 3), (9, 11, 0), (14, 7, 7)])
+# the power iteration reads these low (2.56e-9 and 5.2e-3); the fix moves mc_noisy's
+# pinned trace digest, so it waits for ROADMAP item 4's output epoch
+POWER_ITERATION_LOW = pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="spectral_gap reads low; its fix waits for ROADMAP item 4's output epoch",
+)
+
+
+@pytest.mark.parametrize("n,extra,seed", [
+    (3, 0, 1), (5, 2, 3), (9, 11, 0), (14, 7, 7),
+    pytest.param(14, 13, 6, marks=POWER_ITERATION_LOW),
+    pytest.param(28, 1, 28, marks=POWER_ITERATION_LOW),
+])
 def test_spectral_gap_matches_dense_eigenvalues(n, extra, seed):
     W = metropolis_weights(ring_plus_random(n, extra, seed)).W
     centered = W - np.ones((n, n)) / n

@@ -1,4 +1,4 @@
-"""Compare the CLI outputs of two checkouts byte for byte.
+"""Compare the CLI outputs and source line counts of two checkouts.
 
     python3 tools/compare_outputs.py PARENT CHANGE [--seeds 0 3 41] [--invocations 2]
 
@@ -6,13 +6,18 @@ PARENT and CHANGE are checkout roots (each holding src/dmtrack). Every case
 is one benchmark workload at one bench seed and invocation index, with the
 config `bench/workloads.py` of this repository writes for it: by default
 bench seeds 0, 3 and 41 and invocations 0 and 1 of the three workloads, 18
-cases. Each checkout runs each case as `python -m dmtrack.cli` in a fresh
-process, in one fixed work directory shared by both checkouts, since
-summary.json's config_hash hashes the output path. The exit code, stdout,
-trace.csv, summary.json and audit.csv must match; timings.json holds wall
-clock times and is left out.
+cases. Each case runs the workload's own command and then, on the same
+config, `bounds`, `oracle`, a single-point `audit` and a two-value `sweep`
+(EXTRA). Each checkout runs each command as `python -m dmtrack.cli` in a
+fresh process, in one fixed work directory shared by both checkouts, since
+summary.json's config_hash hashes the output path. The exit code, stdout and
+every file the command writes (trace.csv, summary.json, audit.csv, sweep.csv
+and each sweep value's files) must match; timings.json holds wall clock
+times and is left out.
 
-Prints one line per case and exits 1 if any item differs, naming each.
+Prints one line per command of each case, then `wc -l src/dmtrack/*.py` of
+both checkouts with the per-file delta, and exits 1 if any item differs,
+naming each.
 """
 
 from __future__ import annotations
@@ -32,31 +37,66 @@ import workloads  # noqa: E402
 
 sys.dont_write_bytecode = _write
 
-FILES = ("trace.csv", "summary.json", "audit.csv")
+# the commands every workload config also runs, after the workload's own; {out}
+# is the case's output directory
+EXTRA = {
+    "bounds": ("bounds",),
+    "oracle": ("oracle",),
+    "audit": ("audit", "--out", "{out}"),
+    "sweep": ("sweep", "--param", "d_zeta", "--values", "0.5,2", "--out", "{out}"),
+}
 
 
-def run_case(checkout, workload, seed, index, work):
-    """The exit code and {item: sha256 of its bytes, or None if absent} of one CLI
-    invocation from `checkout`."""
+def commands(argv, out_dir):
+    """{name: CLI argv}: the workload's own command `argv`, then each of EXTRA on its config."""
+    config = ["--config", argv[argv.index("--config") + 1]]
+    out = {"audit --grid" if "--grid" in argv else argv[0]: argv}
+    for name, (sub, *rest) in EXTRA.items():
+        out[name] = [sub, *config, *(arg.format(out=out_dir) for arg in rest)]
+    return out
+
+
+def run_case(checkout, workload, seed, index, name, work):
+    """The exit code and {item: sha256 of its bytes} of command `name` of one case,
+    run from `checkout`; every file under the output directory but timings.json
+    is an item, named by its path there."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     _, argv, out_dir = workloads.prepare(workload, seed, index, False, work)
     env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
     env.update(PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
-        [sys.executable, "-m", "dmtrack.cli", *argv],
+        [sys.executable, "-m", "dmtrack.cli", *commands(argv, out_dir)[name]],
         cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
     )
     items = {"exit code": proc.returncode, "stdout": hashlib.sha256(proc.stdout).hexdigest()}
-    for name in FILES:
-        path = Path(out_dir) / name
-        items[name] = hashlib.sha256(path.read_bytes()).hexdigest() if path.is_file() else None
+    for path in sorted(Path(out_dir).rglob("*")):
+        if path.is_file() and path.name != "timings.json":
+            item = path.relative_to(out_dir).as_posix()
+            items[item] = hashlib.sha256(path.read_bytes()).hexdigest()
     return items
 
 
 def differing(parent, change):
-    """The items whose bytes (or presence) differ between two run_case results."""
-    return [item for item in parent if parent[item] != change[item]]
+    """The items whose bytes or presence differ between two run_case results."""
+    return [item for item in {**parent, **change} if parent.get(item) != change.get(item)]
+
+
+def line_counts(checkout):
+    """{file name: line count} of src/dmtrack/*.py, as `wc -l` counts them."""
+    files = sorted((Path(checkout) / "src" / "dmtrack").glob("*.py"))
+    return {path.name: path.read_bytes().count(b"\n") for path in files}
+
+
+def print_line_counts(parent, change):
+    """Print each source file's lines in both checkouts, the delta and the totals."""
+    before, after = line_counts(parent), line_counts(change)
+    print("wc -l src/dmtrack/*.py: parent, change, delta")
+    for name in sorted(before.keys() | after.keys()):
+        a, b = before.get(name, 0), after.get(name, 0)
+        print(f"  {name:<20} {a:>6} {b:>6} {b - a:>+6}")
+    a, b = sum(before.values()), sum(after.values())
+    print(f"  {'total':<20} {a:>6} {b:>6} {b - a:>+6}")
 
 
 def main(argv=None):
@@ -71,17 +111,21 @@ def main(argv=None):
     differences = 0
     try:
         for workload in workloads.WORKLOADS:
+            names = commands(workloads.cli_args(workload, "config", "out"), "out")
             for seed in args.seeds:
                 for index in range(args.invocations):
-                    parent = run_case(args.parent, workload, seed, index, work)
-                    change = run_case(args.change, workload, seed, index, work)
-                    diff = differing(parent, change)
-                    differences += len(diff)
-                    verdict = "differs in " + ", ".join(diff) if diff else "identical"
-                    codes = sorted({parent["exit code"], change["exit code"]})
-                    print(f"{workload} seed {seed} invocation {index}: {verdict} (exit {codes})")
+                    for name in names:
+                        parent = run_case(args.parent, workload, seed, index, name, work)
+                        change = run_case(args.change, workload, seed, index, name, work)
+                        diff = differing(parent, change)
+                        differences += len(diff)
+                        verdict = "differs in " + ", ".join(diff) if diff else "identical"
+                        codes = sorted({parent["exit code"], change["exit code"]})
+                        print(f"{workload} seed {seed} invocation {index} {name}: "
+                              f"{verdict} (exit {codes})")
     finally:
         shutil.rmtree(root, ignore_errors=True)
+    print_line_counts(args.parent, args.change)
     print(f"{differences} differing items")
     return 1 if differences else 0
 
