@@ -12,24 +12,25 @@ with y_i(0) = A_i x_i(0) - d_i. Summing the tracker update over agents shows
 the invariant sum_i y_i(k) = sum_i (A_i x_i(k) - d_i) + sum_{t<k} sum_i zeta_i(t),
 which reduces to exact mismatch tracking when the noise is disabled.
 
-`run` steps T independent trials as one (T, n, .) state through a single
-round loop; one int seed is a batch of one. Every per-trial operation
-(stacked matmuls, elementwise updates, norms as one dot product per trial)
-is the one a lone trial would execute, so a trial's outputs do not depend on
-the batch it ran in. The batch keeps its shape to the last round: a trial whose
-state turns non-finite is retired in place, its row zeroed while the others
-step on, and the run then fails naming every diverged trial. `_Recorder` owns
-the rows a run steps in and computes the recorded metrics after stepping, a
-block of recorded rounds at a time, by `_metrics`, which treats each (round,
-trial) row as one more trial: the values are bit-identical to evaluating them
-at every recorded round. Masks come only from `noise.iter_masks`, asked for
-iff `schedule.enabled`, and are not kept: a run's masks are
-`noise.draw_rounds(schedule, range(iters), seeds, m)`. `iter_masks` reads the
-state each round is stepped from; for a round whose masks provably cannot
-change a bit of it or of the tracker-mask total it draws none and yields
-None, and the round is stepped as a noise-free one, with the same bytes.
-Runs of the same seeds given one array of `noise.unit_draws` (`draws`) scale
-copies of its rows instead of drawing their own, with the same bytes.
+`run` steps T independent trials, one per seed, as one (T, n, .) state through
+a single round loop, and every trace array keeps that trial axis. Every
+per-trial operation (stacked matmuls, elementwise updates, norms as one dot
+product per trial) is the one a lone trial would execute, so a trial's outputs
+do not depend on the batch it ran in. The batch keeps its shape to the last
+round: a trial whose state turns non-finite is retired in place, its row
+zeroed while the others step on, and the run then fails naming every diverged
+trial. `_Recorder` owns the rows a run steps in and computes the recorded
+metrics after stepping, a block of recorded rounds at a time, by `_metrics`,
+which treats each (round, trial) row as one more trial: the values are
+bit-identical to evaluating them at every recorded round. Masks come only from
+`noise.iter_masks`, asked for iff `schedule.enabled`, and are not kept: a
+run's masks are `noise.draw_rounds(schedule, range(iters), seeds, m)`.
+`iter_masks` reads the state each round is stepped from; for a round whose
+masks provably cannot change a bit of it or of the tracker-mask total it draws
+none and yields None, and the round is stepped as a noise-free one, with the
+same bytes. Runs of the same seeds given one array of `noise.unit_draws`
+(`draws`) scale copies of its rows instead of drawing their own, with the same
+bytes.
 
 A round's state is one row of preallocated buffers (`_StateRows`): duals and
 trackers stacked as s = [mu; y], shape (2, T, n, m), then x and A x. A round
@@ -81,11 +82,11 @@ KEPT_BLOCK_ROWS = 32
 
 @dataclass(eq=False)
 class EngineState:
-    """Stacked per-agent iterates at one round."""
+    """Stacked per-agent iterates at one round; a trace's final_state has a trial axis."""
 
-    mu: np.ndarray  # (n, m)
-    x: np.ndarray  # (n, p)
-    y: np.ndarray  # (n, m)
+    mu: np.ndarray  # (n, m) or (T, n, m)
+    x: np.ndarray  # (n, p) or (T, n, p)
+    y: np.ndarray  # (n, m) or (T, n, m)
     round: int = 0
 
 
@@ -111,11 +112,11 @@ class RunConfig:
 
 @dataclass(eq=False)
 class RunTrace:
-    """Per-round metrics plus the final state.
+    """Per-round metrics plus the final state of a run of T seeds.
 
-    For a run given one int seed the metrics have shape (records,) and the
-    states drop the trial axis; for a sequence of T seeds every array gains a
-    leading trial axis of length T.
+    Every array but ks has a leading trial axis of length T: the metrics are
+    (T, records), final_state's arrays (T, n, .) and the kept states
+    (T, iters + 1, n, .).
 
     tracking_residual is the tracking-identity defect scaled by
     1 / (1 + magnitude of the states entering it), so a healthy run stays
@@ -339,23 +340,12 @@ class _Recorder:
             self.states_mu[cycle + 2 :: 2], self.states_x[cycle + 2 :: 2] = src.mu, src.x
 
 
-def _as_seeds(seed):
-    """(seeds, single): an int seed is a batch of one whose outputs drop the trial axis."""
-    if isinstance(seed, (int, np.integer)):
-        return [int(seed)], True
-    seeds = [int(s) for s in seed]
-    if not seeds:
-        raise ValueError("need at least one seed")
-    return seeds, False
-
-
-def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, draws=None):
+def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, draws=None):
     """Run `config.iters` rounds from `init_state` and record metrics every `config.record_every`.
 
-    seed : int or sequence of int
-        One trial per seed. A sequence runs the trials together as one
-        (T, n, .) batch; each trial's outputs are bit-identical to a run
-        given that seed alone.
+    seeds : sequence of int
+        One trial per seed, run together as one (T, n, .) batch; each trial's
+        outputs are bit-identical to a run given that seed alone.
     keep_states : bool
         Additionally record the full mu and x trajectories (used by the
         privacy auditor).
@@ -375,7 +365,9 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
     on in the same rows with the same kernel, so `exc.trials` lists the batch
     positions of every trial that diverged.
     """
-    seeds, single = _as_seeds(seed)
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
     W = np.asarray(getattr(W, "W", W), dtype=float)
     n, m, p = instance.dims
     T = len(seeds)
@@ -448,21 +440,16 @@ def run(instance, W, schedule, config, seed, x_star=None, keep_states=False, dra
                 src = prev
     if failed_at is not None:
         raise failure(f"round {failed_at}: state diverged to non-finite values", [])
-
-    def out(a):
-        return a[0] if single else a
-
+    mse, consensus_mu, tracking_residual, feasibility = rec.recorded
     return RunTrace(
         ks=rec.ks,
-        mse=out(rec.recorded[0]),
-        consensus_mu=out(rec.recorded[1]),
-        tracking_residual=out(rec.recorded[2]),
-        feasibility=out(rec.recorded[3]),
+        mse=mse,
+        consensus_mu=consensus_mu,
+        tracking_residual=tracking_residual,
+        feasibility=feasibility,
         # copies: the trace shares no memory with the state rows
-        final_state=EngineState(
-            mu=out(src.mu).copy(), x=out(src.x).copy(), y=out(src.y).copy(), round=iters
-        ),
+        final_state=EngineState(mu=src.mu.copy(), x=src.x.copy(), y=src.y.copy(), round=iters),
         rounds_stepped=iters if cycle is None else cycle,
-        states_mu=out(np.ascontiguousarray(rec.states_mu.swapaxes(0, 1))) if keep_states else None,
-        states_x=out(np.ascontiguousarray(rec.states_x.swapaxes(0, 1))) if keep_states else None,
+        states_mu=np.ascontiguousarray(rec.states_mu.swapaxes(0, 1)) if keep_states else None,
+        states_x=np.ascontiguousarray(rec.states_x.swapaxes(0, 1)) if keep_states else None,
     )

@@ -62,10 +62,12 @@ def diagonal_argmin(c, v, diag, lower, upper):
 
 
 def argmin_rows(cost, box, c):
-    """argmin_local for each row of c, shape (rows, p); diagonal U solves all rows at once."""
+    """argmin_local for each row of c, shape (rows, p); diagonal U solves all rows at once.
+    For non-diagonal U a row whose c is not finite gets a NaN row instead of raising."""
     if cost.diag is not None:
         return diagonal_argmin(c, cost.v, cost.diag, box.lower, box.upper)
-    return np.array([argmin_local(cost, box, row).x for row in c])
+    nan = np.full(cost.p, np.nan)
+    return np.array([argmin_local(cost, box, r).x if np.isfinite(r).all() else nan for r in c])
 
 
 def argmin_local(cost, box, c):

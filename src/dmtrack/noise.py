@@ -102,15 +102,13 @@ class NoiseSchedule:
         object.__setattr__(self, "q_zeta", q_zeta)
 
     @classmethod
-    def uniform(cls, n, d_eta=1.0, d_zeta=1.0, q=0.98, q_eta=None, q_zeta=None):
-        """Same scales for every agent; per-mask decay defaults to the shared q."""
-        q_eta = q if q_eta is None else q_eta
-        q_zeta = q if q_zeta is None else q_zeta
+    def uniform(cls, n, d_eta=1.0, d_zeta=1.0, q=0.98):
+        """Same scales for every agent and one decay q for both masks."""
         return cls(
             d_eta=np.full(n, float(d_eta)),
             d_zeta=np.full(n, float(d_zeta)),
-            q_eta=np.full(n, float(q_eta)),
-            q_zeta=np.full(n, float(q_zeta)),
+            q_eta=np.full(n, float(q)),
+            q_zeta=np.full(n, float(q)),
         )
 
     @classmethod

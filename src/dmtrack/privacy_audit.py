@@ -267,9 +267,9 @@ def _audit_points(pair, W, points, alpha, seed):
     for g, pt in enumerate(points):
         k = k_measured[g]
         run_cfg = RunConfig(alpha=alpha, iters=k, record_every=k)
-        trace = run(base, W, pt.schedule, run_cfg, seed, keep_states=True, draws=draws)
-        base_mu[1 : k + 1, g] = trace.states_mu[1:, i0]
-        base_x[1 : k + 1, g] = trace.states_x[1:, i0]
+        trace = run(base, W, pt.schedule, run_cfg, [seed], keep_states=True, draws=draws)
+        base_mu[1 : k + 1, g] = trace.states_mu[0, 1:, i0]
+        base_x[1 : k + 1, g] = trace.states_x[0, 1:, i0]
 
     # Delta mu, Delta x, Delta y; the loop carries only the recursion, and every
     # statistic is computed after it from rounds 1..k_end. Each row does what a

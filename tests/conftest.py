@@ -283,7 +283,7 @@ NOISE_FREE_PLAN = {
 
 @pytest.fixture(scope="session")
 def noise_free_runs():
-    """One noise-free trajectory per preset at alpha = 0.9 * alpha_max_t2."""
+    """One noise-free trajectory per preset at alpha = 0.9 * alpha_max_t2, a batch of one."""
     out = {}
     for name, (iters, every) in NOISE_FREE_PLAN.items():
         instance, W, mod = build_preset(name)
@@ -292,7 +292,7 @@ def noise_free_runs():
         cfg = RunConfig(alpha=alpha, iters=iters, record_every=every)
         t0 = time.perf_counter()
         trace = run(
-            instance, W, NoiseSchedule.disabled(instance.n), cfg, 0, x_star=sol.x_star
+            instance, W, NoiseSchedule.disabled(instance.n), cfg, [0], x_star=sol.x_star
         )
         elapsed = time.perf_counter() - t0
         out[name] = {

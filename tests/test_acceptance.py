@@ -43,7 +43,7 @@ def test_criterion_1_noise_free_accuracy(pytestconfig, noise_free_runs):
     ok = True
     for name in ("symmetric2", "hand_kkt"):
         entry = noise_free_runs[name]
-        x_final = entry["trace"].final_state.x
+        x_final = entry["trace"].final_state.x[0]
         x_star = entry["sol"].x_star
         rel = float(np.linalg.norm(x_final - x_star) / np.linalg.norm(x_star))
         ok &= rel <= 1e-8 and entry["iters"] <= 20_000 and entry["elapsed"] < 1.0
@@ -54,8 +54,8 @@ def test_criterion_1_noise_free_accuracy(pytestconfig, noise_free_runs):
 
 
 def _fit_decay(trace):
-    """Least-squares slope and R^2 of log mse over its decaying segment."""
-    mse = np.asarray(trace.mse, dtype=float)
+    """Least-squares slope and R^2 of log mse over the decaying segment of a one-trial trace."""
+    mse = np.asarray(trace.mse[0], dtype=float)
     ks = np.asarray(trace.ks, dtype=float)
     floor = max(float(mse[-1]), 1e-28)
     sel = (mse > 100.0 * floor) & (mse < 0.5 * mse[0]) & (ks >= 1)
@@ -89,7 +89,7 @@ def test_criterion_3_tracking_identity(pytestconfig, noise_free_runs, micro_swee
         runs += summary["trials"]
     instance, W, _ = build_preset("symmetric2")
     trace = run(
-        instance, W, NoiseSchedule.uniform(2, q=0.98), RunConfig(alpha=0.45, iters=300), 8
+        instance, W, NoiseSchedule.uniform(2, q=0.98), RunConfig(alpha=0.45, iters=300), [8]
     )
     worst = max(worst, trace.max_tracking_residual())
     runs += 1
@@ -254,10 +254,10 @@ def test_criterion_7_property_suites(pytestconfig, tmp_path):
     x_star = np.ones((2, 1))
     batch = run(instance, W, schedule, run_cfg, [5, 6, 7], x_star=x_star)
     for t, seed in enumerate((5, 6, 7)):
-        one = run(instance, W, schedule, run_cfg, seed, x_star=x_star)
+        one = run(instance, W, schedule, run_cfg, [seed], x_star=x_star)
         keys = ("mse", "consensus_mu", "tracking_residual", "feasibility")
-        pairs = [(getattr(batch, k)[t], getattr(one, k)) for k in keys]
-        pairs.append((batch.final_state.x[t], one.final_state.x))
+        pairs = [(getattr(batch, k)[t], getattr(one, k)[0]) for k in keys]
+        pairs.append((batch.final_state.x[t], one.final_state.x[0]))
         if any(a.tobytes() != b.tobytes() for a, b in pairs):
             problems.append(f"batched trial {t} differs from the single-seed run")
 

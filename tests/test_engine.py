@@ -312,9 +312,9 @@ def test_clip_ufunc_equals_maximum_then_minimum(length):
 def test_trace_recording_strides():
     inst, W = symmetric2()
     sched = NoiseSchedule.disabled(2)
-    tr = run(inst, W, sched, RunConfig(alpha=0.45, iters=10, record_every=4), 0)
+    tr = run(inst, W, sched, RunConfig(alpha=0.45, iters=10, record_every=4), [0])
     assert list(tr.ks) == [0, 4, 8, 10]
-    tr = run(inst, W, sched, RunConfig(alpha=0.45, iters=10, record_every=3), 0)
+    tr = run(inst, W, sched, RunConfig(alpha=0.45, iters=10, record_every=3), [0])
     assert list(tr.ks) == [0, 3, 6, 9, 10]
     assert np.isnan(tr.mse).all()  # no reference optimum supplied
 
@@ -323,9 +323,9 @@ def test_run_is_deterministic_and_seed_sensitive():
     inst, W = symmetric2()
     sched = NoiseSchedule.uniform(2, q=0.9)
     cfg = RunConfig(alpha=0.45, iters=50)
-    a = run(inst, W, sched, cfg, seed=3)
-    b = run(inst, W, sched, cfg, seed=3)
-    c = run(inst, W, sched, cfg, seed=4)
+    a = run(inst, W, sched, cfg, [3])
+    b = run(inst, W, sched, cfg, [3])
+    c = run(inst, W, sched, cfg, [4])
     assert np.array_equal(a.final_state.x, b.final_state.x)
     assert a.final_state.y.tobytes() == b.final_state.y.tobytes()
     assert a.tracking_residual.tobytes() == b.tracking_residual.tobytes()
@@ -338,17 +338,17 @@ def test_replay_reproduces_and_zero_log_equals_disabled():
     inst, W = symmetric2()
     cfg = RunConfig(alpha=0.45, iters=40)
     sched = NoiseSchedule.uniform(2, q=0.9)
-    noisy = run(inst, W, sched, cfg, seed=5)
+    noisy = run(inst, W, sched, cfg, [5])
     eta, zeta = mask_log(sched, [5], 40, 1)
     assert eta.shape == zeta.shape == (1, 40, 2, 1)
     with inject_masks(eta, zeta):
-        again = run(inst, W, sched, cfg, seed=99)
+        again = run(inst, W, sched, cfg, [99])
     assert np.array_equal(noisy.final_state.x, again.final_state.x)
     assert np.array_equal(noisy.tracking_residual, again.tracking_residual)
 
     with inject_masks(np.zeros((1, 40, 2, 1))):
-        replayed = run(inst, W, sched, cfg, seed=5)
-    clean = run(inst, W, NoiseSchedule.disabled(2), cfg, seed=5)
+        replayed = run(inst, W, sched, cfg, [5])
+    clean = run(inst, W, NoiseSchedule.disabled(2), cfg, [5])
     assert np.array_equal(replayed.final_state.x, clean.final_state.x)
 
 
@@ -387,8 +387,14 @@ def nondiagonal3():
     return ProblemInstance(agents=tuple(agents)), W
 
 
+def trial_state(tr, t=0):
+    """Trial t of a trace's final state, as an (n, .) state."""
+    final = tr.final_state
+    return EngineState(mu=final.mu[t], x=final.x[t], y=final.y[t], round=final.round)
+
+
 def trace_arrays(tr, t=None):
-    """Every per-trial output of a trace; trial t of a batched one."""
+    """Every per-trial output of a trace, or of its trial t alone."""
     def pick(a):
         return a if t is None else a[t]
 
@@ -421,7 +427,7 @@ def test_batched_run_matches_single_seed_runs(seeds, iters, record_every, nondia
         assume(iters % chunk_rounds(len(seeds), inst.n, inst.m) != 0)
         batch = run(inst, W, sched, cfg, seeds, x_star=x_star, keep_states=keep_states)
         singles = [
-            run(inst, W, sched, cfg, s, x_star=x_star, keep_states=keep_states) for s in seeds
+            run(inst, W, sched, cfg, [s], x_star=x_star, keep_states=keep_states) for s in seeds
         ]
     with inject_masks(*mask_log(sched, seeds, iters, inst.m)):  # under other seeds
         replayed = run(
@@ -430,11 +436,11 @@ def test_batched_run_matches_single_seed_runs(seeds, iters, record_every, nondia
     assert np.array_equal(batch.ks, singles[0].ks)
     for t, one in enumerate(singles):
         # the last record against the unbatched numpy formulas
-        final = one.final_state
+        final = trial_state(one)
         cons, _, feas = fixed_point_residual(final, inst, W)
-        assert one.consensus_mu[-1] == cons and one.feasibility[-1] == feas
-        assert one.mse[-1] == float(np.sum((final.x - x_star) ** 2))
-        want = trace_arrays(one)
+        assert one.consensus_mu[0, -1] == cons and one.feasibility[0, -1] == feas
+        assert one.mse[0, -1] == float(np.sum((final.x - x_star) ** 2))
+        want = trace_arrays(one, 0)
         for label, tr in (("batch", batch), ("replay", replayed)):
             got = trace_arrays(tr, t)
             assert got.keys() == want.keys()
@@ -456,16 +462,13 @@ def test_every_record_matches_stepwise_evaluation(trials, nondiagonal):
     seeds = [5, 6, 7][:trials]
     # blocks of 8 records for one trial (8, 8, 2) and of 2 records for three
     with mock.patch.object(engine, "MAX_METRIC_ROWS", 8):
-        tr = run(inst, W, sched, cfg, seeds[0] if trials == 1 else seeds, x_star=x_star)
+        tr = run(inst, W, sched, cfg, seeds, x_star=x_star)
     assert list(tr.ks) == list(range(0, 49, 3)) + [50]
 
     A = np.stack([a.A for a in inst.agents])
     d = np.stack([a.d for a in inst.agents])
     norm = np.linalg.norm
     for t, seed in enumerate(seeds):
-        def pick(a):
-            return a if trials == 1 else a[t]
-
         eta, zeta = (a[0] for a in mask_log(sched, [seed], cfg.iters, inst.m))
         state = init_state(inst)
         zeta_cum = np.zeros(inst.m)  # summed round by round, as the recursion adds it
@@ -484,9 +487,9 @@ def test_every_record_matches_stepwise_evaluation(trials, nondiagonal):
             if k < cfg.iters:
                 state = step_once(state, inst, W, cfg.alpha, eta[k], zeta[k])
                 zeta_cum = zeta_cum + zeta[k].sum(axis=0)
-        assert state.x.tobytes() == pick(tr.final_state.x).tobytes()
+        assert state.x.tobytes() == tr.final_state.x[t].tobytes()
         for key, values in want.items():
-            assert np.array(values).tobytes() == pick(getattr(tr, key)).tobytes(), (t, key)
+            assert np.array(values).tobytes() == getattr(tr, key)[t].tobytes(), (t, key)
 
 
 def test_divergence_inside_a_partly_filled_metric_block():
@@ -512,8 +515,8 @@ def test_divergence_inside_a_partly_filled_metric_block():
         two = ProblemInstance(agents=(one.agents[0], one.agents[0]))
         cfg = RunConfig(alpha=50.0, iters=200)
         with starting_at(start_state(two, x=np.ones((2, 1)))):
-            tr = run(two, W, NoiseSchedule.disabled(2), cfg, 0, x_star=np.zeros((2, 1)))
-    assert np.isinf(tr.mse[-1]) and np.isfinite(tr.final_state.x).all()
+            tr = run(two, W, NoiseSchedule.disabled(2), cfg, [0], x_star=np.zeros((2, 1)))
+    assert np.isinf(tr.mse[0, -1]) and np.isfinite(tr.final_state.x).all()
 
 
 @pytest.mark.parametrize(
@@ -566,7 +569,7 @@ def test_kept_block_size_changes_no_output(rounds, record_every):
     assert_block_size_changes_no_output("KEPT_BLOCK_ROWS", 3 * rounds, record_every, True)
 
 
-@pytest.mark.parametrize("seeds", [5, [5, 6]])
+@pytest.mark.parametrize("seeds", [pytest.param([5], id="5"), [5, 6]])
 def test_trace_shares_no_memory_with_the_state_rows(seeds):
     """The engine steps in preallocated rows; the trace it returns holds copies,
     sharing no memory with the rows or the recorder's tracker-mask totals."""
@@ -595,14 +598,14 @@ def test_tracking_identity_under_noise():
     inst, W = symmetric2()
     cfg = RunConfig(alpha=0.45, iters=300)
     sched = NoiseSchedule.uniform(2, q=0.98)
-    tr = run(inst, W, sched, cfg, seed=8, keep_states=True)
+    tr = run(inst, W, sched, cfg, [8], keep_states=True)
     assert tr.max_tracking_residual() <= 1e-12
 
     # independent recomputation at the final round from the raw log
     A = np.stack([a.A for a in inst.agents])
     d = np.stack([a.d for a in inst.agents])
-    mismatch = (np.einsum("imp,ip->im", A, tr.final_state.x) - d).sum(axis=0)
-    lhs = tr.final_state.y.sum(axis=0)
+    mismatch = (np.einsum("imp,ip->im", A, tr.final_state.x[0]) - d).sum(axis=0)
+    lhs = tr.final_state.y[0].sum(axis=0)
     rhs = mismatch + mask_log(sched, [8], 300, 1)[1].sum(axis=(0, 1, 2))
     assert np.allclose(lhs, rhs, atol=1e-10)
 
@@ -610,12 +613,12 @@ def test_tracking_identity_under_noise():
 def test_keep_states_shapes_and_first_entries():
     inst, W = symmetric2()
     cfg = RunConfig(alpha=0.45, iters=7)
-    tr = run(inst, W, NoiseSchedule.disabled(2), cfg, seed=0, keep_states=True)
-    assert tr.states_mu.shape == (8, 2, 1)
-    assert tr.states_x.shape == (8, 2, 1)
-    assert not tr.states_mu[0].any()
-    assert np.array_equal(tr.states_x[-1], tr.final_state.x)
-    plain = run(inst, W, NoiseSchedule.disabled(2), cfg, seed=0)
+    tr = run(inst, W, NoiseSchedule.disabled(2), cfg, [0], keep_states=True)
+    assert tr.states_mu.shape == (1, 8, 2, 1)
+    assert tr.states_x.shape == (1, 8, 2, 1)
+    assert not tr.states_mu[0, 0].any()
+    assert np.array_equal(tr.states_x[0, -1], tr.final_state.x[0])
+    plain = run(inst, W, NoiseSchedule.disabled(2), cfg, [0])
     assert plain.states_mu is None
 
 
@@ -623,15 +626,15 @@ def test_noise_free_run_reaches_first_order_optimality():
     inst, W = symmetric2()
     sol = solve_dual(inst)
     cfg = RunConfig(alpha=0.45, iters=2000, record_every=100)
-    tr = run(inst, W, NoiseSchedule.disabled(2), cfg, 0, x_star=sol.x_star)
-    state = tr.final_state
+    tr = run(inst, W, NoiseSchedule.disabled(2), cfg, [0], x_star=sol.x_star)
+    state = trial_state(tr)
     cons, y_norm, feas = fixed_point_residual(state, inst, W)
     assert cons <= 1e-10 and y_norm <= 1e-10 and feas <= 1e-7
     # each x_i is the exact local argmin at the terminal dual
     for i, ag in enumerate(inst.agents):
         best = argmin_local(ag.cost, ag.box, ag.A.T @ state.mu[i]).x
         assert np.allclose(state.x[i], best, atol=1e-7)
-    assert tr.mse[-1] <= 1e-16
+    assert tr.mse[0, -1] <= 1e-16
 
 
 def test_divergence_is_reported():
@@ -641,7 +644,7 @@ def test_divergence_is_reported():
     cfg = RunConfig(alpha=50.0, iters=400)
     with starting_at(start_state(two, x=np.ones((2, 1)))):
         with pytest.raises(SolverFailure, match="diverged") as caught:
-            run(two, W, NoiseSchedule.disabled(2), cfg, seed=0)
+            run(two, W, NoiseSchedule.disabled(2), cfg, [0])
     assert caught.value.trials == [0]
 
 
@@ -769,8 +772,8 @@ def test_overflowing_dot_of_finite_states_is_not_a_divergence():
     with starting_at(start_state(inst, mu=np.full((2, 1), 1e200))), warnings.catch_warnings():
         warnings.simplefilter("error")
         with inject_masks(np.zeros((1, 8, 2, 1))):
-            tr = run(inst, W, sched, cfg, 50)
-        final = tr.final_state
+            tr = run(inst, W, sched, cfg, [50])
+        final = trial_state(tr)
         assert np.isfinite(final.mu).all() and np.isfinite(final.y).all()
         with np.errstate(over="ignore"):
             assert np.isinf(np.vdot(final.mu, final.y))
@@ -782,7 +785,7 @@ def test_overflowing_dot_of_finite_states_is_not_a_divergence():
 
 
 @pytest.mark.parametrize("nondiagonal", [False, True])
-@pytest.mark.parametrize("seeds", [5, [5, 6]])
+@pytest.mark.parametrize("seeds", [pytest.param([5], id="5"), [5, 6]])
 def test_shorter_run_is_a_prefix_of_a_longer_one(seeds, nondiagonal):
     """Masks are a pure function of (seed, round), so the states of run(iters=k)
     are the first k rounds of run(iters=K), on either side of a mask-chunk
@@ -790,7 +793,7 @@ def test_shorter_run_is_a_prefix_of_a_longer_one(seeds, nondiagonal):
     inst, W = nondiagonal3() if nondiagonal else symmetric2()
     alpha = 0.05 if nondiagonal else 0.45
     sched = NoiseSchedule.uniform(inst.n, q=0.95)
-    trials = 1 if isinstance(seeds, int) else len(seeds)
+    trials = len(seeds)
     with mock.patch.object(noise, "MAX_CHUNK_BLOCKS", 24):
         chunk = chunk_rounds(trials, inst.n, inst.m)
         K = 3 * chunk + 2
@@ -798,12 +801,12 @@ def test_shorter_run_is_a_prefix_of_a_longer_one(seeds, nondiagonal):
         for k in (1, chunk - 1, chunk, chunk + 1, 2 * chunk + 1):  # chunk is 4 to 24 rounds
             cfg = RunConfig(alpha=alpha, iters=k, record_every=k)
             short = run(inst, W, sched, cfg, seeds, keep_states=True)
-            log = mask_log(sched, [seeds] if trials == 1 else seeds, K, inst.m)
+            log = mask_log(sched, seeds, K, inst.m)
             with inject_masks(*log):  # under other seeds
-                replayed = run(inst, W, sched, cfg, 7 if trials == 1 else [7, 8], keep_states=True)
+                replayed = run(inst, W, sched, cfg, [7, 8][:trials], keep_states=True)
             for tr in (short, replayed):
-                assert tr.states_mu.tobytes() == full.states_mu[..., : k + 1, :, :].tobytes()
-                assert tr.states_x.tobytes() == full.states_x[..., : k + 1, :, :].tobytes()
+                assert tr.states_mu.tobytes() == full.states_mu[:, : k + 1].tobytes()
+                assert tr.states_x.tobytes() == full.states_x[:, : k + 1].tobytes()
 
 
 def test_overflowing_x_is_reported_with_its_round_and_seeds():
@@ -831,7 +834,7 @@ def test_overflowing_x_is_reported_with_its_round_and_seeds():
     assert caught.value.trials == [1, 3]
     with pytest.raises(SolverFailure, match=r"^round 7: .*\(trial seeds 43\)$"):
         with starting_at(start), inject_masks(eta[3:]):
-            run(inst, W, sched, cfg, 43)
+            run(inst, W, sched, cfg, [43])
 
 
 def test_noisy_stationary_point_is_the_shifted_optimum():
@@ -842,15 +845,15 @@ def test_noisy_stationary_point_is_the_shifted_optimum():
     sol = solve_dual(inst)
     cfg = RunConfig(alpha=0.45, iters=2500, record_every=2500)
     sched = NoiseSchedule.uniform(2, q=0.98)
-    tr = run(inst, W, sched, cfg, seed=77, x_star=sol.x_star)
+    tr = run(inst, W, sched, cfg, [77], x_star=sol.x_star)
     s_total = float(mask_log(sched, [77], 2500, 1)[1].sum())
     # symmetric2: a_i = 1, 2 u_i = 2, so H = 1 and each agent moves by -S/2
     predicted = sol.x_star - s_total / 2.0
-    assert np.allclose(tr.final_state.x, predicted, atol=1e-9)
-    assert np.linalg.norm(tr.final_state.y) <= 1e-9
+    assert np.allclose(tr.final_state.x[0], predicted, atol=1e-9)
+    assert np.linalg.norm(tr.final_state.y[0]) <= 1e-9
     mu_pred = sol.mu_star - s_total  # mu* shifts by -S/H
-    assert np.allclose(tr.final_state.mu, mu_pred, atol=1e-8)
-    assert tr.mse[-1] == pytest.approx(s_total**2 / 2.0, rel=1e-9)
+    assert np.allclose(tr.final_state.mu[0], mu_pred, atol=1e-8)
+    assert tr.mse[0, -1] == pytest.approx(s_total**2 / 2.0, rel=1e-9)
 
 
 def at_09_alpha_max_t1(name):
@@ -916,7 +919,7 @@ def test_orbit_fill_matches_stepping_every_round(name, trials):
         ).reshape(4, 3001, trials)
         for star in (x_star, None)
     }
-    seeds = 3 if trials == 1 else [3, 4, 5]
+    seeds = [3, 4, 5][:trials]
     sched = NoiseSchedule.disabled(instance.n)
     stop = run(instance, W, sched, RunConfig(alpha=alpha, iters=3000), seeds).rounds_stepped
     assert start < stop < 3000  # the fast-forward fires
@@ -928,7 +931,6 @@ def test_orbit_fill_matches_stepping_every_round(name, trials):
                 tr = run(instance, W, sched, cfg, seeds, x_star=star, keep_states=keep_states)
 
                 def same(got, want):
-                    want = want[0] if trials == 1 else want
                     assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (
                         iters, record_every, keep_states, star is None
                     )
@@ -955,7 +957,7 @@ def test_free_converge_steps_only_until_its_state_repeats():
     instance, W, alpha = at_09_alpha_max_t1("microgrid14")
     kernel, counts = count_kernel_rounds()
     with kernel:
-        tr = run(instance, W, NoiseSchedule.disabled(14), RunConfig(alpha, 3000), 0)
+        tr = run(instance, W, NoiseSchedule.disabled(14), RunConfig(alpha, 3000), [0])
     assert counts == [tr.rounds_stepped] and tr.rounds_stepped < 1100
 
 
@@ -1000,7 +1002,7 @@ def test_a_repeating_dot_alone_does_not_stop_the_stepping():
     cfg = RunConfig(0.0, 60)
     with starting_at(start_state(instance, x=np.linspace(0.0, 40.0, 14))):
         ref = stepped_reference(instance, W, cfg, 1)
-        tr = run(instance, W, NoiseSchedule.disabled(14), cfg, 0, keep_states=True)
+        tr = run(instance, W, NoiseSchedule.disabled(14), cfg, [0], keep_states=True)
     assert not ref.s[:, 0].any() and ref.s[-1, 1].tobytes() != ref.s[-3, 1].tobytes()
     assert tr.rounds_stepped == 60
     assert tr.final_state.y.tobytes() == ref.s[-1, 1, 0].tobytes()
@@ -1029,7 +1031,7 @@ def copied_trajectory(instance, W, schedule, cfg, seeds):
 
 @pytest.mark.parametrize("block", [3, engine.KEPT_BLOCK_ROWS])
 @pytest.mark.parametrize("noisy", [True, False])
-@pytest.mark.parametrize("seeds", [4, [4, 5, 6]])
+@pytest.mark.parametrize("seeds", [pytest.param([4], id="4"), [4, 5, 6]])
 def test_kept_states_equal_a_loop_that_copies_every_round(monkeypatch, block, noisy, seeds):
     """A keep_states run holds a block of rounds in its rows and copies the block
     into its trajectory at once: its kept states, of a noisy run and of a
@@ -1041,9 +1043,7 @@ def test_kept_states_equal_a_loop_that_copies_every_round(monkeypatch, block, no
     monkeypatch.setattr(engine, "KEPT_BLOCK_ROWS", block)
     tr = run(instance, W, sched, cfg, seeds, keep_states=True)
     assert tr.rounds_stepped == 200 if noisy else tr.rounds_stepped < 200
-    mu, x = copied_trajectory(instance, W, sched, cfg, [4] if seeds == 4 else seeds)
-    if seeds == 4:
-        mu, x = mu[0], x[0]
+    mu, x = copied_trajectory(instance, W, sched, cfg, seeds)
     assert tr.states_mu.tobytes() == np.ascontiguousarray(mu).tobytes()
     assert tr.states_x.tobytes() == np.ascontiguousarray(x).tobytes()
     plain = trace_arrays(run(instance, W, sched, cfg, seeds))
@@ -1077,8 +1077,7 @@ def grid_of(n):
 def assert_shared_draws_match_plain_runs(instance, W, alpha, schedules, iters, seeds):
     """Runs given one array of unit draws, in the order given, equal runs drawing
     their own masks."""
-    seed_list = [seeds] if isinstance(seeds, int) else seeds
-    draws = noise.unit_draws(seed_list, range(max(iters)), 2 * instance.n)
+    draws = noise.unit_draws(seeds, range(max(iters)), 2 * instance.n)
     for sched, k in zip(schedules, iters):
         cfg = RunConfig(alpha, k, record_every=7)
         shared = run(instance, W, sched, cfg, seeds, keep_states=True, draws=draws)
@@ -1091,14 +1090,16 @@ def assert_shared_draws_match_plain_runs(instance, W, alpha, schedules, iters, s
 def test_shared_draws_on_the_default_grid_give_the_bytes_of_plain_runs(order):
     instance, W, alpha = at_09_alpha_max_t1("symmetric2")
     iters = [290 + 12 * g for g in range(9)][::order]
-    assert_shared_draws_match_plain_runs(instance, W, alpha, grid_of(2), iters, 41)
+    assert_shared_draws_match_plain_runs(instance, W, alpha, grid_of(2), iters, [41])
 
 
-@pytest.mark.parametrize("seeds, iters", [(3, (300, 700)), ([3, 4, 5], (450, 150))])
+@pytest.mark.parametrize(
+    "seeds, iters", [pytest.param([3], (300, 700), id="3-iters0"), ([3, 4, 5], (450, 150))]
+)
 def test_shared_draws_across_mask_chunks_give_the_bytes_of_plain_runs(seeds, iters):
     """microgrid14 draws 585 rounds a chunk for one trial and 195 for three."""
     instance, W, alpha = at_09_alpha_max_t1("microgrid14")
-    trials = 1 if seeds == 3 else 3
+    trials = len(seeds)
     assert min(iters) < chunk_rounds(trials, 14, 1) < max(iters)
     schedules = [NoiseSchedule.uniform(14, q=0.98), NoiseSchedule.uniform(14, 0.5, 2.0, q=0.95)]
     assert_shared_draws_match_plain_runs(instance, W, alpha, schedules, iters, seeds)
@@ -1109,9 +1110,9 @@ def test_unit_draws_of_too_few_rounds_other_trials_or_width_are_refused():
     for seeds, rounds, width in (([1], 4, 4), ([1, 2], 5, 4), ([1], 5, 8)):
         draws = noise.unit_draws(seeds, range(rounds), width)
         with pytest.raises(ValueError, match="do not fit a run of 5 rounds, 1 trials and width 4"):
-            run(inst, W, NoiseSchedule.uniform(2), RunConfig(0.45, 5), 1, draws=draws)
+            run(inst, W, NoiseSchedule.uniform(2), RunConfig(0.45, 5), [1], draws=draws)
     draws = noise.unit_draws([1], range(6), 4)  # more rounds than the run reads
-    run(inst, W, NoiseSchedule.uniform(2), RunConfig(0.45, 5), 1, draws=draws)
+    run(inst, W, NoiseSchedule.uniform(2), RunConfig(0.45, 5), [1], draws=draws)
 
 
 def test_a_run_without_shared_draws_keeps_none():
@@ -1119,18 +1120,18 @@ def test_a_run_without_shared_draws_keeps_none():
     once it returns: a second run draws them again."""
     instance, W, alpha = at_09_alpha_max_t1("microgrid14")
     sched, cfg = NoiseSchedule.uniform(14), RunConfig(alpha, 3000, record_every=3000)
-    run(instance, W, sched, cfg, 3)
+    run(instance, W, sched, cfg, [3])
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        run(instance, W, sched, cfg, 3)
+        run(instance, W, sched, cfg, [3])
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert kept < 3000 * 28 * 8 // 20  # 3000 rounds of unit draws would hold 672 kB
     with mock.patch.object(noise, "philox4x64", wraps=noise.philox4x64) as philox:
-        run(instance, W, sched, cfg, 3)
-        run(instance, W, sched, cfg, 3)
+        run(instance, W, sched, cfg, [3])
+        run(instance, W, sched, cfg, [3])
     assert philox.call_count == 2 * -(-3000 // chunk_rounds(1, 14, 1))
 
 
@@ -1192,13 +1193,13 @@ def test_absorbed_masks_change_no_output_on_microgrid14(trials, d_zeta, keep_sta
 
 
 @pytest.mark.parametrize("keep_states", [False, True])
-@pytest.mark.parametrize("seeds", [5, [5, 6]])
+@pytest.mark.parametrize("seeds", [pytest.param([5], id="5"), [5, 6]])
 @pytest.mark.parametrize("name", ["symmetric2", "hand_kkt"])
 def test_absorbed_masks_change_no_output_across_chunk_starts(name, seeds, keep_states):
     """With chunks of 13 rounds, absorption starts and is tested again inside the
     absorbed stretch of a q = 0.9 run: every byte stays."""
     instance, W, alpha = at_09_alpha_max_t1(name)
-    trials = 1 if seeds == 5 else 2
+    trials = len(seeds)
     cfg = RunConfig(alpha, 1500, record_every=7)
     with mock.patch.object(noise, "MAX_CHUNK_BLOCKS", 13 * trials):
         absorbed = assert_absorption_changes_no_output(

@@ -324,21 +324,21 @@ def test_run_experiment_batch_matches_single_seed_runs(tmp_path):
     run_cfg = RunConfig(alpha=mat.alpha, iters=iters, record_every=v["algorithm.record_every"])
     seeds = [v["seed"] + t for t in range(v["trials"])]
     batch = run(mat.instance, mat.W, mat.schedule, run_cfg, seeds, x_star=x_star)
-    singles = [run(mat.instance, mat.W, mat.schedule, run_cfg, s, x_star=x_star) for s in seeds]
+    singles = [run(mat.instance, mat.W, mat.schedule, run_cfg, [s], x_star=x_star) for s in seeds]
     for t, one in enumerate(singles):
         for key in ("mse", "consensus_mu", "tracking_residual", "feasibility"):
-            assert getattr(batch, key)[t].tobytes() == getattr(one, key).tobytes(), key
-        assert batch.final_state.x[t].tobytes() == one.final_state.x.tobytes()
+            assert getattr(batch, key)[t].tobytes() == getattr(one, key)[0].tobytes(), key
+        assert batch.final_state.x[t].tobytes() == one.final_state.x[0].tobytes()
 
     # trace.csv is the pointwise average of the single-seed trials
     means = [
-        np.mean([getattr(one, key) for one in singles], axis=0)
+        np.mean([getattr(one, key)[0] for one in singles], axis=0)
         for key in ("mse", "consensus_mu", "tracking_residual", "feasibility")
     ]
     _write_trace_csv(tmp_path / "singles.csv", singles[0].ks, *means)
     assert (tmp_path / "singles.csv").read_bytes() == outs["r1"][1]
     start = iters - max(1, int(round(v["algorithm.terminal_window"] * iters)))
-    terminal = [np.mean(one.mse[one.ks >= start]) for one in singles]
+    terminal = [np.mean(one.mse[0, one.ks >= start]) for one in singles]
     assert outs["r1"][0]["empirical_mse"] == float(np.mean(terminal))
     assert outs["r1"][0]["terminal_std"] == float(np.std(terminal))
 

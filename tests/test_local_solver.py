@@ -9,6 +9,7 @@ from dmtrack import local_solver
 from dmtrack.errors import SolverFailure
 from dmtrack.local_solver import (
     argmin_local,
+    argmin_rows,
     inner_tolerance,
     solve_all_from_c,
 )
@@ -116,6 +117,19 @@ def test_a_non_finite_linear_term_fails_before_any_step(bad):
     with residual as counted, pytest.raises(SolverFailure, match=pattern):
         argmin_local(agent.cost, agent.box, np.array([bad, 0.0]))
     assert counted.call_count == 0
+
+
+def test_argmin_rows_gives_a_nan_row_for_a_non_finite_linear_term():
+    """For a non-diagonal agent, argmin_rows does not raise at a non-finite c:
+    that row is NaN, without an argmin_local call, and the others are solved."""
+    agent = nondiagonal3()[0].agents[1]
+    c = np.array([[np.inf, 0.0], [0.3, -0.2], [np.nan, 0.0]])
+    solve = mock.patch.object(local_solver, "argmin_local", wraps=local_solver.argmin_local)
+    with solve as counted:
+        x = argmin_rows(agent.cost, agent.box, c)
+    assert counted.call_count == 1
+    assert np.isnan(x[[0, 2]]).all()
+    assert x[1].tobytes() == argmin_local(agent.cost, agent.box, c[1]).x.tobytes()
 
 
 def test_shape_validation():

@@ -42,10 +42,14 @@ def test_schedule_validation():
 
 
 def test_uniform_broadcast_and_theta():
-    s = NoiseSchedule.uniform(3, d_eta=2.0, d_zeta=0.5, q_eta=0.9, q_zeta=0.8)
+    s = NoiseSchedule(
+        d_eta=np.full(3, 2.0), d_zeta=np.full(3, 0.5), q_eta=np.full(3, 0.9), q_zeta=np.full(3, 0.8)
+    )
     assert s.n == 3
     assert np.allclose(s.theta_eta(2), 2.0 * 0.9**2)
     assert np.allclose(s.theta_zeta(2), 0.5 * 0.8**2)
+    uniform = NoiseSchedule.uniform(3, d_eta=2.0, d_zeta=0.5, q=0.9)
+    assert uniform.theta_eta(2).tobytes() == s.theta_eta(2).tobytes()
     per_agent = NoiseSchedule(
         d_eta=np.array([1.0, 2.0]),
         d_zeta=np.array([0.0, 1.0]),

@@ -199,7 +199,9 @@ def test_schedule_rejections(sym2):
         audit_one(pair, W, NoiseSchedule.uniform(2, d_zeta=0.0), 0.45, seed=0)
     with pytest.raises(ConfigError):
         audit_one(pair, W, NoiseSchedule.disabled(2), 0.45, seed=0)
-    split = NoiseSchedule.uniform(2, q_eta=0.97, q_zeta=0.98)
+    split = NoiseSchedule(
+        d_eta=np.ones(2), d_zeta=np.ones(2), q_eta=np.full(2, 0.97), q_zeta=np.full(2, 0.98)
+    )
     with pytest.raises(ConfigError, match="one decay"):
         audit_one(pair, W, split, 0.45, seed=0)
     with pytest.raises(ConfigError, match="positive stepsize"):
@@ -285,8 +287,8 @@ def reference_forced_difference_run(
     else:
         K = int(horizon)
     run_cfg = RunConfig(alpha=alpha, iters=K, record_every=K)
-    trace = run(base, W, schedule, run_cfg, seed, keep_states=True)
-    states_mu, states_x = trace.states_mu, trace.states_x
+    trace = run(base, W, schedule, run_cfg, [seed], keep_states=True)
+    states_mu, states_x = trace.states_mu[0], trace.states_x[0]
 
     env_coef = alpha * pair.delta * ag.A_norm / (tau1 - tau2)
     eq52_coef = ag.A_norm**2 / ag.cost.phi
@@ -450,8 +452,8 @@ def predicted_delta_eta(pair, jump):
 
 def guarded_rows(jumps):
     """argmin_rows, except that its fifth call adds jumps[g] to row g's solution.
-    A row whose c is not finite gets its box's center, where argmin_local
-    raises SolverFailure."""
+    A row whose c is not finite gets its box's center, where argmin_rows gives
+    a NaN row, so that a row the audit does not retire turns finite again."""
     calls = []
 
     def solve(cost, box, c):
@@ -558,6 +560,20 @@ def test_an_overflowing_norm_still_counts_as_divergence(sym2):
         )
     assert report_bytes(got) == report_bytes(want)
     assert got.delta_eta_norms[6] == np.inf and not got.delta_eta_norms[7:].any()
+
+
+def test_a_non_finite_shifted_solve_of_a_nondiagonal_agent_counts_as_divergence():
+    """Round 5's shifted solution jumped by (inf, 0) makes round 6's Delta eta
+    and the shifted agent's linear term non-finite. The real argmin_rows gives
+    that row a NaN solution instead of raising, so the audit counts the
+    divergence and reports, as it does for a diagonal agent."""
+    pair, W = nondiagonal_pair()
+    rows = jumping(argmin_rows, lambda x: x + np.array([np.inf, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with mock.patch.object(privacy_audit, "argmin_rows", rows):
+            report = audit_one(pair, W, nd_schedule(), ND_ALPHA, 3, horizon=10)
+    assert report.delta_eta_norms[6] == np.inf and not report.delta_eta_norms[7:].any()
+    assert report.bound_violations >= 1
 
 
 def counting_envelopes(pows):
@@ -733,7 +749,7 @@ def test_runs_leave_their_shared_unit_draws_unchanged(sym2):
     assert noise.chunk_rounds(1, 14, 1) < 700
     units = noise.unit_draws([3], range(700), 28)
     drawn = units.copy()
-    run(instance, W, NoiseSchedule.uniform(14), RunConfig(alpha, 700), 3, draws=units)
+    run(instance, W, NoiseSchedule.uniform(14), RunConfig(alpha, 700), [3], draws=units)
     assert units.tobytes() == drawn.tobytes()
 
     inst, W = sym2
