@@ -16,21 +16,16 @@ which reduces to exact mismatch tracking when the noise is disabled.
 a single round loop, and every trace array keeps that trial axis. Every
 per-trial operation (stacked matmuls, elementwise updates, norms as one dot
 product per trial) is the one a lone trial would execute, so a trial's outputs
-do not depend on the batch it ran in. The batch keeps its shape to the last
-round: a trial whose state turns non-finite is retired in place, its row
-zeroed while the others step on, and the run then fails naming every diverged
-trial. `_Recorder` owns the rows a run steps in and computes the recorded
-metrics after stepping, a block of recorded rounds at a time, by `_metrics`,
-which treats each (round, trial) row as one more trial: the values are
-bit-identical to evaluating them at every recorded round. Masks come only from
-`noise.iter_masks`, asked for iff `schedule.enabled`, and are not kept: a
-run's masks are `noise.draw_rounds(schedule, range(iters), seeds, m)`.
-`iter_masks` reads the state each round is stepped from; for a round whose
-masks provably cannot change a bit of it or of the tracker-mask total it draws
-none and yields None, and the round is stepped as a noise-free one, with the
-same bytes. Runs of the same seeds given one array of `noise.unit_draws`
-(`draws`) scale copies of its rows instead of drawing their own, with the same
-bytes.
+do not depend on the batch it ran in. `_Recorder` owns the rows a run steps
+in and computes the recorded metrics after stepping, a block of recorded
+rounds at a time, by `_metrics`, which treats each (round, trial) row as one
+more trial: the values are bit-identical to evaluating them at every recorded
+round. Masks come only from `noise.iter_masks`, asked for iff
+`schedule.enabled`, and are not kept: a run's masks are
+`noise.draw_rounds(schedule, range(iters), seeds, m)`. `iter_masks` reads the
+state each round is stepped from; for a round whose masks provably cannot
+change a bit of it or of the tracker-mask total it draws none and yields None,
+and the round is stepped as a noise-free one, with the same bytes.
 
 A round's state is one row of preallocated buffers (`_StateRows`): duals and
 trackers stacked as s = [mu; y], shape (2, T, n, m), then x and A x. A round
@@ -44,10 +39,17 @@ W @, mu -= alpha y, c = (0.0 - v) + a mu, c /= diag, one clip into the box
 (`local_solver.clip`, bytes of maximum then minimum), A x = a x, y += A x - previous A x.
 The einsum maps of m > 1 start their sums at 0.0, which turns -0.0 into 0.0;
 0.0 - v gives c the same bytes, and A x gets a `+ 0.0` unless it can never be
--0.0 (`_zero_adds_are_noops`). Before stepping a round, `run` asks its
-`_Recorder` for the row to write it into. One dot of mu and y tests a round
-for finiteness, and `iter_masks` supplies the running tracker-mask total the
-tracking residual needs.
+-0.0 (`_zero_adds_are_noops`).
+
+A checked pass tests each round with `_check`, one dot of mu and y, and
+retires a trial whose state turns non-finite in place: its row is zeroed, the
+others step on, and the run fails naming every diverged trial. A masked run
+with W >= 0 and w_ii > 0 (every Metropolis W) steps unchecked and tests the
+final mu, y and x once: a non-finite mu_i or y_i enters (W z)_i with weight
+w_ii > 0 each round, so stays non-finite, and a non-finite x makes y
+non-finite in the same round (A_i is square and invertible), so a finite end
+proves every round finite. A pass that ends non-finite or fails is replayed
+from round 0, checked, by the same kernel, rows and `_Recorder`.
 
 Without masks a round is a deterministic map of the bytes it reads (s and A x
 of its source row; it overwrites all its scratch), so once the batch state
@@ -184,6 +186,17 @@ def _zero_adds_are_noops(a, v, diag, lower, upper):
     )
 
 
+def _check(row):
+    """A row's dot of mu and y, and its trials whose mu, x or y is not finite (None if none
+    is): a finite dot proves mu and y finite (inf * 0 is nan); finite states may overflow it."""
+    dot = np.vdot(row.mu, row.y)
+    if math.isfinite(dot):
+        return dot, None
+    ok = np.isfinite(row.mu).all(axis=(1, 2)) & np.isfinite(row.x).all(axis=(1, 2))
+    ok &= np.isfinite(row.y).all(axis=(1, 2))
+    return dot, None if ok.all() else ~ok
+
+
 def _snapshot(row):
     """The bytes of a state row's s, x and A x: all a noise-free round reads, and x."""
     return row.s.tobytes() + row.x.tobytes() + row.Ax.tobytes()
@@ -268,9 +281,9 @@ class _Recorder:
     two spare rows. With keep_states every round fills a block of
     KEPT_BLOCK_ROWS // T rows instead, which `measure` copies into the kept
     trajectory at once: building a row's views costs more than copying a round.
-    A run with a diverged trial raises and returns nothing, so its later rows
-    are claimed and measured like any others and never read. A trace holds
-    copies, never views of the rows.
+    `start` begins a pass. A run with a diverged trial raises and returns
+    nothing, so its later rows are claimed and measured like any others and
+    never read. A trace holds copies, never views of the rows.
     """
 
     def __init__(self, instance, W, config, T, keep_states, x_star):
@@ -289,8 +302,15 @@ class _Recorder:
         self.buf = _StateRows(per_block + 2, T, n, m, p)
         self.rows, self.spare = self.buf.rows[:per_block], self.buf.rows[per_block:]
         self.next_record = ks.tolist()[1:] + [None]  # next_record[r]: the round of record r + 1
+
+    def start(self, instance):
+        """Row 0, set to `init_state`'s round 0, with every record and kept state to come."""
+        src, state = self.rows[0], init_state(instance)
+        src.mu[...], src.x[...], src.y[...] = state.mu, state.x, state.y
+        src.Ax[...] = np.einsum("imp,tip->tim", instance.A, src.x)
         # row 0 holds round 0, record 0; the block holds the records measured..r
         self.held, self.measured, self.r, self.next_k = 1, 0, 0, self.next_record[0]
+        return src
 
     def row(self, k, src, zeta_sum):
         """The row round k + 1 is stepped into from src, claimed for that round."""
@@ -363,7 +383,8 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
     solve failed in that round, or if a trial's state turns non-finite. A
     diverged trial is retired in place, its row zeroed, and the others step
     on in the same rows with the same kernel, so `exc.trials` lists the batch
-    positions of every trial that diverged.
+    positions of every trial that diverged. An unchecked masked run raises
+    these from its checked replay (module docstring).
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -377,16 +398,9 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
             f"draws of shape {draws.shape} do not fit a run of {iters} rounds, "
             f"{T} trials and width {2 * n * m}"
         )
-    start = init_state(instance)
     x_star = None if x_star is None else np.asarray(x_star, dtype=float)
     rec = _Recorder(instance, W, config, T, keep_states, x_star)
-    src = rec.rows[0]
-    src.mu[...], src.x[...], src.y[...] = start.mu, start.x, start.y
-    src.Ax[...] = np.einsum("imp,tip->tim", instance.A, src.x)
     advance = _round_kernel(instance, W, config.alpha, T)
-    masks = repeat((None, None), iters)
-    if schedule.enabled:
-        masks = iter_masks(schedule, seeds, iters, m, draws=draws, state=lambda: src.s)
 
     def failure(message, trials):
         trials = sorted(set(trials) | set(np.flatnonzero(failed).tolist()))
@@ -399,40 +413,41 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
     dots = [math.nan, math.nan]  # finiteness dots of the last two states, by round parity
     probe, probe_at = None, None  # _snapshot of the state at round probe_at
     cycle = None  # the round whose state equals the one two rounds before
-    # metrics of huge but finite states may overflow, so they are computed
-    # under the same errstate as the rounds
+    unchecked = schedule.enabled and (W >= 0.0).all() and (W.diagonal() > 0.0).all()
+    # rounds and metrics of huge or non-finite states overflow without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for k, (mask, zeta_sum) in enumerate(masks):
-            dst = rec.row(k, src, zeta_sum)
+        for checked in (False, True) if unchecked else (True,):  # replayed if unchecked fails
+            src = rec.start(instance)
+            masks = (iter_masks(schedule, seeds, iters, m, draws=draws, state=lambda: src.s)
+                     if schedule.enabled else repeat((None, None), iters))
             try:
-                advance(src, dst, mask)
+                for k, (mask, zeta_sum) in enumerate(masks):
+                    dst = rec.row(k, src, zeta_sum)
+                    advance(src, dst, mask)
+                    prev, src = src, dst
+                    dot, bad = _check(src) if checked else (None, None)
+                    if bad is not None:
+                        failed |= bad
+                        failed_at, watch = failed_at or k + 1, False
+                        if failed.all():
+                            break
+                        # retire the trials in place: zeroed rows keep later rounds
+                        # and the local solves free of NaN, and the others step on
+                        src.s[:, bad], src.x[bad], src.Ax[bad] = 0.0, 0.0, 0.0
+                    if watch:
+                        if probe_at == k - 1:
+                            if _snapshot(src) == probe:
+                                cycle = k + 1
+                                break
+                            probe_at = None
+                        if probe_at is None and dot == dots[k & 1]:
+                            probe, probe_at = _snapshot(src), k + 1
+                        dots[k & 1] = dot
+                if checked or (np.isfinite(src.s).all() and np.isfinite(src.x).all()):
+                    break
             except SolverFailure as exc:
-                raise failure(f"round {k}: {exc}", exc.trials) from exc
-            prev, src = src, dst
-            # every A_i is square and invertible, so a non-finite x makes y
-            # non-finite in the same round. A finite dot proves mu and y finite
-            # (inf * 0 is nan); finite states can overflow it, hence the recheck
-            dot = np.vdot(src.mu, src.y)
-            if not math.isfinite(dot):
-                ok = np.isfinite(src.mu).all(axis=(1, 2)) & np.isfinite(src.x).all(axis=(1, 2))
-                ok &= np.isfinite(src.y).all(axis=(1, 2))
-                if not ok.all():
-                    failed |= ~ok
-                    failed_at, watch = failed_at or k + 1, False
-                    if failed.all():
-                        break
-                    # retire the trials in place: zeroed rows keep later rounds
-                    # and the local solves free of NaN, and the others step on
-                    src.s[:, ~ok], src.x[~ok], src.Ax[~ok] = 0.0, 0.0, 0.0
-            if watch:
-                if probe_at == k - 1:
-                    if _snapshot(src) == probe:
-                        cycle = k + 1
-                        break
-                    probe_at = None
-                if probe_at is None and dot == dots[k & 1]:
-                    probe, probe_at = _snapshot(src), k + 1
-                dots[k & 1] = dot
+                if checked:
+                    raise failure(f"round {k}: {exc}", exc.trials) from exc
         rec.measure(k + 1)
         if cycle is not None:
             rec.fill(cycle, src, prev)

@@ -30,10 +30,10 @@ one round loop; the norms, eps_e and the bound checks are computed per
 schedule from its stacked differences afterwards. A schedule whose measured
 rounds are done, or whose recursion diverged, is retired in place: its row
 steps on with a zeroed Delta mu input, and its statistics read only its own
-rounds. A row diverges when ||Delta eta(k)|| exceeds 1e9 max(1, alpha delta
-||A_i0||), which needs an entry above that over sqrt(m): only then are the
-norms taken. The recursion steps in place in round-first arrays; a 1 x 1
-A_i0 is one product plus `+ 0.0` (`_matvecs`).
+rounds. A row diverges when ||Delta eta(k)|| is NaN or exceeds 1e9 max(1,
+alpha delta ||A_i0||), which needs a NaN entry or one above that over
+sqrt(m): only then are the norms taken. The recursion steps in place in
+round-first arrays; a 1 x 1 A_i0 is one product plus `+ 0.0` (`_matvecs`).
 
 Perturbation recursion (Delta = shifted minus base; messages held equal):
     Delta mu(k+1)  = -alpha * Delta y(k)          Delta eta(k) = -Delta mu(k)
@@ -281,7 +281,7 @@ def _audit_points(pair, W, points, alpha, seed):
     diverged = np.zeros(G, dtype=bool)
     diverged_at = 1e9 * max(1.0, scale)
     # a row's norm is at most sqrt(m) (1 + 1e-9) times its largest |entry|, or
-    # inf from an entry above 1e154 / sqrt(m); a NaN row passes neither test
+    # inf from an entry above 1e154 / sqrt(m); a NaN norm is a divergence too
     suspect = min(diverged_at, 1e150) / (math.sqrt(m) * (1.0 + 1e-9))
     c = np.empty((G, p))  # m = p: every A_i is square
     next_end = 0  # the round after which the live rows change
@@ -296,8 +296,8 @@ def _audit_points(pair, W, points, alpha, seed):
         _matvecs(At, np.add(base_mu[k], dmu, out=c), c)
         np.subtract(argmin_rows(ag_shift.cost, ag_shift.box, c), base_x[k], out=dx)
         _matvecs(A, np.subtract(dx, d_x[k - 1], out=dy), dy)
-        if np.fmax.reduce(np.abs(dmu), None) > suspect:  # fmax skips NaN
-            gone = _norms(dmu, 1) > diverged_at  # ||Delta eta(k)||, as np.linalg.norm
+        if not np.abs(dmu).max() <= suspect:  # max keeps NaN
+            gone = ~(_norms(dmu, 1) <= diverged_at)  # ||Delta eta(k)||, as np.linalg.norm
             k_end[gone] = next_end = k  # next round, the live rows change
             diverged |= gone
 

@@ -1,4 +1,4 @@
-import itertools
+import contextlib
 import tracemalloc
 import warnings
 from unittest import mock
@@ -680,6 +680,46 @@ def test_a_diverged_trial_is_retired_in_place():
     assert kernel.call_count == 1 and state_rows.call_count == 1
 
 
+@pytest.mark.parametrize("zero_diagonal", [False, True])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    trial=st.integers(0, 3), k=st.integers(0, 11), agent=st.integers(0, 1),
+    channel=st.integers(0, 1), value=st.sampled_from([np.inf, -np.inf, np.nan]),
+)
+def test_one_non_finite_mask_fails_with_its_round_and_seed(zero_diagonal, trial, k, agent,
+                                                           channel, value):
+    """One inf, -inf or NaN mask entry of round k makes its trial's state non-finite
+    in round k + 1, and only that trial's: the run fails naming that round and seed,
+    with one round kernel and one set of state rows. Under symmetric2's Metropolis W
+    the run steps its 12 rounds unchecked, then replays them checked; under the
+    zero-diagonal W = [[0, 1], [1, 0]] it is checked from round 0."""
+    inst, W = symmetric2()
+    W = np.array([[0.0, 1.0], [1.0, 0.0]]) if zero_diagonal else W
+    masks = np.zeros((2, 4, 12, 2, 1))
+    masks[channel, trial, k, agent, 0] = value
+    kernel, counts = count_kernel_rounds()
+    rows = mock.patch.object(engine, "_StateRows", wraps=engine._StateRows)
+    pattern = rf"^round {k + 1}: state diverged to non-finite values \(trial seeds {20 + trial}\)$"
+    with kernel, rows as state_rows, inject_masks(*masks):
+        with pytest.raises(SolverFailure, match=pattern) as caught:
+            run(inst, W, NoiseSchedule.uniform(2), RunConfig(0.45, 12), [20, 21, 22, 23])
+    assert caught.value.trials == [trial]
+    assert counts == [12 if zero_diagonal else 24] and state_rows.call_count == 1
+
+
+def test_only_checked_passes_call_the_per_round_check():
+    """A finite masked run (mc_noisy's configuration for 300 rounds) never calls
+    `_check`; a noise-free run calls it once per round it steps, here up to where
+    free_converge's state repeats."""
+    instance, W, sched, cfg = mc_noisy_run()
+    with mock.patch.object(engine, "_check", wraps=engine._check) as check:
+        run(instance, W, sched, RunConfig(cfg.alpha, 300, record_every=10), [41, 42])
+        assert check.call_count == 0
+        instance, W, alpha = at_09_alpha_max_t1("microgrid14")
+        tr = run(instance, W, NoiseSchedule.disabled(14), RunConfig(alpha, 3000), [0])
+    assert check.call_count == tr.rounds_stepped < 3000
+
+
 def test_a_failed_local_solve_names_every_failing_seed():
     """Projected gradient with one step fails where a coordinate binds at round 0:
     in the trials whose masks push the duals to 10, not in the one left at 0."""
@@ -1135,19 +1175,24 @@ def test_a_run_without_shared_draws_keeps_none():
     assert philox.call_count == 2 * -(-3000 // chunk_rounds(1, 14, 1))
 
 
+@contextlib.contextmanager
 def absorbing(rule, absorbed):
-    """Patch the engine's noise.iter_masks to absorb masks (rule true) or never (no
-    state reaches it), appending each absorbed round to `absorbed`."""
-    iter_masks = noise.iter_masks
+    """Patch the engine's iter_masks to absorb masks (rule true) or never (no state
+    reaches it), appending each absorbed round to `absorbed`. Rounds count from the
+    latest iter_masks call: a run's checked replay is a new pass, which drops the
+    rounds the pass before it appended."""
+    iter_masks, first = engine.iter_masks, len(absorbed)
 
     def logged(*args, state=None, **kwargs):
+        del absorbed[first:]
         masks = iter_masks(*args, state=state if rule else None, **kwargs)
         for k, (mask, zeta_sum) in enumerate(masks):
             if mask is None:
                 absorbed.append(k)
             yield mask, zeta_sum
 
-    return mock.patch.object(engine, "iter_masks", logged)
+    with mock.patch.object(engine, "iter_masks", logged):
+        yield
 
 
 def assert_absorption_changes_no_output(*args, **kwargs):
@@ -1209,21 +1254,30 @@ def test_absorbed_masks_change_no_output_across_chunk_starts(name, seeds, keep_s
     assert len(absorbed) > 500 and absorbed[0] % 13 == 0
 
 
+@contextlib.contextmanager
 def nudged_at(k, nudge):
-    """Patch the round kernel to apply nudge(dst) to the state it steps in round k."""
-    kernel = engine._round_kernel
+    """Patch the round kernel to apply nudge(dst) to the state it steps in round k,
+    counting rounds from the latest iter_masks call: a checked replay is a new pass."""
+    kernel, iter_masks, rounds = engine._round_kernel, engine.iter_masks, [0]
+
+    def new_pass(*args, **kwargs):
+        rounds[0] = 0
+        return iter_masks(*args, **kwargs)
 
     def nudging_kernel(*args):
-        advance, rounds = kernel(*args), itertools.count()
+        advance = kernel(*args)
 
         def nudged(src, dst, masks):
             advance(src, dst, masks)
-            if next(rounds) == k:
+            if rounds[0] == k:
                 nudge(dst)
+            rounds[0] += 1
 
         return nudged
 
-    return mock.patch.object(engine, "_round_kernel", nudging_kernel)
+    with mock.patch.object(engine, "_round_kernel", nudging_kernel):
+        with mock.patch.object(engine, "iter_masks", new_pass):
+            yield
 
 
 def test_a_state_entry_near_zero_has_its_masks_drawn():

@@ -4,7 +4,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from dmtrack import noise, privacy_audit, theory
+from dmtrack import cli, noise, privacy_audit, theory
 
 from dmtrack.engine import RunConfig, run
 from dmtrack.errors import ConfigError, InadmissibleDecayError, SolverFailure
@@ -25,6 +25,7 @@ from dmtrack.theory import certificate, q_interval
 
 from conftest import build_preset, eta_bound_check, sweep_epsilon
 from test_engine import at_09_alpha_max_t1, nondiagonal3
+from test_harness import write_config
 
 
 @pytest.fixture(scope="module")
@@ -328,7 +329,7 @@ def reference_forced_difference_run(
         lhs = np.linalg.norm(ag.A @ (dx - pair.delta_prime))
         if lhs > eq52_coef * np.linalg.norm(dmu) + CHECK_SLACK:
             violations += 1
-        if eta_norms[k] > diverged_at:
+        if not eta_norms[k] <= diverged_at:  # NaN too
             violations += 1
             break
         dy_prev, dx_prev = dy, dx
@@ -495,8 +496,9 @@ def test_divergence_break_at_m_2_matches_the_per_round_reference(case):
     (sqrt_m) a norm above the threshold whose entries are below it, (ulps_above)
     a norm one ulp above it from entries of equal magnitude, so that sqrt(2)
     times the largest entry, rounded, is not above it, and a jump to inf or
-    NaN. The non-finite cases compare NaNs by value: the sign of a NaN the
-    arithmetic makes differs between the two (np.linalg.norm against a matmul)."""
+    NaN, whose NaN norm is a divergence too. The non-finite cases compare NaNs
+    by value: the sign of a NaN the arithmetic makes differs between the two
+    (np.linalg.norm against a matmul)."""
     pair, W = nondiagonal_pair()
     jump = {
         "sqrt_m": crossing_jump(pair), "ulps_above": ND_EQUAL,
@@ -510,10 +512,8 @@ def test_divergence_break_at_m_2_matches_the_per_round_reference(case):
     assert report_bytes(got, any_nan=not finite) == report_bytes(want, any_nan=not finite)
     eta = got.delta_eta_norms
     assert len(eta) == 11 and np.all(eta[1:6] < 1.0)
-    if case == "nan":
-        assert np.isnan(eta[6:8]).all() and np.isfinite(eta[8:]).all()  # never diverged
-        return
-    assert eta[6] > ND_THRESHOLD and not eta[7:].any() and got.bound_violations >= 1
+    assert np.isnan(eta[6]) if case == "nan" else eta[6] > ND_THRESHOLD
+    assert not eta[7:].any() and got.bound_violations >= 1
     dmu = predicted_delta_eta(pair, jump)
     if case == "sqrt_m":
         assert np.abs(dmu).max() < 0.81 * ND_THRESHOLD
@@ -526,7 +526,8 @@ def test_divergence_break_at_m_2_matches_the_per_round_reference(case):
 def test_a_nan_row_does_not_hide_a_crossing_row_at_m_2():
     """One batch round in which row 0 turns NaN, row 1 crosses the threshold by
     its norm alone, row 2 jumps to inf and row 3 does not jump: each report
-    equals the per-round reference of its schedule with its own jump."""
+    equals the per-round reference of its schedule with its own jump, and the
+    first three count a divergence."""
     pair, W = nondiagonal_pair()
     schedules = [nd_schedule(q) for q in (0.8, 0.85, 0.9, 0.95)]
     jumps = [[np.nan, 0.0], crossing_jump(pair), [np.inf, 0.0], [0.0, 0.0]]
@@ -536,7 +537,7 @@ def test_a_nan_row_does_not_hide_a_crossing_row_at_m_2():
         wants = [guarded_reference(pair, W, s, jump) for s, jump in zip(schedules, jumps)]
     for got, want in zip(batch, wants):
         assert report_bytes(got, any_nan=True) == report_bytes(want, any_nan=True)
-    assert [report.bound_violations > 0 for report in batch[1:]] == [True, True, False]
+    assert [report.bound_violations > 0 for report in batch] == [True, True, True, False]
 
 
 def test_an_overflowing_norm_still_counts_as_divergence(sym2):
@@ -574,6 +575,42 @@ def test_a_non_finite_shifted_solve_of_a_nondiagonal_agent_counts_as_divergence(
             report = audit_one(pair, W, nd_schedule(), ND_ALPHA, 3, horizon=10)
     assert report.delta_eta_norms[6] == np.inf and not report.delta_eta_norms[7:].any()
     assert report.bound_violations >= 1
+
+
+@pytest.mark.parametrize("agent", ["nondiagonal", "diagonal"])
+def test_a_nan_forced_difference_counts_as_divergence(sym2, agent):
+    """Round 5's shifted solution jumped by NaN in its first entry makes round 6's
+    Delta eta NaN, on nondiagonal3's agent 1 and on symmetric2's diagonal agent 0.
+    NaN passes neither the envelope nor the eq. 52 check, so the audit counts it
+    as a divergence, as it counts inf, and retires the row there."""
+    if agent == "nondiagonal":
+        (pair, W), audit, jump = nondiagonal_pair(), (nd_schedule(), ND_ALPHA, 3), [np.nan, 0.0]
+    else:
+        pair, W = make_adjacent_pair(sym2[0], 0, 1.0), sym2[1]
+        audit, jump = (NoiseSchedule.uniform(2, q=0.95), 0.9, 11), [np.nan]
+    rows = jumping(argmin_rows, lambda x: x + np.array(jump))
+    with np.errstate(invalid="ignore"), mock.patch.object(privacy_audit, "argmin_rows", rows):
+        report = audit_one(pair, W, *audit, horizon=10)
+    assert np.isnan(report.delta_eta_norms[6]) and not report.delta_eta_norms[7:].any()
+    assert report.bound_violations >= 1
+
+
+@pytest.mark.parametrize("horizon", [10, None])
+def test_cli_audit_fails_on_a_nan_forced_difference(tmp_path, horizon):
+    """`audit` on symmetric2's agent 0 at alpha 0.9, q 0.95 and seed 11 reports a
+    violation in audit.csv and exits 1 once round 5's shifted solution turns NaN.
+    Without the jump it reports none; at horizon 10 the tail alone puts
+    eps_empirical above eps_theory, so only the picked horizon exits 0."""
+    overrides = {"algorithm.alpha": 0.9, "noise.q": 0.95, "seed": 11}
+    path = write_config(tmp_path, **overrides, **{"audit.horizon": horizon} if horizon else {})
+    verdicts = []
+    for jump in (0.0, np.nan):
+        rows = jumping(argmin_rows, lambda x: x + jump)
+        with np.errstate(invalid="ignore"), mock.patch.object(privacy_audit, "argmin_rows", rows):
+            code = cli.main(["audit", "--config", str(path)])
+        csv = (tmp_path / "out" / "audit.csv").read_text().splitlines()
+        verdicts.append((code, int(csv[1].split(",")[-1]) > 0))
+    assert verdicts == [(int(horizon == 10), False), (1, True)]
 
 
 def counting_envelopes(pows):
