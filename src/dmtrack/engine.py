@@ -43,25 +43,28 @@ The einsum maps of m > 1 start their sums at 0.0, which turns -0.0 into 0.0;
 
 A checked pass tests each round with `_check`, one dot of mu and y, and
 retires a trial whose state turns non-finite in place: its row is zeroed, the
-others step on, and the run fails naming every diverged trial. A masked run
-with W >= 0 and w_ii > 0 (every Metropolis W) steps unchecked and tests the
-final mu, y and x once: a non-finite mu_i or y_i enters (W z)_i with weight
-w_ii > 0 each round, so stays non-finite, and a non-finite x makes y
+others step on, and the run fails naming every diverged trial. A run with
+W >= 0 and w_ii > 0 (every Metropolis W), masked or not, steps unchecked and
+tests the final mu, y and x once: a non-finite mu_i or y_i enters (W z)_i with
+weight w_ii > 0 each round, so stays non-finite, and a non-finite x makes y
 non-finite in the same round (A_i is square and invertible), so a finite end
-proves every round finite. A pass that ends non-finite or fails is replayed
-from round 0, checked, by the same kernel, rows and `_Recorder`.
+proves every round finite. For the same reason an unchecked pass ends at the
+first metric or kept block whose [mu; y] is not finite (`_Recorder.measure`).
+A pass that ends non-finite or fails is replayed from round 0, checked, by the
+same kernel, rows and `_Recorder`.
 
 Without masks a round is a deterministic map of the bytes it reads (s and A x
 of its source row; it overwrites all its scratch), so once the batch state
 equals the state two rounds earlier, every later state repeats the last two
 with period 1 or 2. `run` watches for this while `schedule.enabled` is off and
-no trial has diverged: when a round's finiteness dot equals the dot of two
-rounds earlier (equal states give equal dots), it keeps the bytes of s, x and
-A x, and two rounds later compares the state with them. On a match it stops
-stepping; `_Recorder.fill` and `run` fill the remaining records, kept states
-and final state from the two states of the orbit by the parity of the round:
-the same bytes stepping would have written. An orbit of a longer period is
-stepped to the end.
+no trial has diverged: every 16th round of a pass it keeps the bytes of s, x
+and A x, and two rounds later compares the state with them, so it stops at
+most 17 rounds after the first state that recurs two rounds later. On a match
+it stops stepping; `_Recorder.fill` and `run` fill the remaining records, kept
+states and final state from the two states of the orbit by the parity of the
+round: the same bytes stepping would have written. A non-finite state can
+repeat too; the end test sends such a pass to the checked replay. An orbit of
+a longer period is stepped to the end.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ class RunTrace:
     tracking_residual: np.ndarray
     feasibility: np.ndarray
     final_state: EngineState
-    rounds_stepped: int  # kernel rounds executed; fewer than iters once the state repeats
+    rounds_stepped: int  # iters, or the round where a noise-free run found its state repeating
     states_mu: Optional[np.ndarray] = None
     states_x: Optional[np.ndarray] = None
 
@@ -187,14 +190,13 @@ def _zero_adds_are_noops(a, v, diag, lower, upper):
 
 
 def _check(row):
-    """A row's dot of mu and y, and its trials whose mu, x or y is not finite (None if none
-    is): a finite dot proves mu and y finite (inf * 0 is nan); finite states may overflow it."""
-    dot = np.vdot(row.mu, row.y)
-    if math.isfinite(dot):
-        return dot, None
+    """A row's trials whose mu, x or y is not finite, or None if none is: a finite dot of
+    mu and y proves them finite (inf * 0 is nan); finite states may overflow it."""
+    if math.isfinite(np.vdot(row.mu, row.y)):
+        return None
     ok = np.isfinite(row.mu).all(axis=(1, 2)) & np.isfinite(row.x).all(axis=(1, 2))
     ok &= np.isfinite(row.y).all(axis=(1, 2))
-    return dot, None if ok.all() else ~ok
+    return None if ok.all() else ~ok
 
 
 def _snapshot(row):
@@ -281,9 +283,11 @@ class _Recorder:
     two spare rows. With keep_states every round fills a block of
     KEPT_BLOCK_ROWS // T rows instead, which `measure` copies into the kept
     trajectory at once: building a row's views costs more than copying a round.
-    `start` begins a pass. A run with a diverged trial raises and returns
-    nothing, so its later rows are claimed and measured like any others and
-    never read. A trace holds copies, never views of the rows.
+    `start` begins a pass; in an unchecked one, `measure` raises SolverFailure
+    on a block with a non-finite [mu; y], which ends the pass early. A run
+    with a diverged trial raises and returns nothing, so its later rows are
+    claimed and measured like any others and never read. A trace holds
+    copies, never views of the rows.
     """
 
     def __init__(self, instance, W, config, T, keep_states, x_star):
@@ -303,8 +307,9 @@ class _Recorder:
         self.rows, self.spare = self.buf.rows[:per_block], self.buf.rows[per_block:]
         self.next_record = ks.tolist()[1:] + [None]  # next_record[r]: the round of record r + 1
 
-    def start(self, instance):
+    def start(self, instance, checked):
         """Row 0, set to `init_state`'s round 0, with every record and kept state to come."""
+        self.checked = checked
         src, state = self.rows[0], init_state(instance)
         src.mu[...], src.x[...], src.y[...] = state.mu, state.x, state.y
         src.Ax[...] = np.einsum("imp,tip->tim", instance.A, src.x)
@@ -334,6 +339,8 @@ class _Recorder:
         With keep_states the rows hold every round top+1-held..top: they are
         copied into the trajectory, and the rows of the records gathered."""
         buf, count, lo, hi = self.buf, self.held, self.measured, self.r + 1
+        if not (self.checked or np.isfinite(buf.s[:count]).all()):
+            raise SolverFailure("non-finite state in an unchecked pass")
         self.held, self.measured = 0, hi
         at = slice(count)
         if self.keep:
@@ -383,8 +390,8 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
     solve failed in that round, or if a trial's state turns non-finite. A
     diverged trial is retired in place, its row zeroed, and the others step
     on in the same rows with the same kernel, so `exc.trials` lists the batch
-    positions of every trial that diverged. An unchecked masked run raises
-    these from its checked replay (module docstring).
+    positions of every trial that diverged. An unchecked run raises these
+    from its checked replay (module docstring).
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
@@ -409,23 +416,21 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
 
     failed = np.zeros(T, dtype=bool)  # whether each trial of the batch has diverged
     failed_at = None  # the first round with a diverged trial
-    watch = not schedule.enabled  # for a repeating state, until a trial diverges
-    dots = [math.nan, math.nan]  # finiteness dots of the last two states, by round parity
-    probe, probe_at = None, None  # _snapshot of the state at round probe_at
-    cycle = None  # the round whose state equals the one two rounds before
-    unchecked = schedule.enabled and (W >= 0.0).all() and (W.diagonal() > 0.0).all()
+    unchecked = (W >= 0.0).all() and (W.diagonal() > 0.0).all()
     # rounds and metrics of huge or non-finite states overflow without a warning
     with np.errstate(over="ignore", invalid="ignore"):
         for checked in (False, True) if unchecked else (True,):  # replayed if unchecked fails
-            src = rec.start(instance)
+            src = rec.start(instance, checked)
             masks = (iter_masks(schedule, seeds, iters, m, draws=draws, state=lambda: src.s)
                      if schedule.enabled else repeat((None, None), iters))
+            watch = not schedule.enabled  # for a repeating state, until a trial diverges
+            cycle = None  # the round whose state equals the one two rounds before
             try:
                 for k, (mask, zeta_sum) in enumerate(masks):
                     dst = rec.row(k, src, zeta_sum)
                     advance(src, dst, mask)
                     prev, src = src, dst
-                    dot, bad = _check(src) if checked else (None, None)
+                    bad = _check(src) if checked else None
                     if bad is not None:
                         failed |= bad
                         failed_at, watch = failed_at or k + 1, False
@@ -434,21 +439,18 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
                         # retire the trials in place: zeroed rows keep later rounds
                         # and the local solves free of NaN, and the others step on
                         src.s[:, bad], src.x[bad], src.Ax[bad] = 0.0, 0.0, 0.0
-                    if watch:
-                        if probe_at == k - 1:
-                            if _snapshot(src) == probe:
-                                cycle = k + 1
-                                break
-                            probe_at = None
-                        if probe_at is None and dot == dots[k & 1]:
-                            probe, probe_at = _snapshot(src), k + 1
-                        dots[k & 1] = dot
+                    if watch and k % 16 in (0, 2):  # probe every 16th round, compare 2 later
+                        if k % 16 == 0:
+                            probe = _snapshot(src)
+                        elif _snapshot(src) == probe:
+                            cycle = k + 1
+                            break
+                rec.measure(k + 1)
                 if checked or (np.isfinite(src.s).all() and np.isfinite(src.x).all()):
                     break
             except SolverFailure as exc:
                 if checked:
                     raise failure(f"round {k}: {exc}", exc.trials) from exc
-        rec.measure(k + 1)
         if cycle is not None:
             rec.fill(cycle, src, prev)
             if (iters - cycle) % 2:

@@ -14,14 +14,18 @@ def load_tool():
 
 def test_the_checkout_matches_itself_on_one_seed(capsys):
     """Every command of every workload config runs and matches itself; the
-    single-point audit of free_converge's noise-free config is rejected (exit 2)."""
+    single-point audit of free_converge's noise-free config is rejected (exit 2).
+    The run lines show both checkouts' rounds_stepped: every round of the noisy
+    run, and the noise-free run's stop where its state repeats."""
     tool = load_tool()
     assert tool.main([str(ROOT), str(ROOT), "--seeds", "3", "--invocations", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     own = {"mc_noisy": "run", "free_converge": "run", "audit_grid": "audit --grid"}
+    stepped = {"mc_noisy": "5000 -> 5000", "free_converge": "1059 -> 1059"}
     assert lines[:15] == [
         f"{workload} seed 3 invocation 0 {name}: identical (exit "
         f"[{2 if (workload, name) == ('free_converge', 'audit') else 0}])"
+        + (f" rounds_stepped {stepped[workload]}" if name == "run" else "")
         for workload in own
         for name in (own[workload], "bounds", "oracle", "audit", "sweep")
     ]
@@ -36,7 +40,8 @@ def test_every_file_a_command_writes_is_compared(tmp_path):
     """A sweep's items are its stdout, sweep.csv and each value's trace.csv and
     summary.json, but no timings.json."""
     tool = load_tool()
-    items = tool.run_case(ROOT, "mc_noisy", 3, 0, "sweep", tmp_path / "work")
+    items, stepped = tool.run_case(ROOT, "mc_noisy", 3, 0, "sweep", tmp_path / "work")
+    assert stepped is None
     assert sorted(items) == sorted(["exit code", "stdout", "sweep.csv"] + [
         f"d_zeta_{value}/{name}" for value in ("0.5", "2") for name in ("summary.json", "trace.csv")
     ])

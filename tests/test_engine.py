@@ -708,16 +708,22 @@ def test_one_non_finite_mask_fails_with_its_round_and_seed(zero_diagonal, trial,
 
 
 def test_only_checked_passes_call_the_per_round_check():
-    """A finite masked run (mc_noisy's configuration for 300 rounds) never calls
-    `_check`; a noise-free run calls it once per round it steps, here up to where
-    free_converge's state repeats."""
+    """Finite runs under a Metropolis W never call `_check`: a masked one
+    (mc_noisy's configuration for 300 rounds) and a noise-free one (free_converge's,
+    which stops where its state repeats). Under the zero-diagonal W = [[0, 1], [1, 0]]
+    a noise-free run is checked from round 0, once per round it steps."""
     instance, W, sched, cfg = mc_noisy_run()
     with mock.patch.object(engine, "_check", wraps=engine._check) as check:
         run(instance, W, sched, RunConfig(cfg.alpha, 300, record_every=10), [41, 42])
-        assert check.call_count == 0
         instance, W, alpha = at_09_alpha_max_t1("microgrid14")
         tr = run(instance, W, NoiseSchedule.disabled(14), RunConfig(alpha, 3000), [0])
-    assert check.call_count == tr.rounds_stepped < 3000
+        assert check.call_count == 0 and tr.rounds_stepped < 3000
+        inst, _ = symmetric2()
+        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        kernel, counts = count_kernel_rounds()
+        with kernel:
+            tr = run(inst, swap, NoiseSchedule.disabled(2), RunConfig(0.45, 300), [0, 1])
+    assert check.call_count == counts[0] == tr.rounds_stepped > 0
 
 
 def test_a_failed_local_solve_names_every_failing_seed():
@@ -1020,8 +1026,10 @@ def test_a_noisy_run_steps_every_round(d):
 
 
 def test_a_diverging_noise_free_run_steps_to_its_failure():
-    """A noise-free batch that diverges steps every round up to the failing
-    round, and the failure names every seed of the batch."""
+    """A noise-free batch that diverges at round 224 steps unchecked to round 227,
+    where the probe of round 225 finds its non-finite state repeating (before the
+    end of its metric block at round 255), then replays the 224 rounds checked; the
+    failure names every seed of the batch."""
     inst = single_agent_instance(lo=-np.inf, hi=np.inf)
     two = ProblemInstance(agents=(inst.agents[0], inst.agents[0]))
     W = metropolis_weights(PRESETS["symmetric2"]()[1])
@@ -1031,13 +1039,61 @@ def test_a_diverging_noise_free_run_steps_to_its_failure():
     start = starting_at(start_state(two, x=np.ones((2, 1))))
     with start, kernel, pytest.raises(SolverFailure, match=pattern) as caught:
         run(two, W, NoiseSchedule.disabled(2), cfg, [7, 8])
-    assert caught.value.trials == [0, 1] and counts == [224]
+    assert caught.value.trials == [0, 1] and counts == [227 + 224]
+
+
+def test_a_diverging_masked_run_replays_from_the_end_of_its_metric_block():
+    """The batch above under masks, for 5000 rounds: the unchecked pass ends at
+    the first metric block holding a non-finite state (64 rounds of two trials a
+    block, so rounds 192..255), not at round 5000, and the checked replay fails at
+    round 224 naming both seeds."""
+    inst = single_agent_instance(lo=-np.inf, hi=np.inf)
+    two = ProblemInstance(agents=(inst.agents[0], inst.agents[0]))
+    W = metropolis_weights(PRESETS["symmetric2"]()[1])
+    per_block = engine.MAX_METRIC_ROWS // 2
+    block_end = (224 // per_block + 1) * per_block - 1  # 255, the last round of 224's block
+    kernel, counts = count_kernel_rounds()
+    pattern = r"^round 224: .*\(trial seeds 7, 8\)$"
+    start = starting_at(start_state(two, x=np.ones((2, 1))))
+    with start, kernel, pytest.raises(SolverFailure, match=pattern) as caught:
+        run(two, W, NoiseSchedule.uniform(2), RunConfig(alpha=50.0, iters=5000), [7, 8])
+    assert caught.value.trials == [0, 1] and counts == [block_end + 224]
+
+
+@pytest.mark.parametrize("record_every, unchecked_stop", [(1, 63), (300, 67)])
+def test_a_repeating_non_finite_trial_fails_beside_a_trial_in_its_orbit(record_every,
+                                                                        unchecked_stop):
+    """Of two noise-free symmetric2 trials, seed 6 starts with an overflowing dual
+    and repeats a non-finite state from round 1 on, byte for byte, while seed 5
+    reaches its period-2 orbit at round 61. The unchecked pass ends at its first
+    metric block (rounds 0..63) or, recording only the end, where the probe of
+    round 65 matches round 67; either way the checked replay retires seed 6 at
+    round 1, steps seed 5 to the end and fails as stepping every round says."""
+    inst, W, alpha = at_09_alpha_max_t1("symmetric2")
+    healthy, wild = init_state(inst), start_state(inst, mu=[1.7e308] * 2, x=[-1.7e308] * 2)
+    batch = EngineState(mu=np.stack([healthy.mu, wild.mu]), x=np.stack([healthy.x, wild.x]),
+                        y=np.stack([healthy.y, wild.y]))
+    cfg = RunConfig(alpha, 300, record_every=record_every)
+    with starting_at(batch), np.errstate(over="ignore", invalid="ignore"):
+        ref = stepped_reference(inst, W, cfg, 2)
+    with starting_at(batch):
+        kernel, counts = count_kernel_rounds()
+        with kernel, pytest.raises(SolverFailure) as caught:
+            run(inst, W, NoiseSchedule.disabled(2), cfg, [5, 6])
+    finite = np.isfinite(ref.s).all(axis=(1, 3, 4)) & np.isfinite(ref.x).all(axis=(2, 3))
+    bad = int(np.argmin(finite[:, 1]))
+    assert finite[:, 0].all() and bad == 1 and not finite[bad:, 1].any()
+    repeats = [[ref.s[k, :, t].tobytes() == ref.s[k + 2, :, t].tobytes() for k in range(298)]
+               for t in (0, 1)]
+    assert repeats[1][bad:] == [True] * (298 - bad) and repeats[0].index(True) == 61
+    assert str(caught.value) == f"round {bad}: state diverged to non-finite values (trial seeds 6)"
+    assert caught.value.trials == [1] and counts == [unchecked_stop + 300]
 
 
 def test_a_repeating_dot_alone_does_not_stop_the_stepping():
-    """At alpha = 0 the duals stay at 0, so every round's dot of mu and y is 0,
-    while the trackers of a start off consensus still mix toward their average:
-    the run steps on, and gives the bytes of stepping every round."""
+    """At alpha = 0 the duals stay at 0 while the trackers of a start off consensus
+    still mix toward their average: a state repeating in mu alone does not stop the
+    stepping, and the run gives the bytes of stepping every round."""
     instance, W, _ = at_09_alpha_max_t1("microgrid14")
     cfg = RunConfig(0.0, 60)
     with starting_at(start_state(instance, x=np.linspace(0.0, 40.0, 14))):

@@ -17,13 +17,16 @@ times and is left out.
 
 Prints one line per command of each case, then `wc -l src/dmtrack/*.py` of
 both checkouts with the per-file delta, and exits 1 if any item differs,
-naming each.
+naming each. A `run` line also shows the rounds_stepped of each checkout's
+timings.json, parent first: where a noise-free run stopped stepping. It is
+not compared.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -57,9 +60,10 @@ def commands(argv, out_dir):
 
 
 def run_case(checkout, workload, seed, index, name, work):
-    """The exit code and {item: sha256 of its bytes} of command `name` of one case,
-    run from `checkout`; every file under the output directory but timings.json
-    is an item, named by its path there."""
+    """({item: sha256 of its bytes}, rounds_stepped) of command `name` of one case,
+    run from `checkout`. The exit code, stdout and every file under the output
+    directory but timings.json are items, a file named by its path there;
+    rounds_stepped is that of the output directory's timings.json, or None."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     _, argv, out_dir = workloads.prepare(workload, seed, index, False, work)
@@ -74,7 +78,9 @@ def run_case(checkout, workload, seed, index, name, work):
         if path.is_file() and path.name != "timings.json":
             item = path.relative_to(out_dir).as_posix()
             items[item] = hashlib.sha256(path.read_bytes()).hexdigest()
-    return items
+    timings = Path(out_dir) / "timings.json"
+    stepped = json.loads(timings.read_text()).get("rounds_stepped") if timings.is_file() else None
+    return items, stepped
 
 
 def differing(parent, change):
@@ -115,14 +121,15 @@ def main(argv=None):
             for seed in args.seeds:
                 for index in range(args.invocations):
                     for name in names:
-                        parent = run_case(args.parent, workload, seed, index, name, work)
-                        change = run_case(args.change, workload, seed, index, name, work)
+                        parent, before = run_case(args.parent, workload, seed, index, name, work)
+                        change, after = run_case(args.change, workload, seed, index, name, work)
                         diff = differing(parent, change)
                         differences += len(diff)
                         verdict = "differs in " + ", ".join(diff) if diff else "identical"
                         codes = sorted({parent["exit code"], change["exit code"]})
+                        shown = f" rounds_stepped {before} -> {after}" if name == "run" else ""
                         print(f"{workload} seed {seed} invocation {index} {name}: "
-                              f"{verdict} (exit {codes})")
+                              f"{verdict} (exit {codes}){shown}")
     finally:
         shutil.rmtree(root, ignore_errors=True)
     print_line_counts(args.parent, args.change)
