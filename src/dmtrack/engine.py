@@ -41,17 +41,16 @@ The einsum maps of m > 1 start their sums at 0.0, which turns -0.0 into 0.0;
 0.0 - v gives c the same bytes, and A x gets a `+ 0.0` unless it can never be
 -0.0 (`_zero_adds_are_noops`).
 
-A checked pass tests each round with `_check`, one dot of mu and y, and
-retires a trial whose state turns non-finite in place: its row is zeroed, the
-others step on, and the run fails naming every diverged trial. A run with
-W >= 0 and w_ii > 0 (every Metropolis W), masked or not, steps unchecked and
-tests the final mu, y and x once: a non-finite mu_i or y_i enters (W z)_i with
+`run` takes only a W with nonnegative entries and a positive diagonal (every
+Metropolis W has w_ii >= 1/(1 + deg_i)) and steps a run unchecked, testing
+only the final mu, y and x: a non-finite mu_i or y_i enters (W z)_i with
 weight w_ii > 0 each round, so stays non-finite, and a non-finite x makes y
 non-finite in the same round (A_i is square and invertible), so a finite end
 proves every round finite. For the same reason an unchecked pass ends at the
-first metric or kept block whose [mu; y] is not finite (`_Recorder.measure`).
-A pass that ends non-finite or fails is replayed from round 0, checked, by the
-same kernel, rows and `_Recorder`.
+first metric or kept block whose last [mu; y] is not finite
+(`_Recorder.measure`). A pass that ends non-finite or fails is replayed from
+round 0 by the same kernel, rows and `_Recorder`, with `_check` after each
+round, which retires a trial whose state turns non-finite.
 
 Without masks a round is a deterministic map of the bytes it reads (s and A x
 of its source row; it overwrites all its scratch), so once the batch state
@@ -69,7 +68,6 @@ a longer period is stepped to the end.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Optional
@@ -107,7 +105,7 @@ class RunConfig:
     record_every: int = 1
 
     def __post_init__(self):
-        if self.alpha < 0:
+        if not self.alpha >= 0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if self.iters < 1:
             raise ValueError(f"iters must be at least 1, got {self.iters}")
@@ -190,12 +188,8 @@ def _zero_adds_are_noops(a, v, diag, lower, upper):
 
 
 def _check(row):
-    """A row's trials whose mu, x or y is not finite, or None if none is: a finite dot of
-    mu and y proves them finite (inf * 0 is nan); finite states may overflow it."""
-    if math.isfinite(np.vdot(row.mu, row.y)):
-        return None
-    ok = np.isfinite(row.mu).all(axis=(1, 2)) & np.isfinite(row.x).all(axis=(1, 2))
-    ok &= np.isfinite(row.y).all(axis=(1, 2))
+    """A row's trials whose mu, x or y is not finite, or None if none is."""
+    ok = np.isfinite(row.s).all(axis=(0, 2, 3)) & np.isfinite(row.x).all(axis=(1, 2))
     return None if ok.all() else ~ok
 
 
@@ -284,9 +278,9 @@ class _Recorder:
     KEPT_BLOCK_ROWS // T rows instead, which `measure` copies into the kept
     trajectory at once: building a row's views costs more than copying a round.
     `start` begins a pass; in an unchecked one, `measure` raises SolverFailure
-    on a block with a non-finite [mu; y], which ends the pass early. A run
-    with a diverged trial raises and returns nothing, so its later rows are
-    claimed and measured like any others and never read. A trace holds
+    on a block whose last [mu; y] is not finite, which ends the pass early. A
+    run with a diverged trial raises and returns nothing, so its later rows
+    are claimed and measured like any others and never read. A trace holds
     copies, never views of the rows.
     """
 
@@ -339,7 +333,7 @@ class _Recorder:
         With keep_states the rows hold every round top+1-held..top: they are
         copied into the trajectory, and the rows of the records gathered."""
         buf, count, lo, hi = self.buf, self.held, self.measured, self.r + 1
-        if not (self.checked or np.isfinite(buf.s[:count]).all()):
+        if not (self.checked or np.isfinite(buf.s[count - 1]).all()):
             raise SolverFailure("non-finite state in an unchecked pass")
         self.held, self.measured = 0, hi
         at = slice(count)
@@ -390,13 +384,16 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
     solve failed in that round, or if a trial's state turns non-finite. A
     diverged trial is retired in place, its row zeroed, and the others step
     on in the same rows with the same kernel, so `exc.trials` lists the batch
-    positions of every trial that diverged. An unchecked run raises these
-    from its checked replay (module docstring).
+    positions of every trial that diverged; all come from the checked replay
+    (module docstring). Raises ValueError, before stepping, for a W with a
+    negative or NaN entry or a diagonal entry that is not positive.
     """
     seeds = [int(s) for s in seeds]
     if not seeds:
         raise ValueError("need at least one seed")
     W = np.asarray(getattr(W, "W", W), dtype=float)
+    if not ((W >= 0.0).all() and (W.diagonal() > 0.0).all()):
+        raise ValueError("W must have nonnegative entries and a positive diagonal")
     n, m, p = instance.dims
     T = len(seeds)
     iters = config.iters
@@ -416,10 +413,9 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
 
     failed = np.zeros(T, dtype=bool)  # whether each trial of the batch has diverged
     failed_at = None  # the first round with a diverged trial
-    unchecked = (W >= 0.0).all() and (W.diagonal() > 0.0).all()
     # rounds and metrics of huge or non-finite states overflow without a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        for checked in (False, True) if unchecked else (True,):  # replayed if unchecked fails
+        for checked in (False, True):  # a failing unchecked pass is replayed checked
             src = rec.start(instance, checked)
             masks = (iter_masks(schedule, seeds, iters, m, draws=draws, state=lambda: src.s)
                      if schedule.enabled else repeat((None, None), iters))

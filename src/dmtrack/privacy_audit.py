@@ -84,7 +84,7 @@ def make_adjacent_pair(base, i0, delta, delta_prime=None):
     """
     if not 0 <= i0 < base.n:
         raise ValueError(f"i0 = {i0} is out of range for n = {base.n}")
-    if delta <= 0:
+    if not delta > 0:
         raise ValueError(f"delta must be positive, got {delta}")
     p = base.p
     if delta_prime is None:
@@ -180,7 +180,7 @@ def _audit_point(pair, schedule, alpha, horizon):
     q = float(schedule.q_zeta[i0])
     if d_eta <= 0 or d_zeta <= 0:
         raise ConfigError("audited agent needs positive mask scales on both channels")
-    if alpha <= 0:
+    if not alpha > 0:
         raise ConfigError(f"the audit needs a positive stepsize, got alpha = {alpha:g}")
     if abs(q_eta - q) > 1e-15:
         raise ConfigError(

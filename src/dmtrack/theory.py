@@ -139,7 +139,7 @@ def q_interval(alpha, phi_i0, A_i0_norm):
     the characteristic polynomial of the perturbation recursion; q_min
     coincides with the larger root.
     """
-    if alpha <= 0 or phi_i0 <= 0 or A_i0_norm <= 0:
+    if not (alpha > 0 and phi_i0 > 0 and A_i0_norm > 0):
         raise ValueError("alpha, phi, and the coupling norm must be positive")
     try:
         disc = math.sqrt(alpha**2 * A_i0_norm**2 + 4.0 * alpha * phi_i0)

@@ -14,24 +14,27 @@ def load_tool():
 
 def test_the_checkout_matches_itself_on_one_seed(capsys):
     """Every command of every workload config runs and matches itself; the
-    single-point audit of free_converge's noise-free config is rejected (exit 2).
-    The run lines show both checkouts' rounds_stepped: every round of the noisy
-    run, and the noise-free run's stop where its state repeats."""
+    single-point audit of free_converge's noise-free config is rejected (exit 2),
+    and the alpha = 1e308 sweep fails (exit 1) except on audit_grid's one-round
+    config. The run lines show both checkouts' rounds_stepped: every round of
+    the noisy run, and the noise-free run's stop where its state repeats."""
     tool = load_tool()
     assert tool.main([str(ROOT), str(ROOT), "--seeds", "3", "--invocations", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     own = {"mc_noisy": "run", "free_converge": "run", "audit_grid": "audit --grid"}
     stepped = {"mc_noisy": "5000 -> 5000", "free_converge": "1059 -> 1059"}
-    assert lines[:15] == [
-        f"{workload} seed 3 invocation 0 {name}: identical (exit "
-        f"[{2 if (workload, name) == ('free_converge', 'audit') else 0}])"
+    exits = {("free_converge", "audit"): 2, ("mc_noisy", "diverging sweep"): 1,
+             ("free_converge", "diverging sweep"): 1}
+    assert lines[:18] == [
+        f"{workload} seed 3 invocation 0 {name}: identical "
+        f"(exit [{exits.get((workload, name), 0)}])"
         + (f" rounds_stepped {stepped[workload]}" if name == "run" else "")
         for workload in own
-        for name in (own[workload], "bounds", "oracle", "audit", "sweep")
+        for name in (own[workload], "bounds", "oracle", "audit", "sweep", "diverging sweep")
     ]
-    assert lines[15] == "wc -l src/dmtrack/*.py: parent, change, delta"
+    assert lines[18] == "wc -l src/dmtrack/*.py: parent, change, delta"
     counts = tool.line_counts(ROOT)
-    assert lines[16:-2] == [f"  {name:<20} {n:>6} {n:>6} {0:>+6}" for name, n in counts.items()]
+    assert lines[19:-2] == [f"  {name:<20} {n:>6} {n:>6} {0:>+6}" for name, n in counts.items()]
     total = sum(counts.values())
     assert lines[-2:] == [f"  {'total':<20} {total:>6} {total:>6} {0:>+6}", "0 differing items"]
 

@@ -44,9 +44,13 @@ def symmetric2():
     return inst, metropolis_weights(graph)
 
 
+@pytest.mark.parametrize("alpha", [-0.1, -np.inf, np.nan])
+def test_config_rejects_a_stepsize_that_is_not_nonnegative(alpha):
+    with pytest.raises(ValueError, match="^alpha must be nonnegative"):
+        RunConfig(alpha=alpha, iters=10)
+
+
 def test_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(alpha=-0.1, iters=10)
     with pytest.raises(ValueError):
         RunConfig(alpha=0.1, iters=0)
     with pytest.raises(ValueError):
@@ -680,21 +684,17 @@ def test_a_diverged_trial_is_retired_in_place():
     assert kernel.call_count == 1 and state_rows.call_count == 1
 
 
-@pytest.mark.parametrize("zero_diagonal", [False, True])
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
     trial=st.integers(0, 3), k=st.integers(0, 11), agent=st.integers(0, 1),
     channel=st.integers(0, 1), value=st.sampled_from([np.inf, -np.inf, np.nan]),
 )
-def test_one_non_finite_mask_fails_with_its_round_and_seed(zero_diagonal, trial, k, agent,
-                                                           channel, value):
+def test_one_non_finite_mask_fails_with_its_round_and_seed(trial, k, agent, channel, value):
     """One inf, -inf or NaN mask entry of round k makes its trial's state non-finite
     in round k + 1, and only that trial's: the run fails naming that round and seed,
-    with one round kernel and one set of state rows. Under symmetric2's Metropolis W
-    the run steps its 12 rounds unchecked, then replays them checked; under the
-    zero-diagonal W = [[0, 1], [1, 0]] it is checked from round 0."""
+    with one round kernel and one set of state rows. The run steps its 12 rounds
+    unchecked, then replays them checked."""
     inst, W = symmetric2()
-    W = np.array([[0.0, 1.0], [1.0, 0.0]]) if zero_diagonal else W
     masks = np.zeros((2, 4, 12, 2, 1))
     masks[channel, trial, k, agent, 0] = value
     kernel, counts = count_kernel_rounds()
@@ -704,26 +704,42 @@ def test_one_non_finite_mask_fails_with_its_round_and_seed(zero_diagonal, trial,
         with pytest.raises(SolverFailure, match=pattern) as caught:
             run(inst, W, NoiseSchedule.uniform(2), RunConfig(0.45, 12), [20, 21, 22, 23])
     assert caught.value.trials == [trial]
-    assert counts == [12 if zero_diagonal else 24] and state_rows.call_count == 1
+    assert counts == [24] and state_rows.call_count == 1
+
+
+@pytest.mark.parametrize("W", [
+    [[0.0, 1.0], [1.0, 0.0]],  # a zero diagonal
+    [[1.5, -0.5], [-0.5, 1.5]],  # doubly stochastic, with negative entries
+    [[0.5, np.nan], [0.5, 0.5]],
+    [[np.nan, 0.5], [0.5, 0.5]],
+], ids=["zero_diagonal", "negative", "nan", "nan_diagonal"])
+def test_a_w_with_a_negative_nan_or_zero_diagonal_entry_is_refused(W):
+    """`run` takes only a W with nonnegative entries and a positive diagonal, under
+    which a non-finite state stays non-finite; any other W raises before a round."""
+    inst, _ = symmetric2()
+    kernel, counts = count_kernel_rounds()
+    with kernel, pytest.raises(ValueError, match="^W must have nonnegative entries"):
+        run(inst, np.array(W), NoiseSchedule.uniform(2), RunConfig(0.45, 12), [0, 1])
+    assert sum(counts) == 0
 
 
 def test_only_checked_passes_call_the_per_round_check():
-    """Finite runs under a Metropolis W never call `_check`: a masked one
-    (mc_noisy's configuration for 300 rounds) and a noise-free one (free_converge's,
-    which stops where its state repeats). Under the zero-diagonal W = [[0, 1], [1, 0]]
-    a noise-free run is checked from round 0, once per round it steps."""
+    """Finite runs never call `_check`: a masked one (mc_noisy's configuration for
+    300 rounds) and a noise-free one (free_converge's, which stops where its state
+    repeats). A failing run calls it once per round of its checked replay."""
     instance, W, sched, cfg = mc_noisy_run()
     with mock.patch.object(engine, "_check", wraps=engine._check) as check:
         run(instance, W, sched, RunConfig(cfg.alpha, 300, record_every=10), [41, 42])
         instance, W, alpha = at_09_alpha_max_t1("microgrid14")
         tr = run(instance, W, NoiseSchedule.disabled(14), RunConfig(alpha, 3000), [0])
         assert check.call_count == 0 and tr.rounds_stepped < 3000
-        inst, _ = symmetric2()
-        swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+        inst, W = symmetric2()
+        eta = np.zeros((2, 30, 2, 1))
+        eta[1, 5, 0, 0] = np.inf
         kernel, counts = count_kernel_rounds()
-        with kernel:
-            tr = run(inst, swap, NoiseSchedule.disabled(2), RunConfig(0.45, 300), [0, 1])
-    assert check.call_count == counts[0] == tr.rounds_stepped > 0
+        with kernel, inject_masks(eta), pytest.raises(SolverFailure, match="^round 6: "):
+            run(inst, W, NoiseSchedule.uniform(2), RunConfig(0.45, 30), [0, 1])
+    assert counts == [60] and check.call_count == 30
 
 
 def test_a_failed_local_solve_names_every_failing_seed():

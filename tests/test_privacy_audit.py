@@ -60,12 +60,14 @@ def test_adjacent_pair_defaults(sym2):
     assert pair.shifted.agents[0] is not inst.agents[0]
 
 
+@pytest.mark.parametrize("delta", [0.0, -1.0, np.nan])
+def test_adjacent_pair_needs_a_positive_delta(sym2, delta):
+    with pytest.raises(ValueError, match="^delta must be positive"):
+        make_adjacent_pair(sym2[0], 0, delta)
+
+
 def test_adjacent_pair_validation(sym2):
     inst, _ = sym2
-    with pytest.raises(ValueError, match="^delta "):
-        make_adjacent_pair(inst, 0, 0.0)
-    with pytest.raises(ValueError, match="^delta "):
-        make_adjacent_pair(inst, 0, -1.0)
     with pytest.raises(ValueError, match="^delta_prime"):
         make_adjacent_pair(inst, 0, 1.0, delta_prime=[1.0])  # norm must be < delta
     ok = make_adjacent_pair(inst, 0, 1.0, delta_prime=[0.9])
@@ -205,8 +207,14 @@ def test_schedule_rejections(sym2):
     )
     with pytest.raises(ConfigError, match="one decay"):
         audit_one(pair, W, split, 0.45, seed=0)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -0.45, np.nan])
+def test_the_audit_needs_a_positive_stepsize(sym2, alpha):
+    inst, W = sym2
+    pair = make_adjacent_pair(inst, 0, 1.0)
     with pytest.raises(ConfigError, match="positive stepsize"):
-        audit_one(pair, W, NoiseSchedule.uniform(2), 0.0, 0)
+        forced_difference_run(pair, W, [NoiseSchedule.uniform(2)], alpha, 0)
 
 
 def test_inadmissible_decay(sym2):

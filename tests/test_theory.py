@@ -184,6 +184,17 @@ def test_q_interval_inadmissible_when_alpha_dominates():
         q_interval(3.0, 2.0, 1.0)
 
 
+@pytest.mark.parametrize("args", [
+    (0.0, 2.0, 1.0), (math.nan, 2.0, 1.0), (0.45, math.nan, 1.0), (0.45, 2.0, math.nan),
+])
+def test_q_interval_needs_positive_arguments(args):
+    """q_interval raises ValueError where an argument is not positive, NaN included,
+    so the certificate is the all-NaN uncovered one."""
+    with pytest.raises(ValueError, match="must be positive"):
+        q_interval(*args)
+    assert all(math.isnan(v) for v in certificate(*args, 0.9, 0.9, 1.0, 1.0, 1.0))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     alpha=st.floats(min_value=1e-3, max_value=0.4),

@@ -7,13 +7,15 @@ is one benchmark workload at one bench seed and invocation index, with the
 config `bench/workloads.py` of this repository writes for it: by default
 bench seeds 0, 3 and 41 and invocations 0 and 1 of the three workloads, 18
 cases. Each case runs the workload's own command and then, on the same
-config, `bounds`, `oracle`, a single-point `audit` and a two-value `sweep`
-(EXTRA). Each checkout runs each command as `python -m dmtrack.cli` in a
-fresh process, in one fixed work directory shared by both checkouts, since
-summary.json's config_hash hashes the output path. The exit code, stdout and
-every file the command writes (trace.csv, summary.json, audit.csv, sweep.csv
-and each sweep value's files) must match; timings.json holds wall clock
-times and is left out.
+config, `bounds`, `oracle`, a single-point `audit`, a two-value `sweep` and a
+`sweep` at alpha = 1e308 (EXTRA), whose every trial diverges in round 1 on
+the mc_noisy and free_converge configs: its failure message, failed seeds
+and exit code 1 are compared too. Each checkout runs each command as
+`python -m dmtrack.cli` in a fresh process, in one fixed work directory
+shared by both checkouts, since summary.json's config_hash hashes the output
+path. The exit code, stdout and every file the command writes (trace.csv,
+summary.json, audit.csv, sweep.csv and each sweep value's files) must match;
+timings.json holds wall clock times and is left out.
 
 Prints one line per command of each case, then `wc -l src/dmtrack/*.py` of
 both checkouts with the per-file delta, and exits 1 if any item differs,
@@ -47,6 +49,7 @@ EXTRA = {
     "oracle": ("oracle",),
     "audit": ("audit", "--out", "{out}"),
     "sweep": ("sweep", "--param", "d_zeta", "--values", "0.5,2", "--out", "{out}"),
+    "diverging sweep": ("sweep", "--param", "alpha", "--values", "1e308", "--out", "{out}"),
 }
 
 
