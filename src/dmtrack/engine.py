@@ -38,8 +38,8 @@ m = 1 (1 x 1 A_i and U_i) a round is one flat sequence of ufunc calls: masks,
 W @, mu -= alpha y, c = (0.0 - v) + a mu, c /= diag, one clip into the box
 (`local_solver.clip`, bytes of maximum then minimum), A x = a x, y += A x - previous A x.
 The einsum maps of m > 1 start their sums at 0.0, which turns -0.0 into 0.0;
-0.0 - v gives c the same bytes, and A x gets a `+ 0.0` unless it can never be
--0.0 (`_zero_adds_are_noops`).
+0.0 - v gives c the same bytes, and A x gets the add of a zero array unless it
+can never be -0.0 (`_zero_adds_are_noops`).
 
 `run` takes only a W with nonnegative entries and a positive diagonal (every
 Metropolis W has w_ii >= 1/(1 + deg_i)) and steps a run unchecked, testing
@@ -214,7 +214,8 @@ def _round_kernel(instance, W, alpha, trials):
     if m == 1:  # 1 x 1 A_i and U_i: both maps are products and the solve is closed form
         consts = (instance.A[:, :, 0], instance.v, instance.diag, instance.lower, instance.upper)
         a, v, diag, lower, upper = np.broadcast_to(np.array(consts)[:, None], (5,) + c.shape).copy()
-        zero_add = not _zero_adds_are_noops(a, v, diag, lower, upper)
+        # a zero array, which numpy adds faster than the float 0.0, or None
+        zero = None if _zero_adds_are_noops(a, v, diag, lower, upper) else np.zeros(())
         minus_v = 0.0 - v  # 0.0, not -0.0, at v = 0: minus_v + a mu is (0.0 + a mu) - v
     # the hot calls pass out positionally, which numpy parses faster than out=
     add, matmul, multiply = np.add, np.matmul, np.multiply
@@ -231,8 +232,8 @@ def _round_kernel(instance, W, alpha, trials):
             q /= diag
             clip(q, lower, upper, x)  # the bytes of maximum, then minimum
             multiply(a, x, Ax)
-            if zero_add:
-                Ax += 0.0  # as the einsum's sum does, turn -0.0 into 0.0
+            if zero is not None:
+                add(Ax, zero, Ax)  # as the einsum's sum does, turn -0.0 into 0.0
         y += Ax
         y -= src.Ax
 

@@ -52,7 +52,8 @@ never passes, nor a subnormal one while B > 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,37 +70,48 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
 
-def _as_per_agent(value, n, name):
-    arr = np.broadcast_to(np.asarray(value, dtype=float), (n,)).copy()
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must be finite, got {value}")
-    return arr
+_FIELDS = ("d_eta", "d_zeta", "q_eta", "q_zeta")
 
 
 @dataclass(frozen=True, eq=False)
 class NoiseSchedule:
-    """Per-agent scales and decay coefficients; `disabled` sets every scale to 0."""
+    """Per-agent scales and decay coefficients; `disabled` sets every scale to 0.
+
+    The four per-agent arrays are the rows of one (4, n) array, validated in
+    one pass, which also sets `enabled`: whether any mask has a positive scale.
+    A run draws masks iff it holds.
+    """
 
     d_eta: np.ndarray
     d_zeta: np.ndarray
     q_eta: np.ndarray
     q_zeta: np.ndarray
+    enabled: bool = field(init=False)
 
     def __post_init__(self):
-        n = np.atleast_1d(np.asarray(self.d_eta, dtype=float)).shape[0]
-        d_eta = _as_per_agent(self.d_eta, n, "d_eta")
-        d_zeta = _as_per_agent(self.d_zeta, n, "d_zeta")
-        q_eta = _as_per_agent(self.q_eta, n, "q_eta")
-        q_zeta = _as_per_agent(self.q_zeta, n, "q_zeta")
-        if np.any(d_eta < 0) or np.any(d_zeta < 0):
+        values = [getattr(self, name) for name in _FIELDS]
+        arrays = [np.asarray(value, dtype=float) for value in values]
+        n = arrays[0].shape[0] if arrays[0].ndim else 1
+        rows = np.empty((4, n))
+        for name, row, arr in zip(_FIELDS, rows, arrays):
+            if arr.shape not in ((), (1,), (n,)):
+                raise ValueError(f"{name} of shape {arr.shape} does not broadcast to ({n},)")
+            row[...] = arr
+        # each row's least and greatest entry: NaN where the row holds a NaN, and
+        # +inf and -inf, which pass every check below, for an empty row
+        lo = rows.min(axis=1, initial=np.inf).tolist()
+        hi = rows.max(axis=1, initial=-np.inf).tolist()
+        for name, value, least, greatest in zip(_FIELDS, values, lo, hi):
+            if not (least > -math.inf and greatest < math.inf):
+                raise ValueError(f"{name} must be finite, got {value}")
+        if min(lo[:2]) < 0:
             raise ValueError("noise scales must be nonnegative")
-        for name, q in (("q_eta", q_eta), ("q_zeta", q_zeta)):
-            if np.any(q <= 0.0) or np.any(q >= 1.0):
+        for name, least, greatest in zip(_FIELDS[2:], lo[2:], hi[2:]):
+            if least <= 0.0 or greatest >= 1.0:
                 raise ValueError(f"{name} must lie strictly in (0, 1)")
-        object.__setattr__(self, "d_eta", d_eta)
-        object.__setattr__(self, "d_zeta", d_zeta)
-        object.__setattr__(self, "q_eta", q_eta)
-        object.__setattr__(self, "q_zeta", q_zeta)
+        for name, row in zip(_FIELDS, rows):
+            object.__setattr__(self, name, row)
+        object.__setattr__(self, "enabled", max(hi[:2]) > 0.0)
 
     @classmethod
     def uniform(cls, n, d_eta=1.0, d_zeta=1.0, q=0.98):
@@ -123,11 +135,6 @@ class NoiseSchedule:
     @property
     def n(self):
         return self.d_eta.shape[0]
-
-    @property
-    def enabled(self):
-        """Whether any mask has a positive scale; a run draws masks iff this holds."""
-        return bool(np.any(self.d_eta > 0) or np.any(self.d_zeta > 0))
 
     def theta_eta(self, k):
         """Scales of the dual masks at round k, shape (n,); rounds of shape S give S + (n,)."""

@@ -26,14 +26,16 @@ in their mask scales, so they share the `noise.unit_draws` of the seed, drawn
 once for the longest base run before the first, and each run scales copies
 of them. The audit takes a list of noise schedules and the stepsize alpha:
 it keeps one base run per schedule but steps every schedule's recursion in
-one round loop; the norms, eps_e and the bound checks are computed per
-schedule from its stacked differences afterwards. A schedule whose measured
-rounds are done, or whose recursion diverged, is retired in place: its row
-steps on with a zeroed Delta mu input, and its statistics read only its own
-rounds. A row diverges when ||Delta eta(k)|| is NaN or exceeds 1e9 max(1,
+one round loop. Afterwards one pass over the stacked differences of all
+schedules gives every round's norms, |Delta| sums, eq. 52 left side and
+bound checks, and each schedule reads its own rounds of them; its eps_e is
+one sequential cumsum. A schedule whose measured rounds are done, or whose
+recursion diverged, is retired in place: its row steps on with a zeroed
+Delta mu input, and its statistics read only its own rounds. A row diverges when ||Delta eta(k)|| is NaN or exceeds 1e9 max(1,
 alpha delta ||A_i0||), which needs a NaN entry or one above that over
 sqrt(m): only then are the norms taken. The recursion steps in place in
-round-first arrays; a 1 x 1 A_i0 is one product plus `+ 0.0` (`_matvecs`).
+round-first arrays; a 1 x 1 A_i0 is one product plus the add of a zero array
+(`_matvecs`).
 
 Perturbation recursion (Delta = shifted minus base; messages held equal):
     Delta mu(k+1)  = -alpha * Delta y(k)          Delta eta(k) = -Delta mu(k)
@@ -227,14 +229,17 @@ def forced_difference_run(pair, W, schedules, alpha, seed, horizon=None):
     return [next(reports) if isinstance(e, _Point) else e for e in entries]
 
 
-def _matvecs(M, u, out):
-    """out[g] = M @ u[g]; a 1 x 1 M is one product, whose `+ 0.0` turns -0.0 into 0.0
-    as the matvec's sum does."""
-    if M.shape == (1, 1):
-        np.multiply(u, M[0, 0], out=out)
-        out += 0.0
-    else:
+def _matvecs(M):
+    """matvecs(u, out): out[g] = M @ u[g]. A 1 x 1 M is one product by a 0-d array and
+    an add of a zero array, which turns -0.0 into 0.0 as the matvec's sum does."""
+    if M.shape == (1, 1):  # numpy converts a 0-d array faster than a float
+        a, zero, multiply, add = M.reshape(()), np.zeros(()), np.multiply, np.add
+        return lambda u, out: add(multiply(u, a, out), zero, out)
+
+    def matvecs(u, out):
         out[...] = (M @ u[..., None])[..., 0]
+
+    return matvecs
 
 
 def _audit_points(pair, W, points, alpha, seed):
@@ -283,7 +288,12 @@ def _audit_points(pair, W, points, alpha, seed):
     # a row's norm is at most sqrt(m) (1 + 1e-9) times its largest |entry|, or
     # inf from an entry above 1e154 / sqrt(m); a NaN norm is a divergence too
     suspect = min(diverged_at, 1e150) / (math.sqrt(m) * (1.0 + 1e-9))
-    c = np.empty((G, p))  # m = p: every A_i is square
+    c, size = np.empty((G, p)), np.empty((G, m))  # m = p: every A_i is square
+    # the hot calls pass out positionally, which numpy parses faster than out=
+    minus_alpha = np.array(-alpha)
+    multiply, add, subtract, absolute, largest = (
+        np.multiply, np.add, np.subtract, np.absolute, np.maximum.reduce)
+    matvecs_t, matvecs = _matvecs(At), _matvecs(A)
     next_end = 0  # the round after which the live rows change
     for k in range(1, k_max + 1):
         if k > next_end:
@@ -292,44 +302,40 @@ def _audit_points(pair, W, points, alpha, seed):
                 break
             live_rows, next_end = live[:, None], k_end[live].min()
         dmu, dx, dy = d_mu[k], d_x[k], d_y[k]
-        np.multiply(-alpha, d_y[k - 1], out=dmu, where=live_rows)
-        _matvecs(At, np.add(base_mu[k], dmu, out=c), c)
-        np.subtract(argmin_rows(ag_shift.cost, ag_shift.box, c), base_x[k], out=dx)
-        _matvecs(A, np.subtract(dx, d_x[k - 1], out=dy), dy)
-        if not np.abs(dmu).max() <= suspect:  # max keeps NaN
+        multiply(minus_alpha, d_y[k - 1], dmu, where=live_rows)
+        matvecs_t(add(base_mu[k], dmu, c), c)
+        subtract(argmin_rows(ag_shift.cost, ag_shift.box, c), base_x[k], dx)
+        matvecs(subtract(dx, d_x[k - 1], dy), dy)
+        if not largest(absolute(dmu, size), None) <= suspect:  # NaN fails too
             gone = ~(_norms(dmu, 1) <= diverged_at)  # ||Delta eta(k)||, as np.linalg.norm
             k_end[gone] = next_end = k  # next round, the live rows change
             diverged |= gone
 
-    # the statistics read each point's rounds as one contiguous (rounds, .) block
-    d_mu, d_x, d_y = (np.ascontiguousarray(v.swapaxes(0, 1)) for v in (d_mu, d_x, d_y))
-
+    # every point's statistics come from one pass over the (rounds, G) arrays, and
+    # each point reads its rounds 1..k_end of them
     phi, A_norm = ag.cost.phi, ag.A_norm
-    eq52_coef = A_norm**2 / phi
+    q_k = {q: np.array([q**k for k in range(1, k_max + 1)]) for q in {pt.q for pt in points}}
+    # the mask perturbations forcing identical messages are Delta eta = -Delta mu
+    # and Delta zeta = -Delta y; the sign drops out of every norm below
+    eta, zeta = _norms(d_mu, 1), _norms(d_y, 1)
+    # eps_e adds, round by round, the zeta term and then the eta term
+    terms = np.stack([np.abs(d_y[1:]).sum(axis=2), np.abs(d_mu[1:]).sum(axis=2)], axis=2)
+    scales = np.array([[pt.d_zeta, pt.d_eta] for pt in points])
+    terms /= scales * np.array([q_k[pt.q] for pt in points]).T[..., None]
+    # the envelope and eq. 52 checks failing in each round, counted up to it
+    lhs = _norms((d_x[1:] - pair.delta_prime) @ At, 1)
+    over_envelope = eta[1:] > np.add(envelopes[:k_max], CHECK_SLACK)[:, None]
+    over_eq52 = lhs > A_norm**2 / phi * eta[1:] + CHECK_SLACK
+    failures = np.cumsum(np.add(over_envelope, over_eq52, dtype=int), axis=0)
+
     reports = []
     for g, (_, d_eta, d_zeta, q, cert, K) in enumerate(points):
         end = int(k_end[g])
-        rounds = slice(1, end + 1)
-        dmu, dx, dy = d_mu[g, rounds], d_x[g, rounds], d_y[g, rounds]
-
-        # the mask perturbations forcing identical messages are Delta eta = -Delta mu
-        # and Delta zeta = -Delta y; the sign drops out of every norm below
-        eta = _norms(dmu, 1)
         eta_norms, zeta_norms = np.zeros((2, k_measured[g] + 1))
-        eta_norms[rounds] = eta
-        zeta_norms[rounds] = _norms(dy, 1)
-
-        # eps_e adds, round by round, the zeta term and then the eta term
-        q_k = np.array([q**k for k in range(1, end + 1)])
-        terms = np.empty((end, 2))
-        terms[:, 0] = np.abs(dy).sum(axis=1) / (d_zeta * q_k)
-        terms[:, 1] = np.abs(dmu).sum(axis=1) / (d_eta * q_k)
-        eps_e = float(np.cumsum(terms.ravel())[-1])
-
-        lhs = _norms((dx - pair.delta_prime) @ At, 1)
-        violations = int(np.count_nonzero(eta > np.add(envelopes[:end], CHECK_SLACK)))
-        violations += int(np.count_nonzero(lhs > eq52_coef * eta + CHECK_SLACK))
-        violations += int(diverged[g])
+        eta_norms[: end + 1] = eta[: end + 1, g]
+        zeta_norms[: end + 1] = zeta[: end + 1, g]
+        eps_e = float(np.cumsum(terms[:end, g].ravel())[-1])
+        violations = int(failures[end - 1, g]) + int(diverged[g])
 
         # a divergence voids the signal floor's stop, so the tail starts at K
         k_tail = K if diverged[g] else k_measured[g]

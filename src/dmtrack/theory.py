@@ -7,7 +7,8 @@ Quantities:
   contraction C(alpha)    dual-error contraction factor of the noise-free map
   alpha_max_t1            stepsize cap phi^2 / (2 ||A||^2 L)
   alpha_max_t2            supremum of stepsizes passing the second-stage test
-                          (implicit in alpha, resolved by bisection)
+                          (implicit in alpha, resolved by an array scan and a
+                          bisection on floats through the same formula)
   N_zeta, mse_bounds      stationary error band for geometrically decaying masks
   q_interval              admissible mask-decay interval (q_min, 1)
   certificate             the audited agent's decay interval, privacy loss
@@ -25,6 +26,7 @@ when ||A|| = 1.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from typing import NamedTuple
 
 import numpy as np
@@ -36,23 +38,31 @@ _GRID = 2048
 
 
 def contraction_C(alpha, phi_under, L_bar, A_norm, lamAA_min):
-    """Contraction factor, elementwise for an array of alphas; < 1 exactly when
-    0 < alpha < 2 phi^2 / (L ||A||^2)."""
-    alpha = np.asarray(alpha, dtype=float)
-    if np.any(alpha < 0):
+    """Contraction factor at a float alpha, or elementwise at an array of alphas; < 1
+    exactly when 0 < alpha < 2 phi^2 / (L ||A||^2). A float is evaluated with Python
+    arithmetic and math.sqrt, in the same formula and with the same bits."""
+    array = isinstance(alpha, np.ndarray)
+    if array:
+        alpha, any_, sqrt = np.asarray(alpha, dtype=float), np.any, np.sqrt
+    else:
+        alpha, any_, sqrt = float(alpha), bool, math.sqrt
+    if any_(alpha < 0):
         raise ValueError(f"alpha must be nonnegative, got {alpha}")
     if min(phi_under, L_bar, A_norm, lamAA_min) <= 0:
         raise ValueError("moduli must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite alpha gives nan, quietly
-        radicand = 1.0 + (A_norm**2 * alpha**2 / phi_under**2 - 2.0 * alpha / L_bar) * lamAA_min
-    if np.any(radicand < 0):
+    # an infinite alpha gives nan, quietly; alpha * alpha, not alpha**2, which a float
+    # would take through pow
+    with np.errstate(over="ignore", invalid="ignore") if array else nullcontext():
+        square = A_norm**2 * (alpha * alpha) / phi_under**2
+        radicand = 1.0 + (square - 2.0 * alpha / L_bar) * lamAA_min
+    if any_(radicand < 0):
         bad = np.argmin(radicand)
         raise ValueError(
-            f"contraction radicand is negative ({radicand.flat[bad]:.3e}) at alpha="
-            f"{alpha.flat[bad]:g}; the stepsize is far outside the admissible range"
+            f"contraction radicand is negative ({np.ravel(radicand)[bad]:.3e}) at alpha="
+            f"{np.ravel(alpha)[bad]:g}; the stepsize is far outside the admissible range"
         )
-    C = np.sqrt(radicand)
-    return float(C) if C.ndim == 0 else C
+    C = sqrt(radicand)
+    return C if array and C.ndim else float(C)
 
 
 class StepsizeBounds(NamedTuple):
@@ -62,13 +72,14 @@ class StepsizeBounds(NamedTuple):
 
 
 def _second_stage_ok(alpha, mod, lambda_bar):
-    """The implicit second-stage stepsize clause at a given alpha, or elementwise at an
-    array of alphas (first-stage cap assumed)."""
+    """The implicit second-stage stepsize clause at a float alpha, or elementwise at an
+    array of alphas (first-stage cap assumed); one formula, as in contraction_C."""
     C = contraction_C(alpha, mod.phi_under, mod.L_bar, mod.A_norm, mod.lamAA_min)
+    sqrt = np.sqrt if isinstance(alpha, np.ndarray) else math.sqrt
     one_minus = 1.0 - C
     rhs = (
         mod.phi_under
-        * (-one_minus + np.sqrt(one_minus**2 + 2.0 * one_minus * (1.0 - lambda_bar) ** 2))
+        * (-one_minus + sqrt(one_minus * one_minus + 2.0 * one_minus * (1.0 - lambda_bar) ** 2))
         / (2.0 * mod.A_norm)
     )
     return alpha < rhs
@@ -79,9 +90,11 @@ def stepsize_bounds(mod, lambda_bar):
 
     alpha_max_t1 is the closed-form cap. alpha_max_t2 is the supremum of
     alphas below that cap passing the implicit second-stage inequality,
-    located by a grid scan plus bisection (the tests verify the predicate
-    is monotone across the bracket). A configuration where nothing passes
-    returns alpha_max_t2 = 0 with admissible=False instead of raising.
+    located by a grid scan of an array of alphas plus a bisection on floats,
+    which evaluates the scalar form of the scan's predicate (the tests verify
+    the predicate is monotone across the bracket). A configuration where
+    nothing passes returns alpha_max_t2 = 0 with admissible=False instead of
+    raising.
     """
     if not 0.0 <= lambda_bar < 1.0:
         raise ValueError(f"lambda_bar must be in [0, 1), got {lambda_bar}")

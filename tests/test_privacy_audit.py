@@ -268,7 +268,7 @@ def test_a_1x1_matvec_is_one_product_with_its_zero_add(a):
     u = np.array([[0.0], [-0.0], [5e-324], [-5e-324], [1.5], [np.inf], [-np.inf], [np.nan]])
     M = np.array([[a]])
     got = np.empty_like(u)
-    privacy_audit._matvecs(M, u, got)
+    privacy_audit._matvecs(M)(u, got)
     want = (M @ u[..., None])[..., 0]
     assert got.tobytes() == want.tobytes()
     assert (u * a).tobytes() != want.tobytes()
@@ -455,7 +455,7 @@ def nondiagonal_pair():
 def predicted_delta_eta(pair, jump):
     """Round 6's Delta eta when round 5's shifted solution jumps by `jump`."""
     dy = np.empty((1, 2))
-    privacy_audit._matvecs(pair.base.agents[1].A, np.array([jump]), dy)
+    privacy_audit._matvecs(pair.base.agents[1].A)(np.array([jump]), dy)
     return -ND_ALPHA * dy[0]
 
 
@@ -604,21 +604,26 @@ def test_a_nan_forced_difference_counts_as_divergence(sym2, agent):
 
 
 @pytest.mark.parametrize("horizon", [10, None])
-def test_cli_audit_fails_on_a_nan_forced_difference(tmp_path, horizon):
+def test_cli_audit_fails_on_a_nan_forced_difference(tmp_path, capsys, horizon):
     """`audit` on symmetric2's agent 0 at alpha 0.9, q 0.95 and seed 11 reports a
     violation in audit.csv and exits 1 once round 5's shifted solution turns NaN.
     Without the jump it reports none; at horizon 10 the tail alone puts
-    eps_empirical above eps_theory, so only the picked horizon exits 0."""
+    eps_empirical above eps_theory, so only the picked horizon exits 0, and at
+    horizon 10 a stderr line says that the horizon is too short for the point."""
     overrides = {"algorithm.alpha": 0.9, "noise.q": 0.95, "seed": 11}
     path = write_config(tmp_path, **overrides, **{"audit.horizon": horizon} if horizon else {})
-    verdicts = []
+    verdicts, notes = [], []
     for jump in (0.0, np.nan):
         rows = jumping(argmin_rows, lambda x: x + jump)
         with np.errstate(invalid="ignore"), mock.patch.object(privacy_audit, "argmin_rows", rows):
             code = cli.main(["audit", "--config", str(path)])
         csv = (tmp_path / "out" / "audit.csv").read_text().splitlines()
         verdicts.append((code, int(csv[1].split(",")[-1]) > 0))
+        notes.append(capsys.readouterr().err)
     assert verdicts == [(int(horizon == 10), False), (1, True)]
+    short = ("note: d_zeta=1.0 q=0.95: measured loss 6.17624 plus tail 123.295 exceeds "
+             "eps_theory 76; horizon 10 is too short to certify this point\n")
+    assert notes == [short if horizon == 10 else "", ""]
 
 
 def counting_envelopes(pows):

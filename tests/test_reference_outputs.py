@@ -5,7 +5,7 @@ mc_noisy and free_converge configs write, and the round at which
 free_converge reaches relative error 1e-8. These tests rerun both configs,
 built by bench/workloads.py, through the CLI and compare; they also pin the
 seed-0 audit_grid invocation's audit.csv and `dmtrack bounds` stdout on the
-mc_noisy config, and the stdout and audit.csv of single-point `dmtrack
+mc_noisy and audit_grid configs, and the stdout and audit.csv of single-point `dmtrack
 audit` runs, of a grid audit of hand_kkt's second agent and of `bounds`,
 `sweep` and `audit` on hand_kkt under a non-default audit section, and of
 `dmtrack oracle` on every preset, whose digests live here, and the per-round
@@ -58,10 +58,13 @@ def test_seed0_trace_matches_the_benchmark_reference(workloads, workload, tmp_pa
 
 
 # sha256 of the seed-0 audit_grid invocation's audit.csv and of `dmtrack
-# bounds` stdout on the seed-0 mc_noisy config (microgrid14); a refactor
-# must leave both byte for byte unchanged
+# bounds` stdout on the seed-0 mc_noisy (microgrid14) and audit_grid
+# (symmetric2) configs; a refactor must leave them byte for byte unchanged
 AUDIT_GRID_CSV_SHA256 = "7811bc1d18f30e9bc80820e9dffe8eb98e9d3eb35977b1f3cc02675ec6446590"
-MICROGRID14_BOUNDS_SHA256 = "58587eb8d66ee644a9e99a13e9604289a9ae2af5a6af1c0d6112f2d9c6025581"
+BOUNDS_SHA256 = {
+    "mc_noisy": "58587eb8d66ee644a9e99a13e9604289a9ae2af5a6af1c0d6112f2d9c6025581",
+    "audit_grid": "7645ccb1ad5ddcf1b4520e9e2ccf4efe568b0e92d8b893fa3688d817aa5d8593",
+}
 
 
 def test_seed0_audit_grid_csv_is_pinned(workloads, tmp_path, capsys):
@@ -72,12 +75,17 @@ def test_seed0_audit_grid_csv_is_pinned(workloads, tmp_path, capsys):
 
 
 def test_microgrid14_bounds_stdout_is_pinned(workloads, tmp_path, capsys):
+    """`bounds` on the mc_noisy config, and on symmetric2 through the audit_grid config;
+    alpha_max_t2 comes from the bisection's scalar evaluations."""
     wl = workloads
-    config, argv, out_dir = wl.prepare("mc_noisy", wl.REF_SEED, 0, False, tmp_path)
-    assert cli.main(["bounds", "--config", argv[argv.index("--config") + 1]]) == 0
-    out = capsys.readouterr().out
-    assert "admissible=True" in out
-    assert hashlib.sha256(out.encode()).hexdigest() == MICROGRID14_BOUNDS_SHA256
+    digests = {}
+    for workload in BOUNDS_SHA256:
+        config, argv, out_dir = wl.prepare(workload, wl.REF_SEED, 0, False, tmp_path)
+        assert cli.main(["bounds", "--config", argv[argv.index("--config") + 1]]) == 0
+        out = capsys.readouterr().out
+        assert "admissible=True" in out
+        digests[workload] = hashlib.sha256(out.encode()).hexdigest()
+    assert digests == BOUNDS_SHA256
 
 
 def _sha256(data):

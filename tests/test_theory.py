@@ -84,6 +84,42 @@ def test_stepsize_scan_flags_match_the_scalar_test(phi, L_ratio, A, lam_frac, la
     assert [bool(theory._second_stage_ok(a, mod, lambda_bar)) for a in xs[::97]] == want[::97]
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    phi=st.floats(min_value=0.2, max_value=3.0),
+    L_ratio=st.floats(min_value=0.5, max_value=4.0),
+    A=st.floats(min_value=0.2, max_value=2.0),
+    lam_frac=st.floats(min_value=0.05, max_value=1.0),
+    lambda_bar=st.floats(min_value=0.0, max_value=0.999),
+    fracs=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=16),
+)
+def test_the_bisection_predicate_is_the_scan_predicate(
+    phi, L_ratio, A, lam_frac, lambda_bar, fracs
+):
+    """stepsize_bounds scans an array of alphas and bisects on floats, which take
+    Python arithmetic and math.sqrt through the same formula: at random alphas
+    in [0, alpha_max_t1] the float flags equal the array's, contraction_C's
+    values agree bit for bit, and a negative radicand raises in both forms."""
+    mod = Moduli(phi_under=phi, L_bar=phi * L_ratio, A_norm=A, lamAA_min=lam_frac * A**2)
+    alphas = np.array(fracs) * (phi**2 / (2.0 * A**2 * mod.L_bar))
+
+    def scalar(a):
+        try:
+            return theory._second_stage_ok(float(a), mod, lambda_bar), contraction_C(float(a), *mod)
+        except ValueError as exc:
+            assert "radicand is negative" in str(exc)
+            return None
+
+    scalars = [scalar(a) for a in alphas]
+    try:
+        want = theory._second_stage_ok(alphas, mod, lambda_bar)
+    except ValueError:
+        assert None in scalars
+        return
+    assert [flag for flag, _ in scalars] == want.tolist()
+    assert np.array([C for _, C in scalars]).tobytes() == contraction_C(alphas, *mod).tobytes()
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     phi=st.floats(min_value=0.2, max_value=3.0),
