@@ -22,10 +22,15 @@ rounds at a time, by `_metrics`, which treats each (round, trial) row as one
 more trial: the values are bit-identical to evaluating them at every recorded
 round. Masks come only from `noise.iter_masks`, asked for iff
 `schedule.enabled`, and are not kept: a run's masks are
-`noise.draw_rounds(schedule, range(iters), seeds, m)`. `iter_masks` reads the
-state each round is stepped from; for a round whose masks provably cannot
-change a bit of it or of the tracker-mask total it draws none and yields None,
-and the round is stepped as a noise-free one, with the same bytes.
+`noise.draw_rounds(schedule, range(iters), seeds, m)`. The rest of a chunk
+whose first round absorbs its masks comes as a stretch (`noise` docstring):
+`run` steps a window of its rounds without masks into `_Recorder`'s ring
+rows, then tests their sources and the next round's with one `noise.absorbs`
+and rewinds to the first that fails, whose round draws its masks. A window
+ends before a round that claims a record or kept row (no record or metric
+block is ever undone), before the ring would wrap onto a row it has yet to
+test, and at the stretch's end; in a checked pass or with keep_states it is
+empty, so each round's source is tested alone.
 
 A round's state is one row of preallocated buffers (`_StateRows`): duals and
 trackers stacked as s = [mu; y], shape (2, T, n, m), then x and A x. A round
@@ -76,11 +81,12 @@ import numpy as np
 
 from .errors import SolverFailure
 from .local_solver import clip, solve_all_from_c
-from .noise import iter_masks
+from .noise import absorbs, iter_masks
 
 # (round, trial) rows of a metric block and of a keep_states block (see _Recorder)
 MAX_METRIC_ROWS = 128
 KEPT_BLOCK_ROWS = 32
+MAX_RING_ROWS = 16  # spare rows that absorbed rounds step through (see _Recorder)
 
 
 @dataclass(eq=False)
@@ -134,6 +140,7 @@ class RunTrace:
     feasibility: np.ndarray
     final_state: EngineState
     rounds_stepped: int  # iters, or the round where a noise-free run found its state repeating
+    rounds_absorbed: int  # rounds of rounds_stepped whose masks were absorbed, so not drawn
     states_mu: Optional[np.ndarray] = None
     states_x: Optional[np.ndarray] = None
 
@@ -269,15 +276,19 @@ def _metrics(mu, x, y, Ax, zeta_cum, W, d, x_star):
 class _Recorder:
     """The state rows of one run and all it records from them: its metrics and kept states.
 
-    `row(k, src, zeta_sum)` gives the row round k + 1 is stepped into from src
-    and claims it, keeping a record's running tracker-mask total in `zeta_cum`.
+    `row(k, zeta_sum)` gives the row round k + 1 is stepped into and claims
+    it, keeping a record's running tracker-mask total in `zeta_cum`.
     Records fill the rows of one metric block, which `measure` reads in place
     once full: MAX_METRIC_ROWS // T records, or all of a run's if fewer, so the
     rows held do not grow with the run, but never fewer than two, so a round
-    never writes into the row it reads. The rounds in between alternate between
-    two spare rows. With keep_states every round fills a block of
-    KEPT_BLOCK_ROWS // T rows instead, which `measure` copies into the kept
-    trajectory at once: building a row's views costs more than copying a round.
+    never writes into the row it reads. The rounds in between claim the rows
+    of a ring in turn, from its first after each block row (`pos`, the last
+    claimed, is -1 then), so a `window` steps into contiguous rows: max(2,
+    min(MAX_RING_ROWS, record_every, MAX_METRIC_ROWS // T)) rows in a masked
+    run without keep_states, two in any other. With keep_states every round
+    fills a block of KEPT_BLOCK_ROWS // T rows instead, which `measure` copies
+    into the kept trajectory at once: building a row's views costs more than
+    copying a round.
     `start` begins a pass; in an unchecked one, `measure` raises SolverFailure
     on a block whose last [mu; y] is not finite, which ends the pass early. A
     run with a diverged trial raises and returns nothing, so its later rows
@@ -285,7 +296,7 @@ class _Recorder:
     copies, never views of the rows.
     """
 
-    def __init__(self, instance, W, config, T, keep_states, x_star):
+    def __init__(self, instance, W, config, T, keep_states, x_star, masked):
         n, m, p = instance.dims
         iters = config.iters
         self.ks = ks = np.append(np.arange(0, iters, config.record_every), iters)
@@ -298,9 +309,14 @@ class _Recorder:
             per_block = max(2, min(KEPT_BLOCK_ROWS // T, iters + 1))
         else:
             per_block = max(2, min(MAX_METRIC_ROWS // T, len(ks)))
-        self.buf = _StateRows(per_block + 2, T, n, m, p)
-        self.rows, self.spare = self.buf.rows[:per_block], self.buf.rows[per_block:]
-        self.next_record = ks.tolist()[1:] + [None]  # next_record[r]: the round of record r + 1
+        ring = 2
+        if masked and not keep_states:  # where windows of absorbed rounds step
+            ring = max(2, min(MAX_RING_ROWS, config.record_every, MAX_METRIC_ROWS // T))
+        self.buf = _StateRows(per_block + ring, T, n, m, p)
+        self.rows, self.ring = self.buf.rows[:per_block], self.buf.rows[per_block:]
+        self.ring_s = self.buf.s[per_block:]
+        # next_record[r]: the round of record r + 1, or iters + 1 past the last
+        self.next_record = ks.tolist()[1:] + [iters + 1]
 
     def start(self, instance, checked):
         """Row 0, set to `init_state`'s round 0, with every record and kept state to come."""
@@ -309,14 +325,16 @@ class _Recorder:
         src.mu[...], src.x[...], src.y[...] = state.mu, state.x, state.y
         src.Ax[...] = np.einsum("imp,tip->tim", instance.A, src.x)
         # row 0 holds round 0, record 0; the block holds the records measured..r
-        self.held, self.measured, self.r, self.next_k = 1, 0, 0, self.next_record[0]
+        self.held, self.measured, self.r, self.next_k, self.pos = 1, 0, 0, self.next_record[0], -1
         return src
 
-    def row(self, k, src, zeta_sum):
-        """The row round k + 1 is stepped into from src, claimed for that round."""
+    def row(self, k, zeta_sum):
+        """The row round k + 1 is stepped into, claimed for that round."""
         record = k + 1 == self.next_k
         if not (record or self.keep):
-            return self.spare[src is self.spare[0]]
+            self.pos = pos = (self.pos + 1) % len(self.ring)
+            return self.ring[pos]
+        self.pos = -1
         if self.held == len(self.rows):
             self.measure(k)
         dst = self.rows[self.held]
@@ -327,6 +345,13 @@ class _Recorder:
             if zeta_sum is not None:
                 self.zeta_cum[self.r] = zeta_sum
         return dst
+
+    def window(self, k, top):
+        """How many rounds from round k, before round top, step untested into the ring
+        rows after `pos`: up to a record or kept row or the ring's end (module docstring)."""
+        if self.keep or self.checked:
+            return 0
+        return min(len(self.ring) - 1 - self.pos, self.next_k - 1 - k, top - k)
 
     def measure(self, top):
         """Metrics of the block's records, its last row holding round top; empties the block.
@@ -404,7 +429,7 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
             f"{T} trials and width {2 * n * m}"
         )
     x_star = None if x_star is None else np.asarray(x_star, dtype=float)
-    rec = _Recorder(instance, W, config, T, keep_states, x_star)
+    rec = _Recorder(instance, W, config, T, keep_states, x_star, schedule.enabled)
     advance = _round_kernel(instance, W, config.alpha, T)
 
     def failure(message, trials):
@@ -419,30 +444,51 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
         for checked in (False, True):  # a failing unchecked pass is replayed checked
             src = rec.start(instance, checked)
             masks = (iter_masks(schedule, seeds, iters, m, draws=draws, state=lambda: src.s)
-                     if schedule.enabled else repeat((None, None), iters))
+                     if schedule.enabled else repeat((None, None, None), iters))
             watch = not schedule.enabled  # for a repeating state, until a trial diverges
             cycle = None  # the round whose state equals the one two rounds before
+            k = absorbed = 0  # the rounds stepped, and of them those without masks drawn
             try:
-                for k, (mask, zeta_sum) in enumerate(masks):
-                    dst = rec.row(k, src, zeta_sum)
+                for mask, zeta_sum, stretch in masks:
+                    dst = rec.row(k, zeta_sum)
                     advance(src, dst, mask)
                     prev, src = src, dst
+                    k += 1
                     bad = _check(src) if checked else None
                     if bad is not None:
                         failed |= bad
-                        failed_at, watch = failed_at or k + 1, False
+                        failed_at, watch = failed_at or k, False
                         if failed.all():
                             break
                         # retire the trials in place: zeroed rows keep later rounds
                         # and the local solves free of NaN, and the others step on
                         src.s[:, bad], src.x[bad], src.Ax[bad] = 0.0, 0.0, 0.0
-                    if watch and k % 16 in (0, 2):  # probe every 16th round, compare 2 later
-                        if k % 16 == 0:
+                    if watch and k % 16 in (1, 3):  # probe every 16th round, compare 2 later
+                        if k % 16 == 1:
                             probe = _snapshot(src)
                         elif _snapshot(src) == probe:
-                            cycle = k + 1
+                            cycle = k
                             break
-                rec.measure(k + 1)
+                    if stretch is None:
+                        continue
+                    # rounds k..top-1 absorb while their sources pass: step a window of
+                    # them untested, then test the sources of rounds k..k+w, but not the
+                    # state at top, which iter_masks tests as the next chunk's first
+                    _, top, floor = stretch
+                    first, pos = src, rec.pos
+                    rows = rec.ring[pos + 1 : pos + 1 + rec.window(k, top)]
+                    for dst in rows:
+                        advance(src, dst, None)
+                        prev, src = src, dst
+                    w = len(rows)
+                    tested = rec.ring_s[pos + 1 : pos + w + (k + w < top)]
+                    if k < top and not absorbs(floor, first.s, tested):
+                        rows.insert(0, first)  # rewind to the first source that fails
+                        w = next(j for j, row in enumerate(rows) if not absorbs(floor, row.s))
+                        src, stretch[1] = rows[w], k + w
+                    rec.pos, k, stretch[0] = pos + w, k + w, k + w
+                    absorbed += 1 + w
+                rec.measure(k)
                 if checked or (np.isfinite(src.s).all() and np.isfinite(src.x).all()):
                     break
             except SolverFailure as exc:
@@ -464,6 +510,7 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
         # copies: the trace shares no memory with the state rows
         final_state=EngineState(mu=src.mu.copy(), x=src.x.copy(), y=src.y.copy(), round=iters),
         rounds_stepped=iters if cycle is None else cycle,
+        rounds_absorbed=absorbed,
         states_mu=np.ascontiguousarray(rec.states_mu.swapaxes(0, 1)) if keep_states else None,
         states_x=np.ascontiguousarray(rec.states_x.swapaxes(0, 1)) if keep_states else None,
     )

@@ -381,7 +381,8 @@ def run_experiment(config, out_dir=None):
     wall-clock value, so reruns write it byte for byte, and the run's
     runtime_sec goes to timings.json next to it, with rounds_stepped, the
     rounds the engine stepped (fewer than iters once a noise-free state
-    repeats), unless the run failed. Any diverging trial marks the
+    repeats), and rounds_absorbed, those of them whose masks were absorbed
+    and not drawn, unless the run failed. Any diverging trial marks the
     experiment failed and records every offending seed; a failed run writes
     no trace.csv and removes one left by an earlier run.
     """
@@ -465,16 +466,16 @@ def _run_materialized(config, mat, out_dir):
         tracking_ok=bool(tracking_ok),
     )
     _write_trace_csv(outdir / "trace.csv", trace.ks, mean_mse, mean_cons, mean_track, mean_feas)
-    return _write_summary(outdir, summary, t0, rounds_stepped=trace.rounds_stepped)
+    return _write_summary(outdir, summary, t0, trace)
 
 
-def _write_summary(outdir, summary, t0, rounds_stepped=None):
+def _write_summary(outdir, summary, t0, trace=None):
     """Write summary.json and the run's timings.json (runtime since t0 and, for a run
-    that did not fail, its rounds_stepped); return summary."""
+    that did not fail, its rounds_stepped and rounds_absorbed); return summary."""
     (outdir / "summary.json").write_text(json.dumps(_jsonable(summary), indent=2, sort_keys=True))
     timings = {"runtime_sec": time.perf_counter() - t0}
-    if rounds_stepped is not None:
-        timings["rounds_stepped"] = rounds_stepped
+    if trace is not None:
+        timings.update(rounds_stepped=trace.rounds_stepped, rounds_absorbed=trace.rounds_absorbed)
     (outdir / "timings.json").write_text(json.dumps(timings, indent=2, sort_keys=True))
     return summary
 

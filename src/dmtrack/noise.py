@@ -44,16 +44,22 @@ of (-theta) L. If |e| <= B < 2**-55 |s| for a double s, e is below a quarter
 of the spacing of the doubles next to s, so s + e rounds to s. The n tracker
 masks of a round sum, in any order, to less than 1.001 n B, so a running total
 c with 1.001 n B < 2**-55 min |c| absorbs them too. `iter_masks` tests the
-total at each chunk start after chunk 0 (whose total starts at 0) and, while
-it passes, the state [mu; y] before each round; a round passing both yields
-no masks, which changes no output byte. A zero entry (a retired trial's)
-never passes, nor a subnormal one while B > 0.
+total and then the state [mu; y] (`absorbs`) at each chunk start after chunk
+0 (whose total starts at 0); a round passing both yields no masks, which
+changes no output byte. The total then holds through the chunk, as nothing
+is added to it and B falls, and the engine tests the states of the chunk's
+later rounds after stepping a window of them without masks. That is exact:
+each state depends only on the rounds before it, so a passing one is the
+state its round is stepped from, and at the first that fails the engine
+rewinds to it and draws from there, as a test of each round would. A zero
+entry (a retired trial's) never passes, nor a subnormal one while B > 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -273,21 +279,31 @@ def chunk_rounds(trials, n, m):
     return max(1, MAX_CHUNK_BLOCKS // (trials * blocks))
 
 
+def absorbs(floor, *states):
+    """Whether masks below 2**-55 floor leave each state as it is: every entry's
+    magnitude exceeds floor (module docstring). A NaN fails, an empty state passes."""
+    return all(np.minimum.reduce(np.abs(s), None, initial=np.inf) > floor for s in states)
+
+
 def iter_masks(schedule, seeds, iters, m, draws=None, state=None):
-    """(masks, zeta_sum) of rounds k = 0..iters-1, generated a chunk of rounds at a time.
+    """(masks, zeta_sum, stretch) of rounds k = 0..iters-1, generated a chunk of rounds at a time.
 
     masks is the (2, S, n, m) block [eta; zeta] of round k and zeta_sum (S, m)
     is sum_{t<=k} sum_i zeta_i(t); both are views into buffers that the next
     chunk overwrites, so a caller copies what it keeps. With `draws`, the
     `unit_draws` of these seeds for rounds 0..iters-1 or more and width 2 n m,
     each chunk scales a copy of its rounds' rows and leaves `draws` unchanged;
-    without, it draws them and keeps nothing.
+    without, it draws them and keeps nothing. stretch is None but as follows.
 
     `state()`, if given, returns the (2, S, n, m) state [mu; y] the masks of
-    the next round are added to. A round whose masks cannot change a bit of
-    that state or of the running total is absorbed: it yields (None, zeta_sum)
-    and draws nothing. From the first round that is not, the masks are drawn
-    up to the next chunk, where absorption is tested again.
+    the next round are added to. A chunk whose running total absorbs its masks
+    and whose first round's state does too yields (None, zeta_sum, stretch)
+    for that round: stretch = [next, end, floor] hands the caller the rest of
+    the chunk, rounds up to end, where a round is absorbed while `absorbs(floor,
+    s)` holds for its state s, untested. The caller moves next past the rounds
+    it steps itself, or sets next and end to the first whose state fails, and
+    the generator yields (None, zeta_sum, stretch) for round next while it is
+    before end, then the masks of end and of the rest of the chunk.
     """
     step = chunk_rounds(len(seeds), schedule.n, m)
     keys = _seed_keys(seeds)
@@ -301,12 +317,14 @@ def iter_masks(schedule, seeds, iters, m, draws=None, state=None):
         if low > 0.0:  # floor = 2**55 B, B = 709 max theta(k0) (module docstring)
             floor = 709.0 * max(schedule.theta_eta(k0).max(), schedule.theta_zeta(k0).max())
             floor *= 2.0**55
-            absorbing = schedule.n * 1.001 * floor < low
-            while absorbing and k < stop and np.minimum.reduce(np.abs(state()), None) > floor:
-                yield None, carry
-                k += 1
-            if k == stop:
-                continue
+            if schedule.n * 1.001 * floor < low and absorbs(floor, state()):
+                stretch = [k, stop, floor]  # [next, end, floor]
+                while k < stretch[1]:
+                    stretch[0] = k + 1
+                    yield None, carry, stretch
+                    k = stretch[0]
+                if k == stop:
+                    continue
         rounds = np.arange(k, stop)
         if draws is None:
             units = _unit_draws(keys, rounds, 2 * schedule.n * m)
@@ -318,4 +336,4 @@ def iter_masks(schedule, seeds, iters, m, draws=None, state=None):
         chunk[0] += carry  # carry + s_0, then + s_1, ...: the order of per-round updates
         carry = np.add.accumulate(chunk, axis=0, out=chunk)[-1].copy()
         np.copyto(block, masks.transpose(0, 3, 1, 2, 4))  # (R, 2, S, n, m)
-        yield from zip(block, chunk)
+        yield from zip(block, chunk, repeat(None))

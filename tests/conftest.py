@@ -49,8 +49,9 @@ def inject_masks(eta, zeta=None):
     injects must pass an enabled schedule. zeta defaults to zeros. Like
     noise.iter_masks, each round comes as one stacked (2, T, n, m) block
     [eta; zeta] with the running total of the tracker masks through it, here
-    summed round by round; the injected masks stand in for any shared draws and
-    are never absorbed (the engine's state argument is ignored).
+    summed round by round, and no absorbed stretch: the injected masks stand in
+    for any shared draws and are never absorbed (the engine's state argument is
+    ignored).
     """
     eta = np.asarray(eta, dtype=float)
     zeta = np.zeros_like(eta) if zeta is None else np.asarray(zeta, dtype=float)
@@ -60,7 +61,7 @@ def inject_masks(eta, zeta=None):
         zeta_cum = np.zeros((len(seeds), m))
         for eta_k, zeta_k in zip(eta.swapaxes(0, 1)[:iters], zeta.swapaxes(0, 1)[:iters]):
             zeta_cum = zeta_cum + zeta_k.sum(axis=1)
-            yield np.stack([eta_k, zeta_k]), zeta_cum
+            yield np.stack([eta_k, zeta_k]), zeta_cum, None
 
     return mock.patch.object(engine, "iter_masks", given_masks)
 

@@ -16,19 +16,22 @@ def test_the_checkout_matches_itself_on_one_seed(capsys):
     """Every command of every workload config runs and matches itself; the
     single-point audit of free_converge's noise-free config is rejected (exit 2),
     and the alpha = 1e308 sweep fails (exit 1) except on audit_grid's one-round
-    config. The run lines show both checkouts' rounds_stepped: every round of
-    the noisy run, and the noise-free run's stop where its state repeats."""
+    config. The run lines show both checkouts' rounds_stepped and
+    rounds_absorbed: every round of the noisy run, 2664 of them without masks,
+    and the noise-free run's stop where its state repeats, with none."""
     tool = load_tool()
     assert tool.main([str(ROOT), str(ROOT), "--seeds", "3", "--invocations", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
     own = {"mc_noisy": "run", "free_converge": "run", "audit_grid": "audit --grid"}
-    stepped = {"mc_noisy": "5000 -> 5000", "free_converge": "1059 -> 1059"}
+    stepped = {"mc_noisy": ("5000 -> 5000", "2664 -> 2664"),
+               "free_converge": ("1059 -> 1059", "0 -> 0")}
     exits = {("free_converge", "audit"): 2, ("mc_noisy", "diverging sweep"): 1,
              ("free_converge", "diverging sweep"): 1}
     assert lines[:18] == [
         f"{workload} seed 3 invocation 0 {name}: identical "
         f"(exit [{exits.get((workload, name), 0)}])"
-        + (f" rounds_stepped {stepped[workload]}" if name == "run" else "")
+        + (" rounds_stepped {} rounds_absorbed {}".format(*stepped[workload])
+           if name == "run" else "")
         for workload in own
         for name in (own[workload], "bounds", "oracle", "audit", "sweep", "diverging sweep")
     ]

@@ -1250,18 +1250,23 @@ def test_a_run_without_shared_draws_keeps_none():
 @contextlib.contextmanager
 def absorbing(rule, absorbed):
     """Patch the engine's iter_masks to absorb masks (rule true) or never (no state
-    reaches it), appending each absorbed round to `absorbed`. Rounds count from the
-    latest iter_masks call: a run's checked replay is a new pass, which drops the
-    rounds the pass before it appended."""
+    reaches it), appending each round the engine stepped without masks to `absorbed`:
+    an absorbed item's round and those the engine stepped after it, up to the
+    stretch[0] it leaves, so not a round of a window it rewound. Rounds count from
+    the latest iter_masks call: a run's checked replay is a new pass, which drops
+    the rounds the pass before it appended."""
     iter_masks, first = engine.iter_masks, len(absorbed)
 
     def logged(*args, state=None, **kwargs):
         del absorbed[first:]
-        masks = iter_masks(*args, state=state if rule else None, **kwargs)
-        for k, (mask, zeta_sum) in enumerate(masks):
+        k = 0
+        for mask, zeta_sum, stretch in iter_masks(*args, state=state if rule else None, **kwargs):
+            yield mask, zeta_sum, stretch
+            # resumed once the engine has stepped the round, or the stretch
+            stop = k + 1 if stretch is None else stretch[0]
             if mask is None:
-                absorbed.append(k)
-            yield mask, zeta_sum
+                absorbed.extend(range(k, stop))
+            k = stop
 
     with mock.patch.object(engine, "iter_masks", logged):
         yield
@@ -1275,6 +1280,7 @@ def assert_absorption_changes_no_output(*args, **kwargs):
     with absorbing(False, none):
         off = run(*args, **kwargs)
     assert not none and on.rounds_stepped == off.rounds_stepped
+    assert on.rounds_absorbed == len(absorbed) and off.rounds_absorbed == 0
     assert on.ks.tobytes() == off.ks.tobytes()
     assert trace_arrays(on).keys() == trace_arrays(off).keys()
     for key, value in trace_arrays(off).items():
@@ -1326,10 +1332,36 @@ def test_absorbed_masks_change_no_output_across_chunk_starts(name, seeds, keep_s
     assert len(absorbed) > 500 and absorbed[0] % 13 == 0
 
 
+@pytest.mark.parametrize("name, d_zeta", [("symmetric2", 4.0), ("hand_kkt", 0.5)])
+def test_natural_absorbed_stretches_change_no_output(name, d_zeta):
+    """At q = 0.95 and 0.9 alpha_max_t1, four trials (seeds 0-3, chunks of 1024
+    rounds) absorb every round from 2048 to 5000, in windows of the ten rounds
+    between records: the 2952 rounds of the per-round state test, and the bytes of
+    a run drawing every round."""
+    instance, W, alpha = at_09_alpha_max_t1(name)
+    sched = NoiseSchedule.uniform(2, d_zeta=d_zeta, q=0.95)
+    cfg = RunConfig(alpha, 5000, record_every=10)
+    absorbed = assert_absorption_changes_no_output(
+        instance, W, sched, cfg, [0, 1, 2, 3], x_star=solve_dual(instance).x_star
+    )
+    assert absorbed == list(range(2048, 5000))
+
+
+def test_a_noisy_run_tests_its_states_once_a_window():
+    """On the benchmark's noisy config the state test runs once per chunk start
+    and once per window of the ten rounds between records: at most 300 calls for
+    its 2664 absorbed rounds, where a test of each round made 2664."""
+    calls = mock.Mock(wraps=noise.absorbs)
+    with mock.patch.object(noise, "absorbs", calls), mock.patch.object(engine, "absorbs", calls):
+        tr = run(*mc_noisy_run(), [41, 42])
+    assert tr.rounds_absorbed == 2664 and calls.call_count <= 300
+
+
 @contextlib.contextmanager
 def nudged_at(k, nudge):
-    """Patch the round kernel to apply nudge(dst) to the state it steps in round k,
-    counting rounds from the latest iter_masks call: a checked replay is a new pass."""
+    """Patch the round kernel to apply nudge(dst) to the state it steps in its k-th
+    call from the latest iter_masks call (a checked replay is a new pass): round k,
+    as long as no window of the pass was rewound before."""
     kernel, iter_masks, rounds = engine._round_kernel, engine.iter_masks, [0]
 
     def new_pass(*args, **kwargs):
@@ -1352,19 +1384,31 @@ def nudged_at(k, nudge):
             yield
 
 
-def test_a_state_entry_near_zero_has_its_masks_drawn():
-    """A dual set to 1e-300 by round 3000, inside the absorbed stretch, fails the
-    state test: round 3001 and the rest of its chunk of 292 rounds draw their masks,
-    and the next chunk absorbs again. The bytes are those of a run drawing every round."""
+@pytest.mark.parametrize("nudged", [
+    pytest.param(3001, id="inside-a-window"),
+    pytest.param(3010, id="first-source-of-a-window"),  # the record row after round 3009
+    pytest.param(3009, id="last-source-before-a-record"),
+    pytest.param(3211, id="last-round-of-a-chunk"),  # chunk 10 holds rounds 2920..3211
+])
+def test_a_state_entry_near_zero_has_its_masks_drawn(nudged):
+    """A dual set to 1e-300 in the state round `nudged` is stepped from, inside the
+    absorbed stretch from round 2336 on, fails the state test, inside or at an edge
+    of its window (the ten rounds between two records, tested together): the rounds
+    before it stay absorbed, it and the rest of its chunk of 292 rounds draw their
+    masks, as a test of each round would have it, and the next chunk absorbs again.
+    The bytes are those of a run drawing every round, and the kernel steps at most
+    one window of rounds more than the run's."""
     def near_zero(dst):
         dst.mu[1, 5, 0] = 1e-300
 
-    with nudged_at(3000, near_zero):
-        absorbed = assert_absorption_changes_no_output(*mc_noisy_run(), [41, 42])
+    with nudged_at(nudged - 1, near_zero):
+        kernel, counts = count_kernel_rounds()
+        with kernel:
+            absorbed = assert_absorption_changes_no_output(*mc_noisy_run(), [41, 42])
     chunk = chunk_rounds(2, 14, 1)
-    next_chunk = chunk * (3001 // chunk + 1)
-    assert 3000 in absorbed and next_chunk in absorbed
-    assert not set(range(3001, next_chunk)) & set(absorbed)
+    next_chunk = chunk * (nudged // chunk + 1)
+    assert absorbed == list(range(8 * chunk, nudged)) + list(range(next_chunk, 5000))
+    assert counts[1] == 5000 <= counts[0] <= 5000 + 10
 
 
 def test_a_retired_trial_stops_absorption():

@@ -235,21 +235,23 @@ def test_run_experiment_summary_and_artifacts(tmp_path):
 
 @pytest.mark.parametrize("noise", [False, True])
 def test_timings_json_counts_the_rounds_stepped(tmp_path, noise):
-    """timings.json names the kernel rounds a run stepped: the noise-free
-    microgrid14 run at 0.9 alpha_max_t1 stops in its period-2 orbit, while the
-    noisy one at 0.9 alpha_max_t2 steps every round."""
+    """timings.json names the kernel rounds a run stepped and how many of them
+    absorbed their masks: the noise-free microgrid14 run at 0.9 alpha_max_t1
+    stops in its period-2 orbit and draws no masks, while the noisy one at 0.9
+    alpha_max_t2 (the benchmark's mc_noisy config, seeds 41 and 42) steps every
+    round and draws none from round 2336 on."""
     frac = {"frac_of_t2": 0.9} if noise else {"frac_of_t1": 0.9}
     iters = 5000 if noise else 3000
     overrides = {"problem.preset": "microgrid14", "algorithm.alpha": frac,
                  "algorithm.iters": iters, "algorithm.record_every": 10 if noise else 1,
-                 "noise.enabled": noise, "trials": 2 if noise else 1}
+                 "noise.enabled": noise, "trials": 2 if noise else 1, "seed": 41}
     run_experiment(ExperimentConfig.from_dict(config_dict(tmp_path, **overrides)))
     timings = json.loads((tmp_path / "timings.json").read_text())
-    assert timings.keys() == {"runtime_sec", "rounds_stepped"}
+    assert timings.keys() == {"runtime_sec", "rounds_stepped", "rounds_absorbed"}
     if noise:
-        assert timings["rounds_stepped"] == iters
+        assert timings["rounds_stepped"] == iters and timings["rounds_absorbed"] == 2664
     else:
-        assert timings["rounds_stepped"] < 1100
+        assert timings["rounds_stepped"] < 1100 and timings["rounds_absorbed"] == 0
 
 
 def test_stepsize_bounds_run_once_per_experiment(tmp_path, capsys):

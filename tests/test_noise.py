@@ -174,7 +174,7 @@ def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
         q_zeta=np.array([0.95, 0.9, 0.98]),
     )
     masks, views = [], []
-    for stacked, zeta_sum in iter_masks(schedule, seeds, 10, m):  # chunks end at rounds 3, 7
+    for stacked, zeta_sum, _ in iter_masks(schedule, seeds, 10, m):  # chunks end at rounds 3, 7
         masks.append((stacked.copy(), zeta_sum.copy()))
         views.append((stacked, zeta_sum))
     assert len(masks) == 10
@@ -229,7 +229,7 @@ def test_unit_draws_scale_to_the_written_out_masks(monkeypatch, shared):
         monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 12)  # 3 rounds of 2 seeds x 2 blocks
         list(iter_masks(NoiseSchedule.uniform(n), seeds, 4, m, draws))
     monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 16)  # 4 rounds a chunk
-    blocks = np.stack([stacked.copy() for stacked, _ in iter_masks(schedule, seeds, iters, m, draws)])
+    blocks = np.stack([stacked.copy() for stacked, *_ in iter_masks(schedule, seeds, iters, m, draws)])
     zero_uniforms = 0
     for k, stacked in enumerate(blocks):
         for t, s in enumerate(seeds):
@@ -318,8 +318,8 @@ def test_absorbed_rounds_change_no_bit(data):
     if data.draw(st.booleans()):
         draws[1] = np.copysign(np.log(np.finfo(float).tiny), draws[1])
     with mock.patch.object(noise, "MAX_CHUNK_BLOCKS", S * -(-2 * n * m // 4)):
-        off = [(a.copy(), z.copy()) for a, z in iter_masks(sched, seeds, 2, m, draws)]
-        on = [(a, z.copy()) for a, z in iter_masks(sched, seeds, 2, m, draws, state=lambda: s)]
+        off = [(a.copy(), z.copy()) for a, z, _ in iter_masks(sched, seeds, 2, m, draws)]
+        on = [(a, z.copy()) for a, z, _ in iter_masks(sched, seeds, 2, m, draws, state=lambda: s)]
     total, (masks, after) = off[0][1], off[1]
     assert on[0][0] is not None  # chunk 0 is never absorbed
     if on[1][0] is not None:

@@ -19,9 +19,10 @@ timings.json holds wall clock times and is left out.
 
 Prints one line per command of each case, then `wc -l src/dmtrack/*.py` of
 both checkouts with the per-file delta, and exits 1 if any item differs,
-naming each. A `run` line also shows the rounds_stepped of each checkout's
-timings.json, parent first: where a noise-free run stopped stepping. It is
-not compared.
+naming each. A `run` line also shows the rounds_stepped and rounds_absorbed
+of each checkout's timings.json, parent first, or `-` for a value it lacks:
+where a noise-free run stopped stepping, and how many rounds drew no masks.
+They are not compared.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ EXTRA = {
     "sweep": ("sweep", "--param", "d_zeta", "--values", "0.5,2", "--out", "{out}"),
     "diverging sweep": ("sweep", "--param", "alpha", "--values", "1e308", "--out", "{out}"),
 }
+# the timings.json counts a `run` line shows, parent first
+ROUND_COUNTS = ("rounds_stepped", "rounds_absorbed")
 
 
 def commands(argv, out_dir):
@@ -63,10 +66,11 @@ def commands(argv, out_dir):
 
 
 def run_case(checkout, workload, seed, index, name, work):
-    """({item: sha256 of its bytes}, rounds_stepped) of command `name` of one case,
-    run from `checkout`. The exit code, stdout and every file under the output
+    """({item: sha256 of its bytes}, counts) of command `name` of one case, run
+    from `checkout`. The exit code, stdout and every file under the output
     directory but timings.json are items, a file named by its path there;
-    rounds_stepped is that of the output directory's timings.json, or None."""
+    counts is {name: value} of the ROUND_COUNTS in the output directory's
+    timings.json, or None without one."""
     shutil.rmtree(work, ignore_errors=True)
     work.mkdir(parents=True)
     _, argv, out_dir = workloads.prepare(workload, seed, index, False, work)
@@ -82,8 +86,18 @@ def run_case(checkout, workload, seed, index, name, work):
             item = path.relative_to(out_dir).as_posix()
             items[item] = hashlib.sha256(path.read_bytes()).hexdigest()
     timings = Path(out_dir) / "timings.json"
-    stepped = json.loads(timings.read_text()).get("rounds_stepped") if timings.is_file() else None
-    return items, stepped
+    if not timings.is_file():
+        return items, None
+    values = json.loads(timings.read_text())
+    return items, {name: values[name] for name in ROUND_COUNTS if name in values}
+
+
+def shown_counts(parent, change):
+    """` name parent -> change` for each of ROUND_COUNTS, `-` where a side lacks it."""
+    parent, change = parent or {}, change or {}
+    return "".join(
+        f" {name} {parent.get(name, '-')} -> {change.get(name, '-')}" for name in ROUND_COUNTS
+    )
 
 
 def differing(parent, change):
@@ -130,7 +144,7 @@ def main(argv=None):
                         differences += len(diff)
                         verdict = "differs in " + ", ".join(diff) if diff else "identical"
                         codes = sorted({parent["exit code"], change["exit code"]})
-                        shown = f" rounds_stepped {before} -> {after}" if name == "run" else ""
+                        shown = shown_counts(before, after) if name == "run" else ""
                         print(f"{workload} seed {seed} invocation {index} {name}: "
                               f"{verdict} (exit {codes}){shown}")
     finally:
