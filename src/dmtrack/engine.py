@@ -21,16 +21,16 @@ in and computes the recorded metrics after stepping, a block of recorded
 rounds at a time, by `_metrics`, which treats each (round, trial) row as one
 more trial: the values are bit-identical to evaluating them at every recorded
 round. Masks come only from `noise.iter_masks`, asked for iff
-`schedule.enabled`, and are not kept: a run's masks are
-`noise.draw_rounds(schedule, range(iters), seeds, m)`. The rest of a chunk
-whose first round absorbs its masks comes as a stretch (`noise` docstring):
-`run` steps a window of its rounds without masks into `_Recorder`'s ring
-rows, then tests their sources and the next round's with one `noise.absorbs`
-and rewinds to the first that fails, whose round draws its masks. A window
-ends before a round that claims a record or kept row (no record or metric
-block is ever undone), before the ring would wrap onto a row it has yet to
-test, and at the stretch's end; in a checked pass or with keep_states it is
-empty, so each round's source is tested alone.
+`schedule.enabled`, as spans of rounds, and are not kept: a run's masks are
+`noise.draw_rounds(schedule, range(iters), seeds, m)`. `run` steps a segment
+of rounds at a time, `advance(src, dst, mask); src = dst` in one inner loop,
+into the rows `_Recorder.claim` hands out: a segment ends at the span's end,
+at the end of the block or of the ring, at each round a test below follows
+(every round of a checked pass) and, but in a dense run, before a round that
+claims a record, which only its first may. An absorbed span (`noise`
+docstring) steps without masks; one `noise.absorbs` tests the states a
+segment leaves but the span's last, and `run` rewinds to the first that
+fails (`_Recorder.release`) and ends the span there, so it draws its masks.
 
 A round's state is one row of preallocated buffers (`_StateRows`): duals and
 trackers stacked as s = [mu; y], shape (2, T, n, m), then x and A x. A round
@@ -73,6 +73,7 @@ a longer period is stepped to the end.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Optional
@@ -174,7 +175,7 @@ class _StateRows:
         self.s = np.empty((count, 2, T, n, m))
         self.x = np.empty((count, T, n, p))
         self.Ax = np.empty((count, T, n, m))
-        self.rows = [_Row(s, s[0], s[1], x, Ax) for s, x, Ax in zip(self.s, self.x, self.Ax)]
+        self.rows = list(map(_Row, self.s, self.s[:, 0], self.s[:, 1], self.x, self.Ax))
 
 
 def _zero_adds_are_noops(a, v, diag, lower, upper):
@@ -187,10 +188,10 @@ def _zero_adds_are_noops(a, v, diag, lower, upper):
     """
     ends = a * np.stack([lower, upper])
     return bool(
-        np.all(a >= 2.0**-200)
-        and np.all(np.abs(v) >= 2.0**-500)
-        and np.all(diag <= 2.0**200)
-        and not np.any((ends == 0.0) & np.signbit(ends))
+        a.min() >= 2.0**-200
+        and np.abs(v).min() >= 2.0**-500
+        and diag.max() <= 2.0**200
+        and not ((ends == 0.0) & np.signbit(ends)).any()
     )
 
 
@@ -220,9 +221,9 @@ def _round_kernel(instance, W, alpha, trials):
 
     if m == 1:  # 1 x 1 A_i and U_i: both maps are products and the solve is closed form
         consts = (instance.A[:, :, 0], instance.v, instance.diag, instance.lower, instance.upper)
-        a, v, diag, lower, upper = np.broadcast_to(np.array(consts)[:, None], (5,) + c.shape).copy()
+        a, v, diag, lower, upper = np.repeat(np.array(consts)[:, None], trials, axis=1)
         # a zero array, which numpy adds faster than the float 0.0, or None
-        zero = None if _zero_adds_are_noops(a, v, diag, lower, upper) else np.zeros(())
+        zero = None if _zero_adds_are_noops(*consts) else np.zeros(())
         minus_v = 0.0 - v  # 0.0, not -0.0, at v = 0: minus_v + a mu is (0.0 + a mu) - v
     # the hot calls pass out positionally, which numpy parses faster than out=
     add, matmul, multiply = np.add, np.matmul, np.multiply
@@ -276,19 +277,17 @@ def _metrics(mu, x, y, Ax, zeta_cum, W, d, x_star):
 class _Recorder:
     """The state rows of one run and all it records from them: its metrics and kept states.
 
-    `row(k, zeta_sum)` gives the row round k + 1 is stepped into and claims
-    it, keeping a record's running tracker-mask total in `zeta_cum`.
+    `claim(k, top, sums)` hands out the rows of the segment from round k on.
     Records fill the rows of one metric block, which `measure` reads in place
     once full: MAX_METRIC_ROWS // T records, or all of a run's if fewer, so the
     rows held do not grow with the run, but never fewer than two, so a round
-    never writes into the row it reads. The rounds in between claim the rows
-    of a ring in turn, from its first after each block row (`pos`, the last
-    claimed, is -1 then), so a `window` steps into contiguous rows: max(2,
+    never writes into the row it reads. The rounds in between claim the rows of
+    a ring in turn, from its first after each record row: max(2,
     min(MAX_RING_ROWS, record_every, MAX_METRIC_ROWS // T)) rows in a masked
-    run without keep_states, two in any other. With keep_states every round
-    fills a block of KEPT_BLOCK_ROWS // T rows instead, which `measure` copies
-    into the kept trajectory at once: building a row's views costs more than
-    copying a round.
+    run, two in a noise-free one. A dense run (keep_states, or a record every
+    round) steps every round into the block, of KEPT_BLOCK_ROWS // T rows with
+    keep_states, and `measure` gathers its records and copies its kept states
+    at once: building a row's views costs more than copying a round.
     `start` begins a pass; in an unchecked one, `measure` raises SolverFailure
     on a block whose last [mu; y] is not finite, which ends the pass early. A
     run with a diverged trial raises and returns nothing, so its later rows
@@ -301,22 +300,22 @@ class _Recorder:
         iters = config.iters
         self.ks = ks = np.append(np.arange(0, iters, config.record_every), iters)
         self.keep, self.consts = keep_states, (W, instance.d, x_star)
+        self.dense = keep_states or config.record_every == 1  # every round in the block
         self.recorded = np.full((4, T, len(ks)), np.nan)  # mse, consensus, tracking, feasibility
-        self.zeta_cum = np.zeros((len(ks), T, m))
         if keep_states:  # round first while stepping, trial first in the trace
             self.states_mu = np.empty((iters + 1, T, n, m))
             self.states_x = np.empty((iters + 1, T, n, p))
             per_block = max(2, min(KEPT_BLOCK_ROWS // T, iters + 1))
         else:
             per_block = max(2, min(MAX_METRIC_ROWS // T, len(ks)))
-        ring = 2
-        if masked and not keep_states:  # where windows of absorbed rounds step
-            ring = max(2, min(MAX_RING_ROWS, config.record_every, MAX_METRIC_ROWS // T))
+        ring = max(2, min(MAX_RING_ROWS, config.record_every, MAX_METRIC_ROWS // T)) if masked else 2
+        ring = 0 if self.dense else ring
         self.buf = _StateRows(per_block + ring, T, n, m, p)
         self.rows, self.ring = self.buf.rows[:per_block], self.buf.rows[per_block:]
-        self.ring_s = self.buf.s[per_block:]
-        # next_record[r]: the round of record r + 1, or iters + 1 past the last
-        self.next_record = ks.tolist()[1:] + [iters + 1]
+        self.zeta_cum = np.zeros((per_block, T, m))  # the tracker-mask total of each block row
+        # next_record[r]: the round of record r + 1, or iters + 1 past the last and in a dense run
+        self.ks_list = ks.tolist()
+        self.next_record = [iters + 1] * len(ks) if self.dense else self.ks_list[1:] + [iters + 1]
 
     def start(self, instance, checked):
         """Row 0, set to `init_state`'s round 0, with every record and kept state to come."""
@@ -324,55 +323,63 @@ class _Recorder:
         src, state = self.rows[0], init_state(instance)
         src.mu[...], src.x[...], src.y[...] = state.mu, state.x, state.y
         src.Ax[...] = np.einsum("imp,tip->tim", instance.A, src.x)
-        # row 0 holds round 0, record 0; the block holds the records measured..r
-        self.held, self.measured, self.r, self.next_k, self.pos = 1, 0, 0, self.next_record[0], -1
+        self.zeta_cum[0] = 0.0  # row 0 holds round 0, record 0
+        self.held, self.measured, self.next_k, self.pos = 1, 0, self.next_record[0], -1
         return src
 
-    def row(self, k, zeta_sum):
-        """The row round k + 1 is stepped into, claimed for that round."""
-        record = k + 1 == self.next_k
-        if not (record or self.keep):
-            self.pos = pos = (self.pos + 1) % len(self.ring)
-            return self.ring[pos]
-        self.pos = -1
-        if self.held == len(self.rows):
+    def claim(self, k, top, sums):
+        """The rows of rounds k+1..k+w, claimed: w >= 1 rounds up to round top and the
+        block's or the ring's end. A dense run steps them into the block; another claims a
+        record's row for round k+1 alone, then ring rows. sums[j] is the tracker-mask
+        total through round k + j, or sums is None for a run without masks."""
+        record = k + 1 == self.next_k  # never in a dense run
+        if (record or self.dense) and self.held == len(self.rows):
             self.measure(k)
-        dst = self.rows[self.held]
-        self.held += 1
+        held = self.held
         if record:
-            self.r += 1
-            self.next_k = self.next_record[self.r]
-            if zeta_sum is not None:
-                self.zeta_cum[self.r] = zeta_sum
-        return dst
+            self.next_k = self.next_record[self.measured + held]
+        # rounds up to top, before a record, into rows left (conditionals cost less than min)
+        w, left = (top if top < self.next_k else self.next_k - 1) - k, len(self.rows) - held
+        blocked = (w if w < left else left) if self.dense else record
+        pos = -1 if record or self.pos == len(self.ring) - 1 else self.pos
+        w, left = w - blocked, len(self.ring) - 1 - pos
+        w = w if w < left else left
+        self.held, self.pos, self.last = held + blocked, pos + w, (held, blocked, pos + 1)
+        if sums is not None and blocked:
+            self.zeta_cum[held : held + blocked] = sums[:blocked]
+        return self.rows[held : held + blocked] + self.ring[pos + 1 : pos + 1 + w]
 
-    def window(self, k, top):
-        """How many rounds from round k, before round top, step untested into the ring
-        rows after `pos`: up to a record or kept row or the ring's end (module docstring)."""
-        if self.keep or self.checked:
-            return 0
-        return min(len(self.ring) - 1 - self.pos, self.next_k - 1 - k, top - k)
+    def claimed_s(self, count):
+        """The s of the last claim's first `count` rows: its block rows', then its ring rows'."""
+        held, blocked, pos = self.last
+        lo, block = len(self.rows) + pos, count if count < blocked else blocked
+        return self.buf.s[held : held + block], self.buf.s[lo : lo + count - blocked]
+
+    def release(self, count):
+        """Frees the last `count` rows claimed for the next claim; a ring run's record row stays."""
+        if self.dense:
+            self.held -= count
+        else:
+            self.pos -= count
 
     def measure(self, top):
         """Metrics of the block's records, its last row holding round top; empties the block.
 
-        With keep_states the rows hold every round top+1-held..top: they are
-        copied into the trajectory, and the rows of the records gathered."""
-        buf, count, lo, hi = self.buf, self.held, self.measured, self.r + 1
+        A dense block holds every round top+1-held..top: with keep_states they are
+        copied into the trajectory, and the rows of the records are gathered."""
+        buf, count, lo, hi = self.buf, self.held, self.measured, bisect_right(self.ks_list, top)
         if not (self.checked or np.isfinite(buf.s[count - 1]).all()):
             raise SolverFailure("non-finite state in an unchecked pass")
         self.held, self.measured = 0, hi
-        at = slice(count)
         if self.keep:
-            first = top + 1 - count
-            self.states_mu[first : top + 1] = buf.s[:count, 0]
-            self.states_x[first : top + 1] = buf.x[:count]
-            at = self.ks[lo:hi] - first
+            self.states_mu[top + 1 - count : top + 1] = buf.s[:count, 0]
+            self.states_x[top + 1 - count : top + 1] = buf.x[:count]
         if hi == lo:
             return
-        block = (buf.s[at, 0], buf.s[at, 1], buf.x[at], buf.Ax[at])  # (records, T, n, .) each
-        mu, y, x, Ax = (a.reshape((-1,) + a.shape[2:]) for a in block)  # row i * T + t
-        vals = _metrics(mu, x, y, Ax, self.zeta_cum[lo:hi].reshape(mu.shape[0], -1), *self.consts)
+        at = slice(count) if hi - lo == count else self.ks[lo:hi] - (top + 1 - count)
+        block = (buf.s[at, 0], buf.s[at, 1], buf.x[at], buf.Ax[at], self.zeta_cum[at])
+        mu, y, x, Ax, zeta = (a.reshape((-1,) + a.shape[2:]) for a in block)  # row i * T + t
+        vals = _metrics(mu, x, y, Ax, zeta, *self.consts)
         self.recorded[:, :, lo:hi] = vals.reshape(4, hi - lo, -1).transpose(0, 2, 1)
 
     def fill(self, cycle, src, prev):
@@ -380,8 +387,8 @@ class _Recorder:
         period 1 or 2: round cycle + i holds the state of src for even i and of prev for odd i."""
         mu, y, x, Ax = (np.concatenate(pair) for pair in zip(src[1:], prev[1:]))
         vals = _metrics(mu, x, y, Ax, np.zeros((mu.shape[0], mu.shape[2])), *self.consts)
-        odd = (self.ks[self.r + 1 :] - cycle) % 2
-        self.recorded[:, :, self.r + 1 :] = vals.reshape(4, 2, -1)[:, odd].transpose(0, 2, 1)
+        odd = (self.ks[self.measured :] - cycle) % 2
+        self.recorded[:, :, self.measured :] = vals.reshape(4, 2, -1)[:, odd].transpose(0, 2, 1)
         if self.keep:
             self.states_mu[cycle + 1 :: 2], self.states_x[cycle + 1 :: 2] = prev.mu, prev.x
             self.states_mu[cycle + 2 :: 2], self.states_x[cycle + 2 :: 2] = src.mu, src.x
@@ -443,17 +450,25 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
     with np.errstate(over="ignore", invalid="ignore"):
         for checked in (False, True):  # a failing unchecked pass is replayed checked
             src = rec.start(instance, checked)
-            masks = (iter_masks(schedule, seeds, iters, m, draws=draws, state=lambda: src.s)
-                     if schedule.enabled else repeat((None, None, None), iters))
+            spans = (iter_masks(schedule, seeds, iters, m, draws=draws, state=lambda: src.s)
+                     if schedule.enabled else iter([[iters, None, None, None]]))
             watch = not schedule.enabled  # for a repeating state, until a trial diverges
             cycle = None  # the round whose state equals the one two rounds before
-            k = absorbed = 0  # the rounds stepped, and of them those without masks drawn
+            k = stop = absorbed = 0  # rounds stepped, the span's end, rounds without masks drawn
             try:
-                for mask, zeta_sum, stretch in masks:
-                    dst = rec.row(k, zeta_sum)
-                    advance(src, dst, mask)
-                    prev, src = src, dst
-                    k += 1
+                while k < iters:
+                    if k == stop:  # the next span of rounds start..stop-1
+                        span = next(spans)
+                        start, (stop, masks, sums, floor) = k, span
+                    # a segment ends where a test follows a round: each of a checked pass,
+                    # rounds 1 and 3 of 16 while the orbit watch is on (claim stops at iters)
+                    top = k + 1 if checked else k + 1 + min(-k % 16, (2 - k) % 16) if watch else stop
+                    rows = rec.claim(k, top, None if sums is None else sums[k - start :])
+                    prev, first = src, k
+                    for dst, mask in zip(rows, repeat(None) if masks is None else masks[k - start :]):
+                        advance(src, dst, mask)
+                        src = dst
+                    k += len(rows)
                     bad = _check(src) if checked else None
                     if bad is not None:
                         failed |= bad
@@ -467,27 +482,17 @@ def run(instance, W, schedule, config, seeds, x_star=None, keep_states=False, dr
                         if k % 16 == 1:
                             probe = _snapshot(src)
                         elif _snapshot(src) == probe:
-                            cycle = k
+                            cycle, prev = k, rows[-2] if len(rows) > 1 else prev
                             break
-                    if stretch is None:
-                        continue
-                    # rounds k..top-1 absorb while their sources pass: step a window of
-                    # them untested, then test the sources of rounds k..k+w, but not the
-                    # state at top, which iter_masks tests as the next chunk's first
-                    _, top, floor = stretch
-                    first, pos = src, rec.pos
-                    rows = rec.ring[pos + 1 : pos + 1 + rec.window(k, top)]
-                    for dst in rows:
-                        advance(src, dst, None)
-                        prev, src = src, dst
-                    w = len(rows)
-                    tested = rec.ring_s[pos + 1 : pos + w + (k + w < top)]
-                    if k < top and not absorbs(floor, first.s, tested):
-                        rows.insert(0, first)  # rewind to the first source that fails
-                        w = next(j for j, row in enumerate(rows) if not absorbs(floor, row.s))
-                        src, stretch[1] = rows[w], k + w
-                    rec.pos, k, stretch[0] = pos + w, k + w, k + w
-                    absorbed += 1 + w
+                    if floor is not None:  # test the segment's states but the one at stop
+                        # (iter_masks tests it as the next chunk's first); rewind to the first failing
+                        tested = len(rows) - (k == stop)
+                        if tested and not absorbs(floor, *rec.claimed_s(tested)):
+                            i = next(i for i, row in enumerate(rows) if not absorbs(floor, row.s))
+                            rec.release(len(rows) - 1 - i)
+                            src, k = rows[i], first + 1 + i
+                            span[0] = stop = k  # iter_masks draws rounds k.. of the chunk
+                        absorbed += k - first
                 rec.measure(k)
                 if checked or (np.isfinite(src.s).all() and np.isfinite(src.x).all()):
                     break

@@ -54,18 +54,18 @@ def _maximum_then_minimum(q, lower, upper, out):
 clip = getattr(getattr(getattr(np, "_core", None), "umath", None), "clip", _maximum_then_minimum)
 
 
-def diagonal_argmin(c, v, diag, lower, upper):
-    """The exact minimizer for diagonal U, coordinatewise and broadcasting over stacked c."""
-    q = np.subtract(c, v)
+def diagonal_argmin(c, v, diag, lower, upper, out=None):
+    """The exact minimizer for diagonal U, coordinatewise over stacked c, into out if given."""
+    q = np.subtract(c, v, out)
     q /= diag
     return clip(q, lower, upper, q)
 
 
-def argmin_rows(cost, box, c):
-    """argmin_local for each row of c, shape (rows, p); diagonal U solves all rows at once.
-    For non-diagonal U a row whose c is not finite gets a NaN row instead of raising."""
+def argmin_rows(cost, box, c, out=None):
+    """argmin_local for each row of c, shape (rows, p); diagonal U solves all rows at once,
+    into out if given. A non-diagonal U's row whose c is not finite gets NaN, not a raise."""
     if cost.diag is not None:
-        return diagonal_argmin(c, cost.v, cost.diag, box.lower, box.upper)
+        return diagonal_argmin(c, cost.v, cost.diag, box.lower, box.upper, out)
     nan = np.full(cost.p, np.nan)
     return np.array([argmin_local(cost, box, r).x if np.isfinite(r).all() else nan for r in c])
 

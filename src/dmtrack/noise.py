@@ -28,10 +28,9 @@ theta-free unit draw L = sign(u) log(max(1 - 2|u|, tiny)). Runs of one seed
 that differ only in their scales can share one array of `unit_draws`, which
 each chunk copies and scales; a run without one draws a chunk at a time and
 keeps nothing. `draw_rounds` regenerates the masks of any rounds of any run.
-`iter_masks` yields each round's masks as one contiguous (2, S, n, m) block
-[eta; zeta], the layout of the engine's stacked [mu; y], with the running
-total of the tracker masks, which it accumulates once per chunk into two
-buffers it allocates once per run.
+`iter_masks` yields a chunk's masks as one (R, 2, S, n, m) block, each round's
+[eta; zeta] in the layout of the engine's stacked [mu; y], with the running
+totals of the tracker masks, in two buffers it allocates once per run.
 `NoiseSchedule.enabled` (some scale is positive) is the one rule for whether
 a run has masks: the engine and `draw_rounds` draw none for a schedule whose
 every scale is 0, and `iter_masks` draws none for a round its masks are
@@ -45,21 +44,20 @@ of the spacing of the doubles next to s, so s + e rounds to s. The n tracker
 masks of a round sum, in any order, to less than 1.001 n B, so a running total
 c with 1.001 n B < 2**-55 min |c| absorbs them too. `iter_masks` tests the
 total and then the state [mu; y] (`absorbs`) at each chunk start after chunk
-0 (whose total starts at 0); a round passing both yields no masks, which
+0 (whose total starts at 0); a chunk passing both yields no masks, which
 changes no output byte. The total then holds through the chunk, as nothing
-is added to it and B falls, and the engine tests the states of the chunk's
-later rounds after stepping a window of them without masks. That is exact:
-each state depends only on the rounds before it, so a passing one is the
-state its round is stepped from, and at the first that fails the engine
-rewinds to it and draws from there, as a test of each round would. A zero
-entry (a retired trial's) never passes, nor a subnormal one while B > 0.
+is added to it and B falls, and the engine tests the states of its later
+rounds after stepping a segment of them without masks. That is exact: each
+state depends only on the rounds before it, so a passing one is the state
+its round is stepped from, and at the first that fails the engine rewinds to
+it and draws from there, as a test of each round would. A zero entry (a
+retired trial's) never passes, nor a subnormal one while B > 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
@@ -286,24 +284,22 @@ def absorbs(floor, *states):
 
 
 def iter_masks(schedule, seeds, iters, m, draws=None, state=None):
-    """(masks, zeta_sum, stretch) of rounds k = 0..iters-1, generated a chunk of rounds at a time.
+    """Spans [stop, masks, zeta_sums, floor] of rounds k..stop-1, k = 0 to iters, a chunk at a time.
 
-    masks is the (2, S, n, m) block [eta; zeta] of round k and zeta_sum (S, m)
-    is sum_{t<=k} sum_i zeta_i(t); both are views into buffers that the next
-    chunk overwrites, so a caller copies what it keeps. With `draws`, the
+    masks[j] is the (2, S, n, m) block [eta; zeta] of round k + j and zeta_sums[j]
+    (S, m) is sum_{t<=k+j} sum_i zeta_i(t); both are views into buffers that the
+    next span overwrites, so a caller copies what it keeps. With `draws`, the
     `unit_draws` of these seeds for rounds 0..iters-1 or more and width 2 n m,
     each chunk scales a copy of its rounds' rows and leaves `draws` unchanged;
-    without, it draws them and keeps nothing. stretch is None but as follows.
+    without, it draws them and keeps nothing. floor is None but as follows.
 
-    `state()`, if given, returns the (2, S, n, m) state [mu; y] the masks of
-    the next round are added to. A chunk whose running total absorbs its masks
-    and whose first round's state does too yields (None, zeta_sum, stretch)
-    for that round: stretch = [next, end, floor] hands the caller the rest of
-    the chunk, rounds up to end, where a round is absorbed while `absorbs(floor,
-    s)` holds for its state s, untested. The caller moves next past the rounds
-    it steps itself, or sets next and end to the first whose state fails, and
-    the generator yields (None, zeta_sum, stretch) for round next while it is
-    before end, then the masks of end and of the rest of the chunk.
+    `state()`, if given, returns the (2, S, n, m) state [mu; y] the masks of the
+    next round are added to. A chunk whose running total absorbs its masks and
+    whose first round's state does too comes as [stop, None, zeta_sums, floor]:
+    its rounds are absorbed while `absorbs(floor, s)` holds for the state s each
+    is stepped from, which the caller tests from the second on; one that finds
+    round j's failing sets the span's stop to j, and the next span holds the
+    masks of rounds j to the chunk's end.
     """
     step = chunk_rounds(len(seeds), schedule.n, m)
     keys = _seed_keys(seeds)
@@ -318,11 +314,9 @@ def iter_masks(schedule, seeds, iters, m, draws=None, state=None):
             floor = 709.0 * max(schedule.theta_eta(k0).max(), schedule.theta_zeta(k0).max())
             floor *= 2.0**55
             if schedule.n * 1.001 * floor < low and absorbs(floor, state()):
-                stretch = [k, stop, floor]  # [next, end, floor]
-                while k < stretch[1]:
-                    stretch[0] = k + 1
-                    yield None, carry, stretch
-                    k = stretch[0]
+                span = [stop, None, np.broadcast_to(carry, (stop - k,) + carry.shape), floor]
+                yield span
+                k = span[0]
                 if k == stop:
                     continue
         rounds = np.arange(k, stop)
@@ -336,4 +330,4 @@ def iter_masks(schedule, seeds, iters, m, draws=None, state=None):
         chunk[0] += carry  # carry + s_0, then + s_1, ...: the order of per-round updates
         carry = np.add.accumulate(chunk, axis=0, out=chunk)[-1].copy()
         np.copyto(block, masks.transpose(0, 3, 1, 2, 4))  # (R, 2, S, n, m)
-        yield from zip(block, chunk, repeat(None))
+        yield [stop, block, chunk, None]

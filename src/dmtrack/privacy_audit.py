@@ -304,7 +304,7 @@ def _audit_points(pair, W, points, alpha, seed):
         dmu, dx, dy = d_mu[k], d_x[k], d_y[k]
         multiply(minus_alpha, d_y[k - 1], dmu, where=live_rows)
         matvecs_t(add(base_mu[k], dmu, c), c)
-        subtract(argmin_rows(ag_shift.cost, ag_shift.box, c), base_x[k], dx)
+        subtract(argmin_rows(ag_shift.cost, ag_shift.box, c, out=dx), base_x[k], dx)
         matvecs(subtract(dx, d_x[k - 1], dy), dy)
         if not largest(absolute(dmu, size), None) <= suspect:  # NaN fails too
             gone = ~(_norms(dmu, 1) <= diverged_at)  # ||Delta eta(k)||, as np.linalg.norm

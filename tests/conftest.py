@@ -47,11 +47,11 @@ def inject_masks(eta, zeta=None):
 
     Only a run whose schedule is not disabled asks for masks, so a test that
     injects must pass an enabled schedule. zeta defaults to zeros. Like
-    noise.iter_masks, each round comes as one stacked (2, T, n, m) block
-    [eta; zeta] with the running total of the tracker masks through it, here
-    summed round by round, and no absorbed stretch: the injected masks stand in
-    for any shared draws and are never absorbed (the engine's state argument is
-    ignored).
+    noise.iter_masks, the rounds come as a span [stop, masks, zeta_sums, floor],
+    here one of all rounds: each round's stacked (2, T, n, m) block [eta; zeta]
+    and the running total of the tracker masks through it, summed round by
+    round, and no absorbed stretch: the injected masks stand in for any shared
+    draws and are never absorbed (the engine's state argument is ignored).
     """
     eta = np.asarray(eta, dtype=float)
     zeta = np.zeros_like(eta) if zeta is None else np.asarray(zeta, dtype=float)
@@ -59,9 +59,12 @@ def inject_masks(eta, zeta=None):
     def given_masks(schedule, seeds, iters, m, draws=None, state=None):
         assert eta.shape[0] == len(seeds) and eta.shape[1] >= iters, (eta.shape, seeds, iters)
         zeta_cum = np.zeros((len(seeds), m))
-        for eta_k, zeta_k in zip(eta.swapaxes(0, 1)[:iters], zeta.swapaxes(0, 1)[:iters]):
+        sums = []
+        for zeta_k in zeta.swapaxes(0, 1)[:iters]:
             zeta_cum = zeta_cum + zeta_k.sum(axis=1)
-            yield np.stack([eta_k, zeta_k]), zeta_cum, None
+            sums.append(zeta_cum)
+        masks = np.stack([eta, zeta]).transpose(2, 0, 1, 3, 4)[:iters]  # (iters, 2, T, n, m)
+        yield [iters, masks, np.array(sums), None]
 
     return mock.patch.object(engine, "iter_masks", given_masks)
 

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
 ROOT = Path(__file__).resolve().parents[1]
 BETTER = {"ops_per_s": "higher", "setup_s": "lower", "pass_rate": "higher"}
@@ -82,3 +83,42 @@ def test_runs_alternate_and_one_incorrect_run_fails_the_tool(monkeypatch, capsys
     assert [line.split()[0] for line in out[8:]] == [
         "rounds_per_s", "ops_per_s", "setup_s", "peak_rss_mb", "pass_rate"]
     assert out[9].endswith("wins 3/4, claim does not hold")
+
+
+def test_json_holds_each_metric_verdict_and_each_side_env_stamp(monkeypatch, tmp_path):
+    """run_bench reads the env stamp off bench/run.py's output, and --json writes
+    each metric's quartiles, wins and claim with each side's first env stamp."""
+    tool = load_tool()
+    parent, counts = str(ROOT), {}
+
+    def canned_stdout(checkout, ops):
+        stamp = {"git_commit": "C" if checkout == "C" else "P", "src_lines": 3050}
+        return "\n".join([
+            f"ops_per_s {ops} 1/s",
+            f"env               {json.dumps(stamp, sort_keys=True)}",
+            "elapsed           10.2 s",
+            result_line(ops, 0.5),
+        ]) + "\n"
+
+    def fake_run(cmd, cwd, stdout, text):
+        i = counts[cwd] = counts.get(cwd, -1) + 1
+        ops = (CHANGE_OPS if cwd == "C" else PARENT_OPS)[i]
+        return SimpleNamespace(returncode=0, stdout=canned_stdout(cwd, ops))
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    assert tool.run_bench("C", "audit_grid", 97, 10.0)["env"] == {"git_commit": "C", "src_lines": 3050}
+    counts.clear()
+    out = tmp_path / "bench.json"
+    argv = [parent, "C", "--workload", "audit_grid", "--pairs", "10", "--seconds", "10",
+            "--seed", "97", "--json", str(out)]
+    assert tool.main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert (doc["workload"], doc["seed"], doc["seconds"], doc["pairs"]) == ("audit_grid", 97, 10.0, 10)
+    assert doc["env"] == {"parent": {"git_commit": "P", "src_lines": 3050},
+                          "change": {"git_commit": "C", "src_lines": 3050}}
+    ops = doc["metrics"]["ops_per_s"]
+    assert ops["parent"] == {"q1": 262.5, "median": 265.5, "q3": 267.75}
+    assert ops["change"] == {"q1": 290.25, "median": 292.5, "q3": 294.75}
+    assert (ops["better"], ops["wins"], ops["pairs"], ops["claim"]) == ("higher", 9, 10, True)
+    assert doc["metrics"]["setup_s"]["claim"] is False
+    assert list(doc["metrics"]) == ["rounds_per_s", "ops_per_s", "setup_s", "peak_rss_mb", "pass_rate"]

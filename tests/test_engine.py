@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import tracemalloc
 import warnings
 from unittest import mock
@@ -1250,26 +1251,26 @@ def test_a_run_without_shared_draws_keeps_none():
 @contextlib.contextmanager
 def absorbing(rule, absorbed):
     """Patch the engine's iter_masks to absorb masks (rule true) or never (no state
-    reaches it), appending each round the engine stepped without masks to `absorbed`:
-    an absorbed item's round and those the engine stepped after it, up to the
-    stretch[0] it leaves, so not a round of a window it rewound. Rounds count from
-    the latest iter_masks call: a run's checked replay is a new pass, which drops
-    the rounds the pass before it appended."""
-    iter_masks, first = engine.iter_masks, len(absorbed)
+    reaches it), appending each round the engine stepped without masks to `absorbed`
+    as the block exits: the rounds of an absorbed span up to the stop the engine
+    left in it, so not a round of a segment it rewound. Rounds count from the
+    latest iter_masks call: a run's checked replay is a new pass, which drops the
+    spans of the pass before it."""
+    iter_masks, spans = engine.iter_masks, []
 
     def logged(*args, state=None, **kwargs):
-        del absorbed[first:]
+        spans.clear()
         k = 0
-        for mask, zeta_sum, stretch in iter_masks(*args, state=state if rule else None, **kwargs):
-            yield mask, zeta_sum, stretch
-            # resumed once the engine has stepped the round, or the stretch
-            stop = k + 1 if stretch is None else stretch[0]
-            if mask is None:
-                absorbed.extend(range(k, stop))
-            k = stop
+        for span in iter_masks(*args, state=state if rule else None, **kwargs):
+            spans.append((k, span))
+            yield span
+            k = span[0]  # resumed once the engine has stepped the span's rounds
 
-    with mock.patch.object(engine, "iter_masks", logged):
-        yield
+    try:
+        with mock.patch.object(engine, "iter_masks", logged):
+            yield
+    finally:
+        absorbed.extend(r for k, span in spans if span[1] is None for r in range(k, span[0]))
 
 
 def assert_absorption_changes_no_output(*args, **kwargs):
@@ -1335,7 +1336,7 @@ def test_absorbed_masks_change_no_output_across_chunk_starts(name, seeds, keep_s
 @pytest.mark.parametrize("name, d_zeta", [("symmetric2", 4.0), ("hand_kkt", 0.5)])
 def test_natural_absorbed_stretches_change_no_output(name, d_zeta):
     """At q = 0.95 and 0.9 alpha_max_t1, four trials (seeds 0-3, chunks of 1024
-    rounds) absorb every round from 2048 to 5000, in windows of the ten rounds
+    rounds) absorb every round from 2048 to 5000, in segments of the ten rounds
     between records: the 2952 rounds of the per-round state test, and the bytes of
     a run drawing every round."""
     instance, W, alpha = at_09_alpha_max_t1(name)
@@ -1349,7 +1350,7 @@ def test_natural_absorbed_stretches_change_no_output(name, d_zeta):
 
 def test_a_noisy_run_tests_its_states_once_a_window():
     """On the benchmark's noisy config the state test runs once per chunk start
-    and once per window of the ten rounds between records: at most 300 calls for
+    and once per segment of the ten rounds from a record: at most 300 calls for
     its 2664 absorbed rounds, where a test of each round made 2664."""
     calls = mock.Mock(wraps=noise.absorbs)
     with mock.patch.object(noise, "absorbs", calls), mock.patch.object(engine, "absorbs", calls):
@@ -1361,7 +1362,7 @@ def test_a_noisy_run_tests_its_states_once_a_window():
 def nudged_at(k, nudge):
     """Patch the round kernel to apply nudge(dst) to the state it steps in its k-th
     call from the latest iter_masks call (a checked replay is a new pass): round k,
-    as long as no window of the pass was rewound before."""
+    as long as no segment of the pass was rewound before."""
     kernel, iter_masks, rounds = engine._round_kernel, engine.iter_masks, [0]
 
     def new_pass(*args, **kwargs):
@@ -1393,11 +1394,11 @@ def nudged_at(k, nudge):
 def test_a_state_entry_near_zero_has_its_masks_drawn(nudged):
     """A dual set to 1e-300 in the state round `nudged` is stepped from, inside the
     absorbed stretch from round 2336 on, fails the state test, inside or at an edge
-    of its window (the ten rounds between two records, tested together): the rounds
+    of its segment (the ten rounds from a record on, tested together): the rounds
     before it stay absorbed, it and the rest of its chunk of 292 rounds draw their
     masks, as a test of each round would have it, and the next chunk absorbs again.
     The bytes are those of a run drawing every round, and the kernel steps at most
-    one window of rounds more than the run's."""
+    one segment of rounds more than the run's."""
     def near_zero(dst):
         dst.mu[1, 5, 0] = 1e-300
 
@@ -1427,3 +1428,110 @@ def test_a_retired_trial_stops_absorption():
     assert failures[0] == failures[1]
     assert failures[0] == ("round 3001: state diverged to non-finite values (trial seeds 42)", [1])
     assert max(absorbed) == 3000
+
+
+@contextlib.contextmanager
+def segment_ends(ends):
+    """Patch `_Recorder.claim` to append to `ends`, for each segment of an unchecked
+    pass, its first and last state's rounds and what ended it: "chunk" (its span's
+    end), "block" (the end of the kept block or of the ring) and "record" (the next
+    round claims a record row)."""
+    claim = engine._Recorder.claim
+
+    def logged(rec, k, top, sums):
+        rows = claim(rec, k, top, sums)
+        if not rec.checked:
+            end = k + len(rows)
+            full = rec.held == len(rec.rows) if rec.dense else rec.pos == len(rec.ring) - 1
+            ends.append((k + 1, end, frozenset(name for name, hit in (
+                ("chunk", end == top), ("block", full),
+                ("record", not rec.dense and end + 1 == rec.next_k)) if hit)))
+        return rows
+
+    with mock.patch.object(engine._Recorder, "claim", logged):
+        yield
+
+
+@pytest.mark.parametrize("keep_states", [False, True])
+def test_segment_ends_in_any_order_change_no_output(keep_states):
+    """Masked runs of two trials, recording every 3 or 7 rounds, whose segments
+    end at a mask chunk's end (chunks of 4, 7 and 13 rounds), a block's end
+    (kept blocks or rings of 2, 3 and 5 rows) and, without keep_states, before
+    a record, alone or together in every order, and absorb masks inside kept
+    blocks and rings from a chunk start on: each gives the states, metrics and
+    final state of a run with the default sizes, which steps one chunk and
+    never absorbs."""
+    instance, W, alpha = at_09_alpha_max_t1("symmetric2")
+    sched, seeds = NoiseSchedule.uniform(2, q=0.9), [5, 6]
+    ends = []
+    for record_every in (3, 7):
+        cfg = RunConfig(alpha, 1200, record_every=record_every)
+        want = run(instance, W, sched, cfg, seeds, x_star=np.ones((2, 1)), keep_states=keep_states)
+        assert want.rounds_absorbed == 0
+        for rows, chunk in itertools.product((2, 3, 5), (4, 7, 13)):
+            with mock.patch.object(engine, "KEPT_BLOCK_ROWS", 2 * rows), \
+                    mock.patch.object(engine, "MAX_RING_ROWS", rows), \
+                    mock.patch.object(noise, "MAX_CHUNK_BLOCKS", 2 * chunk), segment_ends(ends):
+                got = run(instance, W, sched, cfg, seeds, x_star=np.ones((2, 1)),
+                          keep_states=keep_states)
+            where = (record_every, rows, chunk)
+            assert got.rounds_absorbed > 300, where
+            for key, value in trace_arrays(want).items():
+                assert trace_arrays(got)[key].tobytes() == value.tobytes(), (where, key)
+    single = [{"chunk"}, {"block"}] + ([] if keep_states else [{"record"}])
+    pairs = [{"chunk", "block"}] + ([] if keep_states else [{"chunk", "record"}, {"block", "record"}])
+    seen = {reasons for _, _, reasons in ends}
+    assert all(frozenset(reasons) in seen for reasons in single + pairs), seen
+
+
+@pytest.mark.parametrize("keep_states, nudged", [(False, 100), (False, 103), (True, 101), (True, 103)])
+def test_a_trial_diverging_mid_segment_is_named_with_its_round(keep_states, nudged):
+    """A tracker of seed 6 set to inf in the state of round `nudged`, neither the
+    first nor the last of its segment in the unchecked pass (chunks of 7 rounds,
+    blocks or rings of 5 rows, records every 3 rounds), fails the run with that
+    round and seed from the checked replay."""
+    def diverge(dst):
+        dst.y[1, 0, 0] = np.inf
+
+    instance, W, alpha = at_09_alpha_max_t1("symmetric2")
+    cfg = RunConfig(alpha, 300, record_every=3)
+    ends = []
+    with mock.patch.object(engine, "KEPT_BLOCK_ROWS", 10), \
+            mock.patch.object(engine, "MAX_RING_ROWS", 5), \
+            mock.patch.object(noise, "MAX_CHUNK_BLOCKS", 14), segment_ends(ends), \
+            nudged_at(nudged - 1, diverge), pytest.raises(SolverFailure) as caught:
+        run(instance, W, NoiseSchedule.uniform(2), cfg, [5, 6], keep_states=keep_states)
+    assert str(caught.value) == (
+        f"round {nudged}: state diverged to non-finite values (trial seeds 6)")
+    assert caught.value.trials == [1]
+    assert any(first < nudged < last for first, last, _ in ends)
+
+
+@pytest.mark.parametrize("keep_states, nudged, full, after", [
+    pytest.param(False, 984, (984, 986, {"block", "record"}), (985, 986), id="ring"),
+    pytest.param(True, 982, (980, 984, {"block"}), (983, 984), id="kept"),
+])
+def test_a_rewind_inside_a_full_segment_frees_the_rows_after_it(keep_states, nudged, full, after):
+    """A dual set to 1e-300 in the state of round `nudged` fails the state test in
+    the middle of a segment that filled the rows left (a record every 7 rounds,
+    chunks of 13): a ring of 3 rows filled again from its first row, which holds
+    that state, or a kept block of 5 rows. The run rewinds to that row, frees
+    the rows after it, so the next segment claims them (`after`) and does not
+    step into the row it reads or leave a gap in the block, and gives the bytes
+    of a run that never absorbs."""
+    def near_zero(dst):
+        dst.mu[0, 1, 0] = 1e-300
+
+    instance, W, alpha = at_09_alpha_max_t1("symmetric2")
+    cfg = RunConfig(alpha, 1200, record_every=7)
+    ends = []
+    with mock.patch.object(engine, "MAX_RING_ROWS", 3), \
+            mock.patch.object(engine, "KEPT_BLOCK_ROWS", 10), \
+            mock.patch.object(noise, "MAX_CHUNK_BLOCKS", 2 * 13), \
+            nudged_at(nudged - 1, near_zero), segment_ends(ends):
+        absorbed = assert_absorption_changes_no_output(
+            instance, W, NoiseSchedule.uniform(2, q=0.9), cfg, [5, 6], x_star=np.ones((2, 1)),
+            keep_states=keep_states)
+    first, last, why = full
+    assert (first, last, frozenset(why)) in ends and (*after, frozenset(why)) in ends
+    assert nudged - 1 in absorbed and nudged not in absorbed and 988 in absorbed

@@ -132,6 +132,21 @@ def test_argmin_rows_gives_a_nan_row_for_a_non_finite_linear_term():
     assert x[1].tobytes() == argmin_local(agent.cost, agent.box, c[1]).x.tobytes()
 
 
+def test_argmin_rows_writes_a_diagonal_solve_into_out():
+    """Given out, argmin_rows solves a diagonal agent's rows into it and returns it:
+    the bytes of each row's argmin_local, at zeros of either sign, the box ends and
+    beyond, NaN and infinities."""
+    agent = AgentSpec(cost=QuadraticCost(U=np.diag([1.0, 2.5]), v=np.array([0.5, -0.0])),
+                      A=np.eye(2), d=np.zeros(2), box=BoxSet(lower=np.array([-1.0, -0.0]),
+                                                            upper=np.array([2.0, 3.0])))
+    c = np.array([[0.0, -0.0], [0.5, 7.5], [-4.0, 1e-310], [np.nan, np.inf], [-np.inf, 2.0]])
+    out = np.full(c.shape, 7.0)
+    with np.errstate(invalid="ignore"):
+        assert argmin_rows(agent.cost, agent.box, c, out=out) is out
+        for row, x in zip(c, out):
+            assert x.tobytes() == argmin_local(agent.cost, agent.box, row).x.tobytes()
+
+
 def test_shape_validation():
     cost = QuadraticCost.scalar(1.0)
     with pytest.raises(ValueError):

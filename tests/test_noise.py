@@ -1,5 +1,6 @@
 import math
 import operator
+from itertools import repeat
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,13 @@ def laplace_from_uniform(u, theta):
     written out in the order of its first implementation: (sign(u) (-theta)) log(..)."""
     t = np.log(np.maximum(1.0 - 2.0 * np.abs(u), np.finfo(float).tiny))
     return (np.sign(u) * -theta) * t
+
+
+def per_round(spans):
+    """(masks, zeta_sum) of each round of iter_masks' spans, as the views it hands out;
+    masks is None in an absorbed span."""
+    for _, masks, sums, _ in spans:
+        yield from zip(repeat(None) if masks is None else masks, sums)
 
 
 def draw_one(schedule, k, seed, m):
@@ -174,7 +182,7 @@ def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
         q_zeta=np.array([0.95, 0.9, 0.98]),
     )
     masks, views = [], []
-    for stacked, zeta_sum, _ in iter_masks(schedule, seeds, 10, m):  # chunks end at rounds 3, 7
+    for stacked, zeta_sum in per_round(iter_masks(schedule, seeds, 10, m)):  # chunks end at 3, 7
         masks.append((stacked.copy(), zeta_sum.copy()))
         views.append((stacked, zeta_sum))
     assert len(masks) == 10
@@ -229,7 +237,8 @@ def test_unit_draws_scale_to_the_written_out_masks(monkeypatch, shared):
         monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 12)  # 3 rounds of 2 seeds x 2 blocks
         list(iter_masks(NoiseSchedule.uniform(n), seeds, 4, m, draws))
     monkeypatch.setattr(noise, "MAX_CHUNK_BLOCKS", 16)  # 4 rounds a chunk
-    blocks = np.stack([stacked.copy() for stacked, *_ in iter_masks(schedule, seeds, iters, m, draws)])
+    spans = iter_masks(schedule, seeds, iters, m, draws)
+    blocks = np.stack([stacked.copy() for stacked, _ in per_round(spans)])
     zero_uniforms = 0
     for k, stacked in enumerate(blocks):
         for t, s in enumerate(seeds):
@@ -318,8 +327,9 @@ def test_absorbed_rounds_change_no_bit(data):
     if data.draw(st.booleans()):
         draws[1] = np.copysign(np.log(np.finfo(float).tiny), draws[1])
     with mock.patch.object(noise, "MAX_CHUNK_BLOCKS", S * -(-2 * n * m // 4)):
-        off = [(a.copy(), z.copy()) for a, z, _ in iter_masks(sched, seeds, 2, m, draws)]
-        on = [(a, z.copy()) for a, z, _ in iter_masks(sched, seeds, 2, m, draws, state=lambda: s)]
+        off = [(a.copy(), z.copy()) for a, z in per_round(iter_masks(sched, seeds, 2, m, draws))]
+        spans = iter_masks(sched, seeds, 2, m, draws, state=lambda: s)
+        on = [(a, z.copy()) for a, z in per_round(spans)]
     total, (masks, after) = off[0][1], off[1]
     assert on[0][0] is not None  # chunk 0 is never absorbed
     if on[1][0] is not None:

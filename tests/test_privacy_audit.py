@@ -396,10 +396,11 @@ def test_nondiagonal_boxed_instance_matches_the_per_round_reference():
 
 
 def jumping(solve, jump):
-    """`solve`, except that its fifth call (round 5 of an audit) returns jump(result)."""
+    """`solve`, except that its fifth call (round 5 of an audit) returns jump(result).
+    An `out` the audit passes to argmin_rows is left alone: the audit reads the result."""
     calls = []
 
-    def solver(cost, box, c):
+    def solver(cost, box, c, out=None):
         calls.append(c)
         result = solve(cost, box, c)
         return jump(result) if len(calls) == 5 else result
@@ -462,10 +463,11 @@ def predicted_delta_eta(pair, jump):
 def guarded_rows(jumps):
     """argmin_rows, except that its fifth call adds jumps[g] to row g's solution.
     A row whose c is not finite gets its box's center, where argmin_rows gives
-    a NaN row, so that a row the audit does not retire turns finite again."""
+    a NaN row, so that a row the audit does not retire turns finite again. Like
+    `jumping`, it returns a new array and leaves any `out` alone."""
     calls = []
 
-    def solve(cost, box, c):
+    def solve(cost, box, c, out=None):
         calls.append(c)
         x = np.array([
             argmin_local(cost, box, row).x if np.isfinite(row).all()

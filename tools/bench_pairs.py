@@ -1,6 +1,6 @@
 """Benchmark two checkouts in alternating pairs and judge each end-to-end metric.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed K
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W --pairs N --seconds S --seed K [--json PATH]
 
 PARENT and CHANGE are checkout roots. Each pair runs the checkout's own
 `bench/run.py --workload W --seed K --seconds S --trace 0` in both, the
@@ -11,7 +11,10 @@ interpolation between the order statistics), the change's relative move, its
 wins (pairs where it is better; ties count for neither) and whether the
 claim rule holds: the change wins at least 9 of every 10 pairs, and its
 median is better than the parent's by more than the parent's interquartile
-distance. Exits 1 if any run fails or reports `correct` false.
+distance. With --json it also writes these verdicts to PATH, each side's
+quartiles as numbers, with the environment stamp of each side's first run
+(the `env` line of `bench/run.py`, which carries `src_lines` and the git
+commit). Exits 1 if any run fails or reports `correct` false.
 """
 
 from __future__ import annotations
@@ -26,13 +29,18 @@ from pathlib import Path
 
 def run_bench(checkout, workload, seed, seconds):
     """The JSON result (the last stdout line) of one `bench/run.py` run in `checkout`,
-    or None if the run exits nonzero."""
+    with its environment stamp (the `env` line) under "env", or None if the run exits
+    nonzero."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, stdout=subprocess.PIPE, text=True)
     if proc.returncode != 0:
         return None
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    env = [line.split(None, 1)[1] for line in lines if line.startswith("env ")]
+    result["env"] = json.loads(env[-1]) if env else None
+    return result
 
 
 def quartiles(values):
@@ -40,24 +48,51 @@ def quartiles(values):
     return tuple(statistics.quantiles(values, n=4, method="inclusive"))
 
 
-def summarize(pairs, better):
-    """One line per metric of `better` ({name: "higher" or "lower"}) over a list of
-    (parent result, change result) pairs."""
-    lines = []
+def judge(pairs, better):
+    """Per metric of `better` ({name: "higher" or "lower"}) over a list of (parent
+    result, change result) pairs: each side's (first quartile, median, third
+    quartile), the change's wins and whether the claim rule holds."""
+    verdicts = {}
     for name, direction in better.items():
         before = [parent["metrics"][name]["value"] for parent, _ in pairs]
         after = [change["metrics"][name]["value"] for _, change in pairs]
         sign = 1 if direction == "higher" else -1
         wins = sum(sign * (a - b) > 0 for b, a in zip(before, after))
-        (p1, p_med, p3), (c1, c_med, c3) = quartiles(before), quartiles(after)
-        holds = 10 * wins >= 9 * len(pairs) and sign * (c_med - p_med) > p3 - p1
+        parent, change = quartiles(before), quartiles(after)
+        holds = 10 * wins >= 9 * len(pairs) and sign * (change[1] - parent[1]) > parent[2] - parent[0]
+        verdicts[name] = {"better": direction, "parent": parent, "change": change,
+                          "wins": wins, "pairs": len(pairs), "claim": holds}
+    return verdicts
+
+
+def summarize(pairs, better):
+    """One line per metric of `better` over a list of (parent result, change result) pairs."""
+    lines = []
+    for name, v in judge(pairs, better).items():
+        (p1, p_med, p3), (c1, c_med, c3) = v["parent"], v["change"]
         move = f"{c_med / p_med - 1:+.2%}" if p_med else "n/a"
         lines.append(
             f"{name:<13} parent {p_med:.6g} [{p1:.6g}, {p3:.6g}] -> change {c_med:.6g} "
-            f"[{c1:.6g}, {c3:.6g}] {move}, wins {wins}/{len(pairs)}, "
-            f"claim {'holds' if holds else 'does not hold'}"
+            f"[{c1:.6g}, {c3:.6g}] {move}, wins {v['wins']}/{v['pairs']}, "
+            f"claim {'holds' if v['claim'] else 'does not hold'}"
         )
     return lines
+
+
+def write_json(path, args, pairs, better):
+    """The --json file: the run settings, each side's first environment stamp and `judge`'s
+    verdicts, quartiles as {"q1", "median", "q3"}."""
+    metrics = judge(pairs, better)
+    for v in metrics.values():
+        for side in ("parent", "change"):
+            v[side] = dict(zip(("q1", "median", "q3"), v[side]))
+    doc = {
+        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+        "pairs": len(pairs),
+        "env": {"parent": pairs[0][0].get("env"), "change": pairs[0][1].get("env")},
+        "metrics": metrics,
+    }
+    Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
 
 def main(argv=None):
@@ -68,6 +103,7 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--json", default=None, help="also write the verdicts to this file")
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("--pairs must be at least 2")
@@ -91,6 +127,8 @@ def main(argv=None):
             pairs.append((result["parent"], result["change"]))
     if len(pairs) >= 2:
         print("\n".join(summarize(pairs, better)))
+        if args.json:
+            write_json(args.json, args, pairs, better)
     return 0 if correct else 1
 
 
