@@ -8,8 +8,8 @@ Subcommands:
   oracle  print the centralized optimum and certify it by its KKT residual.
 
 Exit status is nonzero whenever a verdict fails: bound containment, tracking
-identity, audit envelope or certificate violations, divergence, an
-inadmissible configured decay, or an oracle KKT residual above tolerance.
+identity, audit envelope or certificate violations, divergence, a setup the
+privacy certificate does not cover, or an oracle KKT residual above tolerance.
 """
 
 from __future__ import annotations
@@ -159,11 +159,13 @@ def _cmd_bounds(args):
     if mat.schedule.enabled:  # the audited agent's privacy certificate
         cert = mat.privacy
         out.update(
-            q_min=cert.q_min, q=float(mat.schedule.q_zeta[mat.pair.i0]),
+            q_min=cert.q_min, tau2=cert.tau2, q=float(mat.schedule.q_zeta[mat.pair.i0]),
             eps_theory=cert.eps_theory, eps_theory_printed=cert.eps_theory_printed,
             eps_star=cert.eps_star, eps_star_printed=cert.eps_star_printed,
             admissible=math.isfinite(cert.eps_theory),
         )
+        if not out["admissible"]:
+            out["reason"] = cert.reason
     for key, value in out.items():
         print(f"{key}={value!r}" if isinstance(value, float) else f"{key}={value}")
     return 0 if out.get("admissible", True) else 1

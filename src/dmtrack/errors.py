@@ -26,4 +26,4 @@ class InfeasibleProblemError(DmtrackError):
 
 
 class InadmissibleDecayError(DmtrackError):
-    """The noise decay coefficient q lies outside the admissible interval for this stepsize."""
+    """The privacy certificate does not cover the setup; the message is its reason."""

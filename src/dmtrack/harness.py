@@ -493,7 +493,8 @@ def sweep(config, parameter, values, out_dir=None):
     with the theoretical band and the privacy figures of the audited agent,
     so the accuracy/privacy trade-off can be read straight off the table.
     Values the privacy certificate does not cover keep their MSE data but
-    carry NaN privacy columns and admissible=False. A q value also sets
+    carry NaN privacy columns, admissible=False and the certificate's
+    reason (not written to sweep.csv). A q value also sets
     whichever of noise.q_eta / noise.q_zeta the config sets. Every value is
     materialized before any run, so a rejected value writes nothing.
     """
@@ -525,6 +526,7 @@ def sweep(config, parameter, values, out_dir=None):
                 "eps_star": mat.privacy.eps_star,
                 "eps_theory": mat.privacy.eps_theory,
                 "admissible": math.isfinite(mat.privacy.eps_theory),
+                "reason": mat.privacy.reason,
                 "failed": summary["failed"],
             }
         )

@@ -55,11 +55,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import RunConfig, _norms, run
-from .errors import ConfigError, InadmissibleDecayError
+from .errors import InadmissibleDecayError
 from .local_solver import argmin_rows
 from .noise import NoiseSchedule, unit_draws
 from .problem import shift_adjacent
-from .theory import Certificate, certificate, q_interval
+from .theory import Certificate, certificate
 
 HORIZON_MIN = 10
 HORIZON_CAP = 5000
@@ -173,37 +173,17 @@ def audited_certificate(pair, schedule, alpha):
 
 
 def _audit_point(pair, schedule, alpha, horizon):
-    """The constants of auditing `schedule`; raises for a setup the certificate does not cover."""
-    i0 = pair.i0
-    ag = pair.base.agents[i0]
-    d_eta = float(schedule.d_eta[i0])
-    d_zeta = float(schedule.d_zeta[i0])
-    q_eta = float(schedule.q_eta[i0])
-    q = float(schedule.q_zeta[i0])
-    if d_eta <= 0 or d_zeta <= 0:
-        raise ConfigError("audited agent needs positive mask scales on both channels")
-    if not alpha > 0:
-        raise ConfigError(f"the audit needs a positive stepsize, got alpha = {alpha:g}")
-    if abs(q_eta - q) > 1e-15:
-        raise ConfigError(
-            f"audited agent has q_eta = {q_eta:g} != q_zeta = {q:g}; "
-            "the certificate assumes one decay"
-        )
-
+    """The constants of auditing `schedule`; raises InadmissibleDecayError with the
+    certificate's reason for a setup the certificate does not cover."""
     cert = audited_certificate(pair, schedule, alpha)
     if not math.isfinite(cert.eps_theory):
-        if math.isnan(cert.q_min):
-            q_interval(alpha, ag.cost.phi, ag.A_norm)  # raises, naming q_min
-        reason = (
-            f"q = {q:g} outside the admissible interval ({cert.q_min:.6g}, 1)"
-            if not cert.q_min < q < 1.0
-            else f"epsilon is not finite at d_zeta = {d_zeta:g}, d_eta = {d_eta:g}"
-        )
-        raise InadmissibleDecayError(f"{reason} at alpha={alpha:g}")
-    tau1, tau2 = cert.tau1, cert.tau2
-
+        raise InadmissibleDecayError(cert.reason)
+    i0, A_norm = pair.i0, pair.base.agents[pair.i0].A_norm
+    d_eta, d_zeta, q = (float(a[i0]) for a in (schedule.d_eta, schedule.d_zeta, schedule.q_zeta))
     if horizon is None:
-        K = _pick_horizon(alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, pair.base.m)
+        K = _pick_horizon(
+            alpha, pair.delta, A_norm, cert.tau1, cert.tau2, q, d_eta, d_zeta, pair.base.m
+        )
     else:
         K = int(horizon)
     return _Point(schedule, d_eta, d_zeta, q, cert, K)
@@ -212,9 +192,9 @@ def _audit_point(pair, schedule, alpha, horizon):
 def forced_difference_run(pair, W, schedules, alpha, seed, horizon=None):
     """Audit one execution per schedule at stepsize alpha; see the module docstring.
 
-    Returns a list with, per schedule, its AuditReport or the
-    InadmissibleDecayError its decay raised; each report is bit-identical to
-    auditing that schedule alone.
+    Returns a list with, per schedule, its AuditReport or, where the certificate
+    does not cover it, an InadmissibleDecayError carrying the certificate's
+    reason; each report is bit-identical to auditing that schedule alone.
     """
     if horizon is not None and int(horizon) < 1:
         raise ValueError(f"horizon must be at least 1, got {horizon}")

@@ -13,7 +13,8 @@ Quantities:
   q_interval              admissible mask-decay interval (q_min, 1)
   certificate             the audited agent's decay interval, privacy loss
                           eps_theory and its limit eps_star as the eta-mask
-                          budget grows; it covers a setup iff eps_theory is finite
+                          budget grows; it covers a setup iff eps_theory is
+                          finite, and names the reason where it does not
 
 The epsilon denominator has two variants in circulation:
 phi q^2 - alpha ||A||^2 q - alpha ||A||^2 (consistent with the root
@@ -153,7 +154,9 @@ def q_interval(alpha, phi_i0, A_i0_norm):
     coincides with the larger root.
     """
     if not (alpha > 0 and phi_i0 > 0 and A_i0_norm > 0):
-        raise ValueError("alpha, phi, and the coupling norm must be positive")
+        raise ValueError(
+            f"alpha = {alpha:g}, phi = {phi_i0:g} and ||A|| = {A_i0_norm:g} must be positive"
+        )
     try:
         disc = math.sqrt(alpha**2 * A_i0_norm**2 + 4.0 * alpha * phi_i0)
     except OverflowError:  # alpha**2 leaves the float range, and q_min with it
@@ -178,42 +181,53 @@ class Certificate(NamedTuple):
     eps_theory_printed: float
     eps_star: float
     eps_star_printed: float
+    reason: str = ""  # why the certificate does not cover the setup; "" where it does
 
 
 def certificate(alpha, phi_i0, A_i0_norm, q_eta, q_zeta, d_eta, d_zeta, delta):
     """The audited agent's decay interval and privacy loss over an infinite run.
 
-    The certificate covers a setup iff eps_theory is a finite number: a decay
-    interval (q_min, 1) exists at alpha > 0, one decay q = q_eta = q_zeta lies
-    strictly inside it, both mask scales are positive (d_eta may be inf), and
-    the epsilon neither overflows nor divides by an alpha * d_zeta that
-    underflows to 0. An uncovered setup has NaN in all four epsilons; a
-    covered one has NaN only in a printed form whose denominator is not
-    positive. eps_star is the limit as d_eta grows; delta is the adjacency
-    radius.
+    This is the one rule of what the certificate covers, for every command: a
+    setup is covered iff eps_theory is a finite number, that is iff a decay
+    interval (q_min, 1) exists at alpha > 0, one decay q = q_eta = q_zeta
+    lies strictly inside it, both mask scales are positive (d_eta may be
+    inf), and the epsilon neither overflows nor divides by an alpha * d_zeta
+    that underflows to 0. An uncovered setup has NaN in all four epsilons and
+    says why in `reason` (q_interval's message where no interval exists); a
+    covered one has reason "" and NaN only in a printed form whose
+    denominator is not positive. eps_star is the limit as d_eta grows; delta
+    is the adjacency radius.
     """
     if delta < 0:
         raise ValueError(f"delta must be nonnegative, got {delta}")
     nan = math.nan
     try:
         q_min, tau1, tau2 = q_interval(alpha, phi_i0, A_i0_norm)
-    except (InadmissibleDecayError, ValueError):
-        return Certificate(nan, nan, nan, nan, nan, nan, nan)
-    uncovered = Certificate(q_min, tau1, tau2, nan, nan, nan, nan)
+    except (InadmissibleDecayError, ValueError) as exc:
+        return Certificate(nan, nan, nan, nan, nan, nan, nan, str(exc))
+
+    def uncovered(reason):
+        return Certificate(q_min, tau1, tau2, nan, nan, nan, nan, f"{reason} at alpha={alpha:g}")
+
     q = q_zeta
-    if not (abs(q_eta - q) <= 1e-15 and q_min < q < 1.0 and d_eta > 0 and d_zeta > 0):
-        return uncovered
+    if not abs(q_eta - q) <= 1e-15:
+        return uncovered(f"q_eta = {q_eta:g} != q_zeta = {q:g}; the certificate assumes one decay")
+    if not (d_eta > 0 and d_zeta > 0):
+        return uncovered(f"mask scales d_eta = {d_eta:g}, d_zeta = {d_zeta:g} not both positive")
+    if not q_min < q < 1.0:
+        return uncovered(f"q = {q:g} outside the admissible interval ({q_min:.6g}, 1)")
+    not_finite = f"epsilon is not finite at d_zeta = {d_zeta:g}, d_eta = {d_eta:g}"
     try:
         numerators = [
             (1.0 / (alpha * d_zeta) + 1.0 / d) * alpha * phi_i0 * delta * A_i0_norm
             for d in (d_eta, math.inf)
         ]
     except ZeroDivisionError:  # alpha * d_zeta underflows to 0
-        return uncovered
+        return uncovered(not_finite)
     D = phi_i0 * q**2 - alpha * A_i0_norm**2 * q - alpha * A_i0_norm**2
     eps_theory, eps_star = (num / D if D > 0 else nan for num in numerators)
     if not math.isfinite(eps_theory):
-        return uncovered
+        return uncovered(not_finite)
     D_printed = phi_i0 * q**2 - alpha * q - alpha
     eps_theory_printed, eps_star_printed = (
         num / D_printed if D_printed > 0 else nan for num in numerators
@@ -229,28 +243,22 @@ class TheoryConstants(NamedTuple):
     r_lb: float
     alpha_max_t1: float
     alpha_max_t2: float
-    tau1: float
-    tau2: float
 
 
 def theory_constants(alpha, mod, lambda_bar, bounds, schedule):
-    """Bundle every scalar constant the experiment reports need.
+    """Bundle the scalar constants of the convergence analysis.
 
-    bounds is stepsize_bounds(mod, lambda_bar). tau1 / tau2 are the
-    q_interval roots at the global moduli (phi_under, A_norm), which are the
-    audited agent's when agents are homogeneous. r_lb folds in the mask
-    decays of an enabled schedule. Where the stepsize admits no contraction
-    factor or decay interval, C, r_lb, tau1 and tau2 are NaN; lambda_bar and
-    the stepsize caps do not depend on the stepsize and keep their values.
+    bounds is stepsize_bounds(mod, lambda_bar). C is contraction_C at alpha,
+    NaN only where that raises or returns NaN, and r_lb = max(C, lambda_bar)
+    folds in the mask decays of an enabled schedule, so it is NaN with C;
+    lambda_bar and the stepsize caps do not depend on the stepsize. The decay
+    interval's roots are the audited agent's, in certificate.
     """
     try:
         C = contraction_C(alpha, mod.phi_under, mod.L_bar, mod.A_norm, mod.lamAA_min)
-        _, tau1, tau2 = q_interval(alpha, mod.phi_under, mod.A_norm)
-        r_lb = max(C, lambda_bar)
-        if schedule.enabled:
-            r_lb = max(r_lb, float(np.max(schedule.q_eta)), float(np.max(schedule.q_zeta)))
-    except (InadmissibleDecayError, ValueError):
-        C = r_lb = tau1 = tau2 = math.nan
-    return TheoryConstants(
-        C, lambda_bar, r_lb, bounds.alpha_max_t1, bounds.alpha_max_t2, tau1, tau2
-    )
+    except ValueError:  # a stepsize far outside the admissible range
+        C = math.nan
+    r_lb = max(C, lambda_bar)  # C first: max keeps a NaN first argument
+    if schedule.enabled:
+        r_lb = max(r_lb, float(np.max(schedule.q_eta)), float(np.max(schedule.q_zeta)))
+    return TheoryConstants(C, lambda_bar, r_lb, bounds.alpha_max_t1, bounds.alpha_max_t2)

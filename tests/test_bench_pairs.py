@@ -106,6 +106,7 @@ def test_json_holds_each_metric_verdict_and_each_side_env_stamp(monkeypatch, tmp
         return SimpleNamespace(returncode=0, stdout=canned_stdout(cwd, ops))
 
     monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    monkeypatch.setattr(tool, "run_probe", lambda checkout, work: 2.5)
     assert tool.run_bench("C", "audit_grid", 97, 10.0)["env"] == {"git_commit": "C", "src_lines": 3050}
     counts.clear()
     out = tmp_path / "bench.json"
@@ -122,3 +123,69 @@ def test_json_holds_each_metric_verdict_and_each_side_env_stamp(monkeypatch, tmp
     assert (ops["better"], ops["wins"], ops["pairs"], ops["claim"]) == ("higher", 9, 10, True)
     assert doc["metrics"]["setup_s"]["claim"] is False
     assert list(doc["metrics"]) == ["rounds_per_s", "ops_per_s", "setup_s", "peak_rss_mb", "pass_rate"]
+
+
+def test_the_probe_alternates_sides_and_a_failed_probe_run_fails_the_tool(
+    monkeypatch, tmp_path, capsys
+):
+    """With --json, PROBE_RUNS acceptance sweeps per side run before the pairs, the
+    parent first in even runs; their CPU seconds are printed and written under
+    "probe", and one that exits nonzero (None) fails the tool."""
+    tool = load_tool()
+    parent, order = str(ROOT), []
+
+    def canned_bench(checkout, workload, seed, seconds):
+        i = order.count((checkout, None))
+        order.append((checkout, None))
+        ops = (CHANGE_OPS if checkout == "C" else PARENT_OPS)[i]
+        return json.loads(result_line(ops, SETUPS[i]))
+
+    def canned_probe(checkout, work, fail=()):
+        order.append((checkout, work.name))
+        return None if work.name in fail else {parent: 3.0, "C": 2.0}[checkout] + len(order) / 10
+
+    monkeypatch.setattr(tool, "run_bench", canned_bench)
+    monkeypatch.setattr(tool, "run_probe", canned_probe)
+    out = tmp_path / "bench.json"
+    argv = [parent, "C", "--workload", "mc_noisy", "--pairs", "2", "--seconds", "1",
+            "--seed", "41", "--json", str(out)]
+    assert tool.main(argv) == 0
+    assert order[:6] == [(parent, "parent0"), ("C", "change0"), ("C", "change1"),
+                         (parent, "parent1"), (parent, "parent2"), ("C", "change2")]
+    assert [c for c, name in order[6:]] == [parent, "C", "C", parent]  # then the pairs
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:6] == [
+        "probe 0 parent: cpu_s 3.100", "probe 0 change: cpu_s 2.200",
+        "probe 1 change: cpu_s 2.300", "probe 1 parent: cpu_s 3.400",
+        "probe 2 parent: cpu_s 3.500", "probe 2 change: cpu_s 2.600",
+    ]
+    probe = json.loads(out.read_text())["probe"]
+    assert probe["cpu_s"] == {"parent": [3.1, 3.4, 3.5], "change": [2.2, 2.3, 2.6]}
+    assert probe["command"] == "dmtrack sweep --param d_zeta --values 0.5,1,2,4"
+    assert (probe["config"]["trials"], probe["config"]["algorithm"]["iters"]) == (100, 5000)
+
+    order.clear()
+    monkeypatch.setattr(tool, "run_probe", lambda c, w: canned_probe(c, w, fail=("change1",)))
+    assert tool.main(argv) == 1
+    assert "probe 1 change: run failed" in capsys.readouterr().out.splitlines()
+    assert json.loads(out.read_text())["probe"]["cpu_s"]["change"][1] is None
+
+
+def test_run_probe_times_the_sweep_in_its_own_directory(monkeypatch, tmp_path):
+    """run_probe writes PROBE_CONFIG, runs PROBE_ARGS on it with the checkout's src on
+    PYTHONPATH, and returns the child's CPU seconds, or None on a nonzero exit."""
+    tool = load_tool()
+    seen = []
+
+    def fake_run(cmd, cwd, env, stdout):
+        seen.append((cmd, cwd, env["PYTHONPATH"]))
+        assert json.loads((cwd / "config.json").read_text()) == tool.PROBE_CONFIG
+        return SimpleNamespace(returncode=len(seen) - 1)
+
+    monkeypatch.setattr(tool.subprocess, "run", fake_run)
+    cpu = tool.run_probe(ROOT, tmp_path / "a")
+    assert isinstance(cpu, float) and cpu >= 0
+    assert tool.run_probe(ROOT, tmp_path / "b") is None
+    cmd, cwd, path = seen[0]
+    assert cmd[1:] == ["-m", "dmtrack.cli", *tool.PROBE_ARGS, "--config", "config.json"]
+    assert (cwd, path) == (tmp_path / "a", str(ROOT / "src"))

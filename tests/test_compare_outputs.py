@@ -14,7 +14,7 @@ def load_tool():
 
 def test_the_checkout_matches_itself_on_one_seed(capsys):
     """Every command of every workload config runs and matches itself; the
-    single-point audit of free_converge's noise-free config is rejected (exit 2),
+    single-point audit of free_converge's noise-free config is inadmissible (exit 1),
     and the alpha = 1e308 sweep fails (exit 1) except on audit_grid's one-round
     config. The run lines show both checkouts' rounds_stepped and
     rounds_absorbed: every round of the noisy run, 2664 of them without masks,
@@ -25,7 +25,7 @@ def test_the_checkout_matches_itself_on_one_seed(capsys):
     own = {"mc_noisy": "run", "free_converge": "run", "audit_grid": "audit --grid"}
     stepped = {"mc_noisy": ("5000 -> 5000", "2664 -> 2664"),
                "free_converge": ("1059 -> 1059", "0 -> 0")}
-    exits = {("free_converge", "audit"): 2, ("mc_noisy", "diverging sweep"): 1,
+    exits = {("free_converge", "audit"): 1, ("mc_noisy", "diverging sweep"): 1,
              ("free_converge", "diverging sweep"): 1}
     assert lines[:18] == [
         f"{workload} seed 3 invocation 0 {name}: identical "
@@ -43,12 +43,12 @@ def test_the_checkout_matches_itself_on_one_seed(capsys):
 
 
 def test_every_file_a_command_writes_is_compared(tmp_path):
-    """A sweep's items are its stdout, sweep.csv and each value's trace.csv and
+    """A sweep's items are its stdout, stderr, sweep.csv and each value's trace.csv and
     summary.json, but no timings.json."""
     tool = load_tool()
     items, stepped = tool.run_case(ROOT, "mc_noisy", 3, 0, "sweep", tmp_path / "work")
     assert stepped is None
-    assert sorted(items) == sorted(["exit code", "stdout", "sweep.csv"] + [
+    assert sorted(items) == sorted(["exit code", "stdout", "stderr", "sweep.csv"] + [
         f"d_zeta_{value}/{name}" for value in ("0.5", "2") for name in ("summary.json", "trace.csv")
     ])
 

@@ -256,7 +256,8 @@ def test_timings_json_counts_the_rounds_stepped(tmp_path, noise):
 
 def test_stepsize_bounds_run_once_per_experiment(tmp_path, capsys):
     """materialize derives the stepsize bounds, the theory constants, the MSE band and
-    the privacy certificate once, with two q_interval calls; run and bounds read them,
+    the privacy certificate once, with one q_interval call, the certificate's; run and
+    bounds read them,
     and _run_materialized calls no theory function at all."""
     names = [
         name for name, f in vars(theory).items()
@@ -269,7 +270,7 @@ def test_stepsize_bounds_run_once_per_experiment(tmp_path, capsys):
 
     per_setup = {
         "stepsize_bounds": 1, "theory_constants": 1, "mse_bounds": 1, "certificate": 1,
-        "q_interval": 2,
+        "q_interval": 1,
     }
 
     def calls_per_setup(setups):
@@ -583,12 +584,17 @@ def test_cli_audit_single(tmp_path, capsys):
 
 @pytest.mark.parametrize("grid", [False, True])
 def test_cli_audit_rejects_a_zero_stepsize(tmp_path, capsys, grid):
-    """alpha = 0 admits no decay interval: both audit paths name it and exit 2."""
+    """alpha = 0 admits no decay interval, so the certificate covers no point: a single
+    audit names the reason and exits 1, and a grid marks every point admissible=0."""
     path = write_config(tmp_path, **{"algorithm.alpha": 0.0})
-    assert cli.main(["audit", "--config", str(path)] + ["--grid"] * grid) == 2
+    assert cli.main(["audit", "--config", str(path)] + ["--grid"] * grid) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "alpha = 0" in err
     assert "Traceback" not in err
+    if not grid:
+        assert err == "inadmissible: alpha = 0, phi = 2 and ||A|| = 1 must be positive\n"
+        return
+    header, *rows = (tmp_path / "out" / "audit.csv").read_text().splitlines()
+    assert len(rows) == 9 and all(row.endswith(",nan,nan,nan,0,0") for row in rows)
 
 
 @pytest.mark.parametrize(
@@ -605,7 +611,7 @@ def test_cli_audit_rejects_a_zero_stepsize(tmp_path, capsys, grid):
         ("audit", {"audit.grid.q": [1.5]}, ["--grid"], "audit.grid"),
         ("audit", {"audit.grid.d_zeta": [-1]}, ["--grid"], "audit.grid"),
         ("audit", {"audit.i0": True}, [], "audit.i0"),
-        ("audit", {"noise.enabled": False}, ["--grid"], "positive mask scales"),
+        ("audit", {"audit.delta_prime": [0.1, 0.2]}, ["--grid"], "audit.delta_prime"),
         ("bounds", {"problem.preset": "microgrid14", "graph.extra_edges": True}, [],
          "graph.extra_edges"),
         # delta_prime = 5e199: its norm is finite, its shifted cost is not
@@ -636,13 +642,18 @@ def test_cli_rejects_a_nan_setting_by_its_own_key(tmp_path, capsys, command, key
 @pytest.mark.parametrize("command", ["run", "bounds", "audit"])
 def test_cli_reads_a_stepsize_whose_square_overflows_as_a_huge_one(tmp_path, capsys, command):
     """At alpha = 1e200, alpha**2 overflows a float in q_interval. Each command
-    answers as at alpha = 1e100: no admissible decay, exit 1, no traceback."""
+    answers as at alpha = 1e100: no admissible decay, exit 1, no traceback. Only the
+    lines that follow alpha differ: C and r_lb (1e100, then inf) and the reason's
+    numbers."""
     seen = []
     for alpha in (1e100, 1e200):
         path = write_config(tmp_path, **{"algorithm.alpha": alpha})
         code = cli.main([command, "--config", str(path)])
         out, err = capsys.readouterr()
-        lines = [line for line in out.splitlines() if not line.startswith("alpha")]
+        lines = [
+            line.split(" = ")[0] if line.startswith("reason=") else line
+            for line in out.splitlines() if not line.startswith(("alpha", "C=", "r_lb="))
+        ]
         seen.append((code, lines, err.split(" = ")[0]))
     assert seen[1] == seen[0]
     code, lines, err = seen[1]
@@ -651,6 +662,8 @@ def test_cli_reads_a_stepsize_whose_square_overflows_as_a_huge_one(tmp_path, cap
         assert err == "inadmissible: q_min"
     else:
         assert {"run": "bound_contained   False", "bounds": "admissible=False"}[command] in lines
+    if command == "bounds":
+        assert lines[-1] == "reason=q_min"
 
 
 @pytest.mark.parametrize("command,code", [("run", 1), ("bounds", 0), ("audit", 0)])
@@ -699,8 +712,9 @@ CERTIFICATE_SETUPS = {
 @pytest.mark.parametrize("setup", list(CERTIFICATE_SETUPS))
 def test_bounds_sweep_and_audit_share_one_certificate(tmp_path, capsys, setup):
     """bounds, sweep.csv and the audit take one verdict, a finite eps_theory, and print
-    the same epsilons where it holds; no command ends in a traceback. The sweep runs
-    d_zeta at its configured value, so the configured decays stay."""
+    the same epsilons where it holds, or the same reason where it does not; no command
+    ends in a traceback. The sweep runs d_zeta at its configured value, so the
+    configured decays stay."""
     overrides, covered = CERTIFICATE_SETUPS[setup]
     path = write_config(tmp_path, **{"algorithm.iters": 20, "trials": 1, **overrides})
 
@@ -732,19 +746,72 @@ def test_bounds_sweep_and_audit_share_one_certificate(tmp_path, capsys, setup):
         epsilons["audit"] = (row["eps_theory"], row["eps_star"])
         assert len(set(epsilons.values())) == 1 and "nan" not in epsilons["audit"]
     else:
-        # an inadmissible point, or the refusal of a setup the audit cannot take
-        assert err.startswith("inadmissible: " if code == 1 else "error: ") and code in (1, 2)
+        assert (err, code) == (f"inadmissible: {printed['reason']}\n", 1)
         assert set(epsilons.values()) == {("nan", "nan")}
+
+
+# setups the privacy certificate does not cover, as overrides of the symmetric2 test
+# config, each with the start of the reason theory.certificate gives
+UNCOVERED_SETUPS = {
+    "split_decay": (
+        {"noise.q_eta": 0.97, "noise.q_zeta": 0.98}, "q_eta = 0.97 != q_zeta = 0.98; "),
+    "zero_d_zeta": ({"noise.d_zeta": 0.0}, "mask scales d_eta = 1, d_zeta = 0 not both positive"),
+    "zero_alpha": ({"algorithm.alpha": 0.0}, "alpha = 0, phi = 2 and ||A|| = 1 must be positive"),
+    # agent 0 of microgrid14 at 0.9 alpha_max_t1 has q_min = 0.408
+    "q_below_q_min": (
+        {"problem.preset": "microgrid14", "algorithm.alpha": {"frac_of_t1": 0.9},
+         "noise.q": 0.3},
+        "q = 0.3 outside the admissible interval (0.407863, 1) at alpha=0.197261",
+    ),
+    "no_decay_interval": ({"algorithm.alpha": {"frac_of_t1": 1.5}}, "q_min = 1.31873 >= 1: "),
+}
+
+
+@pytest.mark.parametrize("setup", list(UNCOVERED_SETUPS))
+def test_bounds_audit_and_sweep_give_an_uncovered_setup_one_reason(tmp_path, capsys, setup):
+    """theory.certificate alone judges a setup: `bounds` prints admissible=False and its
+    reason and exits 1, a single-point audit prints `inadmissible: <reason>` and exits
+    1, and the sweep row is inadmissible with the same reason. The sweep runs d_eta at
+    its configured value, so every other setting stays."""
+    overrides, start = UNCOVERED_SETUPS[setup]
+    path = write_config(tmp_path, **{"algorithm.iters": 20, "trials": 1, **overrides})
+    assert cli.main(["bounds", "--config", str(path)]) == 1
+    printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    reason = printed["reason"]
+    assert printed["admissible"] == "False" and reason.startswith(start)
+
+    assert cli.main(["audit", "--config", str(path)]) == 1
+    assert capsys.readouterr() == ("", f"inadmissible: {reason}\n")
+    assert not (tmp_path / "out" / "audit.csv").exists()
+
+    [row], _ = sweep(ExperimentConfig.from_file(path), "d_eta", [1.0], out_dir=tmp_path / "sw")
+    assert (row["admissible"], row["reason"]) == (False, reason)
+    assert (tmp_path / "sw" / "sweep.csv").read_text().splitlines()[1].endswith(",nan,nan,0")
+
+
+def test_a_grid_marks_a_zero_d_zeta_inadmissible_and_audits_the_rest(tmp_path, capsys):
+    """audit.grid.d_zeta = [0.0, 1.0]: the d_zeta = 0 points are admissible=0 rows, and
+    the d_zeta = 1 rows are those of the grid without the zero entry, byte for byte."""
+    rows = {}
+    for d_zeta in ([0.0, 1.0], [1.0]):
+        path = write_config(tmp_path, **{"audit.grid": {"d_zeta": d_zeta, "q": [0.95, 0.98]}})
+        assert cli.main(["audit", "--config", str(path), "--grid"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
+        rows[len(d_zeta)] = (tmp_path / "out" / "audit.csv").read_text().splitlines()[1:]
+    assert rows[2][:2] == ["0.0,0.95,nan,nan,nan,0,0", "0.0,0.98,nan,nan,nan,0,0"]
+    assert rows[2][2:] == rows[1] and all(row.endswith(",1,0") for row in rows[1])
 
 
 def test_bounds_prints_no_certificate_with_noise_off(tmp_path, capsys):
     """With noise off the certificate covers nothing, and bounds prints none of its
-    keys, q included: a noise-free schedule's decay is a placeholder, not noise.q."""
+    keys, q and the decay interval's roots included: a noise-free schedule's decay is
+    a placeholder, not noise.q."""
     path = write_config(tmp_path, **{"noise.enabled": False, "noise.q": 0.98})
     assert cli.main(["bounds", "--config", str(path)]) == 0
     printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
-    assert "mse_upper" in printed and "tau1" in printed
-    certificate_keys = {"q_min", "q", "eps_theory", "eps_star", "admissible"}
+    assert "mse_upper" in printed and "C" in printed
+    certificate_keys = {"q_min", "tau1", "tau2", "q", "eps_theory", "eps_star", "admissible",
+                        "reason"}
     assert not certificate_keys & set(printed)
 
 
@@ -791,9 +858,9 @@ def test_cli_audit_grid_with_no_admissible_point_exits_1(tmp_path, capsys):
 
 
 def test_stepsize_caps_survive_an_inadmissible_stepsize(tmp_path, capsys):
-    """At alpha = 1e200 no decay interval exists, so tau1, tau2, C and r_lb are NaN,
-    but lambda_bar and the stepsize caps, which do not depend on alpha, stay finite
-    in `bounds` stdout and in summary.json."""
+    """At alpha = 1e200 no decay interval exists, so the certificate's q_min and tau2
+    are NaN; C and r_lb are contraction_C's inf. lambda_bar and the stepsize caps,
+    which do not depend on alpha, stay finite in `bounds` stdout and in summary.json."""
     path = write_config(tmp_path, **{"algorithm.alpha": 1e200})
     mat = materialize(ExperimentConfig.from_file(path))
     bounds = stepsize_bounds(mat.mod, mat.W.lambda_bar)
@@ -808,16 +875,15 @@ def test_stepsize_caps_survive_an_inadmissible_stepsize(tmp_path, capsys):
     out = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     for key, value in want.items():
         assert out[key] == repr(value), key
-    for key in ("tau1", "tau2"):
-        assert out[key] == "nan"
+    assert (out["q_min"], out["tau2"], out["C"], out["r_lb"]) == ("nan", "nan", "inf", "inf")
+    assert "tau1" not in out
 
     assert cli.main(["run", "--config", str(path)]) == 1
     capsys.readouterr()
     constants = json.loads((tmp_path / "out" / "summary.json").read_text())["constants"]
     for key, value in want.items():
         assert constants[key] == value, key
-    for key in ("C", "r_lb", "tau1", "tau2"):
-        assert math.isnan(constants[key]), key
+    assert constants["C"] == constants["r_lb"] == math.inf and "tau1" not in constants
 
 
 def test_cli_grid_rows_equal_single_point_audits_of_the_configured_noise(tmp_path, capsys):

@@ -7,7 +7,7 @@ import pytest
 from dmtrack import cli, noise, privacy_audit, theory
 
 from dmtrack.engine import RunConfig, run
-from dmtrack.errors import ConfigError, InadmissibleDecayError, SolverFailure
+from dmtrack.errors import InadmissibleDecayError, SolverFailure
 from dmtrack.local_solver import ArgminResult, argmin_local, argmin_rows
 from dmtrack.noise import NoiseSchedule
 from dmtrack.problem import AgentSpec, BoxSet, ProblemInstance, QuadraticCost
@@ -19,6 +19,7 @@ from dmtrack.privacy_audit import (
     _pick_horizon,
     _tail_bound,
     forced_difference_run,
+    grid_schedules,
     make_adjacent_pair,
 )
 from dmtrack.theory import certificate, q_interval
@@ -196,25 +197,32 @@ def test_horizon_selection_extremes(sym2):
 
 
 def test_schedule_rejections(sym2):
+    """A zero mask scale, noise off or two decays is a point the certificate does not
+    cover: the audit returns an InadmissibleDecayError carrying the certificate's reason."""
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
-    with pytest.raises(ConfigError):
-        audit_one(pair, W, NoiseSchedule.uniform(2, d_zeta=0.0), 0.45, seed=0)
-    with pytest.raises(ConfigError):
-        audit_one(pair, W, NoiseSchedule.disabled(2), 0.45, seed=0)
     split = NoiseSchedule(
         d_eta=np.ones(2), d_zeta=np.ones(2), q_eta=np.full(2, 0.97), q_zeta=np.full(2, 0.98)
     )
-    with pytest.raises(ConfigError, match="one decay"):
-        audit_one(pair, W, split, 0.45, seed=0)
+    for sched, match in [
+        (NoiseSchedule.uniform(2, d_zeta=0.0), "mask scales"),
+        (NoiseSchedule.disabled(2), "mask scales"),
+        (split, "one decay"),
+    ]:
+        report = audit_one(pair, W, sched, 0.45, seed=0)
+        assert isinstance(report, InadmissibleDecayError) and match in str(report)
+        assert str(report) == privacy_audit.audited_certificate(pair, sched, 0.45).reason
 
 
 @pytest.mark.parametrize("alpha", [0.0, -0.45, np.nan])
 def test_the_audit_needs_a_positive_stepsize(sym2, alpha):
+    """No decay interval exists at a stepsize that is not positive: the point is
+    inadmissible, with q_interval's message as its reason."""
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
-    with pytest.raises(ConfigError, match="positive stepsize"):
-        forced_difference_run(pair, W, [NoiseSchedule.uniform(2)], alpha, 0)
+    [report] = forced_difference_run(pair, W, [NoiseSchedule.uniform(2)], alpha, 0)
+    assert isinstance(report, InadmissibleDecayError)
+    assert str(report).startswith(f"alpha = {alpha:g}, ") and "must be positive" in str(report)
 
 
 def test_inadmissible_decay(sym2):
@@ -837,3 +845,24 @@ def test_the_audit_runs_the_engine_once_per_admissible_point(sym2):
     assert isinstance(reports[-1], InadmissibleDecayError)
     measured = [len(report.delta_eta_norms) - 1 for report in reports[:-1]]
     assert [trace.final_state.round for trace in traces] == measured
+
+
+@pytest.mark.parametrize("preset", ["symmetric2", "hand_kkt", "microgrid14"])
+def test_the_default_grid_is_certified_at_the_edge_of_the_adjacency_radius(preset):
+    """The contact-free privacy loss grows linearly in ||delta'||: at the default shift
+    delta/2, eps_empirical stays at or below 0.497 eps_theory, so a certificate
+    understated by up to 2x would still pass there. At ||delta'|| = (1 - 1e-3) delta
+    the default 3 x 3 grid (uniform d = 1, seed 0, 0.9 alpha_max_t1) has every point
+    admissible, no violation and eps_empirical <= eps_theory (at most 0.994 of it),
+    and every point's loss is above half of eps_theory."""
+    instance, W, alpha = at_09_alpha_max_t1(preset)
+    delta_prime = np.zeros(instance.p)
+    delta_prime[0] = 1.0 - 1e-3
+    pair = make_adjacent_pair(instance, 0, 1.0, delta_prime)
+    grid = [0.5, 1.0, 2.0], [0.95, 0.98, 0.99]  # the default audit.grid
+    schedules = grid_schedules(NoiseSchedule.uniform(instance.n), *grid)
+    reports = forced_difference_run(pair, W, schedules, alpha, 0)
+    assert all(isinstance(report, AuditReport) for report in reports)
+    assert [report.bound_violations for report in reports] == [0] * 9
+    ratios = [report.eps_empirical / report.eps_theoretical for report in reports]
+    assert max(ratios) <= 1.0 and min(ratios) > 0.5

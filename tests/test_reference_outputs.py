@@ -62,8 +62,8 @@ def test_seed0_trace_matches_the_benchmark_reference(workloads, workload, tmp_pa
 # (symmetric2) configs; a refactor must leave them byte for byte unchanged
 AUDIT_GRID_CSV_SHA256 = "7811bc1d18f30e9bc80820e9dffe8eb98e9d3eb35977b1f3cc02675ec6446590"
 BOUNDS_SHA256 = {
-    "mc_noisy": "58587eb8d66ee644a9e99a13e9604289a9ae2af5a6af1c0d6112f2d9c6025581",
-    "audit_grid": "7645ccb1ad5ddcf1b4520e9e2ccf4efe568b0e92d8b893fa3688d817aa5d8593",
+    "mc_noisy": "48a616b7f0182be7703f0f08a44462c81eb6a6d60be5cf0a407f5e2bee8f7b06",
+    "audit_grid": "ebc4e123929d5e23e29b143c025cbda5ef745d3deb27c8f43767d52424635947",
 }
 
 
@@ -126,7 +126,7 @@ def test_bounds_prints_the_figures_that_summary_json_carries(workloads, tmp_path
     """One path for the closed-form figures: each `bounds` key that summary.json also
     carries prints the repr of the summary's value. The figures are finite on the
     seed-0 mc_noisy config; on symmetric2 at alpha = 1e200, where no decay interval
-    exists, C, r_lb, tau1 and tau2 are NaN in both."""
+    exists, C and r_lb are contraction_C's inf in both, and no constant is NaN."""
     config, argv, out_dir = workloads.prepare("mc_noisy", workloads.REF_SEED, 0, False, tmp_path)
     path = Path(argv[argv.index("--config") + 1])
     if setup == "symmetric2_alpha_1e200":
@@ -149,8 +149,9 @@ def test_bounds_prints_the_figures_that_summary_json_carries(workloads, tmp_path
     assert cli.main(["bounds", "--config", str(path)]) == (0 if finite else 1)
     printed = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
     assert {key: printed[key] for key in carried} == {k: repr(v) for k, v in carried.items()}
-    nan = [key for key, value in summary["constants"].items() if math.isnan(value)]
-    assert nan == ([] if finite else ["C", "r_lb", "tau1", "tau2"])
+    assert not any(math.isnan(value) for value in summary["constants"].values())
+    infinite = [key for key, value in summary["constants"].items() if math.isinf(value)]
+    assert infinite == ([] if finite else ["C", "r_lb"])
 
 
 def test_sweep_csv_privacy_columns_are_the_bounds_figures(tmp_path, capsys):
@@ -249,7 +250,7 @@ def test_hand_kkt_agent1_grid_audit_outputs_are_pinned(tmp_path, capsys):
 # `sweep.csv` and a single-point audit
 HAND_KKT_AUDIT = {"i0": 1, "delta": 0.5, "delta_prime": 0.2}
 HAND_KKT_AUDIT_SHA256 = {
-    "bounds": (0, "46aaca7dcb8b20a860e524d1a0a18ebc4f3d5b9536619ef2e31e55469328d9e5"),
+    "bounds": (0, "44db2d013291e9c3cb1ef71440e5ee2a5853ef03dc87dc29a817baa5b0c50952"),
     "sweep": (
         0,
         "df8959f0aab8b68e97c9de4cd034f2c415addd62de9ae2020bb4904c3a8b5f88",

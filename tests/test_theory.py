@@ -225,10 +225,12 @@ def test_q_interval_inadmissible_when_alpha_dominates():
 ])
 def test_q_interval_needs_positive_arguments(args):
     """q_interval raises ValueError where an argument is not positive, NaN included,
-    so the certificate is the all-NaN uncovered one."""
-    with pytest.raises(ValueError, match="must be positive"):
+    so the certificate is the all-NaN uncovered one, and its reason is that message."""
+    with pytest.raises(ValueError, match="must be positive") as raised:
         q_interval(*args)
-    assert all(math.isnan(v) for v in certificate(*args, 0.9, 0.9, 1.0, 1.0, 1.0))
+    cert = certificate(*args, 0.9, 0.9, 1.0, 1.0, 1.0)
+    assert all(math.isnan(v) for v in cert[:7])
+    assert cert.reason == str(raised.value)
 
 
 @settings(max_examples=80, deadline=None)
@@ -259,7 +261,7 @@ def one_decay(alpha, d_zeta, d_eta, phi, A_norm, q, delta):
 
 def epsilons(*args):
     """(eps_theory, eps_theory_printed, eps_star, eps_star_printed) of one_decay(*args)."""
-    return one_decay(*args)[3:]
+    return one_decay(*args)[3:7]
 
 
 def test_privacy_epsilon_reference_point():
@@ -267,7 +269,8 @@ def test_privacy_epsilon_reference_point():
     assert eps == pytest.approx(1.073782691898788, rel=1e-12)
     assert star == pytest.approx(1.06315118009781, rel=1e-12)
     assert star < eps
-    assert one_decay(0.01, 1.0, 1.0, 1.0, 1.0, 0.98, 1.0)[:3] == q_interval(0.01, 1.0, 1.0)
+    cert = one_decay(0.01, 1.0, 1.0, 1.0, 1.0, 0.98, 1.0)
+    assert cert[:3] == q_interval(0.01, 1.0, 1.0) and cert.reason == ""
 
 
 def test_privacy_epsilon_denominator_forms():
@@ -304,17 +307,26 @@ def test_privacy_epsilon_validation():
     ],
 )
 def test_certificate_covers_no_setup_whose_epsilon_is_not_finite(args, q_min_defined):
+    """Every uncovered setup names its reason; where no interval exists, it is q_interval's."""
     cert = one_decay(*args)
-    assert all(math.isnan(eps) for eps in cert[3:])
+    assert all(math.isnan(eps) for eps in cert[3:7])
     assert math.isnan(cert.q_min) != q_min_defined
     assert math.isnan(cert.tau1) != q_min_defined
+    if not q_min_defined:
+        assert cert.reason.startswith(("alpha = ", "q_min = "))
+    else:
+        zero_scale = args[1:3].count(0.0)
+        assert cert.reason.startswith("mask scales " if zero_scale else "epsilon is not finite ")
 
 
 def test_certificate_needs_one_decay():
     """q_eta must equal q_zeta up to 1e-15; the certificate assumes one decay."""
     assert math.isfinite(certificate(0.1, 2.0, 1.0, 0.9 + 1e-16, 0.9, 1.0, 1.0, 1.0).eps_theory)
     cert = certificate(0.1, 2.0, 1.0, 0.97, 0.98, 1.0, 1.0, 1.0)
-    assert all(math.isnan(eps) for eps in cert[3:]) and not math.isnan(cert.q_min)
+    assert all(math.isnan(eps) for eps in cert[3:7]) and not math.isnan(cert.q_min)
+    assert cert.reason == (
+        "q_eta = 0.97 != q_zeta = 0.98; the certificate assumes one decay at alpha=0.1"
+    )
 
 
 def test_certificate_printed_form_is_nan_where_its_denominator_is_not_positive():
@@ -346,8 +358,6 @@ def test_theory_constants_symmetric2():
     assert tc.r_lb == pytest.approx(0.98, abs=1e-15)  # the decay floor dominates
     assert tc.alpha_max_t1 == 1.0
     assert tc.alpha_max_t2 == pytest.approx(0.5, abs=1e-9)
-    assert tc.tau1 == pytest.approx(0.6, abs=1e-12)
-    assert tc.tau2 == pytest.approx(-0.375, abs=1e-12)
 
 
 def test_theory_constants_rate_floor_without_noise():
@@ -355,12 +365,18 @@ def test_theory_constants_rate_floor_without_noise():
     assert tc.r_lb == pytest.approx(max(0.775, 0.0), abs=1e-15)
 
 
-@pytest.mark.parametrize("alpha", [0.0, 3.0, 1e200, math.inf])
-def test_theory_constants_are_nan_where_the_stepsize_admits_none(alpha):
-    """At alpha = 0 or past phi / (2 ||A||^2) = 1 no decay interval exists (and at
-    1e200 alpha**2 overflows): C, r_lb, tau1 and tau2 are NaN, while lambda_bar and
-    the stepsize caps, which do not depend on alpha, keep their values."""
+@pytest.mark.parametrize(
+    "alpha,C", [(0.0, 1.0), (3.0, 0.5), (1e200, math.inf), (math.inf, math.nan), (-1.0, math.nan)]
+)
+def test_theory_constants_take_C_from_contraction_C_alone(alpha, C):
+    """No decay interval exists at these stepsizes (alpha = 0, past phi / (2 ||A||^2) = 1,
+    at 1e200 alpha**2 overflows), but C is contraction_C's value wherever it has one:
+    NaN only where it returns NaN (alpha = inf) or raises (a negative alpha). r_lb is
+    max(C, lambda_bar, the decays), NaN with C; lambda_bar and the stepsize caps,
+    which do not depend on alpha, keep their values."""
     bounds = stepsize_bounds(SYM2, 0.25)
     tc = theory_constants(alpha, SYM2, 0.25, bounds, schedule=NoiseSchedule.uniform(2, q=0.98))
-    assert all(math.isnan(getattr(tc, key)) for key in ("C", "r_lb", "tau1", "tau2"))
+    assert tc.C == pytest.approx(C, nan_ok=True)
+    assert tc.r_lb == pytest.approx(max(C, 0.98), nan_ok=True)
     assert (tc.lambda_bar, tc.alpha_max_t1, tc.alpha_max_t2) == (0.25, *bounds[:2])
+    assert tc._fields == ("C", "lambda_bar", "r_lb", "alpha_max_t1", "alpha_max_t2")

@@ -14,17 +14,42 @@ median is better than the parent's by more than the parent's interquartile
 distance. With --json it also writes these verdicts to PATH, each side's
 quartiles as numbers, with the environment stamp of each side's first run
 (the `env` line of `bench/run.py`, which carries `src_lines` and the git
-commit). Exits 1 if any run fails or reports `correct` false.
+commit), and first times the acceptance-scale probe: PROBE_RUNS runs per
+side, sides alternating as in the pairs, of the acceptance `micro_sweep`
+(PROBE_ARGS on PROBE_CONFIG: 100 microgrid14 trials of 5000 rounds per
+value), each the CPU seconds of its child process. The probe's times are
+printed and written under "probe"; no claim reads them. Exits 1 if any run,
+probe runs included, fails or reports `correct` false.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+
+# the acceptance micro_sweep: tests/conftest.py's config, run through the CLI
+PROBE_CONFIG = {
+    "problem": {"preset": "microgrid14"},
+    "algorithm": {"alpha": {"frac_of_t2": 0.9}, "iters": 5000, "record_every": 10},
+    "noise": {"enabled": True, "d_eta": 1.0, "d_zeta": 1.0, "q": 0.98},
+    "trials": 100,
+    "seed": 20230814,
+    "output": "out",
+}
+PROBE_ARGS = ("sweep", "--param", "d_zeta", "--values", "0.5,1,2,4")
+PROBE_RUNS = 3  # per side
+
+
+def sides(i):
+    """The order in which pair or probe run i runs the two checkouts: parent first if i is even."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
 
 
 def run_bench(checkout, workload, seed, seconds):
@@ -41,6 +66,38 @@ def run_bench(checkout, workload, seed, seconds):
     env = [line.split(None, 1)[1] for line in lines if line.startswith("env ")]
     result["env"] = json.loads(env[-1]) if env else None
     return result
+
+
+def run_probe(checkout, work):
+    """The CPU seconds of one acceptance-scale sweep that `checkout`'s CLI runs in the
+    fresh directory `work`, or None if it exits nonzero."""
+    work.mkdir(parents=True)
+    (work / "config.json").write_text(json.dumps(PROBE_CONFIG))
+    env = dict(os.environ, PYTHONPATH=str(Path(checkout).resolve() / "src"))
+    env.update(PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(
+        [sys.executable, "-m", "dmtrack.cli", *PROBE_ARGS, "--config", "config.json"],
+        cwd=work, env=env, stdout=subprocess.DEVNULL,
+    )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    if proc.returncode != 0:
+        return None
+    return (after.ru_utime - before.ru_utime) + (after.ru_stime - before.ru_stime)
+
+
+def probe(args):
+    """({side: [CPU seconds or None per run]}, whether every run succeeded), printing
+    one line per run."""
+    times = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_probe_") as root:
+        for i in range(PROBE_RUNS):
+            for side in sides(i):
+                cpu = run_probe(getattr(args, side), Path(root) / f"{side}{i}")
+                times[side].append(cpu)
+                shown = "run failed" if cpu is None else f"cpu_s {cpu:.3f}"
+                print(f"probe {i} {side}: {shown}", flush=True)
+    return times, all(cpu is not None for runs in times.values() for cpu in runs)
 
 
 def quartiles(values):
@@ -79,9 +136,9 @@ def summarize(pairs, better):
     return lines
 
 
-def write_json(path, args, pairs, better):
-    """The --json file: the run settings, each side's first environment stamp and `judge`'s
-    verdicts, quartiles as {"q1", "median", "q3"}."""
+def write_json(path, args, pairs, better, probe_times):
+    """The --json file: the run settings, each side's first environment stamp, `judge`'s
+    verdicts, quartiles as {"q1", "median", "q3"}, and the probe's CPU seconds."""
     metrics = judge(pairs, better)
     for v in metrics.values():
         for side in ("parent", "change"):
@@ -91,6 +148,8 @@ def write_json(path, args, pairs, better):
         "pairs": len(pairs),
         "env": {"parent": pairs[0][0].get("env"), "change": pairs[0][1].get("env")},
         "metrics": metrics,
+        "probe": {"command": " ".join(("dmtrack",) + PROBE_ARGS), "config": PROBE_CONFIG,
+                  "cpu_s": probe_times},
     }
     Path(path).write_text(json.dumps(doc, indent=2) + "\n")
 
@@ -110,11 +169,11 @@ def main(argv=None):
     spec = json.loads((Path(args.parent) / "BENCHMARK.json").read_text())
     better = {metric["name"]: metric["better"] for metric in spec["end_to_end"]}
 
-    pairs, correct = [], True
+    probe_times, correct = probe(args) if args.json else (None, True)
+    pairs = []
     for i in range(args.pairs):
-        sides = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         result = {}
-        for side in sides:
+        for side in sides(i):
             res = run_bench(getattr(args, side), args.workload, args.seed, args.seconds)
             ok = res is not None and res["correct"]
             correct = correct and ok
@@ -128,7 +187,7 @@ def main(argv=None):
     if len(pairs) >= 2:
         print("\n".join(summarize(pairs, better)))
         if args.json:
-            write_json(args.json, args, pairs, better)
+            write_json(args.json, args, pairs, better, probe_times)
     return 0 if correct else 1
 
 

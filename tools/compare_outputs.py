@@ -13,9 +13,10 @@ the mc_noisy and free_converge configs: its failure message, failed seeds
 and exit code 1 are compared too. Each checkout runs each command as
 `python -m dmtrack.cli` in a fresh process, in one fixed work directory
 shared by both checkouts, since summary.json's config_hash hashes the output
-path. The exit code, stdout and every file the command writes (trace.csv,
-summary.json, audit.csv, sweep.csv and each sweep value's files) must match;
-timings.json holds wall clock times and is left out.
+path. The exit code, stdout, stderr (where an audit names why a point is
+inadmissible) and every file the command writes (trace.csv, summary.json,
+audit.csv, sweep.csv and each sweep value's files) must match; timings.json
+holds wall clock times and is left out.
 
 Prints one line per command of each case, then `wc -l src/dmtrack/*.py` of
 both checkouts with the per-file delta, and exits 1 if any item differs,
@@ -67,7 +68,7 @@ def commands(argv, out_dir):
 
 def run_case(checkout, workload, seed, index, name, work):
     """({item: sha256 of its bytes}, counts) of command `name` of one case, run
-    from `checkout`. The exit code, stdout and every file under the output
+    from `checkout`. The exit code, stdout, stderr and every file under the output
     directory but timings.json are items, a file named by its path there;
     counts is {name: value} of the ROUND_COUNTS in the output directory's
     timings.json, or None without one."""
@@ -78,9 +79,10 @@ def run_case(checkout, workload, seed, index, name, work):
     env.update(PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
     proc = subprocess.run(
         [sys.executable, "-m", "dmtrack.cli", *commands(argv, out_dir)[name]],
-        cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+        cwd=work, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
-    items = {"exit code": proc.returncode, "stdout": hashlib.sha256(proc.stdout).hexdigest()}
+    items = {"exit code": proc.returncode, "stdout": hashlib.sha256(proc.stdout).hexdigest(),
+             "stderr": hashlib.sha256(proc.stderr).hexdigest()}
     for path in sorted(Path(out_dir).rglob("*")):
         if path.is_file() and path.name != "timings.json":
             item = path.relative_to(out_dir).as_posix()
