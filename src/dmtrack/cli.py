@@ -88,16 +88,19 @@ def _certified(row):
     return row["violations"] == 0 and row["eps_empirical"] <= row["eps_theory"]
 
 
-def _note_short_horizons(rows, reports):
-    """On stderr, name each admissible point with no violation whose measured loss
-    eps_empirical - tail is within eps_theory but whose tail pushes eps_empirical above it."""
+def _note_points(rows, reports):
+    """On stderr, name each point the certificate does not cover, with its reason, and
+    each admissible point with no violation whose measured loss eps_empirical - tail is
+    within eps_theory but whose tail pushes eps_empirical above it."""
     for row, report in zip(rows, reports):
-        if not row["admissible"] or row["violations"]:
+        point = f"d_zeta={row['d_zeta']!r} q={row['q']!r}"
+        if not row["admissible"]:
+            print(f"inadmissible: {point}: {report}", file=sys.stderr)
             continue
         measured = report.eps_empirical - report.tail
-        if measured <= report.eps_theoretical < report.eps_empirical:
+        if not row["violations"] and measured <= report.eps_theoretical < report.eps_empirical:
             print(
-                f"note: d_zeta={row['d_zeta']!r} q={row['q']!r}: measured loss {measured:.6g} "
+                f"note: {point}: measured loss {measured:.6g} "
                 f"plus tail {report.tail:.6g} exceeds eps_theory {report.eps_theoretical:.6g}; "
                 f"horizon {report.horizon} is too short to certify this point",
                 file=sys.stderr,
@@ -132,7 +135,7 @@ def _cmd_audit(args):
         return 1
     rows = [audit_row(mat.pair.i0, sched, report) for sched, report in zip(schedules, reports)]
     _write_audit(outdir, rows)
-    _note_short_horizons(rows, reports)
+    _note_points(rows, reports)
     if args.grid:
         for flag, value in monotone_flags(rows).items():
             print(f"{flag}={value}")
@@ -159,7 +162,7 @@ def _cmd_bounds(args):
     if mat.schedule.enabled:  # the audited agent's privacy certificate
         cert = mat.privacy
         out.update(
-            q_min=cert.q_min, tau2=cert.tau2, q=float(mat.schedule.q_zeta[mat.pair.i0]),
+            q_min=cert.q_min, tau2=cert.tau2, q=float(mat.schedule.q[mat.pair.i0]),
             eps_theory=cert.eps_theory, eps_theory_printed=cert.eps_theory_printed,
             eps_star=cert.eps_star, eps_star_printed=cert.eps_star_printed,
             admissible=math.isfinite(cert.eps_theory),

@@ -19,7 +19,6 @@ import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
@@ -148,12 +147,6 @@ def _stepsize(value, key):
 REQUIRED = object()  # the default of a key that every config sets
 
 
-class _Same(NamedTuple):
-    """A default that is the value of another key."""
-
-    key: str
-
-
 # Each dotted key's kind (its type and range) and default. The sections and
 # their keys follow from the dotted keys; every section outside
 # OPTIONAL_SECTIONS must be present.
@@ -173,8 +166,6 @@ SCHEMA = {
     "noise.d_eta": (_each(_scale), 1.0),
     "noise.d_zeta": (_each(_scale), 1.0),
     "noise.q": (_each(_decay), 0.98),
-    "noise.q_eta": (_each(_decay), _Same("noise.q")),
-    "noise.q_zeta": (_each(_decay), _Same("noise.q")),
     "audit.i0": (_count, 0),
     "audit.delta": (
         _kind("a positive finite number", lambda v: _is_real(v) and 0 < v < math.inf), 1.0
@@ -230,7 +221,7 @@ def _resolve(config):
             values[path] = section.get(name, default)
 
     walk(config, "")
-    return {key: values[v.key] if isinstance(v, _Same) else v for key, v in values.items()}
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,7 +312,7 @@ def materialize(config):
         alpha = frac * base
     alpha = float(alpha)
     if v["noise.enabled"]:
-        keys = ("noise.d_eta", "noise.d_zeta", "noise.q_eta", "noise.q_zeta")
+        keys = ("noise.d_eta", "noise.d_zeta", "noise.q")
         schedule = NoiseSchedule(*(_per_agent(v[key], instance.n, key) for key in keys))
     else:
         schedule = NoiseSchedule.disabled(instance.n)
@@ -494,22 +485,18 @@ def sweep(config, parameter, values, out_dir=None):
     so the accuracy/privacy trade-off can be read straight off the table.
     Values the privacy certificate does not cover keep their MSE data but
     carry NaN privacy columns, admissible=False and the certificate's
-    reason (not written to sweep.csv). A q value also sets
-    whichever of noise.q_eta / noise.q_zeta the config sets. Every value is
-    materialized before any run, so a rejected value writes nothing.
+    reason (not written to sweep.csv). Every value is materialized before
+    any run, so a rejected value writes nothing.
     """
     if parameter not in SWEEPABLE:
         raise ConfigError(f"sweep parameter must be one of {tuple(SWEEPABLE)}, got {parameter!r}")
     base_out = Path(out_dir if out_dir is not None else config.values["output"])
-    keys = [SWEEPABLE[parameter]]
-    if parameter == "q":
-        keys += [f"noise.{key}" for key in ("q_eta", "q_zeta") if key in config.raw["noise"]]
     values = [float(value) for value in values]
     names = [f"{parameter}_{value:g}" for value in values]
     shared = sorted({name for name in names if names.count(name) > 1})
     if shared:
         raise ConfigError(f"sweep values {values} share the subdirectories {shared}")
-    configs = [config.replace(**dict.fromkeys(keys, value)) for value in values]
+    configs = [config.replace(**{SWEEPABLE[parameter]: value}) for value in values]
     mats = [materialize(cfg) for cfg in configs]
 
     rows = []

@@ -2,7 +2,7 @@
 
 Each agent i adds masks eta_i(k) to its dual and zeta_i(k) to its tracker
 before broadcasting. Coordinates are independent Laplace draws with scales
-theta_eta(i, k) = d_eta_i * q_eta_i**k and theta_zeta(i, k) = d_zeta_i * q_zeta_i**k.
+theta(i, k) = [d_eta_i, d_zeta_i] * q_i**k: both masks of agent i decay by its q_i.
 
 Randomness is counter-based. Round k of the trial with seed s reads the
 stream of np.random.Philox(key=s, counter=[0, 0, 0, k]): block b of that
@@ -37,7 +37,7 @@ every scale is 0, and `iter_masks` draws none for a round its masks are
 absorbed in.
 
 Absorption. A unit draw has |L| <= -log(tiny) < 708.4 and theta falls with k,
-so B = 709 max_i max(theta_eta_i(k0), theta_zeta_i(k0)) bounds every mask of
+so B = 709 max_i max(theta(i, k0)) bounds every mask of
 round k0 and later; the factor above 708.4 covers the rounding of theta and
 of (-theta) L. If |e| <= B < 2**-55 |s| for a double s, e is below a quarter
 of the spacing of the doubles next to s, so s + e rounds to s. The n tracker
@@ -74,29 +74,29 @@ _LO32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 
 
-_FIELDS = ("d_eta", "d_zeta", "q_eta", "q_zeta")
+_FIELDS = ("d_eta", "d_zeta", "q")
 
 
 @dataclass(frozen=True, eq=False)
 class NoiseSchedule:
-    """Per-agent scales and decay coefficients; `disabled` sets every scale to 0.
+    """Per-agent mask scales and the one decay of both masks; `disabled` sets every
+    scale to 0.
 
-    The four per-agent arrays are the rows of one (4, n) array, validated in
+    The three per-agent arrays are the rows of one (3, n) array, validated in
     one pass, which also sets `enabled`: whether any mask has a positive scale.
     A run draws masks iff it holds.
     """
 
     d_eta: np.ndarray
     d_zeta: np.ndarray
-    q_eta: np.ndarray
-    q_zeta: np.ndarray
+    q: np.ndarray
     enabled: bool = field(init=False)
 
     def __post_init__(self):
         values = [getattr(self, name) for name in _FIELDS]
         arrays = [np.asarray(value, dtype=float) for value in values]
         n = arrays[0].shape[0] if arrays[0].ndim else 1
-        rows = np.empty((4, n))
+        rows = np.empty((3, n))
         for name, row, arr in zip(_FIELDS, rows, arrays):
             if arr.shape not in ((), (1,), (n,)):
                 raise ValueError(f"{name} of shape {arr.shape} does not broadcast to ({n},)")
@@ -110,21 +110,19 @@ class NoiseSchedule:
                 raise ValueError(f"{name} must be finite, got {value}")
         if min(lo[:2]) < 0:
             raise ValueError("noise scales must be nonnegative")
-        for name, least, greatest in zip(_FIELDS[2:], lo[2:], hi[2:]):
-            if least <= 0.0 or greatest >= 1.0:
-                raise ValueError(f"{name} must lie strictly in (0, 1)")
+        if lo[2] <= 0.0 or hi[2] >= 1.0:
+            raise ValueError("q must lie strictly in (0, 1)")
         for name, row in zip(_FIELDS, rows):
             object.__setattr__(self, name, row)
         object.__setattr__(self, "enabled", max(hi[:2]) > 0.0)
 
     @classmethod
     def uniform(cls, n, d_eta=1.0, d_zeta=1.0, q=0.98):
-        """Same scales for every agent and one decay q for both masks."""
+        """Same scales and decay q for every agent."""
         return cls(
             d_eta=np.full(n, float(d_eta)),
             d_zeta=np.full(n, float(d_zeta)),
-            q_eta=np.full(n, float(q)),
-            q_zeta=np.full(n, float(q)),
+            q=np.full(n, float(q)),
         )
 
     @classmethod
@@ -132,26 +130,20 @@ class NoiseSchedule:
         return cls(
             d_eta=np.zeros(n),
             d_zeta=np.zeros(n),
-            q_eta=np.full(n, 0.5),
-            q_zeta=np.full(n, 0.5),
+            q=np.full(n, 0.5),
         )
 
     @property
     def n(self):
         return self.d_eta.shape[0]
 
-    def theta_eta(self, k):
-        """Scales of the dual masks at round k, shape (n,); rounds of shape S give S + (n,)."""
-        return self.d_eta * self.q_eta ** _exponent(k)
-
-    def theta_zeta(self, k):
-        return self.d_zeta * self.q_zeta ** _exponent(k)
-
-
-def _exponent(k):
-    # A float array exponent makes scalar and vector rounds take the same pow()
-    # path; a Python int exponent of 2 would take numpy's squaring shortcut.
-    return np.asarray(k, dtype=float)[..., None]
+    def theta(self, k):
+        """Scales [eta, zeta] of the masks at round k, shape (n, 2); rounds of shape S
+        give S + (n, 2). q**k is taken once for both columns."""
+        # A float array exponent makes scalar and vector rounds take the same pow()
+        # path; a Python int exponent of 2 would take numpy's squaring shortcut.
+        decay = self.q ** np.asarray(k, dtype=float)[..., None]
+        return np.stack([self.d_eta * decay, self.d_zeta * decay], axis=-1)
 
 
 def _unit_draws(keys, rounds, width):
@@ -183,7 +175,7 @@ def unit_draws(seeds, rounds, width):
 def _scaled(schedule, rounds, units):
     """Masks (R, S, n, 2, m) [eta, zeta] of the unit draws (R, S, 2 n m) of `rounds`, in place."""
     R, S = units.shape[:2]
-    theta = np.stack([schedule.theta_eta(rounds), schedule.theta_zeta(rounds)], axis=-1)
+    theta = schedule.theta(rounds)
     units = units.reshape(R, S, schedule.n, 2, -1)
     return np.multiply(units, -theta[:, None, :, :, None], out=units)
 
@@ -311,7 +303,7 @@ def iter_masks(schedule, seeds, iters, m, draws=None, state=None):
         # the total is tested first: it is 0 through chunk 0 and costs least
         low = np.abs(carry).min() if state is not None and k0 else 0.0
         if low > 0.0:  # floor = 2**55 B, B = 709 max theta(k0) (module docstring)
-            floor = 709.0 * max(schedule.theta_eta(k0).max(), schedule.theta_zeta(k0).max())
+            floor = 709.0 * schedule.theta(k0).max()
             floor *= 2.0**55
             if schedule.n * 1.001 * floor < low and absorbs(floor, state()):
                 span = [stop, None, np.broadcast_to(carry, (stop - k,) + carry.shape), floor]

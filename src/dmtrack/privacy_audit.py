@@ -8,8 +8,8 @@ instance, and compute round by round the exact mask perturbations
 byte-identical messages. The log density ratio of the two mask sequences is
 then at most
 
-    eps_e = sum_k ( ||Delta zeta(k)||_1 / theta_zeta(k)
-                  + ||Delta eta(k)||_1  / theta_eta(k) ),
+    eps_e = sum_k ( ||Delta zeta(k)||_1 / (d_zeta q^k)
+                  + ||Delta eta(k)||_1  / (d_eta q^k) ),
 
 summed per coordinate since the masks are products of independent univariate
 Laplace draws. The run is truncated at a horizon K where the geometric tail
@@ -168,7 +168,7 @@ class _Point(NamedTuple):
 def audited_certificate(pair, schedule, alpha):
     """theory.certificate of the audited agent pair.i0 at radius pair.delta."""
     ag, i0 = pair.base.agents[pair.i0], pair.i0
-    numbers = (schedule.q_eta[i0], schedule.q_zeta[i0], schedule.d_eta[i0], schedule.d_zeta[i0])
+    numbers = (schedule.q[i0], schedule.d_eta[i0], schedule.d_zeta[i0])
     return certificate(alpha, ag.cost.phi, ag.A_norm, *map(float, numbers), pair.delta)
 
 
@@ -179,10 +179,10 @@ def _audit_point(pair, schedule, alpha, horizon):
     if not math.isfinite(cert.eps_theory):
         raise InadmissibleDecayError(cert.reason)
     i0, A_norm = pair.i0, pair.base.agents[pair.i0].A_norm
-    d_eta, d_zeta, q = (float(a[i0]) for a in (schedule.d_eta, schedule.d_zeta, schedule.q_zeta))
+    d_eta, d_zeta, q = (float(a[i0]) for a in (schedule.d_eta, schedule.d_zeta, schedule.q))
     if horizon is None:
         K = _pick_horizon(
-            alpha, pair.delta, A_norm, cert.tau1, cert.tau2, q, d_eta, d_zeta, pair.base.m
+            alpha, pair.delta, A_norm, cert.q_min, cert.tau2, q, d_eta, d_zeta, pair.base.m
         )
     else:
         K = int(horizon)
@@ -230,7 +230,7 @@ def _audit_points(pair, W, points, alpha, seed):
     G = len(points)
     # the root envelope on ||Delta eta(k)||, the same at every point, by scalar pow up
     # to the largest K or to the round before it first sinks below the signal floor
-    tau1, tau2 = points[0].cert.tau1, points[0].cert.tau2
+    tau1, tau2 = points[0].cert.q_min, points[0].cert.tau2
     scale = alpha * pair.delta * ag.A_norm
     coef, signal_floor = scale / (tau1 - tau2), 1e-12 * max(1.0, scale)
     envelopes = []
@@ -329,14 +329,14 @@ def _audit_points(pair, W, points, alpha, seed):
 
 
 def grid_schedules(schedule, d_zeta_values, q_values):
-    """`schedule` at each (d_zeta, q) point, d_zeta outer: only d_zeta, q_eta and q_zeta change."""
+    """`schedule` at each (d_zeta, q) point, d_zeta outer: only d_zeta and q change."""
     d_eta = schedule.d_eta
-    return [NoiseSchedule(d_eta, dz, q, q) for dz in d_zeta_values for q in q_values]
+    return [NoiseSchedule(d_eta, dz, q) for dz in d_zeta_values for q in q_values]
 
 
 def audit_row(i0, schedule, report):
     """The audit.csv row of one schedule, from its AuditReport or its InadmissibleDecayError."""
-    row = {"d_zeta": float(schedule.d_zeta[i0]), "q": float(schedule.q_zeta[i0])}
+    row = {"d_zeta": float(schedule.d_zeta[i0]), "q": float(schedule.q[i0])}
     if isinstance(report, InadmissibleDecayError):
         nan = math.nan
         row.update(eps_empirical=nan, eps_theory=nan, eps_star=nan, admissible=False, violations=0)

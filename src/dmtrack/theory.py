@@ -129,10 +129,10 @@ def mse_bounds(schedule, mod, n, m):
     if schedule.n != n:
         raise ValueError(f"schedule covers {schedule.n} agents, expected {n}")
     d = np.asarray(schedule.d_zeta, dtype=float)
-    q = np.asarray(schedule.q_zeta, dtype=float)
+    q = np.asarray(schedule.q, dtype=float)
     active = d > 0
     if np.any(q[active] >= 1.0):
-        raise ValueError("divergent noise: some q_zeta >= 1 with positive scale")
+        raise ValueError("divergent noise: some q >= 1 with positive scale")
     with np.errstate(over="ignore"):  # a scale whose square overflows gives an infinite band
         N_zeta = float(np.sum(2.0 * m * d[active] ** 2 / (1.0 - q[active] ** 2)))
     lower = N_zeta / (n**2 * mod.A_norm**2)
@@ -141,8 +141,7 @@ def mse_bounds(schedule, mod, n, m):
 
 
 class QInterval(NamedTuple):
-    q_min: float  # the interval (q_min, 1) is open on both ends
-    tau1: float
+    q_min: float  # the interval (q_min, 1) is open on both ends; the larger root tau1
     tau2: float
 
 
@@ -162,20 +161,18 @@ def q_interval(alpha, phi_i0, A_i0_norm):
     except OverflowError:  # alpha**2 leaves the float range, and q_min with it
         disc = math.inf
     q_min = (alpha * A_i0_norm**2 + A_i0_norm * disc) / (2.0 * phi_i0)
-    tau1 = q_min
     tau2 = (alpha * A_i0_norm**2 - A_i0_norm * disc) / (2.0 * phi_i0)
     if q_min >= 1.0:
         raise InadmissibleDecayError(
             f"q_min = {q_min:.6g} >= 1: no admissible decay at alpha={alpha:g}; reduce alpha"
         )
-    # tau2 = -tau1/(1+tau1) for these coefficients, so -1 < tau2 < 0 < tau1 < 1
-    assert -1.0 < tau2 < 0.0 < tau1 < 1.0
-    return QInterval(q_min, tau1, tau2)
+    # tau2 = -tau1/(1+tau1) for these coefficients, so -1 < tau2 < 0 < tau1 = q_min < 1
+    assert -1.0 < tau2 < 0.0 < q_min < 1.0
+    return QInterval(q_min, tau2)
 
 
 class Certificate(NamedTuple):
-    q_min: float  # NaN where no decay interval exists
-    tau1: float
+    q_min: float  # the larger root tau1; NaN where no decay interval exists
     tau2: float
     eps_theory: float
     eps_theory_printed: float
@@ -184,12 +181,12 @@ class Certificate(NamedTuple):
     reason: str = ""  # why the certificate does not cover the setup; "" where it does
 
 
-def certificate(alpha, phi_i0, A_i0_norm, q_eta, q_zeta, d_eta, d_zeta, delta):
+def certificate(alpha, phi_i0, A_i0_norm, q, d_eta, d_zeta, delta):
     """The audited agent's decay interval and privacy loss over an infinite run.
 
     This is the one rule of what the certificate covers, for every command: a
     setup is covered iff eps_theory is a finite number, that is iff a decay
-    interval (q_min, 1) exists at alpha > 0, one decay q = q_eta = q_zeta
+    interval (q_min, 1) exists at alpha > 0, the decay q of both masks
     lies strictly inside it, both mask scales are positive (d_eta may be
     inf), and the epsilon neither overflows nor divides by an alpha * d_zeta
     that underflows to 0. An uncovered setup has NaN in all four epsilons and
@@ -202,16 +199,13 @@ def certificate(alpha, phi_i0, A_i0_norm, q_eta, q_zeta, d_eta, d_zeta, delta):
         raise ValueError(f"delta must be nonnegative, got {delta}")
     nan = math.nan
     try:
-        q_min, tau1, tau2 = q_interval(alpha, phi_i0, A_i0_norm)
+        q_min, tau2 = q_interval(alpha, phi_i0, A_i0_norm)
     except (InadmissibleDecayError, ValueError) as exc:
-        return Certificate(nan, nan, nan, nan, nan, nan, nan, str(exc))
+        return Certificate(nan, nan, nan, nan, nan, nan, str(exc))
 
     def uncovered(reason):
-        return Certificate(q_min, tau1, tau2, nan, nan, nan, nan, f"{reason} at alpha={alpha:g}")
+        return Certificate(q_min, tau2, nan, nan, nan, nan, f"{reason} at alpha={alpha:g}")
 
-    q = q_zeta
-    if not abs(q_eta - q) <= 1e-15:
-        return uncovered(f"q_eta = {q_eta:g} != q_zeta = {q:g}; the certificate assumes one decay")
     if not (d_eta > 0 and d_zeta > 0):
         return uncovered(f"mask scales d_eta = {d_eta:g}, d_zeta = {d_zeta:g} not both positive")
     if not q_min < q < 1.0:
@@ -233,7 +227,7 @@ def certificate(alpha, phi_i0, A_i0_norm, q_eta, q_zeta, d_eta, d_zeta, delta):
         num / D_printed if D_printed > 0 else nan for num in numerators
     )
     return Certificate(
-        q_min, tau1, tau2, eps_theory, eps_theory_printed, eps_star, eps_star_printed
+        q_min, tau2, eps_theory, eps_theory_printed, eps_star, eps_star_printed
     )
 
 
@@ -260,5 +254,5 @@ def theory_constants(alpha, mod, lambda_bar, bounds, schedule):
         C = math.nan
     r_lb = max(C, lambda_bar)  # C first: max keeps a NaN first argument
     if schedule.enabled:
-        r_lb = max(r_lb, float(np.max(schedule.q_eta)), float(np.max(schedule.q_zeta)))
+        r_lb = max(r_lb, float(np.max(schedule.q)))
     return TheoryConstants(C, lambda_bar, r_lb, bounds.alpha_max_t1, bounds.alpha_max_t2)

@@ -135,7 +135,7 @@ def test_criterion_5_privacy_certificate(pytestconfig, audit_grid):
     pair = make_adjacent_pair(instance, 0, 1.0)
     [report] = forced_difference_run(pair, W, [NoiseSchedule.uniform(2, q=0.98)], 0.45, seed=11)
     qi = q_interval(0.45, 2.0, 1.0)
-    ok &= eta_bound_check(report, 0.45, 1.0, 1.0, qi.tau1, qi.tau2)
+    ok &= eta_bound_check(report, 0.45, 1.0, 1.0, qi.q_min, qi.tau2)
     _report(
         pytestconfig,
         5,
@@ -288,7 +288,7 @@ def test_criterion_8_epsilon_star_limit(pytestconfig):
         except InadmissibleDecayError:
             continue
         q = qi.q_min + float(rng.uniform(0.05, 0.95)) * (1.0 - qi.q_min)
-        cert = certificate(alpha, phi, A_norm, q, q, 1e12, d_zeta, delta)
+        cert = certificate(alpha, phi, A_norm, q, 1e12, d_zeta, delta)
         full, star = cert.eps_theory, cert.eps_star
         worst = max(worst, abs(full - star) / star)
         checked += 1

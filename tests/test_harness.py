@@ -74,8 +74,9 @@ REJECTIONS = [
     ("algorithm.alpha", {"frac_of_t1": 0}, "^algorithm.alpha.frac_of_t1 must be a positive"),
     ("noise.d_eta", -1.0, "^noise.d_eta must"),
     ("noise.d_zeta", [1, "a"], r"^noise.d_zeta\[1\] must"),
-    ("noise.q_eta", 1.0, "^noise.q_eta must"),
-    ("noise.q_zeta", [0.5, math.nan], r"^noise.q_zeta\[1\] must"),
+    # both masks decay by noise.q: a per-mask decay is an unknown key, whatever its value
+    ("noise.q_eta", 1.0, r"^noise: unknown keys \['q_eta'\]$"),
+    ("noise.q_zeta", [0.5, math.nan], r"^noise: unknown keys \['q_zeta'\]$"),
     ("audit.i0", -1, "^audit.i0 must"),
     ("audit.delta", math.nan, "^audit.delta must"),
     ("audit.delta_prime", "x", "^audit.delta_prime must"),
@@ -90,6 +91,19 @@ def test_config_rejections(tmp_path, path, value, match):
         ExperimentConfig.from_dict(config_dict(tmp_path, **{path: value}))
 
 
+@pytest.mark.parametrize("key", ["q_eta", "q_zeta"])
+def test_a_per_mask_decay_key_fails_loudly(tmp_path, capsys, key):
+    """Both masks of an agent decay by noise.q alone: a config that sets a per-mask decay
+    is rejected as an unknown key by every command (exit 2, nothing written), as by
+    ExperimentConfig (REJECTIONS), so it never runs quietly with the default decay."""
+    path = write_config(tmp_path, **{f"noise.{key}": 0.97})
+    for argv in (["run"], ["sweep", "--param", "q", "--values", "0.95"], ["audit"],
+                 ["audit", "--grid"], ["bounds"], ["oracle"]):
+        assert cli.main([argv[0], "--config", str(path), *argv[1:]]) == 2
+        assert capsys.readouterr() == ("", f"error: noise: unknown keys ['{key}']\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_schema_key_has_a_rejection():
     assert set(SCHEMA) <= {path for path, _, _ in REJECTIONS}
 
@@ -99,7 +113,7 @@ def test_values_fill_every_default_and_leave_raw_as_given(tmp_path):
     given = json.loads(json.dumps(d))
     cfg = ExperimentConfig.from_dict(d)
     assert list(cfg.values) == list(SCHEMA)
-    assert cfg.values["noise.q"] == cfg.values["noise.q_eta"] == cfg.values["noise.q_zeta"] == 0.95
+    assert cfg.values["noise.q"] == 0.95
     assert cfg.values["audit.i0"] == 1 and cfg.values["algorithm.alpha"] == 0.45
     for key in ("graph.extra_edges", "graph.seed", "algorithm.terminal_window", "audit.delta",
                 "audit.delta_prime", "audit.horizon", "audit.grid.d_zeta", "audit.grid.q"):
@@ -438,27 +452,6 @@ def test_sweep_rows_and_csv(tmp_path):
         sweep(cfg, "seed", [1.0], out_dir=tmp_path / "sw2")
 
 
-@pytest.mark.parametrize(
-    "keys", [("q_eta",), ("q_zeta",), ("q_eta", "q_zeta")], ids=["q_eta", "q_zeta", "both"]
-)
-def test_sweep_q_replaces_each_per_mask_decay_the_config_sets(tmp_path, keys):
-    """A per-mask decay overrides noise.q, so a q sweep sets it too: each value runs
-    with both decays at that value, and no per-mask key is added to the config."""
-    set_keys = {f"noise.{key}": 0.97 for key in keys}
-    cfg = ExperimentConfig.from_dict(config_dict(tmp_path, trials=1, **set_keys))
-    rows, summaries = sweep(cfg, "q", [0.95, 0.99], out_dir=tmp_path / "sw")
-    assert rows[0]["eps_star"] != rows[1]["eps_star"]
-    for value, summary in zip((0.95, 0.99), summaries):
-        noise = summary["config"]["noise"]
-        assert noise == {**config_dict(tmp_path)["noise"], "q": value, **dict.fromkeys(keys, value)}
-        schedule = materialize(ExperimentConfig.from_dict(summary["config"])).schedule
-        assert set(schedule.q_eta) == set(schedule.q_zeta) == {value}
-        alone = run_experiment(
-            ExperimentConfig.from_dict(summary["config"]), out_dir=tmp_path / "alone"
-        )
-        assert alone["empirical_mse"] == summary["empirical_mse"]
-
-
 def write_config(tmp_path, name="cfg.json", **overrides):
     d = config_dict(tmp_path / "out", **overrides)
     path = tmp_path / name
@@ -595,6 +588,10 @@ def test_cli_audit_rejects_a_zero_stepsize(tmp_path, capsys, grid):
         return
     header, *rows = (tmp_path / "out" / "audit.csv").read_text().splitlines()
     assert len(rows) == 9 and all(row.endswith(",nan,nan,nan,0,0") for row in rows)
+    assert err.splitlines() == [
+        f"inadmissible: d_zeta={dz!r} q={q!r}: alpha = 0, phi = 2 and ||A|| = 1 must be positive"
+        for dz in (0.5, 1.0, 2.0) for q in (0.95, 0.98, 0.99)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -702,7 +699,6 @@ CERTIFICATE_SETUPS = {
          "algorithm.alpha": {"frac_of_t1": 0.9}, "noise.q": 0.402796},
         True,
     ),
-    "two_decays": ({"noise.q_eta": 0.97, "noise.q_zeta": 0.98}, False),
     "scale_product_underflows": ({"algorithm.alpha": 1e-200, "noise.d_zeta": 1e-200}, False),
     "eta_term_overflows": ({"noise.d_eta": 1e-320}, False),
     "zeta_term_overflows": ({"noise.d_zeta": 1e-320}, False),
@@ -753,8 +749,6 @@ def test_bounds_sweep_and_audit_share_one_certificate(tmp_path, capsys, setup):
 # setups the privacy certificate does not cover, as overrides of the symmetric2 test
 # config, each with the start of the reason theory.certificate gives
 UNCOVERED_SETUPS = {
-    "split_decay": (
-        {"noise.q_eta": 0.97, "noise.q_zeta": 0.98}, "q_eta = 0.97 != q_zeta = 0.98; "),
     "zero_d_zeta": ({"noise.d_zeta": 0.0}, "mask scales d_eta = 1, d_zeta = 0 not both positive"),
     "zero_alpha": ({"algorithm.alpha": 0.0}, "alpha = 0, phi = 2 and ||A|| = 1 must be positive"),
     # agent 0 of microgrid14 at 0.9 alpha_max_t1 has q_min = 0.408
@@ -800,6 +794,36 @@ def test_a_grid_marks_a_zero_d_zeta_inadmissible_and_audits_the_rest(tmp_path, c
         rows[len(d_zeta)] = (tmp_path / "out" / "audit.csv").read_text().splitlines()[1:]
     assert rows[2][:2] == ["0.0,0.95,nan,nan,nan,0,0", "0.0,0.98,nan,nan,nan,0,0"]
     assert rows[2][2:] == rows[1] and all(row.endswith(",1,0") for row in rows[1])
+
+
+@pytest.mark.parametrize(
+    "overrides,d_eta,exit_code",
+    [({"noise.enabled": False}, 0, 1),
+     ({"audit.grid": {"d_zeta": [0.0, 1.0], "q": [0.95, 0.98]}}, 1, 0)],
+    ids=["noise_off", "zero_d_zeta"],
+)
+def test_a_grid_names_why_each_inadmissible_point_is_not_covered(
+    tmp_path, capsys, overrides, d_eta, exit_code
+):
+    """Each grid point the certificate does not cover gets one stderr line with its
+    reason, in grid order: all nine default points with noise off (no eta masks), the
+    two d_zeta = 0 points of audit.grid.d_zeta = [0.0, 1.0]. audit.csv, stdout and the
+    exit code stay those of the grid's rows."""
+    path = write_config(tmp_path, **overrides)
+    grid = {"d_zeta": [0.5, 1.0, 2.0], "q": [0.95, 0.98, 0.99], **overrides.get("audit.grid", {})}
+    assert cli.main(["audit", "--config", str(path), "--grid"]) == exit_code
+    out, err = capsys.readouterr()
+    csv = (tmp_path / "out" / "audit.csv").read_text()
+    header, *rows = csv.splitlines()
+    assert out.startswith(csv) and out[len(csv):].startswith("monotone_in_d_zeta=")
+    expected = [
+        f"inadmissible: d_zeta={dz!r} q={q!r}: mask scales d_eta = {d_eta}, d_zeta = {dz:g} "
+        "not both positive at alpha=0.45"
+        for dz in grid["d_zeta"] for q in grid["q"] if not (d_eta and dz)
+    ]
+    assert err.splitlines() == expected
+    column = header.split(",").index("admissible")
+    assert sum(row.split(",")[column] == "0" for row in rows) == len(expected)
 
 
 def test_bounds_prints_no_certificate_with_noise_off(tmp_path, capsys):

@@ -50,21 +50,18 @@ def test_schedule_validation():
 
 
 def test_uniform_broadcast_and_theta():
-    s = NoiseSchedule(
-        d_eta=np.full(3, 2.0), d_zeta=np.full(3, 0.5), q_eta=np.full(3, 0.9), q_zeta=np.full(3, 0.8)
-    )
+    s = NoiseSchedule(d_eta=np.full(3, 2.0), d_zeta=np.full(3, 0.5), q=np.full(3, 0.9))
     assert s.n == 3
-    assert np.allclose(s.theta_eta(2), 2.0 * 0.9**2)
-    assert np.allclose(s.theta_zeta(2), 0.5 * 0.8**2)
+    assert s.theta(2).shape == (3, 2)
+    assert np.allclose(s.theta(2), [[2.0 * 0.9**2, 0.5 * 0.9**2]] * 3)
     uniform = NoiseSchedule.uniform(3, d_eta=2.0, d_zeta=0.5, q=0.9)
-    assert uniform.theta_eta(2).tobytes() == s.theta_eta(2).tobytes()
+    assert uniform.theta(2).tobytes() == s.theta(2).tobytes()
     per_agent = NoiseSchedule(
         d_eta=np.array([1.0, 2.0]),
         d_zeta=np.array([0.0, 1.0]),
-        q_eta=np.array([0.9, 0.95]),
-        q_zeta=np.array([0.9, 0.95]),
+        q=np.array([0.9, 0.95]),
     )
-    assert np.allclose(per_agent.theta_eta(1), [0.9, 1.9])
+    assert np.allclose(per_agent.theta(1), [[0.9, 0.0], [1.9, 0.95]])
 
 
 def test_enabled_flag():
@@ -178,8 +175,7 @@ def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
     schedule = NoiseSchedule(
         d_eta=np.array([1.0, 0.5, 2.0]),
         d_zeta=np.array([1.5, 1.0, 0.0]),
-        q_eta=np.array([0.9, 0.97, 0.98]),
-        q_zeta=np.array([0.95, 0.9, 0.98]),
+        q=np.array([0.9, 0.97, 0.98]),
     )
     masks, views = [], []
     for stacked, zeta_sum in per_round(iter_masks(schedule, seeds, 10, m)):  # chunks end at 3, 7
@@ -196,10 +192,10 @@ def test_chunked_masks_match_numpy_reference(monkeypatch, seed):
         for t, s in enumerate(seeds):
             u = numpy_round_uniforms(s, k, (n, 2 * m)) - 0.5
             expect_eta = laplace_from_uniform(
-                u[:, :m], (schedule.d_eta * schedule.q_eta**k)[:, None]
+                u[:, :m], (schedule.d_eta * schedule.q**k)[:, None]
             )
             expect_zeta = laplace_from_uniform(
-                u[:, m:], (schedule.d_zeta * schedule.q_zeta**k)[:, None]
+                u[:, m:], (schedule.d_zeta * schedule.q**k)[:, None]
             )
             assert eta[t].tobytes() == expect_eta.tobytes()
             assert zeta[t].tobytes() == expect_zeta.tobytes()
@@ -227,8 +223,7 @@ def test_unit_draws_scale_to_the_written_out_masks(monkeypatch, shared):
     schedule = NoiseSchedule(
         d_eta=np.array([0.0, 5e-324, 1e300]),
         d_zeta=np.array([1e300, 1.0, 5e-324]),
-        q_eta=np.array([0.5, 0.9, 0.99]),
-        q_zeta=np.array([0.99, 0.6, 0.9]),
+        q=np.array([0.99, 0.6, 0.9]),
     )
     seeds = [4, 5]
     draws = None
@@ -246,8 +241,7 @@ def test_unit_draws_scale_to_the_written_out_masks(monkeypatch, shared):
             zero_uniforms += np.count_nonzero(u < 0.2)
             u[u < 0.2] = 0.5
             u -= 0.5
-            theta = np.stack([schedule.theta_eta(k), schedule.theta_zeta(k)], axis=-1)
-            expect = laplace_from_uniform(u.reshape(n, 2, m), theta[:, :, None])
+            expect = laplace_from_uniform(u.reshape(n, 2, m), schedule.theta(k)[:, :, None])
             assert stacked[:, t].tobytes() == expect.transpose(1, 0, 2).tobytes(), (k, s)
     assert zero_uniforms > 10
     zeros = np.signbit(blocks[blocks == 0.0])
@@ -255,14 +249,19 @@ def test_unit_draws_scale_to_the_written_out_masks(monkeypatch, shared):
 
 
 def test_vector_rounds_scale_like_scalar_rounds():
-    q = np.random.default_rng(5).uniform(0.5, 1.0, size=4000)
-    s = NoiseSchedule(d_eta=np.ones_like(q), d_zeta=np.ones_like(q), q_eta=q, q_zeta=q)
+    """theta(k) of a vector of rounds has the bytes of theta at each round, and each
+    column the bytes of its scale times its own q**k."""
+    rng = np.random.default_rng(5)
+    q = rng.uniform(0.5, 1.0, size=4000)
+    d_eta, d_zeta = rng.uniform(0.0, 3.0, size=(2, 4000))
+    s = NoiseSchedule(d_eta=d_eta, d_zeta=d_zeta, q=q)
     ks = np.arange(12)
-    table = s.theta_eta(ks)
-    assert table.shape == (12, 4000)
+    table = s.theta(ks)
+    assert table.shape == (12, 4000, 2)
     for k in ks:
-        assert table[k].tobytes() == s.theta_eta(int(k)).tobytes()
-        assert table[k].tobytes() == (q ** int(k)).tobytes()
+        assert table[k].tobytes() == s.theta(int(k)).tobytes()
+        assert table[k, :, 0].tobytes() == (d_eta * q ** int(k)).tobytes()
+        assert table[k, :, 1].tobytes() == (d_zeta * q ** int(k)).tobytes()
 
 
 def test_seeds_out_of_range_are_rejected():
@@ -312,10 +311,9 @@ def test_absorbed_rounds_change_no_bit(data):
     sched = NoiseSchedule(
         d_eta=data.draw(arrays(float, n, elements=st.sampled_from([0.0, 5e-324, 2.0**-40, 1.0]))),
         d_zeta=np.ones(n),
-        q_eta=data.draw(arrays(float, n, elements=decays)),
-        q_zeta=data.draw(arrays(float, n, elements=decays)),
+        q=data.draw(arrays(float, n, elements=decays)),
     )
-    bound = 709.0 * max(sched.theta_eta(1).max(), sched.theta_zeta(1).max())
+    bound = 709.0 * sched.theta(1).max()
     edges = bound * 2.0**55, n * bound * 1.001 * 2.0**55  # of the state and of the total
     s, carry = (
         with_one_special(data, data.draw(arrays(float, shape, elements=entries_near(edge))), edge)

@@ -124,8 +124,8 @@ def test_eps_closure_from_norm_arrays(base_report):
     # m = 1 so the l1 accumulation equals the recorded 2-norms
     _, rep, sched = base_report
     ks = np.arange(1, len(rep.delta_eta_norms))
-    theta_zeta = float(sched.d_zeta[0]) * float(sched.q_zeta[0]) ** ks
-    theta_eta = float(sched.d_eta[0]) * float(sched.q_eta[0]) ** ks
+    theta_zeta = float(sched.d_zeta[0]) * float(sched.q[0]) ** ks
+    theta_eta = float(sched.d_eta[0]) * float(sched.q[0]) ** ks
     recomputed = (
         float(np.sum(rep.delta_zeta_norms[1:] / theta_zeta))
         + float(np.sum(rep.delta_eta_norms[1:] / theta_eta))
@@ -138,9 +138,9 @@ def test_eps_closure_from_norm_arrays(base_report):
 def test_eta_bound_check_and_tampering(base_report):
     _, rep, _ = base_report
     qi = q_interval(0.45, 2.0, 1.0)
-    assert eta_bound_check(rep, 0.45, 1.0, 1.0, qi.tau1, qi.tau2)
+    assert eta_bound_check(rep, 0.45, 1.0, 1.0, qi.q_min, qi.tau2)
     rep.delta_eta_norms[2] *= 10.0
-    assert not eta_bound_check(rep, 0.45, 1.0, 1.0, qi.tau1, qi.tau2)
+    assert not eta_bound_check(rep, 0.45, 1.0, 1.0, qi.q_min, qi.tau2)
     rep.delta_eta_norms[2] /= 10.0
 
 
@@ -197,17 +197,13 @@ def test_horizon_selection_extremes(sym2):
 
 
 def test_schedule_rejections(sym2):
-    """A zero mask scale, noise off or two decays is a point the certificate does not
-    cover: the audit returns an InadmissibleDecayError carrying the certificate's reason."""
+    """A zero mask scale or noise off is a point the certificate does not cover: the
+    audit returns an InadmissibleDecayError carrying the certificate's reason."""
     inst, W = sym2
     pair = make_adjacent_pair(inst, 0, 1.0)
-    split = NoiseSchedule(
-        d_eta=np.ones(2), d_zeta=np.ones(2), q_eta=np.full(2, 0.97), q_zeta=np.full(2, 0.98)
-    )
     for sched, match in [
         (NoiseSchedule.uniform(2, d_zeta=0.0), "mask scales"),
         (NoiseSchedule.disabled(2), "mask scales"),
-        (split, "one decay"),
     ]:
         report = audit_one(pair, W, sched, 0.45, seed=0)
         assert isinstance(report, InadmissibleDecayError) and match in str(report)
@@ -247,7 +243,7 @@ def test_decay_is_checked_once_per_audit(sym2, base_report):
         report = audit_one(pair, W, sched, 0.45, seed=0)
     assert len(calls) == 1
     ag = inst.agents[0]
-    cert = certificate(0.45, ag.cost.phi, ag.A_norm, 0.98, 0.98, 1.0, 1.0, 1.0)
+    cert = certificate(0.45, ag.cost.phi, ag.A_norm, 0.98, 1.0, 1.0, 1.0)
     assert (report.eps_theoretical, report.eps_star) == (cert.eps_theory, cert.eps_star)
     assert report.eps_empirical == expect.eps_empirical
 
@@ -296,8 +292,8 @@ def reference_forced_difference_run(
     ag, ag_shift = base.agents[i0], pair.shifted.agents[i0]
     alpha = config.alpha
     d_eta, d_zeta = float(schedule.d_eta[i0]), float(schedule.d_zeta[i0])
-    q = float(schedule.q_zeta[i0])
-    _, tau1, tau2 = theory.q_interval(alpha, ag.cost.phi, ag.A_norm)
+    q = float(schedule.q[i0])
+    tau1, tau2 = theory.q_interval(alpha, ag.cost.phi, ag.A_norm)
     assert tau1 < q < 1.0
     if horizon is None:
         K = _pick_horizon(alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, m)
@@ -351,7 +347,7 @@ def reference_forced_difference_run(
         dy_prev, dx_prev = dy, dx
 
     tail = _tail_bound(k_measured, alpha, pair.delta, ag.A_norm, tau1, tau2, q, d_eta, d_zeta, m)
-    cert = theory.certificate(alpha, ag.cost.phi, ag.A_norm, q, q, d_eta, d_zeta, pair.delta)
+    cert = theory.certificate(alpha, ag.cost.phi, ag.A_norm, q, d_eta, d_zeta, pair.delta)
     return AuditReport(
         eps_empirical=eps_e + tail,
         eps_theoretical=cert.eps_theory,
@@ -439,7 +435,7 @@ def test_divergence_break_matches_the_per_round_reference(sym2):
     ag = inst.agents[0]
     qi = q_interval(0.9, ag.cost.phi, ag.A_norm)
     assert got.tail == _tail_bound(
-        got.horizon, 0.9, 1.0, ag.A_norm, qi.tau1, qi.tau2, 0.95, 1.0, 1.0, 1
+        got.horizon, 0.9, 1.0, ag.A_norm, qi.q_min, qi.tau2, 0.95, 1.0, 1.0, 1
     )
 
 
@@ -637,8 +633,8 @@ def test_cli_audit_fails_on_a_nan_forced_difference(tmp_path, capsys, horizon):
 
 
 def counting_envelopes(pows):
-    """audited_certificate, with a tau1 that appends to `pows` each power taken of it:
-    one per evaluation of the envelope coef (tau1^(k-1) - tau2^(k-1))."""
+    """audited_certificate, with a larger root tau1 = q_min that appends to `pows` each
+    power taken of it: one per evaluation of the envelope coef (tau1^(k-1) - tau2^(k-1))."""
     certify = privacy_audit.audited_certificate
 
     class Tau1(float):
@@ -648,7 +644,7 @@ def counting_envelopes(pows):
 
     def counting(*args):
         cert = certify(*args)
-        return cert._replace(tau1=Tau1(cert.tau1))
+        return cert._replace(q_min=Tau1(cert.q_min))
 
     return counting
 

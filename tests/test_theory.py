@@ -197,8 +197,7 @@ def test_mse_bounds_validation():
         n=2,
         d_eta=np.ones(2),
         d_zeta=np.ones(2),
-        q_eta=np.ones(2),
-        q_zeta=np.array([1.0, 0.98]),
+        q=np.array([1.0, 0.98]),
     )
     with pytest.raises(ValueError, match="diverge"):
         mse_bounds(fake, SYM2, 2, 1)
@@ -208,7 +207,7 @@ def test_q_interval_reference_points():
     qi = q_interval(0.01, 1.0, 1.0)
     assert qi.q_min == pytest.approx(0.10512492197250393, rel=1e-14)
     assert qi.tau2 == pytest.approx(-0.09512492197250393, rel=1e-14)
-    assert qi == (qi.q_min, qi.tau1, qi.tau2)  # the interval's upper end is always 1
+    assert qi == (qi.q_min, qi.tau2)  # the interval's upper end is always 1
     qi = q_interval(0.45, 2.0, 1.0)
     assert qi.q_min == pytest.approx(0.6, abs=1e-15)
     assert qi.tau2 == pytest.approx(-0.375, abs=1e-15)
@@ -228,8 +227,8 @@ def test_q_interval_needs_positive_arguments(args):
     so the certificate is the all-NaN uncovered one, and its reason is that message."""
     with pytest.raises(ValueError, match="must be positive") as raised:
         q_interval(*args)
-    cert = certificate(*args, 0.9, 0.9, 1.0, 1.0, 1.0)
-    assert all(math.isnan(v) for v in cert[:7])
+    cert = certificate(*args, 0.9, 1.0, 1.0, 1.0)
+    assert all(math.isnan(v) for v in cert[:6])
     assert cert.reason == str(raised.value)
 
 
@@ -246,22 +245,21 @@ def test_q_interval_roots_solve_characteristic_polynomial(alpha, phi, A):
         assert alpha >= phi / (2.0 * A**2) - 1e-12
         return
     # both roots satisfy phi t^2 - alpha ||A||^2 t - alpha ||A||^2 = 0
-    for t in (qi.tau1, qi.tau2):
+    for t in (qi.q_min, qi.tau2):
         assert phi * t**2 - alpha * A**2 * t - alpha * A**2 == pytest.approx(0.0, abs=1e-10)
-    assert qi.q_min == qi.tau1
-    assert qi.tau1 * qi.tau2 == pytest.approx(-alpha * A**2 / phi, rel=1e-10)
-    assert qi.tau1 + qi.tau2 == pytest.approx(alpha * A**2 / phi, rel=1e-10)
-    assert -1.0 < qi.tau2 < 0.0 < qi.tau1 < 1.0
+    assert qi.q_min * qi.tau2 == pytest.approx(-alpha * A**2 / phi, rel=1e-10)
+    assert qi.q_min + qi.tau2 == pytest.approx(alpha * A**2 / phi, rel=1e-10)
+    assert -1.0 < qi.tau2 < 0.0 < qi.q_min < 1.0
 
 
-def one_decay(alpha, d_zeta, d_eta, phi, A_norm, q, delta):
-    """The certificate at one decay q = q_eta = q_zeta."""
-    return certificate(alpha, phi, A_norm, q, q, d_eta, d_zeta, delta)
+def certify(alpha, d_zeta, d_eta, phi, A_norm, q, delta):
+    """The certificate at decay q, its arguments in the order of the tests below."""
+    return certificate(alpha, phi, A_norm, q, d_eta, d_zeta, delta)
 
 
 def epsilons(*args):
-    """(eps_theory, eps_theory_printed, eps_star, eps_star_printed) of one_decay(*args)."""
-    return one_decay(*args)[3:7]
+    """(eps_theory, eps_theory_printed, eps_star, eps_star_printed) of certify(*args)."""
+    return certify(*args)[2:6]
 
 
 def test_privacy_epsilon_reference_point():
@@ -269,8 +267,8 @@ def test_privacy_epsilon_reference_point():
     assert eps == pytest.approx(1.073782691898788, rel=1e-12)
     assert star == pytest.approx(1.06315118009781, rel=1e-12)
     assert star < eps
-    cert = one_decay(0.01, 1.0, 1.0, 1.0, 1.0, 0.98, 1.0)
-    assert cert[:3] == q_interval(0.01, 1.0, 1.0) and cert.reason == ""
+    cert = certify(0.01, 1.0, 1.0, 1.0, 1.0, 0.98, 1.0)
+    assert cert[:2] == q_interval(0.01, 1.0, 1.0) and cert.reason == ""
 
 
 def test_privacy_epsilon_denominator_forms():
@@ -292,7 +290,7 @@ def test_privacy_epsilon_validation():
     ]:
         assert all(math.isnan(eps) for eps in epsilons(*args))
     with pytest.raises(ValueError, match="delta"):
-        one_decay(0.1, 1.0, 1.0, 2.0, 1.0, 0.9, -1.0)
+        certify(0.1, 1.0, 1.0, 2.0, 1.0, 0.9, -1.0)
 
 
 @pytest.mark.parametrize(
@@ -308,25 +306,15 @@ def test_privacy_epsilon_validation():
 )
 def test_certificate_covers_no_setup_whose_epsilon_is_not_finite(args, q_min_defined):
     """Every uncovered setup names its reason; where no interval exists, it is q_interval's."""
-    cert = one_decay(*args)
-    assert all(math.isnan(eps) for eps in cert[3:7])
+    cert = certify(*args)
+    assert all(math.isnan(eps) for eps in cert[2:6])
     assert math.isnan(cert.q_min) != q_min_defined
-    assert math.isnan(cert.tau1) != q_min_defined
+    assert math.isnan(cert.tau2) != q_min_defined
     if not q_min_defined:
         assert cert.reason.startswith(("alpha = ", "q_min = "))
     else:
         zero_scale = args[1:3].count(0.0)
         assert cert.reason.startswith("mask scales " if zero_scale else "epsilon is not finite ")
-
-
-def test_certificate_needs_one_decay():
-    """q_eta must equal q_zeta up to 1e-15; the certificate assumes one decay."""
-    assert math.isfinite(certificate(0.1, 2.0, 1.0, 0.9 + 1e-16, 0.9, 1.0, 1.0, 1.0).eps_theory)
-    cert = certificate(0.1, 2.0, 1.0, 0.97, 0.98, 1.0, 1.0, 1.0)
-    assert all(math.isnan(eps) for eps in cert[3:7]) and not math.isnan(cert.q_min)
-    assert cert.reason == (
-        "q_eta = 0.97 != q_zeta = 0.98; the certificate assumes one decay at alpha=0.1"
-    )
 
 
 def test_certificate_printed_form_is_nan_where_its_denominator_is_not_positive():
